@@ -99,11 +99,17 @@ fn measure_sketch(iters: u64) -> (f64, f64, u64) {
     (cm_ns, ss_ns, spent)
 }
 
+/// The finite slots of a dense distance array: the reached set a complete
+/// field reports.
+fn reached(dist: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    dist.iter().enumerate().filter(|&(_, &d)| d != u32::MAX).map(|(i, _)| i as u32)
+}
+
 /// The per-query heat merge: `merge_raw` over a touched set sized like a
 /// real DFS (a few hundred nodes/edges out of thousands), plus
-/// `record_field` over a dense distance array. The table is seeded once
-/// outside the timed loop so the loop measures steady-state merging into
-/// already-sized vectors. Returns `(merge_ns, field_ns, allocations)`.
+/// `record_field` over a complete field's dense distance array. The
+/// table is seeded once outside the timed loop so the loop measures
+/// steady-state merging into already-sized vectors. Returns `(merge_ns, field_ns, allocations)`.
 fn measure_heat_merge(iters: u64) -> (f64, f64, u64) {
     const NODES: usize = 4096;
     const EDGES: usize = 16384;
@@ -128,7 +134,7 @@ fn measure_heat_merge(iters: u64) -> (f64, f64, u64) {
         .collect();
     // First merge sizes the global table; not part of the pin.
     heat::merge_raw(1, NODES, EDGES, &touched_nodes, &node_heat, &touched_edges, &edge_heat);
-    heat::record_field(1, &dist, EDGES);
+    heat::record_field(1, NODES, EDGES, reached(&dist));
     let before = allocs();
     let started = Instant::now();
     for _ in 0..iters {
@@ -146,7 +152,7 @@ fn measure_heat_merge(iters: u64) -> (f64, f64, u64) {
     let merge_ns = started.elapsed().as_nanos() as f64 / iters as f64;
     let started = Instant::now();
     for _ in 0..iters {
-        heat::record_field(1, black_box(&dist), EDGES);
+        heat::record_field(1, NODES, EDGES, reached(black_box(&dist)));
     }
     #[allow(clippy::cast_precision_loss)]
     let field_ns = started.elapsed().as_nanos() as f64 / iters as f64;

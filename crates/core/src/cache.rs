@@ -4,8 +4,8 @@
 //! would serialize every concurrent query on cache lookups even though
 //! the fields themselves are immutable once built. Sharding by key hash
 //! gives concurrent queries on different targets independent locks, and
-//! values are built *outside* the shard lock so even same-shard misses
-//! never hold a lock across an `O(nodes + edges)` build.
+//! callers build values *outside* the shard lock and insert them after,
+//! so even same-shard misses never hold a lock across a build.
 //!
 //! Eviction is true LRU per shard: every hit stamps the entry with a
 //! monotonically increasing shard tick, and when a shard overflows its
@@ -17,15 +17,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-
-/// What one [`ShardedLru::get_or_insert_with`] call did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheOutcome {
-    /// Whether the value was already present (the builder did not run).
-    pub hit: bool,
-    /// How many entries were evicted to make room (0 or 1).
-    pub evicted: usize,
-}
 
 #[derive(Debug)]
 struct Entry<V> {
@@ -117,25 +108,24 @@ impl<K: Hash + Eq + Copy, V: Clone> ShardedLru<K, V> {
         self.shard(key).lock().expect("cache shard poisoned").touch(key)
     }
 
-    /// Returns the cached value for `key`, or runs `build` and caches its
-    /// result. `build` runs with no lock held, so a slow build never
-    /// blocks other keys; two racing builders for the same key both run,
-    /// and the last insert wins (the values are interchangeable).
-    pub fn get_or_insert_with<F: FnOnce() -> V>(&self, key: K, build: F) -> (V, CacheOutcome) {
-        let shard = self.shard(&key);
-        if let Some(value) = shard.lock().expect("cache shard poisoned").touch(&key) {
-            return (value, CacheOutcome { hit: true, evicted: 0 });
-        }
-        let value = build();
-        let evicted =
-            shard.lock().expect("cache shard poisoned").insert(key, value.clone(), self.shard_cap);
-        (value, CacheOutcome { hit: false, evicted })
-    }
-
     /// Inserts `key` (bumping recency), evicting the per-shard LRU entry
     /// if the shard overflows. Returns how many entries were evicted.
     pub fn insert(&self, key: K, value: V) -> usize {
         self.shard(&key).lock().expect("cache shard poisoned").insert(key, value, self.shard_cap)
+    }
+
+    /// Inserts `key` unless `keep` approves the value already cached
+    /// under it, which then stays (with its recency bumped). The check
+    /// and the insert share one shard lock, so a racing builder can never
+    /// overwrite an entry `keep` protects. Returns how many entries were
+    /// evicted.
+    pub fn insert_unless<F: FnOnce(&V) -> bool>(&self, key: K, value: V, keep: F) -> usize {
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        if shard.entries.get(&key).is_some_and(|e| keep(&e.value)) {
+            shard.touch(&key);
+            return 0;
+        }
+        shard.insert(key, value, self.shard_cap)
     }
 
     /// Removes `key`, returning its value if it was present.
@@ -377,16 +367,13 @@ mod tests {
         // One shard so the eviction order is fully observable.
         let cache: ShardedLru<u32, u32> = ShardedLru::new(1, 3);
         for k in [1, 2, 3] {
-            let (_, out) = cache.get_or_insert_with(k, || k * 10);
-            assert!(!out.hit);
-            assert_eq!(out.evicted, 0);
+            assert_eq!(cache.insert(k, k * 10), 0);
         }
         // Recency now 1 < 2 < 3. Touch 1: recency 2 < 3 < 1.
         assert_eq!(cache.get(&1), Some(10));
         // Inserting a fourth entry must evict 2 — the least recently
         // used — not 1 (insertion-oldest) and not an arbitrary entry.
-        let (_, out) = cache.get_or_insert_with(4, || 40);
-        assert_eq!(out.evicted, 1);
+        assert_eq!(cache.insert(4, 40), 1);
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.get(&2), None, "LRU entry evicted");
         assert_eq!(cache.get(&1), Some(10), "recently touched entry kept");
@@ -395,19 +382,25 @@ mod tests {
     }
 
     #[test]
-    fn hits_report_hit_and_do_not_rebuild() {
-        let cache: ShardedLru<u32, u32> = ShardedLru::new(4, 8);
-        let (v, out) = cache.get_or_insert_with(7, || 70);
-        assert_eq!((v, out.hit), (70, false));
-        let (v, out) = cache.get_or_insert_with(7, || unreachable!("must not rebuild"));
-        assert_eq!((v, out.hit), (70, true));
+    fn insert_unless_keeps_a_protected_entry() {
+        let cache: ShardedLru<u32, u32> = ShardedLru::new(1, 2);
+        assert_eq!(cache.insert_unless(1, 10, |_| unreachable!("nothing cached yet")), 0);
+        // An unprotected entry is replaced...
+        cache.insert_unless(1, 11, |&old| old > 100);
+        assert_eq!(cache.get(&1), Some(11));
+        // ...a protected one stays, and counts as recently used.
+        cache.insert(2, 20);
+        assert_eq!(cache.insert_unless(1, 12, |&old| old == 11), 0);
+        assert_eq!(cache.insert(3, 30), 1);
+        assert_eq!(cache.get(&2), None, "the kept entry was bumped past 2");
+        assert_eq!(cache.get(&1), Some(11));
     }
 
     #[test]
     fn clear_empties_every_shard() {
         let cache: ShardedLru<u32, u32> = ShardedLru::new(4, 64);
         for k in 0..32 {
-            let _ = cache.get_or_insert_with(k, || k);
+            cache.insert(k, k);
         }
         assert_eq!(cache.len(), 32);
         cache.clear();
@@ -419,7 +412,7 @@ mod tests {
     fn capacity_bounds_total_size_across_shards() {
         let cache: ShardedLru<u32, u32> = ShardedLru::new(4, 16);
         for k in 0..1000 {
-            let _ = cache.get_or_insert_with(k, || k);
+            cache.insert(k, k);
         }
         // Per-shard cap is 4; hashing spreads keys, so the total stays at
         // or below shards * per-shard cap.
@@ -435,8 +428,10 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..200 {
                         let k = (t * 7 + i) % 40;
-                        let (v, _) = cache.get_or_insert_with(k, || k * 2);
-                        assert_eq!(v, k * 2);
+                        cache.insert_unless(k, k * 2, |&old| old == k * 2);
+                        if let Some(v) = cache.get(&k) {
+                            assert_eq!(v, k * 2);
+                        }
                     }
                 });
             }

@@ -373,33 +373,57 @@ impl Prospector {
         }
     }
 
-    /// The cached (or freshly built) distance field for `target`, plus
-    /// whether this lookup was a cache hit.
-    fn distances(&self, target: TyId) -> (Arc<DistanceField>, bool) {
-        let (field, outcome) = self.dist_cache.get_or_insert_with(target, || {
-            let field = DistanceField::towards(&self.graph, target);
-            // Heat accounting folds the reached set in once per *build*
-            // (cache hits re-use the same settled nodes), keeping the 0-1
-            // BFS relaxation loop itself untouched.
-            if crate::heat::enabled() {
-                crate::heat::record_field(
-                    self.graph.epoch(),
-                    field.raw(),
-                    self.graph.edge_count(),
-                );
-            }
-            Arc::new(field)
-        });
-        if outcome.hit {
+    /// The distance field for a search towards `target`, plus whether
+    /// this lookup hit the cache. `source` is an explicit query's input,
+    /// which a bounded field may serve; `None` (assist's multi-source
+    /// scope) needs a complete field.
+    ///
+    /// A cached field that covers the query is a hit: a complete one, or
+    /// a bounded one for the same source whose window is at least as
+    /// wide. On a miss, an explicit query with nothing cached builds the
+    /// bounded field; anything else builds the complete field, which
+    /// replaces the entry. A complete entry is never replaced by a
+    /// bounded one, even by a racing build.
+    fn distances(
+        &self,
+        source: Option<TyId>,
+        target: TyId,
+        scratch: &mut SearchScratch,
+    ) -> (Arc<DistanceField>, bool) {
+        let extra = self.search.extra_steps;
+        let cached = self.dist_cache.get(&target);
+        let covers = |field: &DistanceField| match source {
+            Some(s) => field.covers(s, extra),
+            None => field.is_complete(),
+        };
+        if let Some(field) = cached.as_ref().filter(|f| covers(f)) {
             prospector_obs::add("engine.dist_cache.hits", 1);
-        } else {
-            prospector_obs::add("engine.dist_cache.misses", 1);
-            if outcome.evicted > 0 {
-                prospector_obs::add("engine.dist_cache.evictions", outcome.evicted as u64);
-            }
-            prospector_obs::gauge_set("engine.dist_cache.entries", self.dist_cache.len() as u64);
+            return (Arc::clone(field), true);
         }
-        (field, outcome.hit)
+        let field = match (source, cached) {
+            (Some(s), None) => DistanceField::bounded(&self.graph, s, target, extra, scratch),
+            _ => DistanceField::towards(&self.graph, target),
+        };
+        // Heat accounting folds the reached set in once per *build*
+        // (cache hits re-use the same settled nodes), keeping the
+        // relaxation loops themselves untouched.
+        if crate::heat::enabled() {
+            crate::heat::record_field(
+                self.graph.epoch(),
+                self.graph.node_count(),
+                self.graph.edge_count(),
+                field.reached(),
+            );
+        }
+        let field = Arc::new(field);
+        let evicted =
+            self.dist_cache.insert_unless(target, Arc::clone(&field), |old| old.is_complete());
+        prospector_obs::add("engine.dist_cache.misses", 1);
+        if evicted > 0 {
+            prospector_obs::add("engine.dist_cache.evictions", evicted as u64);
+        }
+        prospector_obs::gauge_set("engine.dist_cache.entries", self.dist_cache.len() as u64);
+        (field, false)
     }
 
     /// Answers an explicit query `(tin, tout)` (§2.1). `tin` may be
@@ -433,7 +457,7 @@ impl Prospector {
             });
         }
         if !self.cache_results {
-            let result = self.run(&[(None, tin)], tout, id);
+            let (result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
             crate::heat::record_query(tin, tout, true, result.truncation.truncated());
             return Ok(result);
         }
@@ -464,7 +488,7 @@ impl Prospector {
         // lease's drop guard abandons the flight so waiters retry rather
         // than hang.
         prospector_obs::add("engine.result_cache.misses", 1);
-        let mut result = self.run(&[(None, tin)], tout, id);
+        let (mut result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
         result.stats.result_cache_misses = 1;
         crate::heat::record_query(tin, tout, true, result.truncation.truncated());
         let evicted = lease.complete(Arc::new(result.clone()));
@@ -514,7 +538,9 @@ impl Prospector {
     }
 
     /// [`Prospector::query_batch`] with an explicit worker count
-    /// (clamped to `1..=queries.len()`).
+    /// (clamped to `1..=queries.len()`). One worker runs on the caller's
+    /// thread, so a server's one-query batch spawns nothing and keeps its
+    /// thread's search scratch across requests.
     #[must_use]
     pub fn query_batch_threads(&self, queries: &[(TyId, TyId)], threads: usize) -> Vec<BatchEntry> {
         let _span = prospector_obs::stage("batch");
@@ -526,42 +552,42 @@ impl Prospector {
         // workers: the id sequence of a batch is then a pure function of
         // the recorder seed, whatever the thread interleaving does.
         let ids: Vec<TraceId> = queries.iter().map(|_| TraceId::next()).collect();
-        let mut slots: Vec<Option<BatchEntry>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done: Vec<(usize, BatchEntry)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(tin, tout)) = queries.get(i) else { break };
-                            let start = Instant::now();
-                            let result = self.query_with_trace(tin, tout, ids[i]);
-                            done.push((
-                                i,
-                                BatchEntry {
-                                    tin,
-                                    tout,
-                                    trace_id: ids[i],
-                                    result,
-                                    time: start.elapsed(),
-                                },
-                            ));
-                        }
-                        done
+        let one = |i: usize| {
+            let (tin, tout) = queries[i];
+            let start = Instant::now();
+            let result = self.query_with_trace(tin, tout, ids[i]);
+            BatchEntry { tin, tout, trace_id: ids[i], result, time: start.elapsed() }
+        };
+        let entries: Vec<BatchEntry> = if threads == 1 {
+            (0..queries.len()).map(one).collect()
+        } else {
+            let mut slots: Vec<Option<BatchEntry>> = Vec::new();
+            slots.resize_with(queries.len(), || None);
+            let next = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..threads)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut done: Vec<(usize, BatchEntry)> = Vec::new();
+                            loop {
+                                let i = next.fetch_add(1, Ordering::Relaxed);
+                                if i >= queries.len() {
+                                    break;
+                                }
+                                done.push((i, one(i)));
+                            }
+                            done
+                        })
                     })
-                })
-                .collect();
-            for handle in handles {
-                for (i, entry) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(entry);
+                    .collect();
+                for handle in handles {
+                    for (i, entry) in handle.join().expect("batch worker panicked") {
+                        slots[i] = Some(entry);
+                    }
                 }
-            }
-        });
-        let entries: Vec<BatchEntry> =
-            slots.into_iter().map(|s| s.expect("every batch slot filled")).collect();
+            });
+            slots.into_iter().map(|s| s.expect("every batch slot filled")).collect()
+        };
         let errors = entries.iter().filter(|e| e.result.is_err()).count();
         if errors > 0 {
             prospector_obs::add("engine.batch.errors", errors as u64);
@@ -587,23 +613,18 @@ impl Prospector {
         }
         sources.push((None, self.api.types().void()));
         prospector_obs::add("engine.assist.sources", sources.len() as u64);
-        // Attribute the fan-out before the single fused search: one
-        // cached distance-field lookup answers, per sub-query source,
-        // whether it can reach `tout` at all. The field this warms is the
-        // one `run` uses, so the extra lookup is a guaranteed cache hit.
-        {
-            let (field, _) = self.distances(tout);
-            let mut reachable: u64 = 0;
-            for (_, ty) in &sources {
-                let _sub = prospector_obs::stage("assist.source");
-                if field.from(&self.graph, NodeId::Ty(*ty)) != u32::MAX {
-                    reachable += 1;
-                }
+        let (mut result, field) = self.run(&sources, None, tout, TraceId::next());
+        // Attribute the fan-out: the field the fused search used answers,
+        // per sub-query source, whether it can reach `tout` at all.
+        let mut reachable: u64 = 0;
+        for (_, ty) in &sources {
+            let _sub = prospector_obs::stage("assist.source");
+            if field.from(&self.graph, NodeId::Ty(*ty)) != u32::MAX {
+                reachable += 1;
             }
-            prospector_obs::add("engine.assist.reachable", reachable);
-            prospector_obs::add("engine.assist.unreachable", sources.len() as u64 - reachable);
         }
-        let mut result = self.run(&sources, tout, TraceId::next());
+        prospector_obs::add("engine.assist.reachable", reachable);
+        prospector_obs::add("engine.assist.unreachable", sources.len() as u64 - reachable);
         for (name, ty) in visible {
             if self.api.types().is_subtype(*ty, tout) {
                 result.already_available.push((*name).to_owned());
@@ -642,29 +663,33 @@ impl Prospector {
         Ok(())
     }
 
-    fn run(&self, sources: &[(Option<String>, TyId)], tout: TyId, id: TraceId) -> QueryResult {
+    /// The pipeline: search, synthesize, rank. `bounded_source` is the
+    /// explicit query's input (see [`Prospector::distances`]). Returns
+    /// the result and the distance field the search used.
+    fn run(
+        &self,
+        sources: &[(Option<String>, TyId)],
+        bounded_source: Option<TyId>,
+        tout: TyId,
+        id: TraceId,
+    ) -> (QueryResult, Arc<DistanceField>) {
         // The flight-recorder span. When tracing is disabled (the
         // default) opening it costs one relaxed atomic load, every event
         // call below is a plain branch, and no clock is read.
         let mut qspan = trace::span(id);
         let tys: Vec<TyId> = sources.iter().map(|(_, t)| *t).collect();
         let search_timer = qspan.timer();
-        let (outcome, cache_hit, relaxations) = {
+        let (outcome, field, cache_hit) = {
             let _span = prospector_obs::stage("search");
-            let (field, cache_hit) = self.distances(tout);
-            let relaxations = if cache_hit { 0 } else { field.relaxations() };
-            let outcome = SCRATCH.with(|scratch| {
-                enumerate_with(
-                    &self.graph,
-                    &tys,
-                    tout,
-                    &field,
-                    &self.search,
-                    &mut scratch.borrow_mut(),
-                )
-            });
-            (outcome, cache_hit, relaxations)
+            SCRATCH.with(|scratch| {
+                let scratch = &mut scratch.borrow_mut();
+                let (field, cache_hit) = self.distances(bounded_source, tout, scratch);
+                let outcome =
+                    enumerate_with(&self.graph, &tys, tout, &field, &self.search, scratch);
+                (outcome, field, cache_hit)
+            })
         };
+        let relaxations = if cache_hit { 0 } else { field.relaxations() };
         let SearchOutcome { jungloids, shortest, truncation, expansions } = outcome;
         let stats = QueryStats {
             trace_id: id.0,
@@ -753,13 +778,14 @@ impl Prospector {
         if total > 0 {
             prospector_obs::metrics::histogram("query.latency_ns").record(total);
         }
-        QueryResult {
+        let result = QueryResult {
             suggestions: Arc::new(suggestions),
             shortest,
             truncation,
             already_available: Vec::new(),
             stats,
-        }
+        };
+        (result, field)
     }
 }
 

@@ -9,10 +9,10 @@
 //!   tallies into dense per-thread arrays on [`SearchScratch`]
 //!   (branch-light, allocation-free; pinned by the `heat_overhead`
 //!   bench) and [`crate::search::enumerate_with`] folds them into the
-//!   global table once per query via [`merge_raw`]. The 0-1 BFS
-//!   contributes its reached set once per distance-field *build* (cache
-//!   misses only) via [`record_field`] — a single pass over the dense
-//!   distance array, keeping the relaxation loop itself untouched.
+//!   global table once per query via [`merge_raw`]. A distance field
+//!   contributes its reached set once per *build* (cache misses only) via
+//!   [`record_field`] — one pass over the nodes the field stores,
+//!   keeping the relaxation loops themselves untouched.
 //! * **Workload sketches** — a count-min sketch plus space-saving top-K
 //!   trackers over `(tin, tout)` query keys: overall popularity,
 //!   result-cache misses, and truncated queries. Recorded once per
@@ -130,16 +130,21 @@ pub fn merge_raw(
 }
 
 /// Fold a freshly built distance field's reached set into the node
-/// counts: every node with a finite distance was settled by the 0-1 BFS.
-/// Called once per field *build* (i.e. per distance-cache miss), so the
-/// `O(nodes)` pass never sits on the per-query path.
-pub fn record_field(epoch: u64, dist: &[u32], edge_count: usize) {
+/// counts: `reached` lists the dense indices the field stores a finite
+/// distance for (every settled node of a complete field; a bounded
+/// field's window). Called once per field *build* (i.e. per
+/// distance-cache miss), so the pass never sits on the per-query path.
+pub fn record_field(
+    epoch: u64,
+    node_count: usize,
+    edge_count: usize,
+    reached: impl IntoIterator<Item = u32>,
+) {
     let mut inner = heat().lock().unwrap();
-    ensure(&mut inner, epoch, dist.len(), edge_count);
-    for (i, &d) in dist.iter().enumerate() {
-        if d != u32::MAX {
-            inner.nodes[i] = inner.nodes[i].saturating_add(1);
-        }
+    ensure(&mut inner, epoch, node_count, edge_count);
+    for i in reached {
+        let i = i as usize;
+        inner.nodes[i] = inner.nodes[i].saturating_add(1);
     }
     inner.fields += 1;
 }

@@ -70,7 +70,7 @@ pub mod slab;
 pub mod synth;
 pub mod viability;
 
-pub use cache::{CacheOutcome, FlightLease, Lookup, ShardedLru, SingleflightCache};
+pub use cache::{FlightLease, Lookup, ShardedLru, SingleflightCache};
 pub use compose::{compose, ComposeConfig, Composition};
 pub use engine::{BatchEntry, Prospector, QueryError, QueryResult, QueryStats, Suggestion};
 pub use graph::{

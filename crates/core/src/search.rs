@@ -8,10 +8,13 @@
 //! length less than or equal to *m + 1* where *m* is the length of the
 //! shortest path for the query" — length counts non-widening steps
 //! (widenings are free, §3.2). We implement that as a 0/1-weighted
-//! multi-source shortest-path pass (0-1 BFS), followed by a depth-first
-//! enumeration pruned with exact distance-to-target lower bounds, so the
-//! enumeration only ever walks prefixes that can still finish within the
-//! bound.
+//! shortest-path pass (0-1 BFS) that builds a [`DistanceField`], followed
+//! by a depth-first enumeration pruned with exact distance-to-target
+//! lower bounds, so the enumeration only ever walks prefixes that can
+//! still finish within the bound. The field is either complete (a
+//! reverse BFS over everything that reaches the target) or bounded to one
+//! source's window (a meet-in-the-middle search that settles only the
+//! nodes such a path can cross); the walk prunes identically over both.
 
 use std::collections::VecDeque;
 
@@ -35,9 +38,10 @@ pub struct SearchConfig {
     pub max_results: usize,
     /// Hard cap on DFS edge expansions (safety valve for pathological
     /// graphs). This budget covers the depth-first enumeration *only*:
-    /// edge relaxations spent by the 0-1 BFS pre-pass
-    /// ([`DistanceField::towards`]) are accounted separately (the
-    /// `search.bfs_relaxations` counter) and never eat into it.
+    /// edge relaxations spent building the distance field
+    /// ([`DistanceField::towards`], [`DistanceField::bounded`]) are
+    /// accounted separately (the `search.bfs_relaxations` counter) and
+    /// never eat into it.
     pub max_expansions: usize,
 }
 
@@ -99,21 +103,41 @@ pub struct SearchOutcome {
     pub expansions: usize,
 }
 
-/// Distances from every node *to* a fixed target, in non-widening steps.
+/// Distances *to* a fixed target, in non-widening steps.
 ///
 /// Reusable across queries with the same target; the engine caches these.
+/// A field comes in one of two kinds (DESIGN §16):
+///
+/// * **complete** ([`DistanceField::towards`]): one dense slot per node,
+///   so it serves any source set and any window;
+/// * **bounded** ([`DistanceField::bounded`]): exact distances for the
+///   nodes on some path of length ≤ `m + extra_steps` from one source
+///   (and the few others the builder cannot rule out); every other node
+///   reads as unreachable. The walk prunes every edge the complete field
+///   would prune, so it serves that source with any window up to its
+///   own.
 #[derive(Clone, Debug)]
 pub struct DistanceField {
     target: TyId,
-    dist: Vec<u32>,
-    /// Edge relaxations the 0-1 BFS spent building this field. Kept on
-    /// the field so the engine can attribute the build cost to the one
-    /// query that missed the cache (cache hits charge 0).
+    dist: Dist,
+    /// Edge relaxations spent building this field. Kept on the field so
+    /// the engine can attribute the build cost to the one query that
+    /// missed the cache (cache hits charge 0).
     relaxations: u64,
 }
 
+#[derive(Clone, Debug)]
+enum Dist {
+    /// Dense-indexed, `u32::MAX` where the target is unreachable.
+    Complete(Vec<u32>),
+    /// Sorted `(dense index, distance)` entries covering every node on a
+    /// path of length ≤ `m + extra_steps` from `source`.
+    Bounded { source: TyId, extra_steps: u32, entries: Vec<(u32, u32)> },
+}
+
 impl DistanceField {
-    /// Runs a reverse 0-1 BFS from `target` over the CSR reverse arrays.
+    /// Runs a reverse 0-1 BFS from `target` over the CSR reverse arrays,
+    /// building the complete field.
     ///
     /// Relaxations performed here are reported via the
     /// `search.bfs_relaxations` counter and are *not* charged against
@@ -125,7 +149,7 @@ impl DistanceField {
         let rev_from = csr.in_from();
         let rev_cost = csr.in_cost();
         let mut dist = vec![u32::MAX; n];
-        let ti = u32::try_from(graph.index_of(NodeId::Ty(target))).expect("node fits u32");
+        let ti = dense(graph, target);
         let mut queue: VecDeque<u32> = VecDeque::new();
         dist[ti as usize] = 0;
         queue.push_back(ti);
@@ -147,10 +171,96 @@ impl DistanceField {
             }
         }
         prospector_obs::add("search.bfs_relaxations", relaxations);
-        DistanceField { target, dist, relaxations }
+        DistanceField { target, dist: Dist::Complete(dist), relaxations }
     }
 
-    /// Edge relaxations the 0-1 BFS spent building this field.
+    /// Builds the bounded field for one `source` and the window
+    /// `m + extra_steps`, meeting in the middle instead of settling every
+    /// node that reaches `target`.
+    ///
+    /// A level-synchronous 0-1 BFS grows a ball forward from `source` and
+    /// one backward from `target`, always expanding the side with fewer
+    /// frontier edges, until it has proven `m` and the radii `a`, `b`
+    /// satisfy `a + b ≥ m + extra_steps − 1`. Every node on a path within
+    /// the window then lies in one of the balls. A bucketed reverse pass,
+    /// restricted to the forward ball and seeded from the backward one,
+    /// fills in the exact distances the backward ball lacks. The buffers
+    /// live in `scratch` and are left clean, so a build does no work
+    /// proportional to the graph size. Relaxations count every edge the
+    /// three passes scan, under the same `search.bfs_relaxations` counter
+    /// as [`DistanceField::towards`].
+    #[must_use]
+    pub fn bounded(
+        graph: &JungloidGraph,
+        source: TyId,
+        target: TyId,
+        extra_steps: u32,
+        scratch: &mut SearchScratch,
+    ) -> Self {
+        let csr = graph.csr();
+        let n = csr.node_count();
+        let (out_off, out_to, out_cost) = (csr.out_offsets(), csr.out_to(), csr.out_cost());
+        let (in_off, in_from, in_cost) = (csr.in_offsets(), csr.in_from(), csr.in_cost());
+        let SearchScratch { fwd, bwd, buckets, .. } = scratch;
+        let (si, ti) = (dense(graph, source), dense(graph, target));
+        fwd.start(n, si);
+        bwd.start(n, ti);
+        // The cheapest source-to-target cost through a node both balls
+        // hold: an upper bound on `m`, and equal to it once proven.
+        let mut meet = if si == ti { 0 } else { u32::MAX };
+        let mut relaxations: u64 = 0;
+        let window = loop {
+            // `reach` is a + b + 2. An exhausted ball holds everything it
+            // can reach, so its radius is unbounded.
+            let exhausted = fwd.exhausted() || bwd.exhausted();
+            let reach = fwd.done + bwd.done;
+            if meet == u32::MAX && exhausted {
+                break None;
+            }
+            // If m ≤ a + b, a shortest path crosses a node both balls
+            // hold, so meet = m; otherwise m > a + b. Either way,
+            // meet ≤ a + b + 1 proves meet = m.
+            if meet != u32::MAX && (exhausted || meet < reach) {
+                let window = meet.saturating_add(extra_steps);
+                if exhausted || reach > window {
+                    break Some(window);
+                }
+            }
+            relaxations += if fwd.frontier_edges(out_off) <= bwd.frontier_edges(in_off) {
+                fwd.expand(out_off, out_to, out_cost, &bwd.dist, &mut meet)
+            } else {
+                bwd.expand(in_off, in_from, in_cost, &fwd.dist, &mut meet)
+            };
+        };
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        if let Some(window) = window {
+            // Lower bounds on the distances of nodes outside each ball.
+            let beyond_fwd = if fwd.exhausted() { u32::MAX } else { fwd.done };
+            let beyond_bwd = if bwd.exhausted() { u32::MAX } else { bwd.done };
+            if beyond_bwd != u32::MAX {
+                relaxations += fill_forward_ball(fwd, bwd, buckets, window, beyond_bwd, csr);
+            }
+            entries.extend(bwd.touched.iter().filter_map(|&v| {
+                let to_go = bwd.dist[v as usize];
+                let so_far = match fwd.dist[v as usize] {
+                    u32::MAX => beyond_fwd,
+                    d => d,
+                };
+                (so_far.saturating_add(to_go) <= window).then_some((v, to_go))
+            }));
+            entries.sort_unstable();
+        }
+        fwd.clear();
+        bwd.clear();
+        prospector_obs::add("search.bfs_relaxations", relaxations);
+        DistanceField {
+            target,
+            dist: Dist::Bounded { source, extra_steps, entries },
+            relaxations,
+        }
+    }
+
+    /// Edge relaxations spent building this field.
     #[must_use]
     pub fn relaxations(&self) -> u64 {
         self.relaxations
@@ -162,15 +272,210 @@ impl DistanceField {
         self.target
     }
 
-    /// Distance from `node` to the target (`u32::MAX` if unreachable).
+    /// Whether this is a complete field, serving every source and window.
     #[must_use]
-    pub fn from(&self, graph: &JungloidGraph, node: NodeId) -> u32 {
-        self.dist[graph.index_of(node)]
+    pub fn is_complete(&self) -> bool {
+        matches!(self.dist, Dist::Complete(_))
     }
 
-    /// The raw dense-indexed distance array (hot-path access).
-    pub(crate) fn raw(&self) -> &[u32] {
-        &self.dist
+    /// Whether this field prunes a walk from `source` with window
+    /// `m + extra_steps` exactly as the complete field would.
+    #[must_use]
+    pub fn covers(&self, source: TyId, extra_steps: u32) -> bool {
+        match self.dist {
+            Dist::Complete(_) => true,
+            Dist::Bounded { source: s, extra_steps: e, .. } => s == source && extra_steps <= e,
+        }
+    }
+
+    /// Distance from `node` to the target (`u32::MAX` if unreachable, or
+    /// outside a bounded field's window).
+    #[must_use]
+    pub fn from(&self, graph: &JungloidGraph, node: NodeId) -> u32 {
+        let i = graph.index_of(node);
+        match &self.dist {
+            Dist::Complete(dist) => dist[i],
+            Dist::Bounded { entries, .. } => entries
+                .binary_search_by_key(&i, |&(v, _)| v as usize)
+                .map_or(u32::MAX, |k| entries[k].1),
+        }
+    }
+
+    /// Dense indices of the nodes with a finite stored distance.
+    pub fn reached(&self) -> impl Iterator<Item = u32> + '_ {
+        let (dense, sparse): (&[u32], &[(u32, u32)]) = match &self.dist {
+            Dist::Complete(dist) => (dist, &[]),
+            Dist::Bounded { entries, .. } => (&[], entries),
+        };
+        let dense = dense.iter().enumerate().filter(|&(_, &d)| d != u32::MAX);
+        dense.map(|(i, _)| i as u32).chain(sparse.iter().map(|&(v, _)| v))
+    }
+}
+
+/// Dense index of a type node.
+fn dense(graph: &JungloidGraph, ty: TyId) -> u32 {
+    u32::try_from(graph.index_of(NodeId::Ty(ty))).expect("node fits u32")
+}
+
+/// The bounded builder's reverse pass: exact distances to the target for
+/// the forward-ball nodes on a path within `window`, written into
+/// `bwd.dist`. Such a node outside the backward ball is at least
+/// `beyond_bwd` from the target, and its shortest path stays inside the
+/// window, so a Dial bucket queue seeded from its edges into the backward
+/// ball and relaxing only into the forward ball settles it exactly.
+/// Returns the edges scanned.
+fn fill_forward_ball(
+    fwd: &Ball,
+    bwd: &mut Ball,
+    buckets: &mut Vec<Vec<u32>>,
+    window: u32,
+    beyond_bwd: u32,
+    csr: &CsrAdjacency,
+) -> u64 {
+    // A bucket holds nodes at one distance, which is at most `window`
+    // and below the node count: a huge `extra_steps` keeps it small.
+    let top = window.min(u32::try_from(csr.node_count()).expect("node count fits u32"));
+    if buckets.len() <= top as usize {
+        buckets.resize_with(top as usize + 1, Vec::new);
+    }
+    let mut scanned: u64 = 0;
+    for &v in &fwd.touched {
+        let so_far = fwd.dist[v as usize];
+        if bwd.dist[v as usize] != u32::MAX || so_far.saturating_add(beyond_bwd) > window {
+            continue;
+        }
+        let range = csr.out_range(v as usize);
+        scanned += range.len() as u64;
+        let best = csr.out_to()[range.clone()]
+            .iter()
+            .zip(&csr.out_cost()[range])
+            .map(|(&x, &cost)| bwd.dist[x as usize].saturating_add(u32::from(cost)))
+            .min()
+            .unwrap_or(u32::MAX);
+        if so_far.saturating_add(best) <= window {
+            bwd.set(v, best);
+            buckets[best as usize].push(v);
+        }
+    }
+    for d in 0..=top {
+        while let Some(v) = buckets[d as usize].pop() {
+            if bwd.dist[v as usize] != d {
+                continue;
+            }
+            let range = csr.in_range(v as usize);
+            scanned += range.len() as u64;
+            for (&u, &cost) in csr.in_from()[range.clone()].iter().zip(&csr.in_cost()[range]) {
+                let nd = d + u32::from(cost);
+                let so_far = fwd.dist[u as usize];
+                if nd < bwd.dist[u as usize] && so_far.saturating_add(nd) <= window {
+                    bwd.set(u, nd);
+                    buckets[nd as usize].push(u);
+                }
+            }
+        }
+    }
+    scanned
+}
+
+/// One side of [`DistanceField::bounded`]'s meet-in-the-middle search: a
+/// ball grown one 0-1 BFS level at a time around its root.
+#[derive(Debug, Default)]
+struct Ball {
+    /// Distance from (forward) or to (backward) the root, dense-indexed;
+    /// `u32::MAX` outside the ball and everywhere between builds.
+    dist: Vec<u32>,
+    /// Every node with a finite `dist`, so a reset costs the ball, not
+    /// the graph.
+    touched: Vec<u32>,
+    /// Seeds of level `done`. An entry is stale once a zero-cost edge has
+    /// pulled its node one level lower.
+    level: Vec<u32>,
+    /// Seeds of level `done + 1`, collected while expanding.
+    next: Vec<u32>,
+    /// Levels fully expanded: every node within `done − 1` of the root is
+    /// in the ball, and every finite `dist` is exact.
+    done: u32,
+}
+
+impl Ball {
+    fn start(&mut self, nodes: usize, root: u32) {
+        debug_assert!(self.touched.is_empty(), "ball left dirty");
+        if self.dist.len() != nodes {
+            self.dist.clear();
+            self.dist.resize(nodes, u32::MAX);
+        }
+        self.set(root, 0);
+        self.level.push(root);
+        self.done = 0;
+    }
+
+    fn set(&mut self, v: u32, d: u32) {
+        if self.dist[v as usize] == u32::MAX {
+            self.touched.push(v);
+        }
+        self.dist[v as usize] = d;
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.touched {
+            self.dist[v as usize] = u32::MAX;
+        }
+        self.touched.clear();
+        self.level.clear();
+        self.next.clear();
+    }
+
+    /// Whether the ball already holds every node it can reach.
+    fn exhausted(&self) -> bool {
+        self.level.is_empty()
+    }
+
+    /// Edges the next [`Ball::expand`] will scan from its seeds.
+    fn frontier_edges(&self, off: &[u32]) -> u64 {
+        self.level.iter().map(|&v| u64::from(off[v as usize + 1] - off[v as usize])).sum()
+    }
+
+    /// Expands level `done`: scans every edge of the level, closing it
+    /// under zero-cost edges and seeding the next level. `other` is the
+    /// opposite ball, and `meet` keeps the cheapest cost through a node
+    /// both hold. Returns the edges scanned.
+    fn expand(
+        &mut self,
+        off: &[u32],
+        adj: &[u32],
+        cost: &[u8],
+        other: &[u32],
+        meet: &mut u32,
+    ) -> u64 {
+        let d = self.done;
+        let mut scanned: u64 = 0;
+        let mut i = 0;
+        while let Some(&v) = self.level.get(i) {
+            i += 1;
+            if self.dist[v as usize] != d {
+                continue;
+            }
+            let range = off[v as usize] as usize..off[v as usize + 1] as usize;
+            scanned += range.len() as u64;
+            for (&x, &c) in adj[range.clone()].iter().zip(&cost[range]) {
+                let nd = d + u32::from(c);
+                if nd < self.dist[x as usize] {
+                    self.set(x, nd);
+                    if other[x as usize] != u32::MAX {
+                        *meet = (*meet).min(nd + other[x as usize]);
+                    }
+                    if c == 0 {
+                        self.level.push(x);
+                    } else {
+                        self.next.push(x);
+                    }
+                }
+            }
+        }
+        self.level.clear();
+        std::mem::swap(&mut self.level, &mut self.next);
+        self.done += 1;
+        scanned
     }
 }
 
@@ -196,6 +501,14 @@ pub struct SearchScratch {
     touched_edges: Vec<u32>,
     /// Node indices with a nonzero tally this query.
     touched_nodes: Vec<u32>,
+    /// [`DistanceField::bounded`]'s forward ball.
+    fwd: Ball,
+    /// Its backward ball. The walk borrows `bwd.dist` as the dense view
+    /// of a bounded field; both leave it all-`u32::MAX`.
+    bwd: Ball,
+    /// The reverse pass's Dial buckets, one per distance; empty between
+    /// builds.
+    buckets: Vec<Vec<u32>>,
 }
 
 impl SearchScratch {
@@ -288,6 +601,12 @@ pub fn enumerate(
 /// [`enumerate`] with caller-owned scratch buffers, the form the engine's
 /// batch workers use: one [`SearchScratch`] per thread amortizes the
 /// `O(nodes)` mark array and the stack across queries.
+///
+/// # Panics
+///
+/// Panics if `field` points at another target, or is a bounded field
+/// that does not [cover](DistanceField::covers) every source and the
+/// configured window.
 #[must_use]
 pub fn enumerate_with(
     graph: &JungloidGraph,
@@ -298,6 +617,44 @@ pub fn enumerate_with(
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
     assert_eq!(field.target(), target, "distance field target mismatch");
+    let entries = match &field.dist {
+        Dist::Complete(dist) => {
+            return enumerate_dense(graph, sources, target, dist, config, scratch);
+        }
+        Dist::Bounded { entries, .. } => entries,
+    };
+    assert!(
+        sources.iter().all(|&s| field.covers(s, config.extra_steps)),
+        "bounded distance field does not cover this query"
+    );
+    // Scatter the stored entries into the per-thread dense buffer for the
+    // walk, then restore it: O(entries), not O(nodes).
+    let mut dist = std::mem::take(&mut scratch.bwd.dist);
+    let n = graph.csr().node_count();
+    if dist.len() != n {
+        dist.clear();
+        dist.resize(n, u32::MAX);
+    }
+    for &(v, d) in entries {
+        dist[v as usize] = d;
+    }
+    let outcome = enumerate_dense(graph, sources, target, &dist, config, scratch);
+    for &(v, _) in entries {
+        dist[v as usize] = u32::MAX;
+    }
+    scratch.bwd.dist = dist;
+    outcome
+}
+
+/// The walk over a dense distance array (`dist[i]` for dense index `i`).
+fn enumerate_dense(
+    graph: &JungloidGraph,
+    sources: &[TyId],
+    target: TyId,
+    dist: &[u32],
+    config: &SearchConfig,
+    scratch: &mut SearchScratch,
+) -> SearchOutcome {
     let csr = graph.csr();
     // Hoisted once per query: the hot loop branches on a local bool, not
     // an atomic.
@@ -321,7 +678,7 @@ pub fn enumerate_with(
     }
     let m = uniq_sources
         .iter()
-        .map(|&s| field.from(graph, NodeId::Ty(s)))
+        .map(|&s| dist[graph.index_of(NodeId::Ty(s))])
         .filter(|&d| d != u32::MAX)
         .min();
     let Some(m) = m else {
@@ -342,13 +699,13 @@ pub fn enumerate_with(
     scratch.stack.reserve(bound as usize + 9);
     let fanout: usize = uniq_sources
         .iter()
-        .filter(|&&s| field.from(graph, NodeId::Ty(s)) != u32::MAX)
+        .filter(|&&s| dist[graph.index_of(NodeId::Ty(s))] != u32::MAX)
         .map(|&s| csr.out_range(graph.index_of(NodeId::Ty(s))).len())
         .sum();
     let mut dfs = Dfs {
         csr,
-        dist: field.raw(),
-        target_idx: u32::try_from(graph.index_of(NodeId::Ty(target))).expect("node fits u32"),
+        dist,
+        target_idx: dense(graph, target),
         bound,
         config,
         heat,
@@ -358,10 +715,10 @@ pub fn enumerate_with(
         truncation: TruncationReason::None,
     };
     for &s in &uniq_sources {
-        if field.from(graph, NodeId::Ty(s)) == u32::MAX {
+        if dist[graph.index_of(NodeId::Ty(s))] == u32::MAX {
             continue;
         }
-        let si = u32::try_from(graph.index_of(NodeId::Ty(s))).expect("node fits u32");
+        let si = dense(graph, s);
         dfs.walk(s, si);
         if dfs.truncation.truncated() {
             break;

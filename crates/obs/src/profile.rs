@@ -91,6 +91,17 @@ struct ThreadState {
     depth: std::cell::Cell<u32>,
 }
 
+impl Drop for ThreadState {
+    /// Unregisters the exiting thread's slot, so the sampler stops
+    /// counting a dead thread as `idle`.
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.get_mut().take() {
+            let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            reg.retain(|s| !Arc::ptr_eq(s, &slot));
+        }
+    }
+}
+
 thread_local! {
     static TLS: ThreadState = const {
         ThreadState {
