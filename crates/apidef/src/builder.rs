@@ -273,9 +273,9 @@ mod tests {
         assert_eq!(api.lookup_instance_method(derived, "sibling", 2).len(), 1);
         assert_eq!(api.lookup_static_method(derived, "make", 0).len(), 1);
         let inner = api.lookup_instance_method(derived, "inner", 0)[0];
-        assert_eq!(api.method(inner).visibility, Visibility::Protected);
+        assert_eq!(api.method(inner).visibility(), Visibility::Protected);
         let all = api.lookup_field(derived, "ALL").unwrap();
-        assert!(api.field(all).is_static);
+        assert!(api.field(all).is_static());
     }
 
     #[test]

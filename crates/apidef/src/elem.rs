@@ -73,18 +73,18 @@ impl ElemJungloid {
         match *self {
             ElemJungloid::FieldAccess { field } => {
                 let def = api.field(field);
-                if def.is_static {
+                if def.is_static() {
                     api.types().void()
                 } else {
-                    def.declaring
+                    def.declaring()
                 }
             }
             ElemJungloid::Call { method, input } => {
                 let def = api.method(method);
                 match input {
                     None => api.types().void(),
-                    Some(InputSlot::Receiver) => def.declaring,
-                    Some(InputSlot::Arg(i)) => def.params[i],
+                    Some(InputSlot::Receiver) => def.declaring(),
+                    Some(InputSlot::Arg(i)) => def.params()[i],
                 }
             }
             ElemJungloid::Widen { from, .. } | ElemJungloid::Downcast { from, .. } => from,
@@ -95,8 +95,8 @@ impl ElemJungloid {
     #[must_use]
     pub fn output_ty(&self, api: &Api) -> TyId {
         match *self {
-            ElemJungloid::FieldAccess { field } => api.field(field).ty,
-            ElemJungloid::Call { method, .. } => api.method(method).ret,
+            ElemJungloid::FieldAccess { field } => api.field(field).ty(),
+            ElemJungloid::Call { method, .. } => api.method(method).ret(),
             ElemJungloid::Widen { to, .. } | ElemJungloid::Downcast { to, .. } => to,
         }
     }
@@ -135,9 +135,9 @@ impl ElemJungloid {
             }
         };
         if def.needs_receiver() && input != Some(InputSlot::Receiver) {
-            count(def.declaring);
+            count(def.declaring());
         }
-        for (i, &p) in def.params.iter().enumerate() {
+        for (i, &p) in def.params().iter().enumerate() {
             if input != Some(InputSlot::Arg(i)) {
                 count(p);
             }
@@ -152,9 +152,9 @@ impl ElemJungloid {
         let def = api.method(method);
         let mut out = Vec::new();
         if def.needs_receiver() && input != Some(InputSlot::Receiver) {
-            out.push(def.declaring);
+            out.push(def.declaring());
         }
-        for (i, &p) in def.params.iter().enumerate() {
+        for (i, &p) in def.params().iter().enumerate() {
             if input != Some(InputSlot::Arg(i)) {
                 out.push(p);
             }
@@ -169,15 +169,15 @@ impl ElemJungloid {
         match *self {
             ElemJungloid::FieldAccess { field } => {
                 let def = api.field(field);
-                format!("{}.{}", api.types().display_simple(def.declaring), def.name)
+                format!("{}.{}", api.types().display_simple(def.declaring()), def.name())
             }
             ElemJungloid::Call { method, .. } => {
                 let def = api.method(method);
-                let who = api.types().display_simple(def.declaring);
-                if def.is_constructor {
+                let who = api.types().display_simple(def.declaring());
+                if def.is_constructor() {
                     format!("new {who}")
                 } else {
-                    format!("{who}.{}", def.name)
+                    format!("{who}.{}", def.name())
                 }
             }
             ElemJungloid::Widen { .. } => "widen".to_owned(),
@@ -245,7 +245,7 @@ impl ElemJungloid {
                     Json::Str(s) if s == "recv" => Some(InputSlot::Receiver),
                     arg => {
                         let i =
-                            want_index(arg, api.method(method).params.len(), "parameter slot")?;
+                            want_index(arg, api.method(method).params().len(), "parameter slot")?;
                         Some(InputSlot::Arg(i))
                     }
                 };
@@ -283,7 +283,7 @@ pub fn elems_of_method(api: &Api, method: MethodId) -> Vec<ElemJungloid> {
     // returning `void` produce no value, and primitive-returning methods
     // produce values that can never be a jungloid's output (§2.1
     // footnote 4 excludes primitives end-to-end).
-    if !api.types().is_reference(def.ret) {
+    if !api.types().is_reference(def.ret()) {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -292,7 +292,7 @@ pub fn elems_of_method(api: &Api, method: MethodId) -> Vec<ElemJungloid> {
         any_class_input = true;
         out.push(ElemJungloid::Call { method, input: Some(InputSlot::Receiver) });
     }
-    for (i, &p) in def.params.iter().enumerate() {
+    for (i, &p) in def.params().iter().enumerate() {
         if api.types().is_reference(p) {
             any_class_input = true;
             out.push(ElemJungloid::Call { method, input: Some(InputSlot::Arg(i)) });
@@ -348,7 +348,7 @@ mod tests {
         api.methods_of(c)
             .iter()
             .copied()
-            .find(|&m| api.method(m).name == name)
+            .find(|&m| api.method(m).name() == name)
             .unwrap()
     }
 
@@ -477,8 +477,8 @@ mod tests {
         let api = loader.finish().unwrap();
         let g = api.types().resolve("v.G").unwrap();
         let inner = api.lookup_instance_method(g, "inner", 0)[0];
-        assert_eq!(api.method(inner).visibility, Visibility::Protected);
+        assert_eq!(api.method(inner).visibility(), Visibility::Protected);
         let hidden = api.lookup_instance_method(g, "hidden", 0)[0];
-        assert_eq!(api.method(hidden).visibility, Visibility::Private);
+        assert_eq!(api.method(hidden).visibility(), Visibility::Private);
     }
 }

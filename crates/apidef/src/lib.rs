@@ -53,4 +53,7 @@ pub use builder::ClassBuilder;
 pub use elem::{ElemJungloid, InputSlot};
 pub use error::ApiError;
 pub use loader::{ApiLoader, PRELUDE};
-pub use model::{Api, FieldDef, FieldId, MethodDef, MethodId, Visibility};
+pub use model::{
+    Api, FieldDef, FieldId, FieldView, MemberTables, MethodDef, MethodId, MethodView, RawField,
+    RawMethod, Visibility,
+};

@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(api.constructors_of(br).len(), 2);
         assert_eq!(api.lookup_instance_method(br, "readLine", 0).len(), 1);
         let lock = api.lookup_field(br, "lock").unwrap();
-        assert_eq!(api.field(lock).visibility, Visibility::Protected);
+        assert_eq!(api.field(lock).visibility(), Visibility::Protected);
     }
 
     #[test]
@@ -602,10 +602,10 @@ mod tests {
         )]);
         let table = api.types().resolve("Table").unwrap();
         let all = api.lookup_static_method(table, "all", 0)[0];
-        let arr = api.method(all).ret;
+        let arr = api.method(all).ret();
         assert!(matches!(api.types().ty(arr), jungloid_typesys::Ty::Array(e) if e == table));
         let clear = api.lookup_instance_method(table, "clear", 0)[0];
-        assert_eq!(api.method(clear).ret, api.types().void());
+        assert_eq!(api.method(clear).ret(), api.types().void());
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! The in-memory API model: types plus members.
+//!
+//! Members live in flat per-table arrays: one fixed-size record per
+//! method or field, every parameter type in one `Vec<TyId>`, every
+//! member and parameter name in one [`NameArena`], and a dense
+//! per-type index. Building or loading an API therefore allocates per
+//! table, not per member, and [`Api::method`]/[`Api::field`] hand out
+//! borrowed views ([`MethodView`], [`FieldView`]) over those arrays.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
-use jungloid_typesys::{Ty, TyId, TypeKind, TypeTable};
+use jungloid_typesys::{NameArena, Sym, Ty, TyId, TypeKind, TypeTable};
 use prospector_obs::json::{decode_err, Json, JsonError};
 
 use crate::ApiError;
@@ -75,7 +82,8 @@ impl std::fmt::Debug for FieldId {
     }
 }
 
-/// A method or constructor signature.
+/// A method or constructor signature: the owned input to
+/// [`Api::add_method`]. Reads go through [`MethodView`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MethodDef {
     /// Method name; `"<init>"` for constructors.
@@ -99,15 +107,8 @@ pub struct MethodDef {
     pub is_constructor: bool,
 }
 
-impl MethodDef {
-    /// Constructors and static methods need no receiver.
-    #[must_use]
-    pub fn needs_receiver(&self) -> bool {
-        !self.is_static && !self.is_constructor
-    }
-}
-
-/// A field signature.
+/// A field signature: the owned input to [`Api::add_field`]. Reads go
+/// through [`FieldView`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FieldDef {
     /// Field name.
@@ -122,6 +123,425 @@ pub struct FieldDef {
     pub is_static: bool,
 }
 
+/// A borrowed view of one method in the API's flat tables. Each accessor
+/// reads only what it returns, so asking for a return type does not
+/// touch the name arena. Views of two different APIs compare by content
+/// (names by text).
+#[derive(Clone, Copy)]
+pub struct MethodView<'a> {
+    tables: &'a Tables,
+    rec: &'a MethodRec,
+    index: usize,
+}
+
+impl<'a> MethodView<'a> {
+    /// Method name; `"<init>"` for constructors.
+    #[must_use]
+    pub fn name(&self) -> &'a str {
+        self.tables.names.get(self.rec.name)
+    }
+
+    /// Declaring class or interface.
+    #[must_use]
+    pub fn declaring(&self) -> TyId {
+        self.rec.declaring
+    }
+
+    /// Parameter types in order.
+    #[must_use]
+    pub fn params(&self) -> &'a [TyId] {
+        &self.tables.params[self.tables.spans(self.index).0]
+    }
+
+    /// Declared parameter names, in parameter order (see
+    /// [`MethodDef::param_names`]: `None` for an unnamed parameter, and
+    /// no entries when the stub named none).
+    pub fn param_names(&self) -> impl ExactSizeIterator<Item = Option<&'a str>> + 'a {
+        let names = &self.tables.names;
+        let syms = &self.tables.param_names[self.tables.spans(self.index).1];
+        syms.iter().map(move |s| s.map(|sym| names.get(sym)))
+    }
+
+    /// The declared name of parameter `i`, if the stub gave one.
+    #[must_use]
+    pub fn param_name(&self, i: usize) -> Option<&'a str> {
+        self.param_names().nth(i).flatten()
+    }
+
+    /// Return type (`void` allowed; the declaring class for
+    /// constructors).
+    #[must_use]
+    pub fn ret(&self) -> TyId {
+        self.rec.ret
+    }
+
+    /// Visibility.
+    #[must_use]
+    pub fn visibility(&self) -> Visibility {
+        self.rec.visibility
+    }
+
+    /// Whether the method is `static`.
+    #[must_use]
+    pub fn is_static(&self) -> bool {
+        self.rec.is_static
+    }
+
+    /// Whether this is a constructor.
+    #[must_use]
+    pub fn is_constructor(&self) -> bool {
+        self.rec.is_constructor
+    }
+
+    /// Constructors and static methods need no receiver.
+    #[must_use]
+    pub fn needs_receiver(&self) -> bool {
+        !self.rec.is_static && !self.rec.is_constructor
+    }
+}
+
+impl PartialEq for MethodView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.declaring() == other.declaring()
+            && self.params() == other.params()
+            && self.param_names().eq(other.param_names())
+            && self.ret() == other.ret()
+            && self.visibility() == other.visibility()
+            && self.is_static() == other.is_static()
+            && self.is_constructor() == other.is_constructor()
+    }
+}
+
+impl Eq for MethodView<'_> {}
+
+impl std::fmt::Debug for MethodView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MethodView")
+            .field("name", &self.name())
+            .field("declaring", &self.declaring())
+            .field("params", &self.params())
+            .field("param_names", &self.param_names().collect::<Vec<_>>())
+            .field("ret", &self.ret())
+            .field("visibility", &self.visibility())
+            .field("is_static", &self.is_static())
+            .field("is_constructor", &self.is_constructor())
+            .finish()
+    }
+}
+
+/// A borrowed view of one field in the API's flat tables.
+#[derive(Clone, Copy)]
+pub struct FieldView<'a> {
+    names: &'a NameArena,
+    rec: &'a FieldRec,
+}
+
+impl<'a> FieldView<'a> {
+    /// Field name.
+    #[must_use]
+    pub fn name(&self) -> &'a str {
+        self.names.get(self.rec.name)
+    }
+
+    /// Declaring class or interface.
+    #[must_use]
+    pub fn declaring(&self) -> TyId {
+        self.rec.declaring
+    }
+
+    /// Field type.
+    #[must_use]
+    pub fn ty(&self) -> TyId {
+        self.rec.ty
+    }
+
+    /// Visibility.
+    #[must_use]
+    pub fn visibility(&self) -> Visibility {
+        self.rec.visibility
+    }
+
+    /// Whether the field is `static`.
+    #[must_use]
+    pub fn is_static(&self) -> bool {
+        self.rec.is_static
+    }
+}
+
+impl PartialEq for FieldView<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.name() == other.name()
+            && self.declaring() == other.declaring()
+            && self.ty() == other.ty()
+            && self.visibility() == other.visibility()
+            && self.is_static() == other.is_static()
+    }
+}
+
+impl Eq for FieldView<'_> {}
+
+impl std::fmt::Debug for FieldView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FieldView")
+            .field("name", &self.name())
+            .field("declaring", &self.declaring())
+            .field("ty", &self.ty())
+            .field("visibility", &self.visibility())
+            .field("is_static", &self.is_static())
+            .finish()
+    }
+}
+
+/// One method's fixed-size record. Its parameters and parameter names
+/// are the slices of the shared arrays that end at `params_end` and
+/// `names_end` and start where the previous method's end.
+#[derive(Clone, Copy, Debug)]
+struct MethodRec {
+    name: Sym,
+    declaring: TyId,
+    ret: TyId,
+    params_end: u32,
+    names_end: u32,
+    visibility: Visibility,
+    is_static: bool,
+    is_constructor: bool,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct FieldRec {
+    name: Sym,
+    declaring: TyId,
+    ty: TyId,
+    visibility: Visibility,
+    is_static: bool,
+}
+
+/// The member tables themselves, shared by [`Api`] and the bulk-load
+/// path ([`MemberTables`]).
+#[derive(Clone, Debug, Default)]
+struct Tables {
+    /// Member and parameter names.
+    names: NameArena,
+    methods: Vec<MethodRec>,
+    /// Every method's parameter types, method after method.
+    params: Vec<TyId>,
+    /// Every method's declared parameter names, method after method.
+    param_names: Vec<Option<Sym>>,
+    fields: Vec<FieldRec>,
+}
+
+impl Tables {
+    /// Method `i`'s slices of the parameter and parameter-name arrays.
+    fn spans(&self, i: usize) -> (Range<usize>, Range<usize>) {
+        let (params_start, names_start) = match i.checked_sub(1) {
+            Some(prev) => (self.methods[prev].params_end, self.methods[prev].names_end),
+            None => (0, 0),
+        };
+        let m = &self.methods[i];
+        (params_start as usize..m.params_end as usize, names_start as usize..m.names_end as usize)
+    }
+
+    fn method(&self, id: MethodId) -> MethodView<'_> {
+        MethodView { tables: self, rec: &self.methods[id.index()], index: id.index() }
+    }
+
+    fn field(&self, id: FieldId) -> FieldView<'_> {
+        FieldView { names: &self.names, rec: &self.fields[id.index()] }
+    }
+
+    fn push_method(&mut self, m: &RawMethod<'_>) -> MethodId {
+        let id = MethodId(u32::try_from(self.methods.len()).expect("method arena overflow"));
+        let end = |n: usize| u32::try_from(n).expect("member table exceeds u32 range");
+        self.params.extend_from_slice(m.params);
+        self.param_names.extend_from_slice(m.param_names);
+        self.methods.push(MethodRec {
+            name: m.name,
+            declaring: m.declaring,
+            ret: m.ret,
+            params_end: end(self.params.len()),
+            names_end: end(self.param_names.len()),
+            visibility: m.visibility,
+            is_static: m.is_static,
+            is_constructor: m.is_constructor,
+        });
+        id
+    }
+
+    fn push_field(&mut self, f: &RawField) -> FieldId {
+        let id = FieldId(u32::try_from(self.fields.len()).expect("field arena overflow"));
+        self.fields.push(FieldRec {
+            name: f.name,
+            declaring: f.declaring,
+            ty: f.ty,
+            visibility: f.visibility,
+            is_static: f.is_static,
+        });
+        id
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.names.approx_bytes()
+            + self.methods.capacity() * std::mem::size_of::<MethodRec>()
+            + self.params.capacity() * 4
+            + self.param_names.capacity() * std::mem::size_of::<Option<Sym>>()
+            + self.fields.capacity() * std::mem::size_of::<FieldRec>()
+    }
+}
+
+/// Member ids grouped by declaring type, each group in id order: the
+/// members of type `t` are `ids[starts[t]..starts[t + 1]]`. Types past
+/// the end of `starts` have none.
+#[derive(Clone, Debug)]
+struct ByClass<Id> {
+    starts: Vec<u32>,
+    ids: Vec<Id>,
+}
+
+impl<Id> Default for ByClass<Id> {
+    fn default() -> Self {
+        ByClass { starts: Vec::new(), ids: Vec::new() }
+    }
+}
+
+impl<Id: Copy> ByClass<Id> {
+    fn of(&self, class: TyId) -> &[Id] {
+        let t = class.index();
+        match (self.starts.get(t), self.starts.get(t + 1)) {
+            (Some(&a), Some(&b)) => &self.ids[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+
+    /// Appends `id`, the newest member, to `class`'s group. O(1) while no
+    /// later type has members yet — the order every builder, loader, and
+    /// generator adds members in; otherwise the later groups shift up.
+    fn push(&mut self, class: TyId, id: Id) {
+        let t = class.index();
+        let end = u32::try_from(self.ids.len()).expect("member index overflow");
+        if self.starts.len() < t + 2 {
+            self.starts.resize(t + 2, end);
+        }
+        self.ids.insert(self.starts[t + 1] as usize, id);
+        for s in &mut self.starts[t + 1..] {
+            *s += 1;
+        }
+    }
+
+    /// Groups member `i` (declared on the `i`th item of `classes`) by
+    /// type in one counting-sort pass; the result equals pushing them in
+    /// order.
+    fn build(
+        type_count: usize,
+        classes: impl Iterator<Item = TyId> + Clone,
+        id: impl Fn(usize) -> Id,
+    ) -> Self {
+        let mut starts = vec![0u32; type_count + 1];
+        let mut count = 0;
+        for c in classes.clone() {
+            starts[c.index() + 1] += 1;
+            count += 1;
+        }
+        for t in 1..starts.len() {
+            starts[t] += starts[t - 1];
+        }
+        // Fill each group through its start offset, which leaves every
+        // offset at the next group's start; shifting right restores them.
+        let mut ids = vec![id(0); count];
+        for (i, c) in classes.enumerate() {
+            let slot = &mut starts[c.index()];
+            ids[*slot as usize] = id(i);
+            *slot += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        ByClass { starts, ids }
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.starts.capacity() * 4 + self.ids.capacity() * std::mem::size_of::<Id>()
+    }
+}
+
+/// One method as a bulk loader hands it to [`MemberTables::push_method`]:
+/// names are symbols from [`MemberTables::push_name`].
+#[derive(Clone, Copy, Debug)]
+pub struct RawMethod<'a> {
+    /// Method name.
+    pub name: Sym,
+    /// Declaring class or interface.
+    pub declaring: TyId,
+    /// Parameter types in order.
+    pub params: &'a [TyId],
+    /// Declared parameter names.
+    pub param_names: &'a [Option<Sym>],
+    /// Return type.
+    pub ret: TyId,
+    /// Visibility.
+    pub visibility: Visibility,
+    /// Whether the method is `static`.
+    pub is_static: bool,
+    /// Whether this is a constructor.
+    pub is_constructor: bool,
+}
+
+/// One field as a bulk loader hands it to [`MemberTables::push_field`].
+#[derive(Clone, Copy, Debug)]
+pub struct RawField {
+    /// Field name.
+    pub name: Sym,
+    /// Declaring class or interface.
+    pub declaring: TyId,
+    /// Field type.
+    pub ty: TyId,
+    /// Visibility.
+    pub visibility: Visibility,
+    /// Whether the field is `static`.
+    pub is_static: bool,
+}
+
+/// Member tables filled in bulk, unchecked, by a loader that knows the
+/// counts up front (the snapshot decoders); [`Api::from_tables`] then
+/// validates everything [`Api::add_method`]/[`Api::add_field`] would and
+/// builds the per-type index in one pass.
+#[derive(Debug, Default)]
+pub struct MemberTables(Tables);
+
+impl MemberTables {
+    /// Empty tables with room for `methods` methods, `fields` fields,
+    /// and `name_bytes` bytes of names.
+    #[must_use]
+    pub fn with_capacity(methods: usize, fields: usize, name_bytes: usize) -> Self {
+        MemberTables(Tables {
+            names: NameArena::with_capacity(methods + fields, name_bytes),
+            methods: Vec::with_capacity(methods),
+            fields: Vec::with_capacity(fields),
+            ..Tables::default()
+        })
+    }
+
+    /// Stores a member or parameter name, returning its symbol. Never
+    /// deduplicates: a loader reuses the symbol for text it has seen.
+    pub fn push_name(&mut self, name: &str) -> Sym {
+        self.0.names.push(name)
+    }
+
+    /// Room for `n` more fields.
+    pub fn reserve_fields(&mut self, n: usize) {
+        self.0.fields.reserve(n);
+    }
+
+    /// Appends a method; its id is the number of methods pushed before.
+    pub fn push_method(&mut self, m: &RawMethod<'_>) -> MethodId {
+        self.0.push_method(m)
+    }
+
+    /// Appends a field; its id is the number of fields pushed before.
+    pub fn push_field(&mut self, f: &RawField) -> FieldId {
+        self.0.push_field(f)
+    }
+}
+
 /// An API: a type table plus member signatures, with lookup indexes.
 ///
 /// Build one through [`ApiLoader`](crate::ApiLoader) (from `.api` stubs) or
@@ -130,10 +550,63 @@ pub struct FieldDef {
 #[derive(Clone, Debug)]
 pub struct Api {
     types: TypeTable,
-    methods: Vec<MethodDef>,
-    fields: Vec<FieldDef>,
-    methods_by_class: HashMap<TyId, Vec<MethodId>>,
-    fields_by_class: HashMap<TyId, Vec<FieldId>>,
+    members: Tables,
+    methods_by_class: ByClass<MethodId>,
+    fields_by_class: ByClass<FieldId>,
+}
+
+/// Rejects a method on a non-class type or with a void/null parameter.
+/// `name` is only read to word the error.
+fn check_method<'n>(
+    types: &TypeTable,
+    name: impl FnOnce() -> &'n str,
+    declaring: TyId,
+    params: &[TyId],
+) -> Result<(), ApiError> {
+    if types.kind(declaring).is_none() {
+        return Err(ApiError::InvalidMember {
+            detail: format!(
+                "method `{}` declared on non-class type {}",
+                name(),
+                types.display(declaring)
+            ),
+        });
+    }
+    if params.iter().any(|&p| matches!(types.ty(p), Ty::Void | Ty::Null)) {
+        return Err(ApiError::InvalidMember {
+            detail: format!("method `{}` has a void/null parameter", name()),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a field on a non-class type or of void/null type. `name` is
+/// only read to word the error.
+fn check_field<'n>(
+    types: &TypeTable,
+    name: impl FnOnce() -> &'n str,
+    declaring: TyId,
+    ty: TyId,
+) -> Result<(), ApiError> {
+    if types.kind(declaring).is_none() {
+        return Err(ApiError::InvalidMember {
+            detail: format!(
+                "field `{}` declared on non-class type {}",
+                name(),
+                types.display(declaring)
+            ),
+        });
+    }
+    if matches!(types.ty(ty), Ty::Void | Ty::Null) {
+        return Err(ApiError::InvalidMember {
+            detail: format!("field `{}` has void/null type", name()),
+        });
+    }
+    Ok(())
+}
+
+fn duplicate(types: &TypeTable, declaring: TyId, name: &str) -> ApiError {
+    ApiError::DuplicateMember { member: format!("{}.{name}", types.display(declaring)) }
 }
 
 impl Api {
@@ -148,11 +621,98 @@ impl Api {
     pub fn from_types(types: TypeTable) -> Self {
         Api {
             types,
-            methods: Vec::new(),
-            fields: Vec::new(),
-            methods_by_class: HashMap::new(),
-            fields_by_class: HashMap::new(),
+            members: Tables::default(),
+            methods_by_class: ByClass::default(),
+            fields_by_class: ByClass::default(),
         }
+    }
+
+    /// Assembles an API from bulk-loaded member tables, checking every
+    /// member exactly as [`Api::add_method`]/[`Api::add_field`] would,
+    /// and builds the per-type index in one pass.
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::InvalidMember`] for an out-of-range type or name
+    /// reference, a member on a non-class type, or a void/null
+    /// parameter or field type; [`ApiError::DuplicateMember`] for a
+    /// repeated signature on one class.
+    pub fn from_tables(types: TypeTable, tables: MemberTables) -> Result<Api, ApiError> {
+        let members = tables.0;
+        let (type_count, name_count) = (types.len(), members.names.len());
+        let check_ty = |id: TyId| {
+            if id.index() < type_count {
+                Ok(())
+            } else {
+                Err(ApiError::InvalidMember {
+                    detail: format!("type reference {} out of range ({type_count} types)", id.index()),
+                })
+            }
+        };
+        let check_sym = |sym: Sym| {
+            if sym.index() < name_count {
+                Ok(())
+            } else {
+                Err(ApiError::InvalidMember {
+                    detail: format!("name symbol {} out of range ({name_count} names)", sym.index()),
+                })
+            }
+        };
+        for (i, m) in members.methods.iter().enumerate() {
+            let (params, names) = members.spans(i);
+            check_sym(m.name)?;
+            for &sym in members.param_names[names].iter().flatten() {
+                check_sym(sym)?;
+            }
+            check_ty(m.declaring)?;
+            check_ty(m.ret)?;
+            let params = &members.params[params];
+            for &p in params {
+                check_ty(p)?;
+            }
+            check_method(&types, || members.names.get(m.name), m.declaring, params)?;
+        }
+        for f in &members.fields {
+            check_sym(f.name)?;
+            check_ty(f.declaring)?;
+            check_ty(f.ty)?;
+            check_field(&types, || members.names.get(f.name), f.declaring, f.ty)?;
+        }
+        let methods_by_class =
+            ByClass::build(type_count, members.methods.iter().map(|m| m.declaring), MethodId::from_index);
+        let fields_by_class =
+            ByClass::build(type_count, members.fields.iter().map(|f| f.declaring), FieldId::from_index);
+        let api = Api { types, members, methods_by_class, fields_by_class };
+        api.check_no_duplicates()?;
+        Ok(api)
+    }
+
+    /// Rejects a repeated signature on any class: each class's members
+    /// are sorted by signature, so duplicates end up adjacent.
+    fn check_no_duplicates(&self) -> Result<(), ApiError> {
+        let mut methods = Vec::new();
+        let mut fields = Vec::new();
+        for class in self.types.ids() {
+            if self.methods_of(class).len() + self.fields_of(class).len() < 2 {
+                continue;
+            }
+            methods.clear();
+            methods.extend(self.methods_of(class).iter().map(|&m| {
+                let m = self.method(m);
+                (m.name(), m.params())
+            }));
+            methods.sort_unstable();
+            if let Some(w) = methods.windows(2).find(|w| w[0] == w[1]) {
+                return Err(duplicate(&self.types, class, w[0].0));
+            }
+            fields.clear();
+            fields.extend(self.fields_of(class).iter().map(|&f| self.field(f).name()));
+            fields.sort_unstable();
+            if let Some(w) = fields.windows(2).find(|w| w[0] == w[1]) {
+                return Err(duplicate(&self.types, class, w[0]));
+            }
+        }
+        Ok(())
     }
 
     /// The underlying type table.
@@ -193,33 +753,28 @@ impl Api {
     /// * [`ApiError::DuplicateMember`] if an identical
     ///   name-plus-parameter-types signature already exists on the class.
     pub fn add_method(&mut self, def: MethodDef) -> Result<MethodId, ApiError> {
-        if self.types.kind(def.declaring).is_none() {
-            return Err(ApiError::InvalidMember {
-                detail: format!(
-                    "method `{}` declared on non-class type {}",
-                    def.name,
-                    self.types.display(def.declaring)
-                ),
-            });
+        check_method(&self.types, || &def.name, def.declaring, &def.params)?;
+        if self.methods_of(def.declaring).iter().any(|&m| {
+            let existing = self.method(m);
+            existing.name() == def.name && existing.params() == def.params
+        }) {
+            return Err(duplicate(&self.types, def.declaring, &def.name));
         }
-        if def.params.iter().any(|&p| matches!(self.types.ty(p), Ty::Void | Ty::Null)) {
-            return Err(ApiError::InvalidMember {
-                detail: format!("method `{}` has a void/null parameter", def.name),
-            });
-        }
-        if let Some(ids) = self.methods_by_class.get(&def.declaring) {
-            if ids.iter().any(|&m| {
-                let existing = &self.methods[m.index()];
-                existing.name == def.name && existing.params == def.params
-            }) {
-                return Err(ApiError::DuplicateMember {
-                    member: format!("{}.{}", self.types.display(def.declaring), def.name),
-                });
-            }
-        }
-        let id = MethodId(u32::try_from(self.methods.len()).expect("method arena overflow"));
-        self.methods_by_class.entry(def.declaring).or_default().push(id);
-        self.methods.push(def);
+        let t = &mut self.members;
+        let name = t.names.push(&def.name);
+        let param_names: Vec<Option<Sym>> =
+            def.param_names.iter().map(|n| n.as_deref().map(|n| t.names.push(n))).collect();
+        let id = t.push_method(&RawMethod {
+            name,
+            declaring: def.declaring,
+            params: &def.params,
+            param_names: &param_names,
+            ret: def.ret,
+            visibility: def.visibility,
+            is_static: def.is_static,
+            is_constructor: def.is_constructor,
+        });
+        self.methods_by_class.push(def.declaring, id);
         Ok(id)
     }
 
@@ -229,77 +784,76 @@ impl Api {
     ///
     /// Same classes of failure as [`Api::add_method`].
     pub fn add_field(&mut self, def: FieldDef) -> Result<FieldId, ApiError> {
-        if self.types.kind(def.declaring).is_none() {
-            return Err(ApiError::InvalidMember {
-                detail: format!(
-                    "field `{}` declared on non-class type {}",
-                    def.name,
-                    self.types.display(def.declaring)
-                ),
-            });
+        check_field(&self.types, || &def.name, def.declaring, def.ty)?;
+        if self.fields_of(def.declaring).iter().any(|&f| self.field(f).name() == def.name) {
+            return Err(duplicate(&self.types, def.declaring, &def.name));
         }
-        if matches!(self.types.ty(def.ty), Ty::Void | Ty::Null) {
-            return Err(ApiError::InvalidMember {
-                detail: format!("field `{}` has void/null type", def.name),
-            });
-        }
-        if let Some(ids) = self.fields_by_class.get(&def.declaring) {
-            if ids.iter().any(|&f| self.fields[f.index()].name == def.name) {
-                return Err(ApiError::DuplicateMember {
-                    member: format!("{}.{}", self.types.display(def.declaring), def.name),
-                });
-            }
-        }
-        let id = FieldId(u32::try_from(self.fields.len()).expect("field arena overflow"));
-        self.fields_by_class.entry(def.declaring).or_default().push(id);
-        self.fields.push(def);
+        let name = self.members.names.push(&def.name);
+        let id = self.members.push_field(&RawField {
+            name,
+            declaring: def.declaring,
+            ty: def.ty,
+            visibility: def.visibility,
+            is_static: def.is_static,
+        });
+        self.fields_by_class.push(def.declaring, id);
         Ok(id)
     }
 
-    /// The definition behind a method id.
+    /// The method behind an id, as a view over the member tables.
     #[must_use]
-    pub fn method(&self, id: MethodId) -> &MethodDef {
-        &self.methods[id.index()]
+    pub fn method(&self, id: MethodId) -> MethodView<'_> {
+        self.members.method(id)
     }
 
-    /// The definition behind a field id.
+    /// The field behind an id, as a view over the member tables.
     #[must_use]
-    pub fn field(&self, id: FieldId) -> &FieldDef {
-        &self.fields[id.index()]
+    pub fn field(&self, id: FieldId) -> FieldView<'_> {
+        self.members.field(id)
     }
 
     /// Number of methods (incl. constructors).
     #[must_use]
     pub fn method_count(&self) -> usize {
-        self.methods.len()
+        self.members.methods.len()
     }
 
     /// Number of fields.
     #[must_use]
     pub fn field_count(&self) -> usize {
-        self.fields.len()
+        self.members.fields.len()
     }
 
     /// Iterates over all method ids.
     pub fn method_ids(&self) -> impl Iterator<Item = MethodId> + '_ {
-        (0..self.methods.len()).map(|i| MethodId(u32::try_from(i).expect("checked on insert")))
+        (0..self.method_count()).map(MethodId::from_index)
     }
 
     /// Iterates over all field ids.
     pub fn field_ids(&self) -> impl Iterator<Item = FieldId> + '_ {
-        (0..self.fields.len()).map(|i| FieldId(u32::try_from(i).expect("checked on insert")))
+        (0..self.field_count()).map(FieldId::from_index)
     }
 
-    /// Method ids declared directly on `class`.
+    /// Method ids declared directly on `class`, in id order.
     #[must_use]
     pub fn methods_of(&self, class: TyId) -> &[MethodId] {
-        self.methods_by_class.get(&class).map_or(&[], Vec::as_slice)
+        self.methods_by_class.of(class)
     }
 
-    /// Field ids declared directly on `class`.
+    /// Field ids declared directly on `class`, in id order.
     #[must_use]
     pub fn fields_of(&self, class: TyId) -> &[FieldId] {
-        self.fields_by_class.get(&class).map_or(&[], Vec::as_slice)
+        self.fields_by_class.of(class)
+    }
+
+    /// Heap bytes held by the API: the type table, the member tables,
+    /// and the per-type indexes.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        self.types.approx_bytes()
+            + self.members.approx_bytes()
+            + self.methods_by_class.approx_bytes()
+            + self.fields_by_class.approx_bytes()
     }
 
     /// Constructors declared on `class`.
@@ -308,7 +862,7 @@ impl Api {
         self.methods_of(class)
             .iter()
             .copied()
-            .filter(|&m| self.method(m).is_constructor)
+            .filter(|&m| self.method(m).is_constructor())
             .collect()
     }
 
@@ -325,7 +879,7 @@ impl Api {
             for t in frontier {
                 for &m in self.methods_of(t) {
                     let def = self.method(m);
-                    if def.needs_receiver() && def.name == name && def.params.len() == arity {
+                    if def.needs_receiver() && def.name() == name && def.params().len() == arity {
                         out.push(m);
                     }
                 }
@@ -350,7 +904,7 @@ impl Api {
             .copied()
             .filter(|&m| {
                 let def = self.method(m);
-                def.is_static && def.name == name && def.params.len() == arity
+                def.is_static() && def.name() == name && def.params().len() == arity
             })
             .collect()
     }
@@ -360,7 +914,7 @@ impl Api {
     pub fn lookup_constructor(&self, class: TyId, arity: usize) -> Vec<MethodId> {
         self.constructors_of(class)
             .into_iter()
-            .filter(|&m| self.method(m).params.len() == arity)
+            .filter(|&m| self.method(m).params().len() == arity)
             .collect()
     }
 
@@ -374,7 +928,7 @@ impl Api {
             let mut next = Vec::new();
             for t in &frontier {
                 for &f in self.fields_of(*t) {
-                    if self.field(f).name == name {
+                    if self.field(f).name() == name {
                         return Some(f);
                     }
                 }
@@ -403,7 +957,7 @@ impl Api {
         for sub in self.types.strict_subtypes(recv_static) {
             for &m in self.methods_of(sub) {
                 let def = self.method(m);
-                if def.needs_receiver() && def.name == name && def.params.len() == arity && !out.contains(&m)
+                if def.needs_receiver() && def.name() == name && def.params().len() == arity && !out.contains(&m)
                 {
                     out.push(m);
                 }
@@ -417,19 +971,19 @@ impl Api {
     pub fn method_display(&self, id: MethodId) -> String {
         let def = self.method(id);
         let params: Vec<String> =
-            def.params.iter().map(|&p| self.types.display_simple(p)).collect();
-        let who = self.types.display_simple(def.declaring);
-        if def.is_constructor {
+            def.params().iter().map(|&p| self.types.display_simple(p)).collect();
+        let who = self.types.display_simple(def.declaring());
+        if def.is_constructor() {
             format!("new {who}({})", params.join(", "))
-        } else if def.is_static {
-            format!("{who}.{}({}): {}", def.name, params.join(", "), self.types.display_simple(def.ret))
+        } else if def.is_static() {
+            format!("{who}.{}({}): {}", def.name(), params.join(", "), self.types.display_simple(def.ret()))
         } else {
             format!(
                 "{}.{}({}): {}",
                 lowercase_first(&who),
-                def.name,
+                def.name(),
                 params.join(", "),
-                self.types.display_simple(def.ret)
+                self.types.display_simple(def.ret())
             )
         }
     }
@@ -505,24 +1059,23 @@ fn want_string(v: &Json) -> Result<String, JsonError> {
     v.as_str().map(str::to_owned).ok_or_else(|| decode_err("expected a string"))
 }
 
-fn method_to_json(def: &MethodDef) -> Json {
+fn method_to_json(def: MethodView<'_>) -> Json {
     Json::obj(vec![
-        ("name", Json::Str(def.name.clone())),
-        ("declaring", ty_ref(def.declaring)),
-        ("params", Json::Arr(def.params.iter().copied().map(ty_ref).collect())),
+        ("name", Json::Str(def.name().to_owned())),
+        ("declaring", ty_ref(def.declaring())),
+        ("params", Json::Arr(def.params().iter().copied().map(ty_ref).collect())),
         (
             "param_names",
             Json::Arr(
-                def.param_names
-                    .iter()
-                    .map(|n| n.as_ref().map_or(Json::Null, |s| Json::Str(s.clone())))
+                def.param_names()
+                    .map(|n| n.map_or(Json::Null, |s| Json::Str(s.to_owned())))
                     .collect(),
             ),
         ),
-        ("ret", ty_ref(def.ret)),
-        ("visibility", Json::Str(def.visibility.keyword().to_owned())),
-        ("static", Json::Bool(def.is_static)),
-        ("ctor", Json::Bool(def.is_constructor)),
+        ("ret", ty_ref(def.ret())),
+        ("visibility", Json::Str(def.visibility().keyword().to_owned())),
+        ("static", Json::Bool(def.is_static())),
+        ("ctor", Json::Bool(def.is_constructor())),
     ])
 }
 
@@ -556,13 +1109,13 @@ fn method_from_json(v: &Json, arena_len: usize) -> Result<MethodDef, JsonError> 
     })
 }
 
-fn field_to_json(def: &FieldDef) -> Json {
+fn field_to_json(def: FieldView<'_>) -> Json {
     Json::obj(vec![
-        ("name", Json::Str(def.name.clone())),
-        ("declaring", ty_ref(def.declaring)),
-        ("ty", ty_ref(def.ty)),
-        ("visibility", Json::Str(def.visibility.keyword().to_owned())),
-        ("static", Json::Bool(def.is_static)),
+        ("name", Json::Str(def.name().to_owned())),
+        ("declaring", ty_ref(def.declaring())),
+        ("ty", ty_ref(def.ty())),
+        ("visibility", Json::Str(def.visibility().keyword().to_owned())),
+        ("static", Json::Bool(def.is_static())),
     ])
 }
 
@@ -582,8 +1135,8 @@ impl Api {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("types", self.types.to_json()),
-            ("methods", Json::Arr(self.methods.iter().map(method_to_json).collect())),
-            ("fields", Json::Arr(self.fields.iter().map(field_to_json).collect())),
+            ("methods", Json::Arr(self.method_ids().map(|m| method_to_json(self.method(m))).collect())),
+            ("fields", Json::Arr(self.field_ids().map(|f| field_to_json(self.field(f))).collect())),
         ])
     }
 
@@ -749,6 +1302,69 @@ mod tests {
         api.add_method(inst("read", buffered, vec![], string)).unwrap();
         let targets = api.cha_targets(reader, "read", 0);
         assert_eq!(targets.len(), 2);
+    }
+
+    fn raw(name: Sym, declaring: TyId, ret: TyId) -> RawMethod<'static> {
+        RawMethod {
+            name,
+            declaring,
+            params: &[],
+            param_names: &[],
+            ret,
+            visibility: Visibility::Public,
+            is_static: false,
+            is_constructor: false,
+        }
+    }
+
+    #[test]
+    fn bulk_tables_are_checked_like_single_adds() {
+        let (api, reader, buffered, string) = tiny_api();
+        let types = api.types().clone();
+
+        let mut ok = MemberTables::with_capacity(2, 1, 0);
+        let read = ok.push_name("read");
+        ok.push_method(&raw(read, buffered, string));
+        let read_again = ok.push_name("read");
+        ok.push_method(&raw(read_again, reader, string));
+        let field = ok.push_name("lock");
+        ok.push_field(&RawField {
+            name: field,
+            declaring: reader,
+            ty: string,
+            visibility: Visibility::Public,
+            is_static: false,
+        });
+        let loaded = Api::from_tables(types.clone(), ok).unwrap();
+        assert_eq!(loaded.methods_of(buffered), [MethodId(0)]);
+        assert_eq!(loaded.methods_of(reader), [MethodId(1)]);
+        assert_eq!(loaded.field(FieldId(0)).name(), "lock");
+
+        // Same name and parameters on one class, under distinct symbols.
+        let mut dup = MemberTables::default();
+        let a = dup.push_name("read");
+        let b = dup.push_name("read");
+        dup.push_method(&raw(a, buffered, string));
+        dup.push_method(&raw(b, buffered, string));
+        assert!(matches!(
+            Api::from_tables(types.clone(), dup),
+            Err(ApiError::DuplicateMember { .. })
+        ));
+
+        // A symbol issued by a larger arena, and a type past the table.
+        let mut other = MemberTables::default();
+        let foreign = (0..5).map(|_| other.push_name("x")).last().unwrap();
+        let mut bad_sym = MemberTables::default();
+        bad_sym.push_name("only");
+        bad_sym.push_method(&raw(foreign, buffered, string));
+        assert!(matches!(
+            Api::from_tables(types.clone(), bad_sym),
+            Err(ApiError::InvalidMember { .. })
+        ));
+        let mut bad_ty = MemberTables::default();
+        let name = bad_ty.push_name("m");
+        bad_ty.push_method(&raw(name, TyId::from_index(types.len()), string));
+        assert!(matches!(Api::from_tables(types, bad_ty), Err(ApiError::InvalidMember { .. })));
     }
 
     #[test]

@@ -55,31 +55,31 @@ pub fn to_stub_text(api: &Api) -> String {
             let _ = writeln!(
                 out,
                 "    {}{}{} {};",
-                vis_prefix(field.visibility),
-                if field.is_static { "static " } else { "" },
-                type_text(api, field.ty),
-                field.name
+                vis_prefix(field.visibility()),
+                if field.is_static() { "static " } else { "" },
+                type_text(api, field.ty()),
+                field.name()
             );
         }
         for &m in api.methods_of(decl.id) {
             let def = api.method(m);
             let params: Vec<String> = def
-                .params
+                .params()
                 .iter()
                 .enumerate()
                 .map(|(i, &p)| {
-                    let name = def.param_names.get(i).and_then(|n| n.as_deref());
+                    let name = def.param_name(i);
                     match name {
                         Some(n) => format!("{} {n}", type_text(api, p)),
                         None => type_text(api, p),
                     }
                 })
                 .collect();
-            if def.is_constructor {
+            if def.is_constructor() {
                 let _ = writeln!(
                     out,
                     "    {}{}({});",
-                    vis_prefix(def.visibility),
+                    vis_prefix(def.visibility()),
                     decl.simple_name,
                     params.join(", ")
                 );
@@ -87,10 +87,10 @@ pub fn to_stub_text(api: &Api) -> String {
                 let _ = writeln!(
                     out,
                     "    {}{}{} {}({});",
-                    vis_prefix(def.visibility),
-                    if def.is_static { "static " } else { "" },
-                    type_text(api, def.ret),
-                    def.name,
+                    vis_prefix(def.visibility()),
+                    if def.is_static() { "static " } else { "" },
+                    type_text(api, def.ret()),
+                    def.name(),
                     params.join(", ")
                 );
             }
@@ -166,10 +166,10 @@ mod tests {
         assert!(reloaded.types().is_subtype(a, i));
         assert_eq!(reloaded.lookup_constructor(a, 1).len(), 1);
         let hidden = reloaded.lookup_instance_method(a, "hidden", 0)[0];
-        assert_eq!(reloaded.method(hidden).visibility, Visibility::Protected);
+        assert_eq!(reloaded.method(hidden).visibility(), Visibility::Protected);
         let all = reloaded.lookup_static_method(a, "all", 0)[0];
         assert!(matches!(
-            reloaded.types().ty(reloaded.method(all).ret),
+            reloaded.types().ty(reloaded.method(all).ret()),
             jungloid_typesys::Ty::Array(_)
         ));
     }

@@ -122,15 +122,15 @@ fn print_reload_preserves_signatures() {
             for (&m1, &m2) in api.methods_of(decl.id).iter().zip(reloaded.methods_of(other)) {
                 let d1 = api.method(m1);
                 let d2 = reloaded.method(m2);
-                assert_eq!(&d1.name, &d2.name);
-                assert_eq!(d1.params.len(), d2.params.len());
-                assert_eq!(d1.visibility, d2.visibility);
-                assert_eq!(d1.is_static, d2.is_static);
-                assert_eq!(d1.is_constructor, d2.is_constructor);
-                for (&p1, &p2) in d1.params.iter().zip(&d2.params) {
+                assert_eq!(&d1.name(), &d2.name());
+                assert_eq!(d1.params().len(), d2.params().len());
+                assert_eq!(d1.visibility(), d2.visibility());
+                assert_eq!(d1.is_static(), d2.is_static());
+                assert_eq!(d1.is_constructor(), d2.is_constructor());
+                for (&p1, &p2) in d1.params().iter().zip(d2.params()) {
                     assert_eq!(api.types().display(p1), reloaded.types().display(p2));
                 }
-                assert_eq!(api.types().display(d1.ret), reloaded.types().display(d2.ret));
+                assert_eq!(api.types().display(d1.ret()), reloaded.types().display(d2.ret()));
             }
         }
 

@@ -9,15 +9,32 @@
 //! with `BENCH_SNAPSHOT_OUT`), including `zero_copy_speedup` — v1 load
 //! time over v2 load time.
 //!
+//! The `synth` row warm-starts a seeded synthetic jungle (10^5 bulk
+//! types; 10^4 in quick mode) the way a server does — mmap, validate,
+//! decode — each round in a fresh child process so the RSS delta counts
+//! only the load. It records the time of each load phase, the first
+//! `resolve` after the load, the RSS delta next to the registry's
+//! `engine_bytes` estimate, and how long dropping the engine takes
+//! (medians over the rounds).
+//!
 //! Run with `cargo bench -p bench --bench snapshot_io`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
-//! run.
+//! run. To compare two builds, run the bench on the baseline build with
+//! `BENCH_SNAPSHOT_OUT=<file>`, then on the candidate with
+//! `BENCH_SNAPSHOT_BASELINE=<file>`: the output then carries the
+//! baseline's row as `synth_baseline` next to its own `synth` row.
 
+use std::path::Path;
 use std::time::Instant;
 
 use prospector_core::Prospector;
+use prospector_corpora::synth::{grow_synth, SynthSpec};
 use prospector_corpora::{build, BuildOptions};
 use prospector_obs::Json;
+use prospector_registry::{Provenance, Registry};
+
+/// Set in a child process: the snapshot path to warm-start from.
+const SYNTH_CHILD_ENV: &str = "PROSPECTOR_SNAPSHOT_IO_CHILD";
 
 fn quick_mode() -> bool {
     std::env::var_os("PROSPECTOR_BENCH_QUICK").is_some()
@@ -47,7 +64,139 @@ fn first_query(snap: prospector_store::Snapshot) -> usize {
     engine.query(tin, tout).expect("query answers").suggestions.len()
 }
 
+/// Resident set size of this process in bytes, from `/proc/self/status`
+/// (`None` off Linux).
+fn rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb * 1024)
+}
+
+fn ms(us: u64) -> f64 {
+    us as f64 / 1000.0
+}
+
+/// One synth warm start, run in a child process: prints one JSON line.
+fn synth_child(path: &str) {
+    let rss_before = rss_bytes();
+    let start = Instant::now();
+    let mapped = prospector_store::MappedSnapshot::map(Path::new(path)).expect("snapshot maps");
+    let (snap, phases) = mapped.thaw_timed().expect("snapshot thaws");
+    let engine = Prospector::from_parts(snap.api, snap.graph);
+    let load_us = start.elapsed().as_micros() as u64;
+    let rss_after = rss_bytes();
+
+    let t = Instant::now();
+    let resolved = engine.api().types().resolve("Plant0Step0").expect("planted head resolves");
+    let first_resolve_us = t.elapsed().as_secs_f64() * 1e6;
+    assert!(engine.api().types().decl(resolved).is_some());
+
+    let registry = Registry::with_default(engine, Provenance::built());
+    let engine_bytes = registry.engine_bytes_total();
+    drop(mapped);
+    let t = Instant::now();
+    drop(registry);
+    let drop_us = t.elapsed().as_micros() as u64;
+
+    let rss_delta_mb = match (rss_before, rss_after) {
+        (Some(a), Some(b)) => Json::Num(((b.saturating_sub(a)) as f64 / 1e6 * 10.0).round() / 10.0),
+        _ => Json::Null,
+    };
+    let doc = Json::obj(vec![
+        ("validate_ms", Json::Num(ms(phases.validate_us))),
+        ("types_ms", Json::Num(ms(phases.types_us))),
+        ("members_ms", Json::Num(ms(phases.members_us))),
+        ("csr_ms", Json::Num(ms(phases.csr_us))),
+        ("finish_ms", Json::Num(ms(phases.finish_us))),
+        ("load_ms", Json::Num(ms(load_us))),
+        ("first_resolve_us", Json::Num(first_resolve_us)),
+        ("rss_delta_mb", rss_delta_mb),
+        ("engine_bytes", Json::num_u(engine_bytes)),
+        ("drop_ms", Json::Num(ms(drop_us))),
+    ]);
+    println!("{}", doc.to_text());
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// The `synth` row: generates and saves the jungle, then warm-starts it
+/// `rounds` times in child processes and takes per-metric medians.
+fn synth_row(dir: &Path, quick: bool, rounds: usize) -> Json {
+    let types = if quick { 10_000 } else { 100_000 };
+    let path = dir.join("synth.pspk");
+    {
+        let mut api = jungloid_apidef::ApiLoader::with_prelude().finish().expect("prelude");
+        grow_synth(&mut api, &SynthSpec { seed: 1, types, ..SynthSpec::default() });
+        let engine = Prospector::new(api);
+        prospector_store::save_file(&path, engine.api(), engine.graph(), &[])
+            .expect("synth snapshot saves");
+    }
+    let bytes = std::fs::metadata(&path).expect("saved").len();
+    let exe = std::env::current_exe().expect("bench executable path");
+    let runs: Vec<Json> = (0..rounds)
+        .map(|_| {
+            let out = std::process::Command::new(&exe)
+                .env(SYNTH_CHILD_ENV, &path)
+                .output()
+                .expect("child bench runs");
+            assert!(out.status.success(), "synth child failed: {}", String::from_utf8_lossy(&out.stderr));
+            let text = String::from_utf8(out.stdout).expect("UTF-8 child output");
+            let line = text.lines().last().expect("child prints one line");
+            Json::parse(line).expect("child prints JSON")
+        })
+        .collect();
+    let med = |key: &str| {
+        let xs: Vec<f64> = runs.iter().filter_map(|r| r.get(key).and_then(Json::as_f64)).collect();
+        if xs.is_empty() {
+            Json::Null
+        } else {
+            Json::Num((median(xs) * 1000.0).round() / 1000.0)
+        }
+    };
+    std::fs::remove_file(&path).ok();
+    let row = Json::obj(vec![
+        ("types", Json::num_u(types as u64)),
+        ("bytes", Json::num_u(bytes)),
+        (
+            "load_ms",
+            Json::obj(vec![
+                ("validate", med("validate_ms")),
+                ("types", med("types_ms")),
+                ("members", med("members_ms")),
+                ("csr", med("csr_ms")),
+                ("finish", med("finish_ms")),
+                ("total", med("load_ms")),
+            ]),
+        ),
+        ("first_resolve_us", med("first_resolve_us")),
+        ("rss_delta_mb", med("rss_delta_mb")),
+        ("engine_bytes", med("engine_bytes")),
+        ("drop_ms", med("drop_ms")),
+    ]);
+    println!("synth ({types} types, {bytes} bytes): {}", row.to_text());
+    row
+}
+
 fn main() {
+    if let Ok(path) = std::env::var(SYNTH_CHILD_ENV) {
+        synth_child(&path);
+        return;
+    }
     let quick = quick_mode();
     let rounds = if quick { 2 } else { 5 };
 
@@ -159,6 +308,8 @@ fn main() {
         );
     }
 
+    let synth = synth_row(&dir, quick, if quick { 3 } else { 7 });
+
     let round1 = |x: f64| (x * 10.0).round() / 10.0;
     let doc = Json::obj(vec![
         ("bench", Json::Str("snapshot_io".to_owned())),
@@ -204,8 +355,20 @@ fn main() {
         ("load_speedup", Json::Num((load_speedup * 100.0).round() / 100.0)),
         ("zero_copy_speedup", Json::Num((zero_copy_speedup * 100.0).round() / 100.0)),
         ("load_vs_build", Json::Num((vs_build * 100.0).round() / 100.0)),
+        ("synth", synth),
         ("quick", Json::Bool(quick)),
     ]);
+    let doc = match std::env::var("BENCH_SNAPSHOT_BASELINE") {
+        Ok(path) => {
+            let text = std::fs::read_to_string(&path).expect("baseline file reads");
+            let baseline = Json::parse(&text).expect("baseline is JSON");
+            let row = baseline.get("synth").cloned().expect("baseline has a synth row");
+            let Json::Obj(mut pairs) = doc else { unreachable!("built as an object") };
+            pairs.push(("synth_baseline".to_owned(), row));
+            Json::Obj(pairs)
+        }
+        Err(_) => doc,
+    };
     let out = std::env::var("BENCH_SNAPSHOT_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_snapshot.json").to_owned()
     });

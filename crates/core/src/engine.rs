@@ -362,8 +362,8 @@ impl Prospector {
     fn elem_visible(&self, elem: &ElemJungloid, config: crate::graph::GraphConfig) -> bool {
         use jungloid_apidef::Visibility;
         let vis = match *elem {
-            ElemJungloid::Call { method, .. } => self.api.method(method).visibility,
-            ElemJungloid::FieldAccess { field } => self.api.field(field).visibility,
+            ElemJungloid::Call { method, .. } => self.api.method(method).visibility(),
+            ElemJungloid::FieldAccess { field } => self.api.field(field).visibility(),
             _ => return true,
         };
         match vis {
@@ -524,7 +524,9 @@ impl Prospector {
     /// Answers a batch of explicit queries concurrently, fanning out
     /// across `std::thread::scope` workers that share the immutable CSR
     /// graph and the sharded distance cache. Worker count defaults to the
-    /// machine's available parallelism (capped at the batch size).
+    /// machine's available parallelism (capped at the batch size); a
+    /// one-query batch skips that lookup, which reads `/proc` and cgroup
+    /// files and would cost more than a cached answer.
     ///
     /// Results come back in input order, and each slot is exactly what
     /// [`Prospector::query`] would have produced for that pair — ranking
@@ -532,8 +534,11 @@ impl Prospector {
     /// byte-identical.
     #[must_use]
     pub fn query_batch(&self, queries: &[(TyId, TyId)]) -> Vec<BatchEntry> {
-        let threads =
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let threads = if queries.len() > 1 {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        } else {
+            1
+        };
         self.query_batch_threads(queries, threads)
     }
 

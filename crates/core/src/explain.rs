@@ -42,9 +42,9 @@ pub fn explain(api: &Api, jungloid: &Jungloid) -> Vec<Step> {
             ElemJungloid::FieldAccess { .. } => "field access",
             ElemJungloid::Call { method, .. } => {
                 let def = api.method(*method);
-                if def.is_constructor {
+                if def.is_constructor() {
                     "constructor"
-                } else if def.is_static {
+                } else if def.is_static() {
                     "static call"
                 } else {
                     "instance call"

@@ -482,7 +482,7 @@ impl JungloidGraph {
         for f in api.field_ids() {
             // Definition 2: the output must be a class type, so
             // primitive-typed fields induce no elementary jungloid.
-            if visible(api.field(f).visibility) && api.types().is_reference(api.field(f).ty) {
+            if visible(api.field(f).visibility()) && api.types().is_reference(api.field(f).ty()) {
                 let elem = elem_of_field(f);
                 graph.push_edge(NodeId::Ty(elem.input_ty(api)), elem, NodeId::Ty(elem.output_ty(api)));
             }
@@ -496,14 +496,14 @@ impl JungloidGraph {
             Vec::new()
         };
         for m in api.method_ids() {
-            if visible(api.method(m).visibility) {
+            if visible(api.method(m).visibility()) {
                 for elem in elems_of_method(api, m) {
                     // §4.3 restriction: drop edges that feed a weakly
                     // typed parameter slot.
                     if let ElemJungloid::Call { method, input: Some(jungloid_apidef::InputSlot::Arg(i)) } =
                         elem
                     {
-                        if weak_tys.contains(&api.method(method).params[i]) {
+                        if weak_tys.contains(&api.method(method).params()[i]) {
                             continue;
                         }
                     }
@@ -883,9 +883,9 @@ impl JungloidGraph {
                     ElemJungloid::FieldAccess { .. } => stats.field_edges += 1,
                     ElemJungloid::Call { method, .. } => {
                         let def = api.method(method);
-                        if def.is_constructor {
+                        if def.is_constructor() {
                             stats.constructor_edges += 1;
-                        } else if def.is_static {
+                        } else if def.is_static() {
                             stats.static_edges += 1;
                         } else {
                             stats.instance_edges += 1;

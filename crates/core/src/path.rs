@@ -158,9 +158,9 @@ impl Jungloid {
                 ElemJungloid::FieldAccess { .. } => Some(0),
                 ElemJungloid::Call { method, .. } => {
                     let def = api.method(method);
-                    if def.is_constructor {
+                    if def.is_constructor() {
                         Some(3)
-                    } else if def.is_static {
+                    } else if def.is_static() {
                         Some(2)
                     } else {
                         Some(1)

@@ -124,7 +124,7 @@ mod tests {
             .copied()
             .filter(|&m| {
                 let d = api.method(m);
-                if name == "<init>" { d.is_constructor } else { d.name == name }
+                if name == "<init>" { d.is_constructor() } else { d.name() == name }
             })
             .collect();
         for m in candidates {

@@ -272,46 +272,46 @@ fn step_expr(
     match elem {
         ElemJungloid::FieldAccess { field } => {
             let def = api.field(field);
-            if def.is_static {
+            if def.is_static() {
                 Expr::Name {
-                    parts: vec![api.types().display_simple(def.declaring), def.name.clone()],
+                    parts: vec![api.types().display_simple(def.declaring()), def.name().to_owned()],
                 }
             } else {
                 Expr::Field {
                     recv: Box::new(cur.expect("instance field needs input")),
-                    name: def.name.clone(),
+                    name: def.name().to_owned(),
                 }
             }
         }
         ElemJungloid::Call { method, input } => {
-            let def = api.method(method).clone();
-            let mut args = Vec::with_capacity(def.params.len());
-            for (i, &p) in def.params.iter().enumerate() {
+            let def = api.method(method);
+            let mut args = Vec::with_capacity(def.params().len());
+            for (i, &p) in def.params().iter().enumerate() {
                 if input == Some(InputSlot::Arg(i)) {
                     args.push(cur.clone().expect("arg-consuming call needs input"));
                 } else {
-                    let hint = def.param_names.get(i).and_then(|n| n.as_deref());
+                    let hint = def.param_name(i);
                     args.push(free(names, p, hint));
                 }
             }
-            if def.is_constructor {
+            if def.is_constructor() {
                 Expr::New {
-                    class: TypeName::simple(&api.types().display_simple(def.declaring)),
+                    class: TypeName::simple(&api.types().display_simple(def.declaring())),
                     args,
                 }
-            } else if def.is_static {
+            } else if def.is_static() {
                 Expr::Call {
-                    recv: Some(Box::new(Expr::var(&api.types().display_simple(def.declaring)))),
-                    name: def.name,
+                    recv: Some(Box::new(Expr::var(&api.types().display_simple(def.declaring())))),
+                    name: def.name().to_owned(),
                     args,
                 }
             } else {
                 let recv = if input == Some(InputSlot::Receiver) {
                     cur.expect("receiver-consuming call needs input")
                 } else {
-                    free(names, def.declaring, None)
+                    free(names, def.declaring(), None)
                 };
-                Expr::Call { recv: Some(Box::new(recv)), name: def.name, args }
+                Expr::Call { recv: Some(Box::new(recv)), name: def.name().to_owned(), args }
             }
         }
         ElemJungloid::Widen { .. } => cur.expect("widening needs input"),
@@ -366,7 +366,7 @@ mod tests {
         let c = api.types().resolve(class).unwrap();
         for &m in api.methods_of(c) {
             let d = api.method(m);
-            let matches = if name == "<init>" { d.is_constructor } else { d.name == name };
+            let matches = if name == "<init>" { d.is_constructor() } else { d.name() == name };
             if matches {
                 for e in elems_of_method(api, m) {
                     if e.input_ty(api) == input {

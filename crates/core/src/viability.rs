@@ -129,13 +129,13 @@ pub fn execute(api: &Api, behavior: &Behavior, jungloid: &Jungloid) -> Outcome {
                 }
                 dynamics = match behavior.method_dynamics.get(&method) {
                     Some(ds) => ds.clone(),
-                    None => possible_dynamics(api, api.method(method).ret),
+                    None => possible_dynamics(api, api.method(method).ret()),
                 };
             }
             ElemJungloid::FieldAccess { field } => {
                 dynamics = match behavior.field_dynamics.get(&field) {
                     Some(ds) => ds.clone(),
-                    None => possible_dynamics(api, api.field(field).ty),
+                    None => possible_dynamics(api, api.field(field).ty()),
                 };
             }
         }

@@ -170,8 +170,8 @@ mod tests {
         assert_eq!(a.method_count(), b.method_count());
         // Spot-check a random method's shape matches.
         let m = a.method_ids().last().unwrap();
-        assert_eq!(a.method(m).name, b.method(m).name);
-        assert_eq!(a.method(m).params, b.method(m).params);
+        assert_eq!(a.method(m).name(), b.method(m).name());
+        assert_eq!(a.method(m).params(), b.method(m).params());
     }
 
     #[test]
@@ -180,8 +180,8 @@ mod tests {
         let mut b = ApiLoader::with_prelude().finish().unwrap();
         grow(&mut a, &small_spec());
         grow(&mut b, &JungleSpec { seed: 99, ..small_spec() });
-        let names_a: Vec<String> = a.method_ids().map(|m| a.method(m).name.clone()).collect();
-        let names_b: Vec<String> = b.method_ids().map(|m| b.method(m).name.clone()).collect();
+        let names_a: Vec<&str> = a.method_ids().map(|m| a.method(m).name()).collect();
+        let names_b: Vec<&str> = b.method_ids().map(|m| b.method(m).name()).collect();
         // Same name scheme but different shapes overall.
         assert_eq!(names_a.len() == names_b.len(), names_a == names_b);
     }

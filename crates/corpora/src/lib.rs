@@ -246,7 +246,7 @@ mod tests {
         // getLayer is protected (Table 1 row 19's failure hinges on it).
         let agep = api.types().resolve("AbstractGraphicalEditPart").unwrap();
         let get_layer = api.lookup_instance_method(agep, "getLayer", 1)[0];
-        assert_eq!(api.method(get_layer).visibility, jungloid_apidef::Visibility::Protected);
+        assert_eq!(api.method(get_layer).visibility(), jungloid_apidef::Visibility::Protected);
     }
 
     #[test]

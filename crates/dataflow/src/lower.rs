@@ -523,7 +523,7 @@ impl MethodCx<'_> {
                 let field = self
                     .api
                     .lookup_field(r.ty, name)
-                    .filter(|&f| !self.api.field(f).is_static)
+                    .filter(|&f| !self.api.field(f).is_static())
                     .ok_or_else(|| {
                         self.err(format!(
                             "no instance field `{name}` on {}",
@@ -531,7 +531,7 @@ impl MethodCx<'_> {
                         ))
                     })?;
                 Ok(Val {
-                    ty: self.api.field(field).ty,
+                    ty: self.api.field(field).ty(),
                     kind: ValKind::GetField { recv: Box::new(r), field },
                 })
             }
@@ -585,7 +585,7 @@ impl MethodCx<'_> {
                     let def = self.api.method(m);
                     let this = Val { ty: self_ty, kind: ValKind::Var("this".to_owned()) };
                     return Ok(Val {
-                        ty: def.ret,
+                        ty: def.ret(),
                         kind: ValKind::ApiCall { method: m, recv: Some(Box::new(this)), args },
                     });
                 }
@@ -606,7 +606,7 @@ impl MethodCx<'_> {
                             self.casts.extend(cast_sites);
                             let def = self.api.method(m);
                             return Ok(Val {
-                                ty: def.ret,
+                                ty: def.ret(),
                                 kind: ValKind::ApiCall { method: m, recv: None, args },
                             });
                         }
@@ -646,7 +646,7 @@ impl MethodCx<'_> {
             self.casts.extend(cast_sites);
             let def = self.api.method(m);
             return Ok(Val {
-                ty: def.ret,
+                ty: def.ret(),
                 kind: ValKind::ApiCall { method: m, recv: Some(Box::new(recv)), args },
             });
         }
@@ -699,8 +699,8 @@ impl MethodCx<'_> {
     fn pick_api_overload(&self, candidates: Vec<MethodId>, args: &[Val]) -> Option<MethodId> {
         candidates.into_iter().find(|&m| {
             let def = self.api.method(m);
-            def.params.len() == args.len()
-                && def.params.iter().zip(args).all(|(&p, a)| compatible(self.api, a.ty, p))
+            def.params().len() == args.len()
+                && def.params().iter().zip(args).all(|(&p, a)| compatible(self.api, a.ty, p))
         })
     }
 
@@ -713,7 +713,7 @@ impl MethodCx<'_> {
                 let field = self
                     .api
                     .lookup_field(val.ty, name)
-                    .filter(|&f| !self.api.field(f).is_static)
+                    .filter(|&f| !self.api.field(f).is_static())
                     .ok_or_else(|| {
                         self.err(format!(
                             "no instance field `{name}` on {}",
@@ -721,7 +721,7 @@ impl MethodCx<'_> {
                         ))
                     })?;
                 val = Val {
-                    ty: self.api.field(field).ty,
+                    ty: self.api.field(field).ty(),
                     kind: ValKind::GetField { recv: Box::new(val), field },
                 };
             }
@@ -738,7 +738,7 @@ impl MethodCx<'_> {
             let field = self
                 .api
                 .lookup_field(ty, &parts[k])
-                .filter(|&f| self.api.field(f).is_static)
+                .filter(|&f| self.api.field(f).is_static())
                 .ok_or_else(|| {
                     self.err(format!(
                         "no static field `{}` on {}",
@@ -746,12 +746,12 @@ impl MethodCx<'_> {
                         self.api.types().display(ty)
                     ))
                 })?;
-            let mut val = Val { ty: self.api.field(field).ty, kind: ValKind::StaticField(field) };
+            let mut val = Val { ty: self.api.field(field).ty(), kind: ValKind::StaticField(field) };
             for name in &parts[k + 1..] {
                 let f = self
                     .api
                     .lookup_field(val.ty, name)
-                    .filter(|&f| !self.api.field(f).is_static)
+                    .filter(|&f| !self.api.field(f).is_static())
                     .ok_or_else(|| {
                         self.err(format!(
                             "no instance field `{name}` on {}",
@@ -759,7 +759,7 @@ impl MethodCx<'_> {
                         ))
                     })?;
                 val =
-                    Val { ty: self.api.field(f).ty, kind: ValKind::GetField { recv: Box::new(val), field: f } };
+                    Val { ty: self.api.field(f).ty(), kind: ValKind::GetField { recv: Box::new(val), field: f } };
             }
             return Ok(Lowered::Value(val));
         }

@@ -227,7 +227,7 @@ fn collect_weak_arg_sites<'v>(
         ValKind::New { ctor, args } => {
             let def = api.method(*ctor);
             for (i, a) in args.iter().enumerate() {
-                if def.params.get(i).is_some_and(|p| weak_tys.contains(p)) {
+                if def.params().get(i).is_some_and(|p| weak_tys.contains(p)) {
                     out.push((*ctor, i, a));
                 }
                 collect_weak_arg_sites(api, a, weak_tys, out);
@@ -239,7 +239,7 @@ fn collect_weak_arg_sites<'v>(
                 collect_weak_arg_sites(api, r, weak_tys, out);
             }
             for (i, a) in args.iter().enumerate() {
-                if def.params.get(i).is_some_and(|p| weak_tys.contains(p)) {
+                if def.params().get(i).is_some_and(|p| weak_tys.contains(p)) {
                     out.push((*method, i, a));
                 }
                 collect_weak_arg_sites(api, a, weak_tys, out);
@@ -291,7 +291,7 @@ impl Walk<'_> {
                 if let Some(r) = recv {
                     let def = self.api.method(*method);
                     for (oc, om) in
-                        self.corpus.client_overrides(self.api, r.ty, &def.name, args.len())
+                        self.corpus.client_overrides(self.api, r.ty, def.name(), args.len())
                     {
                         out.extend(self.inline(oc, om, v.ty));
                     }

@@ -156,12 +156,15 @@ impl AccessLog {
         if !self.enabled() {
             return;
         }
-        let line = rec.to_json().to_text();
+        // The newline is rendered into the line so each record is one
+        // `write(2)` on the unbuffered sink, not two.
+        let mut line = rec.to_json().to_text();
+        line.push('\n');
         {
             let mut sink = self.sink.lock().expect("access-log sink poisoned");
             let _ = match &mut *sink {
-                Sink::Stderr => writeln!(std::io::stderr().lock(), "{line}"),
-                Sink::File(f) => writeln!(f, "{line}"),
+                Sink::Stderr => std::io::stderr().lock().write_all(line.as_bytes()),
+                Sink::File(f) => f.write_all(line.as_bytes()),
             };
         }
         let mut tail = self.tail.lock().expect("access-log tail poisoned");
@@ -294,6 +297,31 @@ mod tests {
             Json::parse(line).expect("sink line is strict JSON");
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Write syscalls this thread has made, where the kernel reports it.
+    fn thread_write_calls() -> Option<u64> {
+        let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
+        io.lines().find_map(|l| l.strip_prefix("syscw:"))?.trim().parse().ok()
+    }
+
+    #[test]
+    fn each_record_is_one_write_call() {
+        let log = AccessLog::new();
+        log.set_enabled(true);
+        let path = std::env::temp_dir().join("prospector_access_log_writes.jsonl");
+        let _ = std::fs::remove_file(&path);
+        log.set_file(path.to_str().unwrap()).expect("open log file");
+        let Some(before) = thread_write_calls() else { return };
+        for i in 0..10 {
+            log.record(rec(i, "query"));
+        }
+        let writes = thread_write_calls().expect("counter readable") - before;
+        let text = std::fs::read_to_string(&path).expect("read log file");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(writes, 10, "one write(2) per record");
+        assert_eq!(text.lines().count(), 10);
+        assert!(text.ends_with('\n'));
     }
 
     #[test]

@@ -152,8 +152,9 @@ struct Slot {
     /// Graph epoch at load time (also readable off the engine, but
     /// snapshotted here so `info()` needs no engine lock).
     graph_epoch: u64,
-    /// The engine's approximate resident size (graph + API tables), the
-    /// per-tenant RSS estimate `/tenants` reports.
+    /// The engine's approximate resident size (graph plus API tables:
+    /// types, members, names, and their indexes), the per-tenant RSS
+    /// estimate `/tenants` reports.
     engine_bytes: u64,
     /// Wall-clock ms when this engine was installed.
     loaded_at_ms: u64,
@@ -237,7 +238,7 @@ impl Tenant {
 impl Slot {
     fn install(engine: Arc<Prospector>, provenance: Provenance) -> Slot {
         let graph_epoch = engine.graph().epoch();
-        let engine_bytes = engine.graph().approx_bytes() as u64;
+        let engine_bytes = (engine.graph().approx_bytes() + engine.api().approx_bytes()) as u64;
         Slot {
             engine,
             provenance,
@@ -483,18 +484,19 @@ impl Registry {
         }
         match load_engine(&path, mmap) {
             Ok((engine, provenance)) => {
-                let engine = Arc::new(engine);
-                {
+                let fresh = Slot::install(Arc::new(engine), provenance);
+                let old = {
                     let mut slot = tenant.slot.write().expect("tenant slot poisoned");
                     let reloads = slot.reloads + 1;
-                    let old = std::mem::replace(&mut *slot, Slot::install(engine, provenance));
+                    let old = std::mem::replace(&mut *slot, fresh);
                     slot.reloads = reloads;
-                    // The old engine's Arc drops here (or later, when
-                    // the last in-flight query releases its clone) —
-                    // outside no lock but this slot's, which queries
-                    // hold only for a refcount bump.
-                    drop(old);
-                }
+                    old
+                };
+                // The retired engine drops here, after the write lock is
+                // released, so its teardown never blocks `engine()`
+                // callers (or it drops later, when the last in-flight
+                // query releases its clone).
+                drop(old);
                 prospector_obs::add("registry.reloads", 1);
                 self.publish_gauges();
                 Ok(tenant.info())

@@ -42,8 +42,8 @@ pub use crc32::{crc32, Crc32};
 pub use error::StoreError;
 pub use snapshot::{
     from_buf, from_bytes, is_snapshot, load_auto, load_file, manifest, map_file, pad_for,
-    save_file, to_bytes, to_bytes_v1, LoadMode, Manifest, MappedSnapshot, SectionInfo, Snapshot,
-    FORMAT_VERSION, MAGIC, V1_FORMAT_VERSION,
+    save_file, to_bytes, to_bytes_v1, LoadMode, LoadPhases, Manifest, MappedSnapshot, SectionInfo,
+    Snapshot, FORMAT_VERSION, MAGIC, V1_FORMAT_VERSION,
 };
 
 #[cfg(test)]

@@ -55,11 +55,14 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 use jungloid_apidef::{
-    Api, ElemJungloid, FieldDef, FieldId, InputSlot, MethodDef, MethodId, Visibility,
+    Api, ElemJungloid, FieldId, InputSlot, MemberTables, MethodId, RawField, RawMethod, Visibility,
 };
-use jungloid_typesys::{PackageId, Prim, RawSlot, RawSlotView, TyId, TypeKind, TypeTable};
+use jungloid_typesys::{
+    PackageId, Prim, RawSlot, RawSlotView, TyId, TypeError, TypeKind, TypeTable,
+};
 use prospector_core::graph::{CsrAdjacency, JungloidGraph, NodeId};
 use prospector_core::slab::{decode_quad, encode_quad, ElemSeq, Slab, SnapshotBuf};
 use prospector_core::GraphConfig;
@@ -264,14 +267,14 @@ fn encode_members(api: &Api, pool: &mut StringPool) -> Vec<u8> {
     w.index(api.method_count());
     for m in api.method_ids() {
         let def = api.method(m);
-        w.u32(pool.intern(&def.name));
-        w.index(def.declaring.index());
-        w.index(def.params.len());
-        for p in &def.params {
+        w.u32(pool.intern(def.name()));
+        w.index(def.declaring().index());
+        w.index(def.params().len());
+        for p in def.params() {
             w.index(p.index());
         }
-        w.index(def.param_names.len());
-        for name in &def.param_names {
+        w.index(def.param_names().len());
+        for name in def.param_names() {
             match name {
                 None => w.u8(0),
                 Some(n) => {
@@ -280,19 +283,19 @@ fn encode_members(api: &Api, pool: &mut StringPool) -> Vec<u8> {
                 }
             }
         }
-        w.index(def.ret.index());
-        w.u8(encode_visibility(def.visibility));
-        w.u8(u8::from(def.is_static));
-        w.u8(u8::from(def.is_constructor));
+        w.index(def.ret().index());
+        w.u8(encode_visibility(def.visibility()));
+        w.u8(u8::from(def.is_static()));
+        w.u8(u8::from(def.is_constructor()));
     }
     w.index(api.field_count());
     for f in api.field_ids() {
         let def = api.field(f);
-        w.u32(pool.intern(&def.name));
-        w.index(def.declaring.index());
-        w.index(def.ty.index());
-        w.u8(encode_visibility(def.visibility));
-        w.u8(u8::from(def.is_static));
+        w.u32(pool.intern(def.name()));
+        w.index(def.declaring().index());
+        w.index(def.ty().index());
+        w.u8(encode_visibility(def.visibility()));
+        w.u8(u8::from(def.is_static()));
     }
     w.into_bytes()
 }
@@ -728,6 +731,14 @@ impl Strings<'_> {
         }
     }
 
+    /// Total bytes of all pooled strings.
+    fn bytes(&self) -> usize {
+        match self {
+            Strings::Owned(v) => v.iter().map(String::len).sum(),
+            Strings::View { blob, .. } => blob.len(),
+        }
+    }
+
     fn get(&self, id: u32) -> Option<&str> {
         match self {
             Strings::Owned(v) => v.get(id as usize).map(String::as_str),
@@ -817,18 +828,22 @@ fn decode_ty(r: &Reader<'_>, raw: u32, arena_len: usize) -> Result<TyId, StoreEr
     }
 }
 
+/// Decodes the type table slot by slot into a [`TypeTable::loader`]:
+/// names are borrowed from the pool and copied once, into the table's
+/// own arena, with no string or slot list allocated along the way.
 fn decode_types(payload: &[u8], pool: &Strings<'_>) -> Result<TypeTable, StoreError> {
+    let table_err = |e: TypeError| StoreError::Corrupt { section: "types", detail: e.to_string() };
     let mut r = Reader::new("types", payload);
     let package_count = r.count(4)?;
     let mut packages = Vec::with_capacity(package_count);
     for _ in 0..package_count {
         let id = r.u32()?;
-        packages.push(pooled(&r, pool, id)?.to_owned());
+        packages.push(pooled(&r, pool, id)?);
     }
     let slot_count = r.count(1)?;
-    let mut slots = Vec::with_capacity(slot_count);
+    let mut loader = TypeTable::loader(&packages, slot_count).map_err(table_err)?;
     for _ in 0..slot_count {
-        slots.push(match r.u8()? {
+        let slot = match r.u8()? {
             0 => RawSlot::Void,
             1 => RawSlot::Null,
             2 => {
@@ -840,7 +855,7 @@ fn decode_types(payload: &[u8], pool: &Strings<'_>) -> Result<TypeTable, StoreEr
             }
             3 => {
                 let simple_ref = r.u32()?;
-                let simple = pooled(&r, pool, simple_ref)?.to_owned();
+                let simple = pooled(&r, pool, simple_ref)?;
                 let package = PackageId::from_index(r.u32()? as usize);
                 let kind = match r.u8()? {
                     0 => TypeKind::Class,
@@ -864,13 +879,11 @@ fn decode_types(payload: &[u8], pool: &Strings<'_>) -> Result<TypeTable, StoreEr
                 RawSlot::Array { elem: decode_ty(&r, raw, slot_count)? }
             }
             other => return Err(r.corrupt(format!("type slot tag {other}"))),
-        });
+        };
+        loader.push(slot).map_err(table_err)?;
     }
     r.finish()?;
-    TypeTable::from_raw(packages, slots).map_err(|e| StoreError::Corrupt {
-        section: "types",
-        detail: e.to_string(),
-    })
+    loader.finish().map_err(table_err)
 }
 
 fn decode_visibility(r: &Reader<'_>, raw: u8) -> Result<Visibility, StoreError> {
@@ -882,34 +895,42 @@ fn decode_visibility(r: &Reader<'_>, raw: u8) -> Result<Visibility, StoreError> 
     }
 }
 
+/// Decodes the members section straight into flat member tables,
+/// pre-sized from the section's counts, then validates them and builds
+/// the per-type index in one [`Api::from_tables`] pass. Names are copied
+/// from the pool once per use; every copy lands in one arena.
 fn decode_members(
     payload: &[u8],
     types: TypeTable,
     pool: &Strings<'_>,
 ) -> Result<Api, StoreError> {
     let arena_len = types.len();
-    let mut api = Api::from_types(types);
     let mut r = Reader::new("members", payload);
     let method_count = r.count(1)?;
+    // Most member names are used once, so the pool's size is a close
+    // upper estimate of their bytes; reserved capacity costs nothing
+    // until it is written.
+    let mut tables = MemberTables::with_capacity(method_count, 0, pool.bytes());
+    let (mut params, mut param_names) = (Vec::new(), Vec::new());
     for _ in 0..method_count {
         let name_ref = r.u32()?;
-        let name = pooled(&r, pool, name_ref)?.to_owned();
+        let name = tables.push_name(pooled(&r, pool, name_ref)?);
         let declaring_ref = r.u32()?;
         let declaring = decode_ty(&r, declaring_ref, arena_len)?;
         let param_count = r.count(4)?;
-        let mut params = Vec::with_capacity(param_count);
+        params.clear();
         for _ in 0..param_count {
             let raw = r.u32()?;
             params.push(decode_ty(&r, raw, arena_len)?);
         }
         let name_count = r.count(1)?;
-        let mut param_names = Vec::with_capacity(name_count);
+        param_names.clear();
         for _ in 0..name_count {
             param_names.push(match r.u8()? {
                 0 => None,
                 1 => {
                     let id = r.u32()?;
-                    Some(pooled(&r, pool, id)?.to_owned())
+                    Some(tables.push_name(pooled(&r, pool, id)?))
                 }
                 other => return Err(r.corrupt(format!("param-name flag {other}"))),
             });
@@ -920,22 +941,22 @@ fn decode_members(
         let visibility = decode_visibility(&r, vis_byte)?;
         let is_static = r.u8()? != 0;
         let is_constructor = r.u8()? != 0;
-        api.add_method(MethodDef {
+        tables.push_method(&RawMethod {
             name,
             declaring,
-            params,
-            param_names,
+            params: &params,
+            param_names: &param_names,
             ret,
             visibility,
             is_static,
             is_constructor,
-        })
-        .map_err(|e| StoreError::Corrupt { section: "members", detail: e.to_string() })?;
+        });
     }
     let field_count = r.count(1)?;
+    tables.reserve_fields(field_count);
     for _ in 0..field_count {
         let name_ref = r.u32()?;
-        let name = pooled(&r, pool, name_ref)?.to_owned();
+        let name = tables.push_name(pooled(&r, pool, name_ref)?);
         let declaring_ref = r.u32()?;
         let declaring = decode_ty(&r, declaring_ref, arena_len)?;
         let ty_ref = r.u32()?;
@@ -943,11 +964,11 @@ fn decode_members(
         let vis_byte = r.u8()?;
         let visibility = decode_visibility(&r, vis_byte)?;
         let is_static = r.u8()? != 0;
-        api.add_field(FieldDef { name, declaring, ty, visibility, is_static })
-            .map_err(|e| StoreError::Corrupt { section: "members", detail: e.to_string() })?;
+        tables.push_field(&RawField { name, declaring, ty, visibility, is_static });
     }
     r.finish()?;
-    Ok(api)
+    Api::from_tables(types, tables)
+        .map_err(|e| StoreError::Corrupt { section: "members", detail: e.to_string() })
 }
 
 fn decode_elem(r: &mut Reader<'_>, api: &Api) -> Result<ElemJungloid, StoreError> {
@@ -975,7 +996,7 @@ fn decode_elem(r: &mut Reader<'_>, api: &Api) -> Result<ElemJungloid, StoreError
                 1 => Some(InputSlot::Receiver),
                 2 => {
                     let i = r.u32()? as usize;
-                    if i >= api.method(method).params.len() {
+                    if i >= api.method(method).params().len() {
                         return Err(r.corrupt(format!("parameter slot {i} out of range")));
                     }
                     Some(InputSlot::Arg(i))
@@ -1025,7 +1046,7 @@ fn check_elem(section: &'static str, api: &Api, elem: ElemJungloid) -> Result<()
                 ));
             }
             if let Some(InputSlot::Arg(i)) = input {
-                if i >= api.method(method).params.len() {
+                if i >= api.method(method).params().len() {
                     return fail(format!("parameter slot {i} out of range"));
                 }
             }
@@ -1283,25 +1304,80 @@ fn section_payload<'a>(bytes: &'a [u8], info: &SectionInfo) -> &'a [u8] {
     &bytes[start..start + len]
 }
 
-fn decode_v1(bytes: &[u8], manifest: &Manifest) -> Result<Snapshot, StoreError> {
-    let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
-    let pool = Strings::Owned(decode_strings_v1(pay(0))?);
-    let types = decode_types(pay(1), &pool)?;
-    let api = decode_members(pay(2), types, &pool)?;
-    let meta = decode_graph_meta(pay(3), &api)?;
-    let csr = decode_csr_v1(pay(4), &api, &meta)?;
-    finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v1)
+/// Wall time of each stage of one snapshot load, in microseconds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoadPhases {
+    /// Framing validation: header, section frames, padding, CRCs.
+    pub validate_us: u64,
+    /// The string pool and the type table, name index included.
+    pub types_us: u64,
+    /// The member tables and their per-type index.
+    pub members_us: u64,
+    /// Graph metadata and the CSR arrays with their checks.
+    pub csr_us: u64,
+    /// The example sections and the graph's assembly.
+    pub finish_us: u64,
 }
 
-fn decode_v2(buf: &Arc<SnapshotBuf>, manifest: &Manifest) -> Result<Snapshot, StoreError> {
+/// Microseconds since `*mark`, restarting the mark.
+fn lap(mark: &mut Instant) -> u64 {
+    let us = elapsed_us(*mark);
+    *mark = Instant::now();
+    us
+}
+
+fn decode_v1(
+    bytes: &[u8],
+    manifest: &Manifest,
+    phases: &mut LoadPhases,
+) -> Result<Snapshot, StoreError> {
+    let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
+    let mut mark = Instant::now();
+    let pool = Strings::Owned(decode_strings_v1(pay(0))?);
+    let types = decode_types(pay(1), &pool)?;
+    phases.types_us = lap(&mut mark);
+    let api = decode_members(pay(2), types, &pool)?;
+    phases.members_us = lap(&mut mark);
+    let meta = decode_graph_meta(pay(3), &api)?;
+    let csr = decode_csr_v1(pay(4), &api, &meta)?;
+    phases.csr_us = lap(&mut mark);
+    let snapshot = finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v1)?;
+    phases.finish_us = lap(&mut mark);
+    Ok(snapshot)
+}
+
+fn decode_v2(
+    buf: &Arc<SnapshotBuf>,
+    manifest: &Manifest,
+    phases: &mut LoadPhases,
+) -> Result<Snapshot, StoreError> {
     let bytes = buf.as_slice();
     let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
+    let mut mark = Instant::now();
     let pool = decode_strings_v2(pay(0))?;
     let types = decode_types(pay(1), &pool)?;
+    phases.types_us = lap(&mut mark);
     let api = decode_members(pay(2), types, &pool)?;
+    phases.members_us = lap(&mut mark);
     let meta = decode_graph_meta(pay(3), &api)?;
     let csr = decode_csr_v2(buf, &manifest.sections[4], &api, &meta)?;
-    finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v2)
+    phases.csr_us = lap(&mut mark);
+    let snapshot = finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v2)?;
+    phases.finish_us = lap(&mut mark);
+    Ok(snapshot)
+}
+
+/// Decodes a validated buffer of either format version.
+fn decode(
+    buf: &Arc<SnapshotBuf>,
+    manifest: &Manifest,
+    phases: &mut LoadPhases,
+) -> Result<Snapshot, StoreError> {
+    if manifest.version == V1_FORMAT_VERSION {
+        decode_v1(buf.as_slice(), manifest, phases)
+    } else {
+        decode_v2(buf, manifest, phases)
+    }
 }
 
 /// Decoder for one jungloid-list section (mined examples or generalized
@@ -1347,11 +1423,12 @@ fn finish_snapshot(
 /// impossibilities as [`StoreError::Corrupt`] naming the section.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
     let m = walk(bytes)?;
+    let mut phases = LoadPhases::default();
     if m.version == V1_FORMAT_VERSION {
-        decode_v1(bytes, &m)
+        decode_v1(bytes, &m, &mut phases)
     } else {
         let buf = Arc::new(SnapshotBuf::from_bytes(bytes));
-        decode_v2(&buf, &m)
+        decode_v2(&buf, &m, &mut phases)
     }
 }
 
@@ -1365,11 +1442,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
 /// As [`from_bytes`].
 pub fn from_buf(buf: &Arc<SnapshotBuf>) -> Result<(Snapshot, Manifest), StoreError> {
     let m = walk(buf.as_slice())?;
-    let snapshot = if m.version == V1_FORMAT_VERSION {
-        decode_v1(buf.as_slice(), &m)?
-    } else {
-        decode_v2(buf, &m)?
-    };
+    let snapshot = decode(buf, &m, &mut LoadPhases::default())?;
     Ok((snapshot, m))
 }
 
@@ -1437,6 +1510,8 @@ fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64, total_us: u64)
 pub struct MappedSnapshot {
     buf: Arc<SnapshotBuf>,
     manifest: Manifest,
+    /// How long the framing validation took.
+    validate_us: u64,
 }
 
 impl MappedSnapshot {
@@ -1467,8 +1542,9 @@ impl MappedSnapshot {
     }
 
     fn from_snapshot_buf(buf: SnapshotBuf) -> Result<Self, StoreError> {
+        let start = Instant::now();
         let manifest = walk(buf.as_slice())?;
-        Ok(MappedSnapshot { buf: Arc::new(buf), manifest })
+        Ok(MappedSnapshot { buf: Arc::new(buf), manifest, validate_us: elapsed_us(start) })
     }
 
     /// The validated per-section breakdown.
@@ -1495,15 +1571,23 @@ impl MappedSnapshot {
     ///
     /// Any structural (payload-level) [`StoreError`].
     pub fn thaw(&self) -> Result<Snapshot, StoreError> {
-        if self.manifest.version == V1_FORMAT_VERSION {
-            decode_v1(self.buf.as_slice(), &self.manifest)
-        } else {
-            decode_v2(&self.buf, &self.manifest)
-        }
+        self.thaw_timed().map(|(snapshot, _)| snapshot)
+    }
+
+    /// [`MappedSnapshot::thaw`], also reporting how long each load
+    /// phase took (validation counted from construction).
+    ///
+    /// # Errors
+    ///
+    /// As [`MappedSnapshot::thaw`].
+    pub fn thaw_timed(&self) -> Result<(Snapshot, LoadPhases), StoreError> {
+        let mut phases = LoadPhases { validate_us: self.validate_us, ..LoadPhases::default() };
+        let snapshot = decode(&self.buf, &self.manifest, &mut phases)?;
+        Ok((snapshot, phases))
     }
 }
 
-fn elapsed_us(start: std::time::Instant) -> u64 {
+fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
@@ -1517,7 +1601,7 @@ fn elapsed_us(start: std::time::Instant) -> u64 {
 /// [`StoreError`] otherwise.
 pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
     let _span = prospector_obs::stage("store");
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mapped = MappedSnapshot::open(path)?;
     let validate_us = elapsed_us(start);
     let snapshot = mapped.thaw()?;
@@ -1537,7 +1621,7 @@ pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
 /// As [`load_file`].
 pub fn map_file(path: &Path) -> Result<(Snapshot, Manifest, bool), StoreError> {
     let _span = prospector_obs::stage("store");
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mapped = MappedSnapshot::map(path)?;
     let validate_us = elapsed_us(start);
     let snapshot = mapped.thaw()?;

@@ -401,7 +401,7 @@ fn discovery_minutes(
             }
             jungloid_apidef::ElemJungloid::Call { method, .. } => {
                 let def = api.method(*method);
-                if def.is_static || def.is_constructor || elem.input_ty(api) == api.types().void()
+                if def.is_static() || def.is_constructor() || elem.input_ty(api) == api.types().void()
                 {
                     space += config.static_space;
                     config.recognize_static

@@ -38,9 +38,11 @@
 //! ```
 
 mod error;
+pub mod names;
 mod table;
 mod ty;
 
 pub use error::TypeError;
-pub use table::{PackageId, RawSlot, RawSlotView, TypeDecl, TypeTable};
+pub use names::{NameArena, Sym};
+pub use table::{PackageId, RawSlot, RawSlotView, TableLoader, TypeDecl, TypeTable};
 pub use ty::{Prim, Ty, TyId, TypeKind};

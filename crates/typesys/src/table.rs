@@ -4,6 +4,7 @@ use std::collections::HashMap;
 
 use prospector_obs::json::{decode_err, Json, JsonError};
 
+use crate::names::{hash_name, NameArena, NameIndex, Sym};
 use crate::{Prim, Ty, TyId, TypeError, TypeKind};
 
 /// Identifier of an interned package name.
@@ -21,64 +22,10 @@ impl PackageId {
     ///
     /// Only meaningful for indexes previously obtained from
     /// [`PackageId::index`] against the same table (the binary snapshot
-    /// loader re-derives them; [`TypeTable::from_raw`] validates range).
+    /// loader re-derives them; [`TypeTable::loader`] validates range).
     #[must_use]
     pub fn from_index(index: usize) -> Self {
         PackageId(u32::try_from(index).expect("package arena exceeds u32 range"))
-    }
-}
-
-/// A symbol: an index into the table's [`NameArena`]. Hot paths (edge
-/// decoding, display, snapshot encode) carry these 4-byte handles instead
-/// of heap `String`s.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-struct Sym(u32);
-
-/// All the table's names — package names and simple type names — interned
-/// into one contiguous `String` with `(start, len)` spans. Interning
-/// dedups (same text → same [`Sym`]) via a hash-bucket index that stores
-/// only symbols, never a second copy of the text, so the arena is the
-/// single owner of every name byte in the table.
-#[derive(Clone, Debug, Default)]
-struct NameArena {
-    buf: String,
-    spans: Vec<(u32, u32)>,
-    /// `hash(text) -> candidate symbols`; collisions resolved by comparing
-    /// against the arena content itself.
-    index: HashMap<u64, Vec<Sym>>,
-}
-
-impl NameArena {
-    fn hash_text(s: &str) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut h);
-        h.finish()
-    }
-
-    /// Interns `s`, returning the existing symbol when the exact text is
-    /// already present.
-    fn intern(&mut self, s: &str) -> Sym {
-        let h = Self::hash_text(s);
-        if let Some(cands) = self.index.get(&h) {
-            for &sym in cands {
-                if self.get(sym) == s {
-                    return sym;
-                }
-            }
-        }
-        let start = u32::try_from(self.buf.len()).expect("name arena exceeds u32 range");
-        let len = u32::try_from(s.len()).expect("name exceeds u32 range");
-        let sym = Sym(u32::try_from(self.spans.len()).expect("name arena exceeds u32 range"));
-        self.buf.push_str(s);
-        self.spans.push((start, len));
-        self.index.entry(h).or_default().push(sym);
-        sym
-    }
-
-    fn get(&self, sym: Sym) -> &str {
-        let (start, len) = self.spans[sym.0 as usize];
-        &self.buf[start as usize..(start + len) as usize]
     }
 }
 
@@ -158,33 +105,21 @@ impl TypeDecl<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TypeTable {
+    /// Package names and simple type names, back to back.
     names: NameArena,
     packages: Vec<Sym>,
-    package_ids: HashMap<Sym, PackageId>,
+    /// Package name → package id.
+    package_index: NameIndex,
     types: Vec<TyData>,
-    /// Name-lookup maps, built lazily on first [`TypeTable::resolve`].
-    /// [`TypeTable::from_raw`] (the snapshot warm-start path) skips the
-    /// build entirely so loading stays O(slots), not O(name bytes hashed).
-    resolve_index: std::sync::OnceLock<ResolveIndex>,
+    /// Simple name → the declared types carrying it. Serves simple and
+    /// qualified lookups and the duplicate-declaration check; built as
+    /// types are declared or loaded, never on first use.
+    type_index: NameIndex,
     arrays: HashMap<TyId, TyId>,
     void_id: TyId,
     null_id: TyId,
     prim_ids: [TyId; 8],
     object: Option<TyId>,
-}
-
-/// Derived name-lookup maps behind [`TypeTable::resolve`].
-#[derive(Clone, Debug, Default)]
-struct ResolveIndex {
-    by_qualified: HashMap<String, TyId>,
-    by_simple: HashMap<String, Vec<TyId>>,
-}
-
-impl ResolveIndex {
-    fn insert(&mut self, qualified: String, simple: &str, id: TyId) {
-        self.by_qualified.insert(qualified, id);
-        self.by_simple.entry(simple.to_owned()).or_default().push(id);
-    }
 }
 
 impl TypeTable {
@@ -205,9 +140,9 @@ impl TypeTable {
         TypeTable {
             names: NameArena::default(),
             packages: Vec::new(),
-            package_ids: HashMap::new(),
+            package_index: NameIndex::default(),
             types,
-            resolve_index: std::sync::OnceLock::new(),
+            type_index: NameIndex::default(),
             arrays: HashMap::new(),
             void_id,
             null_id,
@@ -216,38 +151,54 @@ impl TypeTable {
         }
     }
 
-    /// Fully-qualified name of a declared slot, without going through
-    /// [`TypeTable::decl`].
-    fn qualified_of(&self, d: &DeclData) -> String {
-        let pkg = self.names.get(self.packages[d.package.index()]);
-        let simple = self.names.get(d.simple);
-        if pkg.is_empty() {
-            simple.to_owned()
-        } else {
-            format!("{pkg}.{simple}")
-        }
+    /// The id of an interned package.
+    fn package_id(&self, name: &str) -> Option<PackageId> {
+        self.package_index
+            .chain(hash_name(name))
+            .map(PackageId::from_index)
+            .find(|&p| self.package_name(p) == name)
     }
 
-    /// The resolve maps, building them on first use.
-    fn resolve_index(&self) -> &ResolveIndex {
-        self.resolve_index.get_or_init(|| {
-            let mut index = ResolveIndex::default();
-            for (i, slot) in self.types.iter().enumerate() {
-                if let TyData::Decl(d) = slot {
-                    index.insert(self.qualified_of(d), self.names.get(d.simple), TyId::from_index(i));
-                }
-            }
-            index
+    /// The declared types whose simple name is `simple` (hashing to `h`),
+    /// newest first.
+    fn homonyms<'a>(
+        &'a self,
+        simple: &'a str,
+        h: u64,
+    ) -> impl Iterator<Item = (TyId, &'a DeclData)> + 'a {
+        self.type_index.chain(h).filter_map(move |i| match &self.types[i] {
+            TyData::Decl(d) if self.names.get(d.simple) == simple => Some((TyId::from_index(i), d)),
+            _ => None,
         })
     }
 
-    /// Mutable access to the resolve maps, building them first if a
-    /// warm-started table has not needed them yet.
-    fn resolve_index_mut(&mut self) -> &mut ResolveIndex {
-        if self.resolve_index.get().is_none() {
-            self.resolve_index();
+    /// The declared type `package.simple` (`simple` hashing to `h`).
+    fn find_decl(&self, package: PackageId, simple: &str, h: u64) -> Option<TyId> {
+        self.homonyms(simple, h).find(|(_, d)| d.package == package).map(|(id, _)| id)
+    }
+
+    /// Appends declared type `package.simple` (`simple` hashing to `h`),
+    /// or returns the type already declared under that name.
+    fn push_decl(
+        &mut self,
+        package: PackageId,
+        simple: &str,
+        h: u64,
+        kind: TypeKind,
+        superclass: Option<TyId>,
+        interfaces: Vec<TyId>,
+    ) -> Result<TyId, TyId> {
+        if let Some(existing) = self.find_decl(package, simple, h) {
+            return Err(existing);
         }
-        self.resolve_index.get_mut().expect("initialized above")
+        let id = TyId(u32::try_from(self.types.len()).expect("type arena overflow"));
+        let sym = self.names.push(simple);
+        self.types.push(TyData::Decl(DeclData { simple: sym, package, kind, superclass, interfaces }));
+        self.type_index.insert(h, id.index());
+        if self.object.is_none() && simple == "Object" && self.package_name(package) == "java.lang" {
+            self.object = Some(id);
+        }
+        Ok(id)
     }
 
     /// The `void` pseudo-type.
@@ -276,13 +227,12 @@ impl TypeTable {
 
     /// Interns a package name, returning its id.
     pub fn intern_package(&mut self, name: &str) -> PackageId {
-        let sym = self.names.intern(name);
-        if let Some(&id) = self.package_ids.get(&sym) {
+        if let Some(id) = self.package_id(name) {
             return id;
         }
         let id = PackageId(u32::try_from(self.packages.len()).expect("package arena overflow"));
-        self.packages.push(sym);
-        self.package_ids.insert(sym, id);
+        self.packages.push(self.names.push(name));
+        self.package_index.insert(hash_name(name), id.index());
         id
     }
 
@@ -302,29 +252,9 @@ impl TypeTable {
     ///
     /// Returns [`TypeError::DuplicateType`] if the qualified name is taken.
     pub fn declare(&mut self, package: &str, simple: &str, kind: TypeKind) -> Result<TyId, TypeError> {
-        let qualified = if package.is_empty() {
-            simple.to_owned()
-        } else {
-            format!("{package}.{simple}")
-        };
-        if self.resolve_index_mut().by_qualified.contains_key(&qualified) {
-            return Err(TypeError::DuplicateType { qualified_name: qualified });
-        }
         let package = self.intern_package(package);
-        let simple_sym = self.names.intern(simple);
-        let id = TyId(u32::try_from(self.types.len()).expect("type arena overflow"));
-        self.types.push(TyData::Decl(DeclData {
-            simple: simple_sym,
-            package,
-            kind,
-            superclass: None,
-            interfaces: Vec::new(),
-        }));
-        if qualified == "java.lang.Object" {
-            self.object = Some(id);
-        }
-        self.resolve_index_mut().insert(qualified, simple, id);
-        Ok(id)
+        self.push_decl(package, simple, hash_name(simple), kind, None, Vec::new())
+            .map_err(|existing| TypeError::DuplicateType { qualified_name: self.display(existing) })
     }
 
     /// Interns (or returns the existing) array type with the given element.
@@ -508,25 +438,38 @@ impl TypeTable {
     /// [`TypeError::UnknownType`] if nothing matches,
     /// [`TypeError::AmbiguousName`] if a simple name has several matches.
     pub fn resolve(&self, name: &str) -> Result<TyId, TypeError> {
-        let index = self.resolve_index();
         if name.contains('.') {
-            return index
-                .by_qualified
-                .get(name)
-                .copied()
+            return self
+                .resolve_qualified(name)
                 .ok_or_else(|| TypeError::UnknownType { name: name.to_owned() });
         }
-        match index.by_simple.get(name).map(Vec::as_slice) {
-            None | Some([]) => Err(TypeError::UnknownType { name: name.to_owned() }),
-            Some([one]) => Ok(*one),
-            Some(many) => Err(TypeError::AmbiguousName {
-                name: name.to_owned(),
-                candidates: many
-                    .iter()
-                    .map(|id| self.decl(*id).expect("simple index holds decls").qualified_name())
-                    .collect(),
-            }),
+        let h = hash_name(name);
+        let mut found = self.homonyms(name, h).map(|(id, _)| id);
+        match (found.next(), found.next()) {
+            (None, _) => Err(TypeError::UnknownType { name: name.to_owned() }),
+            (Some(id), None) => Ok(id),
+            (Some(_), Some(_)) => {
+                let mut ids: Vec<TyId> = self.homonyms(name, h).map(|(id, _)| id).collect();
+                ids.reverse();
+                Err(TypeError::AmbiguousName {
+                    name: name.to_owned(),
+                    candidates: ids.into_iter().map(|id| self.display(id)).collect(),
+                })
+            }
         }
+    }
+
+    /// `package.Simple` lookup. A simple name may itself contain dots,
+    /// so every split is tried, rightmost first; the package part is
+    /// never empty (an unpackaged type's qualified name has no dot).
+    fn resolve_qualified(&self, name: &str) -> Option<TyId> {
+        name.rmatch_indices('.').find_map(|(dot, _)| {
+            let (package, simple) = (&name[..dot], &name[dot + 1..]);
+            if package.is_empty() {
+                return None;
+            }
+            self.find_decl(self.package_id(package)?, simple, hash_name(simple))
+        })
     }
 
     /// Direct supertypes of a type, i.e. the targets of its widening edges
@@ -673,15 +616,16 @@ impl Default for TypeTable {
 // (qualified/simple lookup, array interning, the Object root) is rebuilt
 // on load, which keeps the format small and makes a loaded table
 // structurally identical to a freshly built one. [`RawSlot`] is the
-// neutral exchange shape both formats decode into; [`TypeTable::from_raw`]
+// neutral exchange shape both formats decode into; [`TypeTable::loader`]
 // owns all structural validation.
 
-/// The raw contents of one type-arena slot, as exchanged with persistence
-/// layers ([`TypeTable::to_json`] and the binary snapshot format in
-/// `prospector-store`). Obtained from [`TypeTable::raw_slots`]; reversed by
-/// [`TypeTable::from_raw`].
+/// The raw contents of one type-arena slot, as decoded by persistence
+/// layers ([`TypeTable::from_json`] and the binary snapshot format in
+/// `prospector-store`) and handed to [`TableLoader::push`]. The simple
+/// name is borrowed from the decoder's input, so decoding allocates no
+/// string per slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RawSlot {
+pub enum RawSlot<'a> {
     /// The `void` pseudo-type (always slot 0).
     Void,
     /// The null type (always slot 1).
@@ -691,7 +635,7 @@ pub enum RawSlot {
     /// A declared class or interface.
     Decl {
         /// Simple (unqualified) name.
-        simple: String,
+        simple: &'a str,
         /// Package reference.
         package: PackageId,
         /// Class or interface.
@@ -708,10 +652,10 @@ pub enum RawSlot {
     },
 }
 
-/// A borrowed view of one type-arena slot: the allocation-free sibling of
+/// A borrowed view of one type-arena slot, the save-side sibling of
 /// [`RawSlot`]. Save paths (the binary snapshot encoder, the JSON debug
-/// dump) iterate these instead of cloning every name `String` out of the
-/// interned arena.
+/// dump) iterate these instead of cloning every name out of the name
+/// arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RawSlotView<'a> {
     /// The `void` pseudo-type (always slot 0).
@@ -747,33 +691,10 @@ impl TypeTable {
         self.packages.iter().map(|&sym| self.names.get(sym))
     }
 
-    /// The raw arena slots, in id order. Together with
-    /// [`TypeTable::package_names`] this is the table's complete persistent
-    /// state. Clones names out of the arena; save paths that only need to
-    /// read should prefer [`TypeTable::raw_slot_views`].
-    #[must_use]
-    pub fn raw_slots(&self) -> Vec<RawSlot> {
-        self.raw_slot_views()
-            .map(|slot| match slot {
-                RawSlotView::Void => RawSlot::Void,
-                RawSlotView::Null => RawSlot::Null,
-                RawSlotView::Prim(p) => RawSlot::Prim(p),
-                RawSlotView::Decl { simple, package, kind, superclass, interfaces } => {
-                    RawSlot::Decl {
-                        simple: simple.to_owned(),
-                        package,
-                        kind,
-                        superclass,
-                        interfaces: interfaces.to_vec(),
-                    }
-                }
-                RawSlotView::Array { elem } => RawSlot::Array { elem },
-            })
-            .collect()
-    }
-
     /// Borrowed views of the raw arena slots, in id order — zero
-    /// allocations, names read straight from the interned arena.
+    /// allocations, names read straight from the name arena.
+    /// Together with [`TypeTable::package_names`] this is the table's
+    /// complete persistent state.
     pub fn raw_slot_views(&self) -> impl ExactSizeIterator<Item = RawSlotView<'_>> + '_ {
         self.types.iter().map(|slot| match slot {
             TyData::Void => RawSlotView::Void,
@@ -790,132 +711,165 @@ impl TypeTable {
         })
     }
 
-    /// Rebuilds a table from raw parts, validating every reference and
-    /// rebuilding all derived indexes.
+    /// Starts rebuilding a table of exactly `slot_count` slots over
+    /// `packages`, slot by slot, so a decoder never materializes a slot
+    /// list. Every derived index — the name lookups included — is built
+    /// as slots arrive, so the first [`TypeTable::resolve`] after a load
+    /// does no deferred work.
     ///
     /// # Errors
     ///
-    /// Returns [`TypeError::InvalidTable`] on out-of-range package/type
-    /// references, a built-in prefix (void, null, the eight primitives)
-    /// that does not match a fresh table's, arrays of `void`/null, or
-    /// duplicate packages, declared types, or array internings.
-    pub fn from_raw(packages: Vec<String>, slots: Vec<RawSlot>) -> Result<TypeTable, TypeError> {
-        let invalid = |detail: String| TypeError::InvalidTable { detail };
-        let arena_len = slots.len();
-        let check_ty = |id: TyId| {
-            if id.index() < arena_len {
-                Ok(id)
-            } else {
-                Err(invalid(format!("type reference {id:?} out of bounds ({arena_len} slots)")))
+    /// [`TypeError::InvalidTable`] on a repeated package name.
+    pub fn loader(packages: &[&str], slot_count: usize) -> Result<TableLoader, TypeError> {
+        let mut table = TypeTable {
+            names: NameArena::with_capacity(slot_count + packages.len(), 0),
+            packages: Vec::with_capacity(packages.len()),
+            package_index: NameIndex::with_capacity(packages.len()),
+            types: Vec::with_capacity(slot_count),
+            type_index: NameIndex::with_capacity(slot_count),
+            arrays: HashMap::new(),
+            void_id: TyId(0),
+            null_id: TyId(1),
+            prim_ids: [TyId(0); 8],
+            object: None,
+        };
+        for name in packages {
+            if table.package_id(name).is_some() {
+                return Err(invalid(format!("duplicate package `{name}`")));
+            }
+            table.intern_package(name);
+        }
+        Ok(TableLoader { table, slot_count })
+    }
+
+    /// Heap bytes held by the table: slots, names, and lookup indexes.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        let interfaces: usize = self
+            .types
+            .iter()
+            .map(|t| match t {
+                TyData::Decl(d) => d.interfaces.capacity() * 4,
+                _ => 0,
+            })
+            .sum();
+        self.types.capacity() * std::mem::size_of::<TyData>()
+            + interfaces
+            + self.names.approx_bytes()
+            + self.packages.capacity() * 4
+            + self.package_index.approx_bytes()
+            + self.type_index.approx_bytes()
+            // A hash-map slot holds the key and value plus one control byte.
+            + self.arrays.capacity() * 9
+    }
+}
+
+fn invalid(detail: String) -> TypeError {
+    TypeError::InvalidTable { detail }
+}
+
+/// A [`TypeTable`] being rebuilt from persisted slots (see
+/// [`TypeTable::loader`]); [`TableLoader::finish`] owns the checks that
+/// need the whole arena.
+#[derive(Debug)]
+pub struct TableLoader {
+    table: TypeTable,
+    slot_count: usize,
+}
+
+impl TableLoader {
+    fn check_ty(&self, id: TyId) -> Result<(), TypeError> {
+        if id.index() < self.slot_count {
+            Ok(())
+        } else {
+            Err(invalid(format!("type reference {id:?} out of bounds ({} slots)", self.slot_count)))
+        }
+    }
+
+    /// Appends the next slot.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeError::InvalidTable`] on a slot past the promised count, an
+    /// out-of-range package or type reference, or a duplicate declared
+    /// type or array interning.
+    pub fn push(&mut self, slot: RawSlot<'_>) -> Result<(), TypeError> {
+        let table = &self.table;
+        let id = TyId::from_index(table.types.len());
+        if id.index() >= self.slot_count {
+            return Err(invalid(format!("more than the {} slots declared", self.slot_count)));
+        }
+        let data = match slot {
+            RawSlot::Void => TyData::Void,
+            RawSlot::Null => TyData::Null,
+            RawSlot::Prim(p) => TyData::Prim(p),
+            RawSlot::Decl { simple, package, kind, superclass, interfaces } => {
+                if package.index() >= table.packages.len() {
+                    return Err(invalid(format!(
+                        "package reference {} out of bounds ({} packages)",
+                        package.index(),
+                        table.packages.len()
+                    )));
+                }
+                if let Some(sup) = superclass {
+                    self.check_ty(sup)?;
+                }
+                for &i in &interfaces {
+                    self.check_ty(i)?;
+                }
+                let table = &mut self.table;
+                let h = hash_name(simple);
+                return match table.push_decl(package, simple, h, kind, superclass, interfaces) {
+                    Ok(_) => Ok(()),
+                    Err(first) => {
+                        Err(invalid(format!("duplicate declared type `{}`", table.display(first))))
+                    }
+                };
+            }
+            RawSlot::Array { elem } => {
+                self.check_ty(elem)?;
+                if self.table.arrays.insert(elem, id).is_some() {
+                    return Err(invalid("duplicate array interning".to_owned()));
+                }
+                TyData::Array { elem }
             }
         };
-        let mut names = NameArena::default();
-        let mut types = Vec::with_capacity(arena_len);
-        for slot in slots {
-            types.push(match slot {
-                RawSlot::Void => TyData::Void,
-                RawSlot::Null => TyData::Null,
-                RawSlot::Prim(p) => TyData::Prim(p),
-                RawSlot::Decl { simple, package, kind, superclass, interfaces } => {
-                    if package.index() >= packages.len() {
-                        return Err(invalid(format!(
-                            "package reference {} out of bounds ({} packages)",
-                            package.index(),
-                            packages.len()
-                        )));
-                    }
-                    if let Some(sup) = superclass {
-                        check_ty(sup)?;
-                    }
-                    for &i in &interfaces {
-                        check_ty(i)?;
-                    }
-                    TyData::Decl(DeclData {
-                        simple: names.intern(&simple),
-                        package,
-                        kind,
-                        superclass,
-                        interfaces,
-                    })
-                }
-                RawSlot::Array { elem } => {
-                    check_ty(elem)?;
-                    TyData::Array { elem }
-                }
-            });
-        }
+        self.table.types.push(data);
+        Ok(())
+    }
 
-        // The built-in prefix must match what `TypeTable::new` interns.
+    /// Finishes the table.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeError::InvalidTable`] if fewer slots arrived than promised,
+    /// the built-in prefix (void, null, the eight primitives) does not
+    /// match a fresh table's, or an array has a `void`/null element.
+    pub fn finish(self) -> Result<TypeTable, TypeError> {
+        let mut table = self.table;
+        let types = &table.types;
+        if types.len() != self.slot_count {
+            return Err(invalid(format!("{} of {} slots arrived", types.len(), self.slot_count)));
+        }
         if types.len() < 10
             || !matches!(types[0], TyData::Void)
             || !matches!(types[1], TyData::Null)
         {
             return Err(invalid("built-in prefix (void, null, primitives) missing".to_owned()));
         }
-        let mut prim_ids = [TyId(0); 8];
         for (i, p) in Prim::ALL.into_iter().enumerate() {
             match &types[2 + i] {
-                TyData::Prim(q) if *q == p => prim_ids[i] = TyId(u32::try_from(2 + i).expect("small")),
+                TyData::Prim(q) if *q == p => {
+                    table.prim_ids[i] = TyId(u32::try_from(2 + i).expect("small"));
+                }
                 _ => return Err(invalid("primitive slots out of order".to_owned())),
             }
         }
-        for slot in &types {
+        for slot in types {
             if let TyData::Array { elem } = slot {
                 if matches!(types[elem.index()], TyData::Void | TyData::Null) {
                     return Err(invalid("array of void/null".to_owned()));
                 }
-            }
-        }
-
-        // Rebuild derived state. The name-lookup maps are NOT built here —
-        // they materialize lazily on the first `resolve` call — so the
-        // snapshot warm-start path pays only for the cheap id-keyed maps.
-        let mut table = TypeTable {
-            names,
-            packages: Vec::with_capacity(packages.len()),
-            package_ids: HashMap::new(),
-            types,
-            resolve_index: std::sync::OnceLock::new(),
-            arrays: HashMap::new(),
-            void_id: TyId(0),
-            null_id: TyId(1),
-            prim_ids,
-            object: None,
-        };
-        for (i, name) in packages.iter().enumerate() {
-            let id = PackageId(u32::try_from(i).expect("small"));
-            // Interning dedups, so a repeated package name maps to the same
-            // symbol and trips the duplicate check here.
-            let sym = table.names.intern(name);
-            if table.package_ids.insert(sym, id).is_some() {
-                return Err(invalid(format!("duplicate package `{name}`")));
-            }
-            table.packages.push(sym);
-        }
-        // Interning also dedups simple names, so a duplicate declared type
-        // is exactly a repeated (package, simple-symbol) pair.
-        let mut seen_decls = std::collections::HashSet::with_capacity(table.types.len());
-        for (i, slot) in table.types.iter().enumerate() {
-            let id = TyId::from_index(i);
-            match slot {
-                TyData::Decl(d) => {
-                    if !seen_decls.insert((d.package, d.simple)) {
-                        return Err(invalid(format!(
-                            "duplicate declared type `{}`",
-                            table.qualified_of(d)
-                        )));
-                    }
-                    if table.object.is_none()
-                        && table.names.get(d.simple) == "Object"
-                        && table.names.get(table.packages[d.package.index()]) == "java.lang"
-                    {
-                        table.object = Some(id);
-                    }
-                }
-                TyData::Array { elem } if table.arrays.insert(*elem, id).is_some() => {
-                    return Err(invalid("duplicate array interning".to_owned()));
-                }
-                _ => {}
             }
         }
         Ok(table)
@@ -936,23 +890,23 @@ fn want_ty(v: &Json, arena_len: usize) -> Result<TyId, JsonError> {
 }
 
 impl TypeTable {
-    /// Serializes the table to a JSON value. The interned name arena is
-    /// emitted once as `names` and decl slots reference it by symbol
-    /// index, so a simple name shared by many types costs one string in
-    /// the document (and one allocation on save) rather than one per
-    /// slot.
+    /// Serializes the table to a JSON value. Distinct simple names are
+    /// emitted once as `names` and decl slots reference them by index,
+    /// so a simple name shared by many types costs one string in the
+    /// document (and one allocation on save) rather than one per slot.
     #[must_use]
     pub fn to_json(&self) -> Json {
         // Canonical first-use order (not raw arena order) keeps the
         // document stable across a decode/re-encode round trip, where
         // the rebuilt arena interns names in a different sequence.
-        let mut remap: HashMap<u32, u64> = HashMap::new();
+        let mut remap: HashMap<&str, u64> = HashMap::new();
         let mut names: Vec<Json> = Vec::new();
         for slot in &self.types {
             if let TyData::Decl(d) = slot {
-                if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(d.simple.0) {
+                let simple = self.names.get(d.simple);
+                if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(simple) {
                     e.insert(names.len() as u64);
-                    names.push(Json::Str(self.names.get(d.simple).to_owned()));
+                    names.push(Json::Str(simple.to_owned()));
                 }
             }
         }
@@ -968,7 +922,7 @@ impl TypeTable {
                 ]),
                 TyData::Decl(d) => Json::obj(vec![
                     ("k", Json::Str("decl".into())),
-                    ("simple", Json::num_u(remap[&d.simple.0])),
+                    ("simple", Json::num_u(remap[self.names.get(d.simple)])),
                     ("pkg", Json::num_u(u64::from(d.package.0))),
                     (
                         "kind",
@@ -1007,13 +961,13 @@ impl TypeTable {
     /// or an arena whose built-in prefix (void, null, the eight
     /// primitives) does not match a fresh table's.
     pub fn from_json(v: &Json) -> Result<TypeTable, JsonError> {
-        let packages: Vec<String> = v
+        let packages: Vec<&str> = v
             .want("packages")?
             .as_arr()
             .ok_or_else(|| decode_err("`packages` must be an array"))?
             .iter()
             .map(|p| {
-                p.as_str().map(str::to_owned).ok_or_else(|| decode_err("package must be a string"))
+                p.as_str().ok_or_else(|| decode_err("package must be a string"))
             })
             .collect::<Result<_, _>>()?;
         let names: Vec<&str> = v
@@ -1028,10 +982,11 @@ impl TypeTable {
             .as_arr()
             .ok_or_else(|| decode_err("`types` must be an array"))?;
         let arena_len = slots.len();
-        let mut raw = Vec::with_capacity(arena_len);
+        let table_err = |e: TypeError| decode_err(e.to_string());
+        let mut loader = TypeTable::loader(&packages, arena_len).map_err(table_err)?;
         for slot in slots {
             let kind = slot.want("k")?.as_str().ok_or_else(|| decode_err("`k` must be a string"))?;
-            raw.push(match kind {
+            let raw = match kind {
                 "void" => RawSlot::Void,
                 "null" => RawSlot::Null,
                 "prim" => {
@@ -1072,8 +1027,7 @@ impl TypeTable {
                             .copied()
                             .ok_or_else(|| {
                                 decode_err(format!("name index {simple_ref} out of range"))
-                            })?
-                            .to_owned(),
+                            })?,
                         package: PackageId(pkg),
                         kind: match slot.want("kind")?.as_str() {
                             Some("class") => TypeKind::Class,
@@ -1086,9 +1040,10 @@ impl TypeTable {
                 }
                 "array" => RawSlot::Array { elem: want_ty(slot.want("elem")?, arena_len)? },
                 other => return Err(decode_err(format!("unknown type slot kind `{other}`"))),
-            });
+            };
+            loader.push(raw).map_err(table_err)?;
         }
-        TypeTable::from_raw(packages, raw).map_err(|e| decode_err(e.to_string()))
+        loader.finish().map_err(table_err)
     }
 }
 
@@ -1143,6 +1098,26 @@ mod tests {
             other => panic!("expected ambiguity, got {other:?}"),
         }
         assert_eq!(t.resolve("a.X").unwrap(), t.resolve("a.X").unwrap());
+    }
+
+    #[test]
+    fn qualified_lookup_edge_spellings() {
+        let (mut t, _) = base();
+        let top = t.declare("", "Top", TypeKind::Class).unwrap();
+        let dotted = t.declare("a", "B.C", TypeKind::Class).unwrap();
+        let nested = t.declare("a.b", "D", TypeKind::Class).unwrap();
+        assert_eq!(t.resolve("Top").unwrap(), top);
+        // An unpackaged type's qualified name has no dot.
+        assert!(matches!(t.resolve(".Top"), Err(TypeError::UnknownType { .. })));
+        assert_eq!(t.resolve("a.B.C").unwrap(), dotted);
+        assert_eq!(t.resolve("a.b.D").unwrap(), nested);
+        for unknown in ["a.D", "b.D", "a.b.", "a.b", "B.C", "Top[]", ""] {
+            assert!(matches!(t.resolve(unknown), Err(TypeError::UnknownType { .. })), "{unknown}");
+        }
+        assert!(matches!(
+            t.declare("a.b", "D", TypeKind::Interface),
+            Err(TypeError::DuplicateType { qualified_name }) if qualified_name == "a.b.D"
+        ));
     }
 
     #[test]
