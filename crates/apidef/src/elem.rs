@@ -16,9 +16,9 @@
 //! in afterwards, typically with a follow-up query.
 
 use jungloid_typesys::{Ty, TyId};
-use prospector_obs::json::{decode_err, Json, JsonError};
+use prospector_obs::json::Json;
 
-use crate::model::{ty_ref, want_ty};
+use crate::model::ty_ref;
 use crate::{Api, FieldId, MethodId};
 
 /// Which of a method's value inputs an elementary jungloid consumes.
@@ -189,8 +189,8 @@ impl ElemJungloid {
 }
 
 impl ElemJungloid {
-    /// Serializes to a JSON value (tagged by `"k"`; member references are
-    /// arena indexes, so they only decode against the same API).
+    /// Renders as a JSON debug value (tagged by `"k"`; member references
+    /// are arena indexes into the same API).
     #[must_use]
     pub fn to_json(&self) -> Json {
         match *self {
@@ -222,55 +222,6 @@ impl ElemJungloid {
             ]),
         }
     }
-
-    /// Decodes [`ElemJungloid::to_json`] output, validating every member
-    /// and type reference against `api`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an unknown tag or an out-of-range reference.
-    pub fn from_json(v: &Json, api: &Api) -> Result<ElemJungloid, JsonError> {
-        let kind = v.want("k")?.as_str().ok_or_else(|| decode_err("`k` must be a string"))?;
-        let arena_len = api.types().len();
-        match kind {
-            "field" => {
-                let idx = want_index(v.want("field")?, api.field_count(), "field")?;
-                Ok(ElemJungloid::FieldAccess { field: FieldId::from_index(idx) })
-            }
-            "call" => {
-                let idx = want_index(v.want("method")?, api.method_count(), "method")?;
-                let method = MethodId::from_index(idx);
-                let input = match v.want("input")? {
-                    Json::Null => None,
-                    Json::Str(s) if s == "recv" => Some(InputSlot::Receiver),
-                    arg => {
-                        let i =
-                            want_index(arg, api.method(method).params().len(), "parameter slot")?;
-                        Some(InputSlot::Arg(i))
-                    }
-                };
-                Ok(ElemJungloid::Call { method, input })
-            }
-            "widen" => Ok(ElemJungloid::Widen {
-                from: want_ty(v.want("from")?, arena_len)?,
-                to: want_ty(v.want("to")?, arena_len)?,
-            }),
-            "cast" => Ok(ElemJungloid::Downcast {
-                from: want_ty(v.want("from")?, arena_len)?,
-                to: want_ty(v.want("to")?, arena_len)?,
-            }),
-            other => Err(decode_err(format!("unknown elementary jungloid kind `{other}`"))),
-        }
-    }
-}
-
-fn want_index(v: &Json, len: usize, what: &str) -> Result<usize, JsonError> {
-    let idx = v.as_u64().ok_or_else(|| decode_err(format!("{what} must be an integer")))?;
-    let idx = usize::try_from(idx).map_err(|_| decode_err(format!("{what} out of range")))?;
-    if idx >= len {
-        return Err(decode_err(format!("{what} index {idx} out of range (<{len})")));
-    }
-    Ok(idx)
 }
 
 /// Enumerates every non-downcast elementary jungloid an API member

@@ -10,7 +10,7 @@
 use std::ops::Range;
 
 use jungloid_typesys::{NameArena, Sym, Ty, TyId, TypeKind, TypeTable};
-use prospector_obs::json::{decode_err, Json, JsonError};
+use prospector_obs::json::Json;
 
 use crate::ApiError;
 
@@ -1003,23 +1003,14 @@ fn lowercase_first(s: &str) -> String {
     }
 }
 
-// --- JSON persistence ---------------------------------------------------
+// --- JSON debug dump ----------------------------------------------------
 //
-// Members are stored as flat arrays in arena order; ids are implicit
-// (array position), so `from_json` replays `add_method`/`add_field` in
-// order and every persisted `MethodId`/`FieldId` stays valid.
+// Members are rendered as flat arrays in arena order; ids are implicit
+// (array position). The dump is never loaded back: the `.pspk` snapshot
+// in `prospector-store` is the stored form.
 
 pub(crate) fn ty_ref(id: TyId) -> Json {
     Json::num_u(id.index() as u64)
-}
-
-pub(crate) fn want_ty(v: &Json, arena_len: usize) -> Result<TyId, JsonError> {
-    let idx = v.as_u64().ok_or_else(|| decode_err("type reference must be an integer"))?;
-    let idx = usize::try_from(idx).map_err(|_| decode_err("type reference out of range"))?;
-    if idx >= arena_len {
-        return Err(decode_err(format!("type reference {idx} out of range (<{arena_len})")));
-    }
-    Ok(TyId::from_index(idx))
 }
 
 impl Visibility {
@@ -1032,31 +1023,6 @@ impl Visibility {
             Visibility::Private => "private",
         }
     }
-
-    /// Parses [`Visibility::keyword`] output.
-    #[must_use]
-    pub fn from_keyword(word: &str) -> Option<Visibility> {
-        match word {
-            "public" => Some(Visibility::Public),
-            "protected" => Some(Visibility::Protected),
-            "private" => Some(Visibility::Private),
-            _ => None,
-        }
-    }
-}
-
-fn want_visibility(v: &Json) -> Result<Visibility, JsonError> {
-    v.as_str()
-        .and_then(Visibility::from_keyword)
-        .ok_or_else(|| decode_err("bad visibility"))
-}
-
-fn want_bool(v: &Json) -> Result<bool, JsonError> {
-    v.as_bool().ok_or_else(|| decode_err("expected a boolean"))
-}
-
-fn want_string(v: &Json) -> Result<String, JsonError> {
-    v.as_str().map(str::to_owned).ok_or_else(|| decode_err("expected a string"))
 }
 
 fn method_to_json(def: MethodView<'_>) -> Json {
@@ -1079,36 +1045,6 @@ fn method_to_json(def: MethodView<'_>) -> Json {
     ])
 }
 
-fn method_from_json(v: &Json, arena_len: usize) -> Result<MethodDef, JsonError> {
-    let params = v
-        .want("params")?
-        .as_arr()
-        .ok_or_else(|| decode_err("`params` must be an array"))?
-        .iter()
-        .map(|p| want_ty(p, arena_len))
-        .collect::<Result<Vec<_>, _>>()?;
-    let param_names = v
-        .want("param_names")?
-        .as_arr()
-        .ok_or_else(|| decode_err("`param_names` must be an array"))?
-        .iter()
-        .map(|n| match n {
-            Json::Null => Ok(None),
-            other => want_string(other).map(Some),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MethodDef {
-        name: want_string(v.want("name")?)?,
-        declaring: want_ty(v.want("declaring")?, arena_len)?,
-        params,
-        param_names,
-        ret: want_ty(v.want("ret")?, arena_len)?,
-        visibility: want_visibility(v.want("visibility")?)?,
-        is_static: want_bool(v.want("static")?)?,
-        is_constructor: want_bool(v.want("ctor")?)?,
-    })
-}
-
 fn field_to_json(def: FieldView<'_>) -> Json {
     Json::obj(vec![
         ("name", Json::Str(def.name().to_owned())),
@@ -1119,18 +1055,8 @@ fn field_to_json(def: FieldView<'_>) -> Json {
     ])
 }
 
-fn field_from_json(v: &Json, arena_len: usize) -> Result<FieldDef, JsonError> {
-    Ok(FieldDef {
-        name: want_string(v.want("name")?)?,
-        declaring: want_ty(v.want("declaring")?, arena_len)?,
-        ty: want_ty(v.want("ty")?, arena_len)?,
-        visibility: want_visibility(v.want("visibility")?)?,
-        is_static: want_bool(v.want("static")?)?,
-    })
-}
-
 impl Api {
-    /// Serializes the API (types plus members) to a JSON value.
+    /// Renders the API (types plus members) as a JSON debug value.
     #[must_use]
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -1138,34 +1064,6 @@ impl Api {
             ("methods", Json::Arr(self.method_ids().map(|m| method_to_json(self.method(m))).collect())),
             ("fields", Json::Arr(self.field_ids().map(|f| field_to_json(self.field(f))).collect())),
         ])
-    }
-
-    /// Rebuilds an API from [`Api::to_json`] output, re-deriving all
-    /// lookup indexes.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing keys, dangling type references, or member
-    /// definitions the builder itself would reject.
-    pub fn from_json(doc: &Json) -> Result<Api, JsonError> {
-        let types = TypeTable::from_json(doc.want("types")?)?;
-        let arena_len = types.len();
-        let mut api = Api::from_types(types);
-        let methods = doc
-            .want("methods")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`methods` must be an array"))?;
-        for m in methods {
-            let def = method_from_json(m, arena_len)?;
-            api.add_method(def).map_err(|e| decode_err(format!("bad method: {e}")))?;
-        }
-        let fields =
-            doc.want("fields")?.as_arr().ok_or_else(|| decode_err("`fields` must be an array"))?;
-        for f in fields {
-            let def = field_from_json(f, arena_len)?;
-            api.add_field(def).map_err(|e| decode_err(format!("bad field: {e}")))?;
-        }
-        Ok(api)
     }
 }
 

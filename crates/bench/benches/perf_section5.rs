@@ -8,17 +8,22 @@
 //! * all queries answered in under 1.1 s, 85% under 0.5 s.
 //!
 //! We grow the hand-modeled APIs with the procedural jungle to the same
-//! method count, persist the graph, and reproduce each measurement. The
-//! claims to preserve are the *bounds*: everything answers far inside
-//! the paper's envelope.
+//! method count, save the engine as a `.pspk` snapshot (the one format an
+//! engine is loaded from), and reproduce each measurement. The claims to
+//! preserve are the *bounds*: everything answers far inside the paper's
+//! envelope.
 //!
 //! Run with `cargo bench -p bench --bench perf_section5`.
 
 use std::time::Instant;
 
 use bench::{criterion_group, Criterion};
-use prospector_core::persist;
 use prospector_corpora::{build, jungle::JungleSpec, problems, BuildOptions};
+
+/// Where the report and the load bench write the paper-scale snapshot.
+fn snapshot_path() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("prospector-perf-section5-{}.pspk", std::process::id()))
+}
 
 fn paper_scale_options() -> BuildOptions {
     BuildOptions { jungle: Some(JungleSpec::default()), ..BuildOptions::default() }
@@ -39,18 +44,24 @@ fn print_report() {
     );
 
     // On-disk size (paper: 8 MB) and load time (paper: 1.5 s).
-    let json = persist::to_json(engine.api(), engine.graph());
-    println!(
-        "serialized size: {:.1} MB (paper: 8 MB)",
-        json.len() as f64 / (1024.0 * 1024.0)
-    );
+    let mined = built.mine_report.map(|r| r.examples).unwrap_or_default();
+    let path = snapshot_path();
+    let manifest = prospector_store::save_file(&path, engine.api(), engine.graph(), &mined)
+        .expect("snapshot saves");
+    let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
+    println!("snapshot size: {:.1} MB (paper: 8 MB)", mb(manifest.total_bytes));
     let t1 = Instant::now();
-    let loaded = persist::from_json(&json).expect("deserializes");
-    println!("load time: {:.2} s (paper: 1.5 s)", t1.elapsed().as_secs_f64());
+    let (loaded, _) = prospector_store::load_file(&path).expect("snapshot loads");
+    let load_s = t1.elapsed().as_secs_f64();
+    std::fs::remove_file(&path).ok();
+    println!("load time: {:.3} s (paper: 1.5 s)", load_s);
     println!(
         "in-memory adjacency estimate: {:.1} MB (paper: 24 MB total process)",
         loaded.graph.approx_bytes() as f64 / (1024.0 * 1024.0)
     );
+    assert_eq!(loaded.graph.edge_count(), engine.graph().edge_count());
+    assert!(mb(manifest.total_bytes) < 8.0, "snapshot exceeds the paper's 8 MB");
+    assert!(load_s < 1.5, "load exceeds the paper's 1.5 s");
 
     // Query latency distribution over the Table 1 mix (paper: all < 1.1 s,
     // 85% < 0.5 s).
@@ -84,13 +95,18 @@ fn bench_load_and_query(c: &mut Criterion) {
     // result cache on, every iteration after the first would measure a
     // cache hit instead.
     engine.cache_results = false;
-    let json = persist::to_json(engine.api(), engine.graph());
+    let path = snapshot_path();
+    prospector_store::save_file(&path, engine.api(), engine.graph(), &[]).expect("snapshot saves");
 
     let mut group = c.benchmark_group("perf_section5");
     group.sample_size(10);
-    group.bench_function("load_graph_from_json", |b| {
-        b.iter(|| std::hint::black_box(persist::from_json(&json).unwrap().graph.edge_count()));
+    group.bench_function("load_snapshot", |b| {
+        b.iter(|| {
+            let (snap, _) = prospector_store::load_file(&path).unwrap();
+            std::hint::black_box(snap.graph.edge_count())
+        });
     });
+    std::fs::remove_file(&path).ok();
     let api = engine.api();
     let ifile = api.types().resolve("IFile").unwrap();
     let ast = api.types().resolve("ASTNode").unwrap();

@@ -1,13 +1,13 @@
-//! Snapshot I/O — how fast the engine's on-disk formats save and load,
-//! and what warm-starting buys over rebuilding.
+//! Snapshot I/O — how fast the engine's `.pspk` snapshot saves and
+//! loads, and what warm-starting buys over rebuilding.
 //!
-//! Columns: the JSON debug format, the v1 `.pspk` (decode-everything)
-//! baseline, the v2 `.pspk` zero-copy load (owned read and mmap), and
-//! the first query answered after each warm start; plus the cold-build
-//! baseline every load replaces. The run writes a machine-readable
-//! baseline to `BENCH_snapshot.json` at the repository root (override
-//! with `BENCH_SNAPSHOT_OUT`), including `zero_copy_speedup` — v1 load
-//! time over v2 load time.
+//! Columns: save and full load (owned read), the validate-only stage of
+//! the zero-copy load (mmap), and the first query answered after a warm
+//! start; plus the cold-build baseline every load replaces. The run
+//! writes a machine-readable baseline to `BENCH_snapshot.json` at the
+//! repository root (override with `BENCH_SNAPSHOT_OUT`), including
+//! `load_vs_build` — cold-build time over full-load time, gated at
+//! >= 5x in full mode.
 //!
 //! The `synth` row warm-starts a seeded synthetic jungle (10^5 bulk
 //! types; 10^4 in quick mode) the way a server does — mmap, validate,
@@ -200,7 +200,7 @@ fn main() {
     let quick = quick_mode();
     let rounds = if quick { 2 } else { 5 };
 
-    println!("\n=== snapshot I/O (JSON debug vs .pspk binary) ===\n");
+    println!("\n=== snapshot I/O (.pspk binary) ===\n");
 
     // Cold-build baseline: what a server pays when it has no index.
     let (build_us, built) =
@@ -211,32 +211,7 @@ fn main() {
 
     let dir = std::env::temp_dir().join("prospector-bench-snapshot");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let json_path = dir.join("engine.json");
     let bin_path = dir.join("engine.pspk");
-    let v1_path = dir.join("engine-v1.pspk");
-
-    let (json_save_us, ()) = best_us(rounds, || {
-        prospector_core::persist::save_file(&json_path, engine.api(), engine.graph())
-            .expect("JSON saves");
-    });
-    let json_bytes = std::fs::metadata(&json_path).expect("saved").len();
-    let (json_load_us, json_loaded) = best_us(rounds, || {
-        prospector_core::persist::load_file(&json_path).expect("JSON loads")
-    });
-    println!(
-        "JSON debug:  save {json_save_us:10.0} us   load {json_load_us:10.0} us   {json_bytes:>9} bytes"
-    );
-
-    // v1: the decode-everything baseline the zero-copy loader replaces.
-    std::fs::write(&v1_path, prospector_store::to_bytes_v1(engine.api(), engine.graph(), &mined))
-        .expect("v1 snapshot writes");
-    let v1_bytes = std::fs::metadata(&v1_path).expect("saved").len();
-    let (v1_load_us, v1_loaded) = best_us(rounds, || {
-        prospector_store::load_file(&v1_path).expect("v1 loads").0
-    });
-    println!(
-        "binary v1:   {:>16} load {v1_load_us:10.0} us   {v1_bytes:>9} bytes", ""
-    );
 
     let (bin_save_us, _) = best_us(rounds, || {
         prospector_store::save_file(&bin_path, engine.api(), engine.graph(), &mined)
@@ -247,7 +222,7 @@ fn main() {
         prospector_store::load_file(&bin_path).expect("binary loads").0
     });
     println!(
-        "binary v2:   save {bin_save_us:10.0} us   load {bin_load_us:10.0} us   {bin_bytes:>9} bytes"
+        "binary:      save {bin_save_us:10.0} us   load {bin_load_us:10.0} us   {bin_bytes:>9} bytes"
     );
 
     // The zero-copy load: validate header + section CRCs once and hand
@@ -258,53 +233,35 @@ fn main() {
         m.is_mapped()
     });
     println!(
-        "binary v2 zero-copy (validate + mmap): {map_us:7.0} us   (mapped: {mapped})"
+        "binary zero-copy (validate + mmap): {map_us:7.0} us   (mapped: {mapped})"
     );
 
     // Warm start to first answer: load + engine assembly + one query.
-    let (first_query_v1_us, n1) = best_us(rounds, || {
-        first_query(prospector_store::load_file(&v1_path).expect("v1 loads").0)
-    });
-    let (first_query_v2_us, n2) = best_us(rounds, || {
+    let (first_query_us, answered) = best_us(rounds, || {
         let m = prospector_store::MappedSnapshot::map(&bin_path).expect("binary maps");
         first_query(m.thaw().expect("binary thaws"))
     });
-    assert_eq!(n1, n2, "warm-started engines must answer identically");
-    println!(
-        "first query:  v1 {first_query_v1_us:9.0} us   v2+mmap {first_query_v2_us:7.0} us"
-    );
+    let tin = engine.api().types().resolve("IFile").expect("IFile resolves");
+    let tout = engine.api().types().resolve("ASTNode").expect("ASTNode resolves");
+    let live_answers = engine.query(tin, tout).expect("query answers").suggestions.len();
+    assert_eq!(answered, live_answers, "the warm-started engine must answer like the live one");
+    println!("first query:  mmap {first_query_us:7.0} us");
 
-    // Every loader must agree with the live engine before its time
-    // means anything.
-    assert_eq!(json_loaded.graph.edge_count(), engine.graph().edge_count());
-    assert_eq!(v1_loaded.graph.csr().out_to(), engine.graph().csr().out_to());
+    // The loader must agree with the live engine before its time means
+    // anything.
     assert_eq!(bin_loaded.graph.edge_count(), engine.graph().edge_count());
     assert_eq!(bin_loaded.graph.csr().out_to(), engine.graph().csr().out_to());
 
-    let load_speedup = json_load_us / bin_load_us;
     let vs_build = build_us / bin_load_us;
-    // The headline number: the v2 zero-copy (validate-only) load against
-    // the v1 decode-everything load it replaces. The deferred owned-API
-    // cost is not hidden — it shows up in `first_query.v2_mmap_us`.
-    let zero_copy_speedup = v1_load_us / map_us;
-    println!(
-        "\nv2 full load: {load_speedup:.2}x faster than JSON load, {vs_build:.2}x faster than a cold build"
-    );
-    println!(
-        "v2 zero-copy (validate-only) load: {zero_copy_speedup:.2}x faster than the v1 decode\n"
-    );
+    println!("\nfull load: {vs_build:.2}x faster than a cold build\n");
     assert!(
-        bin_load_us < json_load_us,
-        "binary load must beat the JSON debug path ({bin_load_us:.0} us vs {json_load_us:.0} us)"
-    );
-    assert!(
-        map_us < v1_load_us,
-        "zero-copy v2 load must beat the v1 decode ({map_us:.0} us vs {v1_load_us:.0} us)"
+        bin_load_us < build_us,
+        "a snapshot load must beat a cold build ({bin_load_us:.0} us vs {build_us:.0} us)"
     );
     if !quick {
         assert!(
-            zero_copy_speedup >= 5.0,
-            "zero-copy v2 load must be >= 5x the v1 decode (got {zero_copy_speedup:.2}x)"
+            vs_build >= 5.0,
+            "a snapshot load must be >= 5x faster than a cold build (got {vs_build:.2}x)"
         );
     }
 
@@ -315,21 +272,6 @@ fn main() {
         ("bench", Json::Str("snapshot_io".to_owned())),
         ("rounds", Json::num_u(rounds as u64)),
         ("build_us", Json::Num(round1(build_us))),
-        (
-            "json",
-            Json::obj(vec![
-                ("save_us", Json::Num(round1(json_save_us))),
-                ("load_us", Json::Num(round1(json_load_us))),
-                ("bytes", Json::num_u(json_bytes)),
-            ]),
-        ),
-        (
-            "binary_v1",
-            Json::obj(vec![
-                ("load_us", Json::Num(round1(v1_load_us))),
-                ("bytes", Json::num_u(v1_bytes)),
-            ]),
-        ),
         (
             "binary",
             Json::obj(vec![
@@ -345,15 +287,7 @@ fn main() {
                 ("mapped", Json::Bool(mapped)),
             ]),
         ),
-        (
-            "first_query",
-            Json::obj(vec![
-                ("v1_us", Json::Num(round1(first_query_v1_us))),
-                ("v2_mmap_us", Json::Num(round1(first_query_v2_us))),
-            ]),
-        ),
-        ("load_speedup", Json::Num((load_speedup * 100.0).round() / 100.0)),
-        ("zero_copy_speedup", Json::Num((zero_copy_speedup * 100.0).round() / 100.0)),
+        ("first_query", Json::obj(vec![("mmap_us", Json::Num(round1(first_query_us)))])),
         ("load_vs_build", Json::Num((vs_build * 100.0).round() / 100.0)),
         ("synth", synth),
         ("quick", Json::Bool(quick)),
@@ -375,7 +309,5 @@ fn main() {
     std::fs::write(&out, doc.to_text()).expect("baseline file writes");
     println!("wrote {out}");
 
-    std::fs::remove_file(&json_path).ok();
     std::fs::remove_file(&bin_path).ok();
-    std::fs::remove_file(&v1_path).ok();
 }

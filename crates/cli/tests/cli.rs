@@ -384,34 +384,7 @@ fn binary_index_build_inspect_and_query() {
 }
 
 #[test]
-fn index_build_can_downgrade_to_v1() {
-    let dir = std::env::temp_dir().join("prospector-cli-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("engine-v1.pspk");
-    let path_str = path.to_str().unwrap();
-
-    let (stdout, stderr, ok) =
-        prospector(&["index", "build", "--format", "v1", "-o", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("snapshot format v1"), "{stdout}");
-
-    // v1 payloads are unpadded, so most land off the 8-byte grid and
-    // inspect flags them — the report that motivates upgrading to v2.
-    let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("prospector snapshot, format v1"), "{stdout}");
-    assert!(stdout.contains("UNALIGNED"), "{stdout}");
-
-    // The v1 file still warm-starts an identical engine.
-    let (loaded, stderr, ok) = prospector(&["--index", path_str, "query", "IFile", "ASTNode"]);
-    assert!(ok, "stderr: {stderr}");
-    let (fresh, _, _) = prospector(&["query", "IFile", "ASTNode"]);
-    assert_eq!(loaded, fresh);
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn json_debug_index_still_round_trips() {
+fn json_debug_dump_is_written_but_never_loaded() {
     let dir = std::env::temp_dir().join("prospector-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("engine-debug.json");
@@ -421,14 +394,14 @@ fn json_debug_index_still_round_trips() {
     assert!(stdout.contains("JSON debug format"), "{stdout}");
     assert!(std::fs::read_to_string(&path).unwrap().starts_with('{'));
 
-    let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("JSON debug index"), "{stdout}");
-
-    let (loaded, stderr, ok) = prospector(&["--index", path_str, "query", "IFile", "ASTNode"]);
-    assert!(ok, "stderr: {stderr}");
-    let (fresh, _, _) = prospector(&["query", "IFile", "ASTNode"]);
-    assert_eq!(loaded, fresh);
+    // Only `.pspk` snapshots load: the dump is refused, by name, both as
+    // an engine and by `index inspect`.
+    let (_, stderr, ok) = prospector(&["--index", path_str, "query", "IFile", "ASTNode"]);
+    assert!(!ok, "a JSON dump must not load as an index");
+    assert!(stderr.contains("not a prospector snapshot"), "{stderr}");
+    let (_, stderr, ok) = prospector(&["index", "inspect", path_str]);
+    assert!(!ok, "a JSON dump must not inspect as a snapshot");
+    assert!(stderr.contains("not a prospector snapshot"), "{stderr}");
     std::fs::remove_file(&path).ok();
 }
 

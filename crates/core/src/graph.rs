@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
 use jungloid_typesys::TyId;
-use prospector_obs::json::{decode_err, Json, JsonError};
+use prospector_obs::json::Json;
 
 use crate::slab::{ElemSeq, Slab};
 
@@ -123,8 +123,7 @@ impl GraphStats {
 /// `(to, cost, elem)`.
 ///
 /// Invariant: the CSR is rebuilt at the end of every mutating operation
-/// ([`JungloidGraph::from_api`], [`JungloidGraph::from_json`],
-/// [`JungloidGraph::add_example`],
+/// ([`JungloidGraph::from_api`], [`JungloidGraph::add_example`],
 /// [`JungloidGraph::with_naive_downcasts`]), so it always reflects the
 /// list adjacency, with per-node edge order preserved. The engine relies
 /// on this when `add_examples` / `add_param_examples` grow the graph.
@@ -229,35 +228,10 @@ impl CsrAdjacency {
     /// offsets must start at zero, grow monotonically, and end at the
     /// edge count; forward and reverse edge counts must agree; every
     /// dense index must be in range; and each stored cost must equal the
-    /// cost [`CsrAdjacency::build`] derives from its elementary jungloid.
+    /// cost `CsrAdjacency::build` derives from its elementary jungloid.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] naming the violated invariant.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_arrays(
-        fwd_off: Vec<u32>,
-        fwd_to: Vec<u32>,
-        fwd_elem: Vec<ElemJungloid>,
-        fwd_cost: Vec<u8>,
-        rev_off: Vec<u32>,
-        rev_from: Vec<u32>,
-        rev_cost: Vec<u8>,
-    ) -> Result<CsrAdjacency, SnapshotError> {
-        CsrAdjacency::from_slabs(
-            Slab::from_vec(fwd_off),
-            Slab::from_vec(fwd_to),
-            ElemSeq::Owned(fwd_elem),
-            Slab::from_vec(fwd_cost),
-            Slab::from_vec(rev_off),
-            Slab::from_vec(rev_from),
-            Slab::from_vec(rev_cost),
-        )
-    }
-
-    /// [`CsrAdjacency::from_arrays`] over slab-backed storage: the arrays
-    /// may borrow directly from a snapshot buffer (the format-v2 zero-copy
-    /// load) or be owned, and the same structural validation runs either
+    /// The arrays may borrow directly from a snapshot buffer (the
+    /// zero-copy load) or be owned, and the same validation runs either
     /// way. Elementary jungloids are consulted through the [`ElemSeq`]
     /// accessor, so packed quads are decoded exactly once here and then
     /// again lazily on the hot path.
@@ -530,13 +504,13 @@ impl JungloidGraph {
     }
 
     /// Restores a graph from a stored snapshot: the CSR arrays verbatim
-    /// (already validated by [`CsrAdjacency::from_arrays`] /
-    /// [`CsrAdjacency::from_slabs`]) plus the mined node bases and example
-    /// step-sequences. The graph comes back *frozen*: queries run on the
-    /// CSR alone (which may borrow directly from the snapshot buffer) and
-    /// the builder list adjacency stays empty until the first mutation
-    /// [`thaw`](JungloidGraph::thaw)s it. No rebuild happens, so a warm
-    /// start records no `graph.csr.rebuilds`.
+    /// (already validated by [`CsrAdjacency::from_slabs`]) plus the mined
+    /// node bases and example step-sequences. The graph comes back
+    /// *frozen*: queries run on the CSR alone (which may borrow directly
+    /// from the snapshot buffer) and the builder list adjacency stays
+    /// empty until the first mutation thaws it (`JungloidGraph::thaw`).
+    /// No rebuild happens, so a warm start records no
+    /// `graph.csr.rebuilds`.
     ///
     /// # Errors
     ///
@@ -915,11 +889,11 @@ impl JungloidGraph {
         lists + self.mined_base.len() * 4 + self.csr.approx_bytes()
     }
 
-    /// Serializes the graph — config, mined nodes, examples, and the full
-    /// out-adjacency — to JSON. Nodes are encoded by dense index (type
-    /// nodes first, then mined nodes), matching
-    /// [`JungloidGraph::index_of`]; the reverse adjacency is rebuilt on
-    /// load.
+    /// Renders the graph — config, mined nodes, examples, and the full
+    /// out-adjacency — as a JSON debug dump (never loaded back; the
+    /// `.pspk` snapshot is the stored form). Nodes are encoded by
+    /// dense index (type nodes first, then mined nodes), matching
+    /// [`JungloidGraph::index_of`]; the reverse adjacency is implied.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let adjacency: Vec<Json> = (0..self.node_count())
@@ -961,110 +935,6 @@ impl JungloidGraph {
             ),
             ("adjacency", Json::Arr(adjacency)),
         ])
-    }
-
-    /// Deserializes a graph persisted by [`JungloidGraph::to_json`],
-    /// validating every node index and member reference against `api`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the document is malformed, was built over a different
-    /// number of types than `api` declares, or refers to out-of-range
-    /// nodes or members.
-    pub fn from_json(doc: &Json, api: &Api) -> Result<Self, JsonError> {
-        let config_doc = doc.want("config")?;
-        let config = GraphConfig {
-            include_protected: config_doc
-                .want("include_protected")?
-                .as_bool()
-                .ok_or_else(|| decode_err("include_protected must be a bool"))?,
-            restrict_weak_params: config_doc
-                .want("restrict_weak_params")?
-                .as_bool()
-                .ok_or_else(|| decode_err("restrict_weak_params must be a bool"))?,
-        };
-        let ty_count =
-            doc.want("ty_count")?.as_u64().ok_or_else(|| decode_err("ty_count must be an integer"))?;
-        if ty_count != api.types().len() as u64 {
-            return Err(decode_err(format!(
-                "graph was built over {ty_count} types but the API declares {}",
-                api.types().len()
-            )));
-        }
-        let ty_count = u32::try_from(ty_count).map_err(|_| decode_err("ty_count too large"))?;
-        let mined_base = doc
-            .want("mined_base")?
-            .as_arr()
-            .ok_or_else(|| decode_err("mined_base must be an array"))?
-            .iter()
-            .map(|v| {
-                let i = v
-                    .as_u64()
-                    .ok_or_else(|| decode_err("mined_base entries must be integers"))?;
-                let i = usize::try_from(i).map_err(|_| decode_err("mined base out of range"))?;
-                if i < api.types().len() {
-                    Ok(TyId::from_index(i))
-                } else {
-                    Err(decode_err(format!("mined base type {i} out of range")))
-                }
-            })
-            .collect::<Result<Vec<TyId>, JsonError>>()?;
-        let mut examples = Vec::new();
-        for steps_doc in
-            doc.want("examples")?.as_arr().ok_or_else(|| decode_err("examples must be an array"))?
-        {
-            let steps = steps_doc
-                .as_arr()
-                .ok_or_else(|| decode_err("each example must be an array"))?
-                .iter()
-                .map(|v| ElemJungloid::from_json(v, api))
-                .collect::<Result<Vec<_>, JsonError>>()?;
-            examples.push(steps);
-        }
-        let node_count = ty_count as usize + mined_base.len();
-        let adjacency = doc
-            .want("adjacency")?
-            .as_arr()
-            .ok_or_else(|| decode_err("adjacency must be an array"))?;
-        if adjacency.len() != node_count {
-            return Err(decode_err(format!(
-                "adjacency lists {} nodes, expected {node_count}",
-                adjacency.len()
-            )));
-        }
-        let mut graph = JungloidGraph {
-            config,
-            ty_count,
-            mined_base,
-            out: vec![Vec::new(); node_count],
-            rev: vec![Vec::new(); node_count],
-            lists_ready: true,
-            examples,
-            edge_count: 0,
-            csr: CsrAdjacency::default(),
-            epoch: next_epoch(),
-        };
-        for (from_idx, edges_doc) in adjacency.iter().enumerate() {
-            let from = graph.node_at(from_idx);
-            for edge_doc in
-                edges_doc.as_arr().ok_or_else(|| decode_err("adjacency rows must be arrays"))?
-            {
-                let elem = ElemJungloid::from_json(edge_doc.want("e")?, api)?;
-                let to_idx = edge_doc
-                    .want("to")?
-                    .as_u64()
-                    .ok_or_else(|| decode_err("edge target must be an integer"))?;
-                let to_idx =
-                    usize::try_from(to_idx).map_err(|_| decode_err("edge target too large"))?;
-                if to_idx >= node_count {
-                    return Err(decode_err(format!("edge target {to_idx} out of range")));
-                }
-                let to = graph.node_at(to_idx);
-                graph.push_edge(from, elem, to);
-            }
-        }
-        graph.rebuild_csr();
-        Ok(graph)
     }
 }
 
@@ -1269,58 +1139,6 @@ mod tests {
         assert_eq!(before.downcast_edges, 0);
     }
 
-    #[test]
-    fn json_round_trip_preserves_graph() {
-        let api = api();
-        let mut g = JungloidGraph::from_api(
-            &api,
-            GraphConfig { include_protected: true, ..GraphConfig::default() },
-        );
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Widen { from: b, to: obj },
-                ElemJungloid::Downcast { from: obj, to: b },
-            ],
-        )
-        .unwrap();
-
-        let doc = g.to_json();
-        let back = JungloidGraph::from_json(&doc, &api).unwrap();
-        assert_eq!(back.config(), g.config());
-        assert_eq!(back.node_count(), g.node_count());
-        assert_eq!(back.mined_node_count(), g.mined_node_count());
-        assert_eq!(back.edge_count(), g.edge_count());
-        assert_eq!(back.examples(), g.examples());
-        for idx in 0..g.node_count() {
-            let n = g.node_at(idx);
-            assert_eq!(back.out_edges(n), g.out_edges(n));
-            // The reverse adjacency is rebuilt node-by-node on load, so
-            // only its per-node *contents* are preserved, not the order.
-            let mut rev1 = back.in_edges(n);
-            let mut rev2 = g.in_edges(n);
-            rev1.sort_unstable();
-            rev2.sort_unstable();
-            assert_eq!(rev1, rev2);
-            assert_eq!(back.base_ty(n), g.base_ty(n));
-        }
-        // The serialized text survives a parse round trip too.
-        assert_eq!(back.to_json(), doc);
-        let text = doc.to_text();
-        assert_eq!(prospector_obs::Json::parse(&text).unwrap(), doc);
-
-        // Tampered documents are rejected, not mis-loaded.
-        assert!(JungloidGraph::from_json(&Json::obj(vec![]), &api).is_err());
-        let Json::Obj(mut pairs) = doc else { unreachable!() };
-        pairs.retain(|(k, _)| k != "adjacency");
-        assert!(JungloidGraph::from_json(&Json::Obj(pairs), &api).is_err());
-    }
-
     /// The CSR mirror must agree with the list adjacency edge-for-edge,
     /// in the same per-node order (search result order depends on it).
     fn assert_csr_mirrors_lists(g: &JungloidGraph) {
@@ -1387,15 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_round_trips_through_json() {
-        let api = api();
-        let g = JungloidGraph::from_api(&api, GraphConfig::default());
-        let back = JungloidGraph::from_json(&g.to_json(), &api).unwrap();
-        assert_csr_mirrors_lists(&back);
-        assert_eq!(back.csr().edge_count(), g.csr().edge_count());
-    }
-
-    #[test]
     fn epochs_are_distinct_per_state_and_advance_on_mutation() {
         let api = api();
         let g1 = JungloidGraph::from_api(&api, GraphConfig::default());
@@ -1427,8 +1236,18 @@ mod tests {
         assert!(!g.add_example(&api, &steps).unwrap());
         assert_eq!(g.epoch(), spliced);
 
-        // Deserialization is a fresh state.
-        let back = JungloidGraph::from_json(&g.to_json(), &api).unwrap();
+        // Restoring from snapshot parts is a fresh state.
+        let mined_base = (0..g.mined_node_count())
+            .map(|i| g.base_ty(NodeId::Mined(u32::try_from(i).unwrap())))
+            .collect();
+        let back = JungloidGraph::from_snapshot(
+            &api,
+            g.config(),
+            mined_base,
+            g.examples().to_vec(),
+            g.csr().clone(),
+        )
+        .unwrap();
         assert_ne!(back.epoch(), g.epoch());
         // The naive-downcast copy is a different graph too.
         assert_ne!(g.with_naive_downcasts(&api).epoch(), g.epoch());

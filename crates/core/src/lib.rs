@@ -16,9 +16,13 @@
 //! * [`synth`] — rendering paths as insertable code with free variables
 //!   (§2.2);
 //! * [`engine`] — the query front end: explicit `(tin, tout)` queries and
-//!   context-inferred content-assist queries (§5);
-//! * [`persist`] — the serialized graph measured by the §5 performance
-//!   experiment.
+//!   context-inferred content-assist queries (§5).
+//!
+//! The engine is saved and loaded only through `prospector-store`'s `.pspk`
+//! snapshot, which restores a graph through
+//! [`JungloidGraph::from_snapshot`] and [`CsrAdjacency::from_slabs`];
+//! the `to_json` encoders here and in `jungloid-apidef` render a
+//! human-readable dump that is never loaded back.
 //!
 //! # Quickstart
 //!
@@ -63,7 +67,6 @@ pub mod generalize;
 pub mod graph;
 pub mod heat;
 pub mod path;
-pub mod persist;
 pub mod rank;
 pub mod search;
 pub mod slab;
@@ -77,7 +80,6 @@ pub use graph::{
     CsrAdjacency, Edge, ExampleError, GraphConfig, GraphStats, JungloidGraph, NodeId, SnapshotError,
 };
 pub use heat::{HeatEdge, HeatEntry, HeatSnapshot, WorkloadEntry, WorkloadSnapshot};
-pub use persist::PersistError;
 pub use path::Jungloid;
 pub use rank::{RankKey, RankOptions};
 pub use search::{

@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a writer and a strict parser.
 //!
 //! Objects preserve insertion order (they are association lists, not
-//! maps), which keeps persisted indexes and metric reports diffable. The
+//! maps), which keeps debug dumps and metric reports diffable. The
 //! parser is strict: the whole input must be one JSON value, trailing
 //! garbage is an error, and duplicate keys are kept as-is (lookups find
 //! the first).
@@ -25,12 +25,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// A parse or decode failure, with a byte offset for parse errors.
+/// A parse failure and the byte offset where it was detected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
     pub message: String,
-    /// Byte offset in the input (0 for decode-stage errors).
+    /// Byte offset in the input.
     pub offset: usize,
 }
 
@@ -41,12 +41,6 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
-
-/// Shorthand for a decode-stage (non-positional) error.
-#[must_use]
-pub fn decode_err(message: impl Into<String>) -> JsonError {
-    JsonError { message: message.into(), offset: 0 }
-}
 
 impl Json {
     /// Builds an object from key/value pairs.
@@ -69,15 +63,6 @@ impl Json {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
-    }
-
-    /// Required-key lookup with a decode error on absence.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `self` is not an object or lacks `key`.
-    pub fn want(&self, key: &str) -> Result<&Json, JsonError> {
-        self.get(key).ok_or_else(|| decode_err(format!("missing key `{key}`")))
     }
 
     /// The string payload, if any.
@@ -456,10 +441,10 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_want() {
+    fn accessors() {
         let v = Json::obj(vec![("a", Json::num_u(3))]);
-        assert_eq!(v.want("a").unwrap().as_u64(), Some(3));
-        assert!(v.want("b").is_err());
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(3));
+        assert!(v.get("b").is_none());
         assert_eq!(Json::Num(3.5).as_u64(), None);
         assert_eq!(Json::Num(3.0).as_u64(), Some(3));
     }

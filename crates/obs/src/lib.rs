@@ -15,7 +15,7 @@
 //!   [`metrics::enabled`] flag so a disabled build pays one relaxed load
 //!   per stage, not two `Instant::now()` calls.
 //! * [`json`] — a small strict JSON value type, writer, and parser, used
-//!   for the `--metrics-json` report and for index persistence.
+//!   for the `--metrics-json` report and the `index build --json` dump.
 //! * [`trace`] — the per-query flight recorder: seeded [`trace::TraceId`]
 //!   allocation, an RAII [`trace::QuerySpan`] that buffers a query's
 //!   timestamped events and flushes them into a bounded lock-sharded

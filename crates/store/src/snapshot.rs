@@ -1,7 +1,7 @@
 //! The `.pspk` section layout: encoding a mined engine to bytes and
 //! validating/decoding it back.
 //!
-//! # Format v2 (written by this build)
+//! # Format v2
 //!
 //! All integers little-endian. The file header is 16 bytes:
 //!
@@ -20,7 +20,7 @@
 //! `pad = (8 - payload_len % 8) % 8`, so payload + padding is always a
 //! multiple of 8. Header (16) and frame (24) sizes are multiples of 8
 //! too, which makes **every payload start 8-byte-aligned in the file**.
-//! That alignment is the point of v2: the hot sections (CSR arrays,
+//! That alignment is the point of the format: the hot sections (CSR arrays,
 //! string pool, example quads) are flat little-endian arrays a loader can
 //! hand out as `&[u32]`/`&[u8]` views borrowed directly from one aligned
 //! read or an mmap'd region — validate the CRCs once, copy nothing. The
@@ -28,12 +28,12 @@
 //! zero and is checked separately, so a flipped pad byte is a typed
 //! [`StoreError::Corrupt`] naming the section.
 //!
-//! | tag | section    | v2 payload layout                                   |
+//! | tag | section    | payload layout                                      |
 //! |-----|------------|-----------------------------------------------------|
 //! | 1   | `strings`  | count u64, (count+1)×u32 byte offsets, UTF-8 blob   |
-//! | 2   | `types`    | v1 byte-wise encoding (cold; decoded into arenas)   |
-//! | 3   | `members`  | v1 byte-wise encoding (cold; decoded into arenas)   |
-//! | 4   | `graph`    | v1 byte-wise encoding (config, counts, mined bases) |
+//! | 2   | `types`    | byte-wise records (cold; decoded into arenas)       |
+//! | 3   | `members`  | byte-wise records (cold; decoded into arenas)       |
+//! | 4   | `graph`    | byte-wise (config, counts, mined bases)             |
 //! | 5   | `csr`      | counts, offset/endpoint u32 arrays, packed 4×u32    |
 //! |     |            | jungloid quads, then the u8 cost arrays last        |
 //! | 6   | `examples` | seq/elem counts, (count+1)×u32 offsets, 4×u32 quads |
@@ -44,22 +44,18 @@
 //! [`JungloidGraph::from_snapshot`] keeps the graph frozen on that CSR,
 //! so a warm-started engine is byte-identical to the one that was saved.
 //!
-//! # Format v1 (read compatibility)
-//!
-//! v1 files (12-byte header, 16-byte section frames, no padding,
-//! byte-wise payloads everywhere) are still decoded in full; versions
-//! above [`FORMAT_VERSION`] are a typed
-//! [`StoreError::UnsupportedVersion`]. [`to_bytes_v1`] keeps the v1
-//! encoder for fixtures and downgrade escapes.
+//! v2 is the only format this build reads or writes. A file with any
+//! other version — the retired v1 layout included — is a typed
+//! [`StoreError::UnsupportedVersion`]; there is no migration, because a
+//! snapshot is a cache of a deterministic build that `index build`
+//! regenerates.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use jungloid_apidef::{
-    Api, ElemJungloid, FieldId, InputSlot, MemberTables, MethodId, RawField, RawMethod, Visibility,
-};
+use jungloid_apidef::{Api, ElemJungloid, InputSlot, MemberTables, RawField, RawMethod, Visibility};
 use jungloid_typesys::{
     PackageId, Prim, RawSlot, RawSlotView, TyId, TypeError, TypeKind, TypeTable,
 };
@@ -74,15 +70,11 @@ use crate::rw::{Reader, Writer};
 /// The four magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 4] = *b"PSPK";
 
-/// Format version written by this build. Reads accept this version and
-/// every older one; anything newer is [`StoreError::UnsupportedVersion`].
+/// The one format version this build reads and writes; any other is
+/// [`StoreError::UnsupportedVersion`].
 pub const FORMAT_VERSION: u32 = 2;
 
-/// The original byte-wise format, still readable (and writable via
-/// [`to_bytes_v1`]).
-pub const V1_FORMAT_VERSION: u32 = 1;
-
-/// `(tag, name)` of every section, in file order (same for v1 and v2).
+/// `(tag, name)` of every section, in file order.
 const SECTIONS: [(u32, &str); 7] = [
     (1, "strings"),
     (2, "types"),
@@ -93,18 +85,16 @@ const SECTIONS: [(u32, &str); 7] = [
     (7, "suffixes"),
 ];
 
-const V1_HEADER_BYTES: usize = 12;
-const V1_SECTION_HEADER_BYTES: usize = 16;
-const V2_HEADER_BYTES: usize = 16;
-const V2_SECTION_HEADER_BYTES: usize = 24;
+const HEADER_BYTES: usize = 16;
+const SECTION_HEADER_BYTES: usize = 24;
 
 /// A fully decoded snapshot: everything needed to warm-start an engine.
 #[derive(Debug)]
 pub struct Snapshot {
     /// The API model (type table + members).
     pub api: Api,
-    /// The jungloid graph, CSR reconstructed verbatim (no rebuild). On
-    /// the v2 path its arrays borrow from the snapshot buffer.
+    /// The jungloid graph, CSR reconstructed verbatim (no rebuild). Its
+    /// arrays borrow from the snapshot buffer.
     pub graph: JungloidGraph,
     /// The raw mined example jungloids the engine was built from, kept
     /// for provenance/inspection (the generalized splices live in the
@@ -121,10 +111,10 @@ pub struct SectionInfo {
     pub bytes: u64,
     /// Stored (and verified) CRC32 over tag + payload.
     pub crc32: u32,
-    /// File offset where the payload starts. A multiple of 8 in v2 — the
+    /// File offset where the payload starts: a multiple of 8, the
     /// alignment that makes zero-copy views possible.
     pub offset: u64,
-    /// Zero bytes appended after the payload (always 0 in v1).
+    /// Zero bytes appended after the payload.
     pub pad_bytes: u32,
 }
 
@@ -138,14 +128,6 @@ pub struct Manifest {
     pub total_bytes: u64,
     /// Per-section breakdown, in file order.
     pub sections: Vec<SectionInfo>,
-}
-
-/// Whether `bytes` look like a binary snapshot (magic sniff only) — the
-/// CLI uses this to route `--index` files between this format and the
-/// JSON debug path.
-#[must_use]
-pub fn is_snapshot(bytes: &[u8]) -> bool {
-    bytes.len() >= 4 && bytes[..4] == MAGIC
 }
 
 // --- encoding -----------------------------------------------------------
@@ -167,49 +149,6 @@ impl StringPool {
         self.index.insert(s.to_owned(), id);
         id
     }
-}
-
-fn encode_elem(w: &mut Writer, elem: &ElemJungloid) {
-    match *elem {
-        ElemJungloid::FieldAccess { field } => {
-            w.u8(0);
-            w.index(field.index());
-        }
-        ElemJungloid::Call { method, input } => {
-            w.u8(1);
-            w.index(method.index());
-            match input {
-                None => w.u8(0),
-                Some(InputSlot::Receiver) => w.u8(1),
-                Some(InputSlot::Arg(i)) => {
-                    w.u8(2);
-                    w.index(i);
-                }
-            }
-        }
-        ElemJungloid::Widen { from, to } => {
-            w.u8(2);
-            w.index(from.index());
-            w.index(to.index());
-        }
-        ElemJungloid::Downcast { from, to } => {
-            w.u8(3);
-            w.index(from.index());
-            w.index(to.index());
-        }
-    }
-}
-
-fn encode_examples_v1(examples: &[Vec<ElemJungloid>]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.index(examples.len());
-    for steps in examples {
-        w.index(steps.len());
-        for step in steps {
-            encode_elem(&mut w, step);
-        }
-    }
-    w.into_bytes()
 }
 
 fn encode_types(types: &TypeTable, pool: &mut StringPool) -> Vec<u8> {
@@ -316,47 +255,9 @@ fn encode_graph_meta(graph: &JungloidGraph) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn encode_csr_v1(csr: &CsrAdjacency) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.index(csr.node_count());
-    for &off in csr.out_offsets() {
-        w.u32(off);
-    }
-    w.u64(csr.edge_count() as u64);
-    for &to in csr.out_to() {
-        w.u32(to);
-    }
-    for &cost in csr.out_cost() {
-        w.u8(cost);
-    }
-    for elem in csr.out_elem().iter() {
-        encode_elem(&mut w, &elem);
-    }
-    for &off in csr.in_offsets() {
-        w.u32(off);
-    }
-    for &from in csr.in_from() {
-        w.u32(from);
-    }
-    for &cost in csr.in_cost() {
-        w.u8(cost);
-    }
-    w.into_bytes()
-}
-
-fn encode_strings_v1(pool: &StringPool) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.index(pool.strings.len());
-    for s in &pool.strings {
-        w.index(s.len());
-        w.bytes(s.as_bytes());
-    }
-    w.into_bytes()
-}
-
-/// v2 strings: `count u64 | (count+1)×u32 cumulative byte offsets |
+/// Strings: `count u64 | (count+1)×u32 cumulative byte offsets |
 /// UTF-8 blob`. Offsets let a borrowed view slice any string in O(1).
-fn encode_strings_v2(pool: &StringPool) -> Vec<u8> {
+fn encode_strings(pool: &StringPool) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(pool.strings.len() as u64);
     let mut acc: u32 = 0;
@@ -373,12 +274,12 @@ fn encode_strings_v2(pool: &StringPool) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// v2 CSR: `node_count u64 | edge_count u64`, then the u32 arrays
+/// CSR: `node_count u64 | edge_count u64`, then the u32 arrays
 /// (forward offsets, forward targets, packed 4×u32 jungloid quads,
 /// reverse offsets, reverse sources), then the two u8 cost arrays
 /// *last* so every u32 array stays 4-byte-aligned without internal
 /// padding.
-fn encode_csr_v2(csr: &CsrAdjacency) -> Vec<u8> {
+fn encode_csr(csr: &CsrAdjacency) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(csr.node_count() as u64);
     w.u64(csr.edge_count() as u64);
@@ -408,10 +309,10 @@ fn encode_csr_v2(csr: &CsrAdjacency) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// v2 examples/suffixes: `seq_count u64 | total_elems u64 |
+/// Examples/suffixes: `seq_count u64 | total_elems u64 |
 /// (seq_count+1)×u32 cumulative element offsets | total_elems packed
 /// 4×u32 quads`.
-fn encode_examples_v2(examples: &[Vec<ElemJungloid>]) -> Vec<u8> {
+fn encode_examples(examples: &[Vec<ElemJungloid>]) -> Vec<u8> {
     let total: usize = examples.iter().map(Vec::len).sum();
     let mut w = Writer::new();
     w.u64(examples.len() as u64);
@@ -434,16 +335,6 @@ fn encode_examples_v2(examples: &[Vec<ElemJungloid>]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn emit_section_v1(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
-    let mut crc = Crc32::new();
-    crc.update(&tag.to_le_bytes());
-    crc.update(payload);
-    out.extend_from_slice(&tag.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 /// Padding bytes needed after a `len`-byte payload to reach the next
 /// 8-byte boundary.
 #[must_use]
@@ -451,7 +342,7 @@ pub fn pad_for(len: usize) -> usize {
     (8 - len % 8) % 8
 }
 
-fn emit_section_v2(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+fn emit_section(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     let pad = pad_for(payload.len());
     let mut crc = Crc32::new();
     crc.update(&tag.to_le_bytes());
@@ -465,8 +356,8 @@ fn emit_section_v2(out: &mut Vec<u8>, tag: u32, payload: &[u8]) {
     out.extend_from_slice(&[0u8; 8][..pad]);
 }
 
-/// Encodes a mined engine (API + graph + raw mined examples) to format-v2
-/// snapshot bytes.
+/// Encodes a mined engine (API + graph + raw mined examples) to snapshot
+/// bytes.
 #[must_use]
 pub fn to_bytes(api: &Api, graph: &JungloidGraph, mined_examples: &[Vec<ElemJungloid>]) -> Vec<u8> {
     let mut pool = StringPool::default();
@@ -475,16 +366,16 @@ pub fn to_bytes(api: &Api, graph: &JungloidGraph, mined_examples: &[Vec<ElemJung
     let types = encode_types(api.types(), &mut pool);
     let members = encode_members(api, &mut pool);
     let graph_meta = encode_graph_meta(graph);
-    let csr = encode_csr_v2(graph.csr());
-    let examples = encode_examples_v2(mined_examples);
-    let suffixes = encode_examples_v2(graph.examples());
-    let strings = encode_strings_v2(&pool);
+    let csr = encode_csr(graph.csr());
+    let examples = encode_examples(mined_examples);
+    let suffixes = encode_examples(graph.examples());
+    let strings = encode_strings(&pool);
 
     let payloads = [&strings, &types, &members, &graph_meta, &csr, &examples, &suffixes];
-    let total = V2_HEADER_BYTES
+    let total = HEADER_BYTES
         + payloads
             .iter()
-            .map(|p| V2_SECTION_HEADER_BYTES + p.len() + pad_for(p.len()))
+            .map(|p| SECTION_HEADER_BYTES + p.len() + pad_for(p.len()))
             .sum::<usize>();
     let mut out = Vec::with_capacity(total);
     out.extend_from_slice(&MAGIC);
@@ -492,119 +383,12 @@ pub fn to_bytes(api: &Api, graph: &JungloidGraph, mined_examples: &[Vec<ElemJung
     out.extend_from_slice(&u32::try_from(SECTIONS.len()).expect("few sections").to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     for ((tag, _), payload) in SECTIONS.iter().zip(payloads) {
-        emit_section_v2(&mut out, *tag, payload);
-    }
-    out
-}
-
-/// Encodes to the legacy v1 layout (byte-wise payloads, unaligned, no
-/// padding). Kept for backward-compat fixtures; new snapshots should use
-/// [`to_bytes`].
-#[must_use]
-pub fn to_bytes_v1(
-    api: &Api,
-    graph: &JungloidGraph,
-    mined_examples: &[Vec<ElemJungloid>],
-) -> Vec<u8> {
-    let mut pool = StringPool::default();
-    let types = encode_types(api.types(), &mut pool);
-    let members = encode_members(api, &mut pool);
-    let graph_meta = encode_graph_meta(graph);
-    let csr = encode_csr_v1(graph.csr());
-    let examples = encode_examples_v1(mined_examples);
-    let suffixes = encode_examples_v1(graph.examples());
-    let strings = encode_strings_v1(&pool);
-
-    let payloads = [&strings, &types, &members, &graph_meta, &csr, &examples, &suffixes];
-    let total = V1_HEADER_BYTES
-        + payloads.iter().map(|p| V1_SECTION_HEADER_BYTES + p.len()).sum::<usize>();
-    let mut out = Vec::with_capacity(total);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&V1_FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&u32::try_from(SECTIONS.len()).expect("few sections").to_le_bytes());
-    for ((tag, _), payload) in SECTIONS.iter().zip(payloads) {
-        emit_section_v1(&mut out, *tag, payload);
+        emit_section(&mut out, *tag, payload);
     }
     out
 }
 
 // --- walking (framing validation) ---------------------------------------
-
-/// Validates the header and every section frame (tag order, length
-/// bounds, padding, CRC32) for whichever format version the file
-/// declares, returning the manifest. Payload *contents* are not decoded.
-fn walk(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    if bytes.len() < 8 {
-        return Err(StoreError::Truncated { context: "header", offset: bytes.len() });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("4 bytes") });
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    match version {
-        V1_FORMAT_VERSION => walk_v1(bytes),
-        FORMAT_VERSION => walk_v2(bytes),
-        _ => Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION }),
-    }
-}
-
-fn check_section_count(bytes: &[u8]) -> Result<(), StoreError> {
-    let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if count as usize != SECTIONS.len() {
-        return Err(StoreError::Corrupt {
-            section: "header",
-            detail: format!("{count} sections recorded, this format has {}", SECTIONS.len()),
-        });
-    }
-    Ok(())
-}
-
-fn walk_v1(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    if bytes.len() < V1_HEADER_BYTES {
-        return Err(StoreError::Truncated { context: "header", offset: bytes.len() });
-    }
-    check_section_count(bytes)?;
-    let mut infos = Vec::with_capacity(SECTIONS.len());
-    let mut pos = V1_HEADER_BYTES;
-    for &(expected_tag, name) in &SECTIONS {
-        let Some(header) = bytes.get(pos..pos + V1_SECTION_HEADER_BYTES) else {
-            return Err(StoreError::Truncated { context: name, offset: pos });
-        };
-        let tag = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let len = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-        let stored_crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        if tag != expected_tag {
-            return Err(StoreError::Corrupt {
-                section: name,
-                detail: format!("expected section tag {expected_tag}, found {tag}"),
-            });
-        }
-        let len = usize::try_from(len).map_err(|_| StoreError::Corrupt {
-            section: name,
-            detail: format!("section length {len} exceeds addressable memory"),
-        })?;
-        let start = pos + V1_SECTION_HEADER_BYTES;
-        let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
-            return Err(StoreError::Truncated { context: name, offset: bytes.len() - start });
-        };
-        verify_crc(name, tag, payload, stored_crc)?;
-        infos.push(SectionInfo {
-            name,
-            bytes: payload.len() as u64,
-            crc32: stored_crc,
-            offset: start as u64,
-            pad_bytes: 0,
-        });
-        pos = start + len;
-    }
-    if pos != bytes.len() {
-        return Err(StoreError::Corrupt {
-            section: "header",
-            detail: format!("{} trailing bytes after the last section", bytes.len() - pos),
-        });
-    }
-    Ok(Manifest { version: V1_FORMAT_VERSION, total_bytes: bytes.len() as u64, sections: infos })
-}
 
 fn verify_crc(name: &'static str, tag: u32, payload: &[u8], stored: u32) -> Result<(), StoreError> {
     let mut crc = Crc32::new();
@@ -617,11 +401,32 @@ fn verify_crc(name: &'static str, tag: u32, payload: &[u8], stored: u32) -> Resu
     Ok(())
 }
 
-fn walk_v2(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    if bytes.len() < V2_HEADER_BYTES {
+/// Validates the header and every section frame (tag order, length
+/// bounds, padding, CRC32), returning the manifest. Payload *contents*
+/// are not decoded. The version is checked right after the magic, so a
+/// file of any other version — even one too short for this header — is
+/// [`StoreError::UnsupportedVersion`].
+fn walk(bytes: &[u8]) -> Result<Manifest, StoreError> {
+    if bytes.len() < 8 {
         return Err(StoreError::Truncated { context: "header", offset: bytes.len() });
     }
-    check_section_count(bytes)?;
+    if bytes[..4] != MAGIC {
+        return Err(StoreError::BadMagic { found: bytes[..4].try_into().expect("4 bytes") });
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(StoreError::UnsupportedVersion { found: version, supported: FORMAT_VERSION });
+    }
+    if bytes.len() < HEADER_BYTES {
+        return Err(StoreError::Truncated { context: "header", offset: bytes.len() });
+    }
+    let count = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if count as usize != SECTIONS.len() {
+        return Err(StoreError::Corrupt {
+            section: "header",
+            detail: format!("{count} sections recorded, this format has {}", SECTIONS.len()),
+        });
+    }
     let reserved = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
     if reserved != 0 {
         return Err(StoreError::Corrupt {
@@ -630,9 +435,9 @@ fn walk_v2(bytes: &[u8]) -> Result<Manifest, StoreError> {
         });
     }
     let mut infos = Vec::with_capacity(SECTIONS.len());
-    let mut pos = V2_HEADER_BYTES;
+    let mut pos = HEADER_BYTES;
     for &(expected_tag, name) in &SECTIONS {
-        let Some(header) = bytes.get(pos..pos + V2_SECTION_HEADER_BYTES) else {
+        let Some(header) = bytes.get(pos..pos + SECTION_HEADER_BYTES) else {
             return Err(StoreError::Truncated { context: name, offset: pos });
         };
         let tag = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -665,7 +470,7 @@ fn walk_v2(bytes: &[u8]) -> Result<Manifest, StoreError> {
                 ),
             });
         }
-        let start = pos + V2_SECTION_HEADER_BYTES;
+        let start = pos + SECTION_HEADER_BYTES;
         let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
             return Err(StoreError::Truncated { context: name, offset: bytes.len() - start });
         };
@@ -715,84 +520,47 @@ pub fn manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
 
 // --- decoding -----------------------------------------------------------
 
-/// The string pool, owned (v1 decode) or a view borrowed straight from
-/// the v2 payload. Both decoders below resolve refs through this, so the
-/// byte-wise section decoders are shared between format versions.
-enum Strings<'a> {
-    Owned(Vec<String>),
-    View { count: usize, offsets: &'a [u8], blob: &'a [u8] },
+/// The string pool: a view borrowed straight from the `strings` payload.
+/// The byte-wise section decoders resolve refs through it.
+struct Strings<'a> {
+    count: usize,
+    offsets: &'a [u8],
+    blob: &'a [u8],
 }
 
 impl Strings<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Strings::Owned(v) => v.len(),
-            Strings::View { count, .. } => *count,
-        }
-    }
-
-    /// Total bytes of all pooled strings.
-    fn bytes(&self) -> usize {
-        match self {
-            Strings::Owned(v) => v.iter().map(String::len).sum(),
-            Strings::View { blob, .. } => blob.len(),
-        }
-    }
-
     fn get(&self, id: u32) -> Option<&str> {
-        match self {
-            Strings::Owned(v) => v.get(id as usize).map(String::as_str),
-            Strings::View { count, offsets, blob } => {
-                let id = id as usize;
-                if id >= *count {
-                    return None;
-                }
-                let at = |i: usize| {
-                    u32::from_le_bytes(offsets[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
-                        as usize
-                };
-                blob.get(at(id)..at(id + 1)).and_then(|raw| std::str::from_utf8(raw).ok())
-            }
+        let id = id as usize;
+        if id >= self.count {
+            return None;
         }
+        let at = |i: usize| {
+            u32::from_le_bytes(self.offsets[i * 4..i * 4 + 4].try_into().expect("4 bytes")) as usize
+        };
+        self.blob.get(at(id)..at(id + 1)).and_then(|raw| std::str::from_utf8(raw).ok())
     }
 }
 
-fn decode_strings_v1(payload: &[u8]) -> Result<Vec<String>, StoreError> {
-    let mut r = Reader::new("strings", payload);
-    let count = r.count(4)?;
-    let mut pool = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = r.u32()? as usize;
-        let raw = r.bytes(len)?;
-        pool.push(
-            std::str::from_utf8(raw)
-                .map_err(|e| r.corrupt(format!("invalid UTF-8: {e}")))?
-                .to_owned(),
-        );
-    }
-    r.finish()?;
-    Ok(pool)
-}
-
-/// Validates the v2 strings layout (offsets monotone and bounded) and
+/// Validates the strings layout (offsets monotone and bounded) and
 /// returns a borrowed view; string bytes are never copied. UTF-8 is
 /// checked lazily on access, surfacing as an out-of-range ref.
-fn decode_strings_v2(payload: &[u8]) -> Result<Strings<'_>, StoreError> {
+fn decode_strings(payload: &[u8]) -> Result<Strings<'_>, StoreError> {
     let section = "strings";
     let fail = |detail: String| Err(StoreError::Corrupt { section, detail });
     if payload.len() < 8 {
         return Err(StoreError::Truncated { context: section, offset: payload.len() });
     }
     let count = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let count = usize::try_from(count)
-        .ok()
-        .filter(|c| c.checked_mul(4).is_some_and(|b| b + 4 <= payload.len() - 8))
-        .ok_or_else(|| StoreError::Corrupt {
-            section,
-            detail: format!("string count {count} cannot fit the payload"),
-        })?;
-    let offsets = &payload[8..8 + (count + 1) * 4];
-    let blob = &payload[8 + (count + 1) * 4..];
+    // `count + 1` offsets of 4 bytes each must fit after the count word;
+    // checked throughout, since the count is whatever the file says.
+    let sizes = usize::try_from(count).ok().and_then(|c| {
+        let offsets_len = c.checked_add(1)?.checked_mul(4)?;
+        (offsets_len <= payload.len() - 8).then_some((c, offsets_len))
+    });
+    let Some((count, offsets_len)) = sizes else {
+        return fail(format!("string count {count} cannot fit the payload"));
+    };
+    let (offsets, blob) = payload[8..].split_at(offsets_len);
     let at = |i: usize| {
         u32::from_le_bytes(offsets[i * 4..i * 4 + 4].try_into().expect("4 bytes")) as usize
     };
@@ -811,12 +579,12 @@ fn decode_strings_v2(payload: &[u8]) -> Result<Strings<'_>, StoreError> {
             blob.len()
         ));
     }
-    Ok(Strings::View { count, offsets, blob })
+    Ok(Strings { count, offsets, blob })
 }
 
 fn pooled<'p>(r: &Reader<'_>, pool: &'p Strings<'_>, id: u32) -> Result<&'p str, StoreError> {
     pool.get(id).ok_or_else(|| {
-        r.corrupt(format!("string ref {id} out of range or not UTF-8 ({} pooled)", pool.len()))
+        r.corrupt(format!("string ref {id} out of range or not UTF-8 ({} pooled)", pool.count))
     })
 }
 
@@ -910,7 +678,7 @@ fn decode_members(
     // Most member names are used once, so the pool's size is a close
     // upper estimate of their bytes; reserved capacity costs nothing
     // until it is written.
-    let mut tables = MemberTables::with_capacity(method_count, 0, pool.bytes());
+    let mut tables = MemberTables::with_capacity(method_count, 0, pool.blob.len());
     let (mut params, mut param_names) = (Vec::new(), Vec::new());
     for _ in 0..method_count {
         let name_ref = r.u32()?;
@@ -971,59 +739,8 @@ fn decode_members(
         .map_err(|e| StoreError::Corrupt { section: "members", detail: e.to_string() })
 }
 
-fn decode_elem(r: &mut Reader<'_>, api: &Api) -> Result<ElemJungloid, StoreError> {
-    let arena_len = api.types().len();
-    match r.u8()? {
-        0 => {
-            let idx = r.u32()? as usize;
-            if idx >= api.field_count() {
-                return Err(
-                    r.corrupt(format!("field index {idx} out of range ({})", api.field_count()))
-                );
-            }
-            Ok(ElemJungloid::FieldAccess { field: FieldId::from_index(idx) })
-        }
-        1 => {
-            let idx = r.u32()? as usize;
-            if idx >= api.method_count() {
-                return Err(
-                    r.corrupt(format!("method index {idx} out of range ({})", api.method_count()))
-                );
-            }
-            let method = MethodId::from_index(idx);
-            let input = match r.u8()? {
-                0 => None,
-                1 => Some(InputSlot::Receiver),
-                2 => {
-                    let i = r.u32()? as usize;
-                    if i >= api.method(method).params().len() {
-                        return Err(r.corrupt(format!("parameter slot {i} out of range")));
-                    }
-                    Some(InputSlot::Arg(i))
-                }
-                other => return Err(r.corrupt(format!("input-slot tag {other}"))),
-            };
-            Ok(ElemJungloid::Call { method, input })
-        }
-        2 => {
-            let (from_raw, to_raw) = (r.u32()?, r.u32()?);
-            let from = decode_ty(r, from_raw, arena_len)?;
-            let to = decode_ty(r, to_raw, arena_len)?;
-            Ok(ElemJungloid::Widen { from, to })
-        }
-        3 => {
-            let (from_raw, to_raw) = (r.u32()?, r.u32()?);
-            let from = decode_ty(r, from_raw, arena_len)?;
-            let to = decode_ty(r, to_raw, arena_len)?;
-            Ok(ElemJungloid::Downcast { from, to })
-        }
-        other => Err(r.corrupt(format!("elementary jungloid tag {other}"))),
-    }
-}
-
 /// Validates that a quad-decoded jungloid's references are all in range
-/// for `api` — the v2 analogue of the per-field checks inside
-/// [`decode_elem`]. Must run before `api.method(...)`-style lookups.
+/// for `api`. Must run before `api.method(...)`-style lookups.
 fn check_elem(section: &'static str, api: &Api, elem: ElemJungloid) -> Result<(), StoreError> {
     let arena_len = api.types().len();
     let fail = |detail: String| Err(StoreError::Corrupt { section, detail });
@@ -1095,37 +812,6 @@ fn decode_graph_meta(payload: &[u8], api: &Api) -> Result<GraphMeta, StoreError>
     Ok(GraphMeta { config, mined_base, edge_count })
 }
 
-fn decode_csr_v1(payload: &[u8], api: &Api, meta: &GraphMeta) -> Result<CsrAdjacency, StoreError> {
-    let mut r = Reader::new("csr", payload);
-    let node_count = r.u32()? as usize;
-    let expected_nodes = api.types().len() + meta.mined_base.len();
-    if node_count != expected_nodes {
-        return Err(r.corrupt(format!(
-            "CSR covers {node_count} nodes, graph metadata implies {expected_nodes}"
-        )));
-    }
-    let fwd_off = r.u32_array(node_count + 1)?;
-    let edge_count = r.u64()?;
-    // Bound before the Vec::with_capacity below: every stored edge costs
-    // at least one payload byte, so a flipped count cannot OOM the loader.
-    let edge_count = usize::try_from(edge_count)
-        .ok()
-        .filter(|&e| e <= r.remaining())
-        .ok_or_else(|| r.corrupt(format!("edge count {edge_count} cannot fit the payload")))?;
-    let fwd_to = r.u32_array(edge_count)?;
-    let fwd_cost = r.bytes(edge_count)?.to_vec();
-    let mut fwd_elem = Vec::with_capacity(edge_count);
-    for _ in 0..edge_count {
-        fwd_elem.push(decode_elem(&mut r, api)?);
-    }
-    let rev_off = r.u32_array(node_count + 1)?;
-    let rev_from = r.u32_array(edge_count)?;
-    let rev_cost = r.bytes(edge_count)?.to_vec();
-    r.finish()?;
-    CsrAdjacency::from_arrays(fwd_off, fwd_to, fwd_elem, fwd_cost, rev_off, rev_from, rev_cost)
-        .map_err(|e| StoreError::Corrupt { section: "csr", detail: e.detail })
-}
-
 /// Reads a `u32` array from the buffer as a borrowed slab when the
 /// platform allows (little-endian, aligned), falling back to an owned
 /// copy otherwise. `byte_off` is absolute within `buf`.
@@ -1143,12 +829,12 @@ fn u8_slab(buf: &Arc<SnapshotBuf>, byte_off: usize, len: usize) -> Slab<u8> {
         .unwrap_or_else(|| Slab::from_vec(buf.as_slice()[byte_off..byte_off + len].to_vec()))
 }
 
-/// Decodes the v2 CSR section into slabs borrowed from `buf` — the
+/// Decodes the CSR section into slabs borrowed from `buf` — the
 /// zero-copy core of the format. One O(edges) scan validates every
 /// packed quad (shape and reference ranges) before any of them can reach
 /// the query hot path; the structural offset/cost invariants are then
-/// enforced by [`CsrAdjacency::from_slabs`] exactly as on the v1 path.
-fn decode_csr_v2(
+/// enforced by [`CsrAdjacency::from_slabs`].
+fn decode_csr(
     buf: &Arc<SnapshotBuf>,
     info: &SectionInfo,
     api: &Api,
@@ -1221,30 +907,10 @@ fn decode_csr_v2(
     .map_err(|err| StoreError::Corrupt { section, detail: err.detail })
 }
 
-fn decode_examples_v1(
-    payload: &[u8],
-    api: &Api,
-    section: &'static str,
-) -> Result<Vec<Vec<ElemJungloid>>, StoreError> {
-    let mut r = Reader::new(section, payload);
-    let count = r.count(4)?;
-    let mut examples = Vec::with_capacity(count);
-    for _ in 0..count {
-        let steps = r.count(2)?;
-        let mut seq = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            seq.push(decode_elem(&mut r, api)?);
-        }
-        examples.push(seq);
-    }
-    r.finish()?;
-    Ok(examples)
-}
-
-/// Decodes a v2 examples/suffixes payload. The quads are materialized
+/// Decodes an examples/suffixes payload. The quads are materialized
 /// into owned step-sequences — example splicing and dedup mutate them,
 /// so unlike the CSR they do not stay borrowed.
-fn decode_examples_v2(
+fn decode_examples(
     payload: &[u8],
     api: &Api,
     section: &'static str,
@@ -1326,27 +992,9 @@ fn lap(mark: &mut Instant) -> u64 {
     us
 }
 
-fn decode_v1(
-    bytes: &[u8],
-    manifest: &Manifest,
-    phases: &mut LoadPhases,
-) -> Result<Snapshot, StoreError> {
-    let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
-    let mut mark = Instant::now();
-    let pool = Strings::Owned(decode_strings_v1(pay(0))?);
-    let types = decode_types(pay(1), &pool)?;
-    phases.types_us = lap(&mut mark);
-    let api = decode_members(pay(2), types, &pool)?;
-    phases.members_us = lap(&mut mark);
-    let meta = decode_graph_meta(pay(3), &api)?;
-    let csr = decode_csr_v1(pay(4), &api, &meta)?;
-    phases.csr_us = lap(&mut mark);
-    let snapshot = finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v1)?;
-    phases.finish_us = lap(&mut mark);
-    Ok(snapshot)
-}
-
-fn decode_v2(
+/// Decodes a validated buffer: the hot sections stay borrowed from
+/// `buf`, the API tables and example lists are materialized.
+fn decode(
     buf: &Arc<SnapshotBuf>,
     manifest: &Manifest,
     phases: &mut LoadPhases,
@@ -1354,44 +1002,14 @@ fn decode_v2(
     let bytes = buf.as_slice();
     let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
     let mut mark = Instant::now();
-    let pool = decode_strings_v2(pay(0))?;
+    let pool = decode_strings(pay(0))?;
     let types = decode_types(pay(1), &pool)?;
     phases.types_us = lap(&mut mark);
     let api = decode_members(pay(2), types, &pool)?;
     phases.members_us = lap(&mut mark);
     let meta = decode_graph_meta(pay(3), &api)?;
-    let csr = decode_csr_v2(buf, &manifest.sections[4], &api, &meta)?;
+    let csr = decode_csr(buf, &manifest.sections[4], &api, &meta)?;
     phases.csr_us = lap(&mut mark);
-    let snapshot = finish_snapshot(&meta, csr, pay(5), pay(6), api, decode_examples_v2)?;
-    phases.finish_us = lap(&mut mark);
-    Ok(snapshot)
-}
-
-/// Decodes a validated buffer of either format version.
-fn decode(
-    buf: &Arc<SnapshotBuf>,
-    manifest: &Manifest,
-    phases: &mut LoadPhases,
-) -> Result<Snapshot, StoreError> {
-    if manifest.version == V1_FORMAT_VERSION {
-        decode_v1(buf.as_slice(), manifest, phases)
-    } else {
-        decode_v2(buf, manifest, phases)
-    }
-}
-
-/// Decoder for one jungloid-list section (mined examples or generalized
-/// suffixes) — the v1 and v2 formats differ only in element packing.
-type JungloidListDecoder = fn(&[u8], &Api, &'static str) -> Result<Vec<Vec<ElemJungloid>>, StoreError>;
-
-fn finish_snapshot(
-    meta: &GraphMeta,
-    csr: CsrAdjacency,
-    examples_payload: &[u8],
-    suffixes_payload: &[u8],
-    api: Api,
-    decode: JungloidListDecoder,
-) -> Result<Snapshot, StoreError> {
     if csr.edge_count() as u64 != meta.edge_count {
         return Err(StoreError::Corrupt {
             section: "graph",
@@ -1402,15 +1020,15 @@ fn finish_snapshot(
             ),
         });
     }
-    let mined_examples = decode(examples_payload, &api, "examples")?;
-    let suffixes = decode(suffixes_payload, &api, "suffixes")?;
-    let graph =
-        JungloidGraph::from_snapshot(&api, meta.config, meta.mined_base.clone(), suffixes, csr)
-            .map_err(|e| StoreError::Corrupt { section: "graph", detail: e.detail })?;
+    let mined_examples = decode_examples(pay(5), &api, "examples")?;
+    let suffixes = decode_examples(pay(6), &api, "suffixes")?;
+    let graph = JungloidGraph::from_snapshot(&api, meta.config, meta.mined_base, suffixes, csr)
+        .map_err(|e| StoreError::Corrupt { section: "graph", detail: e.detail })?;
+    phases.finish_us = lap(&mut mark);
     Ok(Snapshot { api, graph, mined_examples })
 }
 
-/// Decodes snapshot bytes back into a ready-to-query engine state. A v2
+/// Decodes snapshot bytes back into a ready-to-query engine state. The
 /// input is first copied into one aligned buffer so the engine can
 /// borrow from it; use [`from_buf`] / [`load_file`] / [`map_file`] to
 /// avoid even that single copy.
@@ -1423,19 +1041,13 @@ fn finish_snapshot(
 /// impossibilities as [`StoreError::Corrupt`] naming the section.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
     let m = walk(bytes)?;
-    let mut phases = LoadPhases::default();
-    if m.version == V1_FORMAT_VERSION {
-        decode_v1(bytes, &m, &mut phases)
-    } else {
-        let buf = Arc::new(SnapshotBuf::from_bytes(bytes));
-        decode_v2(&buf, &m, &mut phases)
-    }
+    let buf = Arc::new(SnapshotBuf::from_bytes(bytes));
+    decode(&buf, &m, &mut LoadPhases::default())
 }
 
-/// Decodes a snapshot straight out of an aligned buffer. For a v2 file
-/// the returned engine's CSR arrays *borrow from `buf`* (the `Arc` keeps
-/// it alive) — the zero-copy path; a v1 file is fully decoded into owned
-/// storage as before.
+/// Decodes a snapshot straight out of an aligned buffer. The returned
+/// engine's CSR arrays *borrow from `buf`* (the `Arc` keeps it alive) —
+/// the zero-copy path.
 ///
 /// # Errors
 ///
@@ -1454,7 +1066,7 @@ fn record_sections(manifest: &Manifest) {
     }
 }
 
-/// Encodes and writes a (v2) snapshot, reporting `store.save_bytes` and
+/// Encodes and writes a snapshot, reporting `store.save_bytes` and
 /// the per-section size gauges under a `store` stage span.
 ///
 /// # Errors
@@ -1478,27 +1090,19 @@ pub fn save_file(
     Ok(manifest)
 }
 
-fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64, total_us: u64) {
+fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
     prospector_obs::add("store.loads", 1);
-    // v1 pays a full decode (`store.load_ms`). The v2 zero-copy load is
-    // validate-then-borrow, so `store.map_ms` records only the
+    // The load is validate-then-borrow, so `store.map_ms` records the
     // validate-only stage — O(sections checksummed), the number the
-    // format exists to shrink — and dashboards don't average the two
-    // regimes.
-    if manifest.version >= 2 {
-        let ms = validate_us / 1000;
-        prospector_obs::gauge_set("store.map_ms", ms);
-        prospector_obs::trace::process_event("store", "map_ms", ms);
-    } else {
-        let ms = total_us / 1000;
-        prospector_obs::gauge_set("store.load_ms", ms);
-        prospector_obs::trace::process_event("store", "load_ms", ms);
-    }
+    // format exists to shrink.
+    let ms = validate_us / 1000;
+    prospector_obs::gauge_set("store.map_ms", ms);
+    prospector_obs::trace::process_event("store", "map_ms", ms);
     prospector_obs::gauge_set("store.load_bytes", bytes);
     record_sections(manifest);
 }
 
-/// Stage one of the two-stage v2 warm start: a snapshot buffer (one
+/// Stage one of the two-stage warm start: a snapshot buffer (one
 /// owned read or an mmap'd region) whose framing — magic, version,
 /// section offsets, padding, CRCs — has been validated exactly once.
 /// Creating one is the *validate-only* cost: O(sections checksummed),
@@ -1554,18 +1158,16 @@ impl MappedSnapshot {
     }
 
     /// Whether the engine would serve borrowed views out of an mmap'd
-    /// region: mapping succeeded *and* the file is v2 (a v1 thaw decodes
-    /// everything into owned storage regardless of how it was read).
+    /// region (mapping succeeded; an owned read reports `false`).
     #[must_use]
     pub fn is_mapped(&self) -> bool {
-        self.buf.is_mapped() && self.manifest.version >= 2
+        self.buf.is_mapped()
     }
 
     /// Stage two: decodes the owned engine state. Framing is NOT
     /// re-validated — that happened once at construction, which is what
-    /// makes borrow-after-CRC safe. For a v2 buffer the hot sections are
-    /// handed out as borrowed views (the `Arc` keeps the buffer alive);
-    /// a v1 buffer takes the full owned decode.
+    /// makes borrow-after-CRC safe. The hot sections are handed out as
+    /// borrowed views (the `Arc` keeps the buffer alive).
     ///
     /// # Errors
     ///
@@ -1591,9 +1193,8 @@ fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Reads and decodes a snapshot from one aligned read. For a v2 file
-/// this is validate-then-borrow (the validate-only stage is recorded as
-/// `store.map_ms`); v1 files take the full decode (`store.load_ms`).
+/// Reads and decodes a snapshot from one aligned read: validate, then
+/// borrow (the validate-only stage is recorded as `store.map_ms`).
 ///
 /// # Errors
 ///
@@ -1605,16 +1206,16 @@ pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
     let mapped = MappedSnapshot::open(path)?;
     let validate_us = elapsed_us(start);
     let snapshot = mapped.thaw()?;
-    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us, elapsed_us(start));
+    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us);
     Ok((snapshot, mapped.manifest))
 }
 
 /// Like [`load_file`] but memory-maps the file read-only when the
 /// platform supports it, so the kernel pages the snapshot in on demand
 /// and shares it across processes. The returned flag is `true` when the
-/// engine is actually serving borrowed views out of an mmap'd region
-/// (mapping succeeded *and* the file is v2); on any other combination it
-/// falls back to the owned-read path and reports `false` honestly.
+/// engine is actually serving borrowed views out of an mmap'd region;
+/// where the platform cannot map, it falls back to an owned read and
+/// reports `false` honestly.
 ///
 /// # Errors
 ///
@@ -1626,17 +1227,17 @@ pub fn map_file(path: &Path) -> Result<(Snapshot, Manifest, bool), StoreError> {
     let validate_us = elapsed_us(start);
     let snapshot = mapped.thaw()?;
     let is_mapped = mapped.is_mapped();
-    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us, elapsed_us(start));
+    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us);
     Ok((snapshot, mapped.manifest, is_mapped))
 }
 
 /// How [`load_auto`] ended up holding the snapshot in memory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LoadMode {
-    /// Decoded into owned storage from a one-shot read (or an mmap
-    /// request the platform/format could not honor).
+    /// Borrowed from one owned aligned read (or an mmap request the
+    /// platform could not honor).
     Owned,
-    /// Serving borrowed views out of an mmap'd v2 region.
+    /// Serving borrowed views out of an mmap'd region.
     Mapped,
 }
 
@@ -1654,8 +1255,7 @@ impl LoadMode {
 /// The one snapshot-opening entry point warm starts and tenant
 /// (re)loads share: [`map_file`] when `mmap` is requested, [`load_file`]
 /// otherwise, with the mode actually achieved reported honestly (an
-/// mmap request over a v1 file or on an unsupported platform loads
-/// owned and says so).
+/// mmap request on an unsupported platform loads owned and says so).
 ///
 /// # Errors
 ///

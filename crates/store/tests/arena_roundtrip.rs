@@ -1,8 +1,9 @@
 //! Loading rebuilds the API exactly. The API a snapshot decodes to —
-//! through v2 `map_file`, v2 `from_bytes`, and v1 — agrees with the API
-//! that was saved on every method and field view, on the per-class
-//! member order, and on every name lookup, over seeded random APIs
-//! (deterministic: failures reproduce by seed) and a `synth` jungle.
+//! through `map_file` and `from_bytes` — agrees with the API that was
+//! saved on every method and field view, on the per-class member order,
+//! on every name lookup, and on its whole JSON rendering (the loaded
+//! graph's too), over seeded random APIs (deterministic: failures
+//! reproduce by seed) and a `synth` jungle.
 //!
 //! The decoder checks are pinned too: a snapshot whose pool gives two
 //! members of one class, or two types of one package, the same name, or
@@ -15,7 +16,7 @@ use prospector_core::graph::JungloidGraph;
 use prospector_core::{GraphConfig, Prospector};
 use prospector_corpora::synth::{grow_synth, SynthSpec};
 use prospector_obs::SmallRng;
-use prospector_store::{crc32, from_bytes, manifest, to_bytes, to_bytes_v1, StoreError};
+use prospector_store::{crc32, from_bytes, manifest, to_bytes, StoreError};
 
 const PACKAGES: [&str; 4] = ["p0", "p1.sub", "p1", ""];
 
@@ -137,19 +138,26 @@ fn assert_same_api(built: &Api, loaded: &Api, label: &str) -> (usize, usize) {
     (ambiguous, unknown)
 }
 
+/// `loaded` must render to the same JSON as `built`: every type slot,
+/// member, mined node, example and per-node out-edge list.
+fn assert_same_json(built: (&Api, &JungloidGraph), loaded: (&Api, &JungloidGraph), label: &str) {
+    assert!(loaded.0.to_json() == built.0.to_json(), "{label}: API JSON differs");
+    assert!(loaded.1.to_json() == built.1.to_json(), "{label}: graph JSON differs");
+}
+
 /// Saves `api` (with `graph`) and loads it back every way a server can.
 fn assert_every_load_agrees(api: &Api, graph: &JungloidGraph, label: &str) -> (usize, usize) {
-    let v2 = to_bytes(api, graph, &[]);
+    let bytes = to_bytes(api, graph, &[]);
     let file = format!("arena_roundtrip_{}_{}.pspk", std::process::id(), label.replace(' ', "_"));
     let path = std::env::temp_dir().join(file);
-    std::fs::write(&path, &v2).expect("temp snapshot writes");
+    std::fs::write(&path, &bytes).expect("temp snapshot writes");
     let (mapped, _, _) = prospector_store::map_file(&path).expect("map_file loads");
     std::fs::remove_file(&path).ok();
-    let seen = assert_same_api(api, &mapped.api, &format!("{label} v2 map_file"));
-    let owned = from_bytes(&v2).expect("v2 from_bytes loads");
-    assert_same_api(api, &owned.api, &format!("{label} v2 from_bytes"));
-    let v1 = from_bytes(&to_bytes_v1(api, graph, &[])).expect("v1 loads");
-    assert_same_api(api, &v1.api, &format!("{label} v1"));
+    let seen = assert_same_api(api, &mapped.api, &format!("{label} map_file"));
+    assert_same_json((api, graph), (&mapped.api, &mapped.graph), &format!("{label} map_file"));
+    let owned = from_bytes(&bytes).expect("from_bytes loads");
+    assert_same_api(api, &owned.api, &format!("{label} from_bytes"));
+    assert_same_json((api, graph), (&owned.api, &owned.graph), &format!("{label} from_bytes"));
     seen
 }
 
@@ -185,12 +193,12 @@ fn edit_section(bytes: &mut [u8], name: &str, edit: impl FnOnce(&mut [u8])) {
     let s = m.sections.iter().find(|s| s.name == name).expect("section exists");
     let start = usize::try_from(s.offset).expect("fits");
     let payload = start..start + usize::try_from(s.bytes).expect("fits");
-    // v1 frames: tag, length u64, CRC; v2 frames: tag, pad, length u64, CRC, reserved.
-    let (frame, crc_at) = if m.version == 1 { (start - 16, 12) } else { (start - 24, 16) };
+    // Frame: tag u32, pad u32, length u64, CRC u32, reserved u32.
+    let frame = start - 24;
     edit(&mut bytes[payload.clone()]);
     let mut covered = bytes[frame..frame + 4].to_vec();
     covered.extend_from_slice(&bytes[payload]);
-    bytes[frame + crc_at..frame + crc_at + 4].copy_from_slice(&crc32(&covered).to_le_bytes());
+    bytes[frame + 16..frame + 20].copy_from_slice(&crc32(&covered).to_le_bytes());
 }
 
 /// Overwrites the one pooled occurrence of `from` with `to` (same
@@ -253,27 +261,25 @@ fn expect_corrupt(bytes: &[u8], section: &str, case: &str) {
 #[test]
 fn corrupt_member_and_type_tables_are_typed_errors() {
     let (api, graph) = fixture();
-    let formats = [("v2", to_bytes(&api, &graph, &[])), ("v1", to_bytes_v1(&api, &graph, &[]))];
-    for (format, pristine) in formats {
-        assert!(from_bytes(&pristine).is_ok(), "{format}: pristine fixture loads");
+    let pristine = to_bytes(&api, &graph, &[]);
+    assert!(from_bytes(&pristine).is_ok(), "pristine fixture loads");
 
-        let mut dup_member = pristine.clone();
-        rename_in_pool(&mut dup_member, "dupMethodOmega", "dupMethodAlpha");
-        expect_corrupt(&dup_member, "members", &format!("{format} duplicate member"));
+    let mut dup_member = pristine.clone();
+    rename_in_pool(&mut dup_member, "dupMethodOmega", "dupMethodAlpha");
+    expect_corrupt(&dup_member, "members", "duplicate member");
 
-        let mut dup_type = pristine.clone();
-        rename_in_pool(&mut dup_type, "DupTypeOmega", "DupTypeAlpha");
-        expect_corrupt(&dup_type, "types", &format!("{format} duplicate type"));
+    let mut dup_type = pristine.clone();
+    rename_in_pool(&mut dup_type, "DupTypeOmega", "DupTypeAlpha");
+    expect_corrupt(&dup_type, "types", "duplicate type");
 
-        // Members payload: method count, then method 0 = name ref (4),
-        // declaring (4), param count (4), one param (4), name count (4),
-        // name flag (1), then its parameter-name ref.
-        let mut bad_name = pristine.clone();
-        poke_u32(&mut bad_name, "members", 4, u32::MAX - 1);
-        expect_corrupt(&bad_name, "members", &format!("{format} method name ref"));
+    // Members payload: method count, then method 0 = name ref (4),
+    // declaring (4), param count (4), one param (4), name count (4),
+    // name flag (1), then its parameter-name ref.
+    let mut bad_name = pristine.clone();
+    poke_u32(&mut bad_name, "members", 4, u32::MAX - 1);
+    expect_corrupt(&bad_name, "members", "method name ref");
 
-        let mut bad_param_name = pristine.clone();
-        poke_u32(&mut bad_param_name, "members", 25, 1 << 20);
-        expect_corrupt(&bad_param_name, "members", &format!("{format} parameter-name ref"));
-    }
+    let mut bad_param_name = pristine;
+    poke_u32(&mut bad_param_name, "members", 25, 1 << 20);
+    expect_corrupt(&bad_param_name, "members", "parameter-name ref");
 }

@@ -1,77 +1,45 @@
-//! Backward compatibility: a committed format-v1 `.pspk` fixture must
-//! keep loading (and answering queries) forever, even though new
-//! snapshots are written as v2. This pins the v1 decode path against
-//! accidental drift in the shared section decoders.
+//! Retired formats are refused, not misread. The committed fixture is a
+//! `.pspk` written in the retired format v1; every way this build opens a
+//! snapshot — in memory, owned read, mmap, the staged open, and the
+//! registry's engine load that the CLI, `serve` and tenants share — must
+//! reject it with the typed version error naming both versions.
 
-use jungloid_apidef::{Api, ApiLoader};
-use prospector_core::graph::JungloidGraph;
-use prospector_core::{GraphConfig, Prospector};
+use std::path::Path;
+
+use prospector_store::{StoreError, FORMAT_VERSION, MAGIC};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v1.pspk");
 
-/// The same tiny `java.io` engine the crate's unit tests use — small
-/// enough to commit its v1 encoding as a binary fixture.
-fn tiny_engine() -> (Api, JungloidGraph) {
-    let mut api = ApiLoader::with_prelude().finish().expect("prelude");
-    api.class("java.io", "Reader").expect("declare");
-    api.class("java.io", "InputStream").expect("declare");
-    api.class("java.io", "InputStreamReader")
-        .expect("declare")
-        .extends("Reader")
-        .expect("extends")
-        .ctor(&["InputStream"])
-        .expect("ctor");
-    api.class("java.io", "BufferedReader")
-        .expect("declare")
-        .extends("Reader")
-        .expect("extends")
-        .ctor(&["Reader"])
-        .expect("ctor")
-        .method("readLine", &[], "String")
-        .expect("method");
-    let graph = JungloidGraph::from_api(&api, GraphConfig::default());
-    (api, graph)
-}
-
-/// Run with `cargo test -p prospector-store --test compat -- --ignored`
-/// to rebuild the committed fixture after an *intentional* v1 encoder
-/// change (there should never be one).
-#[test]
-#[ignore = "regenerates the committed v1 fixture"]
-fn regenerate_v1_fixture() {
-    let (api, graph) = tiny_engine();
-    let bytes = prospector_store::to_bytes_v1(&api, &graph, &[]);
-    std::fs::write(FIXTURE, bytes).expect("fixture writes");
+fn assert_v1_refused<T>(result: Result<T, StoreError>, via: &str) {
+    match result {
+        Err(StoreError::UnsupportedVersion { found: 1, supported: 2 }) => {}
+        Err(other) => panic!("{via}: expected UnsupportedVersion {{ 1, 2 }}, got {other:?}"),
+        Ok(_) => panic!("{via}: a v1 snapshot loaded"),
+    }
 }
 
 #[test]
-fn committed_v1_fixture_still_loads_and_answers() {
+fn committed_v1_fixture_is_refused_by_every_loader() {
     let bytes = std::fs::read(FIXTURE).expect("committed fixture exists");
-    let m = prospector_store::manifest(&bytes).expect("fixture validates");
-    assert_eq!(m.version, prospector_store::V1_FORMAT_VERSION);
-    assert_eq!(m.sections.len(), 7);
-    assert!(m.sections.iter().all(|s| s.pad_bytes == 0), "v1 has no padding");
+    // The fixture really is a v1 snapshot: right magic, version 1. So a
+    // refusal below is the version gate, not a bad-magic rejection.
+    assert_eq!(bytes[..4], MAGIC);
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")), 1);
+    assert_eq!(FORMAT_VERSION, 2);
 
-    let snap = prospector_store::from_bytes(&bytes).expect("fixture loads");
-    assert!(!snap.graph.csr().is_borrowed(), "v1 decodes into owned arrays");
+    let path = Path::new(FIXTURE);
+    assert_v1_refused(prospector_store::manifest(&bytes), "manifest");
+    assert_v1_refused(prospector_store::from_bytes(&bytes), "from_bytes");
+    assert_v1_refused(prospector_store::load_file(path), "load_file");
+    assert_v1_refused(prospector_store::map_file(path), "map_file");
+    assert_v1_refused(prospector_store::MappedSnapshot::open(path), "MappedSnapshot::open");
+    assert_v1_refused(prospector_store::MappedSnapshot::map(path), "MappedSnapshot::map");
 
-    // The fixture matches today's tiny engine and today's v1 encoder —
-    // both the semantic content and the exact bytes are pinned.
-    let (api, graph) = tiny_engine();
-    assert_eq!(snap.api.types().len(), api.types().len());
-    assert_eq!(snap.graph.edge_count(), graph.edge_count());
-    assert_eq!(
-        prospector_store::to_bytes_v1(&snap.api, &snap.graph, &snap.mined_examples),
-        bytes,
-        "re-encoding the loaded v1 fixture must be byte-identical"
-    );
-
-    let warm = Prospector::from_parts(snap.api, snap.graph);
-    let tin = warm.api().types().resolve("InputStream").expect("type resolves");
-    let tout = warm.api().types().resolve("BufferedReader").expect("type resolves");
-    let result = warm.query(tin, tout).expect("query");
-    assert_eq!(
-        result.suggestions[0].code,
-        "new BufferedReader(new InputStreamReader(inputStream))"
-    );
+    for mmap in [false, true] {
+        let err = prospector_registry::load_engine(FIXTURE, mmap)
+            .err()
+            .unwrap_or_else(|| panic!("registry::load_engine (mmap {mmap}) loaded a v1 snapshot"));
+        let want = StoreError::UnsupportedVersion { found: 1, supported: 2 }.to_string();
+        assert_eq!(err, want, "registry::load_engine (mmap {mmap})");
+    }
 }

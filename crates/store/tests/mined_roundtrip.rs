@@ -2,7 +2,9 @@
 //! `.pspk` and reloaded answers queries *byte-identically* to the live
 //! engine it was saved from — same suggestion code, same ranking, same
 //! `TraceId`-attributed query statistics — because the loader restores
-//! the frozen CSR arrays verbatim instead of rebuilding anything.
+//! the frozen CSR arrays verbatim instead of rebuilding anything. The
+//! loaded engine's JSON rendering equals the live one's: every mined
+//! node and its base type, every example, every out-edge per node.
 
 use prospector_core::Prospector;
 use prospector_corpora::{build, BuildOptions};
@@ -12,6 +14,12 @@ fn mined_engine() -> (Prospector, Vec<Vec<jungloid_apidef::ElemJungloid>>) {
     let built = build(&BuildOptions::default()).expect("bundled corpora assemble");
     let mined = built.mine_report.map(|r| r.examples).unwrap_or_default();
     (built.prospector, mined)
+}
+
+/// The loaded API and graph render to the same JSON as the live ones.
+fn assert_same_json(live: &Prospector, snap: &prospector_store::Snapshot) {
+    assert!(snap.api.to_json() == live.api().to_json(), "API JSON differs");
+    assert!(snap.graph.to_json() == live.graph().to_json(), "graph JSON differs");
 }
 
 #[test]
@@ -24,6 +32,7 @@ fn reloaded_engine_answers_byte_identically() {
     let snap = prospector_store::from_bytes(&bytes).expect("snapshot loads");
     assert_eq!(snap.graph.examples(), live.graph().examples());
     assert_eq!(snap.mined_examples, mined);
+    assert_same_json(&live, &snap);
     let warm = Prospector::from_parts(snap.api, snap.graph);
 
     // A restored graph is a *different* graph as far as the result cache
@@ -80,5 +89,6 @@ fn save_and_load_round_trip_through_a_file() {
     assert_eq!(snap.graph.edge_count(), live.graph().edge_count());
     assert_eq!(snap.graph.csr().out_to(), live.graph().csr().out_to());
     assert_eq!(snap.graph.csr().in_from(), live.graph().csr().in_from());
+    assert_same_json(&live, &snap);
     std::fs::remove_file(&path).ok();
 }

@@ -1,6 +1,6 @@
-//! The v2 zero-copy guarantee: an engine whose CSR arrays are *borrowed
+//! The zero-copy guarantee: an engine whose CSR arrays are *borrowed
 //! views* into one snapshot buffer (owned read or mmap) answers queries
-//! byte-identically to a fully-owned engine decoded from the v1 format —
+//! byte-identically to the fully-owned live engine it was saved from —
 //! same suggestion code, same ranking, same trace-attributed statistics.
 
 use std::sync::Arc;
@@ -46,35 +46,31 @@ fn borrowed_engine_answers_byte_identically_to_owned() {
     let (live, mined) = mined_engine();
     assert!(live.graph().mined_node_count() > 0, "engine must actually be mined");
 
-    // Owned: the v1 format decodes every element into owned arrays.
-    let v1 = prospector_store::to_bytes_v1(live.api(), live.graph(), &mined);
-    let owned = prospector_store::from_bytes(&v1).expect("v1 loads");
-    assert!(!owned.graph.csr().is_borrowed(), "v1 decode must be fully owned");
+    // Owned: the live engine built its CSR in memory.
+    assert!(!live.graph().csr().is_borrowed(), "a built engine is fully owned");
 
-    // Borrowed: the v2 format hands out views into the snapshot buffer.
-    let v2 = prospector_store::to_bytes(live.api(), live.graph(), &mined);
-    let buf = Arc::new(SnapshotBuf::from_bytes(&v2));
-    let (zero_copy, m) = prospector_store::from_buf(&buf).expect("v2 loads");
+    // Borrowed: the loader hands out views into the snapshot buffer.
+    let bytes = prospector_store::to_bytes(live.api(), live.graph(), &mined);
+    let buf = Arc::new(SnapshotBuf::from_bytes(&bytes));
+    let (zero_copy, m) = prospector_store::from_buf(&buf).expect("snapshot loads");
     assert_eq!(m.version, prospector_store::FORMAT_VERSION);
     if cfg!(target_endian = "little") {
         assert!(
             zero_copy.graph.csr().is_borrowed(),
-            "v2 decode must borrow the CSR from the buffer on little-endian hosts"
+            "the decode must borrow the CSR from the buffer on little-endian hosts"
         );
     }
 
-    assert_eq!(owned.graph.csr().out_to(), zero_copy.graph.csr().out_to());
-    assert_eq!(owned.graph.csr().out_elem(), zero_copy.graph.csr().out_elem());
-    assert_eq!(owned.graph.csr().in_from(), zero_copy.graph.csr().in_from());
-    assert_eq!(owned.graph.examples(), zero_copy.graph.examples());
-    assert_eq!(owned.mined_examples, zero_copy.mined_examples);
+    let owned = live.graph();
+    assert_eq!(owned.csr().out_to(), zero_copy.graph.csr().out_to());
+    assert_eq!(owned.csr().out_elem(), zero_copy.graph.csr().out_elem());
+    assert_eq!(owned.csr().in_from(), zero_copy.graph.csr().in_from());
+    assert_eq!(owned.examples(), zero_copy.graph.examples());
+    assert_eq!(mined, zero_copy.mined_examples);
 
-    let owned_engine = Prospector::from_parts(owned.api, owned.graph);
     let borrowed_engine = Prospector::from_parts(zero_copy.api, zero_copy.graph);
-    let live_sheet = answer_sheet(&live);
-    let owned_sheet = answer_sheet(&owned_engine);
+    let owned_sheet = answer_sheet(&live);
     let borrowed_sheet = answer_sheet(&borrowed_engine);
-    assert_eq!(live_sheet, owned_sheet, "live vs owned: answers diverge");
     assert_eq!(owned_sheet, borrowed_sheet, "owned vs borrowed: answers diverge");
 }
 
@@ -90,7 +86,7 @@ fn mmap_load_matches_owned_read() {
     let (map_snap, map_manifest, mapped) = prospector_store::map_file(&path).expect("map loads");
     assert_eq!(read_manifest, map_manifest);
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        assert!(mapped, "a v2 snapshot on linux must actually serve from the mapping");
+        assert!(mapped, "a snapshot on linux must actually serve from the mapping");
     }
 
     assert_eq!(read_snap.graph.csr().out_to(), map_snap.graph.csr().out_to());

@@ -47,7 +47,7 @@ pub enum TypeError {
         /// Human-readable description of the violated rule.
         detail: String,
     },
-    /// A persisted arena (JSON or binary) failed structural validation:
+    /// A stored arena (a `.pspk` snapshot) failed structural validation:
     /// out-of-range references, a malformed built-in prefix, duplicate
     /// declarations, and the like.
     InvalidTable {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use prospector_obs::json::{decode_err, Json, JsonError};
+use prospector_obs::json::Json;
 
 use crate::names::{hash_name, NameArena, NameIndex, Sym};
 use crate::{Prim, Ty, TyId, TypeError, TypeKind};
@@ -611,17 +611,17 @@ impl Default for TypeTable {
 
 // --- Persistence --------------------------------------------------------
 //
-// Both wire formats (JSON here, binary in `prospector-store`) carry only
-// the arena (packages + typed slots); every derived index
-// (qualified/simple lookup, array interning, the Object root) is rebuilt
-// on load, which keeps the format small and makes a loaded table
-// structurally identical to a freshly built one. [`RawSlot`] is the
-// neutral exchange shape both formats decode into; [`TypeTable::loader`]
-// owns all structural validation.
+// The binary snapshot format in `prospector-store` carries only the
+// arena (packages + typed slots); every derived index (qualified/simple
+// lookup, array interning, the Object root) is rebuilt on load, which
+// keeps the format small and makes a loaded table structurally identical
+// to a freshly built one. [`RawSlot`] is the shape the decoder hands
+// over; [`TypeTable::loader`] owns all structural validation. The JSON
+// rendering ([`TypeTable::to_json`]) is a debug dump only.
 
-/// The raw contents of one type-arena slot, as decoded by persistence
-/// layers ([`TypeTable::from_json`] and the binary snapshot format in
-/// `prospector-store`) and handed to [`TableLoader::push`]. The simple
+/// The raw contents of one type-arena slot, as decoded by the binary
+/// snapshot format in `prospector-store` and handed to
+/// [`TableLoader::push`]. The simple
 /// name is borrowed from the decoder's input, so decoding allocates no
 /// string per slot.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -653,9 +653,8 @@ pub enum RawSlot<'a> {
 }
 
 /// A borrowed view of one type-arena slot, the save-side sibling of
-/// [`RawSlot`]. Save paths (the binary snapshot encoder, the JSON debug
-/// dump) iterate these instead of cloning every name out of the name
-/// arena.
+/// [`RawSlot`]. The binary snapshot encoder iterates these instead of
+/// cloning every name out of the name arena.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RawSlotView<'a> {
     /// The `void` pseudo-type (always slot 0).
@@ -880,24 +879,15 @@ fn ty_ref(id: TyId) -> Json {
     Json::num_u(u64::from(id.0))
 }
 
-fn want_ty(v: &Json, arena_len: usize) -> Result<TyId, JsonError> {
-    let raw = v.as_u64().ok_or_else(|| decode_err("type id must be a non-negative integer"))?;
-    let raw = u32::try_from(raw).map_err(|_| decode_err("type id out of range"))?;
-    if (raw as usize) >= arena_len {
-        return Err(decode_err(format!("type id {raw} out of bounds ({arena_len} slots)")));
-    }
-    Ok(TyId(raw))
-}
-
 impl TypeTable {
-    /// Serializes the table to a JSON value. Distinct simple names are
-    /// emitted once as `names` and decl slots reference them by index,
-    /// so a simple name shared by many types costs one string in the
-    /// document (and one allocation on save) rather than one per slot.
+    /// Renders the table as a JSON debug value. Distinct simple names
+    /// are emitted once as `names` and decl slots reference them by
+    /// index, so a simple name shared by many types costs one string in
+    /// the document rather than one per slot.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        // Canonical first-use order (not raw arena order) keeps the
-        // document stable across a decode/re-encode round trip, where
+        // Canonical first-use order (not raw arena order) makes the
+        // document of a snapshot-loaded table equal its source's, where
         // the rebuilt arena interns names in a different sequence.
         let mut remap: HashMap<&str, u64> = HashMap::new();
         let mut names: Vec<Json> = Vec::new();
@@ -951,99 +941,6 @@ impl TypeTable {
             ("names", Json::Arr(names)),
             ("types", Json::Arr(types)),
         ])
-    }
-
-    /// Rebuilds a table from [`TypeTable::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Fails on missing keys, malformed slots, out-of-range references,
-    /// or an arena whose built-in prefix (void, null, the eight
-    /// primitives) does not match a fresh table's.
-    pub fn from_json(v: &Json) -> Result<TypeTable, JsonError> {
-        let packages: Vec<&str> = v
-            .want("packages")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`packages` must be an array"))?
-            .iter()
-            .map(|p| {
-                p.as_str().ok_or_else(|| decode_err("package must be a string"))
-            })
-            .collect::<Result<_, _>>()?;
-        let names: Vec<&str> = v
-            .want("names")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`names` must be an array"))?
-            .iter()
-            .map(|n| n.as_str().ok_or_else(|| decode_err("name must be a string")))
-            .collect::<Result<_, _>>()?;
-        let slots = v
-            .want("types")?
-            .as_arr()
-            .ok_or_else(|| decode_err("`types` must be an array"))?;
-        let arena_len = slots.len();
-        let table_err = |e: TypeError| decode_err(e.to_string());
-        let mut loader = TypeTable::loader(&packages, arena_len).map_err(table_err)?;
-        for slot in slots {
-            let kind = slot.want("k")?.as_str().ok_or_else(|| decode_err("`k` must be a string"))?;
-            let raw = match kind {
-                "void" => RawSlot::Void,
-                "null" => RawSlot::Null,
-                "prim" => {
-                    let word = slot
-                        .want("p")?
-                        .as_str()
-                        .ok_or_else(|| decode_err("`p` must be a string"))?;
-                    RawSlot::Prim(
-                        Prim::from_keyword(word)
-                            .ok_or_else(|| decode_err(format!("unknown primitive `{word}`")))?,
-                    )
-                }
-                "decl" => {
-                    let pkg = slot
-                        .want("pkg")?
-                        .as_u64()
-                        .and_then(|p| u32::try_from(p).ok())
-                        .ok_or_else(|| decode_err("bad package reference"))?;
-                    let superclass = match slot.want("super")? {
-                        Json::Null => None,
-                        other => Some(want_ty(other, arena_len)?),
-                    };
-                    let interfaces = slot
-                        .want("ifaces")?
-                        .as_arr()
-                        .ok_or_else(|| decode_err("`ifaces` must be an array"))?
-                        .iter()
-                        .map(|i| want_ty(i, arena_len))
-                        .collect::<Result<_, _>>()?;
-                    let simple_ref = slot
-                        .want("simple")?
-                        .as_u64()
-                        .and_then(|i| usize::try_from(i).ok())
-                        .ok_or_else(|| decode_err("`simple` must be a name index"))?;
-                    RawSlot::Decl {
-                        simple: names
-                            .get(simple_ref)
-                            .copied()
-                            .ok_or_else(|| {
-                                decode_err(format!("name index {simple_ref} out of range"))
-                            })?,
-                        package: PackageId(pkg),
-                        kind: match slot.want("kind")?.as_str() {
-                            Some("class") => TypeKind::Class,
-                            Some("interface") => TypeKind::Interface,
-                            _ => return Err(decode_err("`kind` must be class|interface")),
-                        },
-                        superclass,
-                        interfaces,
-                    }
-                }
-                "array" => RawSlot::Array { elem: want_ty(slot.want("elem")?, arena_len)? },
-                other => return Err(decode_err(format!("unknown type slot kind `{other}`"))),
-            };
-            loader.push(raw).map_err(table_err)?;
-        }
-        loader.finish().map_err(table_err)
     }
 }
 
@@ -1266,53 +1163,6 @@ mod tests {
         let all = t.strict_subtypes(obj);
         assert!(all.contains(&a) && all.contains(&b));
         assert!(!all.contains(&obj));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_everything() {
-        let (mut t, obj) = base();
-        let readable = t.declare("java.lang", "Readable", TypeKind::Interface).unwrap();
-        let reader = t.declare("java.io", "Reader", TypeKind::Class).unwrap();
-        let buffered = t.declare("java.io", "BufferedReader", TypeKind::Class).unwrap();
-        t.add_interface(reader, readable).unwrap();
-        t.set_superclass(buffered, reader).unwrap();
-        let arr = t.array_of(buffered);
-        let unpackaged = t.declare("", "Top", TypeKind::Class).unwrap();
-
-        let doc = t.to_json();
-        let back = TypeTable::from_json(&doc).unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.object(), Some(obj));
-        assert_eq!(back.resolve("java.io.BufferedReader").unwrap(), buffered);
-        assert_eq!(back.resolve("Top").unwrap(), unpackaged);
-        assert!(back.is_subtype(buffered, readable));
-        assert_eq!(back.ty(arr), Ty::Array(buffered));
-        let mut back2 = back.clone();
-        assert_eq!(back2.array_of(buffered), arr, "array interning survives");
-        assert_eq!(back.display(arr), "java.io.BufferedReader[]");
-        assert_eq!(back.prim(Prim::Double), t.prim(Prim::Double));
-        // Reserialization is stable.
-        assert_eq!(back.to_json(), doc);
-    }
-
-    #[test]
-    fn json_rejects_corrupt_tables() {
-        let (t, _) = base();
-        let doc = t.to_json();
-        // Truncate the built-in prefix.
-        let Json::Obj(mut pairs) = doc.clone() else { unreachable!() };
-        for (k, v) in &mut pairs {
-            if k == "types" {
-                let Json::Arr(items) = v else { unreachable!() };
-                items.truncate(3);
-            }
-        }
-        assert!(TypeTable::from_json(&Json::Obj(pairs)).is_err());
-        // Missing keys entirely.
-        assert!(TypeTable::from_json(&Json::obj(vec![])).is_err());
-        // Dangling type reference.
-        let text = doc.to_text().replace("\"super\":null", "\"super\":9999");
-        assert!(TypeTable::from_json(&Json::parse(&text).unwrap()).is_err());
     }
 
     #[test]

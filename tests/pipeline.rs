@@ -3,7 +3,7 @@
 //! answering, and persistence.
 
 use prospector_core::generalize::generalize;
-use prospector_core::{persist, Prospector};
+use prospector_core::Prospector;
 use prospector_corpora::{build, build_default, corpus_units, eclipse_api, BuildOptions};
 
 #[test]
@@ -120,15 +120,24 @@ fn corpus_examples_all_well_typed_and_spliceable() {
 #[test]
 fn persisted_engine_answers_identically() {
     let prospector = build_default();
-    let json = persist::to_json(prospector.api(), prospector.graph());
-    let loaded = persist::from_json(&json).unwrap();
-    let thawed = Prospector::from_parts(loaded.api, loaded.graph);
+    // In memory: encode, then decode from the bytes.
+    let bytes = prospector_store::to_bytes(prospector.api(), prospector.graph(), &[]);
+    let decoded = prospector_store::from_bytes(&bytes).unwrap();
+    // Through a file: save, then memory-map it the way `serve --mmap` does.
+    let path = std::env::temp_dir()
+        .join(format!("prospector-pipeline-{}.pspk", std::process::id()));
+    prospector_store::save_file(&path, prospector.api(), prospector.graph(), &[]).unwrap();
+    let (mapped, _, _) = prospector_store::map_file(&path).unwrap();
+    std::fs::remove_file(&path).ok();
 
-    for problem in prospector_corpora::problems::table1() {
-        let a = prospector_corpora::report::run_problem(&prospector, &problem);
-        let b = prospector_corpora::report::run_problem(&thawed, &problem);
-        assert_eq!(a.rank, b.rank, "persisted engine diverges on P{}", problem.id);
-        assert_eq!(a.candidates, b.candidates);
+    for (how, snap) in [("from_bytes", decoded), ("map_file", mapped)] {
+        let thawed = Prospector::from_parts(snap.api, snap.graph);
+        for problem in prospector_corpora::problems::table1() {
+            let a = prospector_corpora::report::run_problem(&prospector, &problem);
+            let b = prospector_corpora::report::run_problem(&thawed, &problem);
+            assert_eq!(a.rank, b.rank, "{how}: persisted engine diverges on P{}", problem.id);
+            assert_eq!(a.candidates, b.candidates, "{how}: P{}", problem.id);
+        }
     }
 }
 
