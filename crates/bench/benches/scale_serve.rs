@@ -278,9 +278,7 @@ fn main() {
     let doc = Json::obj(vec![
         ("bench", Json::Str("scale_serve".to_owned())),
         ("quick", Json::Bool(quick)),
-        ("serve_core", Json::Str(
-            if prospector_cli::poller::supported() { "epoll" } else { "pool" }.to_owned(),
-        )),
+        ("serve_core", Json::Str("epoll".to_owned())),
         ("workers", Json::num_u(workers as u64)),
         ("sizes", Json::Arr(size_cells)),
     ]);

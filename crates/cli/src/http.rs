@@ -1,21 +1,19 @@
-//! Incremental HTTP/1.1 request framing, shared by both serve cores.
+//! Incremental HTTP/1.1 request framing for the epoll serve core.
 //!
 //! The framer is a push-parser over a growing byte buffer: callers feed
 //! whatever the socket produced (a torn fragment, one exact request, a
 //! pipelined burst) and pull complete requests out one at a time. It is
-//! deliberately independent of any stream type so the epoll poller can
-//! drive it from nonblocking reads while the portable pool core drives
-//! it from blocking ones — and so a unit test can drive it from plain
-//! byte slices.
+//! deliberately independent of any stream type so the poller can drive
+//! it from nonblocking reads — and so a unit test can drive it from
+//! plain byte slices.
 //!
 //! Malformed input is a *typed* error, not a silent drop: a garbage
 //! request line maps to `400`, a head that never terminates within
 //! [`MAX_HEAD_BYTES`] to `431`, and a declared body over
 //! [`MAX_BODY_BYTES`] to `413`. The serve layer turns each into a
-//! strict-JSON response before closing the connection, so misbehaving
-//! clients get told what happened instead of watching the socket vanish.
-
-use std::collections::VecDeque;
+//! strict-JSON response — after answering every request framed before
+//! it — and then closes the connection, so misbehaving clients get told
+//! what happened instead of watching the socket vanish.
 
 /// Cap on one request head (request line + headers + blank line). A head
 /// still unterminated past this is a `431 Request Header Fields Too
@@ -262,9 +260,8 @@ fn truncate_for_error(line: &str) -> String {
     s
 }
 
-/// Frames every request out of one contiguous byte stream — the pool
-/// core's convenience over a blocking read loop, and the shape the unit
-/// tests drive.
+/// Frames every request out of one contiguous byte stream — the shape
+/// the unit tests drive.
 pub fn frame_all(bytes: &[u8]) -> (Vec<Request>, Option<FrameError>) {
     let mut framer = RequestFramer::new();
     framer.push(bytes);
@@ -275,38 +272,6 @@ pub fn frame_all(bytes: &[u8]) -> (Vec<Request>, Option<FrameError>) {
             Framed::Incomplete => return (out, None),
             Framed::Error(e) => return (out, Some(e)),
         }
-    }
-}
-
-/// Pipelined-request bookkeeping for one connection: requests framed but
-/// not yet dispatched. Thin wrapper so both cores share the close-cap
-/// arithmetic.
-#[derive(Debug, Default)]
-pub struct PendingRequests {
-    queue: VecDeque<Request>,
-}
-
-impl PendingRequests {
-    /// Queues a framed request for dispatch.
-    pub fn push(&mut self, request: Request) {
-        self.queue.push_back(request);
-    }
-
-    /// The next request to dispatch, if any.
-    pub fn pop(&mut self) -> Option<Request> {
-        self.queue.pop_front()
-    }
-
-    /// Requests framed and waiting.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no framed request is waiting.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 }
 

@@ -47,9 +47,10 @@
 //! observability HTTP server (`/metrics`, `/healthz`, `/readyz`,
 //! `/status`, `/query`, `/assist`, `/slow`, `/trace.json`, `/logs`,
 //! `/tenants`, `/reload`) on a fixed worker pool (default: available
-//! parallelism) — see the `serve` module in the library half of this
-//! crate. The structured access log goes to stderr unless `--access-log`
-//! redirects it to a file. The server is multi-tenant: `--index` (or an
+//! parallelism) behind the epoll core, so serving is Linux/x86_64-only —
+//! see the `serve` module in the library half of this crate. The
+//! structured access log goes to stderr unless `--access-log` redirects
+//! it to a file. The server is multi-tenant: `--index` (or an
 //! in-process build) becomes the `default` tenant, each `--tenant
 //! name=path.pspk` adds a named tenant, `--tenants-dir` registers one
 //! tenant per `.pspk` in a directory (named by file stem), and `POST
@@ -517,25 +518,6 @@ fn run_command(flags: &Flags) -> Result<(), String> {
                             .ok_or("--max-inflight needs a number")?
                             .parse()
                             .map_err(|_| "--max-inflight needs a number".to_owned())?;
-                    }
-                    "--serve-core" => {
-                        match it.next().ok_or("--serve-core needs `epoll` or `pool`")?.as_str() {
-                            "epoll" => {
-                                if !prospector_cli::poller::supported() {
-                                    return Err(
-                                        "--serve-core epoll: not available on this platform"
-                                            .to_owned(),
-                                    );
-                                }
-                                opts.force_pool = false;
-                            }
-                            "pool" => opts.force_pool = true,
-                            other => {
-                                return Err(format!(
-                                    "--serve-core needs `epoll` or `pool`, got `{other}`"
-                                ))
-                            }
-                        }
                     }
                     "--tenant" => {
                         let spec = it.next().ok_or("--tenant needs name=path.pspk")?;
@@ -1292,8 +1274,7 @@ usage:
   prospector [flags] index heat <batch-file> [-k N]
   prospector [flags] serve [--addr host:port] [--workers N] [--access-log <path>] [--mmap]
                            [--tenant name=path.pspk]... [--tenants-dir <dir>]
-                           [--serve-core epoll|pool] [--keepalive-max N]
-                           [--idle-timeout SECS] [--max-inflight N]
+                           [--keepalive-max N] [--idle-timeout SECS] [--max-inflight N]
   prospector [flags] synth --types N [--alpha F] [--planted N] [--plant-len N]
                            [-o <path.pspk>] [--queries <batch-file>]
 

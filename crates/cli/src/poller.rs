@@ -1,15 +1,15 @@
 //! The epoll readiness serve core: 10k keep-alive connections on one
 //! poller thread.
 //!
-//! The portable pool core parks a whole worker thread on every
-//! keep-alive connection, so idle connections — the common case for IDE
-//! content-assist clients — cap concurrency at `--workers`. This module
-//! inverts that: **one poller thread owns the listener and every parked
-//! socket**, and workers only ever see *parsed requests*.
+//! A worker thread parked on every keep-alive connection would cap
+//! concurrency at `--workers`, though idle connections are the common
+//! case for IDE content-assist clients. This module inverts that: **one
+//! poller thread owns the listener and every parked socket**, and
+//! workers only ever see *parsed requests*.
 //!
 //! Ownership rules (the whole design in four lines):
 //!
-//! 1. The poller thread exclusively owns every [`TcpStream`], the epoll
+//! 1. The poller thread exclusively owns every `TcpStream`, the epoll
 //!    set, and all per-connection state. No lock guards any of it.
 //! 2. Workers receive `(connection id, parsed request)` jobs and return
 //!    `(connection id, response bytes)` completions. They never touch a
@@ -36,20 +36,15 @@
 //!
 //! The raw `epoll`/`eventfd` syscall wrappers mirror the mmap shim in
 //! `prospector-core`'s `slab::sys`: Linux/x86_64 inline-assembly
-//! syscalls, no libc. Everywhere else [`supported`] is false and
-//! [`crate::serve::Server::run`] keeps the portable pool core.
-
-/// Whether this build carries the epoll core (Linux/x86_64).
-#[must_use]
-pub fn supported() -> bool {
-    cfg!(all(target_os = "linux", target_arch = "x86_64"))
-}
+//! syscalls, no libc. This is the only serve core, so serving is
+//! Linux/x86_64-only (DESIGN §15); everywhere else `serve` exits with
+//! the stub's error.
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub(crate) use imp::serve_epoll;
 
-/// Portable stub: [`supported`] is false here, so `Server::run` never
-/// calls this; it exists to keep the call site platform-free.
+/// Stub for platforms without the epoll core: serving is unavailable
+/// there, so [`crate::serve::Server::run`] returns this error.
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
 pub(crate) fn serve_epoll(
     _listener: std::net::TcpListener,
@@ -69,7 +64,7 @@ mod imp {
     use std::sync::{Condvar, Mutex};
     use std::time::{Duration, Instant};
 
-    use crate::http::{Framed, Request, RequestFramer};
+    use crate::http::{FrameError, Framed, Request, RequestFramer};
     use crate::serve::{
         answer, endpoint_of, frame_error_response, record_request, sampler_loop,
         serialize_response, shed_response, Ctx,
@@ -116,9 +111,8 @@ mod imp {
         enqueued: Instant,
     }
 
-    /// The poller → worker handoff, mirroring the pool core's job queue:
-    /// pops are attempted *before* the stop checks so everything queued
-    /// before shutdown is always drained.
+    /// The poller → worker handoff: pops are attempted *before* the stop
+    /// checks so everything queued before shutdown is always drained.
     struct ParsedQueue {
         jobs: Mutex<VecDeque<ParsedJob>>,
         ready: Condvar,
@@ -185,6 +179,10 @@ mod imp {
         /// Requests framed but not yet dispatched, with their close flag
         /// already resolved against the keep-alive cap.
         pending: VecDeque<(Request, bool)>,
+        /// The frame error that ended the byte stream. It is answered
+        /// (and the connection closed) only once every request framed
+        /// before it has been answered, so it never overtakes them.
+        frame_error: Option<FrameError>,
         /// Outbound bytes not yet written (`out_pos..` is the remainder).
         out: Vec<u8>,
         out_pos: usize,
@@ -210,6 +208,7 @@ mod imp {
                 stream,
                 framer: RequestFramer::new(),
                 pending: VecDeque::new(),
+                frame_error: None,
                 out: Vec::new(),
                 out_pos: 0,
                 in_flight: false,
@@ -226,10 +225,13 @@ mod imp {
             self.out_pos < self.out.len()
         }
 
-        /// Nothing pending, nothing in flight, nothing to write — the
-        /// state the timer wheel may reap and EOF may drop.
+        /// Nothing pending or held, nothing in flight, nothing to write —
+        /// the state the timer wheel may reap and EOF may drop.
         fn is_parked_empty(&self) -> bool {
-            !self.in_flight && self.pending.is_empty() && !self.has_backlog()
+            !self.in_flight
+                && self.pending.is_empty()
+                && self.frame_error.is_none()
+                && !self.has_backlog()
         }
     }
 
@@ -357,11 +359,10 @@ mod imp {
         result
     }
 
-    /// One worker: pops parsed requests, answers them through the exact
-    /// same routing/accounting path as the pool core, and hands the
-    /// serialized bytes back as a completion. Queue wait is measured per
-    /// request — the poller stamps every job at dispatch, so keep-alive
-    /// follow-ups get real wait numbers too.
+    /// One worker: pops parsed requests, answers and records them, and
+    /// hands the serialized bytes back as a completion. Queue wait is
+    /// measured per request — the poller stamps every job at dispatch,
+    /// so keep-alive follow-ups get real wait numbers too.
     fn worker_loop(
         queue: &ParsedQueue,
         completions: &CompletionQueue,
@@ -374,8 +375,9 @@ mod imp {
             let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ctx.busy.fetch_add(1, Ordering::Relaxed);
             let started = Instant::now();
-            // The profiler's root frame, same label as the pool core so
-            // `/profile.folded` reads identically under either core.
+            // The profiler's root frame: sampled stacks read
+            // `serve.request;batch;search` etc., so `/profile.folded`
+            // attributes wall-clock to request handling versus idle.
             let _span = prospector_obs::stage("serve.request");
             let (endpoint, response) = answer(ctx, &job.request);
             let bytes = serialize_response(&response, job.close);
@@ -533,18 +535,7 @@ mod imp {
                         }
                     }
                     Framed::Error(error) => {
-                        // Answered straight from the poller: a framing
-                        // error needs no engine, and the connection is
-                        // closing regardless.
-                        let started = Instant::now();
-                        let response = frame_error_response(&error);
-                        let bytes = serialize_response(&response, true);
-                        let handle_ns =
-                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        record_request(endpoint_of(""), &response, 0, handle_ns);
-                        prospector_obs::add("serve.poller.frame_errors", 1);
-                        conn.out.extend_from_slice(&bytes);
-                        conn.close_after_flush = true;
+                        conn.frame_error = Some(error);
                         break;
                     }
                     Framed::Incomplete => break,
@@ -563,7 +554,8 @@ mod imp {
         /// worker pool — or sheds it with a poller-written `429` when
         /// the in-flight ceiling is reached. Loops so a burst of
         /// pipelined requests sheds in one pass instead of one per
-        /// readiness event.
+        /// readiness event. Once nothing is pending or in flight, a held
+        /// frame error is answered and the connection set to close.
         fn maybe_dispatch(&mut self, id: u64) {
             loop {
                 let Some(conn) = self.conns.get_mut(&id) else { return };
@@ -573,7 +565,22 @@ mod imp {
                 {
                     return;
                 }
-                let Some((request, close)) = conn.pending.pop_front() else { return };
+                let Some((request, close)) = conn.pending.pop_front() else {
+                    if let Some(error) = conn.frame_error.take() {
+                        // Answered straight from the poller: a framing
+                        // error needs no engine.
+                        let started = Instant::now();
+                        let response = frame_error_response(&error);
+                        let bytes = serialize_response(&response, true);
+                        let handle_ns =
+                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        record_request(endpoint_of(""), &response, 0, handle_ns);
+                        prospector_obs::add("serve.poller.frame_errors", 1);
+                        conn.out.extend_from_slice(&bytes);
+                        conn.close_after_flush = true;
+                    }
+                    return;
+                };
                 if self.ctx.inflight.load(Ordering::Relaxed) >= self.ctx.max_inflight as u64 {
                     // Admission control: answer 429 + Retry-After from
                     // this thread; no worker, no queue slot.

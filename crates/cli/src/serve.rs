@@ -1,25 +1,20 @@
 //! `prospector serve` — a zero-dependency HTTP/1.1 observability server.
 //!
-//! Everything here is `std`-only, and the server has **two cores**
-//! behind one [`Server::run`]:
+//! Everything here is `std`-only, and [`Server::run`] has one serve
+//! core, the **epoll readiness core** ([`crate::poller`]): one poller
+//! thread owns the listener and every parked socket, frames requests
+//! nonblockingly, and hands *parsed* requests to the worker pool.
+//! Keep-alive connections wait in the poller between requests instead
+//! of occupying workers, so 10k idle connections cost file descriptors,
+//! not threads. The poller also runs admission control: past the
+//! in-flight ceiling it sheds with `429` + `Retry-After` straight off
+//! the poller thread. Serving is Linux/x86_64-only (DESIGN §15); on
+//! other platforms [`Server::run`] returns an error.
 //!
-//! - On Linux/x86_64 the default is the **epoll readiness core**
-//!   ([`crate::poller`]): one poller thread owns the listener and every
-//!   parked socket, frames requests nonblockingly, and hands *parsed*
-//!   requests to the worker pool. Keep-alive connections wait in the
-//!   poller between requests instead of occupying workers, so 10k idle
-//!   connections cost file descriptors, not threads. The poller also
-//!   runs admission control: past the in-flight ceiling it sheds with
-//!   `429` + `Retry-After` straight off the poller thread.
-//! - Everywhere else (or with `--serve-core pool`) the portable
-//!   **pool core** runs: a non-blocking accept loop feeding a fixed
-//!   worker pool through a bounded job queue (`Mutex<VecDeque>` +
-//!   [`Condvar`]), one worker per connection lifetime.
-//!
-//! Either way the threads live inside one [`std::thread::scope`], so
-//! shutting down is "set the flag, wait for the scope": accepting
-//! stops, workers drain whatever is queued, and the scope joins
-//! everything before [`Server::run`] returns — no thread outlives it.
+//! The threads live inside one [`std::thread::scope`], so shutting down
+//! is "set the flag, wait for the scope": accepting stops, in-flight
+//! requests drain, and the scope joins everything before
+//! [`Server::run`] returns — no thread outlives it.
 //!
 //! Connections are HTTP/1.1 **keep-alive** by default: the server
 //! answers requests off one socket until the client sends
@@ -70,11 +65,13 @@
 //! the core metric families at zero so a scrape taken before the first
 //! query still shows every series a dashboard will ever chart.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+// Off Linux/x86_64 the poller is compiled out, so nothing calls the
+// request path below; `Server::run` returns the poller stub's error.
+#![cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(dead_code))]
+
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use prospector_core::{heat, Prospector};
@@ -86,35 +83,14 @@ use prospector_obs::trace::{self, TraceId};
 use prospector_obs::window::{self, CounterRing, WindowRing, STANDARD_WINDOWS};
 use prospector_obs::Json;
 
-use crate::http::{FrameError, Framed, Request, RequestFramer};
-
-/// How long the accept loop sleeps when no connection is pending. The
-/// shutdown flag is re-checked at this cadence, so it bounds shutdown
-/// latency as well as idle wakeup rate.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-
-/// Per-connection socket timeout: a client that connects and then goes
-/// silent cannot pin a worker (and thus the scope) forever.
-const IO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// How long an idle worker waits on the job-queue condvar before
-/// re-checking the shutdown flag; bounds shutdown latency for workers
-/// parked on an empty queue. The self-stats sampler polls the flag at
-/// the same cadence.
-const WORKER_POLL: Duration = Duration::from_millis(50);
-
-/// Pending-connection slots per worker. When the queue is this deep the
-/// accept loop stops pulling from the kernel backlog, which is the
-/// natural place for further connections to wait.
-const QUEUE_SLOTS_PER_WORKER: usize = 16;
+use crate::http::{FrameError, Request};
 
 /// Default cap on requests served over one keep-alive connection before
 /// the server closes it (`--keepalive-max`) — a backstop so one chatty
 /// client cannot hold a worker or a parked slot forever.
 pub(crate) const DEFAULT_KEEPALIVE_MAX: usize = 1000;
 
-/// Default parked-connection idle timeout for the epoll core
-/// (`--idle-timeout`).
+/// Default parked-connection idle timeout (`--idle-timeout`).
 pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// In-flight request slots granted per worker when `--max-inflight` is
@@ -180,17 +156,13 @@ pub struct ServeOptions {
     /// Requests served over one keep-alive connection before the server
     /// closes it (`--keepalive-max`).
     pub keepalive_max: usize,
-    /// How long a parked connection may sit idle before the epoll core's
-    /// timer wheel reaps it (`--idle-timeout`). The portable pool core
-    /// keeps its fixed per-read socket timeout instead.
+    /// How long a parked connection may sit idle before the poller's
+    /// timer wheel reaps it (`--idle-timeout`).
     pub idle_timeout: Duration,
     /// Admission-control ceiling on requests dispatched and not yet
-    /// answered; `0` resolves to `workers ×` [`INFLIGHT_SLOTS_PER_WORKER`].
-    /// Past the ceiling the epoll core sheds with `429` + `Retry-After`.
+    /// answered; `0` resolves to `workers × 64`. Past the ceiling the
+    /// poller sheds with `429` + `Retry-After`.
     pub max_inflight: usize,
-    /// Forces the portable pool core even where epoll is available
-    /// (`--serve-core pool`) — mostly for A/B benchmarks.
-    pub force_pool: bool,
 }
 
 impl Default for ServeOptions {
@@ -201,7 +173,6 @@ impl Default for ServeOptions {
             keepalive_max: DEFAULT_KEEPALIVE_MAX,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
             max_inflight: 0,
-            force_pool: false,
         }
     }
 }
@@ -291,76 +262,27 @@ fn serve_rings() -> &'static ServeRings {
     })
 }
 
-/// The bounded handoff between the accept loop and the worker pool.
-/// Jobs are stamped with their enqueue [`Instant`] so the pop side can
-/// measure queue wait — the time a connection sat behind the pool.
-struct JobQueue {
-    jobs: Mutex<VecDeque<(TcpStream, Instant)>>,
-    ready: Condvar,
-}
-
-impl JobQueue {
-    fn new() -> JobQueue {
-        JobQueue { jobs: Mutex::new(VecDeque::new()), ready: Condvar::new() }
-    }
-
-    fn push(&self, stream: TcpStream) {
-        self.jobs.lock().unwrap().push_back((stream, Instant::now()));
-        self.ready.notify_one();
-    }
-
-    fn len(&self) -> usize {
-        self.jobs.lock().unwrap().len()
-    }
-
-    /// Pops the next connection, waiting while the queue is empty. The
-    /// pop is attempted *before* the stop checks, so connections that
-    /// were accepted before either flag flipped are always drained;
-    /// `None` means "empty and stopping — exit". `stopping` is the
-    /// server-internal flag covering fatal accept errors, where the
-    /// caller's `shutdown` never flips. The returned [`Instant`] is the
-    /// job's enqueue time.
-    fn pop(
-        &self,
-        shutdown: &AtomicBool,
-        stopping: &AtomicBool,
-    ) -> Option<(TcpStream, Instant)> {
-        let mut jobs = self.jobs.lock().unwrap();
-        loop {
-            if let Some(job) = jobs.pop_front() {
-                return Some(job);
-            }
-            if shutdown.load(Ordering::Relaxed) || stopping.load(Ordering::Relaxed) {
-                return None;
-            }
-            jobs = self.ready.wait_timeout(jobs, WORKER_POLL).unwrap().0;
-        }
-    }
-}
-
 /// Shared per-run state: the tenant registry, the resolved options, and
-/// the live gauges both cores update and `/status` reads.
+/// the live gauges the poller and workers update and `/status` reads.
 pub(crate) struct Ctx<'a> {
     pub(crate) registry: &'a Registry,
     pub(crate) max: usize,
     pub(crate) mmap: bool,
     pub(crate) workers: usize,
     pub(crate) started: Instant,
-    /// Which core is running — `/status` reports it as `serve_core`.
-    pub(crate) epoll: bool,
     /// Per-connection keep-alive request cap (`--keepalive-max`).
     pub(crate) keepalive_max: usize,
-    /// Parked-connection idle timeout (`--idle-timeout`, epoll core).
+    /// Parked-connection idle timeout (`--idle-timeout`).
     pub(crate) idle_timeout: Duration,
     /// Resolved admission ceiling (never zero; see [`ServeOptions`]).
     pub(crate) max_inflight: usize,
-    /// Workers currently handling a request/connection.
+    /// Workers currently handling a request.
     pub(crate) busy: AtomicU64,
-    /// Connections accepted and not yet finished (parked + in-flight).
+    /// Connections accepted and not yet closed (parked + in-flight).
     pub(crate) conns: AtomicU64,
-    /// Jobs currently waiting in the handoff queue.
+    /// Parsed requests waiting in the poller → worker queue.
     pub(crate) depth: AtomicU64,
-    /// Requests dispatched to a worker and not yet answered (epoll core).
+    /// Requests dispatched to a worker and not yet answered.
     pub(crate) inflight: AtomicU64,
     /// Requests shed with `429` at the admission ceiling.
     pub(crate) shed: AtomicU64,
@@ -371,7 +293,7 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn new(registry: &'a Registry, opts: &ServeOptions, workers: usize, epoll: bool) -> Ctx<'a> {
+    fn new(registry: &'a Registry, opts: &ServeOptions, workers: usize) -> Ctx<'a> {
         let max_inflight = if opts.max_inflight == 0 {
             workers * INFLIGHT_SLOTS_PER_WORKER
         } else {
@@ -383,7 +305,6 @@ impl<'a> Ctx<'a> {
             mmap: opts.mmap,
             workers,
             started: Instant::now(),
-            epoll,
             keepalive_max: opts.keepalive_max.max(1),
             idle_timeout: opts.idle_timeout.max(Duration::from_millis(100)),
             max_inflight: max_inflight.max(1),
@@ -445,97 +366,23 @@ impl Server {
         self.listener.local_addr().map_err(|e| e.to_string())
     }
 
-    /// Serves until `shutdown` is set, on the epoll readiness core where
-    /// the platform has one ([`crate::poller::supported`]) and the
-    /// portable pool core elsewhere (or when `opts.force_pool` asks for
-    /// it). Either way a sampler thread refreshes the `process.*` and
-    /// `serve.*` gauges about once a second, and when the flag flips
-    /// everything drains and joins before this returns.
+    /// Serves until `shutdown` is set, on the epoll readiness core
+    /// ([`crate::poller`]). A sampler thread refreshes the `process.*`
+    /// and `serve.*` gauges about once a second, and when the flag
+    /// flips everything drains and joins before this returns.
     ///
     /// # Errors
     ///
-    /// Returns accept-loop / poller failures as displayable messages.
+    /// Returns poller failures as displayable messages — including, on
+    /// any platform but Linux/x86_64, that serving is unavailable there.
     pub fn run(
         self,
         registry: &Registry,
         opts: &ServeOptions,
         shutdown: &AtomicBool,
     ) -> Result<(), String> {
-        let epoll = crate::poller::supported() && !opts.force_pool;
-        let ctx = Ctx::new(registry, opts, self.workers, epoll);
-        if epoll {
-            crate::poller::serve_epoll(self.listener, &ctx, shutdown)
-        } else {
-            run_pool(self.listener, &ctx, shutdown)
-        }
-    }
-}
-
-/// The portable pool core: a non-blocking accept loop feeding a fixed
-/// worker pool through a bounded job queue, one worker per connection
-/// lifetime. Kept as the fallback where the epoll core cannot run, and
-/// as the `--serve-core pool` baseline for A/B benchmarks.
-fn run_pool(
-    listener: TcpListener,
-    ctx: &Ctx<'_>,
-    shutdown: &AtomicBool,
-) -> Result<(), String> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-    let queue = JobQueue::new();
-    let queue_cap = ctx.workers * QUEUE_SLOTS_PER_WORKER;
-    let stopping = AtomicBool::new(false);
-    {
-        std::thread::scope(|scope| {
-            for _ in 0..ctx.workers {
-                let queue = &queue;
-                let stopping = &stopping;
-                scope.spawn(move || {
-                    while let Some((stream, enqueued)) = queue.pop(shutdown, stopping) {
-                        ctx.depth.store(queue.len() as u64, Ordering::Relaxed);
-                        let wait_ns = u64::try_from(enqueued.elapsed().as_nanos())
-                            .unwrap_or(u64::MAX);
-                        ctx.busy.fetch_add(1, Ordering::Relaxed);
-                        handle_connection(stream, ctx, wait_ns);
-                        ctx.busy.fetch_sub(1, Ordering::Relaxed);
-                        ctx.conns.fetch_sub(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            {
-                let stopping = &stopping;
-                scope.spawn(move || sampler_loop(ctx, shutdown, stopping));
-            }
-            let result = loop {
-                if shutdown.load(Ordering::Relaxed) {
-                    break Ok(());
-                }
-                if queue.len() >= queue_cap {
-                    // Backpressure: leave further connections in the
-                    // kernel backlog until the pool catches up.
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        ctx.conns.fetch_add(1, Ordering::Relaxed);
-                        queue.push(stream);
-                        ctx.depth.store(queue.len() as u64, Ordering::Relaxed);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) => break Err(format!("accept: {e}")),
-                }
-            };
-            // Wake every parked worker so they observe the stop without
-            // waiting out their poll interval (covers both clean
-            // shutdown and fatal accept errors).
-            stopping.store(true, Ordering::Relaxed);
-            queue.ready.notify_all();
-            result
-        })
+        let ctx = Ctx::new(registry, opts, self.workers);
+        crate::poller::serve_epoll(self.listener, &ctx, shutdown)
     }
 }
 
@@ -561,8 +408,8 @@ pub(crate) fn sampler_loop(ctx: &Ctx<'_>, shutdown: &AtomicBool, stopping: &Atom
 }
 
 /// One sampler tick: pool gauges from [`Ctx`], process gauges from
-/// `/proc/self/status` (silently skipped off-Linux, where the file does
-/// not exist — the `serve.*` gauges still publish).
+/// `/proc/self/status` (skipped when it is unreadable — the `serve.*`
+/// gauges still publish).
 fn sample_self_stats(ctx: &Ctx<'_>) {
     prospector_obs::gauge_set("serve.queue.depth", ctx.depth.load(Ordering::Relaxed));
     prospector_obs::gauge_set("serve.workers.busy", ctx.busy.load(Ordering::Relaxed));
@@ -578,7 +425,7 @@ fn sample_self_stats(ctx: &Ctx<'_>) {
 }
 
 /// Parses `VmRSS:` (kB → bytes) and `Threads:` out of
-/// `/proc/self/status`. `None` when the file is unreadable (non-Linux).
+/// `/proc/self/status`. `None` when the file is unreadable.
 fn read_proc_self_status() -> Option<(u64, u64)> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
     let mut rss = None;
@@ -657,59 +504,6 @@ fn warm_registry() {
     let _ = serve_rings();
 }
 
-/// Serves one connection (pool core): requests are framed and answered
-/// in a keep-alive loop until the client asks to close
-/// (`Connection: close`), goes quiet past [`IO_TIMEOUT`], or exhausts
-/// `ctx.keepalive_max`. `queue_wait_ns` is attributed to the first
-/// request only — follow-ups on a keep-alive connection never waited in
-/// the accept queue, so they record a wait of zero.
-fn handle_connection(mut stream: TcpStream, ctx: &Ctx<'_>, queue_wait_ns: u64) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let mut framer = RequestFramer::new();
-    let mut chunk = [0u8; 4096];
-    let mut served = 0usize;
-    loop {
-        // Pull the next framed request, reading more bytes as needed.
-        let request = loop {
-            match framer.next() {
-                Framed::Request(r) => break r,
-                Framed::Error(e) => {
-                    // Answer the framing error before closing — a silent
-                    // drop is indistinguishable from a crash to clients.
-                    serve_frame_error(&mut stream, &e);
-                    return;
-                }
-                Framed::Incomplete => match stream.read(&mut chunk) {
-                    Ok(0) => return,
-                    Ok(n) => framer.push(&chunk[..n]),
-                    Err(_) => return,
-                },
-            }
-        };
-        // The final slot always closes, so the header never promises a
-        // request we will not serve.
-        let close = request.close || served + 1 >= ctx.keepalive_max;
-        let wait_ns = if served == 0 { queue_wait_ns } else { 0 };
-        serve_request(&mut stream, ctx, &request, close, wait_ns);
-        served += 1;
-        if close {
-            return;
-        }
-    }
-}
-
-/// Writes the strict-JSON response for an unframable stream and records
-/// it (endpoint `other` — there is no route to attribute it to).
-fn serve_frame_error(stream: &mut TcpStream, error: &FrameError) {
-    let started = Instant::now();
-    let response = frame_error_response(error);
-    let _ = stream.write_all(&serialize_response(&response, true));
-    let _ = stream.flush();
-    let handle_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    record_request(endpoint_index("unframable"), &response, 0, handle_ns);
-}
-
 /// One response, carrying everything the per-request accounting needs
 /// alongside the wire fields.
 pub(crate) struct Response {
@@ -753,6 +547,14 @@ impl Response {
         Response::new(200, "OK", "application/json", body)
     }
 
+    /// Attributes the response to `tenant` — the only place `tenant` is
+    /// set, so the access log and the per-tenant latency rings only ever
+    /// see a registered (and therefore validated) name.
+    fn for_tenant(mut self, tenant: &Tenant) -> Response {
+        self.tenant = tenant.name().to_owned();
+        self
+    }
+
     /// A strict-JSON 400 — the shape every engine endpoint returns for
     /// bad parameters, including an unknown `?tenant=` key.
     fn bad_request(message: String) -> Response {
@@ -765,33 +567,8 @@ impl Response {
     }
 }
 
-/// Answers one parsed request and records it: the endpoint/code counter,
-/// the endpoint's latency (window ring + cumulative histogram), the
-/// windowed error counter for non-2xx codes, and exactly one access-log
-/// record. Handle time runs from parsed request to flushed response, so
-/// keep-alive idle gaps are never counted as latency.
-fn serve_request(
-    stream: &mut TcpStream,
-    ctx: &Ctx<'_>,
-    request: &Request,
-    close: bool,
-    queue_wait_ns: u64,
-) {
-    let started = Instant::now();
-    // The profiler's root frame for worker threads: sampled stacks read
-    // `serve.request;batch;search` etc., so `/profile.folded` attributes
-    // wall-clock to request handling versus idle.
-    let _span = prospector_obs::stage("serve.request");
-    let (endpoint, response) = answer(ctx, request);
-    let _ = stream.write_all(&serialize_response(&response, close));
-    let _ = stream.flush();
-    let handle_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    record_request(endpoint, &response, queue_wait_ns, handle_ns);
-}
-
-/// Routes one parsed request to its handler — the shared core of both
-/// serve cores. Returns the endpoint row (for accounting) alongside the
-/// response.
+/// Routes one parsed request to its handler. Returns the endpoint row
+/// (for accounting) alongside the response.
 pub(crate) fn answer(ctx: &Ctx<'_>, request: &Request) -> (usize, Response) {
     let (route, query) = match request.path.split_once('?') {
         Some((r, q)) => (r, q),
@@ -889,14 +666,16 @@ fn method_not_allowed(endpoint: usize) -> Response {
     r
 }
 
-/// Resolves a request's optional `?tenant=` key against the registry.
-/// An unknown (or malformed) key is a strict-JSON 400 — never a silent
+/// Resolves a request's optional `?tenant=` key against the registry
+/// and answers with `handler` on that tenant. An unknown (or malformed)
+/// key is a strict-JSON 400 attributed to no tenant — never a silent
 /// fallback to the default tenant.
-fn resolve_tenant(ctx: &Ctx<'_>, query: &str) -> Result<Arc<Tenant>, Box<Response>> {
+fn on_tenant(ctx: &Ctx<'_>, query: &str, handler: impl FnOnce(&Tenant) -> Response) -> Response {
     let name = query_param(query, "tenant");
-    ctx.registry
-        .resolve(name.as_deref())
-        .map_err(|e| Box::new(Response::bad_request(e.to_string())))
+    match ctx.registry.resolve(name.as_deref()) {
+        Ok(tenant) => handler(&tenant).for_tenant(&tenant),
+        Err(e) => Response::bad_request(e.to_string()),
+    }
 }
 
 /// Routes one GET to its handler.
@@ -914,14 +693,9 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
             Response::new(200, "OK", "text/plain; version=0.0.4", body)
         }
         "status" => Response::ok_json(status_json(ctx).to_text()),
-        "query" => {
-            let tenant = match resolve_tenant(ctx, query) {
-                Ok(t) => t,
-                Err(r) => return *r,
-            };
+        "query" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
-            let engine = tenant.engine();
-            let mut r = match run_query(&engine, ctx.max, query) {
+            match run_query(&tenant.engine(), ctx.max, query) {
                 Ok(outcome) => {
                     let mut r = Response::ok_json(outcome.body);
                     r.trace_id = outcome.trace_id;
@@ -930,24 +704,15 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                     r
                 }
                 Err(message) => Response::bad_request(message),
-            };
-            r.tenant = tenant.name().to_owned();
-            r
-        }
-        "assist" => {
-            let tenant = match resolve_tenant(ctx, query) {
-                Ok(t) => t,
-                Err(r) => return *r,
-            };
+            }
+        }),
+        "assist" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
-            let engine = tenant.engine();
-            let mut r = match run_assist(&engine, ctx.max, query) {
+            match run_assist(&tenant.engine(), ctx.max, query) {
                 Ok(body) => Response::ok_json(body),
                 Err(message) => Response::bad_request(message),
-            };
-            r.tenant = tenant.name().to_owned();
-            r
-        }
+            }
+        }),
         "slow" => {
             if query_param(query, "clear").is_some_and(|v| v == "1") {
                 let cleared = trace::clear_slow();
@@ -984,27 +749,12 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                 }
             },
         },
-        "heat" => {
-            let tenant = match resolve_tenant(ctx, query) {
-                Ok(t) => t,
-                Err(r) => return *r,
-            };
-            let engine = tenant.engine();
-            let mut r = Response::ok_json(heat_json(&engine, top_k_param(query)).to_text());
-            r.tenant = tenant.name().to_owned();
-            r
-        }
-        "analytics" => {
-            let tenant = match resolve_tenant(ctx, query) {
-                Ok(t) => t,
-                Err(r) => return *r,
-            };
-            let engine = tenant.engine();
-            let mut r =
-                Response::ok_json(analytics_json(&engine, top_k_param(query)).to_text());
-            r.tenant = tenant.name().to_owned();
-            r
-        }
+        "heat" => on_tenant(ctx, query, |tenant| {
+            Response::ok_json(heat_json(&tenant.engine(), top_k_param(query)).to_text())
+        }),
+        "analytics" => on_tenant(ctx, query, |tenant| {
+            Response::ok_json(analytics_json(&tenant.engine(), top_k_param(query)).to_text())
+        }),
         "profile" => Response::new(200, "OK", "text/plain", profile::render_folded()),
         "tenants" => Response::ok_json(tenants_json(ctx.registry).to_text()),
         "reload" => method_not_allowed(endpoint),
@@ -1016,28 +766,18 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
 /// naming its `Allow:` set.
 fn route_post(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
     match ENDPOINTS[endpoint] {
-        "reload" => {
-            let name = query_param(query, "tenant");
-            let name = name.as_deref().unwrap_or(DEFAULT_TENANT);
-            match ctx.registry.reload(name) {
-                Ok(info) => {
-                    let mut r = Response::ok_json(
-                        Json::obj(vec![
-                            ("ok", Json::Bool(true)),
-                            ("tenant", tenant_info_json(&info)),
-                        ])
-                        .to_text(),
-                    );
-                    r.tenant = name.to_owned();
-                    r
-                }
-                Err(e) => {
-                    let mut r = Response::bad_request(e.to_string());
-                    r.tenant = name.to_owned();
-                    r
-                }
+        "reload" => on_tenant(ctx, query, |tenant| {
+            match ctx.registry.reload(tenant.name()) {
+                Ok(info) => Response::ok_json(
+                    Json::obj(vec![
+                        ("ok", Json::Bool(true)),
+                        ("tenant", tenant_info_json(&info)),
+                    ])
+                    .to_text(),
+                ),
+                Err(e) => Response::bad_request(e.to_string()),
             }
-        }
+        }),
         "tenants" => {
             let Some(name) = query_param(query, "name") else {
                 return Response::bad_request("missing query parameter `name`".to_owned());
@@ -1048,17 +788,14 @@ fn route_post(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
             let mmap = query_param(query, "mmap")
                 .map_or(ctx.mmap, |v| v == "1" || v == "true");
             match ctx.registry.add_from_path(&name, &path, mmap) {
-                Ok(tenant) => {
-                    let mut r = Response::ok_json(
-                        Json::obj(vec![
-                            ("ok", Json::Bool(true)),
-                            ("tenant", tenant_info_json(&tenant.info())),
-                        ])
-                        .to_text(),
-                    );
-                    r.tenant = name;
-                    r
-                }
+                Ok(tenant) => Response::ok_json(
+                    Json::obj(vec![
+                        ("ok", Json::Bool(true)),
+                        ("tenant", tenant_info_json(&tenant.info())),
+                    ])
+                    .to_text(),
+                )
+                .for_tenant(&tenant),
                 Err(e) => Response::bad_request(e.to_string()),
             }
         }
@@ -1134,10 +871,13 @@ fn query_params_all(query: &str, name: &str) -> Vec<String> {
         .collect()
 }
 
-/// The per-request accounting fan-out (see [`serve_request`]). Every
-/// request records its queue wait — zero for a pool keep-alive
-/// follow-up (it never waited), the measured hand-off wait for every
-/// request the poller dispatched.
+/// Records one answered request: the endpoint/code counter, the
+/// endpoint's latency (window ring + cumulative histogram), the windowed
+/// error counter for non-2xx codes, the queue wait, and exactly one
+/// access-log record. Handle time runs from parsed request to serialized
+/// response, so keep-alive idle gaps are never counted as latency.
+/// Queue wait is the measured poller → worker hand-off; responses the
+/// poller writes itself (sheds, frame errors) record zero.
 pub(crate) fn record_request(
     endpoint: usize,
     response: &Response,
@@ -1387,10 +1127,7 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
         (
             "config",
             Json::obj(vec![
-                (
-                    "serve_core",
-                    Json::Str(if ctx.epoll { "epoll" } else { "pool" }.to_owned()),
-                ),
+                ("serve_core", Json::Str("epoll".to_owned())),
                 ("keepalive_max", Json::num_u(ctx.keepalive_max as u64)),
                 ("idle_timeout_s", Json::num_u(ctx.idle_timeout.as_secs())),
                 ("max_inflight", Json::num_u(ctx.max_inflight as u64)),
@@ -1544,8 +1281,8 @@ fn analytics_json(engine: &Prospector, k: usize) -> Json {
 }
 
 /// Serializes one response to its wire bytes — header block plus body —
-/// so both cores (and the poller's outbound buffers) share one
-/// formatter. `Allow:` rides on 405s, `Retry-After:` on shed 429s.
+/// for the poller's outbound buffers. `Allow:` rides on 405s,
+/// `Retry-After:` on shed 429s.
 pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     let connection = if close { "close" } else { "keep-alive" };
     let allow = if response.allow.is_empty() {

@@ -426,6 +426,7 @@ fn corrupted_binary_index_fails_with_a_typed_message() {
 }
 
 #[test]
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn serve_warm_start_records_store_stage_and_no_build_stages() {
     use std::io::{BufRead, BufReader, Read, Write};
 
@@ -479,6 +480,13 @@ fn serve_warm_start_records_store_stage_and_no_build_stages() {
     child.kill().expect("stop server");
     child.wait().expect("reap server");
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn serve_core_flag_is_an_unknown_argument() {
+    let (_, stderr, ok) = prospector(&["serve", "--serve-core", "pool"]);
+    assert!(!ok);
+    assert!(stderr.contains("unknown argument `--serve-core`"), "{stderr}");
 }
 
 #[test]

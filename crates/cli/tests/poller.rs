@@ -1,14 +1,16 @@
 //! End-to-end tests of the epoll readiness serve core: a parked herd of
 //! keep-alive connections on a tiny worker pool, admission-control
 //! shedding under saturation, and the framer's strict rejections over a
-//! real socket. Linux/x86_64 only — elsewhere the serve core falls back
-//! to the pool loop, which `tests/serve.rs` already covers.
+//! real socket. Serving is Linux/x86_64-only, like every serve test.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::fs::OpenOptionsExt;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use prospector_cli::serve::{ServeOptions, Server};
 use prospector_corpora::{build, BuildOptions};
@@ -62,6 +64,57 @@ fn keepalive_get(stream: &mut TcpStream, path: &str) -> (String, String, String)
     let raw = format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n");
     stream.write_all(raw.as_bytes()).expect("send request");
     read_one_response(stream)
+}
+
+/// Splits the first response off `wire`: `(head, body, rest)`.
+fn split_response(wire: &str) -> (&str, &str, &str) {
+    let (head, after) =
+        wire.split_once("\r\n\r\n").unwrap_or_else(|| panic!("no response head: {wire:?}"));
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length header")
+        .trim()
+        .parse()
+        .expect("numeric Content-Length");
+    let (body, rest) = after.split_at(length);
+    (head, body, rest)
+}
+
+/// Reads to EOF and expects exactly a `200`, then a strict-JSON `400`
+/// with `Connection: close` — the answer to a good request followed by
+/// a malformed one. The two often arrive in one read, so the stream is
+/// read whole rather than one response at a time.
+fn expect_ok_then_400_then_eof(stream: &mut TcpStream) {
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    let mut wire = String::new();
+    stream.read_to_string(&mut wire).expect("server closes after the 400");
+    let (head, _, rest) = split_response(&wire);
+    assert!(head.starts_with("HTTP/1.1 200"), "the earlier request is answered first: {wire:?}");
+    let (head, body, rest) = split_response(rest);
+    assert!(head.starts_with("HTTP/1.1 400"), "{wire:?}");
+    assert!(head.contains("Connection: close"), "{head}");
+    let json = Json::parse(body).expect("400 body is strict JSON");
+    assert_eq!(json.get("ok").unwrap().as_bool(), Some(false));
+    assert!(rest.is_empty(), "no bytes after the 400: {rest:?}");
+}
+
+/// Opens the write end of a FIFO without blocking. Linux refuses that
+/// (`ENXIO`) until some process holds the read end, so a successful
+/// open proves the server's worker is inside its read of the FIFO.
+fn open_fifo_writer(fifo: &Path) -> File {
+    const O_NONBLOCK: i32 = 0o4000;
+    const ENXIO: i32 = 6;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match OpenOptions::new().write(true).custom_flags(O_NONBLOCK).open(fifo) {
+            Ok(file) => return file,
+            Err(e) if e.raw_os_error() == Some(ENXIO) && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("the worker never opened {}: {e}", fifo.display()),
+        }
+    }
 }
 
 /// One-shot `GET` on a fresh `Connection: close` stream.
@@ -233,7 +286,8 @@ fn saturation_sheds_with_retry_after() {
 
 /// The framer's strictness holds over a real socket: a malformed request
 /// line gets a strict-JSON `400` and the connection is closed (never
-/// resynchronized), and oversized headers get `431`.
+/// resynchronized), and oversized headers get `431`. A malformed request
+/// pipelined behind good ones is answered only after them.
 #[test]
 fn framer_rejections_over_the_wire() {
     let registry = default_registry();
@@ -244,6 +298,10 @@ fn framer_rejections_over_the_wire() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
 
         // Garbage request line → 400, strict JSON, connection closed.
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -286,8 +344,53 @@ fn framer_rejections_over_the_wire() {
         assert_eq!(body, "ok\n");
         assert!(head.contains("Connection: close"), "{head}");
 
+        // Garbage pipelined behind a good request in one write: the good
+        // request is answered, then the 400, then the connection closes.
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\nNOT_HTTP garbage\r\n\r\n")
+            .expect("send request then garbage");
+        expect_ok_then_400_then_eof(&mut stream);
+
+        // Garbage arriving while a `/query` is in flight. The only worker
+        // is first parked in a tenant load from a FIFO whose write end the
+        // test holds open with no data, so the query cannot finish until
+        // the writer is dropped.
+        let fifo = std::env::temp_dir()
+            .join(format!("prospector_poller_fifo_{}", std::process::id()));
+        let _ = std::fs::remove_file(&fifo);
+        let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("run mkfifo");
+        assert!(made.success(), "mkfifo {}", fifo.display());
+        let mut blocker = TcpStream::connect(addr).expect("connect");
+        let load = format!(
+            "POST /tenants?name=blocked&path={} HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+            fifo.display()
+        );
+        blocker.write_all(load.as_bytes()).expect("send blocking load");
+        let writer = open_fifo_writer(&fifo);
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(b"GET /query?tin=IFile&tout=ASTNode HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send query");
+        stream.write_all(b"NOT_HTTP garbage\r\n\r\n").expect("send garbage");
+        // While the query is in flight nothing may reach the client.
+        stream.set_read_timeout(Some(Duration::from_millis(300))).expect("set timeout");
+        let early = stream.read(&mut [0u8; 1]);
+        assert!(early.is_err(), "bytes before the in-flight query was answered: {early:?}");
+        // EOF on the FIFO fails the load and frees the worker.
+        drop(writer);
+        let (status, _, body) = read_one_response(&mut blocker);
+        assert!(status.contains("400"), "an empty FIFO is no snapshot: {status}: {body}");
+        expect_ok_then_400_then_eof(&mut stream);
+        std::fs::remove_file(&fifo).expect("remove FIFO");
+
+        }));
+
         shutdown.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 

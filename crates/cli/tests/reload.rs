@@ -4,6 +4,8 @@
 //! reload-under-fire guarantee — clients hammering `/query` across
 //! repeated hot reloads never see a non-200 and always get the same
 //! suggestions, while every retired engine is actually dropped.
+//! Serving is Linux/x86_64-only, so these tests are too.
+#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -12,6 +14,7 @@ use std::sync::Arc;
 
 use prospector_cli::serve::{ServeOptions, Server};
 use prospector_corpora::{build, BuildOptions};
+use prospector_obs::window::{self, STANDARD_WINDOWS};
 use prospector_obs::Json;
 use prospector_registry::{load_engine, Provenance, Registry, DEFAULT_TENANT};
 
@@ -103,6 +106,79 @@ fn unknown_tenant_is_a_strict_json_400() {
         assert!(doc.get("error").unwrap().as_str().unwrap().contains("no snapshot to reload"));
         let (status, _) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
         assert!(status.contains("200"), "default tenant still serves: {status}");
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        let outcome = worker.join().expect("server thread exits cleanly");
+        assert_eq!(outcome, Ok(()));
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A reload naming no registered tenant is attributed to no tenant: it
+/// mints no per-tenant latency ring, renders nothing into `/metrics`
+/// (where a name carrying a newline would inject exposition lines), and
+/// logs an empty `tenant`. A registered tenant whose reload fails still
+/// logs its own name.
+#[test]
+fn reload_of_an_unregistered_name_mints_no_series() {
+    let engine = build(&BuildOptions::default()).expect("corpus builds").prospector;
+    let registry = Registry::with_default(engine, Provenance::built());
+    let server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+    // Valid-looking and malformed names, and one that decodes to
+    // "x`\nghost_injected_metric 1\n".
+    let bogus = ["ghost-0", "ghost-1", "ghost/2", "x%60%0Aghost_injected_metric%201%0A"];
+    let ghost_rings = || {
+        window::views(&STANDARD_WINDOWS).iter().filter(|v| v.name.contains("ghost")).count()
+    };
+
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let rings_before = ghost_rings();
+        for name in bogus {
+            let (status, body) = http_post(addr, &format!("/reload?tenant={name}"));
+            assert!(status.contains("400"), "{name}: {status}");
+            let doc = Json::parse(&body).unwrap_or_else(|e| panic!("{name}: {e}: {body}"));
+            assert!(doc.get("error").unwrap().as_str().unwrap().contains("unknown tenant"));
+        }
+        // The default tenant has no snapshot, so its reload fails too.
+        let (status, _) = http_post(addr, "/reload");
+        assert!(status.contains("400"), "{status}");
+
+        assert_eq!(ghost_rings(), rings_before, "a bogus reload minted a latency ring");
+        let (_, metrics) = http_get(addr, "/metrics");
+        let leaked: Vec<&str> = metrics.lines().filter(|l| l.contains("ghost")).collect();
+        assert!(leaked.is_empty(), "bogus names reached /metrics: {leaked:?}");
+
+        let (_, body) = http_get(addr, "/logs?n=10000");
+        let records = Json::parse(&body).expect("strict JSON").as_arr().unwrap().to_vec();
+        let failed_reloads: Vec<&str> = records
+            .iter()
+            .filter(|r| {
+                r.get("endpoint").unwrap().as_str() == Some("reload")
+                    && r.get("code").unwrap().as_u64() == Some(400)
+            })
+            .map(|r| r.get("tenant").unwrap().as_str().unwrap())
+            .collect();
+        assert!(
+            failed_reloads.iter().all(|t| !t.contains("ghost")),
+            "a bogus name reached the access log: {failed_reloads:?}"
+        );
+        assert!(
+            failed_reloads.iter().filter(|t| t.is_empty()).count() >= bogus.len(),
+            "bogus reloads log an empty tenant: {failed_reloads:?}"
+        );
+        assert!(failed_reloads.contains(&DEFAULT_TENANT), "{failed_reloads:?}");
 
         }));
 

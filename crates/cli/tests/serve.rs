@@ -1,7 +1,9 @@
 //! End-to-end smoke test of `prospector serve`: bind port 0, issue real
 //! `TcpStream` requests, validate the Prometheus exposition strictly,
 //! and shut the loop down via the atomic flag (the scope joins every
-//! handler, so a clean return proves no thread leaked).
+//! handler, so a clean return proves no thread leaked). Serving is
+//! Linux/x86_64-only, so these tests are too.
+#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

@@ -129,8 +129,9 @@ impl GraphStats {
 /// on this when `add_examples` / `add_param_examples` grow the graph.
 ///
 /// Each array is a [`Slab`]: either owned (built in memory) or borrowed
-/// straight out of a format-v2 snapshot buffer ([`SnapshotBuf`]), in
-/// which case loading the graph copies no edge data at all. The
+/// straight out of a format-v2 snapshot buffer
+/// ([`SnapshotBuf`](crate::slab::SnapshotBuf)), in which case loading
+/// the graph copies no edge data at all. The
 /// elementary jungloids are an [`ElemSeq`]: owned structs when built,
 /// or the snapshot's packed 4×`u32` quads decoded on access.
 #[derive(Clone, Debug, Default)]

@@ -6,7 +6,8 @@
 //! is watching):
 //!
 //! * **Graph heat** — per-edge and per-node traversal counters. The DFS
-//!   tallies into dense per-thread arrays on [`SearchScratch`]
+//!   tallies into dense per-thread arrays on
+//!   [`SearchScratch`](crate::search::SearchScratch)
 //!   (branch-light, allocation-free; pinned by the `heat_overhead`
 //!   bench) and [`crate::search::enumerate_with`] folds them into the
 //!   global table once per query via [`merge_raw`]. A distance field

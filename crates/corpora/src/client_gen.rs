@@ -4,7 +4,7 @@
 //!
 //! * [`explosion_case`] builds the pathological shape the paper reports
 //!   ("the backward data-flow path branches when it reaches a variable
-//!   that is assigned in multiple places … extraction [would] take many
+//!   that is assigned in multiple places … extraction \[would\] take many
 //!   hours and generate several gigabytes of example jungloids"): a
 //!   ladder of local variables, each with `branching` flow-insensitive
 //!   definitions consuming the previous rung, ending in a downcast — so

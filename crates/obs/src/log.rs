@@ -43,17 +43,18 @@ pub struct AccessRecord {
     /// Endpoint label (`"query"`, `"metrics"`, ..., `"other"`).
     pub endpoint: &'static str,
     /// The tenant the request was routed to (`"default"` for bare
-    /// single-tenant URLs); empty for endpoints that touch no engine.
+    /// single-tenant URLs); empty for endpoints that touch no engine and
+    /// for a `?tenant=` key that names no registered tenant.
     pub tenant: String,
     /// HTTP status code sent.
     pub code: u16,
     /// Response body bytes sent.
     pub bytes: u64,
-    /// Microseconds the connection waited in the accept queue before a
-    /// worker picked it up (first request of a connection only; 0 for
-    /// keep-alive follow-ups).
+    /// Microseconds the request waited in the poller → worker queue
+    /// before a worker picked it up (0 for responses the poller writes
+    /// itself: sheds and frame errors).
     pub queue_wait_us: u64,
-    /// Microseconds from parsed request to flushed response.
+    /// Microseconds from parsed request to serialized response.
     pub handle_us: u64,
     /// Whether a `/query` answer came from the result cache.
     pub cached: bool,
