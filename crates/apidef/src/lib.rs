@@ -42,6 +42,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod builder;
 pub mod elem;
 mod error;
@@ -54,6 +56,6 @@ pub use elem::{ElemJungloid, InputSlot};
 pub use error::ApiError;
 pub use loader::{ApiLoader, PRELUDE};
 pub use model::{
-    Api, FieldDef, FieldId, FieldView, MemberTables, MethodDef, MethodId, MethodView, RawField,
-    RawMethod, Visibility,
+    Api, FieldDef, FieldId, FieldRecord, FieldView, MemberArrays, MethodDef, MethodId,
+    MethodRecord, MethodView, Visibility, FIELD_RECORD_WORDS, METHOD_RECORD_WORDS,
 };

@@ -1,15 +1,32 @@
 //! The in-memory API model: types plus members.
 //!
-//! Members live in flat per-table arrays: one fixed-size record per
-//! method or field, every parameter type in one `Vec<TyId>`, every
-//! member and parameter name in one [`NameArena`], and a dense
-//! per-type index. Building or loading an API therefore allocates per
-//! table, not per member, and [`Api::method`]/[`Api::field`] hand out
-//! borrowed views ([`MethodView`], [`FieldView`]) over those arrays.
+//! Members live in flat per-table arrays: one fixed-width record of
+//! `u32` words per method ([`MethodRecord`]) or field ([`FieldRecord`]),
+//! every parameter type in one [`TyId`] array, every parameter name id in
+//! one `u32` array, names in a [`NameArena`], and a dense per-type index.
+//! A built API owns these arrays; an API loaded from a `.pspk` snapshot
+//! borrows them from the snapshot buffer and copies them only if it is
+//! mutated. [`Api::method`]/[`Api::field`] hand out borrowed views
+//! ([`MethodView`], [`FieldView`]) over them either way.
+//!
+//! | word | method record            | field record      |
+//! |------|--------------------------|-------------------|
+//! | 0    | name id                  | name id           |
+//! | 1    | declaring type           | declaring type    |
+//! | 2    | return type              | field type        |
+//! | 3    | end of its parameters    | flags             |
+//! | 4    | end of its parameter names |                 |
+//! | 5    | flags                    |                   |
+//!
+//! A method's parameters (and parameter names) run from the previous
+//! method's end offset to its own. Flags hold the visibility in bits 0-1
+//! (public, protected, private), `static` in bit 2 and, for methods,
+//! "constructor" in bit 3; every other bit is zero. An unnamed parameter
+//! has the name id `u32::MAX`.
 
 use std::ops::Range;
 
-use jungloid_typesys::{NameArena, Sym, Ty, TyId, TypeKind, TypeTable};
+use jungloid_typesys::{NameArena, Slab, Ty, TyId, TypeKind, TypeTable};
 use prospector_obs::json::Json;
 
 use crate::ApiError;
@@ -123,6 +140,55 @@ pub struct FieldDef {
     pub is_static: bool,
 }
 
+/// Words in one method record.
+pub const METHOD_RECORD_WORDS: usize = 6;
+
+/// Words in one field record.
+pub const FIELD_RECORD_WORDS: usize = 4;
+
+/// One method's fixed-width record; the module docs lay out its words.
+pub type MethodRecord = [u32; METHOD_RECORD_WORDS];
+
+/// One field's fixed-width record; the module docs lay out its words.
+pub type FieldRecord = [u32; FIELD_RECORD_WORDS];
+
+const NAME: usize = 0;
+const DECLARING: usize = 1;
+/// A method's return type, a field's type.
+const TYPE: usize = 2;
+const PARAMS_END: usize = 3;
+const NAMES_END: usize = 4;
+const METHOD_FLAGS: usize = 5;
+const FIELD_FLAGS: usize = 3;
+
+const VISIBILITY: u32 = 0b11;
+const STATIC: u32 = 1 << 2;
+const CONSTRUCTOR: u32 = 1 << 3;
+
+/// The name id of an unnamed parameter.
+const UNNAMED: u32 = u32::MAX;
+
+fn flags(visibility: Visibility, is_static: bool, is_constructor: bool) -> u32 {
+    let vis = match visibility {
+        Visibility::Public => 0,
+        Visibility::Protected => 1,
+        Visibility::Private => 2,
+    };
+    vis | if is_static { STATIC } else { 0 } | if is_constructor { CONSTRUCTOR } else { 0 }
+}
+
+fn visibility(flags: u32) -> Visibility {
+    match flags & VISIBILITY {
+        0 => Visibility::Public,
+        1 => Visibility::Protected,
+        _ => Visibility::Private,
+    }
+}
+
+fn ty(word: u32) -> TyId {
+    TyId::from_index(word as usize)
+}
+
 /// A borrowed view of one method in the API's flat tables. Each accessor
 /// reads only what it returns, so asking for a return type does not
 /// touch the name arena. Views of two different APIs compare by content
@@ -130,7 +196,7 @@ pub struct FieldDef {
 #[derive(Clone, Copy)]
 pub struct MethodView<'a> {
     tables: &'a Tables,
-    rec: &'a MethodRec,
+    rec: &'a MethodRecord,
     index: usize,
 }
 
@@ -138,13 +204,13 @@ impl<'a> MethodView<'a> {
     /// Method name; `"<init>"` for constructors.
     #[must_use]
     pub fn name(&self) -> &'a str {
-        self.tables.names.get(self.rec.name)
+        self.tables.names.get(self.rec[NAME])
     }
 
     /// Declaring class or interface.
     #[must_use]
     pub fn declaring(&self) -> TyId {
-        self.rec.declaring
+        ty(self.rec[DECLARING])
     }
 
     /// Parameter types in order.
@@ -158,8 +224,8 @@ impl<'a> MethodView<'a> {
     /// no entries when the stub named none).
     pub fn param_names(&self) -> impl ExactSizeIterator<Item = Option<&'a str>> + 'a {
         let names = &self.tables.names;
-        let syms = &self.tables.param_names[self.tables.spans(self.index).1];
-        syms.iter().map(move |s| s.map(|sym| names.get(sym)))
+        let ids = &self.tables.param_names[self.tables.spans(self.index).1];
+        ids.iter().map(move |&id| (id != UNNAMED).then(|| names.get(id)))
     }
 
     /// The declared name of parameter `i`, if the stub gave one.
@@ -172,31 +238,31 @@ impl<'a> MethodView<'a> {
     /// constructors).
     #[must_use]
     pub fn ret(&self) -> TyId {
-        self.rec.ret
+        ty(self.rec[TYPE])
     }
 
     /// Visibility.
     #[must_use]
     pub fn visibility(&self) -> Visibility {
-        self.rec.visibility
+        visibility(self.rec[METHOD_FLAGS])
     }
 
     /// Whether the method is `static`.
     #[must_use]
     pub fn is_static(&self) -> bool {
-        self.rec.is_static
+        self.rec[METHOD_FLAGS] & STATIC != 0
     }
 
     /// Whether this is a constructor.
     #[must_use]
     pub fn is_constructor(&self) -> bool {
-        self.rec.is_constructor
+        self.rec[METHOD_FLAGS] & CONSTRUCTOR != 0
     }
 
     /// Constructors and static methods need no receiver.
     #[must_use]
     pub fn needs_receiver(&self) -> bool {
-        !self.rec.is_static && !self.rec.is_constructor
+        self.rec[METHOD_FLAGS] & (STATIC | CONSTRUCTOR) == 0
     }
 }
 
@@ -234,38 +300,38 @@ impl std::fmt::Debug for MethodView<'_> {
 #[derive(Clone, Copy)]
 pub struct FieldView<'a> {
     names: &'a NameArena,
-    rec: &'a FieldRec,
+    rec: &'a FieldRecord,
 }
 
 impl<'a> FieldView<'a> {
     /// Field name.
     #[must_use]
     pub fn name(&self) -> &'a str {
-        self.names.get(self.rec.name)
+        self.names.get(self.rec[NAME])
     }
 
     /// Declaring class or interface.
     #[must_use]
     pub fn declaring(&self) -> TyId {
-        self.rec.declaring
+        ty(self.rec[DECLARING])
     }
 
     /// Field type.
     #[must_use]
     pub fn ty(&self) -> TyId {
-        self.rec.ty
+        ty(self.rec[TYPE])
     }
 
     /// Visibility.
     #[must_use]
     pub fn visibility(&self) -> Visibility {
-        self.rec.visibility
+        visibility(self.rec[FIELD_FLAGS])
     }
 
     /// Whether the field is `static`.
     #[must_use]
     pub fn is_static(&self) -> bool {
-        self.rec.is_static
+        self.rec[FIELD_FLAGS] & STATIC != 0
     }
 }
 
@@ -293,53 +359,44 @@ impl std::fmt::Debug for FieldView<'_> {
     }
 }
 
-/// One method's fixed-size record. Its parameters and parameter names
-/// are the slices of the shared arrays that end at `params_end` and
-/// `names_end` and start where the previous method's end.
-#[derive(Clone, Copy, Debug)]
-struct MethodRec {
-    name: Sym,
-    declaring: TyId,
-    ret: TyId,
-    params_end: u32,
-    names_end: u32,
-    visibility: Visibility,
-    is_static: bool,
-    is_constructor: bool,
+/// An API's member arrays in the form [`Api::from_slabs`] takes them,
+/// with every name re-issued by the caller's string pool: what a
+/// snapshot writer stores.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MemberArrays {
+    /// One record per method, in id order.
+    pub methods: Vec<MethodRecord>,
+    /// Every method's parameter types, method after method.
+    pub params: Vec<TyId>,
+    /// Every method's parameter name ids, method after method.
+    pub param_names: Vec<u32>,
+    /// One record per field, in id order.
+    pub fields: Vec<FieldRecord>,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct FieldRec {
-    name: Sym,
-    declaring: TyId,
-    ty: TyId,
-    visibility: Visibility,
-    is_static: bool,
-}
-
-/// The member tables themselves, shared by [`Api`] and the bulk-load
-/// path ([`MemberTables`]).
+/// The member tables themselves.
 #[derive(Clone, Debug, Default)]
 struct Tables {
-    /// Member and parameter names.
+    /// Member and parameter names (a loaded API's: the whole string
+    /// pool).
     names: NameArena,
-    methods: Vec<MethodRec>,
+    methods: Slab<MethodRecord>,
     /// Every method's parameter types, method after method.
-    params: Vec<TyId>,
-    /// Every method's declared parameter names, method after method.
-    param_names: Vec<Option<Sym>>,
-    fields: Vec<FieldRec>,
+    params: Slab<TyId>,
+    /// Every method's parameter name ids, method after method.
+    param_names: Slab<u32>,
+    fields: Slab<FieldRecord>,
 }
 
 impl Tables {
     /// Method `i`'s slices of the parameter and parameter-name arrays.
     fn spans(&self, i: usize) -> (Range<usize>, Range<usize>) {
         let (params_start, names_start) = match i.checked_sub(1) {
-            Some(prev) => (self.methods[prev].params_end, self.methods[prev].names_end),
+            Some(prev) => (self.methods[prev][PARAMS_END], self.methods[prev][NAMES_END]),
             None => (0, 0),
         };
         let m = &self.methods[i];
-        (params_start as usize..m.params_end as usize, names_start as usize..m.names_end as usize)
+        (params_start as usize..m[PARAMS_END] as usize, names_start as usize..m[NAMES_END] as usize)
     }
 
     fn method(&self, id: MethodId) -> MethodView<'_> {
@@ -350,42 +407,20 @@ impl Tables {
         FieldView { names: &self.names, rec: &self.fields[id.index()] }
     }
 
-    fn push_method(&mut self, m: &RawMethod<'_>) -> MethodId {
-        let id = MethodId(u32::try_from(self.methods.len()).expect("method arena overflow"));
-        let end = |n: usize| u32::try_from(n).expect("member table exceeds u32 range");
-        self.params.extend_from_slice(m.params);
-        self.param_names.extend_from_slice(m.param_names);
-        self.methods.push(MethodRec {
-            name: m.name,
-            declaring: m.declaring,
-            ret: m.ret,
-            params_end: end(self.params.len()),
-            names_end: end(self.param_names.len()),
-            visibility: m.visibility,
-            is_static: m.is_static,
-            is_constructor: m.is_constructor,
-        });
-        id
-    }
-
-    fn push_field(&mut self, f: &RawField) -> FieldId {
-        let id = FieldId(u32::try_from(self.fields.len()).expect("field arena overflow"));
-        self.fields.push(FieldRec {
-            name: f.name,
-            declaring: f.declaring,
-            ty: f.ty,
-            visibility: f.visibility,
-            is_static: f.is_static,
-        });
-        id
+    fn is_borrowed(&self) -> bool {
+        self.names.is_borrowed()
+            && self.methods.is_borrowed()
+            && self.params.is_borrowed()
+            && self.param_names.is_borrowed()
+            && self.fields.is_borrowed()
     }
 
     fn approx_bytes(&self) -> usize {
         self.names.approx_bytes()
-            + self.methods.capacity() * std::mem::size_of::<MethodRec>()
-            + self.params.capacity() * 4
-            + self.param_names.capacity() * std::mem::size_of::<Option<Sym>>()
-            + self.fields.capacity() * std::mem::size_of::<FieldRec>()
+            + std::mem::size_of_val(self.methods.as_slice())
+            + std::mem::size_of_val(self.params.as_slice())
+            + std::mem::size_of_val(self.param_names.as_slice())
+            + std::mem::size_of_val(self.fields.as_slice())
     }
 }
 
@@ -458,87 +493,17 @@ impl<Id: Copy> ByClass<Id> {
         ByClass { starts, ids }
     }
 
+    /// Every class with two or more members, and those members.
+    fn crowded(&self) -> impl Iterator<Item = (TyId, &[Id])> + '_ {
+        self.starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, w)| w[1] - w[0] >= 2)
+            .map(|(t, w)| (TyId::from_index(t), &self.ids[w[0] as usize..w[1] as usize]))
+    }
+
     fn approx_bytes(&self) -> usize {
         self.starts.capacity() * 4 + self.ids.capacity() * std::mem::size_of::<Id>()
-    }
-}
-
-/// One method as a bulk loader hands it to [`MemberTables::push_method`]:
-/// names are symbols from [`MemberTables::push_name`].
-#[derive(Clone, Copy, Debug)]
-pub struct RawMethod<'a> {
-    /// Method name.
-    pub name: Sym,
-    /// Declaring class or interface.
-    pub declaring: TyId,
-    /// Parameter types in order.
-    pub params: &'a [TyId],
-    /// Declared parameter names.
-    pub param_names: &'a [Option<Sym>],
-    /// Return type.
-    pub ret: TyId,
-    /// Visibility.
-    pub visibility: Visibility,
-    /// Whether the method is `static`.
-    pub is_static: bool,
-    /// Whether this is a constructor.
-    pub is_constructor: bool,
-}
-
-/// One field as a bulk loader hands it to [`MemberTables::push_field`].
-#[derive(Clone, Copy, Debug)]
-pub struct RawField {
-    /// Field name.
-    pub name: Sym,
-    /// Declaring class or interface.
-    pub declaring: TyId,
-    /// Field type.
-    pub ty: TyId,
-    /// Visibility.
-    pub visibility: Visibility,
-    /// Whether the field is `static`.
-    pub is_static: bool,
-}
-
-/// Member tables filled in bulk, unchecked, by a loader that knows the
-/// counts up front (the snapshot decoders); [`Api::from_tables`] then
-/// validates everything [`Api::add_method`]/[`Api::add_field`] would and
-/// builds the per-type index in one pass.
-#[derive(Debug, Default)]
-pub struct MemberTables(Tables);
-
-impl MemberTables {
-    /// Empty tables with room for `methods` methods, `fields` fields,
-    /// and `name_bytes` bytes of names.
-    #[must_use]
-    pub fn with_capacity(methods: usize, fields: usize, name_bytes: usize) -> Self {
-        MemberTables(Tables {
-            names: NameArena::with_capacity(methods + fields, name_bytes),
-            methods: Vec::with_capacity(methods),
-            fields: Vec::with_capacity(fields),
-            ..Tables::default()
-        })
-    }
-
-    /// Stores a member or parameter name, returning its symbol. Never
-    /// deduplicates: a loader reuses the symbol for text it has seen.
-    pub fn push_name(&mut self, name: &str) -> Sym {
-        self.0.names.push(name)
-    }
-
-    /// Room for `n` more fields.
-    pub fn reserve_fields(&mut self, n: usize) {
-        self.0.fields.reserve(n);
-    }
-
-    /// Appends a method; its id is the number of methods pushed before.
-    pub fn push_method(&mut self, m: &RawMethod<'_>) -> MethodId {
-        self.0.push_method(m)
-    }
-
-    /// Appends a field; its id is the number of fields pushed before.
-    pub fn push_field(&mut self, f: &RawField) -> FieldId {
-        self.0.push_field(f)
     }
 }
 
@@ -605,6 +570,13 @@ fn check_field<'n>(
     Ok(())
 }
 
+/// The name of a signature `sigs` holds twice, if any: sorting puts
+/// repeats next to each other.
+fn first_repeat<'a>(sigs: &mut [(&'a [u8], &'a [TyId])]) -> Option<&'a [u8]> {
+    sigs.sort_unstable();
+    sigs.windows(2).find(|w| w[0] == w[1]).map(|w| w[0].0)
+}
+
 fn duplicate(types: &TypeTable, declaring: TyId, name: &str) -> ApiError {
     ApiError::DuplicateMember { member: format!("{}.{name}", types.display(declaring)) }
 }
@@ -627,92 +599,135 @@ impl Api {
         }
     }
 
-    /// Assembles an API from bulk-loaded member tables, checking every
-    /// member exactly as [`Api::add_method`]/[`Api::add_field`] would,
-    /// and builds the per-type index in one pass.
+    /// Assembles an API from stored member arrays — the zero-copy
+    /// snapshot load: `names` is the string pool the name ids point into,
+    /// and the arrays stay wherever they live (borrowed from a snapshot
+    /// buffer, or owned). Checks every member exactly as
+    /// [`Api::add_method`]/[`Api::add_field`] would, then builds the
+    /// per-type index.
     ///
     /// # Errors
     ///
     /// [`ApiError::InvalidMember`] for an out-of-range type or name
-    /// reference, a member on a non-class type, or a void/null
-    /// parameter or field type; [`ApiError::DuplicateMember`] for a
-    /// repeated signature on one class.
-    pub fn from_tables(types: TypeTable, tables: MemberTables) -> Result<Api, ApiError> {
-        let members = tables.0;
-        let (type_count, name_count) = (types.len(), members.names.len());
-        let check_ty = |id: TyId| {
-            if id.index() < type_count {
-                Ok(())
-            } else {
-                Err(ApiError::InvalidMember {
-                    detail: format!("type reference {} out of range ({type_count} types)", id.index()),
-                })
+    /// reference, unknown flag bits, end offsets that decrease or overrun
+    /// their array, a member on a non-class type, or a void/null parameter
+    /// or field type; [`ApiError::DuplicateMember`] for a repeated
+    /// signature on one class (names compared by text).
+    pub fn from_slabs(
+        types: TypeTable,
+        names: NameArena,
+        methods: Slab<MethodRecord>,
+        params: Slab<TyId>,
+        param_names: Slab<u32>,
+        fields: Slab<FieldRecord>,
+    ) -> Result<Api, ApiError> {
+        let (type_count, name_count) = (types.len(), names.len());
+        let invalid = |detail: String| ApiError::InvalidMember { detail };
+        let in_range = |word: u32, count: usize| (word as usize) < count;
+        // The words every member record shares: name, two types, flags.
+        let check_record = |what: &str, i: usize, rec: [u32; 4], allowed: u32| {
+            let [name, declaring, ty, flags] = rec;
+            if !in_range(name, name_count) {
+                let detail = format!("{what} {i}'s name {name} out of range ({name_count} names)");
+                return Err(invalid(detail));
             }
+            if let Some(t) = [declaring, ty].into_iter().find(|&t| !in_range(t, type_count)) {
+                return Err(invalid(format!("{what} {i} references type {t} ({type_count} types)")));
+            }
+            if flags & !allowed != 0 || flags & VISIBILITY == VISIBILITY {
+                return Err(invalid(format!("{what} {i} has unknown flags {flags:#x}")));
+            }
+            Ok(())
         };
-        let check_sym = |sym: Sym| {
-            if sym.index() < name_count {
-                Ok(())
-            } else {
-                Err(ApiError::InvalidMember {
-                    detail: format!("name symbol {} out of range ({name_count} names)", sym.index()),
-                })
-            }
-        };
-        for (i, m) in members.methods.iter().enumerate() {
-            let (params, names) = members.spans(i);
-            check_sym(m.name)?;
-            for &sym in members.param_names[names].iter().flatten() {
-                check_sym(sym)?;
-            }
-            check_ty(m.declaring)?;
-            check_ty(m.ret)?;
-            let params = &members.params[params];
-            for &p in params {
-                check_ty(p)?;
-            }
-            check_method(&types, || members.names.get(m.name), m.declaring, params)?;
+        if let Some(p) = params.iter().find(|p| p.index() >= type_count) {
+            let p = p.index();
+            return Err(invalid(format!("parameter type {p} out of range ({type_count} types)")));
         }
-        for f in &members.fields {
-            check_sym(f.name)?;
-            check_ty(f.declaring)?;
-            check_ty(f.ty)?;
-            check_field(&types, || members.names.get(f.name), f.declaring, f.ty)?;
+        if let Some(&n) = param_names.iter().find(|&&n| n != UNNAMED && !in_range(n, name_count)) {
+            return Err(invalid(format!("parameter name {n} out of range ({name_count} names)")));
         }
-        let methods_by_class =
-            ByClass::build(type_count, members.methods.iter().map(|m| m.declaring), MethodId::from_index);
-        let fields_by_class =
-            ByClass::build(type_count, members.fields.iter().map(|f| f.declaring), FieldId::from_index);
+        let (mut params_start, mut names_start) = (0, 0);
+        for (i, m) in methods.iter().enumerate() {
+            let (params_end, names_end) = (m[PARAMS_END] as usize, m[NAMES_END] as usize);
+            if !(params_start..=params.len()).contains(&params_end)
+                || !(names_start..=param_names.len()).contains(&names_end)
+            {
+                return Err(invalid(format!("method {i}'s end offsets decrease or overrun")));
+            }
+            let rec = [m[NAME], m[DECLARING], m[TYPE], m[METHOD_FLAGS]];
+            check_record("method", i, rec, VISIBILITY | STATIC | CONSTRUCTOR)?;
+            let params = &params[params_start..params_end];
+            check_method(&types, || names.get(m[NAME]), ty(m[DECLARING]), params)?;
+            (params_start, names_start) = (params_end, names_end);
+        }
+        if params_start != params.len() || names_start != param_names.len() {
+            return Err(invalid("the last method's end offsets leave entries unowned".to_owned()));
+        }
+        for (i, f) in fields.iter().enumerate() {
+            let rec = [f[NAME], f[DECLARING], f[TYPE], f[FIELD_FLAGS]];
+            check_record("field", i, rec, VISIBILITY | STATIC)?;
+            check_field(&types, || names.get(f[NAME]), ty(f[DECLARING]), ty(f[TYPE]))?;
+        }
+        let method_classes = methods.iter().map(|m| ty(m[DECLARING]));
+        let methods_by_class = ByClass::build(type_count, method_classes, MethodId::from_index);
+        let field_classes = fields.iter().map(|f| ty(f[DECLARING]));
+        let fields_by_class = ByClass::build(type_count, field_classes, FieldId::from_index);
+        let members = Tables { names, methods, params, param_names, fields };
         let api = Api { types, members, methods_by_class, fields_by_class };
         api.check_no_duplicates()?;
         Ok(api)
     }
 
-    /// Rejects a repeated signature on any class: each class's members
-    /// are sorted by signature, so duplicates end up adjacent.
+    /// Rejects a repeated signature on any class. Names compare as
+    /// bytes, which is comparing them as text.
     fn check_no_duplicates(&self) -> Result<(), ApiError> {
-        let mut methods = Vec::new();
-        let mut fields = Vec::new();
-        for class in self.types.ids() {
-            if self.methods_of(class).len() + self.fields_of(class).len() < 2 {
-                continue;
-            }
-            methods.clear();
-            methods.extend(self.methods_of(class).iter().map(|&m| {
-                let m = self.method(m);
-                (m.name(), m.params())
+        let t = &self.members;
+        let mut sigs = Vec::new();
+        for (class, ids) in self.methods_by_class.crowded() {
+            sigs.clear();
+            sigs.extend(ids.iter().map(|&m| {
+                (t.names.bytes(t.methods[m.index()][NAME]), &t.params[t.spans(m.index()).0])
             }));
-            methods.sort_unstable();
-            if let Some(w) = methods.windows(2).find(|w| w[0] == w[1]) {
-                return Err(duplicate(&self.types, class, w[0].0));
+            if let Some(name) = first_repeat(&mut sigs) {
+                return Err(duplicate(&self.types, class, &String::from_utf8_lossy(name)));
             }
-            fields.clear();
-            fields.extend(self.fields_of(class).iter().map(|&f| self.field(f).name()));
-            fields.sort_unstable();
-            if let Some(w) = fields.windows(2).find(|w| w[0] == w[1]) {
-                return Err(duplicate(&self.types, class, w[0]));
+        }
+        for (class, ids) in self.fields_by_class.crowded() {
+            sigs.clear();
+            sigs.extend(ids.iter().map(|&f| (t.names.bytes(t.fields[f.index()][NAME]), &[][..])));
+            if let Some(name) = first_repeat(&mut sigs) {
+                return Err(duplicate(&self.types, class, &String::from_utf8_lossy(name)));
             }
         }
         Ok(())
+    }
+
+    /// The member arrays with every name re-issued through `intern` (a
+    /// snapshot writer's string pool).
+    pub fn members_to_arrays(&self, mut intern: impl FnMut(&str) -> u32) -> MemberArrays {
+        let t = &self.members;
+        let mut name = |id: u32| if id == UNNAMED { UNNAMED } else { intern(t.names.get(id)) };
+        let methods = t.methods.iter().map(|m| {
+            let mut m = *m;
+            m[NAME] = name(m[NAME]);
+            m
+        });
+        let methods = methods.collect();
+        let param_names = t.param_names.iter().map(|&id| name(id)).collect();
+        let fields = t.fields.iter().map(|f| {
+            let mut f = *f;
+            f[NAME] = name(f[NAME]);
+            f
+        });
+        let fields = fields.collect();
+        MemberArrays { methods, params: t.params.to_vec(), param_names, fields }
+    }
+
+    /// Whether the type table and every member array borrow from a
+    /// snapshot buffer (a loaded API no mutation has copied).
+    #[must_use]
+    pub fn is_borrowed(&self) -> bool {
+        self.types.is_borrowed() && self.members.is_borrowed()
     }
 
     /// The underlying type table.
@@ -761,19 +776,23 @@ impl Api {
             return Err(duplicate(&self.types, def.declaring, &def.name));
         }
         let t = &mut self.members;
+        let id = MethodId(u32::try_from(t.methods.len()).expect("method arena overflow"));
+        let end = |n: usize| u32::try_from(n).expect("member table exceeds u32 range");
         let name = t.names.push(&def.name);
-        let param_names: Vec<Option<Sym>> =
-            def.param_names.iter().map(|n| n.as_deref().map(|n| t.names.push(n))).collect();
-        let id = t.push_method(&RawMethod {
+        for n in &def.param_names {
+            let n = n.as_deref().map_or(UNNAMED, |n| t.names.push(n));
+            t.param_names.make_mut().push(n);
+        }
+        t.params.make_mut().extend_from_slice(&def.params);
+        let rec = [
             name,
-            declaring: def.declaring,
-            params: &def.params,
-            param_names: &param_names,
-            ret: def.ret,
-            visibility: def.visibility,
-            is_static: def.is_static,
-            is_constructor: def.is_constructor,
-        });
+            def.declaring.index() as u32,
+            def.ret.index() as u32,
+            end(t.params.len()),
+            end(t.param_names.len()),
+            flags(def.visibility, def.is_static, def.is_constructor),
+        ];
+        t.methods.make_mut().push(rec);
         self.methods_by_class.push(def.declaring, id);
         Ok(id)
     }
@@ -788,14 +807,12 @@ impl Api {
         if self.fields_of(def.declaring).iter().any(|&f| self.field(f).name() == def.name) {
             return Err(duplicate(&self.types, def.declaring, &def.name));
         }
-        let name = self.members.names.push(&def.name);
-        let id = self.members.push_field(&RawField {
-            name,
-            declaring: def.declaring,
-            ty: def.ty,
-            visibility: def.visibility,
-            is_static: def.is_static,
-        });
+        let t = &mut self.members;
+        let id = FieldId(u32::try_from(t.fields.len()).expect("field arena overflow"));
+        let name = t.names.push(&def.name);
+        let flags = flags(def.visibility, def.is_static, false);
+        let rec = [name, def.declaring.index() as u32, def.ty.index() as u32, flags];
+        t.fields.make_mut().push(rec);
         self.fields_by_class.push(def.declaring, id);
         Ok(id)
     }
@@ -846,8 +863,8 @@ impl Api {
         self.fields_by_class.of(class)
     }
 
-    /// Heap bytes held by the API: the type table, the member tables,
-    /// and the per-type indexes.
+    /// Bytes held by the API: the type table, the member arrays (owned
+    /// or borrowed), and the per-type indexes.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
         self.types.approx_bytes()
@@ -1202,67 +1219,77 @@ mod tests {
         assert_eq!(targets.len(), 2);
     }
 
-    fn raw(name: Sym, declaring: TyId, ret: TyId) -> RawMethod<'static> {
-        RawMethod {
-            name,
-            declaring,
-            params: &[],
-            param_names: &[],
-            ret,
-            visibility: Visibility::Public,
-            is_static: false,
-            is_constructor: false,
-        }
+    /// `api`'s members stored and loaded back, after `edit` tampers with
+    /// the arrays.
+    fn reload(
+        api: &Api,
+        edit: impl FnOnce(&mut NameArena, &mut MemberArrays),
+    ) -> Result<Api, ApiError> {
+        let mut names = NameArena::default();
+        let mut a = api.members_to_arrays(|s| names.push(s));
+        edit(&mut names, &mut a);
+        Api::from_slabs(
+            api.types().clone(),
+            names,
+            Slab::from_vec(a.methods),
+            Slab::from_vec(a.params),
+            Slab::from_vec(a.param_names),
+            Slab::from_vec(a.fields),
+        )
     }
 
     #[test]
-    fn bulk_tables_are_checked_like_single_adds() {
-        let (api, reader, buffered, string) = tiny_api();
-        let types = api.types().clone();
-
-        let mut ok = MemberTables::with_capacity(2, 1, 0);
-        let read = ok.push_name("read");
-        ok.push_method(&raw(read, buffered, string));
-        let read_again = ok.push_name("read");
-        ok.push_method(&raw(read_again, reader, string));
-        let field = ok.push_name("lock");
-        ok.push_field(&RawField {
-            name: field,
+    fn stored_members_are_checked_like_single_adds() {
+        let (mut api, reader, buffered, string) = tiny_api();
+        api.add_method(MethodDef {
+            name: "read".into(),
+            declaring: buffered,
+            params: vec![reader, string],
+            param_names: vec![None, Some("in".into())],
+            ret: string,
+            visibility: Visibility::Protected,
+            is_static: true,
+            is_constructor: false,
+        })
+        .unwrap();
+        api.add_method(inst("close", reader, vec![], string)).unwrap();
+        api.add_method(inst("open", reader, vec![], string)).unwrap();
+        api.add_field(FieldDef {
+            name: "lock".into(),
             declaring: reader,
             ty: string,
-            visibility: Visibility::Public,
-            is_static: false,
-        });
-        let loaded = Api::from_tables(types.clone(), ok).unwrap();
+            visibility: Visibility::Private,
+            is_static: true,
+        })
+        .unwrap();
+        let loaded = reload(&api, |_, _| {}).unwrap();
+        for m in api.method_ids() {
+            assert_eq!(loaded.method(m), api.method(m));
+        }
+        assert_eq!(loaded.field(FieldId(0)), api.field(FieldId(0)));
         assert_eq!(loaded.methods_of(buffered), [MethodId(0)]);
-        assert_eq!(loaded.methods_of(reader), [MethodId(1)]);
-        assert_eq!(loaded.field(FieldId(0)).name(), "lock");
+        assert_eq!(loaded.methods_of(reader), [MethodId(1), MethodId(2)]);
 
-        // Same name and parameters on one class, under distinct symbols.
-        let mut dup = MemberTables::default();
-        let a = dup.push_name("read");
-        let b = dup.push_name("read");
-        dup.push_method(&raw(a, buffered, string));
-        dup.push_method(&raw(b, buffered, string));
-        assert!(matches!(
-            Api::from_tables(types.clone(), dup),
-            Err(ApiError::DuplicateMember { .. })
-        ));
-
-        // A symbol issued by a larger arena, and a type past the table.
-        let mut other = MemberTables::default();
-        let foreign = (0..5).map(|_| other.push_name("x")).last().unwrap();
-        let mut bad_sym = MemberTables::default();
-        bad_sym.push_name("only");
-        bad_sym.push_method(&raw(foreign, buffered, string));
-        assert!(matches!(
-            Api::from_tables(types.clone(), bad_sym),
-            Err(ApiError::InvalidMember { .. })
-        ));
-        let mut bad_ty = MemberTables::default();
-        let name = bad_ty.push_name("m");
-        bad_ty.push_method(&raw(name, TyId::from_index(types.len()), string));
-        assert!(matches!(Api::from_tables(types, bad_ty), Err(ApiError::InvalidMember { .. })));
+        type Edit = fn(&mut NameArena, &mut MemberArrays);
+        let edits: [(&str, Edit); 11] = [
+            ("name id", |n, a| a.methods[0][NAME] = n.len() as u32),
+            ("parameter name id", |n, a| a.param_names[1] = n.len() as u32),
+            ("declaring type", |_, a| a.methods[0][DECLARING] = 99),
+            ("declared on a primitive", |_, a| a.methods[0][DECLARING] = 4),
+            ("void parameter", |_, a| a.params[0] = TyId::from_index(0)),
+            ("unknown flag", |_, a| a.methods[0][METHOD_FLAGS] |= 1 << 7),
+            ("fourth visibility", |_, a| a.fields[0][FIELD_FLAGS] = VISIBILITY),
+            ("decreasing end", |_, a| a.methods[1][PARAMS_END] = 1),
+            ("overrunning end", |_, a| a.methods[2][NAMES_END] = 3),
+            ("null field", |_, a| a.fields[0][TYPE] = 1),
+            ("field type", |_, a| a.fields[0][TYPE] = 99),
+        ];
+        for (why, edit) in edits {
+            assert!(matches!(reload(&api, edit), Err(ApiError::InvalidMember { .. })), "{why}");
+        }
+        // `open` renamed to a second `close`, spelled through another id.
+        let dup = reload(&api, |n, a| a.methods[2][NAME] = n.push("close"));
+        assert!(matches!(dup, Err(ApiError::DuplicateMember { .. })));
     }
 
     #[test]

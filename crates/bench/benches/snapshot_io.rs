@@ -12,7 +12,8 @@
 //! The `synth` row warm-starts a seeded synthetic jungle (10^5 bulk
 //! types; 10^4 in quick mode) the way a server does — mmap, validate,
 //! decode — each round in a fresh child process so the RSS delta counts
-//! only the load. It records the time of each load phase, the first
+//! only the load. Each child asserts that the load left the type and
+//! member tables and the CSR borrowed from the mapping. It records the time of each load phase, the first
 //! `resolve` after the load, the RSS delta next to the registry's
 //! `engine_bytes` estimate, and how long dropping the engine takes
 //! (medians over the rounds).
@@ -89,6 +90,10 @@ fn synth_child(path: &str) {
     let start = Instant::now();
     let mapped = prospector_store::MappedSnapshot::map(Path::new(path)).expect("snapshot maps");
     let (snap, phases) = mapped.thaw_timed().expect("snapshot thaws");
+    if cfg!(target_endian = "little") {
+        assert!(snap.api.is_borrowed(), "a mapped load must borrow the type and member arrays");
+        assert!(snap.graph.csr().is_borrowed(), "a mapped load must borrow the CSR");
+    }
     let engine = Prospector::from_parts(snap.api, snap.graph);
     let load_us = start.elapsed().as_micros() as u64;
     let rss_after = rss_bytes();

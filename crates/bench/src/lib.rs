@@ -9,6 +9,8 @@
 //! intentionally absent — the benches here are reproduction reports, not
 //! CI gates.
 
+#![deny(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Top-level handle, mirroring `criterion::Criterion`.

@@ -5,6 +5,8 @@
 //! (bind port 0, issue real `TcpStream` requests, flip the shutdown
 //! flag, and assert the loop returns with every worker joined).
 
+#![deny(unsafe_code)]
+
 pub mod http;
 pub mod poller;
 pub mod serve;

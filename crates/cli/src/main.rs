@@ -918,7 +918,7 @@ fn index_inspect(path: &str, layout: bool) -> Result<(), String> {
     println!("  graph epoch:   {}", snap.graph.epoch());
     println!(
         "  snapshot mode: {}",
-        if mappable { "mmap-capable (v2, 8-aligned sections)" } else { "owned-only" }
+        if mappable { "mmap-capable (8-aligned sections)" } else { "owned-only" }
     );
     for s in &m.sections {
         // The framing check makes every payload 8-aligned; the flag is

@@ -35,7 +35,7 @@
 //! `idle_since`, never touches the wheel.
 //!
 //! The raw `epoll`/`eventfd` syscall wrappers mirror the mmap shim in
-//! `prospector-core`'s `slab::sys`: Linux/x86_64 inline-assembly
+//! `jungloid-typesys`' `slab::sys`: Linux/x86_64 inline-assembly
 //! syscalls, no libc. This is the only serve core, so serving is
 //! Linux/x86_64-only (DESIGN §15); everywhere else `serve` exits with
 //! the stub's error.
@@ -55,6 +55,7 @@ pub(crate) fn serve_epoll(
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
 mod imp {
     use std::collections::{HashMap, VecDeque};
     use std::io::{Read, Write};
@@ -740,7 +741,7 @@ mod imp {
     }
 
     /// Raw `epoll(7)` / `eventfd(2)` syscall wrappers — std-only, no
-    /// libc, in the style of `prospector-core`'s `slab::sys` mmap shim.
+    /// libc, in the style of `jungloid-typesys`' `slab::sys` mmap shim.
     /// Errors are `-errno` returns surfaced as positive errno values.
     mod sys {
         const SYS_READ: usize = 0;

@@ -1458,9 +1458,13 @@ fn percent_decode(value: &str) -> String {
                 i += 1;
             }
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3).and_then(|h| {
-                    u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()
-                });
+                // Only `%` plus two ASCII hex digits is an escape; a
+                // sign (`%+A`) or anything else passes through.
+                let digit = |b: u8| char::from(b).to_digit(16);
+                let hex = match bytes.get(i + 1..i + 3) {
+                    Some(&[hi, lo]) => digit(hi).zip(digit(lo)).map(|(h, l)| (h << 4 | l) as u8),
+                    _ => None,
+                };
                 match hex {
                     Some(b) => {
                         out.push(b);
@@ -1492,6 +1496,10 @@ mod tests {
         assert_eq!(percent_decode("a+b"), "a b");
         assert_eq!(percent_decode("bad%zz"), "bad%zz");
         assert_eq!(percent_decode("trail%2"), "trail%2");
+        // A sign is not a hex digit: `%+A` is not a newline, `%+0` not NUL.
+        assert_eq!(percent_decode("%+A"), "% A");
+        assert_eq!(percent_decode("%+0"), "% 0");
+        assert_eq!(percent_decode("%-1"), "%-1");
     }
 
     #[test]

@@ -353,7 +353,7 @@ fn binary_index_build_inspect_and_query() {
     let (stdout, stderr, ok) = prospector(&["index", "build", "-o", path_str]);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("wrote"), "{stdout}");
-    assert!(stdout.contains("snapshot format v2"), "{stdout}");
+    assert!(stdout.contains("snapshot format v3"), "{stdout}");
     assert!(stdout.contains("padding overhead:"), "{stdout}");
     for section in ["strings", "types", "members", "graph", "csr", "examples", "suffixes"] {
         assert!(stdout.contains(section), "section `{section}` missing from:\n{stdout}");
@@ -364,10 +364,10 @@ fn binary_index_build_inspect_and_query() {
 
     let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str]);
     assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("prospector snapshot, format v2"), "{stdout}");
+    assert!(stdout.contains("prospector snapshot, format v3"), "{stdout}");
     assert!(stdout.contains("crc32"), "{stdout}");
     assert!(stdout.contains("mined examples:"), "{stdout}");
-    // Every v2 payload is 8-byte aligned, so nothing is flagged.
+    // Every payload is 8-byte aligned, so nothing is flagged.
     assert!(!stdout.contains("UNALIGNED"), "{stdout}");
 
     let (stdout, stderr, ok) = prospector(&["index", "inspect", path_str, "--layout"]);

@@ -47,7 +47,7 @@ fn http_request(addr: std::net::SocketAddr, raw: &str) -> (String, String) {
     (status, body.to_owned())
 }
 
-/// Builds the bundled corpus once and saves it as a v2 `.pspk` under the
+/// Builds the bundled corpus once and saves it as a `.pspk` under the
 /// temp dir, returning the path (unique per test to allow parallelism).
 fn save_snapshot(tag: &str) -> std::path::PathBuf {
     let built = build(&BuildOptions::default()).expect("corpus builds");
@@ -216,7 +216,8 @@ fn tenants_admin_endpoints_and_labeled_metrics() {
         let info = doc.get("tenant").unwrap();
         assert_eq!(info.get("name").unwrap().as_str(), Some("alt"));
         assert_eq!(info.get("state").unwrap().as_str(), Some("ready"));
-        assert_eq!(info.get("format_version").unwrap().as_u64(), Some(2));
+        let version = u64::from(prospector_store::FORMAT_VERSION);
+        assert_eq!(info.get("format_version").unwrap().as_u64(), Some(version));
         assert_eq!(info.get("mode").unwrap().as_str(), Some("owned"));
 
         // Adding the same name twice is a 400, not a replace.

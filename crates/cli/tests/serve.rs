@@ -529,6 +529,9 @@ fn serve_status_logs_and_introspection() {
 /// a query of theirs landing between our load and our scrape resets the
 /// table. The nonemptiness assertions therefore retry the
 /// load-then-scrape cycle; JSON shape is asserted on every attempt.
+/// Every attempt also sends an `/assist`: our repeated `/query`s are
+/// answered from the result cache and record no heat, while an assist
+/// bypasses that cache and refills a reset table.
 #[test]
 fn serve_heat_analytics_and_profiler() {
     let registry = default_registry();
@@ -549,6 +552,8 @@ fn serve_heat_analytics_and_profiler() {
                 let (status, body) = http_get(addr, &format!("/query?tin={pair}"));
                 assert!(status.contains("200"), "{status}: {body}");
             }
+            let (status, body) = http_get(addr, "/assist?var=file:IFile&tout=ASTNode");
+            assert!(status.contains("200"), "{status}: {body}");
             let (status, body) = http_get(addr, "/heat?k=5");
             assert!(status.contains("200"), "{status}");
             let doc = Json::parse(&body).expect("heat is strict JSON");

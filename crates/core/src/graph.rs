@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
-use jungloid_typesys::TyId;
+use jungloid_typesys::{Slab, TyId};
 use prospector_obs::json::Json;
 
-use crate::slab::{ElemSeq, Slab};
+use crate::elems::ElemSeq;
 
 /// Process-global epoch source. Every graph *state* — a freshly built
 /// graph, a loaded snapshot, or the state after any mutation — gets a
@@ -130,7 +130,7 @@ impl GraphStats {
 ///
 /// Each array is a [`Slab`]: either owned (built in memory) or borrowed
 /// straight out of a format-v2 snapshot buffer
-/// ([`SnapshotBuf`](crate::slab::SnapshotBuf)), in which case loading
+/// ([`SnapshotBuf`](jungloid_typesys::SnapshotBuf)), in which case loading
 /// the graph copies no edge data at all. The
 /// elementary jungloids are an [`ElemSeq`]: owned structs when built,
 /// or the snapshot's packed 4×`u32` quads decoded on access.

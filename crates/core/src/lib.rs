@@ -58,9 +58,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod compose;
 pub mod dot;
+pub mod elems;
 pub mod engine;
 pub mod explain;
 pub mod generalize;
@@ -69,12 +72,12 @@ pub mod heat;
 pub mod path;
 pub mod rank;
 pub mod search;
-pub mod slab;
 pub mod synth;
 pub mod viability;
 
 pub use cache::{FlightLease, Lookup, ShardedLru, SingleflightCache};
 pub use compose::{compose, ComposeConfig, Composition};
+pub use elems::ElemSeq;
 pub use engine::{BatchEntry, Prospector, QueryError, QueryResult, QueryStats, Suggestion};
 pub use graph::{
     CsrAdjacency, Edge, ExampleError, GraphConfig, GraphStats, JungloidGraph, NodeId, SnapshotError,
@@ -85,6 +88,5 @@ pub use rank::{RankKey, RankOptions};
 pub use search::{
     DistanceField, SearchConfig, SearchOutcome, SearchScratch, TruncationReason,
 };
-pub use slab::{ElemSeq, Slab, SnapshotBuf};
 pub use synth::{synthesize, synthesize_statements, NamePool, Snippet};
 pub use viability::{Behavior, Outcome};

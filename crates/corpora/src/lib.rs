@@ -17,6 +17,8 @@
 //! assert!(result.suggestions[0].code.contains("parseCompilationUnit"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod behavior;
 pub mod client_gen;
 pub mod corpus_ext;

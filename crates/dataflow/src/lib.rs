@@ -30,6 +30,8 @@
 //! The output of [`mine::Miner::mine`] feeds
 //! `prospector_core::Prospector::add_examples`.
 
+#![deny(unsafe_code)]
+
 pub mod lower;
 pub mod mine;
 

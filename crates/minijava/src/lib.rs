@@ -35,6 +35,8 @@
 //! # Ok::<(), jungloid_minijava::parse::ParseError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod lex;
 pub mod parse;

@@ -354,9 +354,12 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Consume one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
+                    // SAFETY: `bytes` is a `&str`'s bytes and `pos` only
+                    // ever advances by whole scalars or ASCII bytes, so
+                    // `rest` starts on a char boundary of valid UTF-8.
+                    #[allow(unsafe_code)]
                     let s = unsafe { std::str::from_utf8_unchecked(rest) };
                     let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
                     out.push(c);

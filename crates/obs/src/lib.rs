@@ -54,6 +54,8 @@
 //! assert!(snap.stage("search").is_some());
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod hist;
 pub mod json;
 pub mod log;

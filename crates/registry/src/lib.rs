@@ -33,6 +33,8 @@
 //! empty cache stamped against a fresh epoch. Old cached results die
 //! with the old engine's `Arc`.
 
+#![deny(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +60,7 @@ pub enum EngineMode {
     Built,
     /// Decoded from a snapshot into owned storage.
     Owned,
-    /// Serving borrowed views out of an mmap'd v2 snapshot.
+    /// Serving borrowed views out of an mmap'd snapshot.
     Mapped,
 }
 

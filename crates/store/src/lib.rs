@@ -1,12 +1,12 @@
 //! `prospector-store`: the `.pspk` versioned binary snapshot format —
 //! the one format an engine is loaded from.
 //!
-//! A little-endian binary layout whose hot sections (forward+reverse
-//! CSR arrays, string pool, packed jungloid quads) are 8-byte-aligned
-//! slabs the loader *borrows directly* from one aligned read — or an
-//! mmap'd region via [`map_file`] — so a server warm-starts by
-//! validating checksums once and handing out views, with zero
-//! per-element copies and no graph construction, mining, or
+//! A little-endian binary layout whose tables (string pool, type and
+//! member records, forward+reverse CSR arrays, packed jungloid quads)
+//! are 8-byte-aligned slabs the loader *borrows directly* from one
+//! aligned read — or an mmap'd region via [`map_file`] — so a server
+//! warm-starts by validating checksums once and handing out views, with
+//! zero per-element copies and no graph construction, mining, or
 //! generalization. The CLI, `serve`, tenant (re)loads and the benchmarks
 //! all load through [`load_auto`]; no other module reads the format.
 //!
@@ -14,7 +14,7 @@
 //!
 //! - **Versioned.** Files open with the `PSPK` magic and a format
 //!   version; a build reads exactly its own version ([`FORMAT_VERSION`]).
-//!   Anything else — the retired v1 layout included — is a typed
+//!   Anything else — the retired v1 and v2 layouts included — is a typed
 //!   [`StoreError::UnsupportedVersion`], never a misparse, and a file
 //!   without the magic (such as an `index build --json` debug dump) is
 //!   [`StoreError::BadMagic`].
@@ -29,10 +29,13 @@
 //!   decoded so far — including one O(edges) scan over the packed quads
 //!   before any of them can be borrowed into the query hot path; all
 //!   damage maps to a [`StoreError`].
-//! - **Byte-identical warm start.** The loader rebuilds nothing: the
-//!   CSR arrays, mined nodes, and generalized suffixes round-trip
-//!   verbatim, so a reloaded engine answers queries identically to the
-//!   one that was saved.
+//! - **Byte-identical warm start.** The loader rebuilds nothing but two
+//!   indexes (type names, members per type): the API tables, CSR
+//!   arrays, mined nodes, and generalized suffixes round-trip verbatim,
+//!   so a reloaded engine answers queries identically to the one that
+//!   was saved.
+
+#![deny(unsafe_code)]
 
 mod crc32;
 mod error;

@@ -43,6 +43,13 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends little-endian `u32`s (caller wrote a count already).
+    pub fn u32s(&mut self, v: &[u32]) {
+        for &word in v {
+            self.u32(word);
+        }
+    }
+
     /// Appends raw bytes (caller wrote a length prefix already).
     pub fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);

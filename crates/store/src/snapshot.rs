@@ -1,7 +1,7 @@
 //! The `.pspk` section layout: encoding a mined engine to bytes and
 //! validating/decoding it back.
 //!
-//! # Format v2
+//! # Format v3
 //!
 //! All integers little-endian. The file header is 16 bytes:
 //!
@@ -20,10 +20,10 @@
 //! `pad = (8 - payload_len % 8) % 8`, so payload + padding is always a
 //! multiple of 8. Header (16) and frame (24) sizes are multiples of 8
 //! too, which makes **every payload start 8-byte-aligned in the file**.
-//! That alignment is the point of the format: the hot sections (CSR arrays,
-//! string pool, example quads) are flat little-endian arrays a loader can
-//! hand out as `&[u32]`/`&[u8]` views borrowed directly from one aligned
-//! read or an mmap'd region — validate the CRCs once, copy nothing. The
+//! That alignment is the point of the format: the string pool, the type
+//! and member tables and the CSR are flat little-endian arrays a loader
+//! can hand out as typed views borrowed directly from one aligned read or
+//! an mmap'd region — validate the CRCs once, copy nothing. The
 //! CRC32 covers tag bytes + payload (padding excluded); padding must be
 //! zero and is checked separately, so a flipped pad byte is a typed
 //! [`StoreError::Corrupt`] naming the section.
@@ -31,21 +31,29 @@
 //! | tag | section    | payload layout                                      |
 //! |-----|------------|-----------------------------------------------------|
 //! | 1   | `strings`  | count u64, (count+1)×u32 byte offsets, UTF-8 blob   |
-//! | 2   | `types`    | byte-wise records (cold; decoded into arenas)       |
-//! | 3   | `members`  | byte-wise records (cold; decoded into arenas)       |
+//! | 2   | `types`    | package, type and interface counts (3×u64); package |
+//! |     |            | name ids u32, 6×u32 type records, interface ids u32 |
+//! | 3   | `members`  | method, parameter, parameter-name and field counts  |
+//! |     |            | (4×u64); 6×u32 method records, parameter type ids   |
+//! |     |            | u32, parameter name ids u32, 4×u32 field records    |
 //! | 4   | `graph`    | byte-wise (config, counts, mined bases)             |
 //! | 5   | `csr`      | counts, offset/endpoint u32 arrays, packed 4×u32    |
 //! |     |            | jungloid quads, then the u8 cost arrays last        |
 //! | 6   | `examples` | seq/elem counts, (count+1)×u32 offsets, 4×u32 quads |
 //! | 7   | `suffixes` | same layout as `examples`                           |
 //!
-//! The loader reconstructs [`CsrAdjacency`] from section 5 as borrowed
-//! slabs — no rebuild, no per-element copies — and
-//! [`JungloidGraph::from_snapshot`] keeps the graph frozen on that CSR,
-//! so a warm-started engine is byte-identical to the one that was saved.
+//! Names in the `types` and `members` records are ids into the `strings`
+//! pool. The records are the in-memory ones, word for word
+//! ([`TypeRecord`](jungloid_typesys::TypeRecord),
+//! [`MethodRecord`](jungloid_apidef::MethodRecord),
+//! [`FieldRecord`](jungloid_apidef::FieldRecord)). The loader borrows the pool, the
+//! table arrays and the CSR as slabs — no rebuild, no per-element copies
+//! — and builds only the type-name and per-type member indexes;
+//! [`JungloidGraph::from_snapshot`] keeps the graph frozen on the CSR, so
+//! a warm-started engine is byte-identical to the one that was saved.
 //!
-//! v2 is the only format this build reads or writes. A file with any
-//! other version — the retired v1 layout included — is a typed
+//! v3 is the only format this build reads or writes. A file with any
+//! other version — the retired v1 and v2 layouts included — is a typed
 //! [`StoreError::UnsupportedVersion`]; there is no migration, because a
 //! snapshot is a cache of a deterministic build that `index build`
 //! regenerates.
@@ -55,12 +63,10 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use jungloid_apidef::{Api, ElemJungloid, InputSlot, MemberTables, RawField, RawMethod, Visibility};
-use jungloid_typesys::{
-    PackageId, Prim, RawSlot, RawSlotView, TyId, TypeError, TypeKind, TypeTable,
-};
+use jungloid_apidef::{Api, ElemJungloid, InputSlot, FIELD_RECORD_WORDS, METHOD_RECORD_WORDS};
+use jungloid_typesys::{NameArena, Plain, Slab, SnapshotBuf, TyId, TypeTable, TYPE_RECORD_WORDS};
+use prospector_core::elems::{decode_quad, encode_quad, ElemSeq};
 use prospector_core::graph::{CsrAdjacency, JungloidGraph, NodeId};
-use prospector_core::slab::{decode_quad, encode_quad, ElemSeq, Slab, SnapshotBuf};
 use prospector_core::GraphConfig;
 
 use crate::crc32::Crc32;
@@ -72,7 +78,7 @@ pub const MAGIC: [u8; 4] = *b"PSPK";
 
 /// The one format version this build reads and writes; any other is
 /// [`StoreError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// `(tag, name)` of every section, in file order.
 const SECTIONS: [(u32, &str); 7] = [
@@ -151,91 +157,32 @@ impl StringPool {
     }
 }
 
+/// Types: package, type and interface counts, then the three arrays
+/// as [`TypeTable::from_slabs`] takes them back.
 fn encode_types(types: &TypeTable, pool: &mut StringPool) -> Vec<u8> {
+    let a = types.to_arrays(|s| pool.intern(s));
     let mut w = Writer::new();
-    w.index(types.package_names().len());
-    for p in types.package_names() {
-        w.u32(pool.intern(p));
+    for len in [a.packages.len(), a.records.len(), a.interfaces.len()] {
+        w.u64(len as u64);
     }
-    let slots = types.raw_slot_views();
-    w.index(slots.len());
-    for slot in slots {
-        match slot {
-            RawSlotView::Void => w.u8(0),
-            RawSlotView::Null => w.u8(1),
-            RawSlotView::Prim(p) => {
-                w.u8(2);
-                w.u8(u8::try_from(Prim::ALL.iter().position(|q| *q == p).expect("listed"))
-                    .expect("8 prims"));
-            }
-            RawSlotView::Decl { simple, package, kind, superclass, interfaces } => {
-                w.u8(3);
-                w.u32(pool.intern(simple));
-                w.index(package.index());
-                w.u8(match kind {
-                    TypeKind::Class => 0,
-                    TypeKind::Interface => 1,
-                });
-                w.u32(superclass.map_or(u32::MAX, |s| {
-                    u32::try_from(s.index()).expect("arena fits u32")
-                }));
-                w.index(interfaces.len());
-                for i in interfaces {
-                    w.index(i.index());
-                }
-            }
-            RawSlotView::Array { elem } => {
-                w.u8(4);
-                w.index(elem.index());
-            }
-        }
-    }
+    w.u32s(&a.packages);
+    w.u32s(a.records.as_flattened());
+    w.u32s(&a.interfaces.iter().map(|t| t.index() as u32).collect::<Vec<_>>());
     w.into_bytes()
 }
 
-fn encode_visibility(v: Visibility) -> u8 {
-    match v {
-        Visibility::Public => 0,
-        Visibility::Protected => 1,
-        Visibility::Private => 2,
-    }
-}
-
+/// Members: method, parameter, parameter-name and field counts, then
+/// the four arrays as [`Api::from_slabs`] takes them back.
 fn encode_members(api: &Api, pool: &mut StringPool) -> Vec<u8> {
+    let a = api.members_to_arrays(|s| pool.intern(s));
     let mut w = Writer::new();
-    w.index(api.method_count());
-    for m in api.method_ids() {
-        let def = api.method(m);
-        w.u32(pool.intern(def.name()));
-        w.index(def.declaring().index());
-        w.index(def.params().len());
-        for p in def.params() {
-            w.index(p.index());
-        }
-        w.index(def.param_names().len());
-        for name in def.param_names() {
-            match name {
-                None => w.u8(0),
-                Some(n) => {
-                    w.u8(1);
-                    w.u32(pool.intern(n));
-                }
-            }
-        }
-        w.index(def.ret().index());
-        w.u8(encode_visibility(def.visibility()));
-        w.u8(u8::from(def.is_static()));
-        w.u8(u8::from(def.is_constructor()));
+    for len in [a.methods.len(), a.params.len(), a.param_names.len(), a.fields.len()] {
+        w.u64(len as u64);
     }
-    w.index(api.field_count());
-    for f in api.field_ids() {
-        let def = api.field(f);
-        w.u32(pool.intern(def.name()));
-        w.index(def.declaring().index());
-        w.index(def.ty().index());
-        w.u8(encode_visibility(def.visibility()));
-        w.u8(u8::from(def.is_static()));
-    }
+    w.u32s(a.methods.as_flattened());
+    w.u32s(&a.params.iter().map(|t| t.index() as u32).collect::<Vec<_>>());
+    w.u32s(&a.param_names);
+    w.u32s(a.fields.as_flattened());
     w.into_bytes()
 }
 
@@ -520,72 +467,120 @@ pub fn manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
 
 // --- decoding -----------------------------------------------------------
 
-/// The string pool: a view borrowed straight from the `strings` payload.
-/// The byte-wise section decoders resolve refs through it.
-struct Strings<'a> {
-    count: usize,
-    offsets: &'a [u8],
-    blob: &'a [u8],
+/// `len` elements of `T` starting `at` bytes into `buf`: borrowed on a
+/// little-endian host, decoded into owned storage otherwise.
+fn slab<T: Plain>(
+    buf: &Arc<SnapshotBuf>,
+    section: &'static str,
+    at: usize,
+    len: usize,
+) -> Result<Slab<T>, StoreError> {
+    Slab::load(buf, at, len).ok_or(StoreError::Truncated { context: section, offset: at })
 }
 
-impl Strings<'_> {
-    fn get(&self, id: u32) -> Option<&str> {
-        let id = id as usize;
-        if id >= self.count {
-            return None;
-        }
-        let at = |i: usize| {
-            u32::from_le_bytes(self.offsets[i * 4..i * 4 + 4].try_into().expect("4 bytes")) as usize
-        };
-        self.blob.get(at(id)..at(id + 1)).and_then(|raw| std::str::from_utf8(raw).ok())
+/// Lays out a payload made of `N` u64 counts followed by `N` arrays of
+/// u32 words, array `i` holding `count[i]` elements of `words[i]` words:
+/// each array's byte offset in the buffer and its element count. The
+/// sizes must add up to the payload exactly, in checked arithmetic.
+fn word_arrays<const N: usize>(
+    buf: &SnapshotBuf,
+    info: &SectionInfo,
+    words: [usize; N],
+) -> Result<[(usize, usize); N], StoreError> {
+    let section = info.name;
+    let payload = section_payload(buf.as_slice(), info);
+    if payload.len() < 8 * N {
+        return Err(StoreError::Truncated { context: section, offset: payload.len() });
     }
+    let mut arrays = [(0, 0); N];
+    let mut at = 8 * N;
+    for (i, &width) in words.iter().enumerate() {
+        let raw = u64::from_le_bytes(payload[8 * i..8 * i + 8].try_into().expect("8 bytes"));
+        let sized = usize::try_from(raw)
+            .ok()
+            .and_then(|count| Some((count, count.checked_mul(4 * width)?)))
+            .filter(|&(_, bytes)| bytes <= payload.len() - at);
+        let Some((count, bytes)) = sized else {
+            return Err(StoreError::Corrupt {
+                section,
+                detail: format!("count {raw} (word {i}) cannot fit the payload"),
+            });
+        };
+        arrays[i] = (section_start(info) + at, count);
+        at += bytes;
+    }
+    if at != payload.len() {
+        return Err(StoreError::Corrupt {
+            section,
+            detail: format!("{} bytes past the last array", payload.len() - at),
+        });
+    }
+    Ok(arrays)
 }
 
-/// Validates the strings layout (offsets monotone and bounded) and
-/// returns a borrowed view; string bytes are never copied. UTF-8 is
-/// checked lazily on access, surfacing as an out-of-range ref.
-fn decode_strings(payload: &[u8]) -> Result<Strings<'_>, StoreError> {
+/// The string pool, borrowed: `count u64 | (count+1)×u32 offsets |
+/// UTF-8 blob`, checked by [`NameArena::from_slabs`].
+fn decode_strings(buf: &Arc<SnapshotBuf>, info: &SectionInfo) -> Result<NameArena, StoreError> {
     let section = "strings";
-    let fail = |detail: String| Err(StoreError::Corrupt { section, detail });
+    let payload = section_payload(buf.as_slice(), info);
     if payload.len() < 8 {
         return Err(StoreError::Truncated { context: section, offset: payload.len() });
     }
     let count = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    // `count + 1` offsets of 4 bytes each must fit after the count word;
-    // checked throughout, since the count is whatever the file says.
-    let sizes = usize::try_from(count).ok().and_then(|c| {
-        let offsets_len = c.checked_add(1)?.checked_mul(4)?;
-        (offsets_len <= payload.len() - 8).then_some((c, offsets_len))
-    });
-    let Some((count, offsets_len)) = sizes else {
-        return fail(format!("string count {count} cannot fit the payload"));
-    };
-    let (offsets, blob) = payload[8..].split_at(offsets_len);
-    let at = |i: usize| {
-        u32::from_le_bytes(offsets[i * 4..i * 4 + 4].try_into().expect("4 bytes")) as usize
-    };
-    if at(0) != 0 {
-        return fail("string offsets must start at 0".to_owned());
-    }
-    for i in 0..count {
-        if at(i) > at(i + 1) {
-            return fail(format!("string offsets must be monotone (entry {i})"));
-        }
-    }
-    if at(count) != blob.len() {
-        return fail(format!(
-            "string offsets end at {} but the blob holds {} bytes",
-            at(count),
-            blob.len()
-        ));
-    }
-    Ok(Strings { count, offsets, blob })
+    let offsets_len = usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_add(1)?.checked_mul(4))
+        .filter(|&len| len <= payload.len() - 8)
+        .ok_or_else(|| StoreError::Corrupt {
+            section,
+            detail: format!("string count {count} cannot fit the payload"),
+        })?;
+    let offsets_at = section_start(info) + 8;
+    let blob_len = payload.len() - 8 - offsets_len;
+    NameArena::from_slabs(
+        slab(buf, section, offsets_at, offsets_len / 4)?,
+        slab(buf, section, offsets_at + offsets_len, blob_len)?,
+    )
+    .map_err(|e| StoreError::Corrupt { section, detail: e.to_string() })
 }
 
-fn pooled<'p>(r: &Reader<'_>, pool: &'p Strings<'_>, id: u32) -> Result<&'p str, StoreError> {
-    pool.get(id).ok_or_else(|| {
-        r.corrupt(format!("string ref {id} out of range or not UTF-8 ({} pooled)", pool.count))
-    })
+/// The type table, its arrays borrowed; names point into `names`.
+fn decode_types(
+    buf: &Arc<SnapshotBuf>,
+    info: &SectionInfo,
+    names: &NameArena,
+) -> Result<TypeTable, StoreError> {
+    let section = "types";
+    let [(pk_at, pk), (ty_at, ty), (if_at, ifs)] =
+        word_arrays(buf, info, [1, TYPE_RECORD_WORDS, 1])?;
+    TypeTable::from_slabs(
+        names.clone(),
+        slab(buf, section, pk_at, pk)?,
+        slab(buf, section, ty_at, ty)?,
+        slab(buf, section, if_at, ifs)?,
+    )
+    .map_err(|e| StoreError::Corrupt { section, detail: e.to_string() })
+}
+
+/// The member tables, their arrays borrowed; names point into `names`.
+fn decode_members(
+    buf: &Arc<SnapshotBuf>,
+    info: &SectionInfo,
+    types: TypeTable,
+    names: NameArena,
+) -> Result<Api, StoreError> {
+    let section = "members";
+    let [(m_at, m), (p_at, p), (pn_at, pn), (f_at, f)] =
+        word_arrays(buf, info, [METHOD_RECORD_WORDS, 1, 1, FIELD_RECORD_WORDS])?;
+    Api::from_slabs(
+        types,
+        names,
+        slab(buf, section, m_at, m)?,
+        slab(buf, section, p_at, p)?,
+        slab(buf, section, pn_at, pn)?,
+        slab(buf, section, f_at, f)?,
+    )
+    .map_err(|e| StoreError::Corrupt { section, detail: e.to_string() })
 }
 
 fn decode_ty(r: &Reader<'_>, raw: u32, arena_len: usize) -> Result<TyId, StoreError> {
@@ -594,149 +589,6 @@ fn decode_ty(r: &Reader<'_>, raw: u32, arena_len: usize) -> Result<TyId, StoreEr
     } else {
         Err(r.corrupt(format!("type reference {raw} out of range ({arena_len} slots)")))
     }
-}
-
-/// Decodes the type table slot by slot into a [`TypeTable::loader`]:
-/// names are borrowed from the pool and copied once, into the table's
-/// own arena, with no string or slot list allocated along the way.
-fn decode_types(payload: &[u8], pool: &Strings<'_>) -> Result<TypeTable, StoreError> {
-    let table_err = |e: TypeError| StoreError::Corrupt { section: "types", detail: e.to_string() };
-    let mut r = Reader::new("types", payload);
-    let package_count = r.count(4)?;
-    let mut packages = Vec::with_capacity(package_count);
-    for _ in 0..package_count {
-        let id = r.u32()?;
-        packages.push(pooled(&r, pool, id)?);
-    }
-    let slot_count = r.count(1)?;
-    let mut loader = TypeTable::loader(&packages, slot_count).map_err(table_err)?;
-    for _ in 0..slot_count {
-        let slot = match r.u8()? {
-            0 => RawSlot::Void,
-            1 => RawSlot::Null,
-            2 => {
-                let idx = r.u8()? as usize;
-                let p = *Prim::ALL
-                    .get(idx)
-                    .ok_or_else(|| r.corrupt(format!("primitive index {idx} out of range")))?;
-                RawSlot::Prim(p)
-            }
-            3 => {
-                let simple_ref = r.u32()?;
-                let simple = pooled(&r, pool, simple_ref)?;
-                let package = PackageId::from_index(r.u32()? as usize);
-                let kind = match r.u8()? {
-                    0 => TypeKind::Class,
-                    1 => TypeKind::Interface,
-                    other => return Err(r.corrupt(format!("type kind byte {other}"))),
-                };
-                let superclass = match r.u32()? {
-                    u32::MAX => None,
-                    raw => Some(decode_ty(&r, raw, slot_count)?),
-                };
-                let iface_count = r.count(4)?;
-                let mut interfaces = Vec::with_capacity(iface_count);
-                for _ in 0..iface_count {
-                    let raw = r.u32()?;
-                    interfaces.push(decode_ty(&r, raw, slot_count)?);
-                }
-                RawSlot::Decl { simple, package, kind, superclass, interfaces }
-            }
-            4 => {
-                let raw = r.u32()?;
-                RawSlot::Array { elem: decode_ty(&r, raw, slot_count)? }
-            }
-            other => return Err(r.corrupt(format!("type slot tag {other}"))),
-        };
-        loader.push(slot).map_err(table_err)?;
-    }
-    r.finish()?;
-    loader.finish().map_err(table_err)
-}
-
-fn decode_visibility(r: &Reader<'_>, raw: u8) -> Result<Visibility, StoreError> {
-    match raw {
-        0 => Ok(Visibility::Public),
-        1 => Ok(Visibility::Protected),
-        2 => Ok(Visibility::Private),
-        other => Err(r.corrupt(format!("visibility byte {other}"))),
-    }
-}
-
-/// Decodes the members section straight into flat member tables,
-/// pre-sized from the section's counts, then validates them and builds
-/// the per-type index in one [`Api::from_tables`] pass. Names are copied
-/// from the pool once per use; every copy lands in one arena.
-fn decode_members(
-    payload: &[u8],
-    types: TypeTable,
-    pool: &Strings<'_>,
-) -> Result<Api, StoreError> {
-    let arena_len = types.len();
-    let mut r = Reader::new("members", payload);
-    let method_count = r.count(1)?;
-    // Most member names are used once, so the pool's size is a close
-    // upper estimate of their bytes; reserved capacity costs nothing
-    // until it is written.
-    let mut tables = MemberTables::with_capacity(method_count, 0, pool.blob.len());
-    let (mut params, mut param_names) = (Vec::new(), Vec::new());
-    for _ in 0..method_count {
-        let name_ref = r.u32()?;
-        let name = tables.push_name(pooled(&r, pool, name_ref)?);
-        let declaring_ref = r.u32()?;
-        let declaring = decode_ty(&r, declaring_ref, arena_len)?;
-        let param_count = r.count(4)?;
-        params.clear();
-        for _ in 0..param_count {
-            let raw = r.u32()?;
-            params.push(decode_ty(&r, raw, arena_len)?);
-        }
-        let name_count = r.count(1)?;
-        param_names.clear();
-        for _ in 0..name_count {
-            param_names.push(match r.u8()? {
-                0 => None,
-                1 => {
-                    let id = r.u32()?;
-                    Some(tables.push_name(pooled(&r, pool, id)?))
-                }
-                other => return Err(r.corrupt(format!("param-name flag {other}"))),
-            });
-        }
-        let ret_ref = r.u32()?;
-        let ret = decode_ty(&r, ret_ref, arena_len)?;
-        let vis_byte = r.u8()?;
-        let visibility = decode_visibility(&r, vis_byte)?;
-        let is_static = r.u8()? != 0;
-        let is_constructor = r.u8()? != 0;
-        tables.push_method(&RawMethod {
-            name,
-            declaring,
-            params: &params,
-            param_names: &param_names,
-            ret,
-            visibility,
-            is_static,
-            is_constructor,
-        });
-    }
-    let field_count = r.count(1)?;
-    tables.reserve_fields(field_count);
-    for _ in 0..field_count {
-        let name_ref = r.u32()?;
-        let name = tables.push_name(pooled(&r, pool, name_ref)?);
-        let declaring_ref = r.u32()?;
-        let declaring = decode_ty(&r, declaring_ref, arena_len)?;
-        let ty_ref = r.u32()?;
-        let ty = decode_ty(&r, ty_ref, arena_len)?;
-        let vis_byte = r.u8()?;
-        let visibility = decode_visibility(&r, vis_byte)?;
-        let is_static = r.u8()? != 0;
-        tables.push_field(&RawField { name, declaring, ty, visibility, is_static });
-    }
-    r.finish()?;
-    Api::from_tables(types, tables)
-        .map_err(|e| StoreError::Corrupt { section: "members", detail: e.to_string() })
 }
 
 /// Validates that a quad-decoded jungloid's references are all in range
@@ -812,23 +664,6 @@ fn decode_graph_meta(payload: &[u8], api: &Api) -> Result<GraphMeta, StoreError>
     Ok(GraphMeta { config, mined_base, edge_count })
 }
 
-/// Reads a `u32` array from the buffer as a borrowed slab when the
-/// platform allows (little-endian, aligned), falling back to an owned
-/// copy otherwise. `byte_off` is absolute within `buf`.
-fn u32_slab(buf: &Arc<SnapshotBuf>, byte_off: usize, len: usize) -> Slab<u32> {
-    Slab::borrowed(buf, byte_off, len).unwrap_or_else(|| {
-        let raw = &buf.as_slice()[byte_off..byte_off + len * 4];
-        Slab::from_vec(
-            raw.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes"))).collect(),
-        )
-    })
-}
-
-fn u8_slab(buf: &Arc<SnapshotBuf>, byte_off: usize, len: usize) -> Slab<u8> {
-    Slab::borrowed(buf, byte_off, len)
-        .unwrap_or_else(|| Slab::from_vec(buf.as_slice()[byte_off..byte_off + len].to_vec()))
-}
-
 /// Decodes the CSR section into slabs borrowed from `buf` — the
 /// zero-copy core of the format. One O(edges) scan validates every
 /// packed quad (shape and reference ranges) before any of them can reach
@@ -842,9 +677,9 @@ fn decode_csr(
 ) -> Result<CsrAdjacency, StoreError> {
     let section = "csr";
     let fail = |detail: String| Err(StoreError::Corrupt { section, detail });
-    let payload_off = usize::try_from(info.offset).expect("offset fits usize");
-    let payload_len = usize::try_from(info.bytes).expect("length fits usize");
-    let payload = &buf.as_slice()[payload_off..payload_off + payload_len];
+    let payload_off = section_start(info);
+    let payload = section_payload(buf.as_slice(), info);
+    let payload_len = payload.len();
     if payload.len() < 16 {
         return Err(StoreError::Truncated { context: section, offset: payload.len() });
     }
@@ -886,7 +721,7 @@ fn decode_csr(
     let fwd_cost_at = rev_from_at + 4 * e;
     let rev_cost_at = fwd_cost_at + e;
 
-    let quads = u32_slab(buf, quads_at, 4 * e);
+    let quads: Slab<u32> = slab(buf, section, quads_at, 4 * e)?;
     for (i, quad) in quads.chunks_exact(4).enumerate() {
         let quad = [quad[0], quad[1], quad[2], quad[3]];
         let Some(elem) = decode_quad(quad) else {
@@ -896,13 +731,13 @@ fn decode_csr(
     }
 
     CsrAdjacency::from_slabs(
-        u32_slab(buf, fwd_off_at, n + 1),
-        u32_slab(buf, fwd_to_at, e),
+        slab(buf, section, fwd_off_at, n + 1)?,
+        slab(buf, section, fwd_to_at, e)?,
         ElemSeq::packed(quads),
-        u8_slab(buf, fwd_cost_at, e),
-        u32_slab(buf, rev_off_at, n + 1),
-        u32_slab(buf, rev_from_at, e),
-        u8_slab(buf, rev_cost_at, e),
+        slab(buf, section, fwd_cost_at, e)?,
+        slab(buf, section, rev_off_at, n + 1)?,
+        slab(buf, section, rev_from_at, e)?,
+        slab(buf, section, rev_cost_at, e)?,
     )
     .map_err(|err| StoreError::Corrupt { section, detail: err.detail })
 }
@@ -964,10 +799,13 @@ fn decode_examples(
     Ok((0..count).map(|i| elems[at(i)..at(i + 1)].to_vec()).collect())
 }
 
+fn section_start(info: &SectionInfo) -> usize {
+    usize::try_from(info.offset).expect("offset fits usize")
+}
+
 fn section_payload<'a>(bytes: &'a [u8], info: &SectionInfo) -> &'a [u8] {
-    let start = usize::try_from(info.offset).expect("offset fits usize");
-    let len = usize::try_from(info.bytes).expect("length fits usize");
-    &bytes[start..start + len]
+    let start = section_start(info);
+    &bytes[start..start + usize::try_from(info.bytes).expect("length fits usize")]
 }
 
 /// Wall time of each stage of one snapshot load, in microseconds.
@@ -992,8 +830,8 @@ fn lap(mark: &mut Instant) -> u64 {
     us
 }
 
-/// Decodes a validated buffer: the hot sections stay borrowed from
-/// `buf`, the API tables and example lists are materialized.
+/// Decodes a validated buffer: the string pool, the API tables and the
+/// CSR stay borrowed from `buf`; the example lists are materialized.
 fn decode(
     buf: &Arc<SnapshotBuf>,
     manifest: &Manifest,
@@ -1002,10 +840,10 @@ fn decode(
     let bytes = buf.as_slice();
     let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
     let mut mark = Instant::now();
-    let pool = decode_strings(pay(0))?;
-    let types = decode_types(pay(1), &pool)?;
+    let names = decode_strings(buf, &manifest.sections[0])?;
+    let types = decode_types(buf, &manifest.sections[1], &names)?;
     phases.types_us = lap(&mut mark);
-    let api = decode_members(pay(2), types, &pool)?;
+    let api = decode_members(buf, &manifest.sections[2], types, names)?;
     phases.members_us = lap(&mut mark);
     let meta = decode_graph_meta(pay(3), &api)?;
     let csr = decode_csr(buf, &manifest.sections[4], &api, &meta)?;
@@ -1106,10 +944,10 @@ fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
 /// owned read or an mmap'd region) whose framing — magic, version,
 /// section offsets, padding, CRCs — has been validated exactly once.
 /// Creating one is the *validate-only* cost: O(sections checksummed),
-/// with zero per-element work. [`MappedSnapshot::thaw`] is stage two,
-/// materializing the owned engine state (API tables, mined examples)
-/// while the hot sections — CSR arrays, string pool, suffix tables —
-/// stay borrowed from this buffer.
+/// with zero per-element work. [`MappedSnapshot::thaw`] is stage two:
+/// it checks the tables, builds the type-name and per-type member
+/// indexes and materializes the example lists, while the string pool,
+/// the API tables and the CSR stay borrowed from this buffer.
 #[derive(Debug)]
 pub struct MappedSnapshot {
     buf: Arc<SnapshotBuf>,
@@ -1164,9 +1002,9 @@ impl MappedSnapshot {
         self.buf.is_mapped()
     }
 
-    /// Stage two: decodes the owned engine state. Framing is NOT
+    /// Stage two: checks and assembles the engine state. Framing is NOT
     /// re-validated — that happened once at construction, which is what
-    /// makes borrow-after-CRC safe. The hot sections are handed out as
+    /// makes borrow-after-CRC safe. The tables are handed out as
     /// borrowed views (the `Arc` keeps the buffer alive).
     ///
     /// # Errors

@@ -5,10 +5,8 @@
 //! graph's too), over seeded random APIs (deterministic: failures
 //! reproduce by seed) and a `synth` jungle.
 //!
-//! The decoder checks are pinned too: a snapshot whose pool gives two
-//! members of one class, or two types of one package, the same name, or
-//! whose members reference a name past the pool, is a typed
-//! [`StoreError::Corrupt`], never a panic or a silent load.
+//! Crafted records that break the decoder's checks are in
+//! `corruption.rs`.
 
 use jungloid_apidef::{Api, FieldDef, MethodDef, Visibility};
 use jungloid_typesys::{TyId, TypeError};
@@ -16,7 +14,7 @@ use prospector_core::graph::JungloidGraph;
 use prospector_core::{GraphConfig, Prospector};
 use prospector_corpora::synth::{grow_synth, SynthSpec};
 use prospector_obs::SmallRng;
-use prospector_store::{crc32, from_bytes, manifest, to_bytes, StoreError};
+use prospector_store::{from_bytes, to_bytes};
 
 const PACKAGES: [&str; 4] = ["p0", "p1.sub", "p1", ""];
 
@@ -181,105 +179,4 @@ fn synth_jungle_loads_exactly() {
     grow_synth(&mut api, &SynthSpec { seed: 3, types: 1000, ..SynthSpec::default() });
     let engine = Prospector::new(api);
     assert_every_load_agrees(engine.api(), engine.graph(), "synth 10^3");
-}
-
-// --- targeted corruption ---------------------------------------------------
-
-/// Applies `edit` to section `name`'s payload, then rewrites the
-/// section's stored CRC to match, so the edit reaches the decoder
-/// instead of the checksum gate.
-fn edit_section(bytes: &mut [u8], name: &str, edit: impl FnOnce(&mut [u8])) {
-    let m = manifest(bytes).expect("pristine snapshot validates");
-    let s = m.sections.iter().find(|s| s.name == name).expect("section exists");
-    let start = usize::try_from(s.offset).expect("fits");
-    let payload = start..start + usize::try_from(s.bytes).expect("fits");
-    // Frame: tag u32, pad u32, length u64, CRC u32, reserved u32.
-    let frame = start - 24;
-    edit(&mut bytes[payload.clone()]);
-    let mut covered = bytes[frame..frame + 4].to_vec();
-    covered.extend_from_slice(&bytes[payload]);
-    bytes[frame + 16..frame + 20].copy_from_slice(&crc32(&covered).to_le_bytes());
-}
-
-/// Overwrites the one pooled occurrence of `from` with `to` (same
-/// length, so no offset moves).
-fn rename_in_pool(bytes: &mut [u8], from: &str, to: &str) {
-    assert_eq!(from.len(), to.len());
-    edit_section(bytes, "strings", |pool| {
-        let hits: Vec<usize> = pool
-            .windows(from.len())
-            .enumerate()
-            .filter(|(_, w)| *w == from.as_bytes())
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(hits.len(), 1, "`{from}` must be pooled exactly once");
-        pool[hits[0]..hits[0] + to.len()].copy_from_slice(to.as_bytes());
-    });
-}
-
-/// Overwrites the `u32` at `offset` into section `name`'s payload.
-fn poke_u32(bytes: &mut [u8], name: &str, offset: usize, value: u32) {
-    edit_section(bytes, name, |payload| {
-        payload[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
-    });
-}
-
-/// Two classes `p.DupTypeAlpha`, `p.DupTypeOmega`; the first method
-/// `Alpha.first(DupTypeOmega arg)`, then `Alpha.dupMethodAlpha()` and
-/// `Alpha.dupMethodOmega()`.
-fn fixture() -> (Api, JungloidGraph) {
-    let mut api = Api::new();
-    let alpha = api.declare_class("p", "DupTypeAlpha").expect("fresh");
-    let omega = api.declare_class("p", "DupTypeOmega").expect("fresh");
-    let method = |name: &str, params: Vec<TyId>, param_names| MethodDef {
-        name: name.to_owned(),
-        declaring: alpha,
-        params,
-        param_names,
-        ret: omega,
-        visibility: Visibility::Public,
-        is_static: false,
-        is_constructor: false,
-    };
-    api.add_method(method("first", vec![omega], vec![Some("arg".to_owned())])).expect("ok");
-    api.add_method(method("dupMethodAlpha", vec![], vec![])).expect("ok");
-    api.add_method(method("dupMethodOmega", vec![], vec![])).expect("ok");
-    let graph = JungloidGraph::from_api(&api, GraphConfig::default());
-    (api, graph)
-}
-
-fn expect_corrupt(bytes: &[u8], section: &str, case: &str) {
-    match from_bytes(bytes) {
-        Err(StoreError::Corrupt { section: s, detail }) => {
-            assert_eq!(s, section, "{case}: {detail}");
-        }
-        Err(other) => panic!("{case}: expected Corrupt in `{section}`, got {other:?}"),
-        Ok(_) => panic!("{case}: loaded anyway"),
-    }
-}
-
-#[test]
-fn corrupt_member_and_type_tables_are_typed_errors() {
-    let (api, graph) = fixture();
-    let pristine = to_bytes(&api, &graph, &[]);
-    assert!(from_bytes(&pristine).is_ok(), "pristine fixture loads");
-
-    let mut dup_member = pristine.clone();
-    rename_in_pool(&mut dup_member, "dupMethodOmega", "dupMethodAlpha");
-    expect_corrupt(&dup_member, "members", "duplicate member");
-
-    let mut dup_type = pristine.clone();
-    rename_in_pool(&mut dup_type, "DupTypeOmega", "DupTypeAlpha");
-    expect_corrupt(&dup_type, "types", "duplicate type");
-
-    // Members payload: method count, then method 0 = name ref (4),
-    // declaring (4), param count (4), one param (4), name count (4),
-    // name flag (1), then its parameter-name ref.
-    let mut bad_name = pristine.clone();
-    poke_u32(&mut bad_name, "members", 4, u32::MAX - 1);
-    expect_corrupt(&bad_name, "members", "method name ref");
-
-    let mut bad_param_name = pristine;
-    poke_u32(&mut bad_param_name, "members", 25, 1 << 20);
-    expect_corrupt(&bad_param_name, "members", "parameter-name ref");
 }

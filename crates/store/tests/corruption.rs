@@ -8,11 +8,16 @@
 //! catch: truncation at (and around) every section boundary, a single
 //! flipped byte in every header and payload, a flipped byte inside
 //! alignment padding (which sits *outside* the CRC), a stored CRC that
-//! was wrongly computed over the padding, and absurd counts behind a
-//! recomputed CRC (which only the decoders' own checks can catch).
+//! was wrongly computed over the padding, and absurd counts and crafted
+//! type, member and pool records behind a recomputed CRC (which only the
+//! decoders' own checks can catch).
 
+use jungloid_apidef::{Api, FieldDef, MethodDef, Visibility};
+use jungloid_typesys::TypeKind;
+use prospector_core::graph::JungloidGraph;
+use prospector_core::GraphConfig;
 use prospector_corpora::{build, BuildOptions};
-use prospector_store::{crc32, from_bytes, manifest, Crc32, SectionInfo, StoreError};
+use prospector_store::{crc32, from_bytes, manifest, to_bytes, Crc32, SectionInfo, StoreError};
 
 /// File header and section frame sizes.
 const HEADER_BYTES: usize = 16;
@@ -237,8 +242,10 @@ fn leading_counts(section: &str) -> &'static [(usize, usize)] {
     match section {
         // string count
         "strings" => &[(0, 8)],
-        // package count; method count
-        "types" | "members" => &[(0, 4)],
+        // package, type and interface counts
+        "types" => &[(0, 8), (8, 8), (16, 8)],
+        // method, parameter, parameter-name and field counts
+        "members" => &[(0, 8), (8, 8), (16, 8), (24, 8)],
         // after the two config bytes: type count, mined-node count
         "graph" => &[(2, 4), (6, 4)],
         // node and edge counts; sequence and element counts
@@ -288,4 +295,160 @@ fn crafted_counts_behind_a_valid_crc_are_typed_errors() {
         }
     }
     assert!(mutations >= 50, "only {mutations} mutations ran; the sweep proved little");
+}
+
+// --- crafted records ------------------------------------------------------
+
+/// A small engine whose every record a test can address: classes
+/// `p.DupTypeAlpha` and `p.DupTypeOmega`, the interface `p.Iface` that
+/// `DupTypeOmega` implements; on `DupTypeAlpha` the methods
+/// `first(DupTypeOmega arg)`, `dupMethodAlpha()`, `dupMethodOmega()` and
+/// the field `lock`.
+fn fixture_bytes() -> Vec<u8> {
+    let mut api = Api::new();
+    let alpha = api.declare_class("p", "DupTypeAlpha").expect("fresh");
+    let omega = api.declare_class("p", "DupTypeOmega").expect("fresh");
+    let iface = api.types_mut().declare("p", "Iface", TypeKind::Interface).expect("fresh");
+    api.types_mut().add_interface(omega, iface).expect("an interface");
+    let method = |name: &str, params: Vec<_>, param_names| MethodDef {
+        name: name.to_owned(),
+        declaring: alpha,
+        params,
+        param_names,
+        ret: omega,
+        visibility: Visibility::Public,
+        is_static: false,
+        is_constructor: false,
+    };
+    api.add_method(method("first", vec![omega], vec![Some("arg".to_owned())])).expect("ok");
+    api.add_method(method("dupMethodAlpha", vec![], vec![])).expect("ok");
+    api.add_method(method("dupMethodOmega", vec![], vec![])).expect("ok");
+    let field = FieldDef {
+        name: "lock".to_owned(),
+        declaring: alpha,
+        ty: omega,
+        visibility: Visibility::Public,
+        is_static: false,
+    };
+    api.add_field(field).expect("ok");
+    to_bytes(&api, &JungloidGraph::from_api(&api, GraphConfig::default()), &[])
+}
+
+fn section<'m>(m: &'m prospector_store::Manifest, name: &str) -> &'m SectionInfo {
+    m.sections.iter().find(|s| s.name == name).expect("section exists")
+}
+
+/// The arrays of a section that opens with one u64 count per array:
+/// each array's file offset and element count, for elements of
+/// `widths[i]` u32 words.
+fn arrays(bytes: &[u8], s: &SectionInfo, widths: &[usize]) -> Vec<(usize, usize)> {
+    let start = usize::try_from(s.offset).expect("fits");
+    let count = |i: usize| {
+        let word = bytes[start + 8 * i..start + 8 * i + 8].try_into().expect("8 bytes");
+        usize::try_from(u64::from_le_bytes(word)).expect("fits")
+    };
+    let mut at = start + 8 * widths.len();
+    widths
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let array = (at, count(i));
+            at += 4 * w * count(i);
+            array
+        })
+        .collect()
+}
+
+/// The string pool: its blob's file offset and each string's byte range
+/// in the blob.
+fn pool(bytes: &[u8], s: &SectionInfo) -> (usize, Vec<std::ops::Range<usize>>) {
+    let start = usize::try_from(s.offset).expect("fits");
+    let count = usize::try_from(u64::from_le_bytes(bytes[start..start + 8].try_into().expect("8")))
+        .expect("fits");
+    let off = |i: usize| {
+        let at = start + 8 + 4 * i;
+        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize
+    };
+    (start + 8 + 4 * (count + 1), (0..count).map(|i| off(i)..off(i + 1)).collect())
+}
+
+/// Loads `bytes` after `edit`, with the edited section's CRC recomputed
+/// so the edit reaches the decoder: the load must fail with a typed
+/// `Corrupt` in `want` whose detail mentions `because`, not panic.
+fn expect_corrupt(bytes: &[u8], edit: (&str, usize, &[u8]), want: &str, because: &str, case: &str) {
+    let (name, at, new) = edit;
+    let m = manifest(bytes).expect("pristine snapshot validates");
+    let mut mutated = bytes.to_vec();
+    mutated[at..at + new.len()].copy_from_slice(new);
+    recompute_crc(&mut mutated, section(&m, name));
+    let outcome = std::panic::catch_unwind(|| from_bytes(&mutated))
+        .unwrap_or_else(|_| panic!("{case}: the loader panicked"));
+    match outcome {
+        Err(StoreError::Corrupt { section, detail }) => {
+            assert_eq!(section, want, "{case}: {detail}");
+            assert!(detail.contains(because), "{case}: `{detail}` lacks `{because}`");
+        }
+        Err(other) => panic!("{case}: expected Corrupt in `{want}`, got {other:?}"),
+        Ok(_) => panic!("{case}: loaded anyway"),
+    }
+}
+
+#[test]
+fn crafted_records_behind_a_valid_crc_are_typed_errors() {
+    let bytes = fixture_bytes();
+    assert!(from_bytes(&bytes).is_ok(), "pristine fixture loads");
+    let m = manifest(&bytes).expect("pristine snapshot validates");
+    let (blob, strings) = pool(&bytes, section(&m, "strings"));
+    let text = |r: &std::ops::Range<usize>| &bytes[blob + r.start..blob + r.end];
+    let id = |s: &str| strings.iter().position(|r| text(r) == s.as_bytes()).expect("pooled");
+    let types = arrays(&bytes, section(&m, "types"), &[1, 6, 1]);
+    let members = arrays(&bytes, section(&m, "members"), &[6, 1, 1, 4]);
+    let (type_count, pooled) = (types[1].1 as u32, strings.len() as u32);
+    // File offsets of record words: type `i` (6 words), interface `i`,
+    // method `i` (6 words), parameter `i`, parameter name `i`, field `i`
+    // (4 words).
+    let ty = |i: usize, w: usize| ("types", types[1].0 + 4 * (6 * i + w));
+    let iface = |i: usize| ("types", types[2].0 + 4 * i);
+    let method = |i: usize, w: usize| ("members", members[0].0 + 4 * (6 * i + w));
+    let param = |i: usize| ("members", members[1].0 + 4 * i);
+    let param_name = |i: usize| ("members", members[2].0 + 4 * i);
+    let field = |i: usize, w: usize| ("members", members[3].0 + 4 * (4 * i + w));
+    let (alpha, omega) = (10, 11);
+    let cases = [
+        ("type name id past the pool", ty(alpha, 1), pooled, "type name"),
+        ("type package id", ty(alpha, 2), 1, "package"),
+        ("superclass id", ty(omega, 3), type_count, "type reference"),
+        ("interface id", iface(0), type_count, "interface"),
+        ("interface range", ty(omega, 5), 2, "interfaces run past"),
+        ("type kind tag", ty(alpha, 0), 7, "kind tag"),
+        ("method name id past the pool", method(0, 0), u32::MAX - 1, "method 0's name"),
+        ("parameter name id", param_name(0), 1 << 20, "parameter name"),
+        ("declaring type id", method(1, 1), type_count, "references type"),
+        ("parameter type id", param(0), type_count, "parameter type"),
+        ("method flag byte", method(2, 5), 0xFF, "unknown flags"),
+        ("field flag byte", field(0, 3), 0x80, "unknown flags"),
+        ("non-monotone end offsets", method(1, 3), 0, "end offsets"),
+        ("field name id past the pool", field(0, 0), pooled, "field 0's name"),
+    ];
+    for (case, (name, at), value, because) in cases {
+        expect_corrupt(&bytes, (name, at, &value.to_le_bytes()), name, because, case);
+    }
+
+    // A pool string cut inside a UTF-8 sequence: the last byte of one
+    // string and the first of the next become the two bytes of `é`, so
+    // the blob stays UTF-8 as a whole.
+    let (a, b) = (&strings[id("DupTypeAlpha")], &strings[id("DupTypeOmega")]);
+    assert_eq!(a.end, b.start, "the two names are pooled back to back");
+    let cut = ("strings", blob + a.end - 1, &[0xC3, 0xA9][..]);
+    expect_corrupt(&bytes, cut, "strings", "inside a UTF-8 sequence", "cut sequence");
+
+    // Two pool ids spelling one name: a second `DupTypeAlpha` in package
+    // `p`, and a second `dupMethodAlpha()` on one class.
+    for (from, to, want, because) in [
+        ("DupTypeOmega", "DupTypeAlpha", "types", "duplicate declared type"),
+        ("dupMethodOmega", "dupMethodAlpha", "members", "declared twice"),
+    ] {
+        let at = blob + strings[id(from)].start;
+        expect_corrupt(&bytes, ("strings", at, to.as_bytes()), want, because, from);
+    }
 }

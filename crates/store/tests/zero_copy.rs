@@ -1,11 +1,13 @@
-//! The zero-copy guarantee: an engine whose CSR arrays are *borrowed
-//! views* into one snapshot buffer (owned read or mmap) answers queries
-//! byte-identically to the fully-owned live engine it was saved from —
-//! same suggestion code, same ranking, same trace-attributed statistics.
+//! The zero-copy guarantee: an engine whose string pool, type and member
+//! tables and CSR arrays are *borrowed views* into one snapshot buffer
+//! (owned read or mmap) answers queries byte-identically to the
+//! fully-owned live engine it was saved from — same suggestion code, same
+//! ranking, same trace-attributed statistics.
 
 use std::sync::Arc;
 
-use prospector_core::{Prospector, SnapshotBuf};
+use jungloid_typesys::SnapshotBuf;
+use prospector_core::Prospector;
 use prospector_corpora::{build, BuildOptions};
 use prospector_obs::trace::TraceId;
 
@@ -46,8 +48,9 @@ fn borrowed_engine_answers_byte_identically_to_owned() {
     let (live, mined) = mined_engine();
     assert!(live.graph().mined_node_count() > 0, "engine must actually be mined");
 
-    // Owned: the live engine built its CSR in memory.
+    // Owned: the live engine built its tables and CSR in memory.
     assert!(!live.graph().csr().is_borrowed(), "a built engine is fully owned");
+    assert!(!live.api().is_borrowed(), "a built API owns its tables");
 
     // Borrowed: the loader hands out views into the snapshot buffer.
     let bytes = prospector_store::to_bytes(live.api(), live.graph(), &mined);
@@ -58,6 +61,10 @@ fn borrowed_engine_answers_byte_identically_to_owned() {
         assert!(
             zero_copy.graph.csr().is_borrowed(),
             "the decode must borrow the CSR from the buffer on little-endian hosts"
+        );
+        assert!(
+            zero_copy.api.is_borrowed(),
+            "the decode must borrow the type and member tables on little-endian hosts"
         );
     }
 
@@ -87,6 +94,11 @@ fn mmap_load_matches_owned_read() {
     assert_eq!(read_manifest, map_manifest);
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
         assert!(mapped, "a snapshot on linux must actually serve from the mapping");
+    }
+    if cfg!(target_endian = "little") {
+        assert!(read_snap.api.is_borrowed(), "an owned read borrows the API tables");
+        assert!(map_snap.api.is_borrowed(), "a mapping borrows the API tables");
+        assert!(map_snap.graph.csr().is_borrowed());
     }
 
     assert_eq!(read_snap.graph.csr().out_to(), map_snap.graph.csr().out_to());
@@ -124,5 +136,25 @@ fn v2_sections_all_start_8_byte_aligned() {
             s.offset
         );
         assert_eq!((s.bytes + u64::from(s.pad_bytes)) % 8, 0, "section `{}` pad", s.name);
+    }
+}
+
+#[test]
+fn first_mutation_copies_a_loaded_table_and_reads_stay_equal() {
+    let (live, mined) = mined_engine();
+    let bytes = prospector_store::to_bytes(live.api(), live.graph(), &mined);
+    let buf = Arc::new(SnapshotBuf::from_bytes(&bytes));
+    let (snap, _) = prospector_store::from_buf(&buf).expect("snapshot loads");
+    let mut api = snap.api;
+    assert_eq!(api.is_borrowed(), cfg!(target_endian = "little"));
+
+    let fresh = api.declare_class("zz.fresh", "Fresh").expect("new name");
+    assert!(!api.types().is_borrowed(), "a declaration copies the type table");
+    assert_eq!(api.types().resolve("Fresh").expect("resolves"), fresh);
+    for m in live.api().method_ids() {
+        assert_eq!(api.method(m), live.api().method(m));
+    }
+    for t in live.api().types().ids() {
+        assert_eq!(api.types().decl(t), live.api().types().decl(t));
     }
 }

@@ -28,6 +28,8 @@
 //! baseline users only 2 found the wrapper; 3 copied elements; 3
 //! reimplemented).
 
+#![deny(unsafe_code)]
+
 use jungloid_typesys::TyId;
 use prospector_core::{NodeId, Prospector};
 use prospector_corpora::problems::{user_study, StudyProblem};

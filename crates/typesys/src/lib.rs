@@ -37,12 +37,17 @@
 //! # Ok::<(), jungloid_typesys::TypeError>(())
 //! ```
 
+#![deny(unsafe_code)]
+
 mod error;
 pub mod names;
+#[allow(unsafe_code)]
+pub mod slab;
 mod table;
 mod ty;
 
 pub use error::TypeError;
-pub use names::{NameArena, Sym};
-pub use table::{PackageId, RawSlot, RawSlotView, TableLoader, TypeDecl, TypeTable};
+pub use names::NameArena;
+pub use slab::{Plain, Slab, SnapshotBuf};
+pub use table::{PackageId, TypeArrays, TypeDecl, TypeRecord, TypeTable, TYPE_RECORD_WORDS};
 pub use ty::{Prim, Ty, TyId, TypeKind};

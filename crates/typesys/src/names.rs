@@ -1,79 +1,118 @@
-//! Name storage: strings stored back to back in one buffer and addressed
-//! by 4-byte symbols, so a table of 10^5 names costs two allocations,
-//! not 10^5; plus the hash index the type table finds names with.
+//! Name storage: strings stored back to back in one byte array and
+//! addressed by `u32` ids, so a table of 10^5 names costs two arrays, not
+//! 10^5 allocations; plus the hash index the type table finds names with.
+//!
+//! The arena's two arrays are exactly the `.pspk` string pool's: a
+//! loaded arena borrows both from the snapshot buffer.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// A symbol: the index of one name in a [`NameArena`]. Only meaningful
-/// against the arena that issued it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Sym(u32);
+use crate::{Slab, TypeError};
 
-impl Sym {
-    /// Raw index into the issuing arena.
-    #[must_use]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
+/// Append-only name storage: every name's UTF-8 bytes back to back, and
+/// `len + 1` byte offsets — name `i` is `bytes[offsets[i]..offsets[i + 1]]`.
+/// [`NameArena::push`] never deduplicates. Ids are only meaningful
+/// against the arena that issued them.
+#[derive(Clone, Debug)]
+pub struct NameArena {
+    offsets: Slab<u32>,
+    bytes: Slab<u8>,
 }
 
-/// Append-only name storage: one `String` holding every name back to
-/// back, plus the end offset of each. [`NameArena::push`] never
-/// deduplicates.
-#[derive(Clone, Debug, Default)]
-pub struct NameArena {
-    buf: String,
-    ends: Vec<u32>,
+impl Default for NameArena {
+    fn default() -> Self {
+        NameArena { offsets: Slab::from_vec(vec![0]), bytes: Slab::default() }
+    }
 }
 
 impl NameArena {
-    /// An empty arena with room for `names` names totalling `bytes` bytes.
-    #[must_use]
-    pub fn with_capacity(names: usize, bytes: usize) -> Self {
-        NameArena { buf: String::with_capacity(bytes), ends: Vec::with_capacity(names) }
+    /// An arena over stored arrays (a snapshot's string pool), checked so
+    /// that every id below [`NameArena::len`] names valid UTF-8: offsets
+    /// start at 0, never decrease, end at the byte count, and fall on
+    /// character boundaries of a blob that is UTF-8 as a whole.
+    ///
+    /// # Errors
+    ///
+    /// [`TypeError::InvalidTable`] naming the violated rule.
+    pub fn from_slabs(offsets: Slab<u32>, bytes: Slab<u8>) -> Result<NameArena, TypeError> {
+        let invalid = |detail: String| Err(TypeError::InvalidTable { detail });
+        let Ok(text) = std::str::from_utf8(&bytes) else {
+            return invalid("name bytes are not UTF-8".to_owned());
+        };
+        if offsets.first() != Some(&0) {
+            return invalid("name offsets must start at 0".to_owned());
+        }
+        if let Some(i) = offsets.windows(2).position(|w| w[0] > w[1]) {
+            return invalid(format!("name offsets must be monotone (entry {i})"));
+        }
+        let end = offsets[offsets.len() - 1] as usize;
+        if end != text.len() {
+            let stored = text.len();
+            return invalid(format!("name offsets end at {end} but {stored} bytes are stored"));
+        }
+        if let Some(i) = offsets.iter().position(|&o| !text.is_char_boundary(o as usize)) {
+            return invalid(format!("name {i} starts inside a UTF-8 sequence"));
+        }
+        Ok(NameArena { offsets, bytes })
     }
 
-    /// Appends `s`, returning its new symbol.
+    /// Appends `s`, returning its new id.
     ///
     /// # Panics
     ///
     /// Panics if the arena would exceed `u32::MAX` bytes or names.
-    pub fn push(&mut self, s: &str) -> Sym {
-        let sym = Sym(u32::try_from(self.ends.len()).expect("name arena exceeds u32 range"));
-        self.buf.push_str(s);
-        self.ends.push(u32::try_from(self.buf.len()).expect("name arena exceeds u32 range"));
-        sym
+    pub fn push(&mut self, s: &str) -> u32 {
+        let id = u32::try_from(self.len()).expect("name arena exceeds u32 range");
+        self.bytes.make_mut().extend_from_slice(s.as_bytes());
+        let end = u32::try_from(self.bytes.len()).expect("name arena exceeds u32 range");
+        self.offsets.make_mut().push(end);
+        id
     }
 
-    /// The text of `sym`.
+    /// The UTF-8 bytes of name `id`.
     ///
     /// # Panics
     ///
-    /// Panics if `sym` was not issued by this arena.
+    /// Panics if `id` is not below [`NameArena::len`].
     #[must_use]
-    pub fn get(&self, sym: Sym) -> &str {
-        let i = sym.index();
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.buf[start..self.ends[i] as usize]
+    pub fn bytes(&self, id: u32) -> &[u8] {
+        let i = id as usize;
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// The text of name `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not below [`NameArena::len`].
+    #[must_use]
+    pub fn get(&self, id: u32) -> &str {
+        std::str::from_utf8(self.bytes(id)).expect("names are UTF-8 by construction")
     }
 
     /// Number of names stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.offsets.len() - 1
     }
 
     /// Whether no name is stored.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.len() == 0
     }
 
-    /// Heap bytes held (capacity, not length).
+    /// Whether both arrays borrow from a snapshot buffer.
+    #[must_use]
+    pub fn is_borrowed(&self) -> bool {
+        self.offsets.is_borrowed() && self.bytes.is_borrowed()
+    }
+
+    /// Bytes the two arrays occupy, owned or borrowed.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        self.buf.capacity() + self.ends.capacity() * 4
+        std::mem::size_of_val(self.offsets.as_slice()) + self.bytes.len()
     }
 }
 
@@ -95,8 +134,8 @@ impl Hasher for PassThrough {
     }
 }
 
-/// The 64-bit hash a [`NameIndex`] files a name under.
-pub(crate) fn hash_name(s: &str) -> u64 {
+/// The 64-bit hash a [`NameIndex`] files a name's UTF-8 bytes under.
+pub(crate) fn hash_name(s: &[u8]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     s.hash(&mut h);
     h.finish()
@@ -136,7 +175,15 @@ impl NameIndex {
 
     /// The entries filed under hash `h`, newest first.
     pub(crate) fn chain(&self, h: u64) -> impl Iterator<Item = usize> + '_ {
-        let mut at = self.heads.get(&h).copied().unwrap_or(END);
+        self.walk(self.heads.get(&h).copied().unwrap_or(END))
+    }
+
+    /// The entries filed under `id`'s hash before it, newest first.
+    pub(crate) fn older(&self, id: usize) -> impl Iterator<Item = usize> + '_ {
+        self.walk(self.next[id])
+    }
+
+    fn walk(&self, mut at: u32) -> impl Iterator<Item = usize> + '_ {
         std::iter::from_fn(move || {
             (at != END).then(|| {
                 let id = at as usize;
@@ -169,14 +216,38 @@ mod tests {
     }
 
     #[test]
+    fn stored_arrays_are_checked() {
+        let arena = |offsets: Vec<u32>, bytes: &[u8]| {
+            NameArena::from_slabs(Slab::from_vec(offsets), Slab::from_vec(bytes.to_vec()))
+        };
+        let ok = arena(vec![0, 3, 3, 6], "héllo".as_bytes()).expect("valid pool");
+        assert_eq!((ok.get(0), ok.get(1), ok.get(2)), ("h\u{e9}", "", "llo"));
+        for (offsets, bytes, why) in [
+            (vec![], &b""[..], "no offsets"),
+            (vec![1, 2], &b"ab"[..], "first offset not 0"),
+            (vec![0, 2, 1, 2], &b"ab"[..], "decreasing"),
+            (vec![0, 1], &b"ab"[..], "short of the blob"),
+            (vec![0, 3], &b"ab"[..], "past the blob"),
+            (vec![0, 2, 3], "hé".as_bytes(), "cut inside \u{e9}"),
+            (vec![0, 2], &[0xC3, 0x28][..], "not UTF-8"),
+        ] {
+            assert!(
+                matches!(arena(offsets, bytes), Err(TypeError::InvalidTable { .. })),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
     fn chains_list_every_entry_under_a_hash_newest_first() {
         let mut i = NameIndex::default();
-        i.insert(hash_name("Reader"), 4);
-        i.insert(hash_name("Writer"), 5);
-        i.insert(hash_name("Reader"), 9);
-        assert_eq!(i.chain(hash_name("Reader")).collect::<Vec<_>>(), [9, 4]);
-        assert_eq!(i.chain(hash_name("Writer")).collect::<Vec<_>>(), [5]);
-        assert_eq!(i.chain(hash_name("Stream")).count(), 0);
+        i.insert(hash_name(b"Reader"), 4);
+        i.insert(hash_name(b"Writer"), 5);
+        i.insert(hash_name(b"Reader"), 9);
+        assert_eq!(i.chain(hash_name(b"Reader")).collect::<Vec<_>>(), [9, 4]);
+        assert_eq!(i.older(9).collect::<Vec<_>>(), [4]);
+        assert_eq!(i.chain(hash_name(b"Writer")).collect::<Vec<_>>(), [5]);
+        assert_eq!(i.chain(hash_name(b"Stream")).count(), 0);
     }
 
     #[test]

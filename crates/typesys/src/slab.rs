@@ -1,10 +1,10 @@
-//! Backing storage for zero-copy snapshots: aligned buffers, borrowed
-//! slab views, and packed jungloid-element sequences.
+//! Backing storage for zero-copy snapshots: aligned buffers and typed
+//! arrays that either own their elements or borrow them from a buffer.
 //!
-//! The `.pspk` format v2 lays its hot sections out as 8-byte-aligned
+//! The `.pspk` format lays its sections out as 8-byte-aligned
 //! little-endian arrays so a loader can validate checksums once and then
-//! *borrow* `&[u32]`/`&[u8]` views straight out of one buffer — no
-//! per-element deserialization. Three pieces make that safe:
+//! *borrow* typed views straight out of one buffer — no per-element
+//! deserialization. Two pieces make that safe:
 //!
 //! * [`SnapshotBuf`] — the one buffer the whole snapshot lives in. Either
 //!   an owned allocation whose base address is 8-byte aligned (backed by
@@ -16,22 +16,22 @@
 //!   `(buffer, offset, length)` view into an [`Arc<SnapshotBuf>`].
 //!   Alignment and bounds are checked **once at construction**; after
 //!   that [`Slab::as_slice`] is a pointer cast. Only [`Plain`] element
-//!   types (`u8`, `u32` — every bit pattern valid, no padding) can be
-//!   viewed this way, and only on little-endian targets, where the
-//!   on-disk and in-memory representations coincide. Big-endian builds
-//!   get `None` from [`Slab::borrowed`] and decode into owned storage.
-//! * [`ElemSeq`] — the CSR's per-edge jungloid elements, either owned
-//!   `Vec<ElemJungloid>` or the on-disk packed form (one `[u32; 4]` quad
-//!   per element) decoded on access. Decoding a quad is a handful of
-//!   register ops; storing them packed is what lets the biggest CSR
-//!   array stay borrowed.
+//!   types (`u8`, `u32`, [`TyId`], `[u32; N]` records — every bit pattern
+//!   valid, no padding) can be viewed this way, and only on little-endian
+//!   targets, where the on-disk and in-memory representations coincide.
+//!   Big-endian builds get `None` from [`Slab::borrowed`], and
+//!   [`Slab::load`] decodes them into owned storage instead. A borrowed
+//!   slab is never written through: [`Slab::make_mut`] copies it to owned
+//!   storage first.
+//!
+//! This is the one module of the crate allowed `unsafe` code; every
+//! block states the argument that makes it sound.
 
 use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::Arc;
 
-use jungloid_apidef::{ElemJungloid, FieldId, InputSlot, MethodId};
-use jungloid_typesys::TyId;
+use crate::TyId;
 
 /// The single allocation (or mapping) a zero-copy snapshot borrows from.
 ///
@@ -287,15 +287,48 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for u8 {}
     impl Sealed for u32 {}
+    impl Sealed for crate::TyId {}
+    impl<const N: usize> Sealed for [u32; N] {}
 }
 
 /// Element types a [`Slab`] may view directly out of a byte buffer:
 /// every bit pattern is a valid value and the type has no padding, so a
-/// pointer cast from checked-aligned bytes is sound.
-pub trait Plain: Copy + PartialEq + std::fmt::Debug + sealed::Sealed + 'static {}
+/// pointer cast from checked-aligned bytes is sound. [`TyId`] qualifies
+/// because it is a `#[repr(transparent)]` `u32`; a `[u32; N]` is a
+/// fixed-width record of `N` words.
+pub trait Plain: Copy + PartialEq + std::fmt::Debug + sealed::Sealed + 'static {
+    /// Decodes one element from its `size_of::<Self>()` little-endian
+    /// bytes: the owned fallback where a view is impossible.
+    fn from_le(bytes: &[u8]) -> Self;
+}
 
-impl Plain for u8 {}
-impl Plain for u32 {}
+fn le_word(bytes: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().expect("4 bytes"))
+}
+
+impl Plain for u8 {
+    fn from_le(bytes: &[u8]) -> Self {
+        bytes[0]
+    }
+}
+
+impl Plain for u32 {
+    fn from_le(bytes: &[u8]) -> Self {
+        le_word(bytes, 0)
+    }
+}
+
+impl Plain for TyId {
+    fn from_le(bytes: &[u8]) -> Self {
+        TyId(le_word(bytes, 0))
+    }
+}
+
+impl<const N: usize> Plain for [u32; N] {
+    fn from_le(bytes: &[u8]) -> Self {
+        std::array::from_fn(|i| le_word(bytes, i))
+    }
+}
 
 /// A typed array backed either by an owned `Vec<T>` or by a borrowed
 /// range of an [`Arc<SnapshotBuf>`] (zero-copy). Cloning a borrowed slab
@@ -348,6 +381,33 @@ impl<T: Plain> Slab<T> {
                 _marker: PhantomData,
             },
         })
+    }
+
+    /// `len` elements starting `byte_off` bytes into `buf`: borrowed
+    /// where [`Slab::borrowed`] can view them, otherwise decoded from
+    /// little-endian bytes into owned storage. `None` only when the range
+    /// does not fit the buffer.
+    #[must_use]
+    pub fn load(buf: &Arc<SnapshotBuf>, byte_off: usize, len: usize) -> Option<Slab<T>> {
+        if let Some(slab) = Slab::borrowed(buf, byte_off, len) {
+            return Some(slab);
+        }
+        let size = std::mem::size_of::<T>();
+        let end = len.checked_mul(size)?.checked_add(byte_off)?;
+        let bytes = buf.as_slice().get(byte_off..end)?;
+        Some(Slab::from_vec(bytes.chunks_exact(size).map(T::from_le).collect()))
+    }
+
+    /// The elements as an owned vector to mutate, copying them out of the
+    /// snapshot buffer first if this slab borrows (copy on first write).
+    pub fn make_mut(&mut self) -> &mut Vec<T> {
+        if let SlabInner::Borrowed { .. } = self.inner {
+            self.inner = SlabInner::Owned(self.as_slice().to_vec());
+        }
+        match &mut self.inner {
+            SlabInner::Owned(v) => v,
+            SlabInner::Borrowed { .. } => unreachable!("converted to owned above"),
+        }
     }
 
     /// The elements, however they are stored.
@@ -406,162 +466,6 @@ impl<T: Plain> std::fmt::Debug for Slab<T> {
     }
 }
 
-// --- Packed jungloid elements -------------------------------------------
-
-/// Quad tag: field access.
-const TAG_FIELD: u32 = 0;
-/// Quad tag: method call.
-const TAG_CALL: u32 = 1;
-/// Quad tag: widening conversion.
-const TAG_WIDEN: u32 = 2;
-/// Quad tag: downcast.
-const TAG_DOWNCAST: u32 = 3;
-
-/// Packs one element as the on-disk `[tag, a, b, c]` quad (format v2's
-/// CSR element encoding). Unused fields are zero.
-#[must_use]
-pub fn encode_quad(elem: ElemJungloid) -> [u32; 4] {
-    let idx = |i: usize| u32::try_from(i).expect("arena index fits u32");
-    match elem {
-        ElemJungloid::FieldAccess { field } => [TAG_FIELD, idx(field.index()), 0, 0],
-        ElemJungloid::Call { method, input } => {
-            let (kind, arg) = match input {
-                None => (0, 0),
-                Some(InputSlot::Receiver) => (1, 0),
-                Some(InputSlot::Arg(i)) => (2, idx(i)),
-            };
-            [TAG_CALL, idx(method.index()), kind, arg]
-        }
-        ElemJungloid::Widen { from, to } => [TAG_WIDEN, idx(from.index()), idx(to.index()), 0],
-        ElemJungloid::Downcast { from, to } => {
-            [TAG_DOWNCAST, idx(from.index()), idx(to.index()), 0]
-        }
-    }
-}
-
-/// Decodes one `[tag, a, b, c]` quad. `None` on a malformed quad (bad
-/// tag, bad input kind, or nonzero bits in an unused field) — the loader
-/// validates every quad once up front so access-path decoding
-/// ([`ElemSeq::get`]) can treat `None` as unreachable.
-#[must_use]
-pub fn decode_quad(quad: [u32; 4]) -> Option<ElemJungloid> {
-    let [tag, a, b, c] = quad;
-    match tag {
-        TAG_FIELD => {
-            if b != 0 || c != 0 {
-                return None;
-            }
-            Some(ElemJungloid::FieldAccess { field: FieldId::from_index(a as usize) })
-        }
-        TAG_CALL => {
-            let input = match b {
-                0 if c == 0 => None,
-                1 if c == 0 => Some(InputSlot::Receiver),
-                2 => Some(InputSlot::Arg(c as usize)),
-                _ => return None,
-            };
-            Some(ElemJungloid::Call { method: MethodId::from_index(a as usize), input })
-        }
-        TAG_WIDEN if c == 0 => Some(ElemJungloid::Widen {
-            from: TyId::from_index(a as usize),
-            to: TyId::from_index(b as usize),
-        }),
-        TAG_DOWNCAST if c == 0 => Some(ElemJungloid::Downcast {
-            from: TyId::from_index(a as usize),
-            to: TyId::from_index(b as usize),
-        }),
-        _ => None,
-    }
-}
-
-/// The CSR's per-edge jungloid elements: owned structs, or the on-disk
-/// packed quads decoded on access. [`ElemSeq::get`] returns by value
-/// (`ElemJungloid` is `Copy`) so search loops are storage-agnostic.
-#[derive(Clone)]
-pub enum ElemSeq {
-    /// Materialized elements (graphs built in-process, or big-endian
-    /// fallback decode).
-    Owned(Vec<ElemJungloid>),
-    /// Borrowed `[u32; 4]` quads, one per element, pre-validated by the
-    /// loader.
-    Packed(Slab<u32>),
-}
-
-impl ElemSeq {
-    /// Wraps pre-validated packed quads (`4 × count` words).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count is not a multiple of 4. Quad *content*
-    /// validity is the loader's responsibility.
-    #[must_use]
-    pub fn packed(words: Slab<u32>) -> ElemSeq {
-        assert!(words.len().is_multiple_of(4), "packed elem storage must be whole quads");
-        ElemSeq::Packed(words)
-    }
-
-    /// Number of elements.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            ElemSeq::Owned(v) => v.len(),
-            ElemSeq::Packed(words) => words.len() / 4,
-        }
-    }
-
-    /// Whether the sequence is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The element at `i`, decoded if packed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds (like slice indexing would).
-    #[must_use]
-    pub fn get(&self, i: usize) -> ElemJungloid {
-        match self {
-            ElemSeq::Owned(v) => v[i],
-            ElemSeq::Packed(words) => {
-                let w = &words.as_slice()[i * 4..i * 4 + 4];
-                decode_quad([w[0], w[1], w[2], w[3]])
-                    .expect("packed quads are validated at load")
-            }
-        }
-    }
-
-    /// Iterates the elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = ElemJungloid> + '_ {
-        (0..self.len()).map(move |i| self.get(i))
-    }
-
-    /// Whether the packed representation backs this sequence.
-    #[must_use]
-    pub fn is_packed(&self) -> bool {
-        matches!(self, ElemSeq::Packed(_))
-    }
-}
-
-impl Default for ElemSeq {
-    fn default() -> Self {
-        ElemSeq::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for ElemSeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
-    }
-}
-
-impl std::fmt::Debug for ElemSeq {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_list().entries(self.iter()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,59 +517,40 @@ mod tests {
     }
 
     #[test]
+    fn load_borrows_records_or_decodes_them() {
+        let words: Vec<u32> = (1..=7).collect();
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let buf = Arc::new(SnapshotBuf::from_bytes(&bytes));
+        let records = Slab::<[u32; 3]>::load(&buf, 4, 2).expect("in bounds");
+        assert_eq!(records.as_slice(), [[2, 3, 4], [5, 6, 7]]);
+        assert_eq!(records.is_borrowed(), cfg!(target_endian = "little"));
+        let ids = Slab::<TyId>::load(&buf, 0, 2).expect("in bounds");
+        assert_eq!(ids.as_slice(), [TyId(1), TyId(2)]);
+        // A misaligned range cannot be viewed, so it is decoded.
+        let shifted = Slab::<u32>::load(&buf, 1, 1).expect("in bounds");
+        assert!(!shifted.is_borrowed());
+        assert_eq!(shifted.as_slice(), [u32::from_le_bytes([0, 0, 0, 2])]);
+        assert!(Slab::<[u32; 3]>::load(&buf, 4, 3).is_none(), "past the end");
+        assert!(Slab::<u32>::load(&buf, 0, usize::MAX).is_none(), "length overflow");
+    }
+
+    #[test]
+    fn make_mut_copies_a_borrowed_slab_once() {
+        let buf = Arc::new(SnapshotBuf::from_bytes(&[1, 0, 0, 0, 2, 0, 0, 0]));
+        let mut slab = Slab::<u32>::load(&buf, 0, 2).expect("in bounds");
+        slab.make_mut().push(3);
+        slab.make_mut()[0] = 9;
+        assert!(!slab.is_borrowed());
+        assert_eq!(slab.as_slice(), [9, 2, 3]);
+        assert_eq!(buf.as_slice()[..4], [1, 0, 0, 0], "the buffer is never written");
+    }
+
+    #[test]
     fn borrowed_slab_rejects_misalignment_and_overflow() {
         let buf = Arc::new(SnapshotBuf::from_bytes(&[0u8; 16]));
         assert!(Slab::<u32>::borrowed(&buf, 2, 1).is_none(), "misaligned offset");
         assert!(Slab::<u32>::borrowed(&buf, 8, 3).is_none(), "past the end");
         assert!(Slab::<u32>::borrowed(&buf, 0, usize::MAX).is_none(), "length overflow");
         assert!(Slab::<u8>::borrowed(&buf, 3, 13).is_some(), "u8 views need no alignment");
-    }
-
-    #[test]
-    fn quads_round_trip_every_element_shape() {
-        let elems = [
-            ElemJungloid::FieldAccess { field: FieldId::from_index(5) },
-            ElemJungloid::Call { method: MethodId::from_index(9), input: None },
-            ElemJungloid::Call {
-                method: MethodId::from_index(2),
-                input: Some(InputSlot::Receiver),
-            },
-            ElemJungloid::Call {
-                method: MethodId::from_index(3),
-                input: Some(InputSlot::Arg(1)),
-            },
-            ElemJungloid::Widen { from: TyId::from_index(4), to: TyId::from_index(7) },
-            ElemJungloid::Downcast { from: TyId::from_index(7), to: TyId::from_index(4) },
-        ];
-        for e in elems {
-            assert_eq!(decode_quad(encode_quad(e)), Some(e));
-        }
-    }
-
-    #[test]
-    fn malformed_quads_are_rejected_not_misread() {
-        assert_eq!(decode_quad([4, 0, 0, 0]), None, "unknown tag");
-        assert_eq!(decode_quad([0, 1, 2, 0]), None, "field with junk in b");
-        assert_eq!(decode_quad([1, 0, 3, 0]), None, "call with bad input kind");
-        assert_eq!(decode_quad([1, 0, 1, 5]), None, "receiver call with junk arg");
-        assert_eq!(decode_quad([2, 1, 2, 9]), None, "widen with junk in c");
-    }
-
-    #[test]
-    fn packed_and_owned_elem_seqs_compare_equal() {
-        let elems = vec![
-            ElemJungloid::Widen { from: TyId::from_index(1), to: TyId::from_index(2) },
-            ElemJungloid::Call { method: MethodId::from_index(0), input: Some(InputSlot::Receiver) },
-        ];
-        let mut words = Vec::new();
-        for &e in &elems {
-            words.extend_from_slice(&encode_quad(e));
-        }
-        let packed = ElemSeq::packed(Slab::from_vec(words));
-        let owned = ElemSeq::Owned(elems.clone());
-        assert_eq!(packed, owned);
-        assert_eq!(packed.len(), 2);
-        assert_eq!(packed.get(1), elems[1]);
-        assert_eq!(packed.iter().collect::<Vec<_>>(), elems);
     }
 }

@@ -1,11 +1,27 @@
-//! The type table: an arena of interned types plus hierarchy queries.
+//! The type table: fixed-width type records plus hierarchy queries.
+//!
+//! Every type is one [`TypeRecord`] of six `u32` words, and every declared
+//! type's interfaces are a range of one flat [`TyId`] array; names are ids
+//! into a [`NameArena`]. A built table owns these arrays; a table loaded
+//! from a `.pspk` snapshot borrows them from the snapshot buffer and
+//! copies them only if it is mutated ([`Slab::make_mut`]). Either way the
+//! same accessors read them.
+//!
+//! | word | void / null | primitive   | class / interface | array        |
+//! |------|-------------|-------------|-------------------|--------------|
+//! | 0    | kind 0 / 1  | kind 2      | kind 3 / 4        | kind 5       |
+//! | 1    | 0           | `Prim` index| simple-name id    | element type |
+//! | 2    | 0           | 0           | package id        | 0            |
+//! | 3    | `NONE`      | `NONE`      | superclass or `NONE` | `NONE`    |
+//! | 4    | 0           | 0           | first interface   | 0            |
+//! | 5    | 0           | 0           | interface count   | 0            |
 
 use std::collections::HashMap;
 
 use prospector_obs::json::Json;
 
-use crate::names::{hash_name, NameArena, NameIndex, Sym};
-use crate::{Prim, Ty, TyId, TypeError, TypeKind};
+use crate::names::{hash_name, NameArena, NameIndex};
+use crate::{Prim, Slab, Ty, TyId, TypeError, TypeKind};
 
 /// Identifier of an interned package name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -17,35 +33,37 @@ impl PackageId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Reconstructs an id from a raw index.
-    ///
-    /// Only meaningful for indexes previously obtained from
-    /// [`PackageId::index`] against the same table (the binary snapshot
-    /// loader re-derives them; [`TypeTable::loader`] validates range).
-    #[must_use]
-    pub fn from_index(index: usize) -> Self {
-        PackageId(u32::try_from(index).expect("package arena exceeds u32 range"))
-    }
 }
 
-/// Internal structure of one arena slot.
-#[derive(Clone, Debug)]
-enum TyData {
-    Void,
-    Null,
-    Prim(Prim),
-    Decl(DeclData),
-    Array { elem: TyId },
-}
+/// Words in one type record.
+pub const TYPE_RECORD_WORDS: usize = 6;
 
-#[derive(Clone, Debug)]
-struct DeclData {
-    simple: Sym,
-    package: PackageId,
-    kind: TypeKind,
-    superclass: Option<TyId>,
-    interfaces: Vec<TyId>,
+/// One type's fixed-width record; the module docs lay out its words.
+pub type TypeRecord = [u32; TYPE_RECORD_WORDS];
+
+const KIND: usize = 0;
+/// Simple-name id, `Prim` index, or element type, by kind.
+const NAME: usize = 1;
+const PACKAGE: usize = 2;
+const SUPER: usize = 3;
+const IFACES_START: usize = 4;
+const IFACES_LEN: usize = 5;
+
+const K_VOID: u32 = 0;
+const K_NULL: u32 = 1;
+const K_PRIM: u32 = 2;
+const K_CLASS: u32 = 3;
+const K_INTERFACE: u32 = 4;
+const K_ARRAY: u32 = 5;
+
+/// An absent type reference (no superclass).
+const NONE: u32 = u32::MAX;
+
+/// Built-ins at the front of every table: void, null, the primitives.
+const BUILTINS: usize = 2 + Prim::ALL.len();
+
+fn record(kind: u32, name: u32) -> TypeRecord {
+    [kind, name, 0, NONE, 0, 0]
 }
 
 /// A read-only view of one declared class or interface.
@@ -80,6 +98,19 @@ impl TypeDecl<'_> {
     }
 }
 
+/// A table's arrays in the form [`TypeTable::from_slabs`] takes them,
+/// with every name re-issued by the caller's string pool: what a
+/// snapshot writer stores.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TypeArrays {
+    /// Name id of each package.
+    pub packages: Vec<u32>,
+    /// One record per type, in id order.
+    pub records: Vec<TypeRecord>,
+    /// Every declared type's interfaces, type after type.
+    pub interfaces: Vec<TyId>,
+}
+
 /// Arena of interned types with hierarchy construction and subtype queries.
 ///
 /// A fresh table pre-interns `void`, the null type, and the eight Java
@@ -105,20 +136,21 @@ impl TypeDecl<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TypeTable {
-    /// Package names and simple type names, back to back.
+    /// Package and simple names (a loaded table's: the whole string pool).
     names: NameArena,
-    packages: Vec<Sym>,
+    /// Name id of each package.
+    packages: Slab<u32>,
     /// Package name → package id.
     package_index: NameIndex,
-    types: Vec<TyData>,
+    /// One record per type, in id order.
+    types: Slab<TypeRecord>,
+    /// Interfaces of every declared type; each record names its range.
+    interfaces: Slab<TyId>,
     /// Simple name → the declared types carrying it. Serves simple and
     /// qualified lookups and the duplicate-declaration check; built as
     /// types are declared or loaded, never on first use.
     type_index: NameIndex,
     arrays: HashMap<TyId, TyId>,
-    void_id: TyId,
-    null_id: TyId,
-    prim_ids: [TyId; 8],
     object: Option<TyId>,
 }
 
@@ -128,95 +160,69 @@ impl TypeTable {
     #[must_use]
     pub fn new() -> Self {
         let mut types = Vec::with_capacity(16);
-        types.push(TyData::Void);
-        types.push(TyData::Null);
-        let void_id = TyId(0);
-        let null_id = TyId(1);
-        let mut prim_ids = [TyId(0); 8];
-        for (i, p) in Prim::ALL.into_iter().enumerate() {
-            prim_ids[i] = TyId(u32::try_from(types.len()).expect("small"));
-            types.push(TyData::Prim(p));
+        types.push(record(K_VOID, 0));
+        types.push(record(K_NULL, 0));
+        for i in 0..Prim::ALL.len() {
+            types.push(record(K_PRIM, u32::try_from(i).expect("8 primitives")));
         }
         TypeTable {
             names: NameArena::default(),
-            packages: Vec::new(),
+            packages: Slab::default(),
             package_index: NameIndex::default(),
-            types,
+            types: Slab::from_vec(types),
+            interfaces: Slab::default(),
             type_index: NameIndex::default(),
             arrays: HashMap::new(),
-            void_id,
-            null_id,
-            prim_ids,
             object: None,
         }
     }
 
+    fn rec(&self, id: TyId) -> &TypeRecord {
+        &self.types[id.index()]
+    }
+
     /// The id of an interned package.
-    fn package_id(&self, name: &str) -> Option<PackageId> {
+    fn package_id(&self, name: &[u8]) -> Option<PackageId> {
         self.package_index
             .chain(hash_name(name))
-            .map(PackageId::from_index)
-            .find(|&p| self.package_name(p) == name)
+            .map(|p| PackageId(p as u32))
+            .find(|&p| self.names.bytes(self.packages[p.index()]) == name)
     }
 
     /// The declared types whose simple name is `simple` (hashing to `h`),
-    /// newest first.
-    fn homonyms<'a>(
-        &'a self,
-        simple: &'a str,
-        h: u64,
-    ) -> impl Iterator<Item = (TyId, &'a DeclData)> + 'a {
-        self.type_index.chain(h).filter_map(move |i| match &self.types[i] {
-            TyData::Decl(d) if self.names.get(d.simple) == simple => Some((TyId::from_index(i), d)),
-            _ => None,
-        })
+    /// newest first. Only declared types are filed in `type_index`.
+    fn homonyms<'a>(&'a self, simple: &'a [u8], h: u64) -> impl Iterator<Item = TyId> + 'a {
+        self.type_index
+            .chain(h)
+            .map(TyId::from_index)
+            .filter(move |&id| self.names.bytes(self.rec(id)[NAME]) == simple)
     }
 
     /// The declared type `package.simple` (`simple` hashing to `h`).
-    fn find_decl(&self, package: PackageId, simple: &str, h: u64) -> Option<TyId> {
-        self.homonyms(simple, h).find(|(_, d)| d.package == package).map(|(id, _)| id)
+    fn find_decl(&self, package: PackageId, simple: &[u8], h: u64) -> Option<TyId> {
+        self.homonyms(simple, h).find(|&id| self.rec(id)[PACKAGE] == package.0)
     }
 
-    /// Appends declared type `package.simple` (`simple` hashing to `h`),
-    /// or returns the type already declared under that name.
-    fn push_decl(
-        &mut self,
-        package: PackageId,
-        simple: &str,
-        h: u64,
-        kind: TypeKind,
-        superclass: Option<TyId>,
-        interfaces: Vec<TyId>,
-    ) -> Result<TyId, TyId> {
-        if let Some(existing) = self.find_decl(package, simple, h) {
-            return Err(existing);
-        }
-        let id = TyId(u32::try_from(self.types.len()).expect("type arena overflow"));
-        let sym = self.names.push(simple);
-        self.types.push(TyData::Decl(DeclData { simple: sym, package, kind, superclass, interfaces }));
-        self.type_index.insert(h, id.index());
-        if self.object.is_none() && simple == "Object" && self.package_name(package) == "java.lang" {
-            self.object = Some(id);
-        }
-        Ok(id)
+    fn next_id(&self) -> TyId {
+        TyId(u32::try_from(self.types.len()).expect("type arena overflow"))
     }
 
     /// The `void` pseudo-type.
     #[must_use]
     pub fn void(&self) -> TyId {
-        self.void_id
+        TyId(0)
     }
 
     /// The null type (static type of the `null` literal).
     #[must_use]
     pub fn null(&self) -> TyId {
-        self.null_id
+        TyId(1)
     }
 
     /// The id of a primitive type.
     #[must_use]
     pub fn prim(&self, p: Prim) -> TyId {
-        self.prim_ids[Prim::ALL.iter().position(|q| *q == p).expect("all prims listed")]
+        TyId::from_index(2 + Prim::ALL.iter().position(|q| *q == p).expect("all prims listed"))
     }
 
     /// `java.lang.Object`, if it has been declared.
@@ -227,12 +233,13 @@ impl TypeTable {
 
     /// Interns a package name, returning its id.
     pub fn intern_package(&mut self, name: &str) -> PackageId {
-        if let Some(id) = self.package_id(name) {
+        if let Some(id) = self.package_id(name.as_bytes()) {
             return id;
         }
         let id = PackageId(u32::try_from(self.packages.len()).expect("package arena overflow"));
-        self.packages.push(self.names.push(name));
-        self.package_index.insert(hash_name(name), id.index());
+        let sym = self.names.push(name);
+        self.packages.make_mut().push(sym);
+        self.package_index.insert(hash_name(name.as_bytes()), id.index());
         id
     }
 
@@ -253,8 +260,23 @@ impl TypeTable {
     /// Returns [`TypeError::DuplicateType`] if the qualified name is taken.
     pub fn declare(&mut self, package: &str, simple: &str, kind: TypeKind) -> Result<TyId, TypeError> {
         let package = self.intern_package(package);
-        self.push_decl(package, simple, hash_name(simple), kind, None, Vec::new())
-            .map_err(|existing| TypeError::DuplicateType { qualified_name: self.display(existing) })
+        let h = hash_name(simple.as_bytes());
+        if let Some(existing) = self.find_decl(package, simple.as_bytes(), h) {
+            return Err(TypeError::DuplicateType { qualified_name: self.display(existing) });
+        }
+        let id = self.next_id();
+        let kind = match kind {
+            TypeKind::Class => K_CLASS,
+            TypeKind::Interface => K_INTERFACE,
+        };
+        let mut rec = record(kind, self.names.push(simple));
+        rec[PACKAGE] = package.0;
+        self.types.make_mut().push(rec);
+        self.type_index.insert(h, id.index());
+        if self.object.is_none() && simple == "Object" && self.package_name(package) == "java.lang" {
+            self.object = Some(id);
+        }
+        Ok(id)
     }
 
     /// Interns (or returns the existing) array type with the given element.
@@ -265,14 +287,14 @@ impl TypeTable {
     /// types in Java.
     pub fn array_of(&mut self, elem: TyId) -> TyId {
         assert!(
-            !matches!(self.types[elem.index()], TyData::Void | TyData::Null),
+            !matches!(self.rec(elem)[KIND], K_VOID | K_NULL),
             "no array of void/null"
         );
         if let Some(&arr) = self.arrays.get(&elem) {
             return arr;
         }
-        let id = TyId(u32::try_from(self.types.len()).expect("type arena overflow"));
-        self.types.push(TyData::Array { elem });
+        let id = self.next_id();
+        self.types.make_mut().push(record(K_ARRAY, elem.0));
         self.arrays.insert(elem, id);
         id
     }
@@ -310,11 +332,10 @@ impl TypeTable {
         if self.reaches(superclass, class) || class == superclass {
             return Err(TypeError::CyclicHierarchy { sub: class, sup: superclass });
         }
-        let TyData::Decl(data) = &mut self.types[class.index()] else { unreachable!() };
-        if data.superclass.is_some() {
+        if self.rec(class)[SUPER] != NONE {
             return Err(TypeError::SuperclassAlreadySet { class });
         }
-        data.superclass = Some(superclass);
+        self.types.make_mut()[class.index()][SUPER] = superclass.0;
         Ok(())
     }
 
@@ -341,30 +362,55 @@ impl TypeTable {
         if self.reaches(iface, sub) || sub == iface {
             return Err(TypeError::CyclicHierarchy { sub, sup: iface });
         }
-        let TyData::Decl(data) = &mut self.types[sub.index()] else { unreachable!() };
-        if !data.interfaces.contains(&iface) {
-            data.interfaces.push(iface);
+        if self.interfaces_of(self.rec(sub)).contains(&iface) {
+            return Ok(());
         }
+        // A type's interfaces must stay one range: unless they already
+        // end the array (the order builders add them in), move them to
+        // the end first. The old range is left unused.
+        let rec = *self.rec(sub);
+        let (mut start, len) = (rec[IFACES_START] as usize, rec[IFACES_LEN] as usize);
+        let ifaces = self.interfaces.make_mut();
+        if start + len != ifaces.len() {
+            let moved = ifaces.len();
+            ifaces.extend_from_within(start..start + len);
+            start = moved;
+        }
+        ifaces.push(iface);
+        let rec = &mut self.types.make_mut()[sub.index()];
+        rec[IFACES_START] = u32::try_from(start).expect("interface arena fits u32");
+        rec[IFACES_LEN] += 1;
         Ok(())
+    }
+
+    fn interfaces_of(&self, rec: &TypeRecord) -> &[TyId] {
+        let start = rec[IFACES_START] as usize;
+        &self.interfaces[start..start + rec[IFACES_LEN] as usize]
+    }
+
+    fn superclass_of(rec: &TypeRecord) -> Option<TyId> {
+        (rec[SUPER] != NONE).then_some(TyId(rec[SUPER]))
     }
 
     /// The structural shape of a type.
     #[must_use]
     pub fn ty(&self, id: TyId) -> Ty {
-        match &self.types[id.index()] {
-            TyData::Void => Ty::Void,
-            TyData::Null => Ty::Null,
-            TyData::Prim(p) => Ty::Prim(*p),
-            TyData::Decl(_) => Ty::Decl,
-            TyData::Array { elem } => Ty::Array(*elem),
+        let rec = self.rec(id);
+        match rec[KIND] {
+            K_VOID => Ty::Void,
+            K_NULL => Ty::Null,
+            K_PRIM => Ty::Prim(Prim::ALL[rec[NAME] as usize]),
+            K_ARRAY => Ty::Array(TyId(rec[NAME])),
+            _ => Ty::Decl,
         }
     }
 
     /// `Some(kind)` if `id` is a declared class or interface.
     #[must_use]
     pub fn kind(&self, id: TyId) -> Option<TypeKind> {
-        match &self.types[id.index()] {
-            TyData::Decl(d) => Some(d.kind),
+        match self.rec(id)[KIND] {
+            K_CLASS => Some(TypeKind::Class),
+            K_INTERFACE => Some(TypeKind::Interface),
             _ => None,
         }
     }
@@ -372,36 +418,34 @@ impl TypeTable {
     /// Whether `id` is a reference type (declared or array or null).
     #[must_use]
     pub fn is_reference(&self, id: TyId) -> bool {
-        matches!(
-            self.types[id.index()],
-            TyData::Decl(_) | TyData::Array { .. } | TyData::Null
-        )
+        matches!(self.rec(id)[KIND], K_CLASS | K_INTERFACE | K_ARRAY | K_NULL)
     }
 
     /// Read-only view of a declared type.
     #[must_use]
     pub fn decl(&self, id: TyId) -> Option<TypeDecl<'_>> {
-        match &self.types[id.index()] {
-            TyData::Decl(d) => Some(TypeDecl {
-                id,
-                simple_name: self.names.get(d.simple),
-                package_name: self.names.get(self.packages[d.package.index()]),
-                package: d.package,
-                kind: d.kind,
-                superclass: d.superclass,
-                interfaces: &d.interfaces,
-            }),
-            _ => None,
-        }
+        let kind = self.kind(id)?;
+        let rec = self.rec(id);
+        let package = PackageId(rec[PACKAGE]);
+        Some(TypeDecl {
+            id,
+            simple_name: self.names.get(rec[NAME]),
+            package_name: self.package_name(package),
+            package,
+            kind,
+            superclass: Self::superclass_of(rec),
+            interfaces: self.interfaces_of(rec),
+        })
     }
 
     /// The package a type belongs to: its own for declared types, the
     /// element's for arrays, `None` for `void`/null/primitives.
     #[must_use]
     pub fn package_of(&self, id: TyId) -> Option<PackageId> {
-        match &self.types[id.index()] {
-            TyData::Decl(d) => Some(d.package),
-            TyData::Array { elem } => self.package_of(*elem),
+        let rec = self.rec(id);
+        match rec[KIND] {
+            K_CLASS | K_INTERFACE => Some(PackageId(rec[PACKAGE])),
+            K_ARRAY => self.package_of(TyId(rec[NAME])),
             _ => None,
         }
     }
@@ -416,8 +460,7 @@ impl TypeTable {
     /// Whether the table holds only the built-in types.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        // 10 built-ins: void, null, 8 primitives.
-        self.types.len() <= 10
+        self.types.len() <= BUILTINS
     }
 
     /// Iterates over the ids of all interned types.
@@ -443,13 +486,13 @@ impl TypeTable {
                 .resolve_qualified(name)
                 .ok_or_else(|| TypeError::UnknownType { name: name.to_owned() });
         }
-        let h = hash_name(name);
-        let mut found = self.homonyms(name, h).map(|(id, _)| id);
+        let h = hash_name(name.as_bytes());
+        let mut found = self.homonyms(name.as_bytes(), h);
         match (found.next(), found.next()) {
             (None, _) => Err(TypeError::UnknownType { name: name.to_owned() }),
             (Some(id), None) => Ok(id),
             (Some(_), Some(_)) => {
-                let mut ids: Vec<TyId> = self.homonyms(name, h).map(|(id, _)| id).collect();
+                let mut ids: Vec<TyId> = self.homonyms(name.as_bytes(), h).collect();
                 ids.reverse();
                 Err(TypeError::AmbiguousName {
                     name: name.to_owned(),
@@ -464,11 +507,11 @@ impl TypeTable {
     /// never empty (an unpackaged type's qualified name has no dot).
     fn resolve_qualified(&self, name: &str) -> Option<TyId> {
         name.rmatch_indices('.').find_map(|(dot, _)| {
-            let (package, simple) = (&name[..dot], &name[dot + 1..]);
+            let (package, simple) = (&name[..dot], &name.as_bytes()[dot + 1..]);
             if package.is_empty() {
                 return None;
             }
-            self.find_decl(self.package_id(package)?, simple, hash_name(simple))
+            self.find_decl(self.package_id(package.as_bytes())?, simple, hash_name(simple))
         })
     }
 
@@ -483,23 +526,25 @@ impl TypeTable {
     #[must_use]
     pub fn direct_supertypes(&self, id: TyId) -> Vec<TyId> {
         let mut out = Vec::new();
-        match &self.types[id.index()] {
-            TyData::Decl(d) => {
-                if let Some(sup) = d.superclass {
+        let rec = self.rec(id);
+        match rec[KIND] {
+            K_CLASS | K_INTERFACE => {
+                if let Some(sup) = Self::superclass_of(rec) {
                     out.push(sup);
                 } else if self.object != Some(id) {
                     if let Some(obj) = self.object {
                         out.push(obj);
                     }
                 }
-                out.extend(d.interfaces.iter().copied());
+                out.extend_from_slice(self.interfaces_of(rec));
             }
-            TyData::Array { elem } => {
+            K_ARRAY => {
                 if let Some(obj) = self.object {
                     out.push(obj);
                 }
-                if matches!(self.types[elem.index()], TyData::Decl(_) | TyData::Array { .. }) {
-                    for sup in self.direct_supertypes(*elem) {
+                let elem = TyId(rec[NAME]);
+                if matches!(self.rec(elem)[KIND], K_CLASS | K_INTERFACE | K_ARRAY) {
+                    for sup in self.direct_supertypes(elem) {
                         if let Some(&arr) = self.arrays.get(&sup) {
                             out.push(arr);
                         }
@@ -510,7 +555,6 @@ impl TypeTable {
         }
         out
     }
-
     /// Whether `sub` is a subtype of `sup` (reflexive).
     ///
     /// Implements Java's widening-reference-conversion relation restricted
@@ -522,7 +566,7 @@ impl TypeTable {
         if sub == sup {
             return true;
         }
-        if sub == self.null_id {
+        if sub == self.null() {
             return self.is_reference(sup);
         }
         self.reaches(sub, sup)
@@ -567,7 +611,7 @@ impl TypeTable {
     #[must_use]
     pub fn strict_subtypes(&self, id: TyId) -> Vec<TyId> {
         self.ids()
-            .filter(|&s| s != id && self.is_reference(s) && s != self.null_id && self.is_subtype(s, id))
+            .filter(|&s| s != id && self.is_reference(s) && s != self.null() && self.is_subtype(s, id))
             .collect()
     }
 
@@ -575,31 +619,61 @@ impl TypeTable {
     /// `int`, `String[]`, `void`).
     #[must_use]
     pub fn display(&self, id: TyId) -> String {
-        match &self.types[id.index()] {
-            TyData::Void => "void".to_owned(),
-            TyData::Null => "<null>".to_owned(),
-            TyData::Prim(p) => p.keyword().to_owned(),
-            TyData::Decl(d) => {
-                let pkg = self.names.get(self.packages[d.package.index()]);
-                let simple = self.names.get(d.simple);
+        match self.ty(id) {
+            Ty::Void => "void".to_owned(),
+            Ty::Null => "<null>".to_owned(),
+            Ty::Prim(p) => p.keyword().to_owned(),
+            Ty::Decl => {
+                let rec = self.rec(id);
+                let pkg = self.package_name(PackageId(rec[PACKAGE]));
+                let simple = self.names.get(rec[NAME]);
                 if pkg.is_empty() {
                     simple.to_owned()
                 } else {
                     format!("{pkg}.{simple}")
                 }
             }
-            TyData::Array { elem } => format!("{}[]", self.display(*elem)),
+            Ty::Array(elem) => format!("{}[]", self.display(elem)),
         }
     }
 
     /// Renders a type id using simple names only (`Reader`, `String[]`).
     #[must_use]
     pub fn display_simple(&self, id: TyId) -> String {
-        match &self.types[id.index()] {
-            TyData::Decl(d) => self.names.get(d.simple).to_owned(),
-            TyData::Array { elem } => format!("{}[]", self.display_simple(*elem)),
+        match self.ty(id) {
+            Ty::Decl => self.names.get(self.rec(id)[NAME]).to_owned(),
+            Ty::Array(elem) => format!("{}[]", self.display_simple(elem)),
             _ => self.display(id),
         }
+    }
+
+    /// The interned package names, in id order.
+    pub fn package_names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.packages.iter().map(|&name| self.names.get(name))
+    }
+
+    /// Whether the record, interface, package and name arrays all borrow
+    /// from a snapshot buffer (a loaded table no mutation has copied).
+    #[must_use]
+    pub fn is_borrowed(&self) -> bool {
+        self.types.is_borrowed()
+            && self.interfaces.is_borrowed()
+            && self.packages.is_borrowed()
+            && self.names.is_borrowed()
+    }
+
+    /// Bytes held by the table: its arrays (owned or borrowed), names,
+    /// and lookup indexes.
+    #[must_use]
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of_val(self.types.as_slice())
+            + std::mem::size_of_val(self.interfaces.as_slice())
+            + std::mem::size_of_val(self.packages.as_slice())
+            + self.names.approx_bytes()
+            + self.package_index.approx_bytes()
+            + self.type_index.approx_bytes()
+            // A hash-map slot holds the key and value plus one control byte.
+            + self.arrays.capacity() * 9
     }
 }
 
@@ -611,266 +685,141 @@ impl Default for TypeTable {
 
 // --- Persistence --------------------------------------------------------
 //
-// The binary snapshot format in `prospector-store` carries only the
-// arena (packages + typed slots); every derived index (qualified/simple
-// lookup, array interning, the Object root) is rebuilt on load, which
-// keeps the format small and makes a loaded table structurally identical
-// to a freshly built one. [`RawSlot`] is the shape the decoder hands
-// over; [`TypeTable::loader`] owns all structural validation. The JSON
-// rendering ([`TypeTable::to_json`]) is a debug dump only.
-
-/// The raw contents of one type-arena slot, as decoded by the binary
-/// snapshot format in `prospector-store` and handed to
-/// [`TableLoader::push`]. The simple
-/// name is borrowed from the decoder's input, so decoding allocates no
-/// string per slot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RawSlot<'a> {
-    /// The `void` pseudo-type (always slot 0).
-    Void,
-    /// The null type (always slot 1).
-    Null,
-    /// A primitive (slots 2..10, in [`Prim::ALL`] order).
-    Prim(Prim),
-    /// A declared class or interface.
-    Decl {
-        /// Simple (unqualified) name.
-        simple: &'a str,
-        /// Package reference.
-        package: PackageId,
-        /// Class or interface.
-        kind: TypeKind,
-        /// Declared superclass, if any.
-        superclass: Option<TyId>,
-        /// Implemented/extended interfaces.
-        interfaces: Vec<TyId>,
-    },
-    /// An array type.
-    Array {
-        /// Element type.
-        elem: TyId,
-    },
-}
-
-/// A borrowed view of one type-arena slot, the save-side sibling of
-/// [`RawSlot`]. The binary snapshot encoder iterates these instead of
-/// cloning every name out of the name arena.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RawSlotView<'a> {
-    /// The `void` pseudo-type (always slot 0).
-    Void,
-    /// The null type (always slot 1).
-    Null,
-    /// A primitive (slots 2..10, in [`Prim::ALL`] order).
-    Prim(Prim),
-    /// A declared class or interface.
-    Decl {
-        /// Simple (unqualified) name, borrowed from the name arena.
-        simple: &'a str,
-        /// Package reference.
-        package: PackageId,
-        /// Class or interface.
-        kind: TypeKind,
-        /// Declared superclass, if any.
-        superclass: Option<TyId>,
-        /// Implemented/extended interfaces.
-        interfaces: &'a [TyId],
-    },
-    /// An array type.
-    Array {
-        /// Element type.
-        elem: TyId,
-    },
-}
-
-impl TypeTable {
-    /// The interned package names, in arena order, borrowed from the name
-    /// arena.
-    pub fn package_names(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
-        self.packages.iter().map(|&sym| self.names.get(sym))
-    }
-
-    /// Borrowed views of the raw arena slots, in id order — zero
-    /// allocations, names read straight from the name arena.
-    /// Together with [`TypeTable::package_names`] this is the table's
-    /// complete persistent state.
-    pub fn raw_slot_views(&self) -> impl ExactSizeIterator<Item = RawSlotView<'_>> + '_ {
-        self.types.iter().map(|slot| match slot {
-            TyData::Void => RawSlotView::Void,
-            TyData::Null => RawSlotView::Null,
-            TyData::Prim(p) => RawSlotView::Prim(*p),
-            TyData::Decl(d) => RawSlotView::Decl {
-                simple: self.names.get(d.simple),
-                package: d.package,
-                kind: d.kind,
-                superclass: d.superclass,
-                interfaces: &d.interfaces,
-            },
-            TyData::Array { elem } => RawSlotView::Array { elem: *elem },
-        })
-    }
-
-    /// Starts rebuilding a table of exactly `slot_count` slots over
-    /// `packages`, slot by slot, so a decoder never materializes a slot
-    /// list. Every derived index — the name lookups included — is built
-    /// as slots arrive, so the first [`TypeTable::resolve`] after a load
-    /// does no deferred work.
-    ///
-    /// # Errors
-    ///
-    /// [`TypeError::InvalidTable`] on a repeated package name.
-    pub fn loader(packages: &[&str], slot_count: usize) -> Result<TableLoader, TypeError> {
-        let mut table = TypeTable {
-            names: NameArena::with_capacity(slot_count + packages.len(), 0),
-            packages: Vec::with_capacity(packages.len()),
-            package_index: NameIndex::with_capacity(packages.len()),
-            types: Vec::with_capacity(slot_count),
-            type_index: NameIndex::with_capacity(slot_count),
-            arrays: HashMap::new(),
-            void_id: TyId(0),
-            null_id: TyId(1),
-            prim_ids: [TyId(0); 8],
-            object: None,
-        };
-        for name in packages {
-            if table.package_id(name).is_some() {
-                return Err(invalid(format!("duplicate package `{name}`")));
-            }
-            table.intern_package(name);
-        }
-        Ok(TableLoader { table, slot_count })
-    }
-
-    /// Heap bytes held by the table: slots, names, and lookup indexes.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let interfaces: usize = self
-            .types
-            .iter()
-            .map(|t| match t {
-                TyData::Decl(d) => d.interfaces.capacity() * 4,
-                _ => 0,
-            })
-            .sum();
-        self.types.capacity() * std::mem::size_of::<TyData>()
-            + interfaces
-            + self.names.approx_bytes()
-            + self.packages.capacity() * 4
-            + self.package_index.approx_bytes()
-            + self.type_index.approx_bytes()
-            // A hash-map slot holds the key and value plus one control byte.
-            + self.arrays.capacity() * 9
-    }
-}
+// A `.pspk` snapshot stores the table's arrays in the record layout above,
+// with names as ids into its string pool; `from_slabs` takes them back
+// (borrowed from the snapshot buffer) and builds only the derived
+// indexes: names, packages, arrays, the `Object` root.
 
 fn invalid(detail: String) -> TypeError {
     TypeError::InvalidTable { detail }
 }
 
-/// A [`TypeTable`] being rebuilt from persisted slots (see
-/// [`TypeTable::loader`]); [`TableLoader::finish`] owns the checks that
-/// need the whole arena.
-#[derive(Debug)]
-pub struct TableLoader {
-    table: TypeTable,
-    slot_count: usize,
-}
-
-impl TableLoader {
-    fn check_ty(&self, id: TyId) -> Result<(), TypeError> {
-        if id.index() < self.slot_count {
-            Ok(())
-        } else {
-            Err(invalid(format!("type reference {id:?} out of bounds ({} slots)", self.slot_count)))
-        }
+impl TypeTable {
+    /// The table's arrays with every name re-issued through `intern` (a
+    /// snapshot writer's string pool), and each declared type's
+    /// interfaces laid out in id order.
+    pub fn to_arrays(&self, mut intern: impl FnMut(&str) -> u32) -> TypeArrays {
+        let packages = self.package_names().map(&mut intern).collect();
+        let mut interfaces = Vec::new();
+        let records = self
+            .types
+            .iter()
+            .map(|rec| {
+                let mut rec = *rec;
+                if matches!(rec[KIND], K_CLASS | K_INTERFACE) {
+                    let own = self.interfaces_of(&rec);
+                    rec[NAME] = intern(self.names.get(rec[NAME]));
+                    rec[IFACES_START] = u32::try_from(interfaces.len()).expect("fits u32");
+                    interfaces.extend_from_slice(own);
+                }
+                rec
+            })
+            .collect();
+        TypeArrays { packages, records, interfaces }
     }
 
-    /// Appends the next slot.
+    /// Rebuilds a table from stored arrays — the zero-copy snapshot load:
+    /// `names` is the string pool the name ids point into, and the arrays
+    /// stay wherever they live (borrowed from a snapshot buffer, or
+    /// owned). Checks everything a built table guarantees, then builds
+    /// the name, package and array indexes.
     ///
     /// # Errors
     ///
-    /// [`TypeError::InvalidTable`] on a slot past the promised count, an
-    /// out-of-range package or type reference, or a duplicate declared
-    /// type or array interning.
-    pub fn push(&mut self, slot: RawSlot<'_>) -> Result<(), TypeError> {
-        let table = &self.table;
-        let id = TyId::from_index(table.types.len());
-        if id.index() >= self.slot_count {
-            return Err(invalid(format!("more than the {} slots declared", self.slot_count)));
-        }
-        let data = match slot {
-            RawSlot::Void => TyData::Void,
-            RawSlot::Null => TyData::Null,
-            RawSlot::Prim(p) => TyData::Prim(p),
-            RawSlot::Decl { simple, package, kind, superclass, interfaces } => {
-                if package.index() >= table.packages.len() {
-                    return Err(invalid(format!(
-                        "package reference {} out of bounds ({} packages)",
-                        package.index(),
-                        table.packages.len()
-                    )));
-                }
-                if let Some(sup) = superclass {
-                    self.check_ty(sup)?;
-                }
-                for &i in &interfaces {
-                    self.check_ty(i)?;
-                }
-                let table = &mut self.table;
-                let h = hash_name(simple);
-                return match table.push_decl(package, simple, h, kind, superclass, interfaces) {
-                    Ok(_) => Ok(()),
-                    Err(first) => {
-                        Err(invalid(format!("duplicate declared type `{}`", table.display(first))))
-                    }
-                };
-            }
-            RawSlot::Array { elem } => {
-                self.check_ty(elem)?;
-                if self.table.arrays.insert(elem, id).is_some() {
-                    return Err(invalid("duplicate array interning".to_owned()));
-                }
-                TyData::Array { elem }
-            }
-        };
-        self.table.types.push(data);
-        Ok(())
-    }
-
-    /// Finishes the table.
-    ///
-    /// # Errors
-    ///
-    /// [`TypeError::InvalidTable`] if fewer slots arrived than promised,
-    /// the built-in prefix (void, null, the eight primitives) does not
-    /// match a fresh table's, or an array has a `void`/null element.
-    pub fn finish(self) -> Result<TypeTable, TypeError> {
-        let mut table = self.table;
-        let types = &table.types;
-        if types.len() != self.slot_count {
-            return Err(invalid(format!("{} of {} slots arrived", types.len(), self.slot_count)));
-        }
-        if types.len() < 10
-            || !matches!(types[0], TyData::Void)
-            || !matches!(types[1], TyData::Null)
-        {
+    /// [`TypeError::InvalidTable`] on a built-in prefix (void, null, the
+    /// eight primitives) that differs from a fresh table's, an unknown
+    /// kind tag, an out-of-range name, package, type or interface
+    /// reference, an array of `void`/null, or a repeated package, declared
+    /// type, or array interning (names compared by text).
+    pub fn from_slabs(
+        names: NameArena,
+        packages: Slab<u32>,
+        types: Slab<TypeRecord>,
+        interfaces: Slab<TyId>,
+    ) -> Result<TypeTable, TypeError> {
+        let fresh = TypeTable::new();
+        if types.get(..BUILTINS) != Some(&fresh.types[..]) {
             return Err(invalid("built-in prefix (void, null, primitives) missing".to_owned()));
         }
-        for (i, p) in Prim::ALL.into_iter().enumerate() {
-            match &types[2 + i] {
-                TyData::Prim(q) if *q == p => {
-                    table.prim_ids[i] = TyId(u32::try_from(2 + i).expect("small"));
+        let (type_count, name_count) = (types.len(), names.len());
+        if let Some(bad) = interfaces.iter().find(|t| t.index() >= type_count) {
+            return Err(invalid(format!("interface {bad:?} out of range ({type_count} types)")));
+        }
+        let mut table = TypeTable {
+            names,
+            package_index: NameIndex::with_capacity(packages.len()),
+            packages,
+            type_index: NameIndex::with_capacity(type_count),
+            types,
+            interfaces,
+            ..fresh
+        };
+        let name_of = |id: u32, what: &str| {
+            if (id as usize) < name_count {
+                Ok(id)
+            } else {
+                Err(invalid(format!("{what} name {id} out of range ({name_count} names)")))
+            }
+        };
+        for p in 0..table.packages.len() {
+            let name = table.names.bytes(name_of(table.packages[p], "package")?);
+            if table.package_id(name).is_some() {
+                let name = String::from_utf8_lossy(name);
+                return Err(invalid(format!("duplicate package `{name}`")));
+            }
+            table.package_index.insert(hash_name(name), p);
+        }
+        let ty = |raw: u32| {
+            if (raw as usize) < type_count {
+                Ok(TyId(raw))
+            } else {
+                Err(invalid(format!("type reference {raw} out of range ({type_count} types)")))
+            }
+        };
+        for i in BUILTINS..type_count {
+            let rec = table.types[i];
+            match rec[KIND] {
+                K_CLASS | K_INTERFACE => {
+                    let simple = table.names.bytes(name_of(rec[NAME], "type")?);
+                    if rec[PACKAGE] as usize >= table.packages.len() {
+                        return Err(invalid(format!(
+                            "package reference {} out of range ({} packages)",
+                            rec[PACKAGE],
+                            table.packages.len()
+                        )));
+                    }
+                    if rec[SUPER] != NONE {
+                        ty(rec[SUPER])?;
+                    }
+                    let (start, len) = (rec[IFACES_START] as usize, rec[IFACES_LEN] as usize);
+                    if start.checked_add(len).is_none_or(|end| end > table.interfaces.len()) {
+                        return Err(invalid(format!("type {i}'s interfaces run past the array")));
+                    }
+                    // Filing first and then walking the older entries
+                    // under the same hash costs one probe, not two.
+                    table.type_index.insert(hash_name(simple), i);
+                    let same = |&t: &usize| {
+                        let other = &table.types[t];
+                        other[PACKAGE] == rec[PACKAGE] && table.names.bytes(other[NAME]) == simple
+                    };
+                    if let Some(first) = table.type_index.older(i).find(same) {
+                        let first = table.display(TyId::from_index(first));
+                        return Err(invalid(format!("duplicate declared type `{first}`")));
+                    }
                 }
-                _ => return Err(invalid("primitive slots out of order".to_owned())),
+                K_ARRAY => {
+                    let elem = ty(rec[NAME])?;
+                    if matches!(table.rec(elem)[KIND], K_VOID | K_NULL) {
+                        return Err(invalid("array of void/null".to_owned()));
+                    }
+                    if table.arrays.insert(elem, TyId::from_index(i)).is_some() {
+                        return Err(invalid("duplicate array interning".to_owned()));
+                    }
+                }
+                other => return Err(invalid(format!("type {i} has kind tag {other}"))),
             }
         }
-        for slot in types {
-            if let TyData::Array { elem } = slot {
-                if matches!(types[elem.index()], TyData::Void | TyData::Null) {
-                    return Err(invalid("array of void/null".to_owned()));
-                }
-            }
-        }
+        table.object = table.resolve_qualified("java.lang.Object");
         Ok(table)
     }
 }
@@ -887,50 +836,40 @@ impl TypeTable {
     #[must_use]
     pub fn to_json(&self) -> Json {
         // Canonical first-use order (not raw arena order) makes the
-        // document of a snapshot-loaded table equal its source's, where
-        // the rebuilt arena interns names in a different sequence.
+        // document of a snapshot-loaded table equal its source's, whose
+        // names sit at different ids.
         let mut remap: HashMap<&str, u64> = HashMap::new();
         let mut names: Vec<Json> = Vec::new();
-        for slot in &self.types {
-            if let TyData::Decl(d) = slot {
-                let simple = self.names.get(d.simple);
-                if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(simple) {
-                    e.insert(names.len() as u64);
-                    names.push(Json::Str(simple.to_owned()));
-                }
+        for d in self.decls() {
+            if let std::collections::hash_map::Entry::Vacant(e) = remap.entry(d.simple_name) {
+                e.insert(names.len() as u64);
+                names.push(Json::Str(d.simple_name.to_owned()));
             }
         }
         let types = self
-            .types
-            .iter()
-            .map(|slot| match slot {
-                TyData::Void => Json::obj(vec![("k", Json::Str("void".into()))]),
-                TyData::Null => Json::obj(vec![("k", Json::Str("null".into()))]),
-                TyData::Prim(p) => Json::obj(vec![
+            .ids()
+            .map(|id| match (self.ty(id), self.decl(id)) {
+                (Ty::Void, _) => Json::obj(vec![("k", Json::Str("void".into()))]),
+                (Ty::Null, _) => Json::obj(vec![("k", Json::Str("null".into()))]),
+                (Ty::Prim(p), _) => Json::obj(vec![
                     ("k", Json::Str("prim".into())),
                     ("p", Json::Str(p.keyword().into())),
                 ]),
-                TyData::Decl(d) => Json::obj(vec![
-                    ("k", Json::Str("decl".into())),
-                    ("simple", Json::num_u(remap[self.names.get(d.simple)])),
-                    ("pkg", Json::num_u(u64::from(d.package.0))),
-                    (
-                        "kind",
-                        Json::Str(
-                            match d.kind {
-                                TypeKind::Class => "class",
-                                TypeKind::Interface => "interface",
-                            }
-                            .into(),
-                        ),
-                    ),
-                    ("super", d.superclass.map_or(Json::Null, ty_ref)),
-                    ("ifaces", Json::Arr(d.interfaces.iter().map(|&i| ty_ref(i)).collect())),
-                ]),
-                TyData::Array { elem } => Json::obj(vec![
+                (Ty::Array(elem), _) => Json::obj(vec![
                     ("k", Json::Str("array".into())),
-                    ("elem", ty_ref(*elem)),
+                    ("elem", ty_ref(elem)),
                 ]),
+                (Ty::Decl, d) => {
+                    let d = d.expect("a declared type has a decl view");
+                    Json::obj(vec![
+                        ("k", Json::Str("decl".into())),
+                        ("simple", Json::num_u(remap[d.simple_name])),
+                        ("pkg", Json::num_u(u64::from(d.package.0))),
+                        ("kind", Json::Str(d.kind.to_string())),
+                        ("super", d.superclass.map_or(Json::Null, ty_ref)),
+                        ("ifaces", Json::Arr(d.interfaces.iter().map(|&i| ty_ref(i)).collect())),
+                    ])
+                }
             })
             .collect();
         Json::obj(vec![
@@ -1163,6 +1102,67 @@ mod tests {
         let all = t.strict_subtypes(obj);
         assert!(all.contains(&a) && all.contains(&b));
         assert!(!all.contains(&obj));
+    }
+
+    /// `t` stored and loaded back, after `edit` tampers with its arrays.
+    fn reload(
+        t: &TypeTable,
+        edit: impl FnOnce(&mut NameArena, &mut TypeArrays),
+    ) -> Result<TypeTable, TypeError> {
+        let mut names = NameArena::default();
+        let mut a = t.to_arrays(|s| names.push(s));
+        edit(&mut names, &mut a);
+        TypeTable::from_slabs(
+            names,
+            Slab::from_vec(a.packages),
+            Slab::from_vec(a.records),
+            Slab::from_vec(a.interfaces),
+        )
+    }
+
+    #[test]
+    fn stored_arrays_load_back_equal() {
+        let (mut t, obj) = base();
+        let i = t.declare("x", "I", TypeKind::Interface).unwrap();
+        let j = t.declare("x", "J", TypeKind::Interface).unwrap();
+        let c = t.declare("y", "C", TypeKind::Class).unwrap();
+        t.add_interface(c, i).unwrap();
+        t.add_interface(j, i).unwrap();
+        t.add_interface(c, j).unwrap(); // moves c's range past j's
+        t.array_of(c);
+        let mut loaded = reload(&t, |_, _| {}).unwrap();
+        assert!(loaded.to_json() == t.to_json());
+        assert_eq!(loaded.decl(c).unwrap().interfaces, [i, j]);
+        assert_eq!(loaded.object(), Some(obj));
+        assert_eq!(loaded.resolve("y.C").unwrap(), c);
+        assert_eq!(loaded.array_of(c), t.array_of(c), "arrays stay interned");
+    }
+
+    #[test]
+    fn stored_arrays_are_checked() {
+        let (mut t, _) = base();
+        let a = t.declare("x", "A", TypeKind::Class).unwrap().index();
+        t.declare("x", "B", TypeKind::Class).unwrap();
+        let i = t.declare("x", "I", TypeKind::Interface).unwrap();
+        t.add_interface(TyId::from_index(a), i).unwrap();
+        let void_arr = t.len();
+        t.array_of(t.prim(Prim::Int));
+        type Edit = fn(&mut NameArena, &mut TypeArrays);
+        let edits: [(&str, Edit); 9] = [
+            ("kind tag", |_, a| a.records[11][KIND] = 9),
+            ("name id", |n, a| a.records[11][NAME] = n.len() as u32),
+            ("package id", |_, a| a.records[11][PACKAGE] = 2),
+            ("superclass", |_, a| a.records[11][SUPER] = 99),
+            ("interface", |_, a| a.interfaces[0] = TyId(99)),
+            ("interface range", |_, a| a.records[11][IFACES_LEN] = 2),
+            ("array of void", |_, a| a.records.last_mut().unwrap()[NAME] = 0),
+            ("prefix", |_, a| a.records[3][NAME] = 0),
+            ("duplicate by text", |n, a| a.records[12][NAME] = n.push("A")),
+        ];
+        assert_eq!((a, void_arr), (11, 14));
+        for (why, edit) in edits {
+            assert!(matches!(reload(&t, edit), Err(TypeError::InvalidTable { .. })), "{why}");
+        }
     }
 
     #[test]

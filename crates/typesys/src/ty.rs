@@ -7,8 +7,12 @@
 /// signature graph is keyed by a `TyId` (plus fresh mined nodes), so keeping
 /// this a 4-byte value keeps the graph compact.
 ///
+/// `#[repr(transparent)]` over its `u32`, so arrays of ids can be viewed
+/// straight out of a snapshot buffer (see [`Plain`](crate::Plain)).
+///
 /// [`TypeTable`]: crate::TypeTable
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[repr(transparent)]
 pub struct TyId(pub(crate) u32);
 
 impl TyId {

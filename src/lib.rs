@@ -4,6 +4,8 @@
 //! examples in `examples/` and the cross-crate integration tests in `tests/`
 //! can use one import root.
 
+#![deny(unsafe_code)]
+
 pub use jungloid_apidef as apidef;
 pub use jungloid_dataflow as dataflow;
 pub use jungloid_minijava as minijava;
