@@ -29,7 +29,7 @@ use prospector_core::heat;
 use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
 use prospector_obs::sketch::{CountMinSketch, SpaceSaving};
-use prospector_obs::{profile, Json};
+use prospector_obs::{profile, Json, Stage};
 
 /// Counts every heap allocation so the pinned loops can prove they make
 /// none. Deallocation is uncounted — the contract is "no new memory on
@@ -170,9 +170,9 @@ fn measure_profile(iters: u64) -> (f64, f64, u64) {
     profile::set_enabled(true);
     // Warm-up: register the thread slot and claim the fold-table slots
     // the timed loop will hit.
-    if profile::push("bench.outer") {
+    if profile::push(Stage::Batch) {
         profile::sample_all();
-        if profile::push("bench.inner") {
+        if profile::push(Stage::Search) {
             profile::sample_all();
             profile::pop();
         }
@@ -182,8 +182,8 @@ fn measure_profile(iters: u64) -> (f64, f64, u64) {
     let before = allocs();
     let started = Instant::now();
     for _ in 0..iters {
-        let owed = profile::push(black_box("bench.outer"));
-        let inner = profile::push(black_box("bench.inner"));
+        let owed = profile::push(black_box(Stage::Batch));
+        let inner = profile::push(black_box(Stage::Search));
         if inner {
             profile::pop();
         }

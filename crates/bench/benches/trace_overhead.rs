@@ -16,6 +16,12 @@
 //! in `BENCH_obs_window.json` at the repository root (override with
 //! `BENCH_OBS_WINDOW_OUT`).
 //!
+//! The `stage_span` case prices the one stage span with metrics and the
+//! profiler on: a process-level span (stage table + profiler frame) and
+//! a span on a recording query (also its timeline event and
+//! `query.stage_ns` histogram). The process-level span and a `gauge_set`
+//! on an existing gauge must make zero allocations.
+//!
 //! Run with `cargo bench -p bench --bench trace_overhead`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
 //! run.
@@ -28,8 +34,9 @@ use std::time::Instant;
 use jungloid_typesys::TyId;
 use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
+use prospector_obs::trace::Recorder;
 use prospector_obs::window::WindowRing;
-use prospector_obs::Json;
+use prospector_obs::{profile, Json, Stage};
 
 /// Counts every heap allocation so the window-record loop can prove it
 /// makes none. Deallocation is uncounted — the contract is "no new
@@ -119,6 +126,72 @@ fn measure_window(iters: u64) -> (f64, u64, f64) {
     (per_record, allocs, per_view)
 }
 
+/// What the `stage_span` case measured.
+struct StageSpanCost {
+    process_ns: f64,
+    process_allocs: u64,
+    query_ns: f64,
+    query_allocs_per_span: f64,
+    gauge_ns: f64,
+    gauge_allocs: u64,
+}
+
+/// Stage spans with metrics and the profiler on. The first span
+/// registers this thread's profiler slot and the first gauge write
+/// files the name, both outside the timed loops. Query spans open in
+/// batches of [`QUERY_BATCH`] on one recording query, whose publish is
+/// not timed; their allocations are the query's growing event buffer.
+fn measure_stage_span(iters: u64) -> StageSpanCost {
+    const QUERY_BATCH: u64 = 64;
+    prospector_obs::set_enabled(true);
+    profile::set_enabled(true);
+    drop(prospector_obs::stage(Stage::Store));
+    prospector_obs::gauge_set("bench.stage_span.gauge", 0);
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    for _ in 0..iters {
+        drop(prospector_obs::stage(black_box(Stage::Store)));
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let process_ns = started.elapsed().as_nanos() as f64 / iters as f64;
+    let process_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let recorder = Recorder::new();
+    recorder.set_enabled(true);
+    let batches = (iters / QUERY_BATCH).max(1);
+    let (mut query_elapsed, mut query_allocs) = (0u128, 0u64);
+    for _ in 0..batches {
+        let mut query = recorder.span(recorder.next_id());
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let started = Instant::now();
+        for _ in 0..QUERY_BATCH {
+            drop(query.stage(black_box(Stage::Search)));
+        }
+        query_elapsed += started.elapsed().as_nanos();
+        query_allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        query.finish();
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let (query_ns, query_allocs_per_span) = {
+        let spans = (batches * QUERY_BATCH) as f64;
+        (query_elapsed as f64 / spans, query_allocs as f64 / spans)
+    };
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    for i in 0..iters {
+        prospector_obs::gauge_set("bench.stage_span.gauge", black_box(i));
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let gauge_ns = started.elapsed().as_nanos() as f64 / iters as f64;
+    let gauge_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    profile::set_enabled(false);
+    prospector_obs::set_enabled(false);
+    StageSpanCost { process_ns, process_allocs, query_ns, query_allocs_per_span, gauge_ns, gauge_allocs }
+}
+
 fn main() {
     let quick = quick_mode();
     let rounds = if quick { 5 } else { 50 };
@@ -163,7 +236,38 @@ fn main() {
         "window recording must stay O(ns): {per_record} ns/record"
     );
 
+    println!("\n=== stage span (metrics and profiler on) ===\n");
+    let span_iters: u64 = if quick { 200_000 } else { 2_000_000 };
+    let cost = measure_stage_span(span_iters);
+    println!(
+        "process span: {:>10.1} ns/span  ({} allocations)",
+        cost.process_ns, cost.process_allocs
+    );
+    println!(
+        "query span:   {:>10.1} ns/span  ({:.3} allocations/span, event buffer growth)",
+        cost.query_ns, cost.query_allocs_per_span
+    );
+    println!("gauge_set:    {:>10.1} ns/write  ({} allocations)", cost.gauge_ns, cost.gauge_allocs);
+    assert_eq!(cost.process_allocs, 0, "a process-level stage span must not allocate");
+    assert_eq!(cost.gauge_allocs, 0, "gauge_set on an existing gauge must not allocate");
+
+    let round1 = |x: f64| Json::Num((x * 10.0).round() / 10.0);
     let doc = Json::obj(vec![
+        (
+            "stage_span",
+            Json::obj(vec![
+                ("iters", Json::num_u(span_iters)),
+                ("process_ns_per_span", round1(cost.process_ns)),
+                ("process_allocations", Json::num_u(cost.process_allocs)),
+                ("query_ns_per_span", round1(cost.query_ns)),
+                (
+                    "query_allocations_per_span",
+                    Json::Num((cost.query_allocs_per_span * 1000.0).round() / 1000.0),
+                ),
+                ("gauge_set_ns", round1(cost.gauge_ns)),
+                ("gauge_set_allocations", Json::num_u(cost.gauge_allocs)),
+            ]),
+        ),
         (
             "window_record",
             Json::obj(vec![

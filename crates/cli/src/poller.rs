@@ -65,6 +65,8 @@ mod imp {
     use std::sync::{Condvar, Mutex};
     use std::time::{Duration, Instant};
 
+    use prospector_obs::Stage;
+
     use crate::http::{FrameError, Framed, Request, RequestFramer};
     use crate::serve::{
         answer, endpoint_of, frame_error_response, record_request, sampler_loop,
@@ -379,7 +381,7 @@ mod imp {
             // The profiler's root frame: sampled stacks read
             // `serve.request;batch;search` etc., so `/profile.folded`
             // attributes wall-clock to request handling versus idle.
-            let _span = prospector_obs::stage("serve.request");
+            let _span = prospector_obs::stage(Stage::ServeRequest);
             let (endpoint, response) = answer(ctx, &job.request);
             let bytes = serialize_response(&response, job.close);
             let handle_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);

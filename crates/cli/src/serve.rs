@@ -33,7 +33,7 @@
 //! | `GET /metrics`            | Prometheus text exposition of the registry  |
 //! | `GET /status`             | SLO introspection JSON (windowed latency, rates, pool, RSS, tenants) |
 //! | `GET /query?tin=..&tout=..` | ranked-jungloid JSON + the query's `trace_id` |
-//! | `GET /assist?var=n:T&tout=..` | assist fan-out JSON: suggestions from every visible variable |
+//! | `GET /assist?var=n:T&tout=..` | assist fan-out JSON: suggestions from every visible variable + its `trace_id` |
 //! | `GET /slow`               | the retained slow-query timelines as JSON (`?clear=1` resets) |
 //! | `GET /trace.json`         | the flight-recorder ring as Chrome trace (+ profiler counters) |
 //! | `GET /logs?n=`            | the newest access-log records as JSON       |
@@ -81,7 +81,7 @@ use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::profile;
 use prospector_obs::trace::{self, TraceId};
 use prospector_obs::window::{self, CounterRing, WindowRing, STANDARD_WINDOWS};
-use prospector_obs::Json;
+use prospector_obs::{Json, Stage};
 
 use crate::http::{FrameError, Request};
 
@@ -482,13 +482,9 @@ fn warm_registry() {
         prospector_obs::add(name, 0);
     }
     prospector_obs::gauge_set("engine.result_cache.entries", 0);
-    for name in [
-        "query.latency_ns",
-        "query.stage_ns.search",
-        "query.stage_ns.synth",
-        "query.stage_ns.rank",
-    ] {
-        let _ = prospector_obs::metrics::histogram(name);
+    let _ = prospector_obs::metrics::histogram("query.latency_ns");
+    for stage in [Stage::Search, Stage::Synth, Stage::Rank] {
+        let _ = prospector_obs::span::stage_histogram(stage);
     }
     prospector_obs::gauge_set("serve.queue.depth", 0);
     prospector_obs::gauge_set("serve.workers.busy", 0);
@@ -515,7 +511,7 @@ pub(crate) struct Response {
     allow: &'static str,
     /// `Retry-After:` seconds for 429 shed responses; 0 sends no header.
     retry_after: u64,
-    /// The flight-recorder id for `/query`; 0 elsewhere.
+    /// The flight-recorder id for `/query` and `/assist`; 0 elsewhere.
     trace_id: u64,
     /// Whether a `/query` answer came from the result cache.
     cached: bool,
@@ -709,7 +705,11 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
         "assist" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
             match run_assist(&tenant.engine(), ctx.max, query) {
-                Ok(body) => Response::ok_json(body),
+                Ok((body, trace_id)) => {
+                    let mut r = Response::ok_json(body);
+                    r.trace_id = trace_id;
+                    r
+                }
                 Err(message) => Response::bad_request(message),
             }
         }),
@@ -1379,8 +1379,9 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
 /// Answers `GET /assist?var=name:Type&var=..&tout=Type` — the editor
 /// content-assist fan-out: every visible variable is a source and one
 /// fused search ranks jungloids from all of them, plus the variables
-/// whose type already widens to `tout`.
-fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<String, String> {
+/// whose type already widens to `tout`. Returns the body and the
+/// query's trace id.
+fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<(String, u64), String> {
     let tout = query_param(query, "tout").ok_or("missing query parameter `tout`")?;
     let tout_ty = engine.api().types().resolve(&tout).map_err(|e| e.to_string())?;
     let vars = query_params_all(query, "var");
@@ -1403,9 +1404,12 @@ fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<String, St
         visible.push((name.as_str(), ty_id));
     }
     let result = engine.assist(&visible, tout_ty).map_err(|e| e.to_string())?;
-    Ok(Json::obj(vec![
+    let trace_id = result.stats.trace_id;
+    let body = Json::obj(vec![
         ("ok", Json::Bool(true)),
         ("tout", Json::Str(tout)),
+        ("trace_id", Json::num_u(trace_id)),
+        ("trace_id_hex", Json::Str(TraceId(trace_id).to_string())),
         (
             "vars",
             Json::Arr(
@@ -1442,7 +1446,8 @@ fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<String, St
             ),
         ),
     ])
-    .to_text())
+    .to_text();
+    Ok((body, trace_id))
 }
 
 /// Minimal percent-decoding for query values (`%2E`, `+` → space). Type

@@ -366,6 +366,16 @@ fn serve_status_logs_and_introspection() {
         let (_, body) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
         let followed = Json::parse(&body).expect("valid query JSON");
         let trace_id = followed.get("trace_id").unwrap().as_u64().expect("trace id");
+        // And one /assist, whose answer carries its trace id the same way.
+        let (status, body) = http_get(addr, "/assist?var=file:IFile&tout=ASTNode");
+        assert!(status.contains("200"), "{status}: {body}");
+        let assisted = Json::parse(&body).expect("valid assist JSON");
+        let assist_id = assisted.get("trace_id").unwrap().as_u64().expect("assist trace id");
+        assert_ne!(assist_id, 0);
+        assert_eq!(
+            assisted.get("trace_id_hex").unwrap().as_str(),
+            Some(format!("{assist_id:x}").as_str())
+        );
 
         // An unknown path and a non-GET, for the counter assertions.
         let (status, _) = http_get(addr, "/definitely-not-an-endpoint");
@@ -483,16 +493,24 @@ fn serve_status_logs_and_introspection() {
         assert_eq!(matching.len(), 1, "exactly one access-log line per request");
         assert_eq!(matching[0].get("endpoint").unwrap().as_str(), Some("query"));
         assert_eq!(matching[0].get("code").unwrap().as_u64(), Some(200));
+        let assist_lines: Vec<_> = records
+            .iter()
+            .filter(|r| r.get("trace_id").unwrap().as_u64() == Some(assist_id))
+            .collect();
+        assert_eq!(assist_lines.len(), 1, "the /assist logs its trace id once");
+        assert_eq!(assist_lines[0].get("endpoint").unwrap().as_str(), Some("assist"));
         let (_, body) = http_get(addr, "/trace.json");
         let chrome = Json::parse(&body).expect("valid chrome trace");
-        assert!(
-            chrome
-                .as_arr()
-                .unwrap()
-                .iter()
-                .any(|e| e.get("tid").unwrap().as_u64() == Some(trace_id)),
-            "the access-log trace_id joins against a flight-recorder track"
-        );
+        for (id, what) in [(trace_id, "/query"), (assist_id, "/assist")] {
+            assert!(
+                chrome
+                    .as_arr()
+                    .unwrap()
+                    .iter()
+                    .any(|e| e.get("tid").unwrap().as_u64() == Some(id)),
+                "the {what} access-log trace_id joins against a flight-recorder track"
+            );
+        }
 
         // /slow?clear=1 resets the slow log and reports what it dropped.
         let (status, body) = http_get(addr, "/slow?clear=1");

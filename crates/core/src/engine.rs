@@ -17,9 +17,10 @@ use std::time::{Duration, Instant};
 use jungloid_apidef::{Api, ElemJungloid};
 use jungloid_typesys::{Ty, TyId};
 use prospector_obs::trace::{self, TraceId};
+use prospector_obs::Stage;
 
 use crate::cache::{Lookup, ShardedLru, SingleflightCache};
-use crate::generalize::generalize;
+use crate::generalize::{generalize, generalize_terminal};
 use crate::graph::{ExampleError, GraphConfig, JungloidGraph, NodeId};
 use crate::path::Jungloid;
 use crate::rank::{rank_key, RankKey, RankOptions};
@@ -295,31 +296,7 @@ impl Prospector {
         examples: &[Vec<ElemJungloid>],
         generalize_first: bool,
     ) -> Result<usize, ExampleError> {
-        let config = self.graph.config();
-        let visible: Vec<Vec<ElemJungloid>> = examples
-            .iter()
-            .filter(|e| e.iter().all(|elem| self.elem_visible(elem, config)))
-            .cloned()
-            .collect();
-        let prepared: Vec<Vec<ElemJungloid>> = if generalize_first {
-            let _span = prospector_obs::stage("generalize");
-            generalize(&visible)
-        } else {
-            visible
-        };
-        let mut added = 0;
-        for e in &prepared {
-            if self.graph.add_example(&self.api, e)? {
-                added += 1;
-            }
-        }
-        // The graph (and its CSR) changed shape: every cached distance
-        // field is stale. Cached query results need no eager sweep — the
-        // splice advanced the graph epoch, so their stamps no longer
-        // match and each is dropped (and counted as an invalidation) on
-        // its next lookup.
-        self.dist_cache.clear();
-        Ok(added)
+        self.splice_examples(examples, generalize_first, generalize)
     }
 
     /// The §4.3 extension: splices *parameter-mined* examples — chains
@@ -337,6 +314,19 @@ impl Prospector {
         examples: &[Vec<ElemJungloid>],
         generalize_first: bool,
     ) -> Result<usize, ExampleError> {
+        self.splice_examples(examples, generalize_first, generalize_terminal)
+    }
+
+    /// The body of [`Prospector::add_examples`] and
+    /// [`Prospector::add_param_examples`]: keeps the visible examples,
+    /// runs `generalizer` over them if `generalize_first`, and splices
+    /// the result.
+    fn splice_examples(
+        &mut self,
+        examples: &[Vec<ElemJungloid>],
+        generalize_first: bool,
+        generalizer: impl FnOnce(&[Vec<ElemJungloid>]) -> Vec<Vec<ElemJungloid>>,
+    ) -> Result<usize, ExampleError> {
         let config = self.graph.config();
         let visible: Vec<Vec<ElemJungloid>> = examples
             .iter()
@@ -344,8 +334,8 @@ impl Prospector {
             .cloned()
             .collect();
         let prepared: Vec<Vec<ElemJungloid>> = if generalize_first {
-            let _span = prospector_obs::stage("generalize");
-            crate::generalize::generalize_terminal(&visible)
+            let _span = prospector_obs::stage(Stage::Generalize);
+            generalizer(&visible)
         } else {
             visible
         };
@@ -355,6 +345,11 @@ impl Prospector {
                 added += 1;
             }
         }
+        // The graph (and its CSR) changed shape: every cached distance
+        // field is stale. Cached query results need no eager sweep — the
+        // splice advanced the graph epoch, so their stamps no longer
+        // match and each is dropped (and counted as an invalidation) on
+        // its next lookup.
         self.dist_cache.clear();
         Ok(added)
     }
@@ -514,10 +509,7 @@ impl Prospector {
         let mut result = cached.clone();
         result.stats =
             QueryStats { trace_id: id.0, result_cache_hits: 1, ..QueryStats::default() };
-        let total = qspan.finish();
-        if total > 0 {
-            prospector_obs::metrics::histogram("query.latency_ns").record(total);
-        }
+        qspan.finish();
         result
     }
 
@@ -548,7 +540,7 @@ impl Prospector {
     /// thread's search scratch across requests.
     #[must_use]
     pub fn query_batch_threads(&self, queries: &[(TyId, TyId)], threads: usize) -> Vec<BatchEntry> {
-        let _span = prospector_obs::stage("batch");
+        let _span = prospector_obs::stage(Stage::Batch);
         let threads = threads.clamp(1, queries.len().max(1));
         prospector_obs::add("engine.batch.calls", 1);
         prospector_obs::add("engine.batch.queries", queries.len() as u64);
@@ -608,7 +600,7 @@ impl Prospector {
     /// Rejects primitive/`void` outputs.
     pub fn assist(&self, visible: &[(&str, TyId)], tout: TyId) -> Result<QueryResult, QueryError> {
         self.check_out(tout)?;
-        let _span = prospector_obs::stage("assist");
+        let _span = prospector_obs::stage(Stage::Assist);
         prospector_obs::add("engine.assist.calls", 1);
         let mut sources: Vec<(Option<String>, TyId)> = Vec::new();
         for (name, ty) in visible {
@@ -621,13 +613,10 @@ impl Prospector {
         let (mut result, field) = self.run(&sources, None, tout, TraceId::next());
         // Attribute the fan-out: the field the fused search used answers,
         // per sub-query source, whether it can reach `tout` at all.
-        let mut reachable: u64 = 0;
-        for (_, ty) in &sources {
-            let _sub = prospector_obs::stage("assist.source");
-            if field.from(&self.graph, NodeId::Ty(*ty)) != u32::MAX {
-                reachable += 1;
-            }
-        }
+        let reachable = sources
+            .iter()
+            .filter(|(_, ty)| field.from(&self.graph, NodeId::Ty(*ty)) != u32::MAX)
+            .count() as u64;
         prospector_obs::add("engine.assist.reachable", reachable);
         prospector_obs::add("engine.assist.unreachable", sources.len() as u64 - reachable);
         for (name, ty) in visible {
@@ -680,12 +669,12 @@ impl Prospector {
     ) -> (QueryResult, Arc<DistanceField>) {
         // The flight-recorder span. When tracing is disabled (the
         // default) opening it costs one relaxed atomic load, every event
-        // call below is a plain branch, and no clock is read.
+        // call below is a plain branch, and each stage span reads the
+        // clock only if metrics are on.
         let mut qspan = trace::span(id);
         let tys: Vec<TyId> = sources.iter().map(|(_, t)| *t).collect();
-        let search_timer = qspan.timer();
         let (outcome, field, cache_hit) = {
-            let _span = prospector_obs::stage("search");
+            let _span = qspan.stage(Stage::Search);
             SCRATCH.with(|scratch| {
                 let scratch = &mut scratch.borrow_mut();
                 let (field, cache_hit) = self.distances(bounded_source, tout, scratch);
@@ -705,10 +694,6 @@ impl Prospector {
             result_cache_hits: 0,
             result_cache_misses: 0,
         };
-        let dur = qspan.span_event("search", "total", search_timer);
-        if dur > 0 {
-            prospector_obs::metrics::histogram("query.stage_ns.search").record(dur);
-        }
         qspan.count("search", "dist_cache_hits", stats.dist_cache_hits);
         qspan.count("search", "dist_cache_misses", stats.dist_cache_misses);
         qspan.count("search", "bfs_relaxations", stats.bfs_relaxations);
@@ -718,12 +703,11 @@ impl Prospector {
 
         // Synthesize, rank, and dedupe by rendered code (distinct paths —
         // e.g. differing only in widening — can render identically).
-        let synth_timer = qspan.timer();
         let mut best: BTreeMap<String, Suggestion> = BTreeMap::new();
         let mut snippets: u64 = 0;
         let mut dedup_drops: u64 = 0;
         {
-            let _span = prospector_obs::stage("synth");
+            let _span = qspan.stage(Stage::Synth);
             for j in jungloids {
                 let input_var = sources
                     .iter()
@@ -750,10 +734,6 @@ impl Prospector {
         }
         prospector_obs::add("synth.snippets", snippets);
         prospector_obs::add("engine.dedup_drops", dedup_drops);
-        let dur = qspan.span_event("synth", "total", synth_timer);
-        if dur > 0 {
-            prospector_obs::metrics::histogram("query.stage_ns.synth").record(dur);
-        }
         qspan.count("synth", "snippets", snippets);
         qspan.count("synth", "dedup_drops", dedup_drops);
 
@@ -763,26 +743,18 @@ impl Prospector {
         // instead of by hash-map iteration order.
         let mut suggestions: Vec<Suggestion> = best.into_values().collect();
         let comparisons = std::cell::Cell::new(0u64);
-        let rank_timer = qspan.timer();
         {
-            let _span = prospector_obs::stage("rank");
+            let _span = qspan.stage(Stage::Rank);
             suggestions.sort_by(|a, b| {
                 comparisons.set(comparisons.get() + 1);
                 a.key.cmp(&b.key)
             });
         }
         prospector_obs::add("rank.comparisons", comparisons.get());
-        let dur = qspan.span_event("rank", "total", rank_timer);
-        if dur > 0 {
-            prospector_obs::metrics::histogram("query.stage_ns.rank").record(dur);
-        }
         qspan.count("rank", "comparisons", comparisons.get());
         qspan.count("rank", "suggestions", suggestions.len() as u64);
 
-        let total = qspan.finish();
-        if total > 0 {
-            prospector_obs::metrics::histogram("query.latency_ns").record(total);
-        }
+        qspan.finish();
         let result = QueryResult {
             suggestions: Arc::new(suggestions),
             shortest,

@@ -37,6 +37,7 @@ use jungloid_dataflow::{LoweredCorpus, MineReport, Miner, MinerConfig};
 use jungloid_minijava::ast::Unit;
 use jungloid_minijava::parse::parse_unit;
 use prospector_core::{GraphConfig, Prospector};
+use prospector_obs::Stage;
 
 /// How to assemble the evaluation engine.
 #[derive(Clone, Copy, Debug)]
@@ -177,7 +178,7 @@ pub fn build(options: &BuildOptions) -> Result<Built, BuildError> {
     let mut api = api_with(options.extended)?;
     let mut param_examples = Vec::new();
     let mine_report = if options.mining {
-        let _span = prospector_obs::stage("mine");
+        let _span = prospector_obs::stage(Stage::Mine);
         let units =
             if options.extended { extended_corpus_units()? } else { corpus_units()? };
         let lowered = LoweredCorpus::lower(&mut api, &units).map_err(err)?;
@@ -201,7 +202,7 @@ pub fn build(options: &BuildOptions) -> Result<Built, BuildError> {
         jungle::grow(&mut api, spec);
     }
     let mut prospector = {
-        let _span = prospector_obs::stage("build");
+        let _span = prospector_obs::stage(Stage::Build);
         Prospector::with_config(
             api,
             GraphConfig {

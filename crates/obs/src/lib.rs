@@ -11,9 +11,10 @@
 //!   recording is a single relaxed atomic add.
 //! * [`hist`] — fixed-size log2-bucket histograms (no allocation after
 //!   registration, no locks on the record path).
-//! * [`span`] — an RAII stage timer. Timing is gated on the global
-//!   [`metrics::enabled`] flag so a disabled build pays one relaxed load
-//!   per stage, not two `Instant::now()` calls.
+//! * [`span`] — the closed [`Stage`] catalog and its one RAII span. A
+//!   span reads the clock once at each end and feeds the stage table,
+//!   the owning query's timeline and the profiler stack, each only when
+//!   that sink is on; with all of them off it reads no clock.
 //! * [`json`] — a small strict JSON value type, writer, and parser, used
 //!   for the `--metrics-json` report and the `index build --json` dump.
 //! * [`trace`] — the per-query flight recorder: seeded [`trace::TraceId`]
@@ -34,8 +35,9 @@
 //!   top-K), allocation-free on record, for workload analytics: which
 //!   query keys dominate, which miss, which truncate.
 //! * [`profile`] — a cooperative sampling profiler: spans publish the
-//!   thread's stage stack into a per-thread atomic word; a sampler folds
-//!   all stacks at ~100 Hz into flamegraph.pl-compatible folded counts.
+//!   thread's stage stack (catalog ids) into a per-thread atomic word; a
+//!   sampler folds all stacks at ~100 Hz into flamegraph.pl-compatible
+//!   folded counts.
 //!
 //! [`rng`] is a bonus tenant: a tiny deterministic PRNG
 //! ([`rng::SmallRng`]) for the seeded generators and simulations, living
@@ -44,9 +46,11 @@
 //! # Example
 //!
 //! ```
+//! use prospector_obs::Stage;
+//!
 //! prospector_obs::metrics::set_enabled(true);
 //! {
-//!     let _span = prospector_obs::span::stage("search");
+//!     let _span = prospector_obs::stage(Stage::Search);
 //!     prospector_obs::metrics::add("search.dfs_expansions", 42);
 //! }
 //! let snap = prospector_obs::metrics::snapshot();
@@ -73,5 +77,5 @@ pub use json::Json;
 pub use metrics::{add, gauge_set, set_enabled, snapshot, Snapshot};
 pub use rng::SmallRng;
 pub use sketch::{CountMinSketch, SpaceSaving};
-pub use span::stage;
+pub use span::{stage, Stage};
 pub use trace::{QuerySpan, TraceId};

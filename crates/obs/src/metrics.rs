@@ -6,7 +6,9 @@
 //! flush once per call** — e.g. the DFS counts expansions in a local
 //! `u64` and calls [`add`] once per enumeration. Stage *timing* is gated
 //! on the [`enabled`] flag (set by the CLI's `--metrics` flags) so that
-//! an uninstrumented run never calls `Instant::now`.
+//! an uninstrumented run never calls `Instant::now`. Stages come from the
+//! closed [`Stage`] catalog, so their cells are a fixed array of relaxed
+//! atomics: recording one takes no lock and allocates nothing.
 //!
 //! Metric names are dotted lowercase paths, `<area>.<what>` — see the
 //! README's metric schema table for the full list.
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::hist::{HistSnapshot, Histogram};
+use crate::span::Stage;
 
 /// One stage's accumulated wall-clock time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -36,6 +39,14 @@ impl StageStat {
     }
 }
 
+/// One stage's aggregates, updated with relaxed atomics.
+#[derive(Debug, Default)]
+struct StageCell {
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
 /// A registry of named metrics. The pipeline uses the process-global one
 /// (via the free functions in this module); tests can make their own.
 #[derive(Debug, Default)]
@@ -43,7 +54,7 @@ pub struct Registry {
     enabled: AtomicBool,
     counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<HashMap<String, u64>>,
-    stages: Mutex<HashMap<String, StageStat>>,
+    stages: [StageCell; Stage::NAMES.len()],
     hists: Mutex<HashMap<String, Arc<Histogram>>>,
 }
 
@@ -124,13 +135,20 @@ impl Registry {
         self.add(name, 1);
     }
 
-    /// Sets a named gauge to `value` (last write wins).
+    /// Sets a named gauge to `value` (last write wins). Only the first
+    /// write to a name allocates.
     ///
     /// # Panics
     ///
     /// Panics only if the registry mutex is poisoned.
     pub fn gauge_set(&self, name: &str, value: u64) {
-        self.gauges.lock().unwrap().insert(name.to_owned(), value);
+        let mut map = self.gauges.lock().unwrap();
+        match map.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                map.insert(name.to_owned(), value);
+            }
+        }
     }
 
     /// A shared handle to a named histogram, creating it empty.
@@ -149,17 +167,12 @@ impl Registry {
         h
     }
 
-    /// Folds one completed span into a stage aggregate.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the registry mutex is poisoned.
-    pub fn record_stage(&self, name: &str, ns: u64) {
-        let mut map = self.stages.lock().unwrap();
-        let stat = map.entry(name.to_owned()).or_default();
-        stat.count += 1;
-        stat.total_ns += ns;
-        stat.max_ns = stat.max_ns.max(ns);
+    /// Folds one completed span into its stage's aggregate.
+    pub(crate) fn record_span(&self, stage: Stage, ns: u64) {
+        let cell = &self.stages[stage.index()];
+        cell.count.fetch_add(1, Ordering::Relaxed);
+        cell.total_ns.fetch_add(ns, Ordering::Relaxed);
+        cell.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
     /// Copies out everything recorded so far.
@@ -169,7 +182,7 @@ impl Registry {
     /// Panics only if a registry mutex is poisoned.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
+        let mut snap = Snapshot {
             counters: self
                 .counters
                 .lock()
@@ -178,7 +191,7 @@ impl Registry {
                 .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
                 .collect(),
             gauges: self.gauges.lock().unwrap().iter().map(|(k, &v)| (k.clone(), v)).collect(),
-            stages: self.stages.lock().unwrap().iter().map(|(k, &v)| (k.clone(), v)).collect(),
+            stages: BTreeMap::new(),
             hists: self
                 .hists
                 .lock()
@@ -186,10 +199,24 @@ impl Registry {
                 .iter()
                 .map(|(k, h)| (k.clone(), h.snapshot()))
                 .collect(),
+        };
+        for (cell, name) in self.stages.iter().zip(Stage::NAMES) {
+            let count = cell.count.load(Ordering::Relaxed);
+            if count > 0 {
+                let stat = StageStat {
+                    count,
+                    total_ns: cell.total_ns.load(Ordering::Relaxed),
+                    max_ns: cell.max_ns.load(Ordering::Relaxed),
+                };
+                snap.stages.insert(name.to_owned(), stat);
+            }
         }
+        snap
     }
 
-    /// Clears every metric (the enabled flag is left alone).
+    /// Clears every metric (the enabled flag is left alone). Handles
+    /// taken before — [`Registry::counter`], [`Registry::histogram`], the
+    /// per-stage query histograms — keep recording, unlisted.
     ///
     /// # Panics
     ///
@@ -197,7 +224,11 @@ impl Registry {
     pub fn reset(&self) {
         self.counters.lock().unwrap().clear();
         self.gauges.lock().unwrap().clear();
-        self.stages.lock().unwrap().clear();
+        for cell in &self.stages {
+            cell.count.store(0, Ordering::Relaxed);
+            cell.total_ns.store(0, Ordering::Relaxed);
+            cell.max_ns.store(0, Ordering::Relaxed);
+        }
         self.hists.lock().unwrap().clear();
     }
 }
@@ -279,13 +310,15 @@ mod tests {
     #[test]
     fn stage_aggregates_fold() {
         let r = Registry::new();
-        r.record_stage("s", 10);
-        r.record_stage("s", 30);
-        let st = r.snapshot().stage("s").unwrap();
+        r.record_span(Stage::Search, 10);
+        r.record_span(Stage::Search, 30);
+        let snap = r.snapshot();
+        let st = snap.stage("search").unwrap();
         assert_eq!(st.count, 2);
         assert_eq!(st.total_ns, 40);
         assert_eq!(st.max_ns, 30);
         assert_eq!(st.mean_ns(), 20);
+        assert_eq!(snap.stages.len(), 1, "stages that never ran are not listed");
     }
 
     #[test]
@@ -314,7 +347,7 @@ mod tests {
         r.set_enabled(true);
         r.add("a", 1);
         r.gauge_set("g", 1);
-        r.record_stage("s", 1);
+        r.record_span(Stage::Store, 1);
         r.reset();
         let s = r.snapshot();
         assert!(s.counters.is_empty() && s.gauges.is_empty() && s.stages.is_empty());

@@ -1,11 +1,12 @@
 //! Cooperative sampling profiler over stage spans.
 //!
 //! Each thread publishes its current stage-span stack into a per-thread
-//! atomic slot: up to [`MAX_DEPTH`] frames, each an 8-bit interned stage
-//! id, packed into one `u64` so a single atomic store publishes the whole
-//! stack and a single atomic load samples it tear-free. [`crate::stage`]
-//! pushes on construction and pops on drop whenever profiling is enabled,
-//! so instrumented code needs no changes beyond its existing spans.
+//! atomic slot: up to [`MAX_DEPTH`] frames, each a stage's 8-bit id from
+//! the [`Stage`] catalog, packed into one `u64` so a single atomic store
+//! publishes the whole stack and a single atomic load samples it
+//! tear-free. A stage span ([`crate::span`]) pushes on open and pops on
+//! drop whenever profiling is enabled, so instrumented code needs no
+//! changes beyond its existing spans.
 //!
 //! A sampler thread (the serve layer's, at ~100 Hz) calls [`sample_all`],
 //! which folds every thread's current stack into a fixed open-addressing
@@ -24,13 +25,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
 use crate::sketch::mix64;
+use crate::span::Stage;
 
 /// Maximum stack frames published per thread; deeper frames still balance
 /// push/pop but are not sampled.
 pub const MAX_DEPTH: usize = 8;
-
-/// Maximum distinct stage names (8-bit ids; 0 is reserved for "empty").
-const MAX_STAGES: usize = 255;
 
 /// Folded-stack table slots (power of two). With well under a hundred
 /// distinct stacks in practice, collisions are rare.
@@ -52,26 +51,6 @@ pub fn set_enabled(on: bool) {
 #[must_use]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Interned stage names: id `i + 1` maps to `names()[i]`.
-fn names() -> &'static Mutex<Vec<&'static str>> {
-    static NAMES: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    NAMES.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Intern a stage name, returning its nonzero 8-bit id, or 0 when the
-/// table is full (the frame is then skipped, not misattributed).
-fn intern(name: &'static str) -> u8 {
-    let mut table = names().lock().unwrap();
-    if let Some(i) = table.iter().position(|&n| n == name) {
-        return (i + 1) as u8;
-    }
-    if table.len() >= MAX_STAGES {
-        return 0;
-    }
-    table.push(name);
-    table.len() as u8
 }
 
 /// Per-thread published stack: one atomic word, stored whole on every
@@ -126,16 +105,15 @@ fn publish(state: &ThreadState, bits: u64) {
 
 /// Push a stage frame for the current thread. Returns whether a matching
 /// [`pop`] is owed (i.e. profiling was enabled at push time).
-pub fn push(name: &'static str) -> bool {
+pub fn push(stage: Stage) -> bool {
     if !enabled() {
         return false;
     }
-    let id = intern(name);
     TLS.with(|t| {
         let depth = t.depth.get();
         t.depth.set(depth + 1);
-        if (depth as usize) < MAX_DEPTH && id != 0 {
-            let bits = t.bits.get() | u64::from(id) << (8 * depth);
+        if (depth as usize) < MAX_DEPTH {
+            let bits = t.bits.get() | u64::from(stage as u8) << (8 * depth);
             t.bits.set(bits);
             publish(t, bits);
         }
@@ -243,7 +221,7 @@ pub fn dropped() -> u64 {
 
 /// Decode a packed stack word into `name;name;name` (or `idle` for the
 /// empty stack).
-fn decode(bits: u64, table: &[&'static str], out: &mut String) {
+fn decode(bits: u64, out: &mut String) {
     if bits == 0 {
         out.push_str("idle");
         return;
@@ -256,7 +234,7 @@ fn decode(bits: u64, table: &[&'static str], out: &mut String) {
         if frame > 0 {
             out.push(';');
         }
-        match table.get(id as usize - 1) {
+        match Stage::NAMES.get(id as usize - 1) {
             Some(name) => out.push_str(name),
             None => out.push('?'),
         }
@@ -268,7 +246,6 @@ fn decode(bits: u64, table: &[&'static str], out: &mut String) {
 #[must_use]
 pub fn folded() -> Vec<(String, u64)> {
     let table = fold_table();
-    let names = names().lock().unwrap();
     let mut out = Vec::new();
     for i in 0..FOLD_SLOTS {
         let k = table.keys[i].load(Ordering::Relaxed);
@@ -280,7 +257,7 @@ pub fn folded() -> Vec<(String, u64)> {
             continue;
         }
         let mut stack = String::new();
-        decode(k.wrapping_sub(1), &names, &mut stack);
+        decode(k.wrapping_sub(1), &mut stack);
         out.push((stack, count));
     }
     out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -325,7 +302,7 @@ pub fn chrome_events() -> Vec<Json> {
 }
 
 /// Zero the fold table and sample counter (for tests and benches). Does
-/// not unregister thread slots or forget interned names.
+/// not unregister thread slots.
 pub fn reset() {
     let table = fold_table();
     for i in 0..FOLD_SLOTS {
@@ -342,13 +319,14 @@ mod tests {
 
     /// All profiler tests share process-global state (the enabled flag,
     /// fold table, and this thread's published stack), so they run as one
-    /// test body to avoid interleaving.
+    /// test body to avoid interleaving. No other test in this crate opens
+    /// `store` or `generalize` spans, so stacks of those are this thread's.
     #[test]
     fn push_pop_sample_and_render() {
         set_enabled(true);
         // Register this thread's slot (lazily created on first push), then
         // start counting from a clean fold table.
-        push("warmup");
+        push(Stage::Store);
         pop();
         reset();
 
@@ -359,11 +337,11 @@ mod tests {
         assert!(stacks.iter().any(|(s, c)| s == "idle" && *c >= 1), "no idle stack in {stacks:?}");
 
         // Nested frames publish innermost-last and unwind cleanly. The
-        // alpha/beta stacks are unique to this thread, so their counts
-        // are exact.
-        let pushed = push("alpha");
+        // store/generalize stacks are unique to this thread, so their
+        // counts are exact.
+        let pushed = push(Stage::Store);
         assert!(pushed);
-        push("beta");
+        push(Stage::Generalize);
         sample_all();
         pop();
         sample_all();
@@ -372,8 +350,8 @@ mod tests {
 
         let stacks = folded();
         let get = |name: &str| stacks.iter().find(|(s, _)| s == name).map(|&(_, c)| c);
-        assert_eq!(get("alpha;beta"), Some(1));
-        assert_eq!(get("alpha"), Some(1));
+        assert_eq!(get("store;generalize"), Some(1));
+        assert_eq!(get("store"), Some(1));
         assert!(get("idle").unwrap_or(0) >= 2);
         assert!(samples() >= 4);
         assert_eq!(dropped(), 0);
@@ -385,17 +363,17 @@ mod tests {
             assert!(!stack.is_empty() && !stack.contains(' '));
             assert!(count.parse::<u64>().is_ok(), "bad count in {line:?}");
         }
-        assert!(rendered.lines().any(|l| l.starts_with("alpha;beta ")));
+        assert!(rendered.lines().any(|l| l.starts_with("store;generalize ")));
 
         // Chrome export carries every folded stack as a counter series.
         let events = chrome_events();
         assert_eq!(events.len(), 1);
         let args = events[0].get("args").unwrap().as_obj().unwrap();
-        assert!(args.iter().any(|(k, _)| k == "alpha;beta"));
+        assert!(args.iter().any(|(k, _)| k == "store;generalize"));
 
         // Frames deeper than MAX_DEPTH are skipped but stay balanced.
         for _ in 0..(MAX_DEPTH + 3) {
-            push("deep");
+            push(Stage::Generalize);
         }
         for _ in 0..(MAX_DEPTH + 3) {
             pop();
@@ -405,7 +383,7 @@ mod tests {
 
         // Disabled pushes report nothing to pop.
         set_enabled(false);
-        assert!(!push("gamma"));
+        assert!(!push(Stage::Store));
         let before = samples();
         sample_all();
         assert_eq!(samples(), before, "sampling while disabled must be a no-op");

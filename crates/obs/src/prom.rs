@@ -192,7 +192,8 @@ pub fn render_windows(views: &[RingViews]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::metrics::{Registry, StageStat};
+    use crate::span::Stage;
 
     #[test]
     fn names_mangle_mechanically() {
@@ -205,7 +206,7 @@ mod tests {
         let r = Registry::new();
         r.add("search.dfs_expansions", 7);
         r.gauge_set("graph.nodes", 42);
-        r.record_stage("search", 1_000);
+        r.record_span(Stage::Search, 1_000);
         let text = render(&r.snapshot());
         assert!(text.contains("# TYPE prospector_search_dfs_expansions_total counter"));
         assert!(text.contains("prospector_search_dfs_expansions_total 7"));
@@ -290,11 +291,12 @@ mod tests {
         assert_eq!(escape_label("a\"b"), "a\\\"b");
         assert_eq!(escape_label("a\\b"), "a\\\\b");
         assert_eq!(escape_label("a\nb"), "a\\nb");
-        // A hostile stage name renders with its quote and newline escaped
-        // so the sample stays one well-formed line.
-        let r = Registry::new();
-        r.record_stage("evil\"stage\nname", 5);
-        let text = render(&r.snapshot());
+        // A hostile stage name in a snapshot renders with its quote and
+        // newline escaped so the sample stays one well-formed line.
+        let mut snap = Snapshot::default();
+        let stat = StageStat { count: 1, total_ns: 5, max_ns: 5 };
+        snap.stages.insert("evil\"stage\nname".to_owned(), stat);
+        let text = render(&snap);
         let line = text
             .lines()
             .find(|l| l.starts_with("prospector_stage_count"))
@@ -308,7 +310,7 @@ mod tests {
         let r = Registry::new();
         r.add("a.b", 1);
         r.gauge_set("c", 2);
-        r.record_stage("s", 3);
+        r.record_span(Stage::Store, 3);
         r.histogram("h").record(9);
         for line in render(&r.snapshot()).lines() {
             if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {

@@ -3,35 +3,27 @@
 //! `--metrics` and the `stats` subcommand).
 
 use crate::json::Json;
-use crate::metrics::Snapshot;
+use crate::metrics::{Snapshot, StageStat};
+use crate::span::Stage;
 
 /// The six canonical pipeline stages, in pipeline order. The JSON report
 /// always carries all of them (zeroed when a stage did not run) so
 /// downstream consumers can index unconditionally.
 pub const PIPELINE_STAGES: [&str; 6] = ["build", "mine", "generalize", "search", "rank", "synth"];
 
-/// Converts a snapshot to the `--metrics-json` document.
+/// Converts a snapshot to the `--metrics-json` document: the stages in
+/// catalog order, which lists the pipeline stages first.
 #[must_use]
 pub fn to_json(snap: &Snapshot) -> Json {
     let mut stages: Vec<(String, Json)> = Vec::new();
-    for name in PIPELINE_STAGES {
-        let stat = snap.stage(name).unwrap_or_default();
+    for name in Stage::NAMES {
+        let stat = match snap.stage(name) {
+            Some(stat) => stat,
+            None if PIPELINE_STAGES.contains(&name) => StageStat::default(),
+            None => continue,
+        };
         stages.push((
             name.to_owned(),
-            Json::obj(vec![
-                ("count", Json::num_u(stat.count)),
-                ("total_ns", Json::num_u(stat.total_ns)),
-                ("mean_ns", Json::num_u(stat.mean_ns())),
-                ("max_ns", Json::num_u(stat.max_ns)),
-            ]),
-        ));
-    }
-    for (name, stat) in &snap.stages {
-        if PIPELINE_STAGES.contains(&name.as_str()) {
-            continue;
-        }
-        stages.push((
-            name.clone(),
             Json::obj(vec![
                 ("count", Json::num_u(stat.count)),
                 ("total_ns", Json::num_u(stat.total_ns)),
@@ -130,13 +122,8 @@ pub fn to_text(snap: &Snapshot) -> String {
     let has_timing = snap.stages.values().any(|s| s.count > 0);
     if has_timing {
         let _ = writeln!(out, "stages (count / total / mean / max):");
-        let known = PIPELINE_STAGES.iter().filter_map(|&n| Some((n, snap.stage(n)?)));
-        let extra = snap
-            .stages
-            .iter()
-            .filter(|(n, _)| !PIPELINE_STAGES.contains(&n.as_str()))
-            .map(|(n, &s)| (n.as_str(), s));
-        for (name, stat) in known.chain(extra) {
+        let ran = Stage::NAMES.into_iter().filter_map(|n| Some((n, snap.stage(n)?)));
+        for (name, stat) in ran {
             let _ = writeln!(
                 out,
                 "  {name:<12} {:>6}  {:>10}  {:>10}  {:>10}",
@@ -180,7 +167,7 @@ mod tests {
     #[test]
     fn json_report_always_has_all_pipeline_stages() {
         let r = Registry::new();
-        r.record_stage("search", 1_000);
+        r.record_span(Stage::Search, 1_000);
         r.add("search.dfs_expansions", 7);
         r.gauge_set("engine.dist_cache.entries", 3);
         let doc = to_json(&r.snapshot());
@@ -200,10 +187,15 @@ mod tests {
     }
 
     #[test]
+    fn pipeline_stages_lead_the_catalog() {
+        assert_eq!(Stage::NAMES[..PIPELINE_STAGES.len()], PIPELINE_STAGES);
+    }
+
+    #[test]
     fn text_report_lists_counters() {
         let r = Registry::new();
         r.add("mine.cast_sites", 12);
-        r.record_stage("mine", 2_500_000);
+        r.record_span(Stage::Mine, 2_500_000);
         let text = to_text(&r.snapshot());
         assert!(text.contains("mine.cast_sites"));
         assert!(text.contains("2.50ms"));

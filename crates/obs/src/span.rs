@@ -1,53 +1,143 @@
-//! RAII stage timers.
+//! The stage catalog and its one RAII span.
 //!
-//! A [`Span`] measures the wall-clock time between its creation and its
-//! drop and folds it into the global stage table under its name. Spans
-//! nest freely — `stage("build")` around the whole assembly and
-//! `stage("mine")` inside it each record their own stage, so the report
-//! shows both the envelope and the parts.
-//!
-//! When the global [`crate::metrics::enabled`] flag is off, creating a
-//! span costs one relaxed atomic load and records nothing.
-//!
-//! Spans double as the cooperative profiler's stack frames: when
-//! [`crate::profile::enabled`] is on, creating a span pushes its name
-//! onto the thread's published stage stack and dropping it pops, so the
-//! sampler attributes wall-clock to whatever spans are live.
+//! A [`Span`] times one interval of a [`Stage`] with one clock read at
+//! each end and, on drop, feeds every sink that was on when it opened:
+//! the stage table ([`crate::metrics`]) when metrics are on; the owning
+//! query's `<stage>.total` event and `query.stage_ns.<stage>` histogram
+//! when it was opened on a recording query
+//! ([`crate::trace::QuerySpan::stage`]); the profiler stack
+//! ([`crate::profile`]) when profiling is on. Spans nest freely, and the
+//! record path takes no lock and allocates nothing.
 
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
+use crate::hist::Histogram;
+use crate::trace::{EventKind, TraceEvent};
 use crate::{metrics, profile};
 
-/// A live stage timer; drop it to record.
+/// A pipeline stage. The discriminant is the stage's profiler frame id
+/// (0 marks an empty frame), so the profiler needs no name interner.
+/// The six pipeline stages come first, in the order reports list them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[repr(u8)]
+pub enum Stage {
+    /// Assembling the jungloid graph from an API.
+    Build = 1,
+    /// Mining example jungloids from the client corpus (§4).
+    Mine,
+    /// Generalizing mined examples before they are spliced (§4.2).
+    Generalize,
+    /// Distance field and path enumeration (§3.1).
+    Search,
+    /// Ranking the suggestions (§3.2).
+    Rank,
+    /// Synthesizing and deduplicating code for every path.
+    Synth,
+    /// A content-assist query (§5).
+    Assist,
+    /// A query batch fan-out.
+    Batch,
+    /// One served HTTP request, the profiler's root frame.
+    ServeRequest,
+    /// A snapshot save or load.
+    Store,
+}
+
+impl Stage {
+    /// Every stage's name, in discriminant order: the name a stage has in
+    /// the stage table, query timelines, histogram names and folded
+    /// profiler stacks.
+    pub const NAMES: [&'static str; 10] = [
+        "build", "mine", "generalize", "search", "rank", "synth",
+        "assist", "batch", "serve.request", "store",
+    ];
+
+    /// The stage's name (see [`Stage::NAMES`]).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        Stage::NAMES[self.index()]
+    }
+
+    /// The stage's slot in per-stage arrays: its profiler id minus one.
+    pub(crate) const fn index(self) -> usize {
+        self as usize - 1
+    }
+}
+
+/// Whole nanoseconds in `d`, saturating.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The global `query.stage_ns.<stage>` histogram: registered by name on
+/// first use, then one cached handle per stage.
+#[must_use]
+pub fn stage_histogram(stage: Stage) -> &'static Histogram {
+    static HISTS: [OnceLock<Arc<Histogram>>; Stage::NAMES.len()] =
+        [const { OnceLock::new() }; Stage::NAMES.len()];
+    HISTS[stage.index()]
+        .get_or_init(|| metrics::histogram(&format!("query.stage_ns.{}", stage.name())))
+}
+
+/// The timeline a query stage span appends its event to.
 #[derive(Debug)]
-pub struct Span {
-    name: &'static str,
+pub(crate) struct QuerySink<'q> {
+    pub(crate) events: &'q mut Vec<TraceEvent>,
+    pub(crate) trace_id: u64,
+    /// The recorder's epoch, which event timestamps count from.
+    pub(crate) epoch: Instant,
+}
+
+/// A live stage interval; drop it to record.
+#[derive(Debug)]
+pub struct Span<'q> {
+    stage: Stage,
+    /// The clock read at open; `None` when no timing sink was on.
     start: Option<Instant>,
+    /// Whether the stage table records this interval.
+    table: bool,
+    /// The owning query's timeline, when that query records.
+    query: Option<QuerySink<'q>>,
     /// Whether this span pushed a profiler frame it must pop on drop.
     pushed: bool,
 }
 
-/// Starts a span for the named stage (no-op unless metrics are enabled).
+/// Opens a span on `stage`, writing to `query`'s timeline when given.
+pub(crate) fn open(stage: Stage, query: Option<QuerySink<'_>>) -> Span<'_> {
+    let table = metrics::enabled();
+    let start = (table || query.is_some()).then(Instant::now);
+    let pushed = profile::push(stage);
+    Span { stage, start, table, query, pushed }
+}
+
+/// Opens a process-level span for `stage`: it feeds the stage table and
+/// the profiler, and belongs to no query timeline.
 #[must_use]
-pub fn stage(name: &'static str) -> Span {
-    let start = if metrics::enabled() { Some(Instant::now()) } else { None };
-    let pushed = profile::push(name);
-    Span { name, start, pushed }
+pub fn stage(stage: Stage) -> Span<'static> {
+    open(stage, None)
 }
 
-impl Span {
-    /// Ends the span early (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
+impl Drop for Span<'_> {
     fn drop(&mut self) {
         if self.pushed {
             profile::pop();
         }
-        if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            metrics::global().record_stage(self.name, ns);
+        let Some(start) = self.start else { return };
+        let ns = nanos(start.elapsed());
+        if self.table {
+            metrics::global().record_span(self.stage, ns);
+        }
+        if let Some(q) = &mut self.query {
+            q.events.push(TraceEvent {
+                trace_id: q.trace_id,
+                stage: self.stage.name(),
+                kind: EventKind::Span,
+                key: "total",
+                value: ns,
+                t_ns: nanos(start.duration_since(q.epoch)),
+            });
+            stage_histogram(self.stage).record(ns);
         }
     }
 }
@@ -57,30 +147,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_spans_record_nothing() {
-        metrics::set_enabled(false);
-        {
-            let _s = stage("span-test-disabled");
+    fn every_stage_has_its_name_and_a_nonzero_id() {
+        let catalog = [
+            (Stage::Build, "build"),
+            (Stage::Mine, "mine"),
+            (Stage::Generalize, "generalize"),
+            (Stage::Search, "search"),
+            (Stage::Rank, "rank"),
+            (Stage::Synth, "synth"),
+            (Stage::Assist, "assist"),
+            (Stage::Batch, "batch"),
+            (Stage::ServeRequest, "serve.request"),
+            (Stage::Store, "store"),
+        ];
+        assert_eq!(catalog.len(), Stage::NAMES.len());
+        for (i, (stage, name)) in catalog.into_iter().enumerate() {
+            assert_eq!((stage.index(), stage as u8), (i, i as u8 + 1), "0 is the empty frame");
+            assert_eq!(stage.name(), name);
         }
-        assert!(metrics::snapshot().stage("span-test-disabled").is_none());
     }
 
+    /// The stage table is process-global and the flag is shared, so the
+    /// disabled and enabled halves run as one body. No other test in this
+    /// crate times `build` or `mine`, so their counts are exact.
     #[test]
-    fn enabled_spans_record_nested_durations() {
+    fn spans_record_nested_durations_only_when_enabled() {
+        let count = |stage: Stage| metrics::snapshot().stage(stage.name()).map_or(0, |s| s.count);
+        metrics::set_enabled(false);
+        let before = count(Stage::Mine);
+        drop(stage(Stage::Mine));
+        assert_eq!(count(Stage::Mine), before, "a disabled span records nothing");
+
         metrics::set_enabled(true);
+        let (outer_before, inner_before) = (count(Stage::Build), count(Stage::Mine));
         {
-            let _outer = stage("span-test-outer");
-            let inner = stage("span-test-inner");
+            let _outer = stage(Stage::Build);
+            let inner = stage(Stage::Mine);
             std::thread::sleep(std::time::Duration::from_millis(2));
-            inner.finish();
+            drop(inner);
         }
         metrics::set_enabled(false);
         let snap = metrics::snapshot();
-        let outer = snap.stage("span-test-outer").unwrap();
-        let inner = snap.stage("span-test-inner").unwrap();
-        assert_eq!(outer.count, 1);
-        assert_eq!(inner.count, 1);
-        assert!(inner.total_ns >= 2_000_000, "slept 2ms, recorded {}ns", inner.total_ns);
-        assert!(outer.total_ns >= inner.total_ns, "outer contains inner");
+        let outer = snap.stage("build").unwrap();
+        let inner = snap.stage("mine").unwrap();
+        assert_eq!(outer.count, outer_before + 1);
+        assert_eq!(inner.count, inner_before + 1);
+        assert!(inner.max_ns >= 2_000_000, "slept 2ms, recorded {}ns", inner.max_ns);
+        assert!(outer.max_ns >= inner.max_ns, "outer contains inner");
     }
 }

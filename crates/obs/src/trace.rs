@@ -23,6 +23,11 @@
 //! * a **text timeline** ([`format_timeline`]) for the CLI's `explain`
 //!   replay and the slow-query dump.
 //!
+//! A query's stage intervals come from the one stage span
+//! ([`QuerySpan::stage`], see [`crate::span`]), which also feeds the
+//! stage table and the profiler; its end-to-end latency lands in the
+//! `query.latency_ns` histogram when the span finishes.
+//!
 //! Recording is off by default. A disabled recorder costs one relaxed
 //! atomic load per [`QuerySpan`] (checked once at `begin`, cached as a
 //! plain bool for every event site) and one relaxed load per
@@ -33,7 +38,9 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::Json;
+use crate::metrics;
 use crate::rng::SmallRng;
+use crate::span::{self, nanos, QuerySink, Span, Stage};
 
 /// Ring shards. Spans flush under exactly one shard lock (chosen by
 /// trace id), so concurrent flushes on different queries rarely contend.
@@ -260,7 +267,7 @@ impl Recorder {
     /// Nanoseconds since this recorder was created (saturating).
     #[must_use]
     pub fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        nanos(self.epoch.elapsed())
     }
 
     /// Opens a query span. When recording is disabled this costs one
@@ -268,14 +275,8 @@ impl Recorder {
     /// a plain branch.
     #[must_use]
     pub fn span(&self, id: TraceId) -> QuerySpan<'_> {
-        let enabled = self.enabled();
-        QuerySpan {
-            recorder: self,
-            id,
-            started: enabled.then(Instant::now),
-            begin_ns: if enabled { self.now_ns() } else { 0 },
-            events: Vec::new(),
-        }
+        let started = self.enabled().then(Instant::now);
+        QuerySpan { recorder: self, id, started, events: Vec::new() }
     }
 
     /// Records a process-level (non-query) event, e.g. a CSR rebuild.
@@ -372,7 +373,6 @@ pub struct QuerySpan<'a> {
     id: TraceId,
     /// `Some` iff recording was enabled when the span opened.
     started: Option<Instant>,
-    begin_ns: u64,
     events: Vec<TraceEvent>,
 }
 
@@ -389,34 +389,16 @@ impl QuerySpan<'_> {
         self.started.is_some()
     }
 
-    /// Starts timing a stage; pass the result to
-    /// [`QuerySpan::span_event`]. `None` when not recording, so a
-    /// disabled run never calls `Instant::now`.
-    #[must_use]
-    pub fn timer(&self) -> Option<Instant> {
-        self.started.map(|_| Instant::now())
-    }
-
-    /// Records a timed interval that began at `started` and ends now.
-    /// Returns the measured duration in nanoseconds (0 when disabled).
-    pub fn span_event(
-        &mut self,
-        stage: &'static str,
-        key: &'static str,
-        started: Option<Instant>,
-    ) -> u64 {
-        let (Some(_), Some(started)) = (self.started, started) else { return 0 };
-        let dur = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let t_ns = self.recorder.now_ns().saturating_sub(dur);
-        self.events.push(TraceEvent {
+    /// Opens a stage span on this query. Besides the stage table and
+    /// the profiler, it records the query's `<stage>.total` event and
+    /// its `query.stage_ns.<stage>` histogram when this span records.
+    pub fn stage(&mut self, stage: Stage) -> Span<'_> {
+        let sink = self.started.is_some().then_some(QuerySink {
+            events: &mut self.events,
             trace_id: self.id.0,
-            stage,
-            kind: EventKind::Span,
-            key,
-            value: dur,
-            t_ns,
+            epoch: self.recorder.epoch,
         });
-        dur
+        span::open(stage, sink)
     }
 
     /// Attributes a counter value to this query.
@@ -434,24 +416,26 @@ impl QuerySpan<'_> {
         });
     }
 
-    /// Ends the query: records the end-to-end `query.total` span, copies
-    /// the timeline into the slow-query log if it met the threshold, and
-    /// publishes everything to the ring. Returns the end-to-end latency
-    /// in nanoseconds (0 when the span was not recording).
+    /// Ends the query: records the end-to-end `query.total` span and
+    /// the `query.latency_ns` histogram, copies the timeline into the
+    /// slow-query log if it met the threshold, and publishes everything
+    /// to the ring. Returns the end-to-end latency in nanoseconds (0 when
+    /// the span was not recording).
     pub fn finish(mut self) -> u64 {
         self.close()
     }
 
     fn close(&mut self) -> u64 {
         let Some(started) = self.started.take() else { return 0 };
-        let total = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let total = nanos(started.elapsed());
+        metrics::histogram("query.latency_ns").record(total);
         self.events.push(TraceEvent {
             trace_id: self.id.0,
             stage: "query",
             kind: EventKind::Span,
             key: "total",
             value: total,
-            t_ns: self.begin_ns,
+            t_ns: nanos(started.duration_since(self.recorder.epoch)),
         });
         let threshold = self.recorder.slow_threshold_ns();
         if threshold > 0 && total >= threshold {
@@ -678,10 +662,7 @@ mod tests {
     fn disabled_spans_record_nothing_and_count_zero() {
         let r = Recorder::new();
         let mut span = r.span(r.next_id());
-        let t = span.timer();
-        assert!(t.is_none());
-        let dur = span.span_event("search", "total", t);
-        assert_eq!(dur, 0);
+        drop(span.stage(Stage::Search));
         span.count("search", "dfs_expansions", 42);
         assert_eq!(span.finish(), 0);
         assert_eq!(r.event_count(), 0);
@@ -694,18 +675,19 @@ mod tests {
         r.set_enabled(true);
         let id = r.next_id();
         let mut span = r.span(id);
-        let t = span.timer();
         span.count("search", "dfs_expansions", 7);
-        let dur = span.span_event("search", "total", t);
+        drop(span.stage(Stage::Search));
         // Nothing visible until the flush.
         assert_eq!(r.event_count(), 0);
         let total = span.finish();
-        assert!(total >= dur);
         let events = r.events_for(id);
-        // count + span + the query.total envelope.
+        // count + stage span + the query.total envelope.
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].kind, EventKind::Count);
         assert_eq!(events[0].value, 7);
+        assert_eq!((events[1].stage, events[1].kind, events[1].key), ("search", EventKind::Span, "total"));
+        assert!(events[1].value <= total, "the stage lies inside the query");
+        assert!(events[1].t_ns >= events[2].t_ns, "the stage starts after the query");
         assert_eq!(events[2].stage, "query");
         assert_eq!(events[2].key, "total");
         assert_eq!(events[2].value, total);
@@ -835,9 +817,8 @@ mod tests {
         r.set_enabled(true);
         let id = r.next_id();
         let mut span = r.span(id);
-        let t = span.timer();
         span.count("search", "dfs_expansions", 3);
-        span.span_event("search", "total", t);
+        drop(span.stage(Stage::Search));
         span.finish();
         let doc = to_chrome_json(&r.events());
         let text = doc.to_text();
@@ -866,9 +847,8 @@ mod tests {
         r.set_slow_threshold_ns(1);
         let id = r.next_id();
         let mut span = r.span(id);
-        let t = span.timer();
         span.count("search", "paths", 12);
-        span.span_event("search", "total", t);
+        drop(span.stage(Stage::Search));
         span.finish();
         let text = format_timeline(&r.events_for(id));
         assert!(text.contains("search.paths"), "{text}");

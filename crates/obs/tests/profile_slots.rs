@@ -4,18 +4,18 @@
 //! One test in its own binary, because the registry of thread slots and
 //! the sample counter are process-global.
 
-use prospector_obs::profile;
+use prospector_obs::{profile, Stage};
 
 #[test]
 fn exited_threads_are_not_sampled() {
     profile::set_enabled(true);
     // This thread and one parked helper stay alive with a slot each.
-    profile::push("live");
+    profile::push(Stage::ServeRequest);
     profile::pop();
     let (park, parked) = std::sync::mpsc::channel::<()>();
     let (ready, registered) = std::sync::mpsc::channel::<()>();
     let helper = std::thread::spawn(move || {
-        profile::push("helper");
+        profile::push(Stage::Search);
         profile::pop();
         ready.send(()).unwrap();
         parked.recv().unwrap();
@@ -24,7 +24,7 @@ fn exited_threads_are_not_sampled() {
 
     for _ in 0..64 {
         std::thread::spawn(|| {
-            profile::push("short");
+            profile::push(Stage::Rank);
             profile::pop();
         })
         .join()

@@ -68,6 +68,7 @@ use jungloid_typesys::{NameArena, Plain, Slab, SnapshotBuf, TyId, TypeTable, TYP
 use prospector_core::elems::{decode_quad, encode_quad, ElemSeq};
 use prospector_core::graph::{CsrAdjacency, JungloidGraph, NodeId};
 use prospector_core::GraphConfig;
+use prospector_obs::Stage;
 
 use crate::crc32::Crc32;
 use crate::error::StoreError;
@@ -916,7 +917,7 @@ pub fn save_file(
     graph: &JungloidGraph,
     mined_examples: &[Vec<ElemJungloid>],
 ) -> Result<Manifest, StoreError> {
-    let _span = prospector_obs::stage("store");
+    let _span = prospector_obs::stage(Stage::Store);
     let bytes = to_bytes(api, graph, mined_examples);
     let manifest = manifest(&bytes).expect("freshly encoded snapshot is well-formed");
     std::fs::write(path, &bytes)
@@ -1039,7 +1040,7 @@ fn elapsed_us(start: Instant) -> u64 {
 /// [`StoreError::Io`] if the file cannot be read; any decode-level
 /// [`StoreError`] otherwise.
 pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
-    let _span = prospector_obs::stage("store");
+    let _span = prospector_obs::stage(Stage::Store);
     let start = Instant::now();
     let mapped = MappedSnapshot::open(path)?;
     let validate_us = elapsed_us(start);
@@ -1059,7 +1060,7 @@ pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
 ///
 /// As [`load_file`].
 pub fn map_file(path: &Path) -> Result<(Snapshot, Manifest, bool), StoreError> {
-    let _span = prospector_obs::stage("store");
+    let _span = prospector_obs::stage(Stage::Store);
     let start = Instant::now();
     let mapped = MappedSnapshot::map(path)?;
     let validate_us = elapsed_us(start);

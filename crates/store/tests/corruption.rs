@@ -301,15 +301,16 @@ fn crafted_counts_behind_a_valid_crc_are_typed_errors() {
 
 /// A small engine whose every record a test can address: classes
 /// `p.DupTypeAlpha` and `p.DupTypeOmega`, the interface `p.Iface` that
-/// `DupTypeOmega` implements; on `DupTypeAlpha` the methods
-/// `first(DupTypeOmega arg)`, `dupMethodAlpha()`, `dupMethodOmega()` and
-/// the field `lock`.
+/// `DupTypeOmega` implements, the array `DupTypeOmega[]`; on
+/// `DupTypeAlpha` the methods `first(DupTypeOmega arg)`,
+/// `dupMethodAlpha()`, `dupMethodOmega()` and the field `lock`.
 fn fixture_bytes() -> Vec<u8> {
     let mut api = Api::new();
     let alpha = api.declare_class("p", "DupTypeAlpha").expect("fresh");
     let omega = api.declare_class("p", "DupTypeOmega").expect("fresh");
     let iface = api.types_mut().declare("p", "Iface", TypeKind::Interface).expect("fresh");
     api.types_mut().add_interface(omega, iface).expect("an interface");
+    api.types_mut().array_of(omega);
     let method = |name: &str, params: Vec<_>, param_names| MethodDef {
         name: name.to_owned(),
         declaring: alpha,
@@ -432,6 +433,31 @@ fn crafted_records_behind_a_valid_crc_are_typed_errors() {
     ];
     for (case, (name, at), value, because) in cases {
         expect_corrupt(&bytes, (name, at, &value.to_le_bytes()), name, because, case);
+    }
+
+    // Supertype and element links that never end: loaded, they would
+    // send `depth` (ranking) and `display` into unbounded recursion.
+    // Type 12 is `Iface`, type 13 `DupTypeOmega[]`; the interface array
+    // holds `Iface` alone, as `DupTypeOmega`'s one interface.
+    let words = |ws: &[u32]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+    let (iface_ty, array_ty) = (12, 13);
+    // Alpha's superclass word through omega's: alpha extends omega and
+    // omega extends alpha, the five words between kept as they are.
+    let (_, from) = ty(alpha, 3);
+    let mut pair = bytes[from..ty(omega, 3).1 + 4].to_vec();
+    pair[..4].copy_from_slice(&(omega as u32).to_le_bytes());
+    pair[24..].copy_from_slice(&(alpha as u32).to_le_bytes());
+    let cyclic = [
+        ("self-superclass", ty(alpha, 3), words(&[alpha as u32]), "cycle"),
+        ("two-type superclass cycle", ty(alpha, 3), pair, "cycle"),
+        ("interface cycle", ty(iface_ty, 4), words(&[0, 1]), "cycle"),
+        ("self-element array", ty(array_ty, 1), words(&[array_ty as u32]), "does not precede"),
+        // `DupTypeOmega extends DupTypeOmega[]`: arrays widen to `Object`,
+        // so a link into one could close a cycle the pass cannot see.
+        ("superclass is an array", ty(omega, 3), words(&[array_ty as u32]), "not declared"),
+    ];
+    for (case, (name, at), new, because) in cyclic {
+        expect_corrupt(&bytes, (name, at, &new), name, because, case);
     }
 
     // A pool string cut inside a UTF-8 sequence: the last byte of one

@@ -729,8 +729,10 @@ impl TypeTable {
     /// [`TypeError::InvalidTable`] on a built-in prefix (void, null, the
     /// eight primitives) that differs from a fresh table's, an unknown
     /// kind tag, an out-of-range name, package, type or interface
-    /// reference, an array of `void`/null, or a repeated package, declared
-    /// type, or array interning (names compared by text).
+    /// reference, an array of `void`/null or of a type that does not
+    /// precede it, a supertype link to an undeclared type or a cycle of
+    /// them, or a repeated package, declared type, or array interning
+    /// (names compared by text).
     pub fn from_slabs(
         names: NameArena,
         packages: Slab<u32>,
@@ -808,7 +810,12 @@ impl TypeTable {
                     }
                 }
                 K_ARRAY => {
+                    // A built table interns an array after its element, so
+                    // element links only point back and always end.
                     let elem = ty(rec[NAME])?;
+                    if elem.index() >= i {
+                        return Err(invalid(format!("array {i}'s element does not precede it")));
+                    }
                     if matches!(table.rec(elem)[KIND], K_VOID | K_NULL) {
                         return Err(invalid("array of void/null".to_owned()));
                     }
@@ -820,7 +827,58 @@ impl TypeTable {
             }
         }
         table.object = table.resolve_qualified("java.lang.Object");
+        table.check_supertype_links()?;
         Ok(table)
+    }
+
+    /// Checks what `depth`, `display` and the subtype walks rely on:
+    /// every superclass and interface link lands on a declared type, and
+    /// no chain of them — a parentless type's implicit `Object` link
+    /// included — leads back to where it started. One iterative
+    /// depth-first pass over the declared types, O(types + links).
+    fn check_supertype_links(&self) -> Result<(), TypeError> {
+        const OPEN: u8 = 1;
+        const DONE: u8 = 2;
+        let records: &[TypeRecord] = &self.types;
+        let declared = |t: TyId| matches!(records[t.index()][KIND], K_CLASS | K_INTERFACE);
+        let mut state = vec![0u8; self.types.len()];
+        let mut stack: Vec<(TyId, usize)> = Vec::new();
+        for root in self.ids().filter(|&t| declared(t)) {
+            if state[root.index()] == 0 {
+                state[root.index()] = OPEN;
+                stack.push((root, 0));
+            }
+            while let Some(top) = stack.last_mut() {
+                let (t, next) = *top;
+                top.1 += 1;
+                let rec = &records[t.index()];
+                let link = match next {
+                    0 => Self::superclass_of(rec).or(self.object.filter(|&o| o != t)),
+                    k => match self.interfaces_of(rec).get(k - 1) {
+                        Some(&iface) => Some(iface),
+                        None => {
+                            state[t.index()] = DONE;
+                            stack.pop();
+                            continue;
+                        }
+                    },
+                };
+                let Some(sup) = link else { continue };
+                let at = t.index();
+                if !declared(sup) {
+                    return Err(invalid(format!("type {at} has a supertype that is not declared")));
+                }
+                match state[sup.index()] {
+                    0 => {
+                        state[sup.index()] = OPEN;
+                        stack.push((sup, 0));
+                    }
+                    OPEN => return Err(invalid(format!("type {at}'s supertype links form a cycle"))),
+                    _ => {}
+                }
+            }
+        }
+        Ok(())
     }
 }
 
