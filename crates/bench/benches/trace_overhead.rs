@@ -6,7 +6,10 @@
 //!
 //! The contract this guards: tracing OFF must be free enough that it is
 //! never worth compiling out, and tracing ON must stay cheap enough to
-//! leave on in a serving process.
+//! leave on in a serving process. The two arms alternate over
+//! [`ROUNDS`] rounds, swapping which goes first each round, so host
+//! drift lands on both; the reported overhead is the median of the
+//! per-round differences, with their quartiles and range as its spread.
 //!
 //! The `window_record` case extends the same contract to the rolling
 //! SLO windows ([`prospector_obs::window`]): recording one observation
@@ -21,6 +24,11 @@
 //! a span on a recording query (also its timeline event and
 //! `query.stage_ns` histogram). The process-level span and a `gauge_set`
 //! on an existing gauge must make zero allocations.
+//!
+//! The `profile` case prices the cooperative profiler on its own:
+//! two-frame `push`/`pop` pairs on the worker side and
+//! [`profile::sample_all`] on the sampler side, both of which must make
+//! zero allocations after warm-up.
 //!
 //! Run with `cargo bench -p bench --bench trace_overhead`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
@@ -84,21 +92,42 @@ fn query_mix(engine: &Prospector) -> Vec<(TyId, TyId)> {
         .collect()
 }
 
-/// Mean ns/query over `rounds` passes of the mix (first pass warms the
+/// Off/on rounds of the tracing comparison.
+const ROUNDS: usize = 7;
+
+/// Mean ns/query over `passes` passes of the mix (first pass warms the
 /// distance cache for both arms, so the two measure the same work).
-fn measure(engine: &Prospector, queries: &[(TyId, TyId)], rounds: usize) -> f64 {
+fn measure(engine: &Prospector, queries: &[(TyId, TyId)], passes: usize) -> f64 {
     for &(tin, tout) in queries {
         let _ = engine.query(tin, tout);
     }
     let started = Instant::now();
-    for _ in 0..rounds {
+    for _ in 0..passes {
         for &(tin, tout) in queries {
             let _ = engine.query(tin, tout);
         }
     }
     #[allow(clippy::cast_precision_loss)]
-    let per_query = started.elapsed().as_nanos() as f64 / (rounds * queries.len()) as f64;
+    let per_query = started.elapsed().as_nanos() as f64 / (passes * queries.len()) as f64;
     per_query
+}
+
+/// One arm of the tracing comparison: ns/query with tracing `on`, and
+/// the events it published.
+fn arm(engine: &Prospector, queries: &[(TyId, TyId)], passes: usize, on: bool) -> (f64, u64) {
+    prospector_obs::trace::set_enabled(on);
+    let before = prospector_obs::trace::event_count();
+    let ns = measure(engine, queries, passes);
+    prospector_obs::trace::set_enabled(false);
+    (ns, prospector_obs::trace::event_count() - before)
+}
+
+/// The `q`-quantile (nearest rank) of `xs`, sorted in place.
+fn quantile(xs: &mut [f64], q: f64) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
+    let rank = ((xs.len() - 1) as f64 * q).round() as usize;
+    xs[rank]
 }
 
 /// `(ns_per_record, allocations, ns_per_view)` over `iters` records
@@ -192,9 +221,58 @@ fn measure_stage_span(iters: u64) -> StageSpanCost {
     StageSpanCost { process_ns, process_allocs, query_ns, query_allocs_per_span, gauge_ns, gauge_allocs }
 }
 
+/// What the `profile` case measured.
+struct ProfileCost {
+    push_pop_ns: f64,
+    sample_ns: f64,
+    allocs: u64,
+}
+
+/// Profiler paths: two-frame span `push`/`pop` on the worker side and
+/// `sample_all` on the sampler side. The first push registers this
+/// thread's slot and the first samples claim fold-table entries, both
+/// outside the timed loops.
+fn measure_profile(iters: u64) -> ProfileCost {
+    profile::set_enabled(true);
+    if profile::push(Stage::Batch) {
+        profile::sample_all();
+        if profile::push(Stage::Search) {
+            profile::sample_all();
+            profile::pop();
+        }
+        profile::pop();
+    }
+    profile::sample_all();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    for _ in 0..iters {
+        let owed = profile::push(black_box(Stage::Batch));
+        let inner = profile::push(black_box(Stage::Search));
+        if inner {
+            profile::pop();
+        }
+        if owed {
+            profile::pop();
+        }
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let push_pop_ns = started.elapsed().as_nanos() as f64 / iters as f64;
+    let samples = iters / 10;
+    let started = Instant::now();
+    for _ in 0..samples {
+        profile::sample_all();
+    }
+    #[allow(clippy::cast_precision_loss)]
+    let sample_ns = started.elapsed().as_nanos() as f64 / samples as f64;
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    profile::set_enabled(false);
+    black_box(profile::samples());
+    ProfileCost { push_pop_ns, sample_ns, allocs }
+}
+
 fn main() {
     let quick = quick_mode();
-    let rounds = if quick { 5 } else { 50 };
+    let passes = if quick { 5 } else { 50 };
 
     println!("\n=== flight-recorder overhead (Table 1 mix) ===\n");
     let mut engine = build(&BuildOptions::default()).expect("assembles").prospector;
@@ -203,25 +281,31 @@ fn main() {
     engine.cache_results = false;
     let queries = query_mix(&engine);
 
-    prospector_obs::trace::set_enabled(false);
-    let off = measure(&engine, &queries, rounds);
-    assert_eq!(
-        prospector_obs::trace::event_count(),
-        0,
-        "disabled tracing must publish no events"
-    );
-
-    prospector_obs::trace::set_enabled(true);
-    let on = measure(&engine, &queries, rounds);
-    let recorded = prospector_obs::trace::event_count();
-    prospector_obs::trace::set_enabled(false);
-    assert!(recorded > 0, "enabled tracing must publish events");
-
-    let delta = on - off;
-    println!("tracing off: {off:>12.0} ns/query");
+    let (mut offs, mut ons, mut deltas) = (Vec::new(), Vec::new(), Vec::new());
+    let mut recorded = 0;
+    for round in 0..ROUNDS {
+        let first_on = round % 2 == 1;
+        let (a, a_events) = arm(&engine, &queries, passes, first_on);
+        let (b, b_events) = arm(&engine, &queries, passes, !first_on);
+        let ((off, off_events), (on, on_events)) =
+            if first_on { ((b, b_events), (a, a_events)) } else { ((a, a_events), (b, b_events)) };
+        assert_eq!(off_events, 0, "disabled tracing must publish no events");
+        assert!(on_events > 0, "enabled tracing must publish events");
+        recorded += on_events;
+        println!("round {round}: off {off:>9.0}  on {on:>9.0}  delta {:>+8.0} ns/query", on - off);
+        offs.push(off);
+        ons.push(on);
+        deltas.push(on - off);
+    }
+    let off = quantile(&mut offs, 0.5);
+    let on = quantile(&mut ons, 0.5);
+    let delta = quantile(&mut deltas, 0.5);
+    let (q1, q3) = (quantile(&mut deltas, 0.25), quantile(&mut deltas, 0.75));
+    let (lo, hi) = (deltas[0], deltas[ROUNDS - 1]);
+    println!("tracing off: {off:>12.0} ns/query (median of {ROUNDS} rounds)");
     println!("tracing on:  {on:>12.0} ns/query  ({recorded} events recorded)");
     println!(
-        "overhead:    {delta:>12.0} ns/query  ({:+.1}%)",
+        "overhead:    {delta:>12.0} ns/query  ({:+.1}%; median pair difference, quartiles {q1:+.0} / {q3:+.0}, range {lo:+.0} .. {hi:+.0})",
         delta / off * 100.0
     );
 
@@ -251,6 +335,12 @@ fn main() {
     assert_eq!(cost.process_allocs, 0, "a process-level stage span must not allocate");
     assert_eq!(cost.gauge_allocs, 0, "gauge_set on an existing gauge must not allocate");
 
+    println!("\n=== profiler (worker push/pop, sampler sweep) ===\n");
+    let prof = measure_profile(span_iters);
+    println!("push+pop x2:  {:>10.1} ns  (two-frame stack)", prof.push_pop_ns);
+    println!("sample_all:   {:>10.1} ns  ({} allocations)", prof.sample_ns, prof.allocs);
+    assert_eq!(prof.allocs, 0, "profiler record and sample paths must not allocate after warm-up");
+
     let round1 = |x: f64| Json::Num((x * 10.0).round() / 10.0);
     let doc = Json::obj(vec![
         (
@@ -269,6 +359,15 @@ fn main() {
             ]),
         ),
         (
+            "profile",
+            Json::obj(vec![
+                ("iters", Json::num_u(span_iters)),
+                ("push_pop_ns", round1(prof.push_pop_ns)),
+                ("sample_all_ns", round1(prof.sample_ns)),
+                ("allocations", Json::num_u(prof.allocs)),
+            ]),
+        ),
+        (
             "window_record",
             Json::obj(vec![
                 ("iters", Json::num_u(iters)),
@@ -283,9 +382,15 @@ fn main() {
         (
             "trace_overhead",
             Json::obj(vec![
+                ("rounds", Json::num_u(ROUNDS as u64)),
+                ("passes_per_arm", Json::num_u(passes as u64)),
                 ("off_ns_per_query", Json::Num(off.round())),
                 ("on_ns_per_query", Json::Num(on.round())),
                 ("delta_ns_per_query", Json::Num(delta.round())),
+                ("delta_q1_ns", Json::Num(q1.round())),
+                ("delta_q3_ns", Json::Num(q3.round())),
+                ("delta_min_ns", Json::Num(lo.round())),
+                ("delta_max_ns", Json::Num(hi.round())),
             ]),
         ),
         ("quick", Json::Bool(quick)),
@@ -297,6 +402,6 @@ fn main() {
     println!("wrote {out}");
 
     if quick {
-        println!("\n(quick mode: {rounds} rounds; timings are smoke-level only)");
+        println!("\n(quick mode: {passes} passes per arm; timings are smoke-level only)");
     }
 }

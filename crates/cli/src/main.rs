@@ -461,14 +461,12 @@ fn run_command(flags: &Flags) -> Result<(), String> {
                 };
                 index_inspect(path, layout)
             }
-            Some("heat") => index_heat(flags, &flags.rest[2..]),
             Some(path) if flags.rest.len() == 2 => {
                 index_build(flags, &["-o".to_owned(), path.to_owned()])
             }
             _ => Err(
                 "usage: prospector index build [<stub.api>...] [--corpus <dir>] [-o <path>] \
-                 | index inspect <path> [--layout] | index heat <batch-file> [-k N] \
-                 | index <path>"
+                 | index inspect <path> [--layout] | index <path>"
                     .to_owned(),
             ),
         },
@@ -583,8 +581,6 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             println!("  GET /slow        retained slow-query timelines (JSON; ?clear=1 resets)");
             println!("  GET /trace.json  flight-recorder ring as Chrome trace");
             println!("  GET /logs?n=     newest structured access-log records (JSON)");
-            println!("  GET /heat        graph heat map: hottest types/members/edges (JSON; ?k=N)");
-            println!("  GET /analytics   workload sketches: popular/miss/truncation keys (JSON; ?k=N)");
             println!("  GET /profile.folded  sampled stage stacks, flamegraph.pl folded format");
             println!("  GET /tenants     tenant manifest: state, provenance, epoch, sizes (JSON)");
             println!("  POST /tenants?name=&path=  register a tenant from a snapshot");
@@ -601,24 +597,8 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             // `stats` always times the pipeline so the §5 size report
             // carries per-stage build timings alongside the graph counts.
             prospector_obs::set_enabled(true);
-            let mut heat = false;
-            let mut k = 10usize;
-            let mut it = flags.rest[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--heat" => heat = true,
-                    "-k" => {
-                        k = it
-                            .next()
-                            .ok_or("-k needs a number")?
-                            .parse()
-                            .map_err(|_| "-k needs a number".to_owned())?;
-                    }
-                    other => return Err(format!("stats: unknown argument `{other}`")),
-                }
-            }
-            if heat {
-                prospector_core::heat::set_enabled(true);
+            if let Some(other) = flags.rest.get(1) {
+                return Err(format!("stats: unknown argument `{other}`"));
             }
             let engine = engine(flags)?;
             let g = engine.graph();
@@ -647,25 +627,6 @@ fn run_command(flags: &Flags) -> Result<(), String> {
                         }
                     }
                 }
-            }
-            if heat {
-                // Warm the heat table with the Table 1 workload so the
-                // report shows which parts of the graph the paper's own
-                // evaluation exercises. Pairs a custom `--index` cannot
-                // resolve are skipped, not errors.
-                let mut warmed = 0usize;
-                for p in prospector_corpora::problems::table1() {
-                    let (Ok(tin), Ok(tout)) =
-                        (resolve(&engine, p.tin), resolve(&engine, p.tout))
-                    else {
-                        continue;
-                    };
-                    if engine.query(tin, tout).is_ok() {
-                        warmed += 1;
-                    }
-                }
-                println!("heat (after {warmed} Table 1 warm-up queries):");
-                print_heat_report(&engine, k);
             }
             print!("{}", prospector_obs::report::to_text(&prospector_obs::snapshot()));
             Ok(())
@@ -1148,114 +1109,6 @@ fn query_batch(flags: &Flags, path: &str, threads: Option<usize>) -> Result<(), 
     Ok(())
 }
 
-/// `index heat <batch-file> [-k N]`: offline workload analytics. Replays
-/// a `query --batch`-format file (one `TIN TOUT` pair per line) with heat
-/// accounting enabled and prints the top-K report — the same data `serve`
-/// exposes at `GET /heat` and `GET /analytics`, but over a fixed batch so
-/// the output is deterministic and diffable.
-fn index_heat(flags: &Flags, rest: &[String]) -> Result<(), String> {
-    let mut path: Option<&str> = None;
-    let mut k = 10usize;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-k" => {
-                k = it
-                    .next()
-                    .ok_or("-k needs a number")?
-                    .parse()
-                    .map_err(|_| "-k needs a number".to_owned())?;
-            }
-            p if path.is_none() => path = Some(p),
-            _ => return Err("usage: prospector index heat <batch-file> [-k N]".to_owned()),
-        }
-    }
-    let Some(path) = path else {
-        return Err("usage: prospector index heat <batch-file> [-k N]".to_owned());
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    prospector_core::heat::set_enabled(true);
-    let engine = engine(flags)?;
-    let mut queries: Vec<(TyId, TyId)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        let (Some(tin), Some(tout), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!("{path}:{}: expected `TIN TOUT`, got `{line}`", lineno + 1));
-        };
-        let tin_ty = resolve(&engine, tin).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let tout_ty = resolve(&engine, tout).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        queries.push((tin_ty, tout_ty));
-    }
-    if queries.is_empty() {
-        return Err(format!("{path}: no queries (one `TIN TOUT` pair per line)"));
-    }
-    let batch = engine.query_batch(&queries);
-    let errors = batch.iter().filter(|e| e.result.is_err()).count();
-    println!("heat (batch {path}: {} queries, {errors} errors):", queries.len());
-    print_heat_report(&engine, k);
-    Ok(())
-}
-
-/// Shared by `stats --heat` and `index heat`: the top-K graph heat and
-/// workload-analytics report. All orderings are deterministic (count
-/// descending, names ascending on ties) so repeated runs over the same
-/// batch diff clean.
-fn print_heat_report(engine: &Prospector, k: usize) {
-    let heat = engine.heat_snapshot(k);
-    println!("  epoch:         {}", heat.epoch);
-    println!("  queries:       {}", heat.queries);
-    println!("  field builds:  {}", heat.fields);
-    println!(
-        "  nodes touched: {} ({} total visits)",
-        heat.nodes_touched, heat.node_total
-    );
-    println!(
-        "  edges touched: {} ({} total examinations)",
-        heat.edges_touched, heat.edge_total
-    );
-    println!("  top types:");
-    for e in &heat.top_types {
-        println!("    {:>8}  {}", e.count, e.label);
-    }
-    println!("  top members:");
-    for e in &heat.top_members {
-        println!("    {:>8}  {}", e.count, e.label);
-    }
-    println!("  top edges:");
-    for e in &heat.top_edges {
-        println!("    {:>8}  {} -[{}]-> {}", e.count, e.from, e.elem, e.to);
-    }
-    let wl = engine.workload_snapshot(k);
-    println!("workload:");
-    println!("  queries:       {}", wl.queries);
-    println!("  cache misses:  {}", wl.cache_misses);
-    println!("  truncations:   {}", wl.truncations);
-    println!(
-        "  sketch:        count-min {}x{}",
-        wl.sketch_width, wl.sketch_depth
-    );
-    for (title, entries) in [
-        ("popular", &wl.popularity),
-        ("miss-heavy", &wl.misses),
-        ("truncation-heavy", &wl.truncated),
-    ] {
-        if entries.is_empty() {
-            continue;
-        }
-        println!("  {title}:");
-        for e in entries {
-            println!(
-                "    {:>8}  {} -> {} (err {}, cm {})",
-                e.count, e.tin, e.tout, e.err, e.estimate
-            );
-        }
-    }
-}
-
 fn print_usage() {
     println!(
         "prospector — jungloid synthesis over the modeled Eclipse/J2SE APIs
@@ -1268,10 +1121,9 @@ usage:
   prospector [flags] table1
   prospector [flags] study [--seed N]
   prospector [flags] mine
-  prospector [flags] stats [--heat] [-k N]
+  prospector [flags] stats
   prospector [flags] index build [<stub.api>...] [--corpus <dir>] [-o <path>] [--json]
   prospector [flags] index inspect <path> [--layout]
-  prospector [flags] index heat <batch-file> [-k N]
   prospector [flags] serve [--addr host:port] [--workers N] [--access-log <path>] [--mmap]
                            [--tenant name=path.pspk]... [--tenants-dir <dir>]
                            [--keepalive-max N] [--idle-timeout SECS] [--max-inflight N]

@@ -37,16 +37,14 @@
 //! | `GET /slow`               | the retained slow-query timelines as JSON (`?clear=1` resets) |
 //! | `GET /trace.json`         | the flight-recorder ring as Chrome trace (+ profiler counters) |
 //! | `GET /logs?n=`            | the newest access-log records as JSON       |
-//! | `GET /heat?k=`            | top-K hot types/members/edges from the graph heat table |
-//! | `GET /analytics?k=`       | workload sketches: popular / miss-heavy / truncation-heavy query keys |
 //! | `GET /profile.folded`     | sampled stage stacks, flamegraph.pl folded format |
 //! | `GET /tenants`            | the tenant manifest (state, provenance, epoch, sizes) |
 //! | `POST /tenants?name=&path=` | registers a new tenant from a snapshot path |
 //! | `POST /reload?tenant=`    | rebuilds a tenant's engine off-lock and atomically swaps it in |
 //!
 //! The server is **multi-tenant**: every engine endpoint (`/query`,
-//! `/assist`, `/heat`, `/analytics`) accepts a `?tenant=` key routed
-//! through the [`prospector_registry::Registry`]. Without the key a
+//! `/assist`) accepts a `?tenant=` key routed through the
+//! [`prospector_registry::Registry`]. Without the key a
 //! request goes to the [`DEFAULT_TENANT`], so every single-tenant URL
 //! keeps working unchanged; an unknown key is a strict-JSON 400, never
 //! a silent fallback. `POST /reload` swaps a tenant's engine with zero
@@ -74,7 +72,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use prospector_core::{heat, Prospector};
+use prospector_core::Prospector;
 use prospector_obs::hist::Histogram;
 use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 use prospector_obs::log::{self as alog, AccessRecord};
@@ -116,7 +114,7 @@ const MAX_LOG_TAIL: usize = 10_000;
 /// Endpoint labels, in routing order. `other` absorbs every unknown
 /// path so scans and typos still show up in the request counters
 /// without minting unbounded label values.
-const ENDPOINTS: [&str; 15] = [
+const ENDPOINTS: [&str; 13] = [
     "healthz",
     "readyz",
     "metrics",
@@ -126,8 +124,6 @@ const ENDPOINTS: [&str; 15] = [
     "slow",
     "trace",
     "logs",
-    "heat",
-    "analytics",
     "profile",
     "tenants",
     "reload",
@@ -341,10 +337,8 @@ impl Server {
         prospector_obs::set_enabled(true);
         trace::set_enabled(true);
         alog::set_enabled(true);
-        // Workload analytics: graph heat + query sketches feed `/heat`
-        // and `/analytics`; the cooperative profiler feeds
-        // `/profile.folded` off the sampler thread.
-        heat::set_enabled(true);
+        // The cooperative profiler feeds `/profile.folded` off the
+        // sampler thread.
         profile::set_enabled(true);
         warm_registry();
         let workers = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
@@ -630,8 +624,6 @@ fn endpoint_index(route: &str) -> usize {
         "/slow" => "slow",
         "/trace.json" => "trace",
         "/logs" => "logs",
-        "/heat" => "heat",
-        "/analytics" => "analytics",
         "/profile.folded" => "profile",
         "/tenants" => "tenants",
         "/reload" => "reload",
@@ -749,12 +741,6 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                 }
             },
         },
-        "heat" => on_tenant(ctx, query, |tenant| {
-            Response::ok_json(heat_json(&tenant.engine(), top_k_param(query)).to_text())
-        }),
-        "analytics" => on_tenant(ctx, query, |tenant| {
-            Response::ok_json(analytics_json(&tenant.engine(), top_k_param(query)).to_text())
-        }),
         "profile" => Response::new(200, "OK", "text/plain", profile::render_folded()),
         "tenants" => Response::ok_json(tenants_json(ctx.registry).to_text()),
         "reload" => method_not_allowed(endpoint),
@@ -844,11 +830,6 @@ fn tenants_json(registry: &Registry) -> Json {
             Json::Arr(manifest.iter().map(tenant_info_json).collect()),
         ),
     ])
-}
-
-/// `?k=` with a sane default and cap for the top-K report endpoints.
-fn top_k_param(query: &str) -> usize {
-    query_param(query, "k").and_then(|v| v.parse().ok()).unwrap_or(10).clamp(1, 100)
 }
 
 /// The value of one query-string parameter, percent-decoded.
@@ -1186,100 +1167,6 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
     ])
 }
 
-/// `GET /heat`: the graph heat table's top-K hot types, members, and
-/// edges with resolved names, plus the table's provenance (epoch, merged
-/// queries and field builds, coverage totals). Resolution runs against
-/// the routed tenant's engine.
-fn heat_json(engine: &Prospector, k: usize) -> Json {
-    let snap = engine.heat_snapshot(k);
-    let entries = |items: &[prospector_core::HeatEntry]| {
-        Json::Arr(
-            items
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("name", Json::Str(e.label.clone())),
-                        ("count", Json::num_u(e.count)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    Json::obj(vec![
-        ("epoch", Json::num_u(snap.epoch)),
-        ("queries", Json::num_u(snap.queries)),
-        ("fields", Json::num_u(snap.fields)),
-        ("nodes_touched", Json::num_u(snap.nodes_touched as u64)),
-        ("edges_touched", Json::num_u(snap.edges_touched as u64)),
-        ("node_total", Json::num_u(snap.node_total)),
-        ("edge_total", Json::num_u(snap.edge_total)),
-        ("top_types", entries(&snap.top_types)),
-        ("top_members", entries(&snap.top_members)),
-        (
-            "top_edges",
-            Json::Arr(
-                snap.top_edges
-                    .iter()
-                    .map(|e| {
-                        Json::obj(vec![
-                            ("from", Json::Str(e.from.clone())),
-                            ("elem", Json::Str(e.elem.clone())),
-                            ("to", Json::Str(e.to.clone())),
-                            ("count", Json::num_u(e.count)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// `GET /analytics`: the workload sketches — top-K popular, miss-heavy,
-/// and truncation-heavy `(tin, tout)` keys with resolved names — plus
-/// profiler sample totals. Resolution runs against the routed tenant's
-/// engine.
-fn analytics_json(engine: &Prospector, k: usize) -> Json {
-    let snap = engine.workload_snapshot(k);
-    let entries = |items: &[prospector_core::WorkloadEntry]| {
-        Json::Arr(
-            items
-                .iter()
-                .map(|e| {
-                    Json::obj(vec![
-                        ("tin", Json::Str(e.tin.clone())),
-                        ("tout", Json::Str(e.tout.clone())),
-                        ("count", Json::num_u(e.count)),
-                        ("err", Json::num_u(e.err)),
-                        ("estimate", Json::num_u(e.estimate)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    Json::obj(vec![
-        ("queries", Json::num_u(snap.queries)),
-        ("cache_misses", Json::num_u(snap.cache_misses)),
-        ("truncations", Json::num_u(snap.truncations)),
-        (
-            "sketch",
-            Json::obj(vec![
-                ("width", Json::num_u(snap.sketch_width as u64)),
-                ("depth", Json::num_u(snap.sketch_depth as u64)),
-            ]),
-        ),
-        ("popularity", entries(&snap.popularity)),
-        ("misses", entries(&snap.misses)),
-        ("truncated", entries(&snap.truncated)),
-        (
-            "profiler",
-            Json::obj(vec![
-                ("samples", Json::num_u(profile::samples())),
-                ("dropped", Json::num_u(profile::dropped())),
-            ]),
-        ),
-    ])
-}
-
 /// Serializes one response to its wire bytes — header block plus body —
 /// for the poller's outbound buffers. `Allow:` rides on 405s,
 /// `Retry-After:` on shed 429s.
@@ -1527,8 +1414,6 @@ mod tests {
             "/slow",
             "/trace.json",
             "/logs",
-            "/heat",
-            "/analytics",
             "/profile.folded",
             "/tenants",
             "/reload",
@@ -1556,15 +1441,5 @@ mod tests {
             vec!["r:Reader".to_owned(), "s:String".to_owned()]
         );
         assert!(query_params_all("tout=T", "var").is_empty());
-    }
-
-    #[test]
-    fn top_k_param_defaults_clamps_and_parses() {
-        use super::top_k_param;
-        assert_eq!(top_k_param(""), 10);
-        assert_eq!(top_k_param("k=5"), 5);
-        assert_eq!(top_k_param("k=0"), 1);
-        assert_eq!(top_k_param("k=9999"), 100);
-        assert_eq!(top_k_param("k=abc"), 10);
     }
 }

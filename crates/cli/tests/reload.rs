@@ -80,8 +80,6 @@ fn unknown_tenant_is_a_strict_json_400() {
         for path in [
             "/query?tenant=nope&tin=IFile&tout=ASTNode",
             "/assist?tenant=nope&tout=ASTNode",
-            "/heat?tenant=nope",
-            "/analytics?tenant=nope",
         ] {
             let (status, body) = http_get(addr, path);
             assert!(status.contains("400"), "{path}: {status}");

@@ -535,23 +535,13 @@ fn serve_status_logs_and_introspection() {
     });
 }
 
-/// The workload-analytics surface: `/heat` reports the hot graph
-/// regions as strict JSON, `/analytics` the query sketches and profiler
-/// counters, `/profile.folded` renders flamegraph.pl-compatible folded
-/// stacks, `/status` carries per-endpoint truncation-reason counts, and
-/// `/logs?n=` validates its parameter (400 on garbage, clamp on
-/// giants).
-///
-/// The heat table is process-global and epoch-stamped: the other tests
-/// in this binary serve different engines (different graph epochs), so
-/// a query of theirs landing between our load and our scrape resets the
-/// table. The nonemptiness assertions therefore retry the
-/// load-then-scrape cycle; JSON shape is asserted on every attempt.
-/// Every attempt also sends an `/assist`: our repeated `/query`s are
-/// answered from the result cache and record no heat, while an assist
-/// bypasses that cache and refills a reset table.
+/// The profiler and introspection surface: `/profile.folded` renders
+/// flamegraph.pl-compatible folded stacks and `/metrics` counts the
+/// sampler's passes, `/status` carries per-endpoint truncation-reason
+/// counts, and `/logs?n=` validates its parameter (400 on garbage,
+/// clamp on giants).
 #[test]
-fn serve_heat_analytics_and_profiler() {
+fn serve_profiler_status_and_log_tail() {
     let registry = default_registry();
     let server = Server::bind("127.0.0.1:0").expect("bind port 0");
     let addr = server.local_addr().expect("bound address");
@@ -562,73 +552,12 @@ fn serve_heat_analytics_and_profiler() {
 
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
 
-        // /heat: strict JSON with the full shape on every attempt;
-        // nonempty top-K once our queries land uncontested.
-        let mut heat_doc = None;
-        for _ in 0..50 {
-            for pair in ["IFile&tout=ASTNode", "IWorkspace&tout=IFile", "Shell&tout=Button"] {
-                let (status, body) = http_get(addr, &format!("/query?tin={pair}"));
-                assert!(status.contains("200"), "{status}: {body}");
-            }
-            let (status, body) = http_get(addr, "/assist?var=file:IFile&tout=ASTNode");
+        for pair in ["IFile&tout=ASTNode", "IWorkspace&tout=IFile", "Shell&tout=Button"] {
+            let (status, body) = http_get(addr, &format!("/query?tin={pair}"));
             assert!(status.contains("200"), "{status}: {body}");
-            let (status, body) = http_get(addr, "/heat?k=5");
-            assert!(status.contains("200"), "{status}");
-            let doc = Json::parse(&body).expect("heat is strict JSON");
-            for key in [
-                "epoch", "queries", "fields", "nodes_touched", "edges_touched",
-                "node_total", "edge_total", "top_types", "top_members", "top_edges",
-            ] {
-                assert!(doc.get(key).is_some(), "/heat missing {key}: {body}");
-            }
-            if !doc.get("top_types").unwrap().as_arr().unwrap().is_empty() {
-                heat_doc = Some(doc);
-                break;
-            }
         }
-        let heat = heat_doc.expect("/heat top-K populated under repeated load");
-        assert!(heat.get("queries").unwrap().as_u64().unwrap() >= 1);
-        let types = heat.get("top_types").unwrap().as_arr().unwrap();
-        assert!(types.len() <= 5, "k=5 caps the report: {}", types.len());
-        for e in types {
-            assert!(!e.get("name").unwrap().as_str().unwrap().is_empty());
-            assert!(e.get("count").unwrap().as_u64().unwrap() >= 1);
-        }
-        // Counts arrive sorted descending — the top-K contract.
-        let counts: Vec<u64> =
-            types.iter().map(|e| e.get("count").unwrap().as_u64().unwrap()).collect();
-        assert!(counts.windows(2).all(|w| w[0] >= w[1]), "descending: {counts:?}");
-        for e in heat.get("top_edges").unwrap().as_arr().unwrap() {
-            for key in ["from", "elem", "to", "count"] {
-                assert!(e.get(key).is_some(), "/heat edge missing {key}");
-            }
-        }
-
-        // /analytics: the workload sketches are global and append-only
-        // within the process, so our queries are visible regardless of
-        // what the sibling tests did.
-        let (status, body) = http_get(addr, "/analytics?k=5");
-        assert!(status.contains("200"), "{status}");
-        let doc = Json::parse(&body).expect("analytics is strict JSON");
-        assert!(doc.get("queries").unwrap().as_u64().unwrap() >= 3);
-        assert!(doc.get("cache_misses").unwrap().as_u64().unwrap() >= 1);
-        let sketch = doc.get("sketch").unwrap();
-        assert!(sketch.get("width").unwrap().as_u64().unwrap() >= 16);
-        assert!(sketch.get("depth").unwrap().as_u64().unwrap() >= 1);
-        let popularity = doc.get("popularity").unwrap().as_arr().unwrap();
-        assert!(!popularity.is_empty(), "popularity saw our queries: {body}");
-        for e in popularity {
-            let count = e.get("count").unwrap().as_u64().unwrap();
-            let err = e.get("err").unwrap().as_u64().unwrap();
-            let estimate = e.get("estimate").unwrap().as_u64().unwrap();
-            assert!(err <= count, "err is a portion of count: {body}");
-            assert!(estimate >= count - err, "count-min never underestimates: {body}");
-            assert!(!e.get("tin").unwrap().as_str().unwrap().is_empty());
-            assert!(!e.get("tout").unwrap().as_str().unwrap().is_empty());
-        }
-        assert!(doc.get("misses").unwrap().as_arr().is_some());
-        assert!(doc.get("truncated").unwrap().as_arr().is_some());
-        assert!(doc.get("profiler").unwrap().get("samples").unwrap().as_u64().is_some());
+        let (status, body) = http_get(addr, "/assist?var=file:IFile&tout=ASTNode");
+        assert!(status.contains("200"), "{status}: {body}");
 
         // /profile.folded: wait for the ~100 Hz sampler to observe the
         // worker threads, then validate every line of the format —
@@ -655,6 +584,14 @@ fn serve_heat_analytics_and_profiler() {
                 assert!(!frame.contains(' '), "frame with space breaks the format: {line}");
             }
         }
+        // /metrics: the sampler's pass count is a gauge.
+        let (status, body) = http_get(addr, "/metrics");
+        assert!(status.contains("200"), "{status}");
+        let samples = body
+            .lines()
+            .find_map(|l| l.strip_prefix("prospector_profile_samples "))
+            .unwrap_or_else(|| panic!("missing prospector_profile_samples in:\n{body}"));
+        assert!(samples.parse::<u64>().is_ok(), "non-numeric sample gauge: {samples}");
 
         // /status: per-endpoint truncation-reason counts, all three
         // labels always present.

@@ -399,17 +399,6 @@ impl Prospector {
             (Some(s), None) => DistanceField::bounded(&self.graph, s, target, extra, scratch),
             _ => DistanceField::towards(&self.graph, target),
         };
-        // Heat accounting folds the reached set in once per *build*
-        // (cache hits re-use the same settled nodes), keeping the
-        // relaxation loops themselves untouched.
-        if crate::heat::enabled() {
-            crate::heat::record_field(
-                self.graph.epoch(),
-                self.graph.node_count(),
-                self.graph.edge_count(),
-                field.reached(),
-            );
-        }
         let field = Arc::new(field);
         let evicted =
             self.dist_cache.insert_unless(target, Arc::clone(&field), |old| old.is_complete());
@@ -452,9 +441,7 @@ impl Prospector {
             });
         }
         if !self.cache_results {
-            let (result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
-            crate::heat::record_query(tin, tout, true, result.truncation.truncated());
-            return Ok(result);
+            return Ok(self.run(&[(None, tin)], Some(tin), tout, id).0);
         }
         // The key is the full query intent; the graph's state is carried
         // by the epoch stamp instead, so entries invalidate lazily when a
@@ -466,16 +453,8 @@ impl Prospector {
             prospector_obs::add("engine.result_cache.invalidations", 1);
         }
         let lease = match lookup {
-            Lookup::Hit(cached) => {
-                let result = self.replay_cached(&cached, id, false);
-                crate::heat::record_query(tin, tout, false, result.truncation.truncated());
-                return Ok(result);
-            }
-            Lookup::Shared(cached) => {
-                let result = self.replay_cached(&cached, id, true);
-                crate::heat::record_query(tin, tout, false, result.truncation.truncated());
-                return Ok(result);
-            }
+            Lookup::Hit(cached) => return Ok(self.replay_cached(&cached, id, false)),
+            Lookup::Shared(cached) => return Ok(self.replay_cached(&cached, id, true)),
             Lookup::Miss(lease) => lease,
         };
         // This caller leads: run the pipeline once; waiters collapsed
@@ -485,7 +464,6 @@ impl Prospector {
         prospector_obs::add("engine.result_cache.misses", 1);
         let (mut result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
         result.stats.result_cache_misses = 1;
-        crate::heat::record_query(tin, tout, true, result.truncation.truncated());
         let evicted = lease.complete(Arc::new(result.clone()));
         if evicted > 0 {
             prospector_obs::add("engine.result_cache.evictions", evicted as u64);
@@ -629,21 +607,6 @@ impl Prospector {
             result.already_available.len() as u64,
         );
         Ok(result)
-    }
-
-    /// Top-K view of the global heat table resolved against this
-    /// engine's graph and API (empty if the table belongs to another
-    /// graph epoch).
-    #[must_use]
-    pub fn heat_snapshot(&self, k: usize) -> crate::heat::HeatSnapshot {
-        crate::heat::snapshot(&self.graph, &self.api, k)
-    }
-
-    /// Top-K view of the workload sketches with `(tin, tout)` names
-    /// resolved against this engine's API.
-    #[must_use]
-    pub fn workload_snapshot(&self, k: usize) -> crate::heat::WorkloadSnapshot {
-        crate::heat::workload_snapshot(&self.api, k)
     }
 
     fn check_out(&self, tout: TyId) -> Result<(), QueryError> {

@@ -68,7 +68,6 @@ pub mod engine;
 pub mod explain;
 pub mod generalize;
 pub mod graph;
-pub mod heat;
 pub mod path;
 pub mod rank;
 pub mod search;
@@ -82,7 +81,6 @@ pub use engine::{BatchEntry, Prospector, QueryError, QueryResult, QueryStats, Su
 pub use graph::{
     CsrAdjacency, Edge, ExampleError, GraphConfig, GraphStats, JungloidGraph, NodeId, SnapshotError,
 };
-pub use heat::{HeatEdge, HeatEntry, HeatSnapshot, WorkloadEntry, WorkloadSnapshot};
 pub use path::Jungloid;
 pub use rank::{RankKey, RankOptions};
 pub use search::{

@@ -490,17 +490,6 @@ pub struct SearchScratch {
     stack: Vec<Frame>,
     /// Elements of the path currently being walked.
     elems: Vec<ElemJungloid>,
-    /// Per-edge traversal tallies (flat CSR edge index); all zero between
-    /// queries. Sized only while heat accounting is enabled.
-    edge_heat: Vec<u32>,
-    /// Per-node visit tallies (dense node index); all zero between
-    /// queries.
-    node_heat: Vec<u32>,
-    /// Edge indices with a nonzero tally this query. Capacity is reserved
-    /// at reset so the hot-loop push never allocates.
-    touched_edges: Vec<u32>,
-    /// Node indices with a nonzero tally this query.
-    touched_nodes: Vec<u32>,
     /// [`DistanceField::bounded`]'s forward ball.
     fwd: Ball,
     /// Its backward ball. The walk borrows `bwd.dist` as the dense view
@@ -518,52 +507,14 @@ impl SearchScratch {
         SearchScratch::default()
     }
 
-    fn reset(&mut self, nodes: usize, edges: usize, heat: bool) {
+    fn reset(&mut self, nodes: usize) {
         debug_assert!(self.on_path.iter().all(|&b| !b), "scratch left dirty");
-        debug_assert!(
-            self.touched_nodes.is_empty() && self.touched_edges.is_empty(),
-            "heat tallies left dirty"
-        );
         if self.on_path.len() != nodes {
             self.on_path.clear();
             self.on_path.resize(nodes, false);
         }
         self.stack.clear();
         self.elems.clear();
-        if heat {
-            if self.node_heat.len() != nodes {
-                self.node_heat.clear();
-                self.node_heat.resize(nodes, 0);
-                self.touched_nodes.reserve(nodes);
-            }
-            if self.edge_heat.len() != edges {
-                self.edge_heat.clear();
-                self.edge_heat.resize(edges, 0);
-                self.touched_edges.reserve(edges);
-            }
-        }
-    }
-
-    /// Fold this query's heat tallies into the global table and zero
-    /// them, restoring the clean-tally invariant [`reset`] asserts.
-    fn flush_heat(&mut self, epoch: u64, nodes: usize, edges: usize) {
-        crate::heat::merge_raw(
-            epoch,
-            nodes,
-            edges,
-            &self.touched_nodes,
-            &self.node_heat,
-            &self.touched_edges,
-            &self.edge_heat,
-        );
-        for &i in &self.touched_nodes {
-            self.node_heat[i as usize] = 0;
-        }
-        self.touched_nodes.clear();
-        for &i in &self.touched_edges {
-            self.edge_heat[i as usize] = 0;
-        }
-        self.touched_edges.clear();
     }
 }
 
@@ -656,10 +607,7 @@ fn enumerate_dense(
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
     let csr = graph.csr();
-    // Hoisted once per query: the hot loop branches on a local bool, not
-    // an atomic.
-    let heat = crate::heat::enabled();
-    scratch.reset(csr.node_count(), csr.edge_count(), heat);
+    scratch.reset(csr.node_count());
     // Dedup sources in first-occurrence order (enumeration order is part
     // of the engine's contract) by borrowing the on-path mark array: mark,
     // collect, unmark — O(sources) instead of the quadratic
@@ -708,7 +656,6 @@ fn enumerate_dense(
         target_idx: dense(graph, target),
         bound,
         config,
-        heat,
         scratch,
         out: Vec::with_capacity(config.max_results.min(fanout)),
         expansions: 0,
@@ -724,16 +671,13 @@ fn enumerate_dense(
             break;
         }
     }
-    let Dfs { out, expansions, truncation, scratch, .. } = dfs;
+    let Dfs { out, expansions, truncation, .. } = dfs;
     prospector_obs::add("search.dfs_expansions", expansions as u64);
     prospector_obs::add("search.paths_enumerated", out.len() as u64);
     match truncation {
         TruncationReason::None => {}
         TruncationReason::PathCap => prospector_obs::add("search.truncated.path_cap", 1),
         TruncationReason::ExpansionCap => prospector_obs::add("search.truncated.expansion_cap", 1),
-    }
-    if heat {
-        scratch.flush_heat(graph.epoch(), csr.node_count(), csr.edge_count());
     }
     // `m` could be 0 when a source widens straight into the target; in that
     // case the shortest *produced* path still reports 0.
@@ -746,37 +690,10 @@ struct Dfs<'a> {
     target_idx: u32,
     bound: u32,
     config: &'a SearchConfig,
-    /// Whether to tally per-edge/per-node heat into the scratch
-    /// (hoisted from [`crate::heat::enabled`] once per query).
-    heat: bool,
     scratch: &'a mut SearchScratch,
     out: Vec<Jungloid>,
     expansions: usize,
     truncation: TruncationReason,
-}
-
-impl Dfs<'_> {
-    /// Tally one examination of edge `ei`. The 0→1 transition enrolls the
-    /// edge in the touched list (capacity pre-reserved: no allocation).
-    #[inline]
-    fn touch_edge(&mut self, ei: usize) {
-        let h = &mut self.scratch.edge_heat[ei];
-        if *h == 0 {
-            self.scratch.touched_edges.push(ei as u32);
-        }
-        *h += 1;
-    }
-
-    /// Tally one visit of node `to` (a DFS step onto it or a target
-    /// arrival).
-    #[inline]
-    fn touch_node(&mut self, to: u32) {
-        let h = &mut self.scratch.node_heat[to as usize];
-        if *h == 0 {
-            self.scratch.touched_nodes.push(to);
-        }
-        *h += 1;
-    }
 }
 
 impl Dfs<'_> {
@@ -788,9 +705,6 @@ impl Dfs<'_> {
         let fwd_cost = self.csr.out_cost();
         let fwd_elem = self.csr.out_elem();
         let range = self.csr.out_range(si as usize);
-        if self.heat {
-            self.touch_node(si);
-        }
         self.scratch.on_path[si as usize] = true;
         self.scratch.stack.push(Frame {
             at: si,
@@ -818,9 +732,6 @@ impl Dfs<'_> {
                 break;
             }
             let to = fwd_to[ei];
-            if self.heat {
-                self.touch_edge(ei);
-            }
             if self.scratch.on_path[to as usize] {
                 continue;
             }
@@ -830,9 +741,6 @@ impl Dfs<'_> {
                 continue;
             }
             if to == self.target_idx {
-                if self.heat {
-                    self.touch_node(to);
-                }
                 // Pure-widening paths contain no code ("you already have a
                 // tout"); the engine reports those separately.
                 self.scratch.elems.push(fwd_elem.get(ei));
@@ -846,9 +754,6 @@ impl Dfs<'_> {
                 }
                 self.scratch.elems.pop();
             } else {
-                if self.heat {
-                    self.touch_node(to);
-                }
                 self.scratch.elems.push(fwd_elem.get(ei));
                 self.scratch.on_path[to as usize] = true;
                 let range = self.csr.out_range(to as usize);

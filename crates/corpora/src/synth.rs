@@ -41,7 +41,7 @@ pub struct SynthSpec {
     /// Hops per planted chain (the unique shortest path's length).
     pub plant_len: usize,
     /// Decoy methods per chain class, leading off into the bulk — the
-    /// search must not be able to cheat by following the only edge.
+    /// search must not find a chain just by following the only edge.
     pub decoys_per_hop: usize,
     /// Packages the bulk classes are spread over.
     pub packages: usize,

@@ -4,7 +4,7 @@
 //! crates sit below the corpora and CLI layers, so the instrumentation
 //! layer must sit below *them* and bring nothing with it.
 //!
-//! Four pieces:
+//! The pieces:
 //!
 //! * [`metrics`] — a process-global registry of named atomic counters and
 //!   gauges. Hot loops keep local tallies and flush once per call;
@@ -31,9 +31,6 @@
 //! * [`log`] — the structured access log: one strict-JSON line per
 //!   served request (trace id, endpoint, code, queue wait, handle time)
 //!   to stderr or a file, plus a bounded in-memory tail for `GET /logs`.
-//! * [`sketch`] — mergeable frequency sketches (count-min + space-saving
-//!   top-K), allocation-free on record, for workload analytics: which
-//!   query keys dominate, which miss, which truncate.
 //! * [`profile`] — a cooperative sampling profiler: spans publish the
 //!   thread's stage stack (catalog ids) into a per-thread atomic word; a
 //!   sampler folds all stacks at ~100 Hz into flamegraph.pl-compatible
@@ -68,7 +65,6 @@ pub mod profile;
 pub mod prom;
 pub mod report;
 pub mod rng;
-pub mod sketch;
 pub mod span;
 pub mod trace;
 pub mod window;
@@ -76,6 +72,5 @@ pub mod window;
 pub use json::Json;
 pub use metrics::{add, gauge_set, set_enabled, snapshot, Snapshot};
 pub use rng::SmallRng;
-pub use sketch::{CountMinSketch, SpaceSaving};
 pub use span::{stage, Stage};
 pub use trace::{QuerySpan, TraceId};

@@ -24,7 +24,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::json::Json;
-use crate::sketch::mix64;
 use crate::span::Stage;
 
 /// Maximum stack frames published per thread; deeper frames still balance
@@ -51,6 +50,16 @@ pub fn set_enabled(on: bool) {
 #[must_use]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
+}
+
+/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash for the
+/// fold table's probes.
+#[inline]
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Per-thread published stack: one atomic word, stored whole on every
@@ -193,7 +202,7 @@ fn fold_table() -> &'static FoldTable {
 }
 
 /// Sample every registered thread's published stack into the fold table.
-/// Allocation-free (pinned by the `heat_overhead` bench); call at a fixed
+/// Allocation-free (pinned by the `trace_overhead` bench); call at a fixed
 /// cadence (~100 Hz) from a dedicated thread.
 pub fn sample_all() {
     if !enabled() {

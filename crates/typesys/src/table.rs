@@ -16,7 +16,7 @@
 //! | 4    | 0           | 0           | first interface   | 0            |
 //! | 5    | 0           | 0           | interface count   | 0            |
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use prospector_obs::json::Json;
 
@@ -526,35 +526,42 @@ impl TypeTable {
     #[must_use]
     pub fn direct_supertypes(&self, id: TyId) -> Vec<TyId> {
         let mut out = Vec::new();
+        self.each_direct_supertype(id, &mut |t| out.push(t));
+        out
+    }
+
+    /// Calls `f` on each of [`direct_supertypes`](Self::direct_supertypes),
+    /// in that order, without allocating: the form the hierarchy walks use.
+    fn each_direct_supertype(&self, id: TyId, f: &mut dyn FnMut(TyId)) {
         let rec = self.rec(id);
         match rec[KIND] {
             K_CLASS | K_INTERFACE => {
                 if let Some(sup) = Self::superclass_of(rec) {
-                    out.push(sup);
+                    f(sup);
                 } else if self.object != Some(id) {
                     if let Some(obj) = self.object {
-                        out.push(obj);
+                        f(obj);
                     }
                 }
-                out.extend_from_slice(self.interfaces_of(rec));
+                self.interfaces_of(rec).iter().for_each(|&i| f(i));
             }
             K_ARRAY => {
                 if let Some(obj) = self.object {
-                    out.push(obj);
+                    f(obj);
                 }
                 let elem = TyId(rec[NAME]);
                 if matches!(self.rec(elem)[KIND], K_CLASS | K_INTERFACE | K_ARRAY) {
-                    for sup in self.direct_supertypes(elem) {
+                    self.each_direct_supertype(elem, &mut |sup| {
                         if let Some(&arr) = self.arrays.get(&sup) {
-                            out.push(arr);
+                            f(arr);
                         }
-                    }
+                    });
                 }
             }
             _ => {}
         }
-        out
     }
+
     /// Whether `sub` is a subtype of `sup` (reflexive).
     ///
     /// Implements Java's widening-reference-conversion relation restricted
@@ -574,16 +581,18 @@ impl TypeTable {
 
     /// Whether `to` is reachable from `from` through direct supertype
     /// links (strictly upward; not reflexive unless on a cycle, which
-    /// construction forbids).
+    /// construction forbids). Time and memory are O(supertypes walked),
+    /// whatever the table's size.
     fn reaches(&self, from: TyId, to: TyId) -> bool {
-        let mut stack = self.direct_supertypes(from);
-        let mut seen = vec![false; self.types.len()];
+        let mut stack = Vec::new();
+        self.each_direct_supertype(from, &mut |t| stack.push(t));
+        let mut seen = HashSet::new();
         while let Some(t) = stack.pop() {
             if t == to {
                 return true;
             }
-            if t.index() < seen.len() && !std::mem::replace(&mut seen[t.index()], true) {
-                stack.extend(self.direct_supertypes(t));
+            if seen.insert(t) {
+                self.each_direct_supertype(t, &mut |s| stack.push(s));
             }
         }
         false
@@ -595,13 +604,58 @@ impl TypeTable {
     /// Used by the ranking heuristic of §3.2: among jungloids of equal
     /// length, the one returning the *more general* (smaller-depth) type is
     /// preferred.
+    ///
+    /// A longest path over the supertype DAG, walked with an explicit
+    /// stack: each supertype is opened once, pushing the supertypes not
+    /// yet seen, and settled once they all are. Time and memory are
+    /// O(supertypes walked + their links), so shared supertypes (interface
+    /// diamonds) cost nothing extra and a long chain needs no call stack.
+    ///
+    /// Ranking calls this on every step of every candidate (~60 calls per
+    /// warm `/assist` on the synth jungle), and most types sit on a
+    /// single-inheritance chain. So up to the first type with several
+    /// direct supertypes the depth is a plain count, which allocates
+    /// nothing; the memo walk costs two allocations and about ten hashes
+    /// even for one link.
     #[must_use]
     pub fn depth(&self, id: TyId) -> u32 {
-        self.direct_supertypes(id)
-            .into_iter()
-            .map(|s| 1 + self.depth(s))
-            .max()
-            .unwrap_or(0)
+        /// Opened, not yet settled. Only a cycle, which construction and
+        /// loading forbid, would read it as a supertype's depth.
+        const OPEN: u32 = u32::MAX;
+        let (mut at, mut links) = (id, 0);
+        loop {
+            let (mut supers, mut up) = (0, at);
+            self.each_direct_supertype(at, &mut |s| (supers, up) = (supers + 1, s));
+            match supers {
+                0 => return links,
+                1 => (at, links) = (up, links + 1),
+                _ => break,
+            }
+        }
+        let mut memo: HashMap<TyId, u32> = HashMap::new();
+        let mut stack = vec![at];
+        while let Some(&t) = stack.last() {
+            match memo.get(&t) {
+                None => {
+                    memo.insert(t, OPEN);
+                    self.each_direct_supertype(t, &mut |s| {
+                        if !memo.contains_key(&s) {
+                            stack.push(s);
+                        }
+                    });
+                }
+                Some(&OPEN) => {
+                    let mut d = 0;
+                    self.each_direct_supertype(t, &mut |s| d = d.max(memo[&s].wrapping_add(1)));
+                    memo.insert(t, d);
+                    stack.pop();
+                }
+                Some(_) => {
+                    stack.pop();
+                }
+            }
+        }
+        links + memo[&at]
     }
 
     /// All strict subtypes of `id` among declared and array types.
