@@ -130,8 +130,8 @@ fn main() {
     assert!(identical, "cached results diverged from the raw pipeline");
 
     let snap = prospector_obs::snapshot();
-    let hits = snap.counter("engine.result_cache.hits").unwrap_or(0);
-    let misses = snap.counter("engine.result_cache.misses").unwrap_or(0);
+    let hits = snap.counter(prospector_obs::Counter::EngineResultCacheHits);
+    let misses = snap.counter(prospector_obs::Counter::EngineResultCacheMisses);
 
     let speedup = cold / warm;
     println!("cold (fresh engine):   {cold:>12.0} ns/query");

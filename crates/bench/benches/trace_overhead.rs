@@ -22,8 +22,11 @@
 //! The `stage_span` case prices the one stage span with metrics and the
 //! profiler on: a process-level span (stage table + profiler frame) and
 //! a span on a recording query (also its timeline event and
-//! `query.stage_ns` histogram). The process-level span and a `gauge_set`
-//! on an existing gauge must make zero allocations.
+//! `query.stage_ns` histogram). Next to it, the metric record path: a
+//! counter `add`, a `gauge_set` and a histogram `record` on catalog
+//! rows, each timed on one thread and with two threads recording the
+//! same cell at once. The process-level span and every record must make
+//! zero allocations.
 //!
 //! The `profile` case prices the cooperative profiler on its own:
 //! two-frame `push`/`pop` pairs on the worker side and
@@ -37,6 +40,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use jungloid_typesys::TyId;
@@ -44,7 +48,7 @@ use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
 use prospector_obs::trace::Recorder;
 use prospector_obs::window::WindowRing;
-use prospector_obs::{profile, Json, Stage};
+use prospector_obs::{profile, Counter, Gauge, Hist, Json, Stage};
 
 /// Counts every heap allocation so the window-record loop can prove it
 /// makes none. Deallocation is uncounted — the contract is "no new
@@ -161,21 +165,18 @@ struct StageSpanCost {
     process_allocs: u64,
     query_ns: f64,
     query_allocs_per_span: f64,
-    gauge_ns: f64,
-    gauge_allocs: u64,
 }
 
 /// Stage spans with metrics and the profiler on. The first span
-/// registers this thread's profiler slot and the first gauge write
-/// files the name, both outside the timed loops. Query spans open in
-/// batches of [`QUERY_BATCH`] on one recording query, whose publish is
-/// not timed; their allocations are the query's growing event buffer.
+/// registers this thread's profiler slot outside the timed loop. Query
+/// spans open in batches of [`QUERY_BATCH`] on one recording query,
+/// whose publish is not timed; their allocations are the query's
+/// growing event buffer.
 fn measure_stage_span(iters: u64) -> StageSpanCost {
     const QUERY_BATCH: u64 = 64;
     prospector_obs::set_enabled(true);
     profile::set_enabled(true);
     drop(prospector_obs::stage(Stage::Store));
-    prospector_obs::gauge_set("bench.stage_span.gauge", 0);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let started = Instant::now();
@@ -207,18 +208,53 @@ fn measure_stage_span(iters: u64) -> StageSpanCost {
         (query_elapsed as f64 / spans, query_allocs as f64 / spans)
     };
 
+    profile::set_enabled(false);
+    prospector_obs::set_enabled(false);
+    StageSpanCost { process_ns, process_allocs, query_ns, query_allocs_per_span }
+}
+
+/// What one metric record costs: ns per record on one thread, ns per
+/// record of each of two threads recording the same cell at once, and
+/// the allocations both runs made.
+struct RecordCost {
+    one_thread_ns: f64,
+    two_threads_ns: f64,
+    allocs: u64,
+}
+
+/// Times `iters` calls of `record` on this thread, then on two threads
+/// released together by a barrier (their spawns fall outside the
+/// counted and timed window).
+fn measure_record(iters: u64, record: &(dyn Fn(u64) + Sync)) -> RecordCost {
+    record(0);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let started = Instant::now();
     for i in 0..iters {
-        prospector_obs::gauge_set("bench.stage_span.gauge", black_box(i));
+        record(black_box(i));
     }
+    let one_thread = started.elapsed();
+    let mut allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let gate = Barrier::new(3);
+    let two_threads = std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                gate.wait();
+                for i in 0..iters {
+                    record(black_box(i));
+                }
+                gate.wait();
+            });
+        }
+        gate.wait();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let started = Instant::now();
+        gate.wait();
+        allocs += ALLOCATIONS.load(Ordering::Relaxed) - before;
+        started.elapsed()
+    });
     #[allow(clippy::cast_precision_loss)]
-    let gauge_ns = started.elapsed().as_nanos() as f64 / iters as f64;
-    let gauge_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-
-    profile::set_enabled(false);
-    prospector_obs::set_enabled(false);
-    StageSpanCost { process_ns, process_allocs, query_ns, query_allocs_per_span, gauge_ns, gauge_allocs }
+    let per = |d: std::time::Duration| d.as_nanos() as f64 / iters as f64;
+    RecordCost { one_thread_ns: per(one_thread), two_threads_ns: per(two_threads), allocs }
 }
 
 /// What the `profile` case measured.
@@ -331,9 +367,22 @@ fn main() {
         "query span:   {:>10.1} ns/span  ({:.3} allocations/span, event buffer growth)",
         cost.query_ns, cost.query_allocs_per_span
     );
-    println!("gauge_set:    {:>10.1} ns/write  ({} allocations)", cost.gauge_ns, cost.gauge_allocs);
     assert_eq!(cost.process_allocs, 0, "a process-level stage span must not allocate");
-    assert_eq!(cost.gauge_allocs, 0, "gauge_set on an existing gauge must not allocate");
+    let records = [
+        ("counter_add", measure_record(span_iters, &|v| prospector_obs::add(Counter::SearchDfsExpansions, v))),
+        ("gauge_set", measure_record(span_iters, &|v| prospector_obs::gauge_set(Gauge::GraphNodes, v))),
+        (
+            "hist_record",
+            measure_record(span_iters, &|v| prospector_obs::metrics::histogram(Hist::QueryLatencyNs, 0).record(v)),
+        ),
+    ];
+    for (name, r) in &records {
+        println!(
+            "{name:<13} {:>10.1} ns/record  (two threads at once: {:.1} ns/record each; {} allocations)",
+            r.one_thread_ns, r.two_threads_ns, r.allocs
+        );
+        assert_eq!(r.allocs, 0, "{name} on a catalog row must not allocate");
+    }
 
     println!("\n=== profiler (worker push/pop, sampler sweep) ===\n");
     let prof = measure_profile(span_iters);
@@ -342,22 +391,23 @@ fn main() {
     assert_eq!(prof.allocs, 0, "profiler record and sample paths must not allocate after warm-up");
 
     let round1 = |x: f64| Json::Num((x * 10.0).round() / 10.0);
-    let doc = Json::obj(vec![
+    let mut stage_span = vec![
+        ("iters".to_owned(), Json::num_u(span_iters)),
+        ("process_ns_per_span".to_owned(), round1(cost.process_ns)),
+        ("process_allocations".to_owned(), Json::num_u(cost.process_allocs)),
+        ("query_ns_per_span".to_owned(), round1(cost.query_ns)),
         (
-            "stage_span",
-            Json::obj(vec![
-                ("iters", Json::num_u(span_iters)),
-                ("process_ns_per_span", round1(cost.process_ns)),
-                ("process_allocations", Json::num_u(cost.process_allocs)),
-                ("query_ns_per_span", round1(cost.query_ns)),
-                (
-                    "query_allocations_per_span",
-                    Json::Num((cost.query_allocs_per_span * 1000.0).round() / 1000.0),
-                ),
-                ("gauge_set_ns", round1(cost.gauge_ns)),
-                ("gauge_set_allocations", Json::num_u(cost.gauge_allocs)),
-            ]),
+            "query_allocations_per_span".to_owned(),
+            Json::Num((cost.query_allocs_per_span * 1000.0).round() / 1000.0),
         ),
+    ];
+    for (name, r) in &records {
+        stage_span.push((format!("{name}_ns"), round1(r.one_thread_ns)));
+        stage_span.push((format!("{name}_2threads_ns"), round1(r.two_threads_ns)));
+        stage_span.push((format!("{name}_allocations"), Json::num_u(r.allocs)));
+    }
+    let doc = Json::obj(vec![
+        ("stage_span", Json::Obj(stage_span)),
         (
             "profile",
             Json::obj(vec![

@@ -65,7 +65,7 @@ mod imp {
     use std::sync::{Condvar, Mutex};
     use std::time::{Duration, Instant};
 
-    use prospector_obs::Stage;
+    use prospector_obs::{Counter, Stage};
 
     use crate::http::{FrameError, Framed, Request, RequestFramer};
     use crate::serve::{
@@ -469,7 +469,7 @@ mod imp {
                         self.wheel.insert(id, self.ctx.idle_timeout);
                         self.ctx.conns.fetch_add(1, Ordering::Relaxed);
                         self.ctx.parked.fetch_add(1, Ordering::Relaxed);
-                        prospector_obs::add("serve.poller.accepts", 1);
+                        prospector_obs::add(Counter::ServePollerAccepts, 1);
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -578,7 +578,7 @@ mod imp {
                         let handle_ns =
                             u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         record_request(endpoint_of(""), &response, 0, handle_ns);
-                        prospector_obs::add("serve.poller.frame_errors", 1);
+                        prospector_obs::add(Counter::ServePollerFrameErrors, 1);
                         conn.out.extend_from_slice(&bytes);
                         conn.close_after_flush = true;
                     }
@@ -594,7 +594,7 @@ mod imp {
                         u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     record_request(endpoint_of(&request.path), &response, 0, handle_ns);
                     self.ctx.shed.fetch_add(1, Ordering::Relaxed);
-                    prospector_obs::add("serve.shed.total", 1);
+                    prospector_obs::add(Counter::ServeShedTotal, 1);
                     conn.out.extend_from_slice(&bytes);
                     conn.served += 1;
                     if close {
@@ -716,7 +716,7 @@ mod imp {
             if reap {
                 self.drop_conn(id);
                 self.ctx.reaped.fetch_add(1, Ordering::Relaxed);
-                prospector_obs::add("serve.poller.reaped", 1);
+                prospector_obs::add(Counter::ServePollerReaped, 1);
             } else {
                 self.wheel.insert(id, remaining);
             }

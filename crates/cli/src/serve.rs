@@ -59,9 +59,9 @@
 //! `/status`, `/logs`, and `/trace.json` tell one joinable story.
 //!
 //! The server enables the metric registry, the flight recorder, and the
-//! access log at bind time (it exists to expose them), and pre-registers
-//! the core metric families at zero so a scrape taken before the first
-//! query still shows every series a dashboard will ever chart.
+//! access log at bind time (it exists to expose them). Every catalog row
+//! ([`prospector_obs::catalog`]) exists from process start, so a scrape
+//! taken before the first query already shows every series at zero.
 
 // Off Linux/x86_64 the poller is compiled out, so nothing calls the
 // request path below; `Server::run` returns the poller stub's error.
@@ -74,12 +74,12 @@ use std::time::{Duration, Instant};
 
 use prospector_core::Prospector;
 use prospector_obs::hist::Histogram;
-use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 use prospector_obs::log::{self as alog, AccessRecord};
-use prospector_obs::profile;
+use prospector_obs::prom::Exposition;
 use prospector_obs::trace::{self, TraceId};
 use prospector_obs::window::{self, CounterRing, WindowRing, STANDARD_WINDOWS};
-use prospector_obs::{Json, Stage};
+use prospector_obs::{profile, Counter, Gauge, Hist, Json, Labeled, Window};
+use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 
 use crate::http::{FrameError, Request};
 
@@ -226,35 +226,24 @@ fn http_stats() -> &'static HttpStats {
     GLOBAL.get_or_init(HttpStats::new)
 }
 
-/// The serve layer's pre-resolved metric handles: per-endpoint latency
-/// (window ring + cumulative histogram), per-endpoint windowed error
-/// counters, and the queue-wait pair. Resolved once so the per-request
-/// path never touches the registry locks.
+/// Per-endpoint latency (a window ring, and the histogram cells serve
+/// holds because it owns [`ENDPOINTS`]), per-endpoint windowed error
+/// counts for `/status`, and the queue-wait ring: resolved once, so the
+/// per-request path never touches the ring registry's lock.
 struct ServeRings {
     latency: Vec<Arc<WindowRing>>,
-    latency_hist: Vec<Arc<Histogram>>,
-    errors: Vec<Arc<CounterRing>>,
+    latency_hist: [Histogram; ENDPOINTS.len()],
+    errors: [CounterRing; ENDPOINTS.len()],
     queue_wait: Arc<WindowRing>,
-    queue_wait_hist: Arc<Histogram>,
 }
 
 fn serve_rings() -> &'static ServeRings {
     static GLOBAL: OnceLock<ServeRings> = OnceLock::new();
     GLOBAL.get_or_init(|| ServeRings {
-        latency: ENDPOINTS
-            .iter()
-            .map(|e| window::ring(&format!("serve.http.latency_ns.{e}")))
-            .collect(),
-        latency_hist: ENDPOINTS
-            .iter()
-            .map(|e| prospector_obs::metrics::histogram(&format!("serve.http.latency_ns.{e}")))
-            .collect(),
-        errors: ENDPOINTS
-            .iter()
-            .map(|e| window::counter_ring(&format!("serve.http.errors.{e}")))
-            .collect(),
-        queue_wait: window::ring("serve.queue.wait_ns"),
-        queue_wait_hist: prospector_obs::metrics::histogram("serve.queue.wait_ns"),
+        latency: ENDPOINTS.iter().map(|e| window::ring(Window::HttpLatency, Some(e))).collect(),
+        latency_hist: std::array::from_fn(|_| Histogram::new()),
+        errors: std::array::from_fn(|_| CounterRing::new()),
+        queue_wait: window::ring(Window::QueueWait, None),
     })
 }
 
@@ -324,10 +313,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr`, turns the metric registry, flight recorder, and
-    /// access log on, and pre-registers the core metric families at
-    /// zero. The worker pool defaults to the machine's available
-    /// parallelism.
+    /// Binds `addr` and turns the metric registry, flight recorder, and
+    /// access log on. The worker pool defaults to the machine's
+    /// available parallelism.
     ///
     /// # Errors
     ///
@@ -340,7 +328,6 @@ impl Server {
         // The cooperative profiler feeds `/profile.folded` off the
         // sampler thread.
         profile::set_enabled(true);
-        warm_registry();
         let workers = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
         Ok(Server { listener, workers })
     }
@@ -405,16 +392,16 @@ pub(crate) fn sampler_loop(ctx: &Ctx<'_>, shutdown: &AtomicBool, stopping: &Atom
 /// `/proc/self/status` (skipped when it is unreadable — the `serve.*`
 /// gauges still publish).
 fn sample_self_stats(ctx: &Ctx<'_>) {
-    prospector_obs::gauge_set("serve.queue.depth", ctx.depth.load(Ordering::Relaxed));
-    prospector_obs::gauge_set("serve.workers.busy", ctx.busy.load(Ordering::Relaxed));
-    prospector_obs::gauge_set("serve.conns.active", ctx.conns.load(Ordering::Relaxed));
-    prospector_obs::gauge_set("serve.poller.parked", ctx.parked.load(Ordering::Relaxed));
-    prospector_obs::gauge_set("serve.poller.inflight", ctx.inflight.load(Ordering::Relaxed));
-    prospector_obs::gauge_set("profile.samples", profile::samples());
-    prospector_obs::gauge_set("profile.dropped", profile::dropped());
+    prospector_obs::gauge_set(Gauge::ServeQueueDepth, ctx.depth.load(Ordering::Relaxed));
+    prospector_obs::gauge_set(Gauge::ServeWorkersBusy, ctx.busy.load(Ordering::Relaxed));
+    prospector_obs::gauge_set(Gauge::ServeConnsActive, ctx.conns.load(Ordering::Relaxed));
+    prospector_obs::gauge_set(Gauge::ServePollerParked, ctx.parked.load(Ordering::Relaxed));
+    prospector_obs::gauge_set(Gauge::ServePollerInflight, ctx.inflight.load(Ordering::Relaxed));
+    prospector_obs::gauge_set(Gauge::ProfileSamples, profile::samples());
+    prospector_obs::gauge_set(Gauge::ProfileDropped, profile::dropped());
     if let Some((rss, threads)) = read_proc_self_status() {
-        prospector_obs::gauge_set("process.rss_bytes", rss);
-        prospector_obs::gauge_set("process.threads", threads);
+        prospector_obs::gauge_set(Gauge::ProcessRssBytes, rss);
+        prospector_obs::gauge_set(Gauge::ProcessThreads, threads);
     }
 }
 
@@ -435,65 +422,6 @@ fn read_proc_self_status() -> Option<(u64, u64)> {
     Some((rss?, threads?))
 }
 
-/// Creates the metric families the core pipeline and the serve layer
-/// report into, so the very first `/metrics` scrape already exposes them
-/// at zero. (Prometheus guidance: export a series before its first
-/// event, so `rate()` sees the 0 → 1 transition.)
-fn warm_registry() {
-    const COUNTERS: &[&str] = &[
-        "search.dfs_expansions",
-        "search.bfs_relaxations",
-        "search.paths_enumerated",
-        "search.truncated.path_cap",
-        "search.truncated.expansion_cap",
-        "engine.dist_cache.hits",
-        "engine.dist_cache.misses",
-        "engine.dist_cache.evictions",
-        "engine.result_cache.hits",
-        "engine.result_cache.misses",
-        "engine.result_cache.collapsed",
-        "engine.result_cache.evictions",
-        "engine.result_cache.invalidations",
-        "engine.batch.calls",
-        "engine.batch.queries",
-        "engine.batch.errors",
-        "engine.assist.calls",
-        "engine.assist.sources",
-        "engine.assist.reachable",
-        "engine.assist.unreachable",
-        "engine.assist.already_available",
-        "engine.dedup_drops",
-        "rank.comparisons",
-        "synth.snippets",
-        "registry.reloads",
-        "registry.reload_failures",
-        "serve.shed.total",
-        "serve.poller.accepts",
-        "serve.poller.reaped",
-        "serve.poller.frame_errors",
-    ];
-    for name in COUNTERS {
-        prospector_obs::add(name, 0);
-    }
-    prospector_obs::gauge_set("engine.result_cache.entries", 0);
-    let _ = prospector_obs::metrics::histogram("query.latency_ns");
-    for stage in [Stage::Search, Stage::Synth, Stage::Rank] {
-        let _ = prospector_obs::span::stage_histogram(stage);
-    }
-    prospector_obs::gauge_set("serve.queue.depth", 0);
-    prospector_obs::gauge_set("serve.workers.busy", 0);
-    prospector_obs::gauge_set("serve.conns.active", 0);
-    prospector_obs::gauge_set("serve.poller.parked", 0);
-    prospector_obs::gauge_set("serve.poller.inflight", 0);
-    prospector_obs::gauge_set("registry.tenants", 0);
-    prospector_obs::gauge_set("registry.engine_bytes", 0);
-    prospector_obs::gauge_set("profile.samples", 0);
-    prospector_obs::gauge_set("profile.dropped", 0);
-    // Resolving the serve ring handles registers every per-endpoint
-    // window series and histogram, so they render from the first scrape.
-    let _ = serve_rings();
-}
-
 /// One response, carrying everything the per-request accounting needs
 /// alongside the wire fields.
 pub(crate) struct Response {
@@ -511,10 +439,10 @@ pub(crate) struct Response {
     cached: bool,
     /// The query's truncation label; empty for non-query endpoints.
     truncation: String,
-    /// The tenant the request resolved to; empty for endpoints that
-    /// touch no engine. Feeds the access log and per-tenant latency
-    /// rings.
-    tenant: String,
+    /// The tenant the request resolved to; `None` for endpoints that
+    /// touch no engine. Feeds the access log and the tenant's latency
+    /// ring.
+    tenant: Option<Arc<Tenant>>,
 }
 
 impl Response {
@@ -529,7 +457,7 @@ impl Response {
             trace_id: 0,
             cached: false,
             truncation: String::new(),
-            tenant: String::new(),
+            tenant: None,
         }
     }
 
@@ -540,8 +468,8 @@ impl Response {
     /// Attributes the response to `tenant` — the only place `tenant` is
     /// set, so the access log and the per-tenant latency rings only ever
     /// see a registered (and therefore validated) name.
-    fn for_tenant(mut self, tenant: &Tenant) -> Response {
-        self.tenant = tenant.name().to_owned();
+    fn for_tenant(mut self, tenant: &Arc<Tenant>) -> Response {
+        self.tenant = Some(Arc::clone(tenant));
         self
     }
 
@@ -672,13 +600,7 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
         "healthz" => Response::new(200, "OK", "text/plain", "ok\n".to_owned()),
         "readyz" => Response::ok_json(readyz_json(ctx).to_text()),
         "metrics" => {
-            let mut body = prospector_obs::prom::render(&prospector_obs::snapshot());
-            body.push_str(&prospector_obs::prom::render_windows(&window::views(
-                &STANDARD_WINDOWS,
-            )));
-            body.push_str(&render_http_requests());
-            body.push_str(&render_tenant_metrics(ctx.registry));
-            Response::new(200, "OK", "text/plain; version=0.0.4", body)
+            Response::new(200, "OK", "text/plain; version=0.0.4", render_metrics(ctx.registry))
         }
         "status" => Response::ok_json(status_json(ctx).to_text()),
         "query" => on_tenant(ctx, query, |tenant| {
@@ -871,23 +793,20 @@ pub(crate) fn record_request(
     }
     let rings = serve_rings();
     rings.queue_wait.record(queue_wait_ns);
-    rings.queue_wait_hist.record(queue_wait_ns);
+    prospector_obs::metrics::histogram(Hist::ServeQueueWaitNs, 0).record(queue_wait_ns);
     rings.latency[endpoint].record(handle_ns);
     rings.latency_hist[endpoint].record(handle_ns);
     if response.code >= 400 {
         rings.errors[endpoint].add(1);
     }
-    // Per-tenant latency: one window ring per tenant the process has
-    // served, named into the global ring registry so `/metrics` and
-    // `/status` render them without a label-aware backend.
-    if !response.tenant.is_empty() {
-        window::ring(&format!("serve.tenant.latency_ns.{}", response.tenant)).record(handle_ns);
+    if let Some(tenant) = &response.tenant {
+        tenant.latency().record(handle_ns);
     }
     alog::record(AccessRecord {
         ts_ms: alog::now_ms(),
         trace_id: response.trace_id,
         endpoint: ENDPOINTS[endpoint],
-        tenant: response.tenant.clone(),
+        tenant: response.tenant.as_ref().map_or_else(String::new, |t| t.name().to_owned()),
         code: response.code,
         bytes: response.body.len() as u64,
         queue_wait_us: queue_wait_ns / 1_000,
@@ -897,89 +816,39 @@ pub(crate) fn record_request(
     });
 }
 
-/// The labeled request counters as a Prometheus exposition block. Every
-/// endpoint × code cell is emitted (zeros included) so dashboards see
+/// `GET /metrics`: the registry snapshot, every window ring, the
+/// labeled request counters and endpoint latency cells, and the
+/// per-tenant series (the lifecycle state as a one-hot gauge). Every
+/// endpoint × code cell is emitted, zeros included, so dashboards see
 /// each series before its first event.
-fn render_http_requests() -> String {
-    use std::fmt::Write as _;
-    let stats = http_stats();
-    let mut out = String::new();
-    out.push_str(
-        "# HELP prospector_serve_http_requests_total HTTP requests served, by endpoint and status code.\n",
-    );
-    out.push_str("# TYPE prospector_serve_http_requests_total counter\n");
+fn render_metrics(registry: &Registry) -> String {
+    let rings = serve_rings();
+    let mut e = Exposition::default();
+    e.snapshot(&prospector_obs::snapshot());
+    for view in window::views(&STANDARD_WINDOWS) {
+        e.window(&view);
+    }
     for (ei, endpoint) in ENDPOINTS.iter().enumerate() {
         for (ci, code) in CODES.iter().enumerate() {
-            let v = stats.counts[ei][ci].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "prospector_serve_http_requests_total{{endpoint=\"{endpoint}\",code=\"{code}\"}} {v}"
-            );
+            let v = http_stats().counts[ei][ci].load(Ordering::Relaxed);
+            let labels = [("endpoint", *endpoint), ("code", &code.to_string())];
+            e.value(Labeled::ServeHttpRequests.row(), None, &labels, v);
         }
+        e.histogram(Labeled::ServeHttpLatencyNs.row(), Some(endpoint), &rings.latency_hist[ei].snapshot());
     }
-    out
-}
-
-/// The per-tenant labeled series as a Prometheus exposition block —
-/// epoch, resident size, query and reload counters, and the lifecycle
-/// state as a one-hot gauge, one series per tenant.
-fn render_tenant_metrics(registry: &Registry) -> String {
-    use std::fmt::Write as _;
-    let manifest = registry.manifest();
-    let mut out = String::new();
-    let mut block = |name: &str, help: &str, kind: &str, value: &dyn Fn(&TenantInfo) -> u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} {kind}");
-        for t in &manifest {
-            let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.name, value(t));
-        }
-    };
-    block(
-        "prospector_engine_graph_epoch",
-        "Graph epoch of the tenant's installed engine.",
-        "gauge",
-        &|t| t.graph_epoch,
-    );
-    block(
-        "prospector_engine_bytes",
-        "Approximate resident bytes of the tenant's engine.",
-        "gauge",
-        &|t| t.engine_bytes,
-    );
-    block(
-        "prospector_engine_queries_total",
-        "Queries routed to the tenant.",
-        "counter",
-        &|t| t.queries,
-    );
-    block(
-        "prospector_registry_reloads_total",
-        "Successful hot reloads of the tenant's engine.",
-        "counter",
-        &|t| t.reloads,
-    );
-    block(
-        "prospector_registry_reload_failures_total",
-        "Failed reload attempts (old engine retained each time).",
-        "counter",
-        &|t| t.reload_failures,
-    );
-    let _ = writeln!(
-        out,
-        "# HELP prospector_tenant_state Tenant lifecycle state (1 for the current state's series)."
-    );
-    let _ = writeln!(out, "# TYPE prospector_tenant_state gauge");
-    for t in &manifest {
+    for t in registry.manifest() {
+        let tenant = [("tenant", t.name.as_str())];
+        e.value(Labeled::EngineGraphEpoch.row(), None, &tenant, t.graph_epoch);
+        e.value(Labeled::EngineBytes.row(), None, &tenant, t.engine_bytes);
+        e.value(Labeled::EngineQueries.row(), None, &tenant, t.queries);
+        e.value(Counter::RegistryReloads.row(), None, &tenant, t.reloads);
+        e.value(Counter::RegistryReloadFailures.row(), None, &tenant, t.reload_failures);
         for state in ["loading", "ready", "draining", "failed"] {
-            let v = u64::from(t.state.label() == state);
-            let _ = writeln!(
-                out,
-                "prospector_tenant_state{{tenant=\"{}\",state=\"{state}\"}} {v}",
-                t.name
-            );
+            let labels = [("tenant", t.name.as_str()), ("state", state)];
+            e.value(Labeled::TenantState.row(), None, &labels, u64::from(t.state.label() == state));
         }
     }
-    out
+    e.finish()
 }
 
 /// `GET /readyz`: strict JSON distinguishing *ready to answer queries*
@@ -1086,11 +955,10 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
         })
         .collect();
 
-    let counter = |name: &str| snap.counter(name).unwrap_or(0);
-    let result_hits = counter("engine.result_cache.hits");
-    let result_misses = counter("engine.result_cache.misses");
-    let dist_hits = counter("engine.dist_cache.hits");
-    let dist_misses = counter("engine.dist_cache.misses");
+    let result_hits = snap.counter(Counter::EngineResultCacheHits);
+    let result_misses = snap.counter(Counter::EngineResultCacheMisses);
+    let dist_hits = snap.counter(Counter::EngineDistCacheHits);
+    let dist_misses = snap.counter(Counter::EngineDistCacheMisses);
 
     Json::obj(vec![
         ("uptime_s", Json::Num(ctx.started.elapsed().as_secs_f64())),
@@ -1135,8 +1003,8 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
         (
             "process",
             Json::obj(vec![
-                ("rss_bytes", Json::num_u(snap.gauge("process.rss_bytes").unwrap_or(0))),
-                ("threads", Json::num_u(snap.gauge("process.threads").unwrap_or(0))),
+                ("rss_bytes", Json::num_u(snap.gauge(Gauge::ProcessRssBytes))),
+                ("threads", Json::num_u(snap.gauge(Gauge::ProcessThreads))),
             ]),
         ),
         (

@@ -47,23 +47,55 @@ fn is_metric_char(c: char, first: bool) -> bool {
 
 /// Strict exposition-format check: every line is `# HELP`, `# TYPE`, or
 /// `name{labels} value` with a well-formed metric name and numeric value.
+/// Each family has exactly one `# HELP` and one `# TYPE`, both before its
+/// first sample, and its samples form one group. Every HELP text is a
+/// catalog row's help, never a generic fallback.
 fn validate_prometheus(body: &str) {
+    use std::collections::{BTreeMap, BTreeSet};
+    let catalog_helps: BTreeSet<&str> = prospector_obs::catalog::rows().map(|r| r.help).collect();
+    let mut helped = BTreeSet::new();
+    let mut types: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut finished: BTreeSet<&str> = BTreeSet::new();
+    let mut current = "";
     for line in body.lines() {
         if line.is_empty() {
             continue;
         }
-        if let Some(comment) = line.strip_prefix("# ") {
-            assert!(
-                comment.starts_with("HELP ") || comment.starts_with("TYPE "),
-                "comment line is neither HELP nor TYPE: {line}"
-            );
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').unwrap_or_else(|| panic!("HELP without text: {line}"));
+            assert!(helped.insert(name), "second # HELP for `{name}`");
+            for generic in ["Registry counter", "Registry gauge", "Log2-bucket histogram from the metric registry"] {
+                assert!(!help.contains(generic), "generic help for `{name}`: {help}");
+            }
+            assert!(!(help.starts_with("Rolling-window") && help.contains(" of `")), "generic help: {line}");
+            assert!(catalog_helps.contains(help), "`{name}`'s help is no catalog row's: {help}");
             continue;
         }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap_or_else(|| panic!("TYPE without kind: {line}"));
+            assert!(types.insert(name, kind).is_none(), "second # TYPE for `{name}`");
+            continue;
+        }
+        assert!(!line.starts_with('#'), "comment line is neither HELP nor TYPE: {line}");
         let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("no value: {line}"));
         let name = series.split('{').next().unwrap();
         assert!(!name.is_empty(), "empty metric name: {line}");
         for (i, c) in name.chars().enumerate() {
             assert!(is_metric_char(c, i == 0), "bad metric name `{name}` in: {line}");
+        }
+        let family = if types.contains_key(name) {
+            name
+        } else {
+            ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|suffix| name.strip_suffix(suffix).filter(|base| types.get(base) == Some(&"histogram")))
+                .unwrap_or_else(|| panic!("sample before its family's # TYPE: {line}"))
+        };
+        assert!(helped.contains(family), "sample before its family's # HELP: {line}");
+        if family != current {
+            assert!(finished.insert(current), "family `{current}` split into two groups");
+            assert!(!finished.contains(family), "family `{family}` split into two groups: {line}");
+            current = family;
         }
         if let Some(open) = series.find('{') {
             assert!(series.ends_with('}'), "unclosed label set: {line}");
@@ -127,6 +159,10 @@ fn serve_smoke() {
 
     std::thread::scope(|scope| {
         let worker = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
 
         let (status, body) = http_get(addr, "/healthz");
         assert!(status.contains("200"), "{status}");
@@ -221,11 +257,16 @@ fn serve_smoke() {
         );
         assert!(status.contains("405"), "{status}");
 
+        }));
+
         // Graceful shutdown: flip the flag, the accept loop exits, the
         // scope joins every handler, and run() returns Ok.
         shutdown.store(true, Ordering::Relaxed);
         let outcome = worker.join().expect("serve thread joins");
         assert_eq!(outcome, Ok(()));
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 

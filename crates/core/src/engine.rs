@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use jungloid_apidef::{Api, ElemJungloid};
 use jungloid_typesys::{Ty, TyId};
 use prospector_obs::trace::{self, TraceId};
-use prospector_obs::Stage;
+use prospector_obs::{Counter, Gauge, Stage};
 
 use crate::cache::{Lookup, ShardedLru, SingleflightCache};
 use crate::generalize::{generalize, generalize_terminal};
@@ -392,7 +392,7 @@ impl Prospector {
             None => field.is_complete(),
         };
         if let Some(field) = cached.as_ref().filter(|f| covers(f)) {
-            prospector_obs::add("engine.dist_cache.hits", 1);
+            prospector_obs::add(Counter::EngineDistCacheHits, 1);
             return (Arc::clone(field), true);
         }
         let field = match (source, cached) {
@@ -402,11 +402,11 @@ impl Prospector {
         let field = Arc::new(field);
         let evicted =
             self.dist_cache.insert_unless(target, Arc::clone(&field), |old| old.is_complete());
-        prospector_obs::add("engine.dist_cache.misses", 1);
+        prospector_obs::add(Counter::EngineDistCacheMisses, 1);
         if evicted > 0 {
-            prospector_obs::add("engine.dist_cache.evictions", evicted as u64);
+            prospector_obs::add(Counter::EngineDistCacheEvictions, evicted as u64);
         }
-        prospector_obs::gauge_set("engine.dist_cache.entries", self.dist_cache.len() as u64);
+        prospector_obs::gauge_set(Gauge::EngineDistCacheEntries, self.dist_cache.len() as u64);
         (field, false)
     }
 
@@ -450,7 +450,7 @@ impl Prospector {
         let key = QueryKey { tin, tout, search: self.search, ranking: self.ranking };
         let (lookup, invalidated) = self.result_cache.lookup(key, self.graph.epoch());
         if invalidated {
-            prospector_obs::add("engine.result_cache.invalidations", 1);
+            prospector_obs::add(Counter::EngineResultCacheInvalidations, 1);
         }
         let lease = match lookup {
             Lookup::Hit(cached) => return Ok(self.replay_cached(&cached, id, false)),
@@ -461,14 +461,14 @@ impl Prospector {
         // onto the flight receive the same Arc. If `run` panics, the
         // lease's drop guard abandons the flight so waiters retry rather
         // than hang.
-        prospector_obs::add("engine.result_cache.misses", 1);
+        prospector_obs::add(Counter::EngineResultCacheMisses, 1);
         let (mut result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
         result.stats.result_cache_misses = 1;
         let evicted = lease.complete(Arc::new(result.clone()));
         if evicted > 0 {
-            prospector_obs::add("engine.result_cache.evictions", evicted as u64);
+            prospector_obs::add(Counter::EngineResultCacheEvictions, evicted as u64);
         }
-        prospector_obs::gauge_set("engine.result_cache.entries", self.result_cache.len() as u64);
+        prospector_obs::gauge_set(Gauge::EngineResultCacheEntries, self.result_cache.len() as u64);
         Ok(result)
     }
 
@@ -478,9 +478,9 @@ impl Prospector {
     /// and only the hit marker (and the caller's own trace id) is set.
     fn replay_cached(&self, cached: &QueryResult, id: TraceId, shared: bool) -> QueryResult {
         if shared {
-            prospector_obs::add("engine.result_cache.collapsed", 1);
+            prospector_obs::add(Counter::EngineResultCacheCollapsed, 1);
         } else {
-            prospector_obs::add("engine.result_cache.hits", 1);
+            prospector_obs::add(Counter::EngineResultCacheHits, 1);
         }
         let mut qspan = trace::span(id);
         qspan.count("cache", "result_cache_hit", 1);
@@ -520,9 +520,9 @@ impl Prospector {
     pub fn query_batch_threads(&self, queries: &[(TyId, TyId)], threads: usize) -> Vec<BatchEntry> {
         let _span = prospector_obs::stage(Stage::Batch);
         let threads = threads.clamp(1, queries.len().max(1));
-        prospector_obs::add("engine.batch.calls", 1);
-        prospector_obs::add("engine.batch.queries", queries.len() as u64);
-        prospector_obs::gauge_set("engine.batch.threads", threads as u64);
+        prospector_obs::add(Counter::EngineBatchCalls, 1);
+        prospector_obs::add(Counter::EngineBatchQueries, queries.len() as u64);
+        prospector_obs::gauge_set(Gauge::EngineBatchThreads, threads as u64);
         // Trace ids are allocated here, in input order, not inside the
         // workers: the id sequence of a batch is then a pure function of
         // the recorder seed, whatever the thread interleaving does.
@@ -565,7 +565,7 @@ impl Prospector {
         };
         let errors = entries.iter().filter(|e| e.result.is_err()).count();
         if errors > 0 {
-            prospector_obs::add("engine.batch.errors", errors as u64);
+            prospector_obs::add(Counter::EngineBatchErrors, errors as u64);
         }
         entries
     }
@@ -579,7 +579,7 @@ impl Prospector {
     pub fn assist(&self, visible: &[(&str, TyId)], tout: TyId) -> Result<QueryResult, QueryError> {
         self.check_out(tout)?;
         let _span = prospector_obs::stage(Stage::Assist);
-        prospector_obs::add("engine.assist.calls", 1);
+        prospector_obs::add(Counter::EngineAssistCalls, 1);
         let mut sources: Vec<(Option<String>, TyId)> = Vec::new();
         for (name, ty) in visible {
             if self.api.types().is_reference(*ty) {
@@ -587,7 +587,7 @@ impl Prospector {
             }
         }
         sources.push((None, self.api.types().void()));
-        prospector_obs::add("engine.assist.sources", sources.len() as u64);
+        prospector_obs::add(Counter::EngineAssistSources, sources.len() as u64);
         let (mut result, field) = self.run(&sources, None, tout, TraceId::next());
         // Attribute the fan-out: the field the fused search used answers,
         // per sub-query source, whether it can reach `tout` at all.
@@ -595,15 +595,14 @@ impl Prospector {
             .iter()
             .filter(|(_, ty)| field.from(&self.graph, NodeId::Ty(*ty)) != u32::MAX)
             .count() as u64;
-        prospector_obs::add("engine.assist.reachable", reachable);
-        prospector_obs::add("engine.assist.unreachable", sources.len() as u64 - reachable);
+        prospector_obs::add(Counter::EngineAssistReachable, reachable);
+        prospector_obs::add(Counter::EngineAssistUnreachable, sources.len() as u64 - reachable);
         for (name, ty) in visible {
             if self.api.types().is_subtype(*ty, tout) {
                 result.already_available.push((*name).to_owned());
             }
         }
-        prospector_obs::add(
-            "engine.assist.already_available",
+        prospector_obs::add(Counter::EngineAssistAlreadyAvailable,
             result.already_available.len() as u64,
         );
         Ok(result)
@@ -695,8 +694,8 @@ impl Prospector {
                 }
             }
         }
-        prospector_obs::add("synth.snippets", snippets);
-        prospector_obs::add("engine.dedup_drops", dedup_drops);
+        prospector_obs::add(Counter::SynthSnippets, snippets);
+        prospector_obs::add(Counter::EngineDedupDrops, dedup_drops);
         qspan.count("synth", "snippets", snippets);
         qspan.count("synth", "dedup_drops", dedup_drops);
 
@@ -713,7 +712,7 @@ impl Prospector {
                 a.key.cmp(&b.key)
             });
         }
-        prospector_obs::add("rank.comparisons", comparisons.get());
+        prospector_obs::add(Counter::RankComparisons, comparisons.get());
         qspan.count("rank", "comparisons", comparisons.get());
         qspan.count("rank", "suggestions", suggestions.len() as u64);
 

@@ -17,6 +17,7 @@ use std::collections::HashMap;
 
 use jungloid_apidef::ElemJungloid;
 use jungloid_typesys::TyId;
+use prospector_obs::Counter;
 
 /// One trie node over reversed pre-terminal step sequences.
 #[derive(Debug, Default)]
@@ -150,7 +151,7 @@ fn generalize_with(
             out.push(e);
         }
     }
-    prospector_obs::add("generalize.suffixes_trimmed", trimmed);
+    prospector_obs::add(Counter::GeneralizeSuffixesTrimmed, trimmed);
     out
 }
 

@@ -21,6 +21,7 @@ use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
 use jungloid_typesys::{Slab, TyId};
 use prospector_obs::json::Json;
+use prospector_obs::{Counter, Gauge};
 
 use crate::elems::ElemSeq;
 
@@ -499,8 +500,8 @@ impl JungloidGraph {
             }
         }
         graph.rebuild_csr();
-        prospector_obs::gauge_set("graph.nodes", graph.node_count() as u64);
-        prospector_obs::gauge_set("graph.edges", graph.edge_count as u64);
+        prospector_obs::gauge_set(Gauge::GraphNodes, graph.node_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphEdges, graph.edge_count as u64);
         graph
     }
 
@@ -568,10 +569,10 @@ impl JungloidGraph {
             csr,
             epoch: next_epoch(),
         };
-        prospector_obs::gauge_set("graph.nodes", graph.node_count() as u64);
-        prospector_obs::gauge_set("graph.edges", graph.edge_count as u64);
-        prospector_obs::gauge_set("graph.csr.edges", graph.csr.edge_count() as u64);
-        prospector_obs::gauge_set("graph.csr.bytes", graph.csr.approx_bytes() as u64);
+        prospector_obs::gauge_set(Gauge::GraphNodes, graph.node_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphEdges, graph.edge_count as u64);
+        prospector_obs::gauge_set(Gauge::GraphCsrEdges, graph.csr.edge_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphCsrBytes, graph.csr.approx_bytes() as u64);
         Ok(graph)
     }
 
@@ -584,9 +585,9 @@ impl JungloidGraph {
 
     fn rebuild_csr(&mut self) {
         self.csr = CsrAdjacency::build(self);
-        prospector_obs::add("graph.csr.rebuilds", 1);
-        prospector_obs::gauge_set("graph.csr.edges", self.csr.edge_count() as u64);
-        prospector_obs::gauge_set("graph.csr.bytes", self.csr.approx_bytes() as u64);
+        prospector_obs::add(Counter::GraphCsrRebuilds, 1);
+        prospector_obs::gauge_set(Gauge::GraphCsrEdges, self.csr.edge_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphCsrBytes, self.csr.approx_bytes() as u64);
         // Flight-recorder hook: rebuilds invalidate every cached distance
         // field, so a rebuild mid-trace explains a burst of cache misses.
         prospector_obs::trace::process_event("graph", "csr_rebuild", self.csr.edge_count() as u64);
@@ -817,7 +818,7 @@ impl JungloidGraph {
         self.examples.push(steps.to_vec());
         self.rebuild_csr();
         self.epoch = next_epoch();
-        prospector_obs::add("graph.examples_spliced", 1);
+        prospector_obs::add(Counter::GraphExamplesSpliced, 1);
         Ok(true)
     }
 

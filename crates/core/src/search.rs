@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 
 use jungloid_apidef::ElemJungloid;
 use jungloid_typesys::TyId;
+use prospector_obs::Counter;
 
 use crate::graph::{CsrAdjacency, JungloidGraph, NodeId};
 use crate::path::Jungloid;
@@ -170,7 +171,7 @@ impl DistanceField {
                 }
             }
         }
-        prospector_obs::add("search.bfs_relaxations", relaxations);
+        prospector_obs::add(Counter::SearchBfsRelaxations, relaxations);
         DistanceField { target, dist: Dist::Complete(dist), relaxations }
     }
 
@@ -252,7 +253,7 @@ impl DistanceField {
         }
         fwd.clear();
         bwd.clear();
-        prospector_obs::add("search.bfs_relaxations", relaxations);
+        prospector_obs::add(Counter::SearchBfsRelaxations, relaxations);
         DistanceField {
             target,
             dist: Dist::Bounded { source, extra_steps, entries },
@@ -672,12 +673,12 @@ fn enumerate_dense(
         }
     }
     let Dfs { out, expansions, truncation, .. } = dfs;
-    prospector_obs::add("search.dfs_expansions", expansions as u64);
-    prospector_obs::add("search.paths_enumerated", out.len() as u64);
+    prospector_obs::add(Counter::SearchDfsExpansions, expansions as u64);
+    prospector_obs::add(Counter::SearchPathsEnumerated, out.len() as u64);
     match truncation {
         TruncationReason::None => {}
-        TruncationReason::PathCap => prospector_obs::add("search.truncated.path_cap", 1),
-        TruncationReason::ExpansionCap => prospector_obs::add("search.truncated.expansion_cap", 1),
+        TruncationReason::PathCap => prospector_obs::add(Counter::SearchTruncatedPathCap, 1),
+        TruncationReason::ExpansionCap => prospector_obs::add(Counter::SearchTruncatedExpansionCap, 1),
     }
     // `m` could be 0 when a source widens straight into the target; in that
     // case the shortest *produced* path still reports 0.

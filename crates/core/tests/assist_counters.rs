@@ -6,11 +6,11 @@
 
 use jungloid_apidef::ApiLoader;
 use prospector_core::Prospector;
+use prospector_obs::Counter;
 
 fn lookups() -> (u64, u64) {
     let snap = prospector_obs::snapshot();
-    let read = |name: &str| snap.counter(name).unwrap_or(0);
-    (read("engine.dist_cache.hits"), read("engine.dist_cache.misses"))
+    (snap.counter(Counter::EngineDistCacheHits), snap.counter(Counter::EngineDistCacheMisses))
 }
 
 #[test]

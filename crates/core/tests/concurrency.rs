@@ -148,7 +148,7 @@ fn eight_concurrent_identical_queries_run_the_pipeline_once() {
     let mut engine = Prospector::new(api);
 
     let collapsed_at = || {
-        prospector_obs::snapshot().counter("engine.result_cache.collapsed").unwrap_or(0)
+        prospector_obs::snapshot().counter(prospector_obs::Counter::EngineResultCacheCollapsed)
     };
     let collapsed_before = collapsed_at();
     // Each round bumps `max_results` (still far above the 2^13 result

@@ -124,13 +124,13 @@ fn result_cache_invalidated_by_graph_epoch_bump() {
 
     // Same key, new epoch: the stale empty answer must not come back.
     let invalidations_before =
-        prospector_obs::snapshot().counter("engine.result_cache.invalidations").unwrap_or(0);
+        prospector_obs::snapshot().counter(prospector_obs::Counter::EngineResultCacheInvalidations);
     let after = engine.query(b, dsub).unwrap();
     assert_eq!(after.stats.result_cache_misses, 1, "stale entry must not be served");
     assert_eq!(after.suggestions.len(), 1);
     assert!(after.suggestions[0].code.contains("(DSub)"));
     let invalidations_after =
-        prospector_obs::snapshot().counter("engine.result_cache.invalidations").unwrap_or(0);
+        prospector_obs::snapshot().counter(prospector_obs::Counter::EngineResultCacheInvalidations);
     assert!(
         invalidations_after > invalidations_before,
         "dropping the stale entry must tick engine.result_cache.invalidations"

@@ -6,6 +6,7 @@ use std::collections::HashSet;
 use jungloid_apidef::elem::elems_of_method;
 use jungloid_apidef::{Api, ElemJungloid, InputSlot};
 use jungloid_typesys::TyId;
+use prospector_obs::Counter;
 
 use crate::lower::{LoweredCorpus, Val, ValKind};
 
@@ -134,9 +135,9 @@ impl<'a> Miner<'a> {
                 }
             }
         }
-        prospector_obs::add("mine.cast_sites", report.cast_sites as u64);
-        prospector_obs::add("mine.capped_casts", report.capped_casts as u64);
-        prospector_obs::add("mine.examples", report.examples.len() as u64);
+        prospector_obs::add(Counter::MineCastSites, report.cast_sites as u64);
+        prospector_obs::add(Counter::MineCappedCasts, report.capped_casts as u64);
+        prospector_obs::add(Counter::MineExamples, report.examples.len() as u64);
         report
     }
 }
@@ -209,8 +210,8 @@ impl Miner<'_> {
                 }
             }
         }
-        prospector_obs::add("mine.arg_sites", report.arg_sites as u64);
-        prospector_obs::add("mine.param_examples", report.examples.len() as u64);
+        prospector_obs::add(Counter::MineArgSites, report.arg_sites as u64);
+        prospector_obs::add(Counter::MineParamExamples, report.examples.len() as u64);
         report
     }
 }

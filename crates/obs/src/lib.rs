@@ -6,9 +6,11 @@
 //!
 //! The pieces:
 //!
-//! * [`metrics`] — a process-global registry of named atomic counters and
-//!   gauges. Hot loops keep local tallies and flush once per call;
-//!   recording is a single relaxed atomic add.
+//! * [`catalog`] — every metric series the process exposes, declared
+//!   once: name, kind and help text. Recording sites name a row.
+//! * [`metrics`] — the process-global registry: a fixed array of relaxed
+//!   atomic cells per catalog row. Hot loops keep local tallies and flush
+//!   once per call; recording is a single relaxed atomic add.
 //! * [`hist`] — fixed-size log2-bucket histograms (no allocation after
 //!   registration, no locks on the record path).
 //! * [`span`] — the closed [`Stage`] catalog and its one RAII span. A
@@ -21,9 +23,9 @@
 //!   allocation, an RAII [`trace::QuerySpan`] that buffers a query's
 //!   timestamped events and flushes them into a bounded lock-sharded
 //!   ring at finish, a slow-query log, and Chrome-trace / text exporters.
-//! * [`prom`] — Prometheus text exposition rendering of a metric
-//!   snapshot (counters, gauges, stages, and histograms as cumulative
-//!   `_bucket{le=...}` series), backing the `serve` mode's `/metrics`.
+//! * [`prom`] — Prometheus text exposition: each family's HELP and TYPE
+//!   lines once, from its catalog row, then its samples (histograms as
+//!   cumulative `_bucket{le=...}` series); backs `serve`'s `/metrics`.
 //! * [`window`] — rolling-window histograms: lock-light rings of
 //!   per-second delta histograms aggregated into 1m/5m views
 //!   (p50/p90/p99 + rate), so the serve layer can answer "what was p99
@@ -43,20 +45,21 @@
 //! # Example
 //!
 //! ```
-//! use prospector_obs::Stage;
+//! use prospector_obs::{Counter, Stage};
 //!
 //! prospector_obs::metrics::set_enabled(true);
 //! {
 //!     let _span = prospector_obs::stage(Stage::Search);
-//!     prospector_obs::metrics::add("search.dfs_expansions", 42);
+//!     prospector_obs::add(Counter::SearchDfsExpansions, 42);
 //! }
 //! let snap = prospector_obs::metrics::snapshot();
-//! assert_eq!(snap.counter("search.dfs_expansions"), Some(42));
+//! assert_eq!(snap.counter(Counter::SearchDfsExpansions), 42);
 //! assert!(snap.stage("search").is_some());
 //! ```
 
 #![deny(unsafe_code)]
 
+pub mod catalog;
 pub mod hist;
 pub mod json;
 pub mod log;
@@ -69,6 +72,7 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
+pub use catalog::{Counter, Gauge, Hist, Labeled, Window};
 pub use json::Json;
 pub use metrics::{add, gauge_set, set_enabled, snapshot, Snapshot};
 pub use rng::SmallRng;

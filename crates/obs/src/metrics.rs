@@ -1,22 +1,21 @@
-//! The process-global metric registry: named counters, gauges, stage
-//! timing aggregates, and histograms.
+//! The process-global metric registry: counters, gauges, stage timing
+//! aggregates, and histograms, one cell per [`crate::catalog`] row.
 //!
-//! Counters and gauges always record (one short mutex-protected map
-//! operation), on the convention that **hot loops keep local tallies and
-//! flush once per call** — e.g. the DFS counts expansions in a local
-//! `u64` and calls [`add`] once per enumeration. Stage *timing* is gated
-//! on the [`enabled`] flag (set by the CLI's `--metrics` flags) so that
-//! an uninstrumented run never calls `Instant::now`. Stages come from the
-//! closed [`Stage`] catalog, so their cells are a fixed array of relaxed
-//! atomics: recording one takes no lock and allocates nothing.
-//!
-//! Metric names are dotted lowercase paths, `<area>.<what>` — see the
-//! README's metric schema table for the full list.
+//! Every cell is a fixed array slot of relaxed atomics indexed by its
+//! row, so recording takes no lock, hashes nothing and allocates
+//! nothing, and every row exists (at zero) from construction. Counters
+//! and gauges always record, on the convention that **hot loops keep
+//! local tallies and flush once per call** — e.g. the DFS counts
+//! expansions in a local `u64` and calls [`add`] once per enumeration.
+//! Stage *timing* is gated on the [`enabled`] flag (set by the CLI's
+//! `--metrics` flags) so that an uninstrumented run never calls
+//! `Instant::now`. Stages come from the closed [`Stage`] catalog.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
+use crate::catalog::{Counter, Gauge, Hist};
 use crate::hist::{HistSnapshot, Histogram};
 use crate::span::Stage;
 
@@ -47,41 +46,49 @@ struct StageCell {
     max_ns: AtomicU64,
 }
 
-/// A registry of named metrics. The pipeline uses the process-global one
-/// (via the free functions in this module); tests can make their own.
-#[derive(Debug, Default)]
+/// A registry of the catalog's counters, gauges and histograms. The
+/// pipeline uses the process-global one (via the free functions in this
+/// module); tests can make their own.
+#[derive(Debug)]
 pub struct Registry {
     enabled: AtomicBool,
-    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<HashMap<String, u64>>,
+    counters: [AtomicU64; Counter::CELLS],
+    gauges: [AtomicU64; Gauge::CELLS],
     stages: [StageCell; Stage::NAMES.len()],
-    hists: Mutex<HashMap<String, Arc<Histogram>>>,
+    hists: [Histogram; Hist::CELLS],
 }
 
-/// A point-in-time copy of a registry, with deterministic ordering.
-#[derive(Clone, Debug, Default)]
+/// A point-in-time copy of a registry.
+#[derive(Clone, Debug)]
 pub struct Snapshot {
-    /// Counter values by name.
-    pub counters: BTreeMap<String, u64>,
-    /// Gauge values by name.
-    pub gauges: BTreeMap<String, u64>,
-    /// Stage timing aggregates by name.
+    /// Counter values, by [`Counter::cell`].
+    pub counters: Vec<u64>,
+    /// Gauge values, by [`Gauge::cell`].
+    pub gauges: Vec<u64>,
+    /// Timing aggregates of the stages that ran, by name.
     pub stages: BTreeMap<String, StageStat>,
-    /// Histogram states by name.
-    pub hists: BTreeMap<String, HistSnapshot>,
+    /// Histogram states, by [`Hist::cell`].
+    pub hists: Vec<HistSnapshot>,
 }
 
 impl Snapshot {
-    /// Value of a counter, if it was ever touched.
+    /// Value of a counter.
     #[must_use]
-    pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.get(name).copied()
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.counters[counter.cell(0)]
     }
 
-    /// Value of a gauge, if it was ever set.
+    /// Value of a gauge.
     #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
+    pub fn gauge(&self, gauge: Gauge) -> u64 {
+        self.gauges[gauge.cell(0)]
+    }
+
+    /// State of a histogram; `label` picks a family's cell (0 for a
+    /// plain row).
+    #[must_use]
+    pub fn histogram(&self, hist: Hist, label: usize) -> &HistSnapshot {
+        &self.hists[hist.cell(label)]
     }
 
     /// Timing aggregate of a stage, if any span completed.
@@ -91,8 +98,20 @@ impl Snapshot {
     }
 }
 
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            enabled: AtomicBool::new(false),
+            counters: [const { AtomicU64::new(0) }; Counter::CELLS],
+            gauges: [const { AtomicU64::new(0) }; Gauge::CELLS],
+            stages: std::array::from_fn(|_| StageCell::default()),
+            hists: std::array::from_fn(|_| Histogram::new()),
+        }
+    }
+}
+
 impl Registry {
-    /// An empty, disabled registry.
+    /// An all-zero, disabled registry.
     #[must_use]
     pub fn new() -> Self {
         Registry::default()
@@ -109,62 +128,26 @@ impl Registry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// A shared handle to a named counter, creating it at zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the registry mutex is poisoned.
+    /// Adds `delta` to a counter.
+    pub fn add(&self, counter: Counter, delta: u64) {
+        self.counters[counter.cell(0)].fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Sets a gauge to `value` (last write wins).
+    pub fn gauge_set(&self, gauge: Gauge, value: u64) {
+        self.gauge_set_at(gauge, 0, value);
+    }
+
+    /// Sets the cell of a gauge family's `label`-th value.
+    pub fn gauge_set_at(&self, gauge: Gauge, label: usize, value: u64) {
+        self.gauges[gauge.cell(label)].store(value, Ordering::Relaxed);
+    }
+
+    /// A histogram's cell; `label` picks a family's cell (0 for a plain
+    /// row).
     #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        let mut map = self.counters.lock().unwrap();
-        if let Some(c) = map.get(name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(AtomicU64::new(0));
-        map.insert(name.to_owned(), Arc::clone(&c));
-        c
-    }
-
-    /// Adds `delta` to a named counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Adds one to a named counter.
-    pub fn inc(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Sets a named gauge to `value` (last write wins). Only the first
-    /// write to a name allocates.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the registry mutex is poisoned.
-    pub fn gauge_set(&self, name: &str, value: u64) {
-        let mut map = self.gauges.lock().unwrap();
-        match map.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                map.insert(name.to_owned(), value);
-            }
-        }
-    }
-
-    /// A shared handle to a named histogram, creating it empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the registry mutex is poisoned.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.hists.lock().unwrap();
-        if let Some(h) = map.get(name) {
-            return Arc::clone(h);
-        }
-        let h = Arc::new(Histogram::new());
-        map.insert(name.to_owned(), Arc::clone(&h));
-        h
+    pub fn histogram(&self, hist: Hist, label: usize) -> &Histogram {
+        &self.hists[hist.cell(label)]
     }
 
     /// Folds one completed span into its stage's aggregate.
@@ -176,30 +159,10 @@ impl Registry {
     }
 
     /// Copies out everything recorded so far.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a registry mutex is poisoned.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        let mut snap = Snapshot {
-            counters: self
-                .counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
-                .collect(),
-            gauges: self.gauges.lock().unwrap().iter().map(|(k, &v)| (k.clone(), v)).collect(),
-            stages: BTreeMap::new(),
-            hists: self
-                .hists
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(k, h)| (k.clone(), h.snapshot()))
-                .collect(),
-        };
+        let load = |cells: &[AtomicU64]| cells.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let mut stages = BTreeMap::new();
         for (cell, name) in self.stages.iter().zip(Stage::NAMES) {
             let count = cell.count.load(Ordering::Relaxed);
             if count > 0 {
@@ -208,28 +171,15 @@ impl Registry {
                     total_ns: cell.total_ns.load(Ordering::Relaxed),
                     max_ns: cell.max_ns.load(Ordering::Relaxed),
                 };
-                snap.stages.insert(name.to_owned(), stat);
+                stages.insert(name.to_owned(), stat);
             }
         }
-        snap
-    }
-
-    /// Clears every metric (the enabled flag is left alone). Handles
-    /// taken before — [`Registry::counter`], [`Registry::histogram`], the
-    /// per-stage query histograms — keep recording, unlisted.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a registry mutex is poisoned.
-    pub fn reset(&self) {
-        self.counters.lock().unwrap().clear();
-        self.gauges.lock().unwrap().clear();
-        for cell in &self.stages {
-            cell.count.store(0, Ordering::Relaxed);
-            cell.total_ns.store(0, Ordering::Relaxed);
-            cell.max_ns.store(0, Ordering::Relaxed);
+        Snapshot {
+            counters: load(&self.counters),
+            gauges: load(&self.gauges),
+            stages,
+            hists: self.hists.iter().map(Histogram::snapshot).collect(),
         }
-        self.hists.lock().unwrap().clear();
     }
 }
 
@@ -252,24 +202,19 @@ pub fn enabled() -> bool {
 }
 
 /// Adds `delta` to a global counter.
-pub fn add(name: &str, delta: u64) {
-    global().add(name, delta);
-}
-
-/// Adds one to a global counter.
-pub fn inc(name: &str) {
-    global().inc(name);
+pub fn add(counter: Counter, delta: u64) {
+    global().add(counter, delta);
 }
 
 /// Sets a global gauge.
-pub fn gauge_set(name: &str, value: u64) {
-    global().gauge_set(name, value);
+pub fn gauge_set(gauge: Gauge, value: u64) {
+    global().gauge_set(gauge, value);
 }
 
-/// A shared handle to a global histogram.
+/// A global histogram's cell (`label` 0 for a plain row).
 #[must_use]
-pub fn histogram(name: &str) -> Arc<Histogram> {
-    global().histogram(name)
+pub fn histogram(hist: Hist, label: usize) -> &'static Histogram {
+    global().histogram(hist, label)
 }
 
 /// Snapshots the global registry.
@@ -278,33 +223,39 @@ pub fn snapshot() -> Snapshot {
     global().snapshot()
 }
 
-/// Clears the global registry.
-pub fn reset() {
-    global().reset();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate_and_snapshot() {
+    fn every_row_exists_at_zero_and_counters_accumulate() {
         let r = Registry::new();
-        r.add("a.b", 2);
-        r.inc("a.b");
-        r.inc("c");
         let s = r.snapshot();
-        assert_eq!(s.counter("a.b"), Some(3));
-        assert_eq!(s.counter("c"), Some(1));
-        assert_eq!(s.counter("missing"), None);
+        assert_eq!((s.counters.len(), s.gauges.len(), s.hists.len()), (Counter::CELLS, Gauge::CELLS, Hist::CELLS));
+        assert_eq!(s.counter(Counter::MineExamples), 0);
+        r.add(Counter::MineExamples, 2);
+        r.add(Counter::MineExamples, 1);
+        r.add(Counter::SynthSnippets, 1);
+        let s = r.snapshot();
+        assert_eq!(s.counter(Counter::MineExamples), 3);
+        assert_eq!(s.counter(Counter::SynthSnippets), 1);
     }
 
     #[test]
-    fn gauges_take_last_write() {
+    fn gauges_take_last_write_and_families_keep_a_cell_per_label() {
         let r = Registry::new();
-        r.gauge_set("x", 10);
-        r.gauge_set("x", 4);
-        assert_eq!(r.snapshot().gauge("x"), Some(4));
+        r.gauge_set(Gauge::GraphNodes, 10);
+        r.gauge_set(Gauge::GraphNodes, 4);
+        r.gauge_set_at(Gauge::StoreSectionBytes, 2, 7);
+        let s = r.snapshot();
+        assert_eq!(s.gauge(Gauge::GraphNodes), 4);
+        let sections: Vec<_> = crate::catalog::cells(Gauge::ROWS)
+            .zip(&s.gauges)
+            .filter(|((row, _), _)| row.name.starts_with("store.section."))
+            .map(|((row, label), &v)| (row.series(label), v))
+            .collect();
+        assert_eq!(sections.len(), 7);
+        assert_eq!(sections[2], ("store.section.members.bytes".to_owned(), 7));
     }
 
     #[test]
@@ -322,35 +273,21 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_increments_lose_nothing() {
+    fn concurrent_adds_lose_nothing() {
         let r = Registry::new();
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let r = &r;
                 scope.spawn(move || {
-                    let local = r.counter("hot");
                     for _ in 0..25_000 {
-                        local.fetch_add(1, Ordering::Relaxed);
+                        r.add(Counter::RankComparisons, 1);
                     }
-                    r.add("cold", 25_000);
+                    r.histogram(Hist::QueryStageNs, Stage::Rank.index()).record(5);
                 });
             }
         });
         let s = r.snapshot();
-        assert_eq!(s.counter("hot"), Some(200_000));
-        assert_eq!(s.counter("cold"), Some(200_000));
-    }
-
-    #[test]
-    fn reset_clears_but_keeps_enabled() {
-        let r = Registry::new();
-        r.set_enabled(true);
-        r.add("a", 1);
-        r.gauge_set("g", 1);
-        r.record_span(Stage::Store, 1);
-        r.reset();
-        let s = r.snapshot();
-        assert!(s.counters.is_empty() && s.gauges.is_empty() && s.stages.is_empty());
-        assert!(r.enabled());
+        assert_eq!(s.counter(Counter::RankComparisons), 200_000);
+        assert_eq!(s.histogram(Hist::QueryStageNs, Stage::Rank.index()).count, 8);
     }
 }

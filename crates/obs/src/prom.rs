@@ -1,22 +1,14 @@
-//! Prometheus text exposition rendering for metric snapshots.
+//! Prometheus text exposition rendering.
 //!
 //! The `serve` mode's `GET /metrics` endpoint returns this format
 //! (version 0.0.4 of the text exposition protocol): every line is a
-//! `# HELP`, a `# TYPE`, or a `name{labels} value` sample. Names are
-//! mangled mechanically from registry names — `prospector_` prefix, dots
-//! become underscores, counters gain a `_total` suffix — so the mapping
-//! back to the README's metric schema table is one string substitution,
-//! not a lookup table:
+//! `# HELP`, a `# TYPE`, or a `name{labels} value` sample. Every family
+//! comes from a [`crate::catalog`] row: its name is the row's
+//! [`Row::prom_name`] (`prospector_` prefix, non-alphanumerics to `_`,
+//! counters gain `_total`), and its `# HELP` and `# TYPE` lines are
+//! written once, from the row, by [`Exposition`].
 //!
-//! | registry                  | exposition                                |
-//! |---------------------------|-------------------------------------------|
-//! | counter `search.dfs_expansions` | `prospector_search_dfs_expansions_total` |
-//! | gauge `engine.dist_cache.entries` | `prospector_engine_dist_cache_entries` |
-//! | stage `search`            | `prospector_stage_*{stage="search"}`      |
-//! | histogram `query.latency_ns` | `prospector_query_latency_ns{_bucket,_sum,_count}` |
-//!
-//! Histograms are the interesting case: the registry's fixed log2
-//! buckets become cumulative `_bucket{le="..."}` series whose `le`
+//! Histograms become cumulative `_bucket{le="..."}` series whose `le`
 //! bounds are the buckets' inclusive upper limits (`0`, `1`, `3`, `7`,
 //! ... — [`crate::hist::Histogram::bucket_limit`]), always terminated by
 //! `le="+Inf"` equal to `_count`, exactly as the Prometheus histogram
@@ -24,23 +16,18 @@
 
 use std::fmt::Write as _;
 
+use crate::catalog::{self, Counter, Gauge, Hist, Kind, Labeled, Row};
 use crate::hist::{HistSnapshot, Histogram};
 use crate::metrics::Snapshot;
 use crate::window::RingViews;
 
-/// Mangles a registry name into a Prometheus metric name: `prospector_`
+/// Mangles a series name into a Prometheus metric name: `prospector_`
 /// prefix, every non-alphanumeric byte to `_`.
 #[must_use]
-pub fn metric_name(registry_name: &str) -> String {
-    let mut out = String::with_capacity(registry_name.len() + 11);
+pub fn metric_name(series: &str) -> String {
+    let mut out = String::with_capacity(series.len() + 11);
     out.push_str("prospector_");
-    for c in registry_name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
+    out.extend(series.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }));
     out
 }
 
@@ -60,140 +47,127 @@ pub fn escape_label(value: &str) -> String {
     out
 }
 
-/// Writes one gauge sample with an f64 value, coercing non-finite
-/// values to 0 so a scrape never sees `NaN`/`inf` from an empty window.
-fn sample_f64(out: &mut String, name: &str, labels: &str, value: f64) {
-    let value = if value.is_finite() { value } else { 0.0 };
-    let _ = writeln!(out, "{name}{labels} {value}");
+/// `{k="v",..}` with escaped values; empty for no labels.
+fn label_set(labels: &[(&str, &str)]) -> String {
+    if labels.is_empty() {
+        return String::new();
+    }
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
+    format!("{{{}}}", pairs.join(","))
 }
 
-fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
-    let _ = writeln!(out, "{name}{labels} {value}");
+/// One scrape being assembled. Samples are filed under their catalog
+/// row in any order; each family's `# HELP` and `# TYPE` are written
+/// once, from the row, ahead of its first sample. So a family fed by
+/// two owners (the registry's `registry.reloads` total and the
+/// tenants' labeled series) still has one header.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    /// `(family name, header and samples)`, in first-filed order.
+    families: Vec<(String, String)>,
 }
 
-fn header(out: &mut String, name: &str, kind: &str, help: &str) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-}
+impl Exposition {
+    /// The text of family `name`, opened with its header on first use.
+    fn family(&mut self, name: &str, kind: &str, help: &str) -> &mut String {
+        let i = self.families.iter().rposition(|(n, _)| n == name).unwrap_or_else(|| {
+            self.families.push((name.to_owned(), format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")));
+            self.families.len() - 1
+        });
+        &mut self.families[i].1
+    }
 
-fn render_histogram(out: &mut String, name: &str, h: &HistSnapshot) {
-    header(out, name, "histogram", "Log2-bucket histogram from the metric registry.");
-    let mut cumulative = 0u64;
-    let last_nonempty = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
-    for (i, &b) in h.buckets.iter().enumerate().take(last_nonempty + 1) {
-        cumulative += b;
-        let le = Histogram::bucket_limit(i);
-        if le == u64::MAX {
-            // The overflow bucket is the +Inf line below.
-            break;
-        }
-        sample(out, name, &format!("_bucket{{le=\"{le}\"}}"), cumulative);
+    /// Files one counter or gauge sample of `row`'s series for `label`
+    /// (`None` for a row without a placeholder), carrying `labels`.
+    pub fn value(&mut self, row: &Row, label: Option<&str>, labels: &[(&str, &str)], value: u64) {
+        let name = row.prom_name(label);
+        let kind = if row.kind == Kind::Counter { "counter" } else { "gauge" };
+        let text = self.family(&name, kind, row.help);
+        let _ = writeln!(text, "{name}{} {value}", label_set(labels));
     }
-    sample(out, name, "_bucket{le=\"+Inf\"}", h.count);
-    sample(out, name, "_sum", h.sum);
-    sample(out, name, "_count", h.count);
-}
 
-/// Renders a snapshot in the Prometheus text exposition format.
-#[must_use]
-pub fn render(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    for (name, &value) in &snap.counters {
-        let prom = format!("{}_total", metric_name(name));
-        header(&mut out, &prom, "counter", &format!("Registry counter `{name}`."));
-        sample(&mut out, &prom, "", value);
-    }
-    for (name, &value) in &snap.gauges {
-        let prom = metric_name(name);
-        header(&mut out, &prom, "gauge", &format!("Registry gauge `{name}`."));
-        sample(&mut out, &prom, "", value);
-    }
-    if !snap.stages.is_empty() {
-        header(
-            &mut out,
-            "prospector_stage_count",
-            "counter",
-            "Completed spans per pipeline stage.",
-        );
-        for (name, stat) in &snap.stages {
-            sample(&mut out, "prospector_stage_count", &format!("{{stage=\"{}\"}}", escape_label(name)), stat.count);
-        }
-        header(
-            &mut out,
-            "prospector_stage_total_ns",
-            "counter",
-            "Total wall-clock nanoseconds per pipeline stage.",
-        );
-        for (name, stat) in &snap.stages {
-            sample(
-                &mut out,
-                "prospector_stage_total_ns",
-                &format!("{{stage=\"{}\"}}", escape_label(name)),
-                stat.total_ns,
-            );
-        }
-        header(
-            &mut out,
-            "prospector_stage_max_ns",
-            "gauge",
-            "Longest single span per pipeline stage, in nanoseconds.",
-        );
-        for (name, stat) in &snap.stages {
-            sample(
-                &mut out,
-                "prospector_stage_max_ns",
-                &format!("{{stage=\"{}\"}}", escape_label(name)),
-                stat.max_ns,
-            );
-        }
-    }
-    for (name, h) in &snap.hists {
-        render_histogram(&mut out, &metric_name(name), h);
-    }
-    out
-}
-
-/// Renders rolling-window views ([`crate::window::views`]) as gauges:
-/// for each ring, `<name>_window{win,q}` quantile gauges (value units
-/// match what was recorded), `<name>_window_rate{win}` (events/second,
-/// always finite — 0 for an empty window, never NaN), and
-/// `<name>_window_count{win}`.
-#[must_use]
-pub fn render_windows(views: &[RingViews]) -> String {
-    let mut out = String::new();
-    for rv in views {
-        let base = format!("{}_window", metric_name(&rv.name));
-        header(
-            &mut out,
-            &base,
-            "gauge",
-            &format!("Rolling-window quantiles of `{}`.", rv.name),
-        );
-        for (label, stats) in &rv.windows {
-            let win = escape_label(label);
-            for (q, v) in [("p50", stats.p50), ("p90", stats.p90), ("p99", stats.p99)] {
-                sample(&mut out, &base, &format!("{{win=\"{win}\",q=\"{q}\"}}"), v);
+    /// Files a histogram of `row`'s series for `label`: its cumulative
+    /// buckets up to the last non-empty one, `+Inf`, `_sum`, `_count`.
+    pub fn histogram(&mut self, row: &Row, label: Option<&str>, h: &HistSnapshot) {
+        let name = row.prom_name(label);
+        let text = self.family(&name, "histogram", row.help);
+        let mut cumulative = 0u64;
+        let last_nonempty = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
+        for (i, &b) in h.buckets.iter().enumerate().take(last_nonempty + 1) {
+            cumulative += b;
+            let le = Histogram::bucket_limit(i);
+            if le == u64::MAX {
+                // The overflow bucket is the +Inf line below.
+                break;
             }
+            let _ = writeln!(text, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
         }
-        let rate = format!("{base}_rate");
-        header(&mut out, &rate, "gauge", &format!("Rolling-window event rate of `{}` (per second).", rv.name));
-        for (label, stats) in &rv.windows {
-            sample_f64(&mut out, &rate, &format!("{{win=\"{}\"}}", escape_label(label)), stats.rate);
-        }
-        let count = format!("{base}_count");
-        header(&mut out, &count, "gauge", &format!("Rolling-window event count of `{}`.", rv.name));
-        for (label, stats) in &rv.windows {
-            sample(&mut out, &count, &format!("{{win=\"{}\"}}", escape_label(label)), stats.count);
+        let _ = writeln!(text, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+        let _ = writeln!(text, "{name}_sum {}", h.sum);
+        let _ = writeln!(text, "{name}_count {}", h.count);
+    }
+
+    /// Files one ring's window views as gauges: `<name>_window{win,q}`
+    /// quantiles (in the units recorded), `<name>_window_rate{win}`
+    /// (events per second, 0 for an empty window, never NaN) and
+    /// `<name>_window_count{win}`.
+    pub fn window(&mut self, view: &RingViews) {
+        let help = view.row.row().help;
+        let base = format!("{}_window", metric_name(&view.name));
+        for (win, stats) in &view.windows {
+            let win = escape_label(win);
+            let text = self.family(&base, "gauge", help);
+            for (q, v) in [("p50", stats.p50), ("p90", stats.p90), ("p99", stats.p99)] {
+                let _ = writeln!(text, "{base}{{win=\"{win}\",q=\"{q}\"}} {v}");
+            }
+            let rate = if stats.rate.is_finite() { stats.rate } else { 0.0 };
+            let text = self.family(&format!("{base}_rate"), "gauge", help);
+            let _ = writeln!(text, "{base}_rate{{win=\"{win}\"}} {rate}");
+            let text = self.family(&format!("{base}_count"), "gauge", help);
+            let _ = writeln!(text, "{base}_count{{win=\"{win}\"}} {}", stats.count);
         }
     }
-    out
+
+    /// Files every series of a registry snapshot: each counter and gauge
+    /// cell, the stage table of the stages that ran, and each histogram
+    /// cell.
+    pub fn snapshot(&mut self, snap: &Snapshot) {
+        for ((row, label), &v) in catalog::cells(Counter::ROWS).zip(&snap.counters) {
+            self.value(row, label, &[], v);
+        }
+        for ((row, label), &v) in catalog::cells(Gauge::ROWS).zip(&snap.gauges) {
+            self.value(row, label, &[], v);
+        }
+        for (name, stat) in &snap.stages {
+            let stage = [("stage", name.as_str())];
+            self.value(Labeled::StageCount.row(), None, &stage, stat.count);
+            self.value(Labeled::StageTotalNs.row(), None, &stage, stat.total_ns);
+            self.value(Labeled::StageMaxNs.row(), None, &stage, stat.max_ns);
+        }
+        for ((row, label), h) in catalog::cells(Hist::ROWS).zip(&snap.hists) {
+            self.histogram(row, label, h);
+        }
+    }
+
+    /// The assembled exposition text.
+    #[must_use]
+    pub fn finish(self) -> String {
+        self.families.into_iter().map(|(_, text)| text).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Window;
     use crate::metrics::{Registry, StageStat};
     use crate::span::Stage;
+
+    fn render(snap: &Snapshot) -> String {
+        let mut e = Exposition::default();
+        e.snapshot(snap);
+        e.finish()
+    }
 
     #[test]
     fn names_mangle_mechanically() {
@@ -202,24 +176,48 @@ mod tests {
     }
 
     #[test]
-    fn renders_counters_gauges_and_stages() {
+    fn renders_every_row_with_its_help_once() {
         let r = Registry::new();
-        r.add("search.dfs_expansions", 7);
-        r.gauge_set("graph.nodes", 42);
+        r.add(Counter::SearchDfsExpansions, 7);
+        r.gauge_set(Gauge::GraphNodes, 42);
         r.record_span(Stage::Search, 1_000);
         let text = render(&r.snapshot());
+        assert!(text.contains("# HELP prospector_search_dfs_expansions_total DFS node expansions"), "{text}");
         assert!(text.contains("# TYPE prospector_search_dfs_expansions_total counter"));
         assert!(text.contains("prospector_search_dfs_expansions_total 7"));
         assert!(text.contains("# TYPE prospector_graph_nodes gauge"));
         assert!(text.contains("prospector_graph_nodes 42"));
+        assert!(text.contains("prospector_engine_batch_errors_total 0"), "untouched rows render at zero");
+        assert!(text.contains("prospector_store_section_csr_bytes 0"));
+        assert!(text.contains("# TYPE prospector_stage_count counter"));
         assert!(text.contains("prospector_stage_count{stage=\"search\"} 1"));
         assert!(text.contains("prospector_stage_total_ns{stage=\"search\"} 1000"));
+        let helps: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP ")).collect();
+        let mut names: Vec<&str> = helps.iter().map(|l| l.split(' ').nth(2).unwrap()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), helps.len(), "a family has two headers");
+    }
+
+    #[test]
+    fn a_family_filed_twice_keeps_one_header() {
+        let r = Registry::new();
+        r.add(Counter::RegistryReloads, 3);
+        let mut e = Exposition::default();
+        e.snapshot(&r.snapshot());
+        e.value(Counter::RegistryReloads.row(), None, &[("tenant", "beta")], 1);
+        let text = e.finish();
+        assert_eq!(text.matches("# HELP prospector_registry_reloads_total ").count(), 1);
+        assert_eq!(text.matches("# TYPE prospector_registry_reloads_total ").count(), 1);
+        let family: Vec<&str> =
+            text.lines().filter(|l| l.starts_with("prospector_registry_reloads_total")).collect();
+        assert_eq!(family, ["prospector_registry_reloads_total 3", "prospector_registry_reloads_total{tenant=\"beta\"} 1"]);
     }
 
     #[test]
     fn histogram_buckets_are_cumulative_and_end_with_inf() {
         let r = Registry::new();
-        let h = r.histogram("query.latency_ns");
+        let h = r.histogram(Hist::QueryLatencyNs, 0);
         for v in [0, 1, 2, 3, 100] {
             h.record(v);
         }
@@ -236,7 +234,7 @@ mod tests {
         assert!(text.contains("prospector_query_latency_ns_count 5"), "{text}");
         // Cumulative counts never decrease.
         let mut last = 0u64;
-        for line in text.lines().filter(|l| l.contains("_bucket{le=") && !l.contains("+Inf")) {
+        for line in text.lines().filter(|l| l.starts_with("prospector_query_latency_ns_bucket{le=") && !l.contains("+Inf")) {
             let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
             assert!(v >= last, "{line}");
             last = v;
@@ -245,38 +243,35 @@ mod tests {
 
     #[test]
     fn zero_count_histogram_renders_valid_cumulative_buckets() {
-        let r = Registry::new();
-        let _ = r.histogram("never.recorded");
-        let text = render(&r.snapshot());
-        assert!(text.contains("# TYPE prospector_never_recorded histogram"), "{text}");
+        let text = render(&Registry::new().snapshot());
+        assert!(text.contains("# TYPE prospector_query_stage_ns_store histogram"), "{text}");
         // A zero-count histogram still emits a well-formed cumulative
         // series ending with the mandatory +Inf bucket equal to _count.
-        assert!(text.contains("prospector_never_recorded_bucket{le=\"0\"} 0"), "{text}");
-        assert!(text.contains("prospector_never_recorded_bucket{le=\"+Inf\"} 0"), "{text}");
-        assert!(text.contains("prospector_never_recorded_sum 0"), "{text}");
-        assert!(text.contains("prospector_never_recorded_count 0"), "{text}");
-        let mut last = 0u64;
-        for line in text.lines().filter(|l| l.contains("_bucket{le=") && !l.contains("+Inf")) {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last, "not cumulative: {line}");
-            last = v;
-        }
+        assert!(text.contains("prospector_query_stage_ns_store_bucket{le=\"0\"} 0"), "{text}");
+        assert!(text.contains("prospector_query_stage_ns_store_bucket{le=\"+Inf\"} 0"), "{text}");
+        assert!(text.contains("prospector_query_stage_ns_store_sum 0"), "{text}");
+        assert!(text.contains("prospector_query_stage_ns_store_count 0"), "{text}");
     }
 
     #[test]
     fn empty_window_gauges_are_finite_f64() {
-        use crate::window::{WindowRing, RingViews};
+        use crate::window::WindowRing;
         let ring = WindowRing::new();
-        let views = vec![RingViews {
+        let view = RingViews {
             name: "serve.http.latency_ns.query".to_owned(),
+            row: Window::HttpLatency,
             windows: vec![("1m", ring.view(60)), ("5m", ring.view(300))],
-        }];
-        let text = render_windows(&views);
+        };
+        let mut e = Exposition::default();
+        e.window(&view);
+        let text = e.finish();
         assert!(
             text.contains("prospector_serve_http_latency_ns_query_window{win=\"1m\",q=\"p99\"} 0"),
             "{text}"
         );
         assert!(text.contains("_window_rate{win=\"1m\"} 0"), "{text}");
+        assert_eq!(text.matches("# TYPE ").count(), 3, "{text}");
+        assert!(text.contains(&format!("# HELP prospector_serve_http_latency_ns_query_window_count {}", Window::HttpLatency.row().help)));
         for line in text.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().unwrap();
             let parsed: f64 = value.parse().unwrap_or_else(|_| panic!("bad value: {line}"));
@@ -293,7 +288,7 @@ mod tests {
         assert_eq!(escape_label("a\nb"), "a\\nb");
         // A hostile stage name in a snapshot renders with its quote and
         // newline escaped so the sample stays one well-formed line.
-        let mut snap = Snapshot::default();
+        let mut snap = Registry::new().snapshot();
         let stat = StageStat { count: 1, total_ns: 5, max_ns: 5 };
         snap.stages.insert("evil\"stage\nname".to_owned(), stat);
         let text = render(&snap);
@@ -308,10 +303,10 @@ mod tests {
     #[test]
     fn every_line_is_help_type_or_sample() {
         let r = Registry::new();
-        r.add("a.b", 1);
-        r.gauge_set("c", 2);
+        r.add(Counter::MineExamples, 1);
+        r.gauge_set(Gauge::GraphEdges, 2);
         r.record_span(Stage::Store, 3);
-        r.histogram("h").record(9);
+        r.histogram(Hist::ServeQueueWaitNs, 0).record(9);
         for line in render(&r.snapshot()).lines() {
             if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {
                 continue;

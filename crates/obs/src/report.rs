@@ -2,6 +2,7 @@
 //! `--metrics-json` and the bench crate) and a human text block (for
 //! `--metrics` and the `stats` subcommand).
 
+use crate::catalog::{cells, Counter, Gauge, Hist};
 use crate::json::Json;
 use crate::metrics::{Snapshot, StageStat};
 use crate::span::Stage;
@@ -12,7 +13,8 @@ use crate::span::Stage;
 pub const PIPELINE_STAGES: [&str; 6] = ["build", "mine", "generalize", "search", "rank", "synth"];
 
 /// Converts a snapshot to the `--metrics-json` document: the stages in
-/// catalog order, which lists the pipeline stages first.
+/// catalog order, which lists the pipeline stages first, then every
+/// counter, gauge and histogram of the catalog by series name.
 #[must_use]
 pub fn to_json(snap: &Snapshot) -> Json {
     let mut stages: Vec<(String, Json)> = Vec::new();
@@ -32,73 +34,25 @@ pub fn to_json(snap: &Snapshot) -> Json {
             ]),
         ));
     }
+    let values = |rows, values: &[u64]| {
+        Json::Obj(cells(rows).zip(values).map(|((row, label), &v)| (row.series(label), Json::num_u(v))).collect())
+    };
+    let hists = cells(Hist::ROWS).zip(&snap.hists).map(|((row, label), h)| {
+        let stats = vec![
+            ("count", Json::num_u(h.count)),
+            ("sum", Json::num_u(h.sum)),
+            ("p50", Json::num_u(h.quantile(0.5))),
+            ("p90", Json::num_u(h.quantile(0.9))),
+            ("p99", Json::num_u(h.quantile(0.99))),
+        ];
+        (row.series(label), Json::obj(stats))
+    });
     Json::obj(vec![
         ("stages", Json::Obj(stages)),
-        // Rolling-window views (empty object outside serve mode, where
-        // no rings are registered) ride along so one report carries both
-        // the since-boot aggregates and the recent-window story.
-        ("windows", windows_to_json()),
-        (
-            "counters",
-            Json::Obj(snap.counters.iter().map(|(k, &v)| (k.clone(), Json::num_u(v))).collect()),
-        ),
-        (
-            "gauges",
-            Json::Obj(snap.gauges.iter().map(|(k, &v)| (k.clone(), Json::num_u(v))).collect()),
-        ),
-        (
-            "histograms",
-            Json::Obj(
-                snap.hists
-                    .iter()
-                    .map(|(k, h)| {
-                        (
-                            k.clone(),
-                            Json::obj(vec![
-                                ("count", Json::num_u(h.count)),
-                                ("sum", Json::num_u(h.sum)),
-                                ("p50", Json::num_u(h.quantile(0.5))),
-                                ("p90", Json::num_u(h.quantile(0.9))),
-                                ("p99", Json::num_u(h.quantile(0.99))),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
+        ("counters", values(Counter::ROWS, &snap.counters)),
+        ("gauges", values(Gauge::ROWS, &snap.gauges)),
+        ("histograms", Json::Obj(hists.collect())),
     ])
-}
-
-/// The global rolling-window rings as a JSON object: ring name →
-/// window label → `{count, rate, p50, p90, p99}`. Values carry the
-/// units the ring was recorded in (the serve layer records nanoseconds).
-#[must_use]
-pub fn windows_to_json() -> Json {
-    let views = crate::window::views(&crate::window::STANDARD_WINDOWS);
-    Json::Obj(
-        views
-            .into_iter()
-            .map(|rv| {
-                (
-                    rv.name,
-                    Json::Obj(
-                        rv.windows
-                            .iter()
-                            .map(|(label, s)| {
-                                ((*label).to_owned(), Json::obj(vec![
-                                    ("count", Json::num_u(s.count)),
-                                    ("rate", Json::Num(if s.rate.is_finite() { s.rate } else { 0.0 })),
-                                    ("p50", Json::num_u(s.p50)),
-                                    ("p90", Json::num_u(s.p90)),
-                                    ("p99", Json::num_u(s.p99)),
-                                ]))
-                            })
-                            .collect(),
-                    ),
-                )
-            })
-            .collect(),
-    )
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -113,7 +67,8 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders a snapshot as an aligned text block.
+/// Renders a snapshot as an aligned text block: the stages that ran,
+/// then every nonzero counter and gauge and every non-empty histogram.
 #[must_use]
 pub fn to_text(snap: &Snapshot) -> String {
     use std::fmt::Write as _;
@@ -134,22 +89,22 @@ pub fn to_text(snap: &Snapshot) -> String {
             );
         }
     }
-    if !snap.counters.is_empty() {
-        let _ = writeln!(out, "counters:");
-        for (name, value) in &snap.counters {
-            let _ = writeln!(out, "  {name:<36} {value}");
+    let nonzero = |title: &str, rows, values: &[u64], out: &mut String| {
+        let mut lines = cells(rows).zip(values).filter(|(_, &v)| v > 0).peekable();
+        if lines.peek().is_some() {
+            let _ = writeln!(out, "{title}:");
         }
-    }
-    if !snap.gauges.is_empty() {
-        let _ = writeln!(out, "gauges:");
-        for (name, value) in &snap.gauges {
-            let _ = writeln!(out, "  {name:<36} {value}");
+        for ((row, label), value) in lines {
+            let _ = writeln!(out, "  {:<36} {value}", row.series(label));
         }
-    }
-    for (name, h) in &snap.hists {
+    };
+    nonzero("counters", Counter::ROWS, &snap.counters, &mut out);
+    nonzero("gauges", Gauge::ROWS, &snap.gauges, &mut out);
+    for ((row, label), h) in cells(Hist::ROWS).zip(&snap.hists).filter(|(_, h)| h.count > 0) {
         let _ = writeln!(
             out,
-            "hist {name}: n={} mean={:.1} p50={} p99={}",
+            "hist {}: n={} mean={:.1} p50={} p99={}",
+            row.series(label),
             h.count,
             h.mean(),
             h.quantile(0.5),
@@ -168,8 +123,8 @@ mod tests {
     fn json_report_always_has_all_pipeline_stages() {
         let r = Registry::new();
         r.record_span(Stage::Search, 1_000);
-        r.add("search.dfs_expansions", 7);
-        r.gauge_set("engine.dist_cache.entries", 3);
+        r.add(Counter::SearchDfsExpansions, 7);
+        r.gauge_set(Gauge::EngineDistCacheEntries, 3);
         let doc = to_json(&r.snapshot());
         let stages = doc.get("stages").unwrap();
         for name in PIPELINE_STAGES {
@@ -181,6 +136,13 @@ mod tests {
             doc.get("counters").unwrap().get("search.dfs_expansions").unwrap().as_u64(),
             Some(7)
         );
+        // Every catalog row is a key, recorded or not.
+        assert_eq!(doc.get("counters").unwrap().get("engine.batch.errors").unwrap().as_u64(), Some(0));
+        let sections = doc.get("gauges").unwrap().get("store.section.csr.bytes");
+        assert_eq!(sections.unwrap().as_u64(), Some(0));
+        let stage_hist = doc.get("histograms").unwrap().get("query.stage_ns.search").unwrap();
+        assert_eq!(stage_hist.get("count").unwrap().as_u64(), Some(0));
+        assert!(doc.get("windows").is_none());
         // The document is valid JSON text.
         let text = doc.to_text();
         assert_eq!(Json::parse(&text).unwrap(), doc);
@@ -194,10 +156,11 @@ mod tests {
     #[test]
     fn text_report_lists_counters() {
         let r = Registry::new();
-        r.add("mine.cast_sites", 12);
+        r.add(Counter::MineCastSites, 12);
         r.record_span(Stage::Mine, 2_500_000);
         let text = to_text(&r.snapshot());
         assert!(text.contains("mine.cast_sites"));
+        assert!(!text.contains("mine.examples"), "zero rows stay out of the text block");
         assert!(text.contains("2.50ms"));
     }
 }

@@ -9,10 +9,9 @@
 //! ([`crate::profile`]) when profiling is on. Spans nest freely, and the
 //! record path takes no lock and allocates nothing.
 
-use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::hist::Histogram;
+use crate::catalog::Hist;
 use crate::trace::{EventKind, TraceEvent};
 use crate::{metrics, profile};
 
@@ -59,8 +58,10 @@ impl Stage {
         Stage::NAMES[self.index()]
     }
 
-    /// The stage's slot in per-stage arrays: its profiler id minus one.
-    pub(crate) const fn index(self) -> usize {
+    /// The stage's slot in per-stage arrays (and its label value in the
+    /// `query.stage_ns.<stage>` family): its profiler id minus one.
+    #[must_use]
+    pub const fn index(self) -> usize {
         self as usize - 1
     }
 }
@@ -68,16 +69,6 @@ impl Stage {
 /// Whole nanoseconds in `d`, saturating.
 pub(crate) fn nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// The global `query.stage_ns.<stage>` histogram: registered by name on
-/// first use, then one cached handle per stage.
-#[must_use]
-pub fn stage_histogram(stage: Stage) -> &'static Histogram {
-    static HISTS: [OnceLock<Arc<Histogram>>; Stage::NAMES.len()] =
-        [const { OnceLock::new() }; Stage::NAMES.len()];
-    HISTS[stage.index()]
-        .get_or_init(|| metrics::histogram(&format!("query.stage_ns.{}", stage.name())))
 }
 
 /// The timeline a query stage span appends its event to.
@@ -137,7 +128,7 @@ impl Drop for Span<'_> {
                 value: ns,
                 t_ns: nanos(start.duration_since(q.epoch)),
             });
-            stage_histogram(self.stage).record(ns);
+            metrics::histogram(Hist::QueryStageNs, self.stage.index()).record(ns);
         }
     }
 }

@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::catalog::Hist;
 use crate::json::Json;
 use crate::metrics;
 use crate::rng::SmallRng;
@@ -428,7 +429,7 @@ impl QuerySpan<'_> {
     fn close(&mut self) -> u64 {
         let Some(started) = self.started.take() else { return 0 };
         let total = nanos(started.elapsed());
-        metrics::histogram("query.latency_ns").record(total);
+        metrics::histogram(Hist::QueryLatencyNs, 0).record(total);
         self.events.push(TraceEvent {
             trace_id: self.id.0,
             stage: "query",

@@ -27,9 +27,9 @@
 //! * [`CounterRing`] — one counter per slot, for windowed event rates
 //!   (requests, errors) where a distribution is not needed.
 //!
-//! A process-global registry ([`ring`], [`counter_ring`], [`views`])
-//! mirrors the metric registry's shape so the serve layer can render
-//! every registered ring into `/metrics` and `/status` generically.
+//! A process-global registry of [`WindowRing`]s ([`ring`], [`views`]),
+//! each named by a [`Window`] catalog row, lets the serve layer render
+//! every registered ring into `/metrics` generically.
 //! [`STANDARD_WINDOWS`] fixes the two views every consumer shares: 1m
 //! and 5m.
 
@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::catalog::Window;
 use crate::hist::{HistSnapshot, Histogram};
 
 /// Ring capacity in one-second slots. Sized to hold the largest standard
@@ -231,57 +232,38 @@ impl CounterRing {
     }
 }
 
-/// One registered ring's views, for rendering: the registry name plus
-/// [`WindowStats`] per standard window label.
+/// One registered ring's views, for rendering: its series name and row
+/// plus [`WindowStats`] per standard window label.
 #[derive(Clone, Debug)]
 pub struct RingViews {
-    /// The registry name (dotted, e.g. `serve.http.latency_ns.query`).
+    /// The series name (dotted, e.g. `serve.http.latency_ns.query`).
     pub name: String,
+    /// The ring's catalog row.
+    pub row: Window,
     /// `(window label, stats)` per entry of the requested window set.
     pub windows: Vec<(&'static str, WindowStats)>,
 }
 
-#[derive(Default)]
-struct WindowRegistry {
-    rings: Mutex<HashMap<String, Arc<WindowRing>>>,
-    counters: Mutex<HashMap<String, Arc<CounterRing>>>,
+/// Every registered ring by series name, with its row.
+type Rings = Mutex<HashMap<String, (Window, Arc<WindowRing>)>>;
+
+fn registry() -> &'static Rings {
+    static GLOBAL: OnceLock<Rings> = OnceLock::new();
+    GLOBAL.get_or_init(Rings::default)
 }
 
-fn registry() -> &'static WindowRegistry {
-    static GLOBAL: OnceLock<WindowRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(WindowRegistry::default)
-}
-
-/// A shared handle to the named global window ring, creating it empty.
+/// A shared handle to the global window ring of `row`'s series for
+/// `label` (`None` for a row without a placeholder), creating it empty.
+/// Resolve it once and keep the handle: this takes the registry lock.
 ///
 /// # Panics
 ///
 /// Panics only if the registry mutex is poisoned.
 #[must_use]
-pub fn ring(name: &str) -> Arc<WindowRing> {
-    let mut map = registry().rings.lock().unwrap();
-    if let Some(r) = map.get(name) {
-        return Arc::clone(r);
-    }
-    let r = Arc::new(WindowRing::new());
-    map.insert(name.to_owned(), Arc::clone(&r));
-    r
-}
-
-/// A shared handle to the named global counter ring, creating it empty.
-///
-/// # Panics
-///
-/// Panics only if the registry mutex is poisoned.
-#[must_use]
-pub fn counter_ring(name: &str) -> Arc<CounterRing> {
-    let mut map = registry().counters.lock().unwrap();
-    if let Some(r) = map.get(name) {
-        return Arc::clone(r);
-    }
-    let r = Arc::new(CounterRing::new());
-    map.insert(name.to_owned(), Arc::clone(&r));
-    r
+pub fn ring(row: Window, label: Option<&str>) -> Arc<WindowRing> {
+    let name = row.row().series(label);
+    let mut map = registry().lock().expect("window ring registry poisoned");
+    Arc::clone(&map.entry(name).or_insert_with(|| (row, Arc::new(WindowRing::new()))).1)
 }
 
 /// Views of every registered [`WindowRing`] over the given windows,
@@ -292,11 +274,12 @@ pub fn counter_ring(name: &str) -> Arc<CounterRing> {
 /// Panics only if the registry mutex is poisoned.
 #[must_use]
 pub fn views(windows: &[(&'static str, u64)]) -> Vec<RingViews> {
-    let map = registry().rings.lock().unwrap();
+    let map = registry().lock().expect("window ring registry poisoned");
     let mut out: Vec<RingViews> = map
         .iter()
-        .map(|(name, ring)| RingViews {
+        .map(|(name, (row, ring))| RingViews {
             name: name.clone(),
+            row: *row,
             windows: windows.iter().map(|&(label, secs)| (label, ring.view(secs))).collect(),
         })
         .collect();
@@ -395,19 +378,20 @@ mod tests {
 
     #[test]
     fn registry_shares_rings_by_name_and_views_are_sorted() {
-        let a = ring("test.window.alpha");
+        let a = ring(Window::TenantLatency, Some("test-alpha"));
         a.record_at(10, 5);
-        let a2 = ring("test.window.alpha");
+        let a2 = ring(Window::TenantLatency, Some("test-alpha"));
         assert_eq!(a2.view_at(60, 5).count, 1, "same name, same ring");
-        let _ = ring("test.window.beta");
+        let _ = ring(Window::TenantLatency, Some("test-beta"));
         let all = views(&STANDARD_WINDOWS);
         let names: Vec<&str> = all
             .iter()
             .map(|r| r.name.as_str())
-            .filter(|n| n.starts_with("test.window."))
+            .filter(|n| n.contains(".test-"))
             .collect();
-        assert_eq!(names, ["test.window.alpha", "test.window.beta"]);
-        let alpha = all.iter().find(|r| r.name == "test.window.alpha").unwrap();
+        assert_eq!(names, ["serve.tenant.latency_ns.test-alpha", "serve.tenant.latency_ns.test-beta"]);
+        let alpha = all.iter().find(|r| r.name.ends_with("test-alpha")).unwrap();
+        assert_eq!(alpha.row, Window::TenantLatency);
         assert_eq!(alpha.windows.len(), 2);
         assert_eq!(alpha.windows[0].0, "1m");
     }

@@ -5,7 +5,7 @@
 //! One test in its own binary, because every sink is process-global.
 
 use prospector_obs::trace::{self, EventKind, TraceId};
-use prospector_obs::{metrics, profile, Stage};
+use prospector_obs::{metrics, profile, Hist, Stage};
 
 #[test]
 fn one_span_feeds_the_stage_table_the_timeline_and_the_profiler() {
@@ -25,9 +25,10 @@ fn one_span_feeds_the_stage_table_the_timeline_and_the_profiler() {
     let snap = metrics::snapshot();
     let synth = snap.stage("synth").expect("the stage table saw the span");
     assert_eq!(synth.count, 1);
-    assert_eq!(snap.hists["query.stage_ns.synth"].count, 1);
-    assert_eq!(snap.hists["query.stage_ns.synth"].sum, synth.total_ns);
-    assert_eq!(snap.hists["query.latency_ns"].sum, total, "finish records the latency");
+    let stage_hist = |snap: &metrics::Snapshot, stage: Stage| snap.histogram(Hist::QueryStageNs, stage.index()).clone();
+    assert_eq!(stage_hist(&snap, Stage::Synth).count, 1);
+    assert_eq!(stage_hist(&snap, Stage::Synth).sum, synth.total_ns);
+    assert_eq!(snap.histogram(Hist::QueryLatencyNs, 0).sum, total, "finish records the latency");
     let events = trace::events_for(id);
     let shape: Vec<_> = events.iter().map(|e| (e.stage, e.kind, e.key)).collect();
     assert_eq!(
@@ -50,7 +51,7 @@ fn one_span_feeds_the_stage_table_the_timeline_and_the_profiler() {
     }
     let snap = metrics::snapshot();
     assert_eq!(snap.stage("store").map(|s| s.count), Some(1));
-    assert!(!snap.hists.contains_key("query.stage_ns.store"));
+    assert_eq!(stage_hist(&snap, Stage::Store).count, 0);
     assert!(sampled("store"), "{:?}", profile::folded());
 
     // With every sink off, a query stage span records nothing.
@@ -63,6 +64,6 @@ fn one_span_feeds_the_stage_table_the_timeline_and_the_profiler() {
     assert_eq!(quiet.finish(), 0);
     let snap = metrics::snapshot();
     assert!(snap.stage("rank").is_none());
-    assert!(!snap.hists.contains_key("query.stage_ns.rank"));
+    assert_eq!(stage_hist(&snap, Stage::Rank).count, 0);
     assert_eq!(trace::event_count(), recorded);
 }

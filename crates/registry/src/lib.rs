@@ -42,6 +42,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use prospector_core::Prospector;
+use prospector_obs::window::{self, WindowRing};
+use prospector_obs::{Counter, Gauge, Window};
 use prospector_store::LoadMode;
 
 /// The tenant every single-tenant URL and CLI flag routes to when no
@@ -174,6 +176,8 @@ pub struct Tenant {
     queries: AtomicU64,
     /// Failed reload attempts (the old engine kept serving each time).
     reload_failures: AtomicU64,
+    /// Its `serve.tenant.latency_ns.<tenant>` ring, resolved at registration.
+    latency: Arc<WindowRing>,
 }
 
 impl Tenant {
@@ -184,7 +188,14 @@ impl Tenant {
             reload_gate: Mutex::new(()),
             queries: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
+            latency: window::ring(Window::TenantLatency, Some(name)),
         }
+    }
+
+    /// The tenant's rolling latency window.
+    #[must_use]
+    pub fn latency(&self) -> &WindowRing {
+        &self.latency
     }
 
     /// The tenant's name (the routing key).
@@ -498,7 +509,7 @@ impl Registry {
                 // callers (or it drops later, when the last in-flight
                 // query releases its clone).
                 drop(old);
-                prospector_obs::add("registry.reloads", 1);
+                prospector_obs::add(Counter::RegistryReloads, 1);
                 self.publish_gauges();
                 Ok(tenant.info())
             }
@@ -508,7 +519,7 @@ impl Registry {
                     slot.state = TenantState::Failed { error: error.clone() };
                 }
                 tenant.reload_failures.fetch_add(1, Ordering::Relaxed);
-                prospector_obs::add("registry.reload_failures", 1);
+                prospector_obs::add(Counter::RegistryReloadFailures, 1);
                 Err(RegistryError::LoadFailed { name: name.to_owned(), error })
             }
         }
@@ -616,8 +627,8 @@ impl Registry {
     /// Publishes the registry-level gauges (`registry.tenants`,
     /// `registry.engine_bytes`) after any mutation.
     fn publish_gauges(&self) {
-        prospector_obs::gauge_set("registry.tenants", self.len() as u64);
-        prospector_obs::gauge_set("registry.engine_bytes", self.engine_bytes_total());
+        prospector_obs::gauge_set(Gauge::RegistryTenants, self.len() as u64);
+        prospector_obs::gauge_set(Gauge::RegistryEngineBytes, self.engine_bytes_total());
     }
 }
 

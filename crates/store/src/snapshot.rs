@@ -68,7 +68,7 @@ use jungloid_typesys::{NameArena, Plain, Slab, SnapshotBuf, TyId, TypeTable, TYP
 use prospector_core::elems::{decode_quad, encode_quad, ElemSeq};
 use prospector_core::graph::{CsrAdjacency, JungloidGraph, NodeId};
 use prospector_core::GraphConfig;
-use prospector_obs::Stage;
+use prospector_obs::{Counter, Gauge, Stage};
 
 use crate::crc32::Crc32;
 use crate::error::StoreError;
@@ -899,9 +899,11 @@ pub fn from_buf(buf: &Arc<SnapshotBuf>) -> Result<(Snapshot, Manifest), StoreErr
 
 // --- file I/O + observability -------------------------------------------
 
+/// Sets the `store.section.<section>.bytes` gauges; the catalog lists
+/// the sections in file order.
 fn record_sections(manifest: &Manifest) {
-    for s in &manifest.sections {
-        prospector_obs::gauge_set(&format!("store.section.{}.bytes", s.name), s.bytes);
+    for (i, s) in manifest.sections.iter().enumerate() {
+        prospector_obs::metrics::global().gauge_set_at(Gauge::StoreSectionBytes, i, s.bytes);
     }
 }
 
@@ -922,22 +924,22 @@ pub fn save_file(
     let manifest = manifest(&bytes).expect("freshly encoded snapshot is well-formed");
     std::fs::write(path, &bytes)
         .map_err(|source| StoreError::Io { path: path.to_owned(), source })?;
-    prospector_obs::add("store.saves", 1);
-    prospector_obs::gauge_set("store.save_bytes", bytes.len() as u64);
+    prospector_obs::add(Counter::StoreSaves, 1);
+    prospector_obs::gauge_set(Gauge::StoreSaveBytes, bytes.len() as u64);
     record_sections(&manifest);
     prospector_obs::trace::process_event("store", "save_bytes", bytes.len() as u64);
     Ok(manifest)
 }
 
 fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
-    prospector_obs::add("store.loads", 1);
+    prospector_obs::add(Counter::StoreLoads, 1);
     // The load is validate-then-borrow, so `store.map_ms` records the
     // validate-only stage — O(sections checksummed), the number the
     // format exists to shrink.
     let ms = validate_us / 1000;
-    prospector_obs::gauge_set("store.map_ms", ms);
+    prospector_obs::gauge_set(Gauge::StoreMapMs, ms);
     prospector_obs::trace::process_event("store", "map_ms", ms);
-    prospector_obs::gauge_set("store.load_bytes", bytes);
+    prospector_obs::gauge_set(Gauge::StoreLoadBytes, bytes);
     record_sections(manifest);
 }
 
@@ -1107,5 +1109,16 @@ pub fn load_auto(path: &Path, mmap: bool) -> Result<(Snapshot, Manifest, LoadMod
     } else {
         let (snapshot, manifest) = load_file(path)?;
         Ok((snapshot, manifest, LoadMode::Owned))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// `record_sections` files each section under its index in the
+    /// catalog's `store.section.<section>.bytes` labels.
+    #[test]
+    fn section_gauges_follow_the_file_order() {
+        let labels = prospector_obs::Gauge::StoreSectionBytes.row().labels;
+        assert_eq!(labels, super::SECTIONS.map(|(_, name)| name));
     }
 }
