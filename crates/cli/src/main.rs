@@ -63,6 +63,7 @@ use jungloid_typesys::TyId;
 use prospector_core::synth::synthesize_statements;
 use prospector_core::Prospector;
 use prospector_corpora::{build, jungle::JungleSpec, report, BuildOptions};
+use prospector_obs::Gauge;
 use prospector_study::{simulate, StudyConfig};
 
 fn main() -> ExitCode {
@@ -732,11 +733,39 @@ fn run_command(flags: &Flags) -> Result<(), String> {
     }
 }
 
-fn engine(flags: &Flags) -> Result<Prospector, String> {
-    if let Some(path) = &flags.index {
-        return prospector_registry::load_engine(path, false).map(|(engine, _)| engine);
+fn engine(flags: &Flags) -> Result<CommandEngine, String> {
+    let engine = match &flags.index {
+        Some(path) => prospector_registry::load_engine(path, false)?.0,
+        None => build(&flags.options).map_err(|e| e.to_string())?.prospector,
+    };
+    Ok(CommandEngine(engine))
+}
+
+/// The engine a one-shot command runs on. Dropping it — when the command
+/// returns, failed or not — sets the `engine.{dist,result}_cache.entries`
+/// gauges to its cache sizes, so `--metrics` and `--metrics-json` report
+/// this engine's caches as the command left them.
+struct CommandEngine(Prospector);
+
+impl std::ops::Deref for CommandEngine {
+    type Target = Prospector;
+
+    fn deref(&self) -> &Prospector {
+        &self.0
     }
-    Ok(build(&flags.options).map_err(|e| e.to_string())?.prospector)
+}
+
+impl Drop for CommandEngine {
+    fn drop(&mut self) {
+        // A panic may have poisoned a cache shard, and reading it would
+        // panic again inside this drop.
+        if std::thread::panicking() {
+            return;
+        }
+        let status = self.0.status();
+        prospector_obs::gauge_set(Gauge::EngineDistCacheEntries, status.dist_cache_entries);
+        prospector_obs::gauge_set(Gauge::EngineResultCacheEntries, status.result_cache_entries);
+    }
 }
 
 /// `index build [<stub.api>...] [--corpus <dir>] [-o <path>] [--json]`.

@@ -5,19 +5,28 @@
 //! concurrency at `--workers`, though idle connections are the common
 //! case for IDE content-assist clients. This module inverts that: **one
 //! poller thread owns the listener and every parked socket**, and
-//! workers only ever see *parsed requests*.
+//! workers only ever see *parsed requests* — and, while they hold one,
+//! the socket to answer it on.
 //!
 //! Ownership rules (the whole design in four lines):
 //!
-//! 1. The poller thread exclusively owns every `TcpStream`, the epoll
-//!    set, and all per-connection state. No lock guards any of it.
-//! 2. Workers receive `(connection id, parsed request)` jobs and return
-//!    `(connection id, response bytes)` completions. They never touch a
-//!    socket.
+//! 1. The poller reads, parks and closes: it alone reads sockets, owns
+//!    the epoll set and all per-connection state, and decides when a
+//!    connection closes. No lock guards any of it.
+//! 2. The worker holding a connection's one in-flight request writes its
+//!    response. When no earlier output is waiting, the job carries the
+//!    socket (`Arc<TcpStream>`, never a raw fd number); the worker logs
+//!    the request, writes with nonblocking writes, and returns only an
+//!    unwritten remainder for the poller to flush under `EPOLLOUT`.
 //! 3. The completion queue's eventfd is the only cross-thread signal
-//!    into the poller; everything else arrives as socket readiness.
+//!    into the poller, and a worker rings it only when the poller has
+//!    work for that connection: a remainder, a close, or requests, a
+//!    frame error or EOF waiting behind the in-flight one. Every other
+//!    completion is absorbed on the poller's next wake-up, before it
+//!    reads any socket.
 //! 4. A connection id is never reused, so a completion for a connection
-//!    that died mid-request falls harmlessly on the floor.
+//!    that died mid-request falls harmlessly on the floor; the shared
+//!    socket stays open until the worker lets go of it.
 //!
 //! Parsing happens **in the poller** (cheap, bounded by the framer's
 //! head cap) while query execution happens **in a worker** (expensive,
@@ -62,7 +71,7 @@ mod imp {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex};
     use std::time::{Duration, Instant};
 
     use prospector_obs::{Counter, Stage};
@@ -111,6 +120,13 @@ mod imp {
         /// Close the connection after this response (client asked, or
         /// the keep-alive cap is reached).
         close: bool,
+        /// The connection's socket when no earlier output is waiting to
+        /// be written, so the worker writes the response itself; `None`
+        /// hands every byte back to the poller.
+        stream: Option<Arc<TcpStream>>,
+        /// The poller already holds work behind this request, so its
+        /// completion must ring the eventfd.
+        wake: bool,
         enqueued: Instant,
     }
 
@@ -126,20 +142,22 @@ mod imp {
             ParsedQueue { jobs: Mutex::new(VecDeque::new()), ready: Condvar::new() }
         }
 
-        fn push(&self, job: ParsedJob) {
-            self.jobs.lock().unwrap().push_back(job);
+        /// Queues a job; returns the queue's length after the push.
+        fn push(&self, job: ParsedJob) -> usize {
+            let mut jobs = self.jobs.lock().expect("a worker panicked holding the jobs");
+            jobs.push_back(job);
+            let len = jobs.len();
+            drop(jobs);
             self.ready.notify_one();
+            len
         }
 
-        fn len(&self) -> usize {
-            self.jobs.lock().unwrap().len()
-        }
-
-        fn pop(&self, shutdown: &AtomicBool, stopping: &AtomicBool) -> Option<ParsedJob> {
+        /// The next job and the queue's length after taking it.
+        fn pop(&self, shutdown: &AtomicBool, stopping: &AtomicBool) -> Option<(ParsedJob, usize)> {
             let mut jobs = self.jobs.lock().unwrap();
             loop {
                 if let Some(job) = jobs.pop_front() {
-                    return Some(job);
+                    return Some((job, jobs.len()));
                 }
                 if shutdown.load(Ordering::Relaxed) || stopping.load(Ordering::Relaxed) {
                     return None;
@@ -152,32 +170,76 @@ mod imp {
     /// One finished request on its way back to the poller.
     struct Completion {
         conn: u64,
-        bytes: Vec<u8>,
+        /// Response bytes the worker did not write: all of them when the
+        /// job carried no socket, the tail when the socket filled up.
+        rest: Vec<u8>,
+        /// Close once `rest` is flushed: the response said so, or the
+        /// worker's write failed.
         close: bool,
     }
 
-    /// The worker → poller handoff. Pushing rings the eventfd so the
-    /// poller wakes out of `epoll_wait` immediately instead of on the
-    /// next slice.
+    /// The worker → poller handoff. A completion rings the eventfd only
+    /// when the poller has work for its connection; the rest wait for
+    /// the poller's next wake-up.
     struct CompletionQueue {
-        done: Mutex<Vec<Completion>>,
+        state: Mutex<Completions>,
         wake_fd: i32,
     }
 
+    const POISONED_COMPLETIONS: &str = "a thread panicked holding the completion queue";
+
+    /// Finished requests, and the connections whose completion the
+    /// poller asked to be woken for after dispatch. One lock covers
+    /// both, so a completion either is queued when the poller asks (and
+    /// the poller absorbs it without a ring) or rings when it is queued.
+    #[derive(Default)]
+    struct Completions {
+        done: Vec<Completion>,
+        wanted: Vec<u64>,
+    }
+
     impl CompletionQueue {
-        fn push(&self, completion: Completion) {
-            self.done.lock().unwrap().push(completion);
-            sys::eventfd_ring(self.wake_fd);
+        /// Queues a finished request, ringing the eventfd when `wake` is
+        /// set or the poller asked for its connection.
+        fn push(&self, completion: Completion, wake: bool) {
+            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
+            let asked = state.wanted.iter().position(|&c| c == completion.conn);
+            if let Some(i) = asked {
+                state.wanted.swap_remove(i);
+            }
+            state.done.push(completion);
+            drop(state);
+            if wake || asked.is_some() {
+                sys::eventfd_ring(self.wake_fd);
+                prospector_obs::add(Counter::ServePollerCompletionWakes, 1);
+            }
         }
 
-        fn drain(&self) -> Vec<Completion> {
-            std::mem::take(&mut *self.done.lock().unwrap())
+        /// Asks for a ring when `conn`'s in-flight completion is queued.
+        /// Returns `true` when it is queued already, so no ring will come
+        /// and the poller must absorb it itself.
+        fn want(&self, conn: u64) -> bool {
+            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
+            if state.done.iter().any(|c| c.conn == conn) {
+                return true;
+            }
+            state.wanted.push(conn);
+            false
+        }
+
+        /// Moves every queued completion into `into` (which is empty), so
+        /// the two buffers trade places and neither side reallocates.
+        fn drain_into(&self, into: &mut Vec<Completion>) {
+            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
+            std::mem::swap(&mut state.done, into);
         }
     }
 
     /// Everything the poller knows about one connection.
     struct Conn {
-        stream: TcpStream,
+        /// Shared with the worker answering the in-flight request, which
+        /// writes its response; the fd closes when both let go.
+        stream: Arc<TcpStream>,
         framer: RequestFramer,
         /// Requests framed but not yet dispatched, with their close flag
         /// already resolved against the keep-alive cap.
@@ -189,9 +251,13 @@ mod imp {
         /// Outbound bytes not yet written (`out_pos..` is the remainder).
         out: Vec<u8>,
         out_pos: usize,
-        /// A request from this connection is with a worker. At most one:
-        /// pipelined requests serialize per connection.
+        /// A request from this connection is with a worker, or finished
+        /// and not yet absorbed. At most one: pipelined requests
+        /// serialize per connection.
         in_flight: bool,
+        /// The in-flight request's completion will ring the eventfd,
+        /// flagged at dispatch or later through [`CompletionQueue::want`].
+        wake_asked: bool,
         /// Close once `out` is fully flushed; no further dispatches.
         close_after_flush: bool,
         /// The peer closed its write side (EOF) — serve what is pending,
@@ -208,13 +274,14 @@ mod imp {
     impl Conn {
         fn new(stream: TcpStream) -> Conn {
             Conn {
-                stream,
+                stream: Arc::new(stream),
                 framer: RequestFramer::new(),
                 pending: VecDeque::new(),
                 frame_error: None,
                 out: Vec::new(),
                 out_pos: 0,
                 in_flight: false,
+                wake_asked: false,
                 close_after_flush: false,
                 peer_gone: false,
                 served: 0,
@@ -226,6 +293,12 @@ mod imp {
         /// Unwritten outbound bytes remain.
         fn has_backlog(&self) -> bool {
             self.out_pos < self.out.len()
+        }
+
+        /// Requests, a frame error or EOF wait behind the in-flight
+        /// request: the poller has work once it completes.
+        fn has_work_behind(&self) -> bool {
+            !self.pending.is_empty() || self.frame_error.is_some() || self.peer_gone
         }
 
         /// Nothing pending or held, nothing in flight, nothing to write —
@@ -285,6 +358,13 @@ mod imp {
         epfd: i32,
         ctx: &'p Ctx<'p>,
         queue: &'p ParsedQueue,
+        completions: &'p CompletionQueue,
+        /// The drained-completions buffer, kept to trade places with the
+        /// queue's on every drain.
+        absorbed: Vec<Completion>,
+        /// A [`CompletionQueue::want`] found its completion queued
+        /// already: absorb again before the next wait.
+        redrain: bool,
         shutdown: &'p AtomicBool,
         conns: HashMap<u64, Conn>,
         wheel: TimerWheel,
@@ -328,7 +408,7 @@ mod imp {
         }
 
         let queue = ParsedQueue::new();
-        let completions = CompletionQueue { done: Mutex::new(Vec::new()), wake_fd };
+        let completions = CompletionQueue { state: Mutex::default(), wake_fd };
         let stopping = AtomicBool::new(false);
         let result = std::thread::scope(|scope| {
             for _ in 0..ctx.workers {
@@ -345,12 +425,15 @@ mod imp {
                 epfd,
                 ctx,
                 queue: &queue,
+                completions: &completions,
+                absorbed: Vec::new(),
+                redrain: false,
                 shutdown,
                 conns: HashMap::new(),
                 wheel: TimerWheel::new(ctx.idle_timeout),
                 next_id: FIRST_CONN,
             };
-            let result = poller.run(&listener, wake_fd, &completions);
+            let result = poller.run(&listener, wake_fd);
             // Wake every parked worker so they observe the stop without
             // waiting out their poll interval.
             stopping.store(true, Ordering::Relaxed);
@@ -362,10 +445,11 @@ mod imp {
         result
     }
 
-    /// One worker: pops parsed requests, answers and records them, and
-    /// hands the serialized bytes back as a completion. Queue wait is
-    /// measured per request — the poller stamps every job at dispatch,
-    /// so keep-alive follow-ups get real wait numbers too.
+    /// One worker: pops parsed requests, answers and records them,
+    /// writes the response when the job carries the socket, and hands
+    /// any unwritten bytes back as a completion. Queue wait is measured
+    /// per request — the poller stamps every job at dispatch, so
+    /// keep-alive follow-ups get real wait numbers too.
     fn worker_loop(
         queue: &ParsedQueue,
         completions: &CompletionQueue,
@@ -373,8 +457,8 @@ mod imp {
         shutdown: &AtomicBool,
         stopping: &AtomicBool,
     ) {
-        while let Some(job) = queue.pop(shutdown, stopping) {
-            ctx.depth.store(queue.len() as u64, Ordering::Relaxed);
+        while let Some((job, depth)) = queue.pop(shutdown, stopping) {
+            ctx.depth.store(depth as u64, Ordering::Relaxed);
             let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ctx.busy.fetch_add(1, Ordering::Relaxed);
             let started = Instant::now();
@@ -385,30 +469,56 @@ mod imp {
             let (endpoint, response) = answer(ctx, &job.request);
             let bytes = serialize_response(&response, job.close);
             let handle_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            // Logged before the first byte leaves, so a client that
+            // reads `/logs` right after its response finds the line.
             record_request(endpoint, &response, wait_ns, handle_ns);
+            // Answered before the first byte leaves, too: a client that
+            // sends its next request on reading this response must not
+            // be shed for this one.
+            ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+            let (rest, broken) = match job.stream {
+                Some(stream) => write_nonblocking(&stream, bytes),
+                None => (bytes, false),
+            };
             ctx.busy.fetch_sub(1, Ordering::Relaxed);
-            completions.push(Completion { conn: job.conn, bytes, close: job.close });
+            let close = job.close || broken;
+            let wake = job.wake || close || !rest.is_empty();
+            completions.push(Completion { conn: job.conn, rest, close }, wake);
         }
     }
 
+    /// Writes `bytes` to a nonblocking socket until it would block.
+    /// Returns the unwritten remainder and whether the write failed; a
+    /// failed connection gets no further bytes and is closed.
+    fn write_nonblocking(mut stream: &TcpStream, mut bytes: Vec<u8>) -> (Vec<u8>, bool) {
+        let mut written = 0;
+        while written < bytes.len() {
+            match stream.write(&bytes[written..]) {
+                Ok(0) => return (Vec::new(), true),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return (Vec::new(), true),
+            }
+        }
+        if written == bytes.len() {
+            return (Vec::new(), false);
+        }
+        bytes.drain(..written);
+        (bytes, false)
+    }
+
     impl Poller<'_> {
-        /// The readiness loop: wait, dispatch events, absorb
-        /// completions, turn the timer wheel, repeat.
-        fn run(
-            &mut self,
-            listener: &TcpListener,
-            wake_fd: i32,
-            completions: &CompletionQueue,
-        ) -> Result<(), String> {
+        /// The readiness loop: wait, absorb completions, dispatch
+        /// events, turn the timer wheel, repeat.
+        fn run(&mut self, listener: &TcpListener, wake_fd: i32) -> Result<(), String> {
             let mut events = [sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
             let mut draining_since: Option<Instant> = None;
             loop {
                 let stop = self.shutdown.load(Ordering::Relaxed);
                 if stop {
                     let since = *draining_since.get_or_insert_with(Instant::now);
-                    let drained = self.ctx.inflight.load(Ordering::Relaxed) == 0
-                        && self.queue.len() == 0
-                        && !self.conns.values().any(Conn::has_backlog);
+                    let drained = !self.conns.values().any(|c| c.in_flight || c.has_backlog());
                     if drained || since.elapsed() >= DRAIN_GRACE {
                         return Ok(());
                     }
@@ -421,6 +531,14 @@ mod imp {
                     Err(sys::EINTR) => 0,
                     Err(e) => return Err(format!("epoll_wait: errno {e}")),
                 };
+                // Absorb finished requests before reading any socket, so a
+                // keep-alive client's next request finds its connection
+                // free. The eventfd is reset first: a ring that lands
+                // after the reset stays set and ends the next wait.
+                if events[..n].iter().any(|ev| { ev.data } == TOKEN_WAKE) {
+                    sys::eventfd_drain(wake_fd);
+                }
+                self.process_completions();
                 for ev in &events[..n] {
                     // Copy out of the packed struct before use.
                     let (bits, token) = (ev.events, ev.data);
@@ -430,11 +548,13 @@ mod imp {
                                 self.accept_all(listener)?;
                             }
                         }
-                        TOKEN_WAKE => sys::eventfd_drain(wake_fd),
+                        TOKEN_WAKE => {}
                         id => self.on_conn_event(id, bits),
                     }
                 }
-                self.process_completions(completions);
+                if std::mem::take(&mut self.redrain) {
+                    self.process_completions();
+                }
                 for id in self.wheel.expired(Instant::now()) {
                     self.check_reap(id);
                 }
@@ -449,7 +569,15 @@ mod imp {
             loop {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        if stream.set_nonblocking(true).is_err() {
+                        // Without `TCP_NODELAY`, Nagle's algorithm holds a
+                        // response written right behind another on the
+                        // same connection until the client's delayed ACK
+                        // (~40 ms on Linux).
+                        if stream
+                            .set_nonblocking(true)
+                            .and_then(|()| stream.set_nodelay(true))
+                            .is_err()
+                        {
                             continue;
                         }
                         let id = self.next_id;
@@ -503,7 +631,7 @@ mod imp {
             let mut chunk = [0u8; READ_CHUNK];
             let mut fatal = false;
             loop {
-                match conn.stream.read(&mut chunk) {
+                match (&*conn.stream).read(&mut chunk) {
                     Ok(0) => {
                         conn.peer_gone = true;
                         break;
@@ -529,9 +657,9 @@ mod imp {
             loop {
                 match conn.framer.next() {
                     Framed::Request(request) => {
-                        let queued = conn.pending.len() + usize::from(conn.in_flight);
+                        // `served` already counts the in-flight request.
                         let close = request.close
-                            || conn.served + queued + 1 >= self.ctx.keepalive_max;
+                            || conn.served + conn.pending.len() + 1 >= self.ctx.keepalive_max;
                         conn.pending.push_back((request, close));
                         if close {
                             break;
@@ -543,6 +671,10 @@ mod imp {
                     }
                     Framed::Incomplete => break,
                 }
+            }
+            if conn.in_flight && !conn.wake_asked && conn.has_work_behind() {
+                conn.wake_asked = true;
+                self.redrain |= self.completions.want(id);
             }
             self.maybe_dispatch(id);
             self.try_flush(id);
@@ -604,35 +736,43 @@ mod imp {
                     continue;
                 }
                 conn.in_flight = true;
+                conn.wake_asked = conn.has_work_behind();
                 conn.served += 1;
                 self.ctx.inflight.fetch_add(1, Ordering::Relaxed);
                 self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
-                self.queue.push(ParsedJob {
+                // With nothing earlier left to write, the response cannot
+                // overtake other bytes, so the worker may write it.
+                let stream = (!conn.has_backlog()).then(|| Arc::clone(&conn.stream));
+                let depth = self.queue.push(ParsedJob {
                     conn: id,
                     request,
                     close,
+                    stream,
+                    wake: conn.wake_asked,
                     enqueued: Instant::now(),
                 });
-                self.ctx.depth.store(self.queue.len() as u64, Ordering::Relaxed);
+                self.ctx.depth.store(depth as u64, Ordering::Relaxed);
                 return;
             }
         }
 
-        /// Absorbs finished requests: append the response bytes to the
-        /// connection's outbound buffer, flush, and dispatch whatever
-        /// pipelined request was waiting its turn.
-        fn process_completions(&mut self, completions: &CompletionQueue) {
-            for done in completions.drain() {
-                self.ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+        /// Absorbs finished requests: append what the worker left
+        /// unwritten to the connection's outbound buffer, flush, and
+        /// dispatch whatever pipelined request was waiting its turn.
+        fn process_completions(&mut self) {
+            let mut absorbed = std::mem::take(&mut self.absorbed);
+            self.completions.drain_into(&mut absorbed);
+            for done in absorbed.drain(..) {
                 let Some(conn) = self.conns.get_mut(&done.conn) else {
                     // The connection died while its request was with a
                     // worker; ids are never reused, so just drop it.
                     continue;
                 };
                 conn.in_flight = false;
+                conn.wake_asked = false;
                 conn.idle_since = Instant::now();
                 self.ctx.parked.fetch_add(1, Ordering::Relaxed);
-                conn.out.extend_from_slice(&done.bytes);
+                conn.out.extend_from_slice(&done.rest);
                 if done.close {
                     conn.close_after_flush = true;
                 }
@@ -640,6 +780,7 @@ mod imp {
                 self.maybe_dispatch(done.conn);
                 self.try_flush(done.conn);
             }
+            self.absorbed = absorbed;
         }
 
         /// Writes the outbound buffer as far as the socket allows.
@@ -655,7 +796,7 @@ mod imp {
                     if conn.out_pos >= conn.out.len() {
                         break;
                     }
-                    match conn.stream.write(&conn.out[conn.out_pos..]) {
+                    match (&*conn.stream).write(&conn.out[conn.out_pos..]) {
                         Ok(0) => {
                             drop_now = true;
                             break;
@@ -738,7 +879,8 @@ mod imp {
                 self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
             }
             self.ctx.conns.fetch_sub(1, Ordering::Relaxed);
-            // `conn.stream` drops here, closing the fd.
+            // `conn.stream` drops here, closing the fd unless a worker
+            // still holds it to write the in-flight response.
         }
     }
 

@@ -820,11 +820,25 @@ pub(crate) fn record_request(
 /// labeled request counters and endpoint latency cells, and the
 /// per-tenant series (the lifecycle state as a one-hot gauge). Every
 /// endpoint × code cell is emitted, zeros included, so dashboards see
-/// each series before its first event.
+/// each series before its first event. The cache-entry gauges are read
+/// here, summed over every tenant's engine.
 fn render_metrics(registry: &Registry) -> String {
+    let (mut dist, mut result) = (0, 0);
+    for name in registry.names() {
+        if let Some(tenant) = registry.get(&name) {
+            let status = tenant.engine().status();
+            dist += status.dist_cache_entries;
+            result += status.result_cache_entries;
+        }
+    }
+    // Into this scrape's copy, not the registry: the sum belongs to
+    // this server, and a second server in the process has its own.
+    let mut snap = prospector_obs::snapshot();
+    snap.gauges[Gauge::EngineDistCacheEntries.cell(0)] = dist;
+    snap.gauges[Gauge::EngineResultCacheEntries.cell(0)] = result;
     let rings = serve_rings();
     let mut e = Exposition::default();
-    e.snapshot(&prospector_obs::snapshot());
+    e.snapshot(&snap);
     for view in window::views(&STANDARD_WINDOWS) {
         e.window(&view);
     }

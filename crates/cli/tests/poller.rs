@@ -1,12 +1,14 @@
 //! End-to-end tests of the epoll readiness serve core: a parked herd of
 //! keep-alive connections on a tiny worker pool, admission-control
-//! shedding under saturation, and the framer's strict rejections over a
-//! real socket. Serving is Linux/x86_64-only, like every serve test.
+//! shedding under saturation, the framer's strict rejections over a
+//! real socket, and the wire contract of worker-written responses
+//! (request order, no Nagle stalls, slow readers, vanished peers, log
+//! before bytes). Serving is Linux/x86_64-only, like every serve test.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::os::unix::fs::OpenOptionsExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -29,18 +31,17 @@ fn default_registry() -> Registry {
 /// Reads exactly one framed response off a keep-alive stream:
 /// `(status_line, headers, body)`. Relies on the server always sending
 /// `Content-Length` (it does — the serializer emits it on every path).
+/// The head is read a byte at a time and the body by its length, so a
+/// pipelined response that arrived in the same segment stays unread.
 fn read_one_response(stream: &mut TcpStream) -> (String, String, String) {
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let n = stream.read(&mut chunk).expect("read response head");
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
         assert!(n > 0, "connection closed mid-response head");
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = String::from_utf8(buf[..head_end - 4].to_vec()).expect("ascii head");
+        buf.push(byte[0]);
+    }
+    let head = String::from_utf8(buf[..buf.len() - 4].to_vec()).expect("ascii head");
     let length: usize = head
         .lines()
         .find_map(|l| l.strip_prefix("Content-Length: "))
@@ -48,12 +49,9 @@ fn read_one_response(stream: &mut TcpStream) -> (String, String, String) {
         .trim()
         .parse()
         .expect("numeric Content-Length");
-    while buf.len() < head_end + length {
-        let n = stream.read(&mut chunk).expect("read response body");
-        assert!(n > 0, "connection closed mid-response body");
-        buf.extend_from_slice(&chunk[..n]);
-    }
-    let body = String::from_utf8(buf[head_end..head_end + length].to_vec()).expect("utf8 body");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("read response body");
+    let body = String::from_utf8(body).expect("utf8 body");
     let status = head.lines().next().expect("status line").to_owned();
     (status, head, body)
 }
@@ -119,10 +117,47 @@ fn open_fifo_writer(fifo: &Path) -> File {
 
 /// One-shot `GET` on a fresh `Connection: close` stream.
 fn http_get(addr: SocketAddr, path: &str) -> (String, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let raw = format!("GET {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n");
     stream.write_all(raw.as_bytes()).expect("send request");
     read_one_response(&mut stream)
+}
+
+/// A connection whose reads time out after 10 s, so a stalled server
+/// fails the test instead of hanging it.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("set timeout");
+    stream
+}
+
+/// The server closes the connection with nothing after the last response.
+fn expect_eof(stream: &mut TcpStream) {
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty(), "bytes after the last response: {rest:?}");
+}
+
+/// Parks a worker in a tenant load from a FIFO whose write end the
+/// returned `File` holds open with no data. The load, and with it the
+/// worker, ends only when that `File` is dropped; the returned stream
+/// then reads the load's `400`.
+fn park_a_worker(addr: SocketAddr, tag: &str) -> (TcpStream, File) {
+    let fifo = std::env::temp_dir()
+        .join(format!("prospector_poller_{tag}_fifo_{}", std::process::id()));
+    let _ = std::fs::remove_file(&fifo);
+    let made = std::process::Command::new("mkfifo").arg(&fifo).status().expect("run mkfifo");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+    let mut blocker = connect(addr);
+    let load = format!(
+        "POST /tenants?name=blocked&path={} HTTP/1.1\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
+        fifo.display()
+    );
+    blocker.write_all(load.as_bytes()).expect("send blocking load");
+    let writer = open_fifo_writer(&fifo);
+    // Both ends are open now; the name is no longer needed.
+    std::fs::remove_file(&fifo).expect("remove FIFO");
+    (blocker, writer)
 }
 
 /// The headline scenario: 64 keep-alive connections park in the poller
@@ -139,6 +174,10 @@ fn parked_keepalive_herd_on_two_workers() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
 
         // Park a herd: every connection serves one request, then sits
         // idle in the poller holding its socket open.
@@ -187,9 +226,15 @@ fn parked_keepalive_herd_on_two_workers() {
 
         // Clean shutdown with 64 sockets still parked: the poller drops
         // them and every thread joins.
+        herd
+        }));
+
         shutdown.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("serve loop exits cleanly");
-        drop(herd);
+        match verdict {
+            Ok(herd) => drop(herd),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
     });
 }
 
@@ -208,6 +253,10 @@ fn saturation_sheds_with_retry_after() {
 
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &options, &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
 
         // Unloaded reference answer, captured before any saturation.
         let (status, _, body) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
@@ -279,8 +328,13 @@ fn saturation_sheds_with_retry_after() {
         let exported: f64 = shed_line.rsplit(' ').next().unwrap().parse().unwrap();
         assert!(exported >= shed as f64, "{shed_line}");
 
+        }));
+
         shutdown.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 
@@ -408,6 +462,10 @@ fn keepalive_budget_closes_the_connection() {
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &options, &shutdown));
 
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
         let mut stream = TcpStream::connect(addr).expect("connect");
         for i in 0..2 {
             let (status, head, _) = keepalive_get(&mut stream, "/healthz");
@@ -421,7 +479,359 @@ fn keepalive_budget_closes_the_connection() {
         stream.read_to_string(&mut rest).expect("drain to EOF");
         assert!(rest.is_empty(), "server closes after the budgeted request");
 
+        }));
+
         shutdown.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// Query pairs the bundled corpus answers, for tests that tell responses
+/// apart by their `tin` and `tout`.
+const PAIRS: [(&str, &str); 4] = [
+    ("IFile", "ASTNode"),
+    ("InputStream", "BufferedReader"),
+    ("IWorkspace", "IFile"),
+    ("Shell", "Button"),
+];
+
+/// Pipelined bursts of 20 requests on one keep-alive connection: the
+/// responses leave in request order, and a burst takes far less than
+/// the 40 ms delayed-ACK timer. Without `TCP_NODELAY`, Nagle's algorithm
+/// holds a response written right behind another until the client's
+/// delayed ACK (a fresh connection's first segments are ACKed at once,
+/// so the connection is warmed up first), and a lost completion wake-up
+/// costs a 50 ms poll slice per request. A last request with
+/// `Connection: close` is answered, then the connection closes.
+#[test]
+fn pipelined_burst_keeps_order_and_pays_no_delayed_ack() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(2);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let paths: Vec<String> = (0..20)
+            .map(|i| match i % 2 {
+                0 => "/healthz".to_owned(),
+                _ => {
+                    let (tin, tout) = PAIRS[i / 2 % PAIRS.len()];
+                    format!("/query?tin={tin}&tout={tout}")
+                }
+            })
+            .collect();
+        let burst: String =
+            paths.iter().map(|path| format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n")).collect();
+        let mut conn = connect(addr);
+        // Warm-up, one request at a time: fills the result cache, so the
+        // bursts time the serve path, and spends the connection's
+        // quick-ACK allowance.
+        for path in paths.iter().cycle().take(60) {
+            let (status, _, body) = keepalive_get(&mut conn, path);
+            assert!(status.contains("200"), "{path}: {status}: {body}");
+        }
+        // The best of five bursts, so one scheduling hiccup on a busy
+        // test host cannot fail the bound.
+        let mut best = Duration::MAX;
+        for _ in 0..5 {
+            let started = Instant::now();
+            conn.write_all(burst.as_bytes()).expect("send burst");
+            for (i, path) in paths.iter().enumerate() {
+                let (_, head, body) = read_one_response(&mut conn);
+                assert!(head.starts_with("HTTP/1.1 200"), "response {i}: {head}");
+                if path == "/healthz" {
+                    assert_eq!(body, "ok\n", "response {i} answers {path}");
+                } else {
+                    let json = Json::parse(&body).expect("query JSON");
+                    let (tin, tout) = PAIRS[i / 2 % PAIRS.len()];
+                    assert_eq!(json.get("tin").unwrap().as_str(), Some(tin), "response {i}");
+                    assert_eq!(json.get("tout").unwrap().as_str(), Some(tout), "response {i}");
+                }
+            }
+            best = best.min(started.elapsed());
+        }
+        assert!(best < Duration::from_millis(20), "the fastest burst of 20 took {best:?}");
+        let close = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n";
+        conn.write_all(close).expect("send last request");
+        let (_, head, body) = read_one_response(&mut conn);
+        assert!(head.contains("Connection: close"), "{head}");
+        assert_eq!(body, "ok\n");
+        expect_eof(&mut conn);
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A client that stops reading holds no worker. The only worker writes
+/// what the socket takes and hands the rest to the poller, which flushes
+/// it under `EPOLLOUT` while other connections are served. The burst is
+/// sized past the loopback socket buffers (the receive window of a
+/// client that reads nothing stays at its initial size), so a worker
+/// that waited for the reader would stall every other request; instead
+/// the whole burst is answered while the client reads nothing, and
+/// afterwards every response arrives whole and in order.
+#[test]
+fn slow_reader_holds_no_worker() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(1);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        // `/metrics` answers counted so far, by every test in this binary.
+        let answered = || {
+            let (_, head, body) = http_get(addr, "/status");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            let json = Json::parse(&body).expect("status JSON");
+            let endpoint = json.get("endpoints").unwrap().get("metrics").unwrap();
+            endpoint.get("requests_total").unwrap().as_u64().unwrap()
+        };
+        let (_, _, sample) = http_get(addr, "/metrics");
+        let count = (8 << 20) / sample.len() + 1;
+        let mut burst = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n".repeat(count);
+        burst.push_str("GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+        let before = answered();
+        let mut slow = connect(addr);
+        slow.write_all(burst.as_bytes()).expect("send burst");
+
+        // The slow client reads nothing, yet its burst is answered and
+        // other clients are served.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while answered() < before + count as u64 {
+            assert!(Instant::now() < deadline, "the burst stalled behind its reader");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for _ in 0..3 {
+            let (_, head, body) = http_get(addr, "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(body, "ok\n");
+        }
+        let (_, head, body) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}: {body}");
+
+        for i in 0..count {
+            let (_, head, body) = read_one_response(&mut slow);
+            assert!(head.starts_with("HTTP/1.1 200"), "response {i}: {head}");
+            assert!(body.starts_with("# HELP "), "response {i} is an exposition");
+            assert!(body.ends_with('\n'), "response {i} arrived whole");
+        }
+        let (_, head, body) = read_one_response(&mut slow);
+        assert!(head.contains("Connection: close"), "{head}");
+        assert_eq!(body, "ok\n", "the last response comes last");
+        expect_eof(&mut slow);
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A peer that disconnects while its request is in flight leaves the
+/// connection gauges where they were, and a peer that shuts down its
+/// write side behind a request still gets the whole response, then the
+/// close. The only worker is first parked in a tenant load from a FIFO,
+/// so both requests are in flight when their peers go.
+#[test]
+fn vanished_peers_leave_the_gauges_at_baseline() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(1);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        // `/status` as this one request sees it: the gauges it reads
+        // count its own connection and request.
+        let gauges = || {
+            let (_, head, body) = http_get(addr, "/status");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            let json = Json::parse(&body).expect("status JSON");
+            let pool = json.get("pool").expect("pool section");
+            let poller = json.get("poller").expect("poller section");
+            [
+                pool.get("conns_active").unwrap().as_u64().unwrap(),
+                poller.get("parked").unwrap().as_u64().unwrap(),
+                poller.get("inflight").unwrap().as_u64().unwrap(),
+            ]
+        };
+        let baseline = gauges();
+
+        let (mut blocker, writer) = park_a_worker(addr, "gone");
+        let query = b"GET /query?tin=IFile&tout=ASTNode HTTP/1.1\r\nHost: t\r\n\r\n";
+        let mut gone = connect(addr);
+        gone.write_all(query).expect("send query");
+        let mut half = connect(addr);
+        half.write_all(query).expect("send query");
+        // Let the poller dispatch both before their peers go.
+        std::thread::sleep(Duration::from_millis(50));
+        drop(gone);
+        half.shutdown(Shutdown::Write).expect("shut down the write side");
+        std::thread::sleep(Duration::from_millis(50));
+
+        // EOF on the FIFO fails the load and frees the worker.
+        drop(writer);
+        let (status, _, _) = read_one_response(&mut blocker);
+        assert!(status.contains("400"), "an empty FIFO is no snapshot: {status}");
+        let (status, _, body) = read_one_response(&mut half);
+        assert!(status.contains("200"), "{status}");
+        let json = Json::parse(&body).expect("query JSON");
+        assert_eq!(json.get("ok").unwrap().as_bool(), Some(true));
+        expect_eof(&mut half);
+
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let now = gauges();
+            if now == baseline {
+                break;
+            }
+            assert!(Instant::now() < deadline, "gauges {now:?} never returned to {baseline:?}");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A request that arrives while the one before it is in flight wakes the
+/// poller as soon as that one completes, instead of waiting out a 50 ms
+/// poll slice, and the keep-alive cap counts the in-flight request once.
+/// The only worker is first parked in a tenant load from a FIFO, so the
+/// first request is still in flight when the second arrives, and the
+/// first is an uncached query, so its completion comes after the poller
+/// has gone back to sleep.
+#[test]
+fn late_request_behind_an_in_flight_one() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(1);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+    let options = ServeOptions { keepalive_max: 3, ..opts() };
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &options, &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let (mut blocker, writer) = park_a_worker(addr, "late");
+        let mut conn = connect(addr);
+        let query = b"GET /query?tin=IFile&tout=ASTNode HTTP/1.1\r\nHost: t\r\n\r\n";
+        conn.write_all(query).expect("send query");
+        std::thread::sleep(Duration::from_millis(50));
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send healthz");
+        std::thread::sleep(Duration::from_millis(50));
+        drop(writer);
+        let (status, _, _) = read_one_response(&mut blocker);
+        assert!(status.contains("400"), "an empty FIFO is no snapshot: {status}");
+
+        let (_, head, body) = read_one_response(&mut conn);
+        let first = Instant::now();
+        assert!(head.contains("Connection: keep-alive"), "request 1 of 3: {head}");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}: {body}");
+        let (_, head, body) = read_one_response(&mut conn);
+        let gap = first.elapsed();
+        assert!(head.contains("Connection: keep-alive"), "request 2 of 3: {head}");
+        assert_eq!(body, "ok\n");
+        assert!(gap < Duration::from_millis(25), "the second response trailed by {gap:?}");
+        let (_, head, _) = keepalive_get(&mut conn, "/healthz");
+        assert!(head.contains("Connection: close"), "request 3 of 3: {head}");
+        expect_eof(&mut conn);
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A request's access-log line is recorded before its response bytes
+/// leave: a `/logs` read right after the response already holds it.
+#[test]
+fn access_log_line_precedes_the_response() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(2);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let mut queries = connect(addr);
+        let mut logs = connect(addr);
+        for i in 0..30 {
+            let (tin, tout) = PAIRS[i % PAIRS.len()];
+            let query = format!("/query?tin={tin}&tout={tout}");
+            let (status, _, body) = keepalive_get(&mut queries, &query);
+            assert!(status.contains("200"), "{status}: {body}");
+            let json = Json::parse(&body).expect("query JSON");
+            let trace_id = json.get("trace_id").unwrap().as_u64().expect("trace id");
+            // Every test in this binary logs into the same tail, so read
+            // all of it.
+            let (_, _, body) = keepalive_get(&mut logs, "/logs?n=10000");
+            let records = Json::parse(&body).expect("logs JSON");
+            let logged = records
+                .as_arr()
+                .unwrap()
+                .iter()
+                .any(|r| r.get("trace_id").unwrap().as_u64() == Some(trace_id));
+            assert!(logged, "request {i}: trace {trace_id} was not logged before its response");
+        }
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
     });
 }

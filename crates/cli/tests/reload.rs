@@ -319,6 +319,64 @@ fn tenants_admin_endpoints_and_labeled_metrics() {
     let _ = std::fs::remove_file(&snapshot);
 }
 
+/// `/metrics` reads the cache-entry gauges at scrape time, summed over
+/// every tenant: three entries in each of the default tenant's caches
+/// plus one in each of `beta`'s show as 4 and 4, while `/status` keeps
+/// reporting the default tenant's 3 and 3.
+#[test]
+fn cache_entry_gauges_sum_every_tenant() {
+    let snapshot = save_snapshot("caches");
+    let engine = build(&BuildOptions::default()).expect("corpus builds").prospector;
+    let registry = Registry::with_default(engine, Provenance::built());
+    registry
+        .add_from_path("beta", snapshot.to_str().expect("utf8 temp path"), false)
+        .expect("beta loads");
+    let server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let pairs = [("IFile", "ASTNode"), ("InputStream", "BufferedReader"), ("IWorkspace", "IFile")];
+        for (tin, tout) in pairs {
+            let (status, body) = http_get(addr, &format!("/query?tin={tin}&tout={tout}"));
+            assert!(status.contains("200"), "{status}: {body}");
+        }
+        let (status, body) = http_get(addr, "/query?tenant=beta&tin=IFile&tout=ASTNode");
+        assert!(status.contains("200"), "{status}: {body}");
+
+        let (_, body) = http_get(addr, "/status");
+        let status = Json::parse(&body).expect("strict JSON");
+        let cache = status.get("cache").unwrap();
+        for kind in ["dist", "result"] {
+            let entries = cache.get(kind).unwrap().get("entries").unwrap().as_u64();
+            assert_eq!(entries, Some(3), "/status reports the default tenant's {kind} cache");
+        }
+        let (_, metrics) = http_get(addr, "/metrics");
+        for series in [
+            "prospector_engine_dist_cache_entries 4",
+            "prospector_engine_result_cache_entries 4",
+        ] {
+            assert!(metrics.lines().any(|l| l == series), "missing `{series}`");
+        }
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        let outcome = worker.join().expect("server thread exits cleanly");
+        assert_eq!(outcome, Ok(()));
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+    let _ = std::fs::remove_file(&snapshot);
+}
+
 #[test]
 fn reload_under_fire_drops_no_query_and_no_engine() {
     let snapshot = save_snapshot("fire");

@@ -308,6 +308,10 @@ fn serve_worker_pool_keepalive_and_concurrent_clients() {
     std::thread::scope(|scope| {
         let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
 
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
         // Keep-alive: three requests over ONE connection. The first two
         // responses advertise keep-alive; the last asks to close.
         let mut stream = TcpStream::connect(addr).expect("connect");
@@ -347,9 +351,14 @@ fn serve_worker_pool_keepalive_and_concurrent_clients() {
             }
         });
 
+        }));
+
         shutdown.store(true, Ordering::Relaxed);
         let outcome = serving.join().expect("serve thread joins");
         assert_eq!(outcome, Ok(()));
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
     });
 }
 

@@ -406,7 +406,6 @@ impl Prospector {
         if evicted > 0 {
             prospector_obs::add(Counter::EngineDistCacheEvictions, evicted as u64);
         }
-        prospector_obs::gauge_set(Gauge::EngineDistCacheEntries, self.dist_cache.len() as u64);
         (field, false)
     }
 
@@ -468,7 +467,6 @@ impl Prospector {
         if evicted > 0 {
             prospector_obs::add(Counter::EngineResultCacheEvictions, evicted as u64);
         }
-        prospector_obs::gauge_set(Gauge::EngineResultCacheEntries, self.result_cache.len() as u64);
         Ok(result)
     }
 

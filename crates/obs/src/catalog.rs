@@ -212,6 +212,7 @@ catalog! {
         ServePollerAccepts Counter "serve.poller.accepts" "Connections accepted by the poller.";
         ServePollerReaped Counter "serve.poller.reaped" "Idle connections reaped by the poller's timer wheel.";
         ServePollerFrameErrors Counter "serve.poller.frame_errors" "Connections closed after a request the framer rejected (400, 413 or 431).";
+        ServePollerCompletionWakes Counter "serve.poller.completion_wakes" "Times a worker woke the poller through the completion eventfd.";
     }
 
     /// Gauges the registry holds: [`crate::metrics::gauge_set`] them.
@@ -220,8 +221,8 @@ catalog! {
         GraphEdges Gauge "graph.edges" "Jungloid-graph edges after construction.";
         GraphCsrEdges Gauge "graph.csr.edges" "Edges in the frozen CSR adjacency mirror.";
         GraphCsrBytes Gauge "graph.csr.bytes" "Approximate bytes of the CSR adjacency mirror.";
-        EngineDistCacheEntries Gauge "engine.dist_cache.entries" "Live distance-cache entries of the engine that last changed its cache.";
-        EngineResultCacheEntries Gauge "engine.result_cache.entries" "Live result-cache entries of the engine that last changed its cache.";
+        EngineDistCacheEntries Gauge "engine.dist_cache.entries" "Live distance-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
+        EngineResultCacheEntries Gauge "engine.result_cache.entries" "Live result-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
         EngineBatchThreads Gauge "engine.batch.threads" "Workers of the most recent batch (a one-worker batch runs on the caller's thread).";
         RegistryTenants Gauge "registry.tenants" "Registered tenants.";
         RegistryEngineBytes Gauge "registry.engine_bytes" "Approximate resident bytes of every tenant's engine.";
@@ -232,7 +233,7 @@ catalog! {
         ServeQueueDepth Gauge "serve.queue.depth" "Parsed requests queued for the worker pool (sampled about once a second).";
         ServeWorkersBusy Gauge "serve.workers.busy" "Workers handling a request (sampled about once a second).";
         ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or in flight (sampled about once a second).";
-        ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests (sampled about once a second).";
+        ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests; a connection whose response has left parks when the poller absorbs its completion, at most one 50 ms poll slice later on an idle server (sampled about once a second).";
         ServePollerInflight Gauge "serve.poller.inflight" "Requests dispatched to a worker and not yet answered (sampled about once a second).";
         ProfileSamples Gauge "profile.samples" "Stacks the cooperative profiler folded.";
         ProfileDropped Gauge "profile.dropped" "Profiler stacks dropped at the fold table's probe cap.";
