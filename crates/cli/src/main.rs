@@ -629,7 +629,10 @@ fn run_command(flags: &Flags) -> Result<(), String> {
                     }
                 }
             }
-            print!("{}", prospector_obs::report::to_text(&prospector_obs::snapshot()));
+            // `--metrics` prints the same block once the command returns.
+            if !flags.metrics {
+                print!("{}", prospector_obs::report::to_text(&prospector_obs::snapshot()));
+            }
             Ok(())
         }
         "synth" => {

@@ -37,7 +37,9 @@
 //!
 //! Writes that would block re-arm the connection with `EPOLLOUT` and
 //! continue from a per-connection outbound buffer when the socket
-//! drains. Idle connections are reaped by a coarse **timer wheel**:
+//! drains. A peer's EOF drops the read bits from the registration, so a
+//! half-closed connection waiting on its answer wakes nothing. Idle
+//! connections are reaped by a coarse **timer wheel**:
 //! accept inserts the connection one `idle_timeout` ahead, and each
 //! firing either reaps (still parked and idle past the deadline) or
 //! lazily reinserts at the remaining time — activity just stamps
@@ -267,7 +269,7 @@ mod imp {
         served: usize,
         /// Last activity, read lazily by the timer wheel.
         idle_since: Instant,
-        /// The epoll registration currently includes `EPOLLOUT`.
+        /// Outbound bytes wait for the socket to drain (`EPOLLOUT`).
         want_write: bool,
     }
 
@@ -288,6 +290,27 @@ mod imp {
                 idle_since: Instant::now(),
                 want_write: false,
             }
+        }
+
+        /// The epoll registration this state calls for: the read bits
+        /// until the peer's EOF (level-triggered, they would stay ready
+        /// after it and spin the poller), `EPOLLOUT` while bytes wait.
+        /// Every `EPOLL_CTL_ADD` and `EPOLL_CTL_MOD` registers this.
+        fn interest(&self) -> u32 {
+            let read = if self.peer_gone { 0 } else { sys::EPOLLIN | sys::EPOLLRDHUP };
+            let write = if self.want_write { sys::EPOLLOUT } else { 0 };
+            read | write
+        }
+
+        /// Re-registers the socket with [`Conn::interest`].
+        fn rearm(&self, epfd: i32, id: u64) {
+            let _ = sys::epoll_ctl(
+                epfd,
+                sys::EPOLL_CTL_MOD,
+                self.stream.as_raw_fd(),
+                self.interest(),
+                id,
+            );
         }
 
         /// Unwritten outbound bytes remain.
@@ -582,18 +605,19 @@ mod imp {
                         }
                         let id = self.next_id;
                         self.next_id += 1;
+                        let conn = Conn::new(stream);
                         if sys::epoll_ctl(
                             self.epfd,
                             sys::EPOLL_CTL_ADD,
-                            stream.as_raw_fd(),
-                            sys::EPOLLIN | sys::EPOLLRDHUP,
+                            conn.stream.as_raw_fd(),
+                            conn.interest(),
                             id,
                         )
                         .is_err()
                         {
                             continue;
                         }
-                        self.conns.insert(id, Conn::new(stream));
+                        self.conns.insert(id, conn);
                         self.wheel.insert(id, self.ctx.idle_timeout);
                         self.ctx.conns.fetch_add(1, Ordering::Relaxed);
                         self.ctx.parked.fetch_add(1, Ordering::Relaxed);
@@ -634,6 +658,7 @@ mod imp {
                 match (&*conn.stream).read(&mut chunk) {
                     Ok(0) => {
                         conn.peer_gone = true;
+                        conn.rearm(self.epfd, id);
                         break;
                     }
                     Ok(n) => conn.framer.push(&chunk[..n]),
@@ -805,13 +830,7 @@ mod imp {
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             if !conn.want_write {
                                 conn.want_write = true;
-                                let _ = sys::epoll_ctl(
-                                    epfd,
-                                    sys::EPOLL_CTL_MOD,
-                                    conn.stream.as_raw_fd(),
-                                    sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLOUT,
-                                    id,
-                                );
+                                conn.rearm(epfd, id);
                             }
                             return;
                         }
@@ -827,13 +846,7 @@ mod imp {
                     conn.out_pos = 0;
                     if conn.want_write {
                         conn.want_write = false;
-                        let _ = sys::epoll_ctl(
-                            epfd,
-                            sys::EPOLL_CTL_MOD,
-                            conn.stream.as_raw_fd(),
-                            sys::EPOLLIN | sys::EPOLLRDHUP,
-                            id,
-                        );
+                        conn.rearm(epfd, id);
                     }
                     if conn.close_after_flush || (conn.peer_gone && conn.is_parked_empty()) {
                         drop_now = true;

@@ -80,6 +80,14 @@ fn stats_reports_scale() {
 }
 
 #[test]
+fn metrics_flag_on_stats_prints_one_block() {
+    let (stdout, _, ok) = prospector(&["--metrics", "stats"]);
+    assert!(ok);
+    assert_eq!(stdout.matches("--- metrics ---").count(), 1, "{stdout}");
+    assert!(stdout.contains("graph.csr.rebuilds"));
+}
+
+#[test]
 fn metrics_flag_prints_registry() {
     let (stdout, _, ok) = prospector(&["--metrics", "query", "IFile", "ASTNode"]);
     assert!(ok);

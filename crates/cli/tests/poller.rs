@@ -731,6 +731,83 @@ fn vanished_peers_leave_the_gauges_at_baseline() {
     });
 }
 
+/// The calling thread's id, as `/proc/self/task` names it.
+fn current_tid() -> String {
+    let link = std::fs::read_link("/proc/thread-self").expect("read /proc/thread-self");
+    link.file_name().expect("tid").to_string_lossy().into_owned()
+}
+
+/// CPU seconds (user + system) one thread of this process has used,
+/// from `/proc/self/task/<tid>/stat`.
+fn thread_cpu_seconds(tid: &str) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/self/task/{tid}/stat")).expect("thread stat");
+    // Fields after the parenthesized name start at field 3 (state);
+    // utime and stime are fields 14 and 15, in clock ticks (USER_HZ,
+    // 100 on Linux).
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("name end") + 2..].split(' ').collect();
+    let ticks: u64 = fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap();
+    ticks as f64 / 100.0
+}
+
+/// A half-closed connection with a request in flight costs the poller no
+/// CPU: the peer's EOF drops the read bits from its registration, which,
+/// level-triggered, would otherwise report the EOF on every wait until
+/// the worker answers. The half-closed client still reads its whole
+/// response, then EOF.
+#[test]
+fn half_closed_connection_does_not_spin_the_poller() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(1);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+    // `Server::run` polls on the thread that calls it.
+    let poller = std::sync::OnceLock::new();
+
+    std::thread::scope(|scope| {
+        let serving = std::thread::Builder::new()
+            .name("poller".to_owned())
+            .spawn_scoped(scope, || {
+                poller.set(current_tid()).expect("set once");
+                server.run(&registry, &opts(), &shutdown)
+            })
+            .expect("spawn the serving thread");
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let (mut blocker, writer) = park_a_worker(addr, "halfclose");
+        let mut half = connect(addr);
+        half.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").expect("send healthz");
+        half.shutdown(Shutdown::Write).expect("shut down the write side");
+        std::thread::sleep(Duration::from_millis(50));
+
+        // The worker answered the FIFO load's opener, so the poller runs.
+        let tid = poller.get().expect("the poller thread started");
+        let before = thread_cpu_seconds(tid);
+        std::thread::sleep(Duration::from_millis(500));
+        let spent = thread_cpu_seconds(tid) - before;
+        assert!(spent < 0.1, "the poller spent {spent:.2} CPU-s in 0.5 s behind a half-closed peer");
+
+        drop(writer);
+        let (status, _, _) = read_one_response(&mut blocker);
+        assert!(status.contains("400"), "an empty FIFO is no snapshot: {status}");
+        let (status, _, body) = read_one_response(&mut half);
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "ok\n");
+        expect_eof(&mut half);
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
 /// A request that arrives while the one before it is in flight wakes the
 /// poller as soon as that one completes, instead of waiting out a 50 ms
 /// poll slice, and the keep-alive cap counts the in-flight request once.

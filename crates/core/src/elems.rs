@@ -1,10 +1,10 @@
-//! Packed jungloid-element sequences: the CSR's per-edge elements,
-//! either owned structs or the snapshot's 4×`u32` quads decoded on
-//! access.
+//! Packed jungloid-element sequences: the CSR's per-edge elements as
+//! the snapshot's 4×`u32` quads, decoded on access.
 //!
-//! Storing the quads packed is what lets the biggest CSR array stay
-//! borrowed from a snapshot buffer (see `jungloid_typesys::slab`);
-//! decoding a quad is a handful of register ops.
+//! A built graph stores the same quads a loaded one borrows, so the
+//! biggest CSR array is one [`Slab`] either way (see
+//! `jungloid_typesys::slab`); decoding a quad is a handful of register
+//! ops.
 
 use jungloid_apidef::{ElemJungloid, FieldId, InputSlot, MethodId};
 use jungloid_typesys::{Slab, TyId};
@@ -75,62 +75,47 @@ pub fn decode_quad(quad: [u32; 4]) -> Option<ElemJungloid> {
     }
 }
 
-/// The CSR's per-edge jungloid elements: owned structs, or the on-disk
-/// packed quads decoded on access. [`ElemSeq::get`] returns by value
-/// (`ElemJungloid` is `Copy`) so search loops are storage-agnostic.
-#[derive(Clone)]
-pub enum ElemSeq {
-    /// Materialized elements (graphs built in-process, or big-endian
-    /// fallback decode).
-    Owned(Vec<ElemJungloid>),
-    /// Borrowed `[u32; 4]` quads, one per element, pre-validated by the
-    /// loader.
-    Packed(Slab<u32>),
-}
+/// The CSR's per-edge jungloid elements: one packed `[tag, a, b, c]`
+/// quad per element, owned when built and borrowed from the snapshot
+/// buffer when loaded. [`ElemSeq::get`] decodes by value (`ElemJungloid`
+/// is `Copy`), so search loops never see the storage.
+#[derive(Clone, Default, PartialEq)]
+pub struct ElemSeq(Slab<[u32; 4]>);
 
 impl ElemSeq {
-    /// Wraps pre-validated packed quads (`4 × count` words).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the word count is not a multiple of 4. Quad *content*
-    /// validity is the loader's responsibility.
+    /// Wraps quads that are valid: encoded by [`encode_quad`], or checked
+    /// with [`decode_quad`] by the loader.
     #[must_use]
-    pub fn packed(words: Slab<u32>) -> ElemSeq {
-        assert!(words.len().is_multiple_of(4), "packed elem storage must be whole quads");
-        ElemSeq::Packed(words)
+    pub fn packed(quads: Slab<[u32; 4]>) -> ElemSeq {
+        ElemSeq(quads)
+    }
+
+    /// The quads, in element order.
+    #[must_use]
+    pub fn quads(&self) -> &[[u32; 4]] {
+        &self.0
     }
 
     /// Number of elements.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            ElemSeq::Owned(v) => v.len(),
-            ElemSeq::Packed(words) => words.len() / 4,
-        }
+        self.0.len()
     }
 
     /// Whether the sequence is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
-    /// The element at `i`, decoded if packed.
+    /// The element at `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of bounds (like slice indexing would).
     #[must_use]
     pub fn get(&self, i: usize) -> ElemJungloid {
-        match self {
-            ElemSeq::Owned(v) => v[i],
-            ElemSeq::Packed(words) => {
-                let w = &words.as_slice()[i * 4..i * 4 + 4];
-                decode_quad([w[0], w[1], w[2], w[3]])
-                    .expect("packed quads are validated at load")
-            }
-        }
+        decode_quad(self.0[i]).expect("quads are valid at construction")
     }
 
     /// Iterates the elements in order.
@@ -138,22 +123,10 @@ impl ElemSeq {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Whether the packed representation backs this sequence.
+    /// Whether the quads borrow from a snapshot buffer.
     #[must_use]
-    pub fn is_packed(&self) -> bool {
-        matches!(self, ElemSeq::Packed(_))
-    }
-}
-
-impl Default for ElemSeq {
-    fn default() -> Self {
-        ElemSeq::Owned(Vec::new())
-    }
-}
-
-impl PartialEq for ElemSeq {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b)
+    pub fn is_borrowed(&self) -> bool {
+        self.0.is_borrowed()
     }
 }
 
@@ -198,20 +171,15 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_owned_elem_seqs_compare_equal() {
+    fn packed_elem_seq_decodes_in_order() {
         let elems = vec![
             ElemJungloid::Widen { from: TyId::from_index(1), to: TyId::from_index(2) },
             ElemJungloid::Call { method: MethodId::from_index(0), input: Some(InputSlot::Receiver) },
         ];
-        let mut words = Vec::new();
-        for &e in &elems {
-            words.extend_from_slice(&encode_quad(e));
-        }
-        let packed = ElemSeq::packed(Slab::from_vec(words));
-        let owned = ElemSeq::Owned(elems.clone());
-        assert_eq!(packed, owned);
-        assert_eq!(packed.len(), 2);
-        assert_eq!(packed.get(1), elems[1]);
-        assert_eq!(packed.iter().collect::<Vec<_>>(), elems);
+        let seq = ElemSeq::packed(Slab::from_vec(elems.iter().map(|&e| encode_quad(e)).collect()));
+        assert_eq!(seq.len(), 2);
+        assert_eq!(seq.get(1), elems[1]);
+        assert_eq!(seq.iter().collect::<Vec<_>>(), elems);
+        assert!(!seq.is_borrowed());
     }
 }

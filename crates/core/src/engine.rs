@@ -288,9 +288,13 @@ impl Prospector {
     /// `(AbstractGraphicalEditPart, ConnectionLayer)` — and flipping
     /// [`GraphConfig::include_protected`] implements the fix §7 proposes.
     ///
+    /// The batch is spliced all or nothing, in one CSR rebuild
+    /// ([`JungloidGraph::add_examples`]).
+    ///
     /// # Errors
     ///
-    /// Propagates [`ExampleError`] for ill-typed examples.
+    /// Propagates [`ExampleError`] for ill-typed examples; the graph, its
+    /// epoch and the caches are then unchanged.
     pub fn add_examples(
         &mut self,
         examples: &[Vec<ElemJungloid>],
@@ -339,12 +343,9 @@ impl Prospector {
         } else {
             visible
         };
-        let mut added = 0;
-        for e in &prepared {
-            if self.graph.add_example(&self.api, e)? {
-                added += 1;
-            }
-        }
+        // All or nothing: an ill-typed example fails the batch before the
+        // graph changes, so the caches stay valid on `Err`.
+        let added = self.graph.add_examples(&self.api, &prepared)?;
         // The graph (and its CSR) changed shape: every cached distance
         // field is stale. Cached query results need no eager sweep — the
         // splice advanced the graph epoch, so their stamps no longer

@@ -19,11 +19,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
-use jungloid_typesys::{Slab, TyId};
+use jungloid_typesys::{Plain, Slab, TyId};
 use prospector_obs::json::Json;
 use prospector_obs::{Counter, Gauge};
 
-use crate::elems::ElemSeq;
+use crate::elems::{encode_quad, ElemSeq};
 
 /// Process-global epoch source. Every graph *state* — a freshly built
 /// graph, a loaded snapshot, or the state after any mutation — gets a
@@ -111,30 +111,28 @@ impl GraphStats {
     }
 }
 
-/// Frozen compressed-sparse-row (CSR) mirror of the adjacency — the
-/// query hot path's view of the graph.
+/// The jungloid graph's adjacency in compressed-sparse-row (CSR) form:
+/// the one representation the graph is built, spliced, queried and
+/// stored in.
 ///
-/// The `Vec<Vec<_>>` adjacency on [`JungloidGraph`] is the *builder*
-/// representation: cheap to append to while signatures and mined examples
-/// are spliced in, but every node hop during search costs a pointer chase
-/// into a separately allocated edge list. The CSR mirror packs all edges
-/// into contiguous arrays indexed by dense node index — `off[n]..off[n+1]`
-/// spans node `n`'s edges — in structure-of-arrays form so the 0-1 BFS
-/// touches only `(from, cost)` and the DFS touches only
-/// `(to, cost, elem)`.
+/// All edges sit in contiguous arrays indexed by dense node index —
+/// `off[n]..off[n+1]` spans node `n`'s edges — in structure-of-arrays
+/// form, so the 0-1 BFS touches only `(from, cost)` and the DFS touches
+/// only `(to, cost, elem)`. Each node keeps its forward and reverse edges
+/// in insertion order (search result order depends on it).
 ///
-/// Invariant: the CSR is rebuilt at the end of every mutating operation
-/// ([`JungloidGraph::from_api`], [`JungloidGraph::add_example`],
-/// [`JungloidGraph::with_naive_downcasts`]), so it always reflects the
-/// list adjacency, with per-node edge order preserved. The engine relies
-/// on this when `add_examples` / `add_param_examples` grow the graph.
+/// The arrays are never written in place. [`JungloidGraph::from_api`]
+/// (from the empty CSR), every splice and
+/// [`JungloidGraph::with_naive_downcasts`] assemble new arrays with
+/// `CsrAdjacency::splice`, one call per mutation, which alone counts
+/// `graph.csr.rebuilds`.
 ///
-/// Each array is a [`Slab`]: either owned (built in memory) or borrowed
-/// straight out of a format-v2 snapshot buffer
+/// Each array is a [`Slab`]: owned when assembled in memory, or borrowed
+/// straight out of a snapshot buffer
 /// ([`SnapshotBuf`](jungloid_typesys::SnapshotBuf)), in which case loading
-/// the graph copies no edge data at all. The
-/// elementary jungloids are an [`ElemSeq`]: owned structs when built,
-/// or the snapshot's packed 4×`u32` quads decoded on access.
+/// the graph copies no edge data at all. The elementary jungloids are an
+/// [`ElemSeq`] of packed quads either way, so a built CSR is array for
+/// array the one its snapshot stores.
 #[derive(Clone, Debug, Default)]
 pub struct CsrAdjacency {
     /// Forward offsets; `len = node_count + 1`.
@@ -153,43 +151,111 @@ pub struct CsrAdjacency {
     rev_cost: Slab<u8>,
 }
 
+/// The 0-1 BFS step cost of an edge: widening is free.
+fn step_cost(elem: ElemJungloid) -> u8 {
+    u8::from(!elem.is_widen())
+}
+
+/// One side of [`CsrAdjacency::splice`]: the offsets over `nodes` nodes,
+/// and the slot of each new edge, keyed by `keys` (its source on the
+/// forward side, its destination on the reverse). A node's new edges
+/// follow its old ones, in list order.
+fn layout(
+    old_off: &[u32],
+    nodes: usize,
+    keys: impl Iterator<Item = u32> + Clone,
+) -> (Vec<u32>, Vec<usize>) {
+    let old_degree = |n: usize| old_off.get(n + 1).map_or(0, |&end| end - old_off[n]);
+    let mut next = vec![0u32; nodes];
+    for k in keys.clone() {
+        next[k as usize] += 1;
+    }
+    let mut off = Vec::with_capacity(nodes + 1);
+    let mut end = 0u32;
+    off.push(end);
+    for (n, &fresh) in next.iter().enumerate() {
+        end = end.checked_add(old_degree(n) + fresh).expect("edge arena fits u32");
+        off.push(end);
+    }
+    for (n, slot) in next.iter_mut().enumerate() {
+        *slot = off[n] + old_degree(n);
+    }
+    let slots = keys
+        .map(|k| {
+            let slot = &mut next[k as usize];
+            *slot += 1;
+            (*slot - 1) as usize
+        })
+        .collect();
+    (off, slots)
+}
+
+/// One array of [`CsrAdjacency::splice`]: each node's old run of `old`
+/// (delimited by `old_off`) moved to the start of its run under `off`,
+/// and the `new` values written to their `slots`.
+fn spread<T: Plain + Default>(
+    off: &[u32],
+    old_off: &[u32],
+    old: &[T],
+    slots: &[usize],
+    new: impl Iterator<Item = T>,
+) -> Slab<T> {
+    let mut out = vec![T::default(); off.last().map_or(0, |&end| end as usize)];
+    for (n, run) in old_off.windows(2).enumerate() {
+        let (start, end, at) = (run[0] as usize, run[1] as usize, off[n] as usize);
+        out[at..at + end - start].copy_from_slice(&old[start..end]);
+    }
+    for (&slot, value) in slots.iter().zip(new) {
+        out[slot] = value;
+    }
+    Slab::from_vec(out)
+}
+
 impl CsrAdjacency {
-    fn build(graph: &JungloidGraph) -> Self {
-        let n = graph.node_count();
-        let edges = u32::try_from(graph.edge_count).expect("edge arena fits u32");
-        let mut fwd_off = Vec::with_capacity(n + 1);
-        let mut fwd_to = Vec::with_capacity(edges as usize);
-        let mut fwd_elem = Vec::with_capacity(edges as usize);
-        let mut fwd_cost = Vec::with_capacity(edges as usize);
-        let mut rev_off = Vec::with_capacity(n + 1);
-        let mut rev_from = Vec::with_capacity(edges as usize);
-        let mut rev_cost = Vec::with_capacity(edges as usize);
-        fwd_off.push(0);
-        for row in &graph.out {
-            for e in row {
-                fwd_to.push(u32::try_from(graph.index_of(e.to)).expect("node fits u32"));
-                fwd_elem.push(e.elem);
-                fwd_cost.push(u8::from(!e.elem.is_widen()));
-            }
-            fwd_off.push(u32::try_from(fwd_to.len()).expect("edge arena fits u32"));
-        }
-        rev_off.push(0);
-        for row in &graph.rev {
-            for &(from, cost) in row {
-                rev_from.push(u32::try_from(graph.index_of(from)).expect("node fits u32"));
-                rev_cost.push(cost);
-            }
-            rev_off.push(u32::try_from(rev_from.len()).expect("edge arena fits u32"));
-        }
-        CsrAdjacency {
+    /// The assembly function: new arrays holding this CSR's nodes plus
+    /// `new_nodes` more, and its edges plus `edges` as `(from, elem, to)`
+    /// dense triples. Every node keeps its old forward and reverse edges
+    /// in order, followed by its new ones in list order, so one splice of
+    /// a list equals any split of it into consecutive splices. The old
+    /// arrays are only read, so a borrowed CSR stays intact.
+    fn splice(&self, new_nodes: usize, edges: &[(u32, ElemJungloid, u32)]) -> CsrAdjacency {
+        let nodes = self.node_count() + new_nodes;
+        let (from, to) = (edges.iter().map(|e| e.0), edges.iter().map(|e| e.2));
+        let (fwd_off, fwd_slots) = layout(&self.fwd_off, nodes, from.clone());
+        let (rev_off, rev_slots) = layout(&self.rev_off, nodes, to.clone());
+        let quads = edges.iter().map(|e| encode_quad(e.1));
+        let costs = edges.iter().map(|e| step_cost(e.1));
+        let csr = CsrAdjacency {
+            fwd_to: spread(&fwd_off, &self.fwd_off, &self.fwd_to, &fwd_slots, to),
+            fwd_elem: ElemSeq::packed(spread(
+                &fwd_off,
+                &self.fwd_off,
+                self.fwd_elem.quads(),
+                &fwd_slots,
+                quads,
+            )),
+            fwd_cost: spread(&fwd_off, &self.fwd_off, &self.fwd_cost, &fwd_slots, costs.clone()),
+            rev_from: spread(&rev_off, &self.rev_off, &self.rev_from, &rev_slots, from),
+            rev_cost: spread(&rev_off, &self.rev_off, &self.rev_cost, &rev_slots, costs),
             fwd_off: Slab::from_vec(fwd_off),
-            fwd_to: Slab::from_vec(fwd_to),
-            fwd_elem: ElemSeq::Owned(fwd_elem),
-            fwd_cost: Slab::from_vec(fwd_cost),
             rev_off: Slab::from_vec(rev_off),
-            rev_from: Slab::from_vec(rev_from),
-            rev_cost: Slab::from_vec(rev_cost),
-        }
+        };
+        prospector_obs::add(Counter::GraphCsrRebuilds, 1);
+        csr.publish();
+        // Flight-recorder hook: a rebuild invalidates every cached
+        // distance field, so one mid-trace explains a burst of misses.
+        prospector_obs::trace::process_event("graph", "csr_rebuild", csr.edge_count() as u64);
+        csr
+    }
+
+    /// Sets the four `graph.*` shape gauges from this CSR, the graph's
+    /// current one: [`CsrAdjacency::splice`] after every build and
+    /// splice, and a snapshot load.
+    fn publish(&self) {
+        prospector_obs::gauge_set(Gauge::GraphNodes, self.node_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphEdges, self.edge_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphCsrEdges, self.edge_count() as u64);
+        prospector_obs::gauge_set(Gauge::GraphCsrBytes, self.approx_bytes() as u64);
     }
 
     /// Node count covered by this layout.
@@ -230,13 +296,13 @@ impl CsrAdjacency {
     /// offsets must start at zero, grow monotonically, and end at the
     /// edge count; forward and reverse edge counts must agree; every
     /// dense index must be in range; and each stored cost must equal the
-    /// cost `CsrAdjacency::build` derives from its elementary jungloid.
+    /// cost of its elementary jungloid (0 for widening, 1 otherwise).
     ///
     /// The arrays may borrow directly from a snapshot buffer (the
     /// zero-copy load) or be owned, and the same validation runs either
     /// way. Elementary jungloids are consulted through the [`ElemSeq`]
-    /// accessor, so packed quads are decoded exactly once here and then
-    /// again lazily on the hot path.
+    /// accessor, so the quads are decoded once here and then again
+    /// lazily on the hot path.
     ///
     /// # Errors
     ///
@@ -296,7 +362,7 @@ impl CsrAdjacency {
             return fail(format!("edge endpoint {bad} out of range ({node_count} nodes)"));
         }
         for (i, elem) in fwd_elem.iter().enumerate() {
-            if fwd_cost[i] != u8::from(!elem.is_widen()) {
+            if fwd_cost[i] != step_cost(elem) {
                 return fail(format!("forward edge {i} cost disagrees with its jungloid kind"));
             }
         }
@@ -312,16 +378,15 @@ impl CsrAdjacency {
         &self.fwd_to
     }
 
-    /// Elementary jungloids, parallel to [`CsrAdjacency::out_to`]. An
-    /// [`ElemSeq`]: owned structs or packed snapshot quads decoded per
-    /// access — index with [`ElemSeq::get`].
+    /// Elementary jungloids, parallel to [`CsrAdjacency::out_to`]: packed
+    /// quads decoded per access — index with [`ElemSeq::get`].
     #[must_use]
     pub fn out_elem(&self) -> &ElemSeq {
         &self.fwd_elem
     }
 
     /// True if any array borrows from a snapshot buffer rather than
-    /// owning its storage (the format-v2 zero-copy load path).
+    /// owning its storage (the zero-copy load path).
     #[must_use]
     pub fn is_borrowed(&self) -> bool {
         self.fwd_off.is_borrowed()
@@ -330,7 +395,7 @@ impl CsrAdjacency {
             || self.rev_off.is_borrowed()
             || self.rev_from.is_borrowed()
             || self.rev_cost.is_borrowed()
-            || self.fwd_elem.is_packed()
+            || self.fwd_elem.is_borrowed()
     }
 
     /// Step costs, parallel to [`CsrAdjacency::out_to`].
@@ -357,15 +422,13 @@ impl CsrAdjacency {
         &self.rev_cost
     }
 
-    /// In-memory footprint of the flat arrays in bytes. Packed jungloid
-    /// quads occupy 16 bytes each in the snapshot buffer; owned ones the
-    /// in-memory struct size.
+    /// Footprint of the flat arrays in bytes, owned or borrowed alike:
+    /// 4 per offset, 4 + 1 per edge and side, 16 per jungloid quad.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let elem = if self.fwd_elem.is_packed() { 16 } else { std::mem::size_of::<ElemJungloid>() };
         (self.fwd_off.len() + self.rev_off.len()) * 4
             + self.fwd_to.len() * (4 + 1)
-            + self.fwd_elem.len() * elem
+            + self.fwd_elem.len() * 16
             + self.rev_from.len() * (4 + 1)
     }
 }
@@ -402,6 +465,11 @@ impl std::fmt::Display for ExampleError {
 impl std::error::Error for ExampleError {}
 
 /// The jungloid graph: signature edges plus mined example paths.
+///
+/// The adjacency is the [`CsrAdjacency`] alone, whether the graph was
+/// built or loaded from a snapshot. A mutation assembles new arrays in
+/// one [`CsrAdjacency`] splice and advances the epoch; a borrowed CSR is
+/// never written through, only read while its successor is assembled.
 #[derive(Clone, Debug)]
 pub struct JungloidGraph {
     config: GraphConfig,
@@ -410,22 +478,9 @@ pub struct JungloidGraph {
     /// Base type of each mined node (the static type at that program
     /// point; used for display and ranking).
     mined_base: Vec<TyId>,
-    /// Out-edges, indexed by dense node index (types first, then mined).
-    /// Empty while the graph is *frozen* (snapshot-loaded and unmutated);
-    /// see [`JungloidGraph::thaw`].
-    out: Vec<Vec<Edge>>,
-    /// Reverse adjacency for distance-to-target pruning:
-    /// `(from, step_cost)` per in-edge. Empty while frozen.
-    rev: Vec<Vec<(NodeId, u8)>>,
-    /// Whether `out`/`rev` are materialized. Construction from an API or
-    /// JSON builds them eagerly; a snapshot load leaves the graph frozen
-    /// on the CSR alone and [`JungloidGraph::thaw`] materializes them on
-    /// the first mutation.
-    lists_ready: bool,
     /// Example step-sequences already added (dedup).
     examples: Vec<Vec<ElemJungloid>>,
-    edge_count: usize,
-    /// Frozen CSR mirror of `out`/`rev`; rebuilt after every mutation.
+    /// The adjacency: type nodes first, then mined nodes.
     csr: CsrAdjacency,
     /// This graph state's epoch (see [`JungloidGraph::epoch`]). Advanced
     /// on every mutation, fresh on every construction path.
@@ -438,18 +493,8 @@ impl JungloidGraph {
     #[must_use]
     pub fn from_api(api: &Api, config: GraphConfig) -> Self {
         let ty_count = u32::try_from(api.types().len()).expect("type arena fits u32");
-        let mut graph = JungloidGraph {
-            config,
-            ty_count,
-            mined_base: Vec::new(),
-            out: vec![Vec::new(); ty_count as usize],
-            rev: vec![Vec::new(); ty_count as usize],
-            lists_ready: true,
-            examples: Vec::new(),
-            edge_count: 0,
-            csr: CsrAdjacency::default(),
-            epoch: next_epoch(),
-        };
+        let mut edges = Vec::new();
+        let mut push = |elem: ElemJungloid| edges.push(type_edge(api, elem));
         let visible = |v: Visibility| match v {
             Visibility::Public => true,
             Visibility::Protected => config.include_protected,
@@ -459,8 +504,7 @@ impl JungloidGraph {
             // Definition 2: the output must be a class type, so
             // primitive-typed fields induce no elementary jungloid.
             if visible(api.field(f).visibility()) && api.types().is_reference(api.field(f).ty()) {
-                let elem = elem_of_field(f);
-                graph.push_edge(NodeId::Ty(elem.input_ty(api)), elem, NodeId::Ty(elem.output_ty(api)));
+                push(elem_of_field(f));
             }
         }
         let weak_tys: Vec<TyId> = if config.restrict_weak_params {
@@ -483,11 +527,7 @@ impl JungloidGraph {
                             continue;
                         }
                     }
-                    graph.push_edge(
-                        NodeId::Ty(elem.input_ty(api)),
-                        elem,
-                        NodeId::Ty(elem.output_ty(api)),
-                    );
+                    push(elem);
                 }
             }
         }
@@ -495,24 +535,24 @@ impl JungloidGraph {
         // arises by composing them, at zero cost).
         for t in api.types().ids() {
             for sup in api.types().direct_supertypes(t) {
-                let elem = ElemJungloid::Widen { from: t, to: sup };
-                graph.push_edge(NodeId::Ty(t), elem, NodeId::Ty(sup));
+                push(ElemJungloid::Widen { from: t, to: sup });
             }
         }
-        graph.rebuild_csr();
-        prospector_obs::gauge_set(Gauge::GraphNodes, graph.node_count() as u64);
-        prospector_obs::gauge_set(Gauge::GraphEdges, graph.edge_count as u64);
-        graph
+        JungloidGraph {
+            config,
+            ty_count,
+            mined_base: Vec::new(),
+            examples: Vec::new(),
+            csr: CsrAdjacency::default().splice(ty_count as usize, &edges),
+            epoch: next_epoch(),
+        }
     }
 
     /// Restores a graph from a stored snapshot: the CSR arrays verbatim
     /// (already validated by [`CsrAdjacency::from_slabs`]) plus the mined
-    /// node bases and example step-sequences. The graph comes back
-    /// *frozen*: queries run on the CSR alone (which may borrow directly
-    /// from the snapshot buffer) and the builder list adjacency stays
-    /// empty until the first mutation thaws it (`JungloidGraph::thaw`).
-    /// No rebuild happens, so a warm start records no
-    /// `graph.csr.rebuilds`.
+    /// node bases and example step-sequences. Queries run on that CSR,
+    /// which may borrow directly from the snapshot buffer, and no rebuild
+    /// happens, so a warm start records no `graph.csr.rebuilds`.
     ///
     /// # Errors
     ///
@@ -557,40 +597,14 @@ impl JungloidGraph {
                 });
             }
         }
-        let graph = JungloidGraph {
-            config,
-            ty_count,
-            mined_base,
-            out: Vec::new(),
-            rev: Vec::new(),
-            lists_ready: false,
-            examples,
-            edge_count: csr.edge_count(),
-            csr,
-            epoch: next_epoch(),
-        };
-        prospector_obs::gauge_set(Gauge::GraphNodes, graph.node_count() as u64);
-        prospector_obs::gauge_set(Gauge::GraphEdges, graph.edge_count as u64);
-        prospector_obs::gauge_set(Gauge::GraphCsrEdges, graph.csr.edge_count() as u64);
-        prospector_obs::gauge_set(Gauge::GraphCsrBytes, graph.csr.approx_bytes() as u64);
-        Ok(graph)
+        csr.publish();
+        Ok(JungloidGraph { config, ty_count, mined_base, examples, csr, epoch: next_epoch() })
     }
 
-    /// The frozen CSR view of the adjacency (always in sync; see
-    /// [`CsrAdjacency`]).
+    /// The graph's adjacency (see [`CsrAdjacency`]).
     #[must_use]
     pub fn csr(&self) -> &CsrAdjacency {
         &self.csr
-    }
-
-    fn rebuild_csr(&mut self) {
-        self.csr = CsrAdjacency::build(self);
-        prospector_obs::add(Counter::GraphCsrRebuilds, 1);
-        prospector_obs::gauge_set(Gauge::GraphCsrEdges, self.csr.edge_count() as u64);
-        prospector_obs::gauge_set(Gauge::GraphCsrBytes, self.csr.approx_bytes() as u64);
-        // Flight-recorder hook: rebuilds invalidate every cached distance
-        // field, so a rebuild mid-trace explains a burst of cache misses.
-        prospector_obs::trace::process_event("graph", "csr_rebuild", self.csr.edge_count() as u64);
     }
 
     /// The configuration the graph was built with.
@@ -601,7 +615,7 @@ impl JungloidGraph {
 
     /// The epoch of this graph state. Distinct for every construction
     /// (built, deserialized, snapshot-loaded) and advanced by every
-    /// mutation ([`JungloidGraph::add_example`],
+    /// mutation ([`JungloidGraph::add_examples`],
     /// [`JungloidGraph::with_naive_downcasts`]), so anything derived from
     /// the graph — cached query results in particular — can stamp itself
     /// with the epoch and detect staleness by comparison alone.
@@ -625,7 +639,7 @@ impl JungloidGraph {
     /// Total edge count.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.csr.edge_count()
     }
 
     /// The mined example step-sequences spliced into this graph.
@@ -663,10 +677,7 @@ impl JungloidGraph {
         }
     }
 
-    /// Out-edges of a node, derived from the CSR (which is always in sync
-    /// with the graph state — rebuilt after every mutation, verbatim after
-    /// a snapshot load). Returned by value so frozen (zero-copy loaded)
-    /// and thawed graphs answer identically.
+    /// Out-edges of a node, in insertion order, read from the CSR.
     #[must_use]
     pub fn out_edges(&self, node: NodeId) -> Vec<Edge> {
         let idx = self.index_of(node);
@@ -679,8 +690,8 @@ impl JungloidGraph {
             .collect()
     }
 
-    /// In-edges of a node as `(from, step_cost)` pairs, derived from the
-    /// CSR like [`JungloidGraph::out_edges`].
+    /// In-edges of a node as `(from, step_cost)` pairs, in insertion
+    /// order, read from the CSR like [`JungloidGraph::out_edges`].
     #[must_use]
     pub fn in_edges(&self, node: NodeId) -> Vec<(NodeId, u8)> {
         let idx = self.index_of(node);
@@ -690,136 +701,77 @@ impl JungloidGraph {
             .collect()
     }
 
-    /// Materializes the builder list adjacency from the CSR if the graph
-    /// is frozen (snapshot-loaded). Mutation paths call this before
-    /// appending edges; queries never need it. Idempotent; does not
-    /// advance the epoch (the graph state is unchanged).
-    fn thaw(&mut self) {
-        if self.lists_ready {
-            return;
-        }
-        let node_count = self.node_count();
-        let mut out = vec![Vec::new(); node_count];
-        let mut rev = vec![Vec::new(); node_count];
-        for (node, row) in out.iter_mut().enumerate() {
-            for flat in self.csr.out_range(node) {
-                row.push(Edge {
-                    elem: self.csr.out_elem().get(flat),
-                    to: self.node_at(self.csr.out_to()[flat] as usize),
-                });
-            }
-        }
-        for (node, row) in rev.iter_mut().enumerate() {
-            for flat in self.csr.in_range(node) {
-                row.push((
-                    self.node_at(self.csr.in_from()[flat] as usize),
-                    self.csr.in_cost()[flat],
-                ));
-            }
-        }
-        self.out = out;
-        self.rev = rev;
-        self.lists_ready = true;
-    }
-
-    fn push_edge(&mut self, from: NodeId, elem: ElemJungloid, to: NodeId) {
-        debug_assert!(self.lists_ready, "push_edge on a frozen graph; thaw first");
-        let cost = u8::from(!elem.is_widen());
-        let fi = self.index_of(from);
-        self.out[fi].push(Edge { elem, to });
-        let ti = self.index_of(to);
-        self.rev[ti].push((from, cost));
-        self.edge_count += 1;
-    }
-
-    fn fresh_mined(&mut self, base: TyId) -> NodeId {
-        debug_assert!(self.lists_ready, "fresh_mined on a frozen graph; thaw first");
-        let id = u32::try_from(self.mined_base.len()).expect("mined arena fits u32");
-        self.mined_base.push(base);
-        self.out.push(Vec::new());
-        self.rev.push(Vec::new());
-        NodeId::Mined(id)
-    }
-
-    /// Splices a mined example jungloid into the graph (§4.2, Figure 6).
-    ///
-    /// The path starts at the existing node for the example's input type,
-    /// runs through fresh mined nodes for every intermediate object, and
-    /// its final step lands on the existing node for the final output type
-    /// (for a downcast-terminated example, the cast's target).
+    /// Splices one mined example jungloid into the graph (§4.2, Figure
+    /// 6): [`JungloidGraph::add_examples`] with a batch of one.
     ///
     /// Returns `false` (and adds nothing) if an identical step sequence was
     /// already spliced in.
     ///
     /// # Errors
     ///
-    /// The steps must be non-empty and well-typed (each step's input type
-    /// equal to its predecessor's output type).
+    /// As [`JungloidGraph::add_examples`].
     pub fn add_example(&mut self, api: &Api, steps: &[ElemJungloid]) -> Result<bool, ExampleError> {
-        if steps.is_empty() {
-            return Err(ExampleError { detail: "empty step sequence".to_owned() });
+        self.add_examples(api, &[steps]).map(|added| added == 1)
+    }
+
+    /// Splices a batch of mined example jungloids into the graph (§4.2,
+    /// Figure 6).
+    ///
+    /// Each example's path starts at the existing node for its input
+    /// type, runs through fresh mined nodes for every intermediate
+    /// object, and its final step lands on the existing node for the
+    /// final output type (for a downcast-terminated example, the cast's
+    /// target). An example identical to one already spliced, earlier in
+    /// the batch included, adds nothing.
+    ///
+    /// The batch is all-or-nothing: every example is checked before the
+    /// graph changes, and then all of them are appended in one CSR
+    /// rebuild and one epoch advance. A batch that adds nothing rebuilds
+    /// nothing and keeps the epoch. Returns how many examples were added.
+    ///
+    /// # Errors
+    ///
+    /// Every example must be non-empty and well-typed (each step's input
+    /// type equal to its predecessor's output type, widenings up and
+    /// downcasts down a strict subtype link); otherwise nothing is added.
+    pub fn add_examples<S: AsRef<[ElemJungloid]>>(
+        &mut self,
+        api: &Api,
+        examples: &[S],
+    ) -> Result<usize, ExampleError> {
+        for steps in examples {
+            check_example(api, steps.as_ref())?;
         }
-        for pair in steps.windows(2) {
-            let out_ty = pair[0].output_ty(api);
-            let in_ty = pair[1].input_ty(api);
-            if out_ty != in_ty {
-                return Err(ExampleError {
-                    detail: format!(
-                        "ill-typed composition: {} outputs {} but {} expects {}",
-                        pair[0].label(api),
-                        api.types().display(out_ty),
-                        pair[1].label(api),
-                        api.types().display(in_ty)
-                    ),
-                });
+        let mut bases = Vec::new();
+        let mut edges = Vec::new();
+        let mut added = 0;
+        for steps in examples {
+            let steps = steps.as_ref();
+            if self.examples.iter().any(|e| e == steps) {
+                continue;
             }
-        }
-        for step in steps {
-            match *step {
-                ElemJungloid::Widen { from, to }
-                    if from == to || !api.types().is_subtype(from, to) =>
-                {
-                    return Err(ExampleError {
-                        detail: format!(
-                            "invalid widening {} -> {}",
-                            api.types().display(from),
-                            api.types().display(to)
-                        ),
-                    })
-                }
-                ElemJungloid::Downcast { from, to }
-                    if from == to || !api.types().is_subtype(to, from) =>
-                {
-                    return Err(ExampleError {
-                        detail: format!(
-                            "invalid downcast {} -> {}",
-                            api.types().display(from),
-                            api.types().display(to)
-                        ),
-                    })
-                }
-                _ => {}
+            let mut from = steps[0].input_ty(api).index();
+            for (i, &elem) in steps.iter().enumerate() {
+                let to = if i + 1 == steps.len() {
+                    elem.output_ty(api).index()
+                } else {
+                    bases.push(elem.output_ty(api));
+                    self.node_count() + bases.len() - 1
+                };
+                edges.push((dense(from), elem, dense(to)));
+                from = to;
             }
+            self.examples.push(steps.to_vec());
+            added += 1;
         }
-        if self.examples.iter().any(|e| e == steps) {
-            return Ok(false);
+        if added == 0 {
+            return Ok(0);
         }
-        self.thaw();
-        let mut from = NodeId::Ty(steps[0].input_ty(api));
-        for (i, &elem) in steps.iter().enumerate() {
-            let to = if i + 1 == steps.len() {
-                NodeId::Ty(elem.output_ty(api))
-            } else {
-                self.fresh_mined(elem.output_ty(api))
-            };
-            self.push_edge(from, elem, to);
-            from = to;
-        }
-        self.examples.push(steps.to_vec());
-        self.rebuild_csr();
+        self.csr = self.csr.splice(bases.len(), &edges);
+        self.mined_base.extend(bases);
         self.epoch = next_epoch();
-        prospector_obs::add(Counter::GraphExamplesSpliced, 1);
-        Ok(true)
+        prospector_obs::add(Counter::GraphExamplesSpliced, added as u64);
+        Ok(added)
     }
 
     /// Adds *all downcast elementary jungloids* to a copy of this graph:
@@ -828,20 +780,23 @@ impl JungloidGraph {
     /// experiment; it is intentionally terrible.
     #[must_use]
     pub fn with_naive_downcasts(&self, api: &Api) -> JungloidGraph {
-        let mut g = self.clone();
-        g.thaw();
+        let mut edges = Vec::new();
         for t in api.types().ids() {
             if !api.types().is_reference(t) || t == api.types().null() {
                 continue;
             }
             for sub in api.types().strict_subtypes(t) {
-                let elem = ElemJungloid::Downcast { from: t, to: sub };
-                g.push_edge(NodeId::Ty(t), elem, NodeId::Ty(sub));
+                edges.push(type_edge(api, ElemJungloid::Downcast { from: t, to: sub }));
             }
         }
-        g.rebuild_csr();
-        g.epoch = next_epoch();
-        g
+        JungloidGraph {
+            config: self.config,
+            ty_count: self.ty_count,
+            mined_base: self.mined_base.clone(),
+            examples: self.examples.clone(),
+            csr: self.csr.splice(0, &edges),
+            epoch: next_epoch(),
+        }
     }
 
     /// Per-kind edge statistics (the §3.1/§4.2 composition of the graph).
@@ -853,42 +808,32 @@ impl JungloidGraph {
             examples: self.examples.len(),
             ..GraphStats::default()
         };
-        for idx in 0..self.node_count() {
-            for e in self.out_edges(self.node_at(idx)) {
-                match e.elem {
-                    ElemJungloid::FieldAccess { .. } => stats.field_edges += 1,
-                    ElemJungloid::Call { method, .. } => {
-                        let def = api.method(method);
-                        if def.is_constructor() {
-                            stats.constructor_edges += 1;
-                        } else if def.is_static() {
-                            stats.static_edges += 1;
-                        } else {
-                            stats.instance_edges += 1;
-                        }
+        for elem in self.csr.out_elem().iter() {
+            match elem {
+                ElemJungloid::FieldAccess { .. } => stats.field_edges += 1,
+                ElemJungloid::Call { method, .. } => {
+                    let def = api.method(method);
+                    if def.is_constructor() {
+                        stats.constructor_edges += 1;
+                    } else if def.is_static() {
+                        stats.static_edges += 1;
+                    } else {
+                        stats.instance_edges += 1;
                     }
-                    ElemJungloid::Widen { .. } => stats.widening_edges += 1,
-                    ElemJungloid::Downcast { .. } => stats.downcast_edges += 1,
                 }
+                ElemJungloid::Widen { .. } => stats.widening_edges += 1,
+                ElemJungloid::Downcast { .. } => stats.downcast_edges += 1,
             }
         }
         stats
     }
 
-    /// Rough in-memory footprint in bytes (list adjacency, when
-    /// materialized, plus the CSR mirror), for the §5 size report. A
-    /// frozen graph carries no list adjacency at all.
+    /// Rough footprint in bytes (the CSR arrays plus the mined node
+    /// bases), for the §5 size report; equal for a built graph and the
+    /// same graph loaded from its snapshot.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let lists = if self.lists_ready {
-            let edge = std::mem::size_of::<Edge>();
-            let rev = std::mem::size_of::<(NodeId, u8)>();
-            let node = 2 * std::mem::size_of::<Vec<Edge>>();
-            self.edge_count * (edge + rev) + self.node_count() * node
-        } else {
-            0
-        };
-        lists + self.mined_base.len() * 4 + self.csr.approx_bytes()
+        self.mined_base.len() * 4 + self.csr.approx_bytes()
     }
 
     /// Renders the graph — config, mined nodes, examples, and the full
@@ -938,6 +883,64 @@ impl JungloidGraph {
             ("adjacency", Json::Arr(adjacency)),
         ])
     }
+}
+
+/// A dense node index as the CSR stores it.
+fn dense(index: usize) -> u32 {
+    u32::try_from(index).expect("node fits u32")
+}
+
+/// A signature edge as a dense `(from, elem, to)` triple: both ends are
+/// type nodes.
+fn type_edge(api: &Api, elem: ElemJungloid) -> (u32, ElemJungloid, u32) {
+    (dense(elem.input_ty(api).index()), elem, dense(elem.output_ty(api).index()))
+}
+
+/// Checks one mined example before anything is spliced: non-empty,
+/// each step's input the previous step's output, widenings up and
+/// downcasts down a strict subtype link.
+fn check_example(api: &Api, steps: &[ElemJungloid]) -> Result<(), ExampleError> {
+    if steps.is_empty() {
+        return Err(ExampleError { detail: "empty step sequence".to_owned() });
+    }
+    for pair in steps.windows(2) {
+        let out_ty = pair[0].output_ty(api);
+        let in_ty = pair[1].input_ty(api);
+        if out_ty != in_ty {
+            return Err(ExampleError {
+                detail: format!(
+                    "ill-typed composition: {} outputs {} but {} expects {}",
+                    pair[0].label(api),
+                    api.types().display(out_ty),
+                    pair[1].label(api),
+                    api.types().display(in_ty)
+                ),
+            });
+        }
+    }
+    for step in steps {
+        let (kind, from, to) = match *step {
+            ElemJungloid::Widen { from, to }
+                if from == to || !api.types().is_subtype(from, to) =>
+            {
+                ("widening", from, to)
+            }
+            ElemJungloid::Downcast { from, to }
+                if from == to || !api.types().is_subtype(to, from) =>
+            {
+                ("downcast", from, to)
+            }
+            _ => continue,
+        };
+        return Err(ExampleError {
+            detail: format!(
+                "invalid {kind} {} -> {}",
+                api.types().display(from),
+                api.types().display(to)
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1097,6 +1100,12 @@ mod tests {
         ];
         assert!(g.add_example(&api, &steps).is_err());
         assert!(g.add_example(&api, &[]).is_err());
+        // A batch is all or nothing: the good example before the bad one
+        // is not spliced either.
+        assert!(g.add_examples(&api, &[cast_example(&api), steps]).is_err());
+        assert_eq!(g.mined_node_count(), 0);
+        assert!(g.examples().is_empty());
+        assert_csr_matches(&g, &ListModel::signature(&api));
     }
 
     #[test]
@@ -1141,39 +1150,113 @@ mod tests {
         assert_eq!(before.downcast_edges, 0);
     }
 
-    /// The CSR mirror must agree with the list adjacency edge-for-edge,
-    /// in the same per-node order (search result order depends on it).
-    fn assert_csr_mirrors_lists(g: &JungloidGraph) {
-        let csr = g.csr();
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        for idx in 0..g.node_count() {
-            let node = g.node_at(idx);
-            let out = g.out_edges(node);
-            let range = csr.out_range(idx);
-            assert_eq!(range.len(), out.len());
-            for (k, e) in out.iter().enumerate() {
-                let flat = range.start + k;
-                assert_eq!(csr.out_to()[flat] as usize, g.index_of(e.to));
-                assert_eq!(csr.out_elem().get(flat), e.elem);
-                assert_eq!(csr.out_cost()[flat], u8::from(!e.elem.is_widen()));
+    /// A naive list model of a graph: per-node forward and reverse
+    /// lists of dense indices, pushed in insertion order.
+    #[derive(Default)]
+    struct ListModel {
+        out: Vec<Vec<(usize, ElemJungloid)>>,
+        ins: Vec<Vec<(usize, u8)>>,
+    }
+
+    impl ListModel {
+        /// The public signature graph of `api`, pushed in the order
+        /// `from_api` documents: fields, method edges, widenings.
+        fn signature(api: &Api) -> ListModel {
+            let mut model = ListModel::default();
+            model.grow(api.types().len());
+            let public = |v: Visibility| v == Visibility::Public;
+            for f in api.field_ids() {
+                if public(api.field(f).visibility()) && api.types().is_reference(api.field(f).ty()) {
+                    model.push_ty(api, elem_of_field(f));
+                }
             }
-            let ins = g.in_edges(node);
-            let range = csr.in_range(idx);
-            assert_eq!(range.len(), ins.len());
-            for (k, &(from, cost)) in ins.iter().enumerate() {
-                let flat = range.start + k;
-                assert_eq!(csr.in_from()[flat] as usize, g.index_of(from));
-                assert_eq!(csr.in_cost()[flat], cost);
+            for m in api.method_ids() {
+                if public(api.method(m).visibility()) {
+                    for elem in elems_of_method(api, m) {
+                        model.push_ty(api, elem);
+                    }
+                }
+            }
+            for t in api.types().ids() {
+                for sup in api.types().direct_supertypes(t) {
+                    model.push_ty(api, ElemJungloid::Widen { from: t, to: sup });
+                }
+            }
+            model
+        }
+
+        fn grow(&mut self, nodes: usize) {
+            self.out.resize(self.out.len() + nodes, Vec::new());
+            self.ins.resize(self.ins.len() + nodes, Vec::new());
+        }
+
+        fn push(&mut self, from: usize, elem: ElemJungloid, to: usize) {
+            self.out[from].push((to, elem));
+            self.ins[to].push((from, u8::from(!elem.is_widen())));
+        }
+
+        fn push_ty(&mut self, api: &Api, elem: ElemJungloid) {
+            self.push(elem.input_ty(api).index(), elem, elem.output_ty(api).index());
+        }
+
+        /// An example path through one fresh node per intermediate step.
+        fn example(&mut self, api: &Api, steps: &[ElemJungloid]) {
+            let mut from = steps[0].input_ty(api).index();
+            for (i, &elem) in steps.iter().enumerate() {
+                let to = if i + 1 == steps.len() {
+                    elem.output_ty(api).index()
+                } else {
+                    self.grow(1);
+                    self.out.len() - 1
+                };
+                self.push(from, elem, to);
+                from = to;
             }
         }
     }
 
+    /// The CSR holds exactly the model's edges, node for node, in the
+    /// model's insertion order on both sides (search result order
+    /// depends on it).
+    fn assert_csr_matches(g: &JungloidGraph, model: &ListModel) {
+        let csr = g.csr();
+        assert_eq!(csr.node_count(), model.out.len());
+        assert_eq!(g.node_count(), model.out.len());
+        assert_eq!(csr.edge_count(), model.out.iter().map(Vec::len).sum::<usize>());
+        for (node, (out, ins)) in model.out.iter().zip(&model.ins).enumerate() {
+            let stored: Vec<(usize, ElemJungloid, u8)> = csr
+                .out_range(node)
+                .map(|f| (csr.out_to()[f] as usize, csr.out_elem().get(f), csr.out_cost()[f]))
+                .collect();
+            let expected: Vec<(usize, ElemJungloid, u8)> =
+                out.iter().map(|&(to, e)| (to, e, u8::from(!e.is_widen()))).collect();
+            assert_eq!(stored, expected, "forward edges of node {node}");
+            let stored: Vec<(usize, u8)> = csr
+                .in_range(node)
+                .map(|f| (csr.in_from()[f] as usize, csr.in_cost()[f]))
+                .collect();
+            assert_eq!(&stored, ins, "reverse edges of node {node}");
+        }
+    }
+
+    /// `a.toB()` widened to `Object` and cast back down to `B`.
+    fn cast_example(api: &Api) -> Vec<ElemJungloid> {
+        let a = ty(api, "t.A");
+        let b = ty(api, "t.B");
+        let obj = api.types().object().unwrap();
+        let m = api.lookup_instance_method(a, "toB", 0)[0];
+        vec![
+            ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
+            ElemJungloid::Widen { from: b, to: obj },
+            ElemJungloid::Downcast { from: obj, to: b },
+        ]
+    }
+
     #[test]
-    fn csr_mirrors_signature_graph() {
+    fn csr_matches_signature_graph() {
         let api = api();
         let g = JungloidGraph::from_api(&api, GraphConfig::default());
-        assert_csr_mirrors_lists(&g);
+        assert_csr_matches(&g, &ListModel::signature(&api));
         assert!(g.csr().approx_bytes() > 0);
     }
 
@@ -1181,28 +1264,26 @@ mod tests {
     fn csr_rebuilt_on_add_example_and_naive_downcasts() {
         let api = api();
         let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
+        let mut model = ListModel::signature(&api);
         let edges_before = g.csr().edge_count();
-        let a = ty(&api, "t.A");
-        let b = ty(&api, "t.B");
-        let obj = api.types().object().unwrap();
-        let m = api.lookup_instance_method(a, "toB", 0)[0];
-        g.add_example(
-            &api,
-            &[
-                ElemJungloid::Call { method: m, input: Some(InputSlot::Receiver) },
-                ElemJungloid::Widen { from: b, to: obj },
-                ElemJungloid::Downcast { from: obj, to: b },
-            ],
-        )
-        .unwrap();
+        let steps = cast_example(&api);
+        g.add_example(&api, &steps).unwrap();
+        model.example(&api, &steps);
         // The mined path's three edges and two fresh nodes are visible in
         // the rebuilt CSR.
         assert_eq!(g.csr().edge_count(), edges_before + 3);
         assert_eq!(g.csr().node_count(), g.node_count());
-        assert_csr_mirrors_lists(&g);
+        assert_csr_matches(&g, &model);
 
         let naive = g.with_naive_downcasts(&api);
-        assert_csr_mirrors_lists(&naive);
+        for t in api.types().ids() {
+            if api.types().is_reference(t) && t != api.types().null() {
+                for sub in api.types().strict_subtypes(t) {
+                    model.push_ty(&api, ElemJungloid::Downcast { from: t, to: sub });
+                }
+            }
+        }
+        assert_csr_matches(&naive, &model);
         assert!(naive.csr().edge_count() > g.csr().edge_count());
     }
 
@@ -1234,8 +1315,11 @@ mod tests {
         assert!(g.add_example(&api, &steps).unwrap());
         assert_ne!(g.epoch(), before, "splicing an example advances the epoch");
         let spliced = g.epoch();
-        // A duplicate splice is a no-op and must not advance it again.
+        // A duplicate splice is a no-op and must not advance it again,
+        // nor must a batch of duplicates or an empty batch.
         assert!(!g.add_example(&api, &steps).unwrap());
+        assert_eq!(g.add_examples(&api, &[&steps, &steps]).unwrap(), 0);
+        assert_eq!(g.add_examples::<&[ElemJungloid]>(&api, &[]).unwrap(), 0);
         assert_eq!(g.epoch(), spliced);
 
         // Restoring from snapshot parts is a fresh state.
@@ -1256,7 +1340,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_snapshot_graph_answers_like_the_original_and_thaws_on_mutation() {
+    fn loaded_graph_answers_like_the_original_and_splices_on_mutation() {
         let api = api();
         let mut g = JungloidGraph::from_api(&api, GraphConfig::default());
         let a = ty(&api, "t.A");
@@ -1273,7 +1357,7 @@ mod tests {
         let mined_base: Vec<TyId> = (0..g.mined_node_count())
             .map(|i| g.base_ty(NodeId::Mined(u32::try_from(i).unwrap())))
             .collect();
-        let mut frozen = JungloidGraph::from_snapshot(
+        let mut loaded = JungloidGraph::from_snapshot(
             &api,
             g.config(),
             mined_base,
@@ -1281,21 +1365,21 @@ mod tests {
             g.csr().clone(),
         )
         .unwrap();
-        assert!(!frozen.lists_ready, "snapshot loads stay frozen");
         for idx in 0..g.node_count() {
             let n = g.node_at(idx);
-            assert_eq!(frozen.out_edges(n), g.out_edges(n));
-            assert_eq!(frozen.in_edges(n), g.in_edges(n));
+            assert_eq!(loaded.out_edges(n), g.out_edges(n));
+            assert_eq!(loaded.in_edges(n), g.in_edges(n));
         }
-        // Dedup consults the stored sequences; no thaw needed.
-        assert!(!frozen.add_example(&api, &steps).unwrap());
-        assert!(!frozen.lists_ready);
-        // A genuinely new example thaws the lists and splices as usual.
+        // Dedup consults the stored sequences.
+        assert!(!loaded.add_example(&api, &steps).unwrap());
+        // A genuinely new example splices as usual.
         let more = vec![ElemJungloid::Widen { from: b, to: a }];
-        assert!(frozen.add_example(&api, &more).unwrap());
-        assert!(frozen.lists_ready);
-        assert_eq!(frozen.edge_count(), g.edge_count() + 1);
-        assert_csr_mirrors_lists(&frozen);
+        assert!(loaded.add_example(&api, &more).unwrap());
+        assert_eq!(loaded.edge_count(), g.edge_count() + 1);
+        let mut model = ListModel::signature(&api);
+        model.example(&api, &steps);
+        model.example(&api, &more);
+        assert_csr_matches(&loaded, &model);
     }
 
     #[test]

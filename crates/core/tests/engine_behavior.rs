@@ -207,3 +207,41 @@ fn duplicate_visible_variables_take_first_name() {
         }
     }
 }
+
+/// A splice batch with an ill-typed example changes nothing: not the
+/// epoch, the mined nodes or the examples, and no cached distance field
+/// goes stale, so the engine answers as a fresh one on the same graph.
+#[test]
+fn failed_splice_batch_leaves_the_engine_as_it_was() {
+    let api = api();
+    let a = api.types().resolve("t.A").unwrap();
+    let b = api.types().resolve("t.B").unwrap();
+    let d = api.types().resolve("t.D").unwrap();
+    let dsub = api.types().resolve("DSub").unwrap();
+    let to_d = api.lookup_instance_method(b, "toD", 0)[0];
+    let call = ElemJungloid::Call { method: to_d, input: Some(jungloid_apidef::InputSlot::Receiver) };
+    let good = vec![call, ElemJungloid::Downcast { from: d, to: dsub }];
+    let ill_typed = vec![call, ElemJungloid::Downcast { from: dsub, to: d }];
+    let mut engine = Prospector::new(api);
+
+    // Warm the distance cache on both targets.
+    let codes = |r: prospector_core::QueryResult| -> Vec<String> {
+        r.suggestions.iter().map(|s| s.code.clone()).collect()
+    };
+    let assist = |e: &Prospector| codes(e.assist(&[("a", a)], d).unwrap());
+    let query = |e: &Prospector| codes(e.query(b, dsub).unwrap());
+    assist(&engine);
+    assert!(query(&engine).is_empty());
+
+    let epoch = engine.graph().epoch();
+    let mined = engine.graph().mined_node_count();
+    let examples = engine.graph().examples().to_vec();
+    assert!(engine.add_examples(&[good, ill_typed], false).is_err());
+    assert_eq!(engine.graph().epoch(), epoch);
+    assert_eq!(engine.graph().mined_node_count(), mined);
+    assert_eq!(engine.graph().examples(), examples.as_slice());
+
+    let fresh = Prospector::from_parts(engine.api().clone(), engine.graph().clone());
+    assert_eq!(assist(&engine), assist(&fresh));
+    assert_eq!(query(&engine), query(&fresh));
+}

@@ -172,7 +172,7 @@ macro_rules! catalog {
 catalog! {
     /// Counters the registry holds: [`crate::metrics::add`] them.
     Counter {
-        GraphCsrRebuilds Counter "graph.csr.rebuilds" "CSR adjacency rebuilds (graph construction and example splices).";
+        GraphCsrRebuilds Counter "graph.csr.rebuilds" "CSR adjacency rebuilds: one per graph construction and one per example splice batch.";
         GraphExamplesSpliced Counter "graph.examples_spliced" "Generalized example jungloids spliced into the graph.";
         MineCastSites Counter "mine.cast_sites" "Downcast sites found in the client corpus (§4.2).";
         MineCappedCasts Counter "mine.capped_casts" "Cast sites that hit the per-cast example cap.";
@@ -217,10 +217,10 @@ catalog! {
 
     /// Gauges the registry holds: [`crate::metrics::gauge_set`] them.
     Gauge {
-        GraphNodes Gauge "graph.nodes" "Jungloid-graph nodes after construction.";
-        GraphEdges Gauge "graph.edges" "Jungloid-graph edges after construction.";
-        GraphCsrEdges Gauge "graph.csr.edges" "Edges in the frozen CSR adjacency mirror.";
-        GraphCsrBytes Gauge "graph.csr.bytes" "Approximate bytes of the CSR adjacency mirror.";
+        GraphNodes Gauge "graph.nodes" "Jungloid-graph nodes of the current graph.";
+        GraphEdges Gauge "graph.edges" "Jungloid-graph edges of the current graph.";
+        GraphCsrEdges Gauge "graph.csr.edges" "Edges in the CSR adjacency of the current graph.";
+        GraphCsrBytes Gauge "graph.csr.bytes" "Approximate bytes of the CSR adjacency arrays of the current graph.";
         EngineDistCacheEntries Gauge "engine.dist_cache.entries" "Live distance-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
         EngineResultCacheEntries Gauge "engine.result_cache.entries" "Live result-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
         EngineBatchThreads Gauge "engine.batch.threads" "Workers of the most recent batch (a one-worker batch runs on the caller's thread).";

@@ -49,8 +49,9 @@
 //! [`FieldRecord`](jungloid_apidef::FieldRecord)). The loader borrows the pool, the
 //! table arrays and the CSR as slabs — no rebuild, no per-element copies
 //! — and builds only the type-name and per-type member indexes;
-//! [`JungloidGraph::from_snapshot`] keeps the graph frozen on the CSR, so
-//! a warm-started engine is byte-identical to the one that was saved.
+//! [`JungloidGraph::from_snapshot`] serves from the borrowed CSR, the
+//! same arrays a built graph holds, so a warm-started engine is
+//! byte-identical to the one that was saved.
 //!
 //! v3 is the only format this build reads or writes. A file with any
 //! other version — the retired v1 and v2 layouts included — is a typed
@@ -226,34 +227,18 @@ fn encode_strings(pool: &StringPool) -> Vec<u8> {
 /// (forward offsets, forward targets, packed 4×u32 jungloid quads,
 /// reverse offsets, reverse sources), then the two u8 cost arrays
 /// *last* so every u32 array stays 4-byte-aligned without internal
-/// padding.
+/// padding. Each array is the in-memory one, copied as is.
 fn encode_csr(csr: &CsrAdjacency) -> Vec<u8> {
     let mut w = Writer::new();
     w.u64(csr.node_count() as u64);
     w.u64(csr.edge_count() as u64);
-    for &off in csr.out_offsets() {
-        w.u32(off);
-    }
-    for &to in csr.out_to() {
-        w.u32(to);
-    }
-    for i in 0..csr.edge_count() {
-        for word in encode_quad(csr.out_elem().get(i)) {
-            w.u32(word);
-        }
-    }
-    for &off in csr.in_offsets() {
-        w.u32(off);
-    }
-    for &from in csr.in_from() {
-        w.u32(from);
-    }
-    for &cost in csr.out_cost() {
-        w.u8(cost);
-    }
-    for &cost in csr.in_cost() {
-        w.u8(cost);
-    }
+    w.u32s(csr.out_offsets());
+    w.u32s(csr.out_to());
+    w.u32s(csr.out_elem().quads().as_flattened());
+    w.u32s(csr.in_offsets());
+    w.u32s(csr.in_from());
+    w.bytes(csr.out_cost());
+    w.bytes(csr.in_cost());
     w.into_bytes()
 }
 
@@ -722,9 +707,8 @@ fn decode_csr(
     let fwd_cost_at = rev_from_at + 4 * e;
     let rev_cost_at = fwd_cost_at + e;
 
-    let quads: Slab<u32> = slab(buf, section, quads_at, 4 * e)?;
-    for (i, quad) in quads.chunks_exact(4).enumerate() {
-        let quad = [quad[0], quad[1], quad[2], quad[3]];
+    let quads: Slab<[u32; 4]> = slab(buf, section, quads_at, e)?;
+    for (i, &quad) in quads.iter().enumerate() {
         let Some(elem) = decode_quad(quad) else {
             return fail(format!("edge {i} holds a malformed jungloid quad {quad:?}"));
         };

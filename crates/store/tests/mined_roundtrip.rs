@@ -2,7 +2,7 @@
 //! `.pspk` and reloaded answers queries *byte-identically* to the live
 //! engine it was saved from — same suggestion code, same ranking, same
 //! `TraceId`-attributed query statistics — because the loader restores
-//! the frozen CSR arrays verbatim instead of rebuilding anything. The
+//! the graph's CSR arrays verbatim instead of rebuilding anything. The
 //! loaded engine's JSON rendering equals the live one's: every mined
 //! node and its base type, every example, every out-edge per node.
 

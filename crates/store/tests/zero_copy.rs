@@ -158,3 +158,26 @@ fn first_mutation_copies_a_loaded_table_and_reads_stay_equal() {
         assert_eq!(api.types().decl(t), live.api().types().decl(t));
     }
 }
+
+#[test]
+fn splicing_a_loaded_graph_matches_splicing_the_built_one() {
+    let (live, mined) = mined_engine();
+    let bytes = prospector_store::to_bytes(live.api(), live.graph(), &mined);
+    let buf = Arc::new(SnapshotBuf::from_bytes(&bytes));
+    let (snap, _) = prospector_store::from_buf(&buf).expect("snapshot loads");
+    let mut loaded = snap.graph;
+    assert_eq!(loaded.csr().is_borrowed(), cfg!(target_endian = "little"));
+
+    // The raw mined examples, ungeneralized: most are new paths.
+    let mut built = live.graph().clone();
+    let added = built.add_examples(live.api(), &mined).expect("mined examples splice");
+    assert!(added > 0, "the raw examples must add paths the suffixes do not");
+    assert_eq!(loaded.add_examples(&snap.api, &mined).expect("splices"), added);
+    assert!(!loaded.csr().is_borrowed(), "a splice assembles owned arrays");
+    assert_eq!(buf.as_slice(), bytes.as_slice(), "the snapshot buffer is never written");
+    assert_eq!(
+        prospector_store::to_bytes(&snap.api, &loaded, &mined),
+        prospector_store::to_bytes(live.api(), &built, &mined),
+        "a loaded graph splices like the built graph it was saved from"
+    );
+}
