@@ -72,7 +72,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use prospector_core::Prospector;
+use prospector_core::{Prospector, TruncationReason};
 use prospector_obs::hist::Histogram;
 use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::prom::Exposition;
@@ -133,10 +133,6 @@ const ENDPOINTS: [&str; 13] = [
 /// Status codes the server can emit, one counter column each.
 const CODES: [u16; 8] = [200, 400, 404, 405, 413, 429, 431, 500];
 
-/// Truncation-reason labels, one per-endpoint counter column each
-/// (mirrors `TruncationReason::label`).
-const TRUNCATIONS: [&str; 3] = ["none", "path_cap", "expansion_cap"];
-
 /// Everything [`Server::run`] needs beyond the registry itself.
 /// Provenance (snapshot source/mode, graph epoch) now lives on each
 /// tenant in the registry; `/readyz` and `/status` report the default
@@ -180,7 +176,7 @@ struct HttpStats {
     counts: Vec<[AtomicU64; CODES.len()]>,
     /// Per-endpoint truncation-reason counts (queries only in practice;
     /// the data rides on every response's `truncation` label).
-    truncations: Vec<[AtomicU64; TRUNCATIONS.len()]>,
+    truncations: Vec<[AtomicU64; TruncationReason::ALL.len()]>,
 }
 
 impl HttpStats {
@@ -200,10 +196,8 @@ impl HttpStats {
         self.counts[endpoint][ci].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn record_truncation(&self, endpoint: usize, label: &str) {
-        if let Some(ti) = TRUNCATIONS.iter().position(|&t| t == label) {
-            self.truncations[endpoint][ti].fetch_add(1, Ordering::Relaxed);
-        }
+    fn record_truncation(&self, endpoint: usize, reason: TruncationReason) {
+        self.truncations[endpoint][reason as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// `(requests, errors)` totals for one endpoint row.
@@ -437,8 +431,8 @@ pub(crate) struct Response {
     trace_id: u64,
     /// Whether a `/query` answer came from the result cache.
     cached: bool,
-    /// The query's truncation label; empty for non-query endpoints.
-    truncation: String,
+    /// The query's truncation reason; `None` for non-query endpoints.
+    truncation: Option<TruncationReason>,
     /// The tenant the request resolved to; `None` for endpoints that
     /// touch no engine. Feeds the access log and the tenant's latency
     /// ring.
@@ -456,7 +450,7 @@ impl Response {
             retry_after: 0,
             trace_id: 0,
             cached: false,
-            truncation: String::new(),
+            truncation: None,
             tenant: None,
         }
     }
@@ -610,7 +604,7 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                     let mut r = Response::ok_json(outcome.body);
                     r.trace_id = outcome.trace_id;
                     r.cached = outcome.cached;
-                    r.truncation = outcome.truncation;
+                    r.truncation = Some(outcome.truncation);
                     r
                 }
                 Err(message) => Response::bad_request(message),
@@ -788,8 +782,8 @@ pub(crate) fn record_request(
     handle_ns: u64,
 ) {
     http_stats().record(endpoint, response.code);
-    if !response.truncation.is_empty() {
-        http_stats().record_truncation(endpoint, &response.truncation);
+    if let Some(reason) = response.truncation {
+        http_stats().record_truncation(endpoint, reason);
     }
     let rings = serve_rings();
     rings.queue_wait.record(queue_wait_ns);
@@ -812,7 +806,7 @@ pub(crate) fn record_request(
         queue_wait_us: queue_wait_ns / 1_000,
         handle_us: handle_ns / 1_000,
         cached: response.cached,
-        truncation: response.truncation.clone(),
+        truncation: response.truncation.map_or("", TruncationReason::label),
     });
 }
 
@@ -943,12 +937,11 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
             (
                 "truncation".to_owned(),
                 Json::Obj(
-                    TRUNCATIONS
+                    TruncationReason::ALL
                         .iter()
-                        .enumerate()
-                        .map(|(ti, &label)| {
-                            let v = http_stats().truncations[ei][ti].load(Ordering::Relaxed);
-                            (label.to_owned(), Json::num_u(v))
+                        .zip(&http_stats().truncations[ei])
+                        .map(|(reason, v)| {
+                            (reason.label().to_owned(), Json::num_u(v.load(Ordering::Relaxed)))
                         })
                         .collect(),
                 ),
@@ -1083,7 +1076,7 @@ struct QueryOutcome {
     body: String,
     trace_id: u64,
     cached: bool,
-    truncation: String,
+    truncation: TruncationReason,
 }
 
 /// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON.
@@ -1103,7 +1096,7 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
     let trace_id = entry.trace_id.0;
     let result = entry.result.map_err(|e| e.to_string())?;
     let cached = result.stats.result_cache_hits > 0;
-    let truncation = result.truncation.label().to_owned();
+    let truncation = result.truncation;
 
     let mut pairs = vec![
         ("ok", Json::Bool(true)),
@@ -1115,7 +1108,7 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
             "shortest",
             result.shortest.map_or(Json::Null, |m| Json::num_u(u64::from(m))),
         ),
-        ("truncation", Json::Str(truncation.clone())),
+        ("truncation", Json::Str(truncation.label().to_owned())),
         ("cached", Json::Bool(cached)),
         ("found", Json::num_u(result.suggestions.len() as u64)),
         (

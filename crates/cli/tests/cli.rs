@@ -14,6 +14,18 @@ fn prospector(args: &[&str]) -> (String, String, bool) {
     )
 }
 
+/// The `count` column of `stage`'s row in a `--metrics` text block, if
+/// the stage ran.
+fn stage_count(stdout: &str, stage: &str) -> Option<u64> {
+    let table = stdout.split("stages (count / total / mean / max):").nth(1)?;
+    let row = table
+        .lines()
+        .skip(1)
+        .take_while(|line| line.starts_with("  "))
+        .find_map(|line| line.trim_start().strip_prefix(stage)?.strip_prefix(' '))?;
+    Some(row.split_whitespace().next()?.parse().expect("numeric stage count"))
+}
+
 #[test]
 fn no_args_prints_usage() {
     let (stdout, _, ok) = prospector(&[]);
@@ -74,9 +86,18 @@ fn stats_reports_scale() {
     assert!(ok);
     assert!(stdout.contains("graph edges:"));
     assert!(stdout.contains("methods:"));
-    // stats always carries the pipeline timing block.
+    // stats always carries the pipeline timing block, with the graph
+    // build timed once.
     assert!(stdout.contains("--- metrics ---"));
-    assert!(stdout.contains("build"));
+    assert_eq!(stage_count(&stdout, "build"), Some(1), "{stdout}");
+}
+
+#[test]
+fn metrics_flag_on_synth_times_the_graph_build() {
+    let (stdout, stderr, ok) =
+        prospector(&["--metrics", "--seed", "3", "synth", "--types", "1000"]);
+    assert!(ok, "stderr: {stderr}");
+    assert_eq!(stage_count(&stdout, "build"), Some(1), "{stdout}");
 }
 
 #[test]

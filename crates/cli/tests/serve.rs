@@ -219,8 +219,6 @@ fn serve_smoke() {
             "prospector_engine_dist_cache_misses_total",
             "prospector_engine_result_cache_hits_total",
             "prospector_engine_result_cache_misses_total",
-            "prospector_engine_result_cache_collapsed_total",
-            "prospector_engine_result_cache_invalidations_total",
             "prospector_engine_batch_calls_total",
             "prospector_engine_batch_queries_total",
             "prospector_query_latency_ns_bucket",

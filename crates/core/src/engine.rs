@@ -19,7 +19,7 @@ use jungloid_typesys::{Ty, TyId};
 use prospector_obs::trace::{self, TraceId};
 use prospector_obs::{Counter, Gauge, Stage};
 
-use crate::cache::{Lookup, ShardedLru, SingleflightCache};
+use crate::cache::ShardedLru;
 use crate::generalize::{generalize, generalize_terminal};
 use crate::graph::{ExampleError, GraphConfig, JungloidGraph, NodeId};
 use crate::path::Jungloid;
@@ -53,9 +53,9 @@ const RESULT_CACHE_CAP: usize = 512;
 const RESULT_CACHE_SHARDS: usize = 16;
 
 /// The result cache's key: everything a query's answer depends on besides
-/// the graph itself (whose changes are tracked by the epoch stamp on each
-/// entry). Both config structs are `Copy` bit-bags, so the key is a cheap
-/// `Copy + Hash` value.
+/// the graph itself, which changes only in [`Prospector::splice_examples`]
+/// and that empties the cache. Both config structs are `Copy` bit-bags,
+/// so the key is a cheap `Copy + Hash` value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct QueryKey {
     tin: TyId,
@@ -129,10 +129,9 @@ pub struct QueryStats {
     /// 0-1 BFS edge relaxations this query paid to build its distance
     /// field (0 on a cache hit — the field was already built).
     pub bfs_relaxations: u64,
-    /// 1 if this result was served from the query-result cache — either a
-    /// plain LRU hit or a collapse onto a concurrent identical query. A
-    /// served hit pays none of the pipeline costs, so every other counter
-    /// in these stats is 0 alongside it.
+    /// 1 if this result was served from the query-result cache. A served
+    /// hit pays none of the pipeline costs, so every other counter in
+    /// these stats is 0 alongside it.
     pub result_cache_hits: u64,
     /// 1 if this query ran the full pipeline and populated the result
     /// cache. 0 for hits, for [`Prospector::assist`] (uncached), and when
@@ -170,8 +169,10 @@ impl QueryResult {
 /// Point-in-time engine introspection for the serve layer's `/status`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStatus {
-    /// The graph epoch every cached result is stamped against; advances
-    /// on each successful mutation (splice, param mining, reload).
+    /// The epoch of the graph state the engine serves: fresh on every
+    /// build and load (so a reload reports a new one) and advanced by
+    /// every splice that adds an example. Reported, not used for cache
+    /// validity: a splice empties both caches.
     pub graph_epoch: u64,
     /// Entries currently held by the full-result cache.
     pub result_cache_entries: u64,
@@ -214,10 +215,9 @@ pub struct Prospector {
     /// byte-identical to the pipeline's output.
     pub cache_results: bool,
     dist_cache: ShardedLru<TyId, Arc<DistanceField>>,
-    /// Full-result cache for explicit `(tin, tout)` queries: epoch-stamped
-    /// against graph mutation, singleflight so concurrent identical
-    /// queries run the pipeline once and share the `Arc`.
-    result_cache: SingleflightCache<QueryKey, Arc<QueryResult>>,
+    /// Full-result cache for explicit `(tin, tout)` queries, used like
+    /// `dist_cache`: both are emptied by every splice.
+    result_cache: ShardedLru<QueryKey, Arc<QueryResult>>,
 }
 
 impl Prospector {
@@ -246,7 +246,7 @@ impl Prospector {
             ranking: RankOptions::default(),
             cache_results: true,
             dist_cache: ShardedLru::new(DIST_CACHE_SHARDS, DIST_CACHE_CAP),
-            result_cache: SingleflightCache::new(RESULT_CACHE_SHARDS, RESULT_CACHE_CAP),
+            result_cache: ShardedLru::new(RESULT_CACHE_SHARDS, RESULT_CACHE_CAP),
         }
     }
 
@@ -263,10 +263,9 @@ impl Prospector {
     }
 
     /// Point-in-time engine facts for serving introspection (`/status`):
-    /// the graph epoch the caches are stamped against and current cache
-    /// occupancy. Hit/miss *counters* live in the global metric registry
-    /// (`engine.result_cache.hits` etc.); this surfaces the state only
-    /// the engine can see.
+    /// the graph epoch and current cache occupancy. Hit/miss *counters*
+    /// live in the global metric registry (`engine.result_cache.hits`
+    /// etc.); this surfaces the state only the engine can see.
     #[must_use]
     pub fn status(&self) -> EngineStatus {
         EngineStatus {
@@ -324,7 +323,7 @@ impl Prospector {
     /// The body of [`Prospector::add_examples`] and
     /// [`Prospector::add_param_examples`]: keeps the visible examples,
     /// runs `generalizer` over them if `generalize_first`, and splices
-    /// the result.
+    /// the result. A successful splice empties both caches.
     fn splice_examples(
         &mut self,
         examples: &[Vec<ElemJungloid>],
@@ -346,12 +345,10 @@ impl Prospector {
         // All or nothing: an ill-typed example fails the batch before the
         // graph changes, so the caches stay valid on `Err`.
         let added = self.graph.add_examples(&self.api, &prepared)?;
-        // The graph (and its CSR) changed shape: every cached distance
-        // field is stale. Cached query results need no eager sweep — the
-        // splice advanced the graph epoch, so their stamps no longer
-        // match and each is dropped (and counted as an invalidation) on
-        // its next lookup.
+        // The graph changed shape under `&mut self`, so no query is in
+        // flight: every cached field and answer is stale.
         self.dist_cache.clear();
+        self.result_cache.clear();
         Ok(added)
     }
 
@@ -443,28 +440,17 @@ impl Prospector {
         if !self.cache_results {
             return Ok(self.run(&[(None, tin)], Some(tin), tout, id).0);
         }
-        // The key is the full query intent; the graph's state is carried
-        // by the epoch stamp instead, so entries invalidate lazily when a
-        // splice/load advances it. Mutations take `&mut self`, so the
-        // epoch cannot move underneath an in-flight lookup.
+        // As in `distances`: look up under the shard lock, run the
+        // pipeline outside it, insert. Racing misses on one key each run
+        // the deterministic pipeline and insert equal answers.
         let key = QueryKey { tin, tout, search: self.search, ranking: self.ranking };
-        let (lookup, invalidated) = self.result_cache.lookup(key, self.graph.epoch());
-        if invalidated {
-            prospector_obs::add(Counter::EngineResultCacheInvalidations, 1);
+        if let Some(cached) = self.result_cache.get(&key) {
+            return Ok(self.replay_cached(&cached, id));
         }
-        let lease = match lookup {
-            Lookup::Hit(cached) => return Ok(self.replay_cached(&cached, id, false)),
-            Lookup::Shared(cached) => return Ok(self.replay_cached(&cached, id, true)),
-            Lookup::Miss(lease) => lease,
-        };
-        // This caller leads: run the pipeline once; waiters collapsed
-        // onto the flight receive the same Arc. If `run` panics, the
-        // lease's drop guard abandons the flight so waiters retry rather
-        // than hang.
         prospector_obs::add(Counter::EngineResultCacheMisses, 1);
         let (mut result, _) = self.run(&[(None, tin)], Some(tin), tout, id);
         result.stats.result_cache_misses = 1;
-        let evicted = lease.complete(Arc::new(result.clone()));
+        let evicted = self.result_cache.insert(key, Arc::new(result.clone()));
         if evicted > 0 {
             prospector_obs::add(Counter::EngineResultCacheEvictions, evicted as u64);
         }
@@ -475,12 +461,8 @@ impl Prospector {
     /// keys, and truncation byte-for-byte, but fresh per-query stats —
     /// the hit paid for none of the pipeline, so every cost counter is 0
     /// and only the hit marker (and the caller's own trace id) is set.
-    fn replay_cached(&self, cached: &QueryResult, id: TraceId, shared: bool) -> QueryResult {
-        if shared {
-            prospector_obs::add(Counter::EngineResultCacheCollapsed, 1);
-        } else {
-            prospector_obs::add(Counter::EngineResultCacheHits, 1);
-        }
+    fn replay_cached(&self, cached: &QueryResult, id: TraceId) -> QueryResult {
+        prospector_obs::add(Counter::EngineResultCacheHits, 1);
         let mut qspan = trace::span(id);
         qspan.count("cache", "result_cache_hit", 1);
         let mut result = cached.clone();

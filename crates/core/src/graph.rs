@@ -21,16 +21,15 @@ use jungloid_apidef::elem::{elem_of_field, elems_of_method};
 use jungloid_apidef::{Api, ElemJungloid, Visibility};
 use jungloid_typesys::{Plain, Slab, TyId};
 use prospector_obs::json::Json;
-use prospector_obs::{Counter, Gauge};
+use prospector_obs::{Counter, Gauge, Stage};
 
 use crate::elems::{encode_quad, ElemSeq};
 
 /// Process-global epoch source. Every graph *state* — a freshly built
 /// graph, a loaded snapshot, or the state after any mutation — gets a
-/// distinct epoch, so an epoch-stamped cache entry from one state can
-/// never match another. Monotone and process-wide: two different graphs
-/// never share an epoch either, which keeps stamps valid even if an
-/// engine is rebuilt in place.
+/// distinct epoch, so the epoch a server reports names the state it
+/// serves. Monotone and process-wide: two different graphs never share
+/// an epoch either, so a reload always reports a new one.
 static GRAPH_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn next_epoch() -> u64 {
@@ -242,8 +241,8 @@ impl CsrAdjacency {
         };
         prospector_obs::add(Counter::GraphCsrRebuilds, 1);
         csr.publish();
-        // Flight-recorder hook: a rebuild invalidates every cached
-        // distance field, so one mid-trace explains a burst of misses.
+        // Flight-recorder hook: a splice empties the engine's caches, so
+        // one rebuild mid-trace explains a burst of misses.
         prospector_obs::trace::process_event("graph", "csr_rebuild", csr.edge_count() as u64);
         csr
     }
@@ -489,9 +488,10 @@ pub struct JungloidGraph {
 
 impl JungloidGraph {
     /// Builds the signature graph of an API (§3.1): field, call, and
-    /// widening edges; no downcasts.
+    /// widening edges; no downcasts. Timed as the `build` stage.
     #[must_use]
     pub fn from_api(api: &Api, config: GraphConfig) -> Self {
+        let _span = prospector_obs::stage(Stage::Build);
         let ty_count = u32::try_from(api.types().len()).expect("type arena fits u32");
         let mut edges = Vec::new();
         let mut push = |elem: ElemJungloid| edges.push(type_edge(api, elem));
@@ -616,9 +616,9 @@ impl JungloidGraph {
     /// The epoch of this graph state. Distinct for every construction
     /// (built, deserialized, snapshot-loaded) and advanced by every
     /// mutation ([`JungloidGraph::add_examples`],
-    /// [`JungloidGraph::with_naive_downcasts`]), so anything derived from
-    /// the graph — cached query results in particular — can stamp itself
-    /// with the epoch and detect staleness by comparison alone.
+    /// [`JungloidGraph::with_naive_downcasts`]), so two reports of it
+    /// (`/status`, `/tenants`, `engine.graph_epoch`) name the same graph
+    /// state only if they are equal.
     #[must_use]
     pub fn epoch(&self) -> u64 {
         self.epoch

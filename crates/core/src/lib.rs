@@ -74,7 +74,7 @@ pub mod search;
 pub mod synth;
 pub mod viability;
 
-pub use cache::{FlightLease, Lookup, ShardedLru, SingleflightCache};
+pub use cache::ShardedLru;
 pub use compose::{compose, ComposeConfig, Composition};
 pub use elems::ElemSeq;
 pub use engine::{BatchEntry, Prospector, QueryError, QueryResult, QueryStats, Suggestion};

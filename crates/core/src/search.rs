@@ -65,6 +65,11 @@ pub enum TruncationReason {
 }
 
 impl TruncationReason {
+    /// Every reason, in declaration order, so `reason as usize` indexes
+    /// a table with one slot per reason.
+    pub const ALL: [TruncationReason; 3] =
+        [TruncationReason::None, TruncationReason::PathCap, TruncationReason::ExpansionCap];
+
     /// Whether any cap fired.
     #[must_use]
     pub fn truncated(self) -> bool {
@@ -910,6 +915,15 @@ mod tests {
         let outcome = enumerate(&g, &[a], d, &field, &cfg);
         assert_eq!(outcome.truncation, TruncationReason::ExpansionCap);
         assert_eq!(outcome.truncation.label(), "expansion_cap");
+    }
+
+    #[test]
+    fn truncation_reasons_index_their_table() {
+        for (i, reason) in TruncationReason::ALL.into_iter().enumerate() {
+            assert_eq!(reason as usize, i);
+        }
+        let labels = TruncationReason::ALL.map(TruncationReason::label);
+        assert_eq!(labels, ["none", "path_cap", "expansion_cap"]);
     }
 
     /// Audit pin for the `max_expansions` accounting. On the fixture

@@ -201,16 +201,13 @@ pub fn build(options: &BuildOptions) -> Result<Built, BuildError> {
     if let Some(spec) = &options.jungle {
         jungle::grow(&mut api, spec);
     }
-    let mut prospector = {
-        let _span = prospector_obs::stage(Stage::Build);
-        Prospector::with_config(
-            api,
-            GraphConfig {
-                include_protected: options.include_protected,
-                restrict_weak_params: options.param_mining,
-            },
-        )
-    };
+    let mut prospector = Prospector::with_config(
+        api,
+        GraphConfig {
+            include_protected: options.include_protected,
+            restrict_weak_params: options.param_mining,
+        },
+    );
     if let Some(report) = &mine_report {
         prospector.add_examples(&report.examples, options.generalize).map_err(err)?;
     }

@@ -190,9 +190,7 @@ catalog! {
         EngineDistCacheEvictions Counter "engine.dist_cache.evictions" "LRU victims dropped from the distance cache.";
         EngineResultCacheHits Counter "engine.result_cache.hits" "Queries answered from the result cache.";
         EngineResultCacheMisses Counter "engine.result_cache.misses" "Queries that missed the result cache and ran the pipeline.";
-        EngineResultCacheCollapsed Counter "engine.result_cache.collapsed" "Concurrent identical queries that waited on another query's run.";
         EngineResultCacheEvictions Counter "engine.result_cache.evictions" "LRU victims dropped from the result cache.";
-        EngineResultCacheInvalidations Counter "engine.result_cache.invalidations" "Result-cache entries dropped because the graph epoch moved.";
         EngineBatchCalls Counter "engine.batch.calls" "query_batch invocations.";
         EngineBatchQueries Counter "engine.batch.queries" "Queries fanned out by query_batch.";
         EngineBatchErrors Counter "engine.batch.errors" "Batch slots that returned a per-query error.";

@@ -60,7 +60,7 @@ pub struct AccessRecord {
     pub cached: bool,
     /// The query's truncation reason (`"none"` when complete; empty for
     /// non-query endpoints).
-    pub truncation: String,
+    pub truncation: &'static str,
 }
 
 impl AccessRecord {
@@ -77,7 +77,7 @@ impl AccessRecord {
             ("queue_wait_us", Json::num_u(self.queue_wait_us)),
             ("handle_us", Json::num_u(self.handle_us)),
             ("cached", Json::Bool(self.cached)),
-            ("truncation", Json::Str(self.truncation.clone())),
+            ("truncation", Json::Str(self.truncation.to_owned())),
         ])
     }
 }
@@ -240,7 +240,7 @@ mod tests {
             queue_wait_us: 7,
             handle_us: 123,
             cached: false,
-            truncation: "none".to_owned(),
+            truncation: "none",
         }
     }
 

@@ -27,11 +27,11 @@
 //!   reload and query counts — feeds `GET /tenants`, `/status`, and the
 //!   per-tenant metric labels.
 //!
-//! Result-cache correctness across a swap needs no extra machinery: the
-//! cache lives *inside* each [`Prospector`] and graph epochs are
-//! process-globally monotone, so a freshly loaded engine starts with an
-//! empty cache stamped against a fresh epoch. Old cached results die
-//! with the old engine's `Arc`.
+//! Cache correctness across a swap needs no extra machinery: both
+//! caches live *inside* each [`Prospector`], so a freshly loaded engine
+//! starts with empty ones, and old cached results die with the old
+//! engine's `Arc`. The new engine's graph epoch is fresh (epochs are
+//! process-globally monotone), so its provenance shows the swap.
 
 #![deny(unsafe_code)]
 

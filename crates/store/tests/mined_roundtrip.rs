@@ -35,10 +35,9 @@ fn reloaded_engine_answers_byte_identically() {
     assert_same_json(&live, &snap);
     let warm = Prospector::from_parts(snap.api, snap.graph);
 
-    // A restored graph is a *different* graph as far as the result cache
-    // is concerned: the loader stamps it with a fresh epoch, so entries
-    // cached against the live engine can never be replayed against the
-    // reloaded one (and vice versa), even inside one process.
+    // A restored graph is a new graph state: the loader gives it a fresh
+    // epoch, so a server's provenance tells the reloaded engine from the
+    // live one, even inside one process.
     assert_ne!(
         warm.graph().epoch(),
         live.graph().epoch(),
