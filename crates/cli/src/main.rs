@@ -967,7 +967,7 @@ fn print_suggestions(
     }
     for (i, s) in suggestions.iter().take(max).enumerate() {
         println!("{}. {}", i + 1, s.code);
-        for line in s.snippet.free_var_decls(engine.api()) {
+        for line in s.snippet(engine.api()).free_var_decls(engine.api()) {
             println!("     {line}");
         }
     }

@@ -599,27 +599,11 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
         "status" => Response::ok_json(status_json(ctx).to_text()),
         "query" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
-            match run_query(&tenant.engine(), ctx.max, query) {
-                Ok(outcome) => {
-                    let mut r = Response::ok_json(outcome.body);
-                    r.trace_id = outcome.trace_id;
-                    r.cached = outcome.cached;
-                    r.truncation = Some(outcome.truncation);
-                    r
-                }
-                Err(message) => Response::bad_request(message),
-            }
+            query_response(run_query(&tenant.engine(), ctx.max, query))
         }),
         "assist" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
-            match run_assist(&tenant.engine(), ctx.max, query) {
-                Ok((body, trace_id)) => {
-                    let mut r = Response::ok_json(body);
-                    r.trace_id = trace_id;
-                    r
-                }
-                Err(message) => Response::bad_request(message),
-            }
+            query_response(run_assist(&tenant.engine(), ctx.max, query))
         }),
         "slow" => {
             if query_param(query, "clear").is_some_and(|v| v == "1") {
@@ -1070,13 +1054,28 @@ pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     out
 }
 
-/// A successful `/query` answer plus the accounting fields the access
-/// log wants alongside the body.
+/// A successful `/query` or `/assist` answer plus the accounting fields
+/// the access log wants alongside the body.
 struct QueryOutcome {
     body: String,
     trace_id: u64,
     cached: bool,
     truncation: TruncationReason,
+}
+
+/// The response to a `/query` or `/assist`: the answer with its
+/// accounting fields set, or a 400 with the message.
+fn query_response(outcome: Result<QueryOutcome, String>) -> Response {
+    match outcome {
+        Ok(outcome) => {
+            let mut r = Response::ok_json(outcome.body);
+            r.trace_id = outcome.trace_id;
+            r.cached = outcome.cached;
+            r.truncation = Some(outcome.truncation);
+            r
+        }
+        Err(message) => Response::bad_request(message),
+    }
 }
 
 /// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON.
@@ -1141,9 +1140,9 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
 /// Answers `GET /assist?var=name:Type&var=..&tout=Type` — the editor
 /// content-assist fan-out: every visible variable is a source and one
 /// fused search ranks jungloids from all of them, plus the variables
-/// whose type already widens to `tout`. Returns the body and the
-/// query's trace id.
-fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<(String, u64), String> {
+/// whose type already widens to `tout`. Never cached: `assist` bypasses
+/// the result cache.
+fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcome, String> {
     let tout = query_param(query, "tout").ok_or("missing query parameter `tout`")?;
     let tout_ty = engine.api().types().resolve(&tout).map_err(|e| e.to_string())?;
     let vars = query_params_all(query, "var");
@@ -1209,7 +1208,7 @@ fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<(String, u
         ),
     ])
     .to_text();
-    Ok((body, trace_id))
+    Ok(QueryOutcome { body, trace_id, cached: false, truncation: result.truncation })
 }
 
 /// Minimal percent-decoding for query values (`%2E`, `+` → space). Type

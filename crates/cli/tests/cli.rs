@@ -40,6 +40,26 @@ fn query_intro_example() {
     assert!(stdout.contains("1. AST.parseCompilationUnit(JavaCore.createCompilationUnitFrom("));
 }
 
+/// The declarations come from each suggestion's snippet, which the
+/// engine no longer stores and the CLI builds on demand.
+#[test]
+fn query_declares_free_variables_under_each_suggestion() {
+    let (stdout, _, ok) = prospector(&["query", "IEditorPart", "IDocumentProvider"]);
+    assert!(ok);
+    let lines: Vec<&str> = stdout.lines().collect();
+    let suggestions: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].split_once(". ").is_some_and(|(n, _)| n.parse::<u32>().is_ok()))
+        .collect();
+    assert!(suggestions.len() >= 2, "{stdout}");
+    for i in suggestions {
+        assert_eq!(
+            lines.get(i + 1).map(|l| l.trim_start()),
+            Some("DocumentProviderRegistry documentProviderRegistry; // free variable"),
+            "{stdout}"
+        );
+    }
+}
+
 #[test]
 fn query_unknown_type_fails_cleanly() {
     let (_, stderr, ok) = prospector(&["query", "NoSuchType", "ASTNode"]);

@@ -547,6 +547,11 @@ fn serve_status_logs_and_introspection() {
             .collect();
         assert_eq!(assist_lines.len(), 1, "the /assist logs its trace id once");
         assert_eq!(assist_lines[0].get("endpoint").unwrap().as_str(), Some("assist"));
+        assert_eq!(
+            assist_lines[0].get("truncation").unwrap().as_str(),
+            Some("none"),
+            "the /assist logs the truncation reason its body carries"
+        );
         let (_, body) = http_get(addr, "/trace.json");
         let chrome = Json::parse(&body).expect("valid chrome trace");
         for (id, what) in [(trace_id, "/query"), (assist_id, "/assist")] {
@@ -657,6 +662,11 @@ fn serve_profiler_status_and_log_tail() {
         assert!(
             trunc.get("none").unwrap().as_u64().unwrap() >= 3,
             "our untruncated queries counted: {body}"
+        );
+        let assist_ep = doc.get("endpoints").unwrap().get("assist").expect("assist endpoint");
+        assert!(
+            assist_ep.get("truncation").unwrap().get("none").unwrap().as_u64().unwrap() >= 1,
+            "our untruncated /assist counted: {body}"
         );
 
         // /logs?n=: garbage is a 400 with a JSON error, not a silent

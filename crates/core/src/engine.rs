@@ -27,7 +27,7 @@ use crate::rank::{rank_key, RankKey, RankOptions};
 use crate::search::{
     enumerate_with, DistanceField, SearchConfig, SearchOutcome, SearchScratch, TruncationReason,
 };
-use crate::synth::{synthesize, Snippet};
+use crate::synth::{default_name, render_code, synthesize, Snippet};
 
 /// Cap on cached distance fields. Every distinct query target costs one
 /// `O(nodes + edges)` field; without a cap a long-lived engine serving
@@ -41,8 +41,8 @@ const DIST_CACHE_CAP: usize = 256;
 /// contend on the cache unless their targets collide.
 const DIST_CACHE_SHARDS: usize = 16;
 
-/// Cap on cached query results. A full result (suggestions, snippets,
-/// rank keys) is heavier than a distance field, but real traffic is
+/// Cap on cached query results. A full result (suggestions, codes, rank
+/// keys) is heavier than a distance field, but real traffic is
 /// heavily skewed toward a small set of popular `(tin, tout)` intents —
 /// 512 entries comfortably covers the hot set while per-shard LRU
 /// eviction ages out one-off queries.
@@ -96,19 +96,30 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// One ranked suggestion.
+/// One ranked suggestion. Ranking renders text: the engine writes each
+/// candidate's [`Suggestion::code`] in one pass and holds no syntax
+/// tree. Insertion builds the tree, on demand, with
+/// [`Suggestion::snippet`].
 #[derive(Clone, Debug)]
 pub struct Suggestion {
     /// The underlying jungloid.
     pub jungloid: Jungloid,
-    /// The synthesized snippet (expression + free variables).
-    pub snippet: Snippet,
     /// Rendered nested-expression code.
     pub code: String,
     /// The in-scope variable used as input, if any.
     pub input_var: Option<String>,
     /// The rank key this suggestion was ordered by.
     pub key: RankKey,
+}
+
+impl Suggestion {
+    /// The synthesized snippet (expression, free variables, result
+    /// type), built from the jungloid: its expression prints as
+    /// [`Suggestion::code`].
+    #[must_use]
+    pub fn snippet(&self, api: &Api) -> Snippet {
+        synthesize(api, &self.jungloid, self.input_var.as_deref())
+    }
 }
 
 /// Per-query attribution: the hot-path tallies this one query spent,
@@ -644,21 +655,32 @@ impl Prospector {
         qspan.count("search", "paths_enumerated", jungloids.len() as u64);
         qspan.count("search", "truncation", truncation as u64);
 
-        // Synthesize, rank, and dedupe by rendered code (distinct paths —
+        // Render, rank, and dedupe by rendered code (distinct paths —
         // e.g. differing only in widening — can render identically).
         let mut best: BTreeMap<String, Suggestion> = BTreeMap::new();
         let mut snippets: u64 = 0;
         let mut dedup_drops: u64 = 0;
         {
             let _span = qspan.stage(Stage::Synth);
+            // An unnamed source's input renders under the name
+            // `synthesize` would give it, derived once per query here
+            // rather than once per candidate.
+            let void = self.api.types().void();
+            let unnamed: Vec<(TyId, String)> = sources
+                .iter()
+                .filter(|(name, t)| name.is_none() && *t != void)
+                .map(|(_, t)| (*t, default_name(&self.api, *t)))
+                .collect();
             for j in jungloids {
                 let input_var = sources
                     .iter()
                     .find(|(name, t)| *t == j.source && name.is_some())
                     .and_then(|(name, _)| name.clone());
-                let snippet = synthesize(&self.api, &j, input_var.as_deref());
+                let input_name = input_var.as_deref().or_else(|| {
+                    unnamed.iter().find(|(t, _)| *t == j.source).map(|(_, name)| name.as_str())
+                });
+                let code = render_code(&self.api, &j, input_name);
                 snippets += 1;
-                let code = snippet.code();
                 let key = rank_key(&self.api, &j, code.clone(), &self.ranking);
                 let replace = match best.get(&code) {
                     Some(existing) => {
@@ -670,7 +692,7 @@ impl Prospector {
                 if replace {
                     best.insert(
                         code.clone(),
-                        Suggestion { jungloid: j, snippet, code, input_var, key },
+                        Suggestion { jungloid: j, code, input_var, key },
                     );
                 }
             }

@@ -1,19 +1,26 @@
 //! Code generation: turning a [`Jungloid`] into insertable Java-ish code.
 //!
-//! Snippets are built as MiniJava ASTs and rendered with the
-//! `jungloid-minijava` pretty printer, so everything Prospector suggests is
-//! guaranteed to re-parse. Two renderings are provided, matching the
-//! paper's two presentations:
+//! Two presentations, matching the paper's:
 //!
 //! * a nested expression (`new BufferedReader(new InputStreamReader(in))`),
-//!   used in the ranked suggestion list;
+//!   which the engine ranks and deduplicates by (§3.2) and lists;
 //! * a statement sequence with one local per step (§2.2's translation of
 //!   the `IEditorPart` example), used when inserting into user code.
+//!
+//! Ranking renders text and insertion builds a tree. [`render_code`]
+//! writes the nested expression in one pass, with no syntax tree: every
+//! candidate of every query goes through it. [`synthesize`] and
+//! [`synthesize_statements`] build MiniJava ASTs and print them with the
+//! `jungloid-minijava` pretty printer, for the callers that need the tree
+//! (insertion, composition, free-variable declarations). The tree is the
+//! reference: tests hold `render_code` to `synthesize(..).code()` on every
+//! enumerated jungloid of several engines, and check that it re-parses.
 //!
 //! Free variables become declared-but-unbound locals, exactly like the
 //! paper's `DocumentProviderRegistry dpreg; // free variable`, and the
 //! user binds them with follow-up queries.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use jungloid_apidef::{Api, ElemJungloid, InputSlot};
@@ -94,6 +101,8 @@ pub fn ty_to_type_name(api: &Api, ty: TyId) -> TypeName {
 /// sub-snippets never shadow each other's variables).
 #[derive(Debug, Default)]
 pub struct NamePool {
+    /// Every name handed out or reserved, with the last number tried
+    /// under it as a base (0 if it never was one).
     used: HashMap<String, u32>,
 }
 
@@ -104,9 +113,11 @@ impl NamePool {
         NamePool::default()
     }
 
-    /// Marks `name` as taken.
+    /// Marks `name` as taken; a name already taken keeps its count.
     pub fn reserve(&mut self, name: &str) {
-        self.used.insert(name.to_owned(), 1);
+        if !self.used.contains_key(name) {
+            self.used.insert(name.to_owned(), 0);
+        }
     }
 
     /// A fresh name derived from the type's simple name.
@@ -115,21 +126,33 @@ impl NamePool {
     }
 
     /// Prefers the declared parameter name when the API model knows it.
+    /// The first name from a base is the base itself, later ones number
+    /// it (`reader2`, `reader3`, ...), skipping any name already taken.
     pub fn fresh_hinted(&mut self, api: &Api, ty: TyId, hint: Option<&str>) -> String {
-        let base = match hint {
-            Some(h) => h.to_owned(),
-            None => match api.types().ty(ty) {
-                Ty::Prim(p) => prim_var_name(p).to_owned(),
-                _ => lower_camel(&api.types().display_simple(ty).replace("[]", "s")),
-            },
+        let base = hint.map_or_else(|| default_name(api, ty), str::to_owned);
+        let mut n = self.used.get(&base).copied().unwrap_or(0);
+        let name = loop {
+            n += 1;
+            let name = if n == 1 { base.clone() } else { format!("{base}{n}") };
+            if !self.used.contains_key(&name) {
+                break name;
+            }
         };
-        let n = self.used.entry(base.clone()).or_insert(0);
-        *n += 1;
-        if *n == 1 {
-            base
-        } else {
-            format!("{base}{n}")
+        if n > 1 {
+            self.used.insert(name.clone(), 0);
         }
+        self.used.insert(base, n);
+        name
+    }
+}
+
+/// The name a fresh [`NamePool`] gives a variable of type `ty`: what
+/// [`synthesize`] calls an input it is given no name for.
+#[must_use]
+pub fn default_name(api: &Api, ty: TyId) -> String {
+    match api.types().ty(ty) {
+        Ty::Prim(p) => prim_var_name(p).to_owned(),
+        _ => lower_camel(&api.types().display_simple(ty).replace("[]", "s")),
     }
 }
 
@@ -191,6 +214,153 @@ pub fn synthesize(api: &Api, jungloid: &Jungloid, input_name: Option<&str>) -> S
         expr: cur.expect("non-empty jungloid"),
         result_ty: jungloid.output_ty(api),
     }
+}
+
+thread_local! {
+    /// [`render_code`]'s two expression buffers, kept across calls so a
+    /// rendering allocates only the `String` it returns and the names of
+    /// its free variables.
+    static BUFS: RefCell<(String, String)> = const { RefCell::new((String::new(), String::new())) };
+}
+
+/// Renders a jungloid's nested expression in one pass, without building
+/// a tree: exactly what `synthesize(api, jungloid, input_name).code()`
+/// returns. Free variables get the same names, drawn in [`synthesize`]'s
+/// order (arguments, then a free receiver) from a [`NamePool`] that is
+/// made only when one needs a name.
+///
+/// # Panics
+///
+/// Panics if the jungloid is ill-typed, as [`synthesize`] does.
+#[must_use]
+pub fn render_code(api: &Api, jungloid: &Jungloid, input_name: Option<&str>) -> String {
+    let derived;
+    let input = if jungloid.source == api.types().void() {
+        None
+    } else if input_name.is_some() {
+        input_name
+    } else {
+        derived = default_name(api, jungloid.source);
+        Some(derived.as_str())
+    };
+    let mut pool: Option<NamePool> = None;
+    let mut fresh = |ty: TyId, hint: Option<&str>| {
+        let pool = pool.get_or_insert_with(|| {
+            let mut pool = NamePool::new();
+            if let Some(name) = input {
+                pool.reserve(name);
+            }
+            pool
+        });
+        pool.fresh_hinted(api, ty, hint)
+    };
+    BUFS.with_borrow_mut(|(cur, next)| {
+        // `cur` is the running expression and `cast` whether it is a
+        // cast, which a receiver position must parenthesize. A step that
+        // wraps `cur` writes into `next` and swaps the two.
+        cur.clear();
+        cur.push_str(input.unwrap_or_default());
+        let mut has_value = input.is_some();
+        let mut cast = false;
+        for elem in &jungloid.elems {
+            match *elem {
+                ElemJungloid::Widen { .. } => {
+                    assert!(has_value, "widening needs input");
+                    continue;
+                }
+                ElemJungloid::Downcast { to, .. } => {
+                    assert!(has_value, "downcast needs input");
+                    next.clear();
+                    next.push('(');
+                    api.types().write_simple(to, next);
+                    next.push_str(") ");
+                    next.push_str(cur);
+                    std::mem::swap(cur, next);
+                    cast = true;
+                    continue;
+                }
+                ElemJungloid::FieldAccess { field } => {
+                    let def = api.field(field);
+                    if def.is_static() {
+                        cur.clear();
+                        api.types().write_simple(def.declaring(), cur);
+                    } else {
+                        assert!(has_value, "instance field needs input");
+                        parenthesize_cast(cur, cast);
+                    }
+                    cur.push('.');
+                    cur.push_str(def.name());
+                }
+                ElemJungloid::Call { method, input: slot } => {
+                    let def = api.method(method);
+                    let params = def.params();
+                    let free_args: Vec<String> = (0..params.len())
+                        .filter(|&i| slot != Some(InputSlot::Arg(i)))
+                        .map(|i| fresh(params[i], def.param_name(i)))
+                        .collect();
+                    let instance = !def.is_constructor() && !def.is_static();
+                    if instance && slot == Some(InputSlot::Receiver) {
+                        assert!(has_value, "receiver-consuming call needs input");
+                        parenthesize_cast(cur, cast);
+                        cur.push('.');
+                        cur.push_str(def.name());
+                        push_args(cur, params.len(), slot, "", &free_args);
+                    } else {
+                        assert!(
+                            has_value || !matches!(slot, Some(InputSlot::Arg(_))),
+                            "arg-consuming call needs input"
+                        );
+                        next.clear();
+                        if def.is_constructor() {
+                            next.push_str("new ");
+                            api.types().write_simple(def.declaring(), next);
+                        } else {
+                            if def.is_static() {
+                                api.types().write_simple(def.declaring(), next);
+                            } else {
+                                next.push_str(&fresh(def.declaring(), None));
+                            }
+                            next.push('.');
+                            next.push_str(def.name());
+                        }
+                        push_args(next, params.len(), slot, cur, &free_args);
+                        std::mem::swap(cur, next);
+                    }
+                }
+            }
+            has_value = true;
+            cast = false;
+        }
+        assert!(has_value, "non-empty jungloid");
+        cur.as_str().to_owned()
+    })
+}
+
+/// Wraps a cast in parentheses before it becomes a receiver, as the
+/// printer does: `((ITextEditor) part).getDocumentProvider()`.
+fn parenthesize_cast(expr: &mut String, cast: bool) {
+    if cast {
+        expr.insert(0, '(');
+        expr.push(')');
+    }
+}
+
+/// Appends a call's `(args)`: `value` in the input slot, the free
+/// variables' names in order everywhere else.
+fn push_args(out: &mut String, arity: usize, slot: Option<InputSlot>, value: &str, free: &[String]) {
+    let mut free = free.iter();
+    out.push('(');
+    for i in 0..arity {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        if slot == Some(InputSlot::Arg(i)) {
+            out.push_str(value);
+        } else {
+            out.push_str(free.next().expect("one name per free argument"));
+        }
+    }
+    out.push(')');
 }
 
 /// Synthesizes the statement-sequence rendering (§2.2 style): one local
@@ -356,10 +526,21 @@ mod tests {
                     static Layers CONNECTION;
                     Layers sub;
                 }
+                public class Reader2 {}
+                public class Out {
+                    static Out make(Reader, Reader, Reader2);
+                }
                 ",
             )
             .unwrap();
         loader.finish().unwrap()
+    }
+
+    /// `synthesize`, checking that `render_code` writes the same code.
+    fn synth(api: &Api, j: &Jungloid, input_name: Option<&str>) -> Snippet {
+        let s = synthesize(api, j, input_name);
+        assert_eq!(render_code(api, j, input_name), s.code());
+        s
     }
 
     fn elem(api: &Api, class: &str, name: &str, input: TyId) -> ElemJungloid {
@@ -394,7 +575,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let s = synthesize(&api, &j, Some("in"));
+        let s = synth(&api, &j, Some("in"));
         assert_eq!(s.code(), "new BufferedReader(new InputStreamReader(in))");
         assert!(s.free_vars.is_empty());
         // Output re-parses.
@@ -417,7 +598,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let s = synthesize(&api, &j, Some("ep"));
+        let s = synth(&api, &j, Some("ep"));
         assert_eq!(s.free_vars.len(), 1);
         let (name, ty) = &s.free_vars[0];
         assert_eq!(*ty, api.types().resolve("DocumentProviderRegistry").unwrap());
@@ -433,7 +614,7 @@ mod tests {
         let void = api.types().void();
         let j = Jungloid::new(&api, void, vec![elem(&api, "DocumentProviderRegistry", "getDefault", void)])
             .unwrap();
-        let s = synthesize(&api, &j, None);
+        let s = synth(&api, &j, None);
         assert!(s.input.is_none());
         assert_eq!(s.code(), "DocumentProviderRegistry.getDefault()");
     }
@@ -445,11 +626,11 @@ mod tests {
         let void = api.types().void();
         let shared = api.lookup_field(layers, "CONNECTION").unwrap();
         let j = Jungloid::new(&api, void, vec![ElemJungloid::FieldAccess { field: shared }]).unwrap();
-        assert_eq!(synthesize(&api, &j, None).code(), "Layers.CONNECTION");
+        assert_eq!(synth(&api, &j, None).code(), "Layers.CONNECTION");
 
         let sub = api.lookup_field(layers, "sub").unwrap();
         let j2 = Jungloid::new(&api, layers, vec![ElemJungloid::FieldAccess { field: sub }]).unwrap();
-        assert_eq!(synthesize(&api, &j2, Some("l")).code(), "l.sub");
+        assert_eq!(synth(&api, &j2, Some("l")).code(), "l.sub");
     }
 
     #[test]
@@ -469,7 +650,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let s = synthesize(&api, &j, Some("ep"));
+        let s = synth(&api, &j, Some("ep"));
         assert_eq!(s.code(), "(IEditorInput) ep.getEditorInput()");
         parse_expr(&s.code()).unwrap();
     }
@@ -518,6 +699,33 @@ mod tests {
         let rendered: Vec<String> =
             stmts.iter().map(jungloid_minijava::print::stmt_to_string).collect();
         assert_eq!(rendered, vec!["BufferedReader bufferedReader = new BufferedReader(reader);"]);
+    }
+
+    #[test]
+    fn name_pool_never_hands_out_a_name_twice() {
+        let api = api();
+        let obj = api.types().object().unwrap();
+        let mut pool = NamePool::new();
+        let names: Vec<String> =
+            ["x", "x", "x2"].iter().map(|&h| pool.fresh_hinted(&api, obj, Some(h))).collect();
+        assert_eq!(names, ["x", "x2", "x22"]);
+
+        let mut pool = NamePool::new();
+        let first = pool.fresh_hinted(&api, obj, Some("in"));
+        let second = pool.fresh_hinted(&api, obj, Some("in"));
+        pool.reserve("in");
+        let third = pool.fresh_hinted(&api, obj, Some("in"));
+        assert_eq!([first, second, third], ["in", "in2", "in3"]);
+
+        // Through synthesis: a free `Reader` is numbered to `reader2`, so
+        // the free `Reader2` after it may not take that name too.
+        let reader = api.types().resolve("Reader").unwrap();
+        let j = Jungloid::new(&api, reader, vec![elem(&api, "Out", "make", reader)]).unwrap();
+        let s = synth(&api, &j, None);
+        assert_eq!(s.code(), "Out.make(reader, reader2, reader22)");
+        let block = s.render_block(&api, "out");
+        assert_eq!(block.matches("Reader2 reader22;").count(), 1, "{block}");
+        assert_eq!(block.matches(" reader2;").count(), 1, "{block}");
     }
 
     #[test]

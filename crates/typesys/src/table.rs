@@ -694,10 +694,22 @@ impl TypeTable {
     /// Renders a type id using simple names only (`Reader`, `String[]`).
     #[must_use]
     pub fn display_simple(&self, id: TyId) -> String {
+        let mut out = String::new();
+        self.write_simple(id, &mut out);
+        out
+    }
+
+    /// Appends [`TypeTable::display_simple`]'s rendering to `out`,
+    /// allocating nothing beyond `out`'s growth for declared and array
+    /// types.
+    pub fn write_simple(&self, id: TyId, out: &mut String) {
         match self.ty(id) {
-            Ty::Decl => self.names.get(self.rec(id)[NAME]).to_owned(),
-            Ty::Array(elem) => format!("{}[]", self.display_simple(elem)),
-            _ => self.display(id),
+            Ty::Decl => out.push_str(self.names.get(self.rec(id)[NAME])),
+            Ty::Array(elem) => {
+                self.write_simple(elem, out);
+                out.push_str("[]");
+            }
+            _ => out.push_str(&self.display(id)),
         }
     }
 

@@ -20,7 +20,7 @@ fn main() {
     let result = prospector.query(ifile, astnode).expect("valid query");
     for (i, s) in result.suggestions.iter().take(5).enumerate() {
         println!("{}. {}", i + 1, s.code);
-        for decl in s.snippet.free_var_decls(api) {
+        for decl in s.snippet(api).free_var_decls(api) {
             println!("     {decl}");
         }
     }
@@ -42,5 +42,5 @@ fn main() {
     println!("    ICompilationUnit cu = JavaCore.createCompilationUnitFrom(file);");
     println!("    ASTNode ast = AST.parseCompilationUnit(cu, false);");
     println!("\nProspector's insertable block:\n");
-    println!("{}", top.snippet.render_block(api, "ast"));
+    println!("{}", top.snippet(api).render_block(api, "ast"));
 }

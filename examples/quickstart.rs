@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. The top suggestion is the classic idiom, ready to insert.
     let top = &result.suggestions[0];
     assert_eq!(top.code, "new BufferedReader(new InputStreamReader(inputStream))");
-    println!("\ninsertable block:\n{}", top.snippet.render_block(prospector.api(), "reader"));
+    let api = prospector.api();
+    println!("\ninsertable block:\n{}", top.snippet(api).render_block(api, "reader"));
     Ok(())
 }
