@@ -19,19 +19,13 @@
 //! in `BENCH_obs_window.json` at the repository root (override with
 //! `BENCH_OBS_WINDOW_OUT`).
 //!
-//! The `stage_span` case prices the one stage span with metrics and the
-//! profiler on: a process-level span (stage table + profiler frame) and
-//! a span on a recording query (also its timeline event and
-//! `query.stage_ns` histogram). Next to it, the metric record path: a
-//! counter `add`, a `gauge_set` and a histogram `record` on catalog
-//! rows, each timed on one thread and with two threads recording the
-//! same cell at once. The process-level span and every record must make
-//! zero allocations.
-//!
-//! The `profile` case prices the cooperative profiler on its own:
-//! two-frame `push`/`pop` pairs on the worker side and
-//! [`profile::sample_all`] on the sampler side, both of which must make
-//! zero allocations after warm-up.
+//! The `stage_span` case prices the one stage span with metrics on: a
+//! process-level span (the stage table) and a span on a recording query
+//! (also its lap event and `query.stage_ns` histogram). Next to it, the
+//! metric record path: a counter `add`, a `gauge_set` and a histogram
+//! `record` on catalog rows, each timed on one thread and with two
+//! threads recording the same cell at once. The process-level span and
+//! every record must make zero allocations.
 //!
 //! Run with `cargo bench -p bench --bench trace_overhead`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
@@ -48,7 +42,7 @@ use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
 use prospector_obs::trace::Recorder;
 use prospector_obs::window::WindowRing;
-use prospector_obs::{profile, Counter, Gauge, Hist, Json, Stage};
+use prospector_obs::{Counter, Gauge, Hist, Json, Stage};
 
 /// Counts every heap allocation so the window-record loop can prove it
 /// makes none. Deallocation is uncounted — the contract is "no new
@@ -167,15 +161,13 @@ struct StageSpanCost {
     query_allocs_per_span: f64,
 }
 
-/// Stage spans with metrics and the profiler on. The first span
-/// registers this thread's profiler slot outside the timed loop. Query
-/// spans open in batches of [`QUERY_BATCH`] on one recording query,
-/// whose publish is not timed; their allocations are the query's
+/// Stage spans with metrics on. The first span runs outside the timed
+/// loop. Query spans open in batches of [`QUERY_BATCH`] on one recording
+/// query, whose publish is not timed; their allocations are the query's
 /// growing event buffer.
 fn measure_stage_span(iters: u64) -> StageSpanCost {
     const QUERY_BATCH: u64 = 64;
     prospector_obs::set_enabled(true);
-    profile::set_enabled(true);
     drop(prospector_obs::stage(Stage::Store));
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -208,7 +200,6 @@ fn measure_stage_span(iters: u64) -> StageSpanCost {
         (query_elapsed as f64 / spans, query_allocs as f64 / spans)
     };
 
-    profile::set_enabled(false);
     prospector_obs::set_enabled(false);
     StageSpanCost { process_ns, process_allocs, query_ns, query_allocs_per_span }
 }
@@ -255,55 +246,6 @@ fn measure_record(iters: u64, record: &(dyn Fn(u64) + Sync)) -> RecordCost {
     #[allow(clippy::cast_precision_loss)]
     let per = |d: std::time::Duration| d.as_nanos() as f64 / iters as f64;
     RecordCost { one_thread_ns: per(one_thread), two_threads_ns: per(two_threads), allocs }
-}
-
-/// What the `profile` case measured.
-struct ProfileCost {
-    push_pop_ns: f64,
-    sample_ns: f64,
-    allocs: u64,
-}
-
-/// Profiler paths: two-frame span `push`/`pop` on the worker side and
-/// `sample_all` on the sampler side. The first push registers this
-/// thread's slot and the first samples claim fold-table entries, both
-/// outside the timed loops.
-fn measure_profile(iters: u64) -> ProfileCost {
-    profile::set_enabled(true);
-    if profile::push(Stage::Batch) {
-        profile::sample_all();
-        if profile::push(Stage::Search) {
-            profile::sample_all();
-            profile::pop();
-        }
-        profile::pop();
-    }
-    profile::sample_all();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let started = Instant::now();
-    for _ in 0..iters {
-        let owed = profile::push(black_box(Stage::Batch));
-        let inner = profile::push(black_box(Stage::Search));
-        if inner {
-            profile::pop();
-        }
-        if owed {
-            profile::pop();
-        }
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let push_pop_ns = started.elapsed().as_nanos() as f64 / iters as f64;
-    let samples = iters / 10;
-    let started = Instant::now();
-    for _ in 0..samples {
-        profile::sample_all();
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let sample_ns = started.elapsed().as_nanos() as f64 / samples as f64;
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    profile::set_enabled(false);
-    black_box(profile::samples());
-    ProfileCost { push_pop_ns, sample_ns, allocs }
 }
 
 fn main() {
@@ -356,7 +298,7 @@ fn main() {
         "window recording must stay O(ns): {per_record} ns/record"
     );
 
-    println!("\n=== stage span (metrics and profiler on) ===\n");
+    println!("\n=== stage span (metrics on) ===\n");
     let span_iters: u64 = if quick { 200_000 } else { 2_000_000 };
     let cost = measure_stage_span(span_iters);
     println!(
@@ -384,12 +326,6 @@ fn main() {
         assert_eq!(r.allocs, 0, "{name} on a catalog row must not allocate");
     }
 
-    println!("\n=== profiler (worker push/pop, sampler sweep) ===\n");
-    let prof = measure_profile(span_iters);
-    println!("push+pop x2:  {:>10.1} ns  (two-frame stack)", prof.push_pop_ns);
-    println!("sample_all:   {:>10.1} ns  ({} allocations)", prof.sample_ns, prof.allocs);
-    assert_eq!(prof.allocs, 0, "profiler record and sample paths must not allocate after warm-up");
-
     let round1 = |x: f64| Json::Num((x * 10.0).round() / 10.0);
     let mut stage_span = vec![
         ("iters".to_owned(), Json::num_u(span_iters)),
@@ -408,15 +344,6 @@ fn main() {
     }
     let doc = Json::obj(vec![
         ("stage_span", Json::Obj(stage_span)),
-        (
-            "profile",
-            Json::obj(vec![
-                ("iters", Json::num_u(span_iters)),
-                ("push_pop_ns", round1(prof.push_pop_ns)),
-                ("sample_all_ns", round1(prof.sample_ns)),
-                ("allocations", Json::num_u(prof.allocs)),
-            ]),
-        ),
         (
             "window_record",
             Json::obj(vec![

@@ -582,7 +582,6 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             println!("  GET /slow        retained slow-query timelines (JSON; ?clear=1 resets)");
             println!("  GET /trace.json  flight-recorder ring as Chrome trace");
             println!("  GET /logs?n=     newest structured access-log records (JSON)");
-            println!("  GET /profile.folded  sampled stage stacks, flamegraph.pl folded format");
             println!("  GET /tenants     tenant manifest: state, provenance, epoch, sizes (JSON)");
             println!("  POST /tenants?name=&path=  register a tenant from a snapshot");
             println!("  POST /reload?tenant=  hot-reload a tenant's engine (zero downtime)");

@@ -485,9 +485,9 @@ mod imp {
             let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
             ctx.busy.fetch_add(1, Ordering::Relaxed);
             let started = Instant::now();
-            // The profiler's root frame: sampled stacks read
-            // `serve.request;batch;search` etc., so `/profile.folded`
-            // attributes wall-clock to request handling versus idle.
+            // The stage table's `serve.request` row: every request's
+            // handle time, next to the `search`, `synth` and `rank`
+            // laps it contains.
             let _span = prospector_obs::stage(Stage::ServeRequest);
             let (endpoint, response) = answer(ctx, &job.request);
             let bytes = serialize_response(&response, job.close);

@@ -35,9 +35,8 @@
 //! | `GET /query?tin=..&tout=..` | ranked-jungloid JSON + the query's `trace_id` |
 //! | `GET /assist?var=n:T&tout=..` | assist fan-out JSON: suggestions from every visible variable + its `trace_id` |
 //! | `GET /slow`               | the retained slow-query timelines as JSON (`?clear=1` resets) |
-//! | `GET /trace.json`         | the flight-recorder ring as Chrome trace (+ profiler counters) |
+//! | `GET /trace.json`         | the flight-recorder ring as Chrome trace    |
 //! | `GET /logs?n=`            | the newest access-log records as JSON       |
-//! | `GET /profile.folded`     | sampled stage stacks, flamegraph.pl folded format |
 //! | `GET /tenants`            | the tenant manifest (state, provenance, epoch, sizes) |
 //! | `POST /tenants?name=&path=` | registers a new tenant from a snapshot path |
 //! | `POST /reload?tenant=`    | rebuilds a tenant's engine off-lock and atomically swaps it in |
@@ -78,7 +77,7 @@ use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::prom::Exposition;
 use prospector_obs::trace::{self, TraceId};
 use prospector_obs::window::{self, CounterRing, WindowRing, STANDARD_WINDOWS};
-use prospector_obs::{profile, Counter, Gauge, Hist, Json, Labeled, Window};
+use prospector_obs::{Counter, Gauge, Hist, Json, Labeled, Window};
 use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 
 use crate::http::{FrameError, Request};
@@ -96,13 +95,13 @@ pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// that a stalled pool sheds instead of buffering unboundedly.
 const INFLIGHT_SLOTS_PER_WORKER: usize = 64;
 
-/// The sampler thread's tick: each tick takes one cooperative profiler
-/// sample of every worker's stage stack, so 10ms ≈ 100 Hz profiling.
-const PROFILE_TICK: Duration = Duration::from_millis(10);
+/// The sampler thread's tick: it re-checks the stop flags this often,
+/// as often as the poller re-checks its own, so shutdown stays bounded.
+const SAMPLER_TICK: Duration = Duration::from_millis(50);
 
-/// Profiler ticks between process self-stat refreshes: 100 ×
-/// [`PROFILE_TICK`] ≈ one second between `/proc/self/status` reads.
-const SAMPLE_EVERY_TICKS: u32 = 100;
+/// Sampler ticks between gauge refreshes: 20 × [`SAMPLER_TICK`] ≈ one
+/// second between `/proc/self/status` reads.
+const SAMPLE_EVERY_TICKS: u32 = 20;
 
 /// Access-log records returned by `GET /logs` when `n` is not given.
 const DEFAULT_LOG_TAIL: usize = 100;
@@ -114,7 +113,7 @@ const MAX_LOG_TAIL: usize = 10_000;
 /// Endpoint labels, in routing order. `other` absorbs every unknown
 /// path so scans and typos still show up in the request counters
 /// without minting unbounded label values.
-const ENDPOINTS: [&str; 13] = [
+const ENDPOINTS: [&str; 12] = [
     "healthz",
     "readyz",
     "metrics",
@@ -124,7 +123,6 @@ const ENDPOINTS: [&str; 13] = [
     "slow",
     "trace",
     "logs",
-    "profile",
     "tenants",
     "reload",
     "other",
@@ -319,9 +317,6 @@ impl Server {
         prospector_obs::set_enabled(true);
         trace::set_enabled(true);
         alog::set_enabled(true);
-        // The cooperative profiler feeds `/profile.folded` off the
-        // sampler thread.
-        profile::set_enabled(true);
         let workers = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
         Ok(Server { listener, workers })
     }
@@ -361,28 +356,25 @@ impl Server {
     }
 }
 
-/// The background sampler: ticks at [`PROFILE_TICK`] (~100 Hz), taking
-/// one cooperative profiler sample of every worker's published stage
-/// stack per tick, and about once a second publishes pool gauges plus
-/// `/proc/self/status` derived `process.*` gauges into the metric
-/// registry. The stop flags are re-checked every tick, so shutdown
-/// latency is bounded by one tick.
+/// The background sampler: about once a second it publishes the pool
+/// gauges plus `/proc/self/status` derived `process.*` gauges into the
+/// metric registry. It wakes every [`SAMPLER_TICK`] to re-check the stop
+/// flags, so shutdown latency is bounded by one tick.
 pub(crate) fn sampler_loop(ctx: &Ctx<'_>, shutdown: &AtomicBool, stopping: &AtomicBool) {
     let mut ticks = 0u32;
     loop {
         if shutdown.load(Ordering::Relaxed) || stopping.load(Ordering::Relaxed) {
             return;
         }
-        profile::sample_all();
         if ticks.is_multiple_of(SAMPLE_EVERY_TICKS) {
             sample_self_stats(ctx);
         }
         ticks = ticks.wrapping_add(1);
-        std::thread::sleep(PROFILE_TICK);
+        std::thread::sleep(SAMPLER_TICK);
     }
 }
 
-/// One sampler tick: pool gauges from [`Ctx`], process gauges from
+/// One gauge refresh: pool gauges from [`Ctx`], process gauges from
 /// `/proc/self/status` (skipped when it is unreadable — the `serve.*`
 /// gauges still publish).
 fn sample_self_stats(ctx: &Ctx<'_>) {
@@ -391,8 +383,6 @@ fn sample_self_stats(ctx: &Ctx<'_>) {
     prospector_obs::gauge_set(Gauge::ServeConnsActive, ctx.conns.load(Ordering::Relaxed));
     prospector_obs::gauge_set(Gauge::ServePollerParked, ctx.parked.load(Ordering::Relaxed));
     prospector_obs::gauge_set(Gauge::ServePollerInflight, ctx.inflight.load(Ordering::Relaxed));
-    prospector_obs::gauge_set(Gauge::ProfileSamples, profile::samples());
-    prospector_obs::gauge_set(Gauge::ProfileDropped, profile::dropped());
     if let Some((rss, threads)) = read_proc_self_status() {
         prospector_obs::gauge_set(Gauge::ProcessRssBytes, rss);
         prospector_obs::gauge_set(Gauge::ProcessThreads, threads);
@@ -546,7 +536,6 @@ fn endpoint_index(route: &str) -> usize {
         "/slow" => "slow",
         "/trace.json" => "trace",
         "/logs" => "logs",
-        "/profile.folded" => "profile",
         "/tenants" => "tenants",
         "/reload" => "reload",
         _ => "other",
@@ -615,15 +604,7 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                 Response::ok_json(trace::slow_to_json(&trace::slow_queries()).to_text())
             }
         }
-        "trace" => {
-            let mut events = trace::to_chrome_json(&trace::events());
-            // Fold the profiler's counter events into the same document,
-            // so one Chrome-trace load shows spans and sampled stacks.
-            if let Json::Arr(arr) = &mut events {
-                arr.extend(profile::chrome_events());
-            }
-            Response::ok_json(events.to_text())
-        }
+        "trace" => Response::ok_json(trace::to_chrome_json(&trace::events()).to_text()),
         "logs" => match query_param(query, "n") {
             None => Response::ok_json(alog::to_json_array(&alog::tail(DEFAULT_LOG_TAIL)).to_text()),
             Some(raw) => match raw.parse::<usize>() {
@@ -641,7 +622,6 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                 }
             },
         },
-        "profile" => Response::new(200, "OK", "text/plain", profile::render_folded()),
         "tenants" => Response::ok_json(tenants_json(ctx.registry).to_text()),
         "reload" => method_not_allowed(endpoint),
         _ => Response::new(404, "Not Found", "text/plain", "no such endpoint\n".to_owned()),
@@ -1079,21 +1059,18 @@ fn query_response(outcome: Result<QueryOutcome, String>) -> Response {
 }
 
 /// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON.
-///
-/// Routed through the one-element batch path on purpose: the server's
-/// queries then share the exact accounting (`engine.batch.*`, preallocated
-/// trace ids) that `query --batch` lines get, so a dashboard scraping
-/// `/metrics` sees one coherent story regardless of how queries arrived.
 fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcome, String> {
     let tin = query_param(query, "tin").ok_or("missing query parameter `tin`")?;
     let tout = query_param(query, "tout").ok_or("missing query parameter `tout`")?;
     let tin_ty = engine.api().types().resolve(&tin).map_err(|e| e.to_string())?;
     let tout_ty = engine.api().types().resolve(&tout).map_err(|e| e.to_string())?;
 
-    let batch = engine.query_batch(&[(tin_ty, tout_ty)]);
-    let entry = batch.into_iter().next().ok_or("empty batch result")?;
-    let trace_id = entry.trace_id.0;
-    let result = entry.result.map_err(|e| e.to_string())?;
+    let id = TraceId::next();
+    let started = Instant::now();
+    let result = engine.query_with_trace(tin_ty, tout_ty, id);
+    let time = started.elapsed();
+    let trace_id = id.0;
+    let result = result.map_err(|e| e.to_string())?;
     let cached = result.stats.result_cache_hits > 0;
     let truncation = result.truncation;
 
@@ -1133,7 +1110,7 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
             ]),
         ),
     ];
-    pairs.push(("time_us", Json::num_u(entry.time.as_micros() as u64)));
+    pairs.push(("time_us", Json::num_u(time.as_micros() as u64)));
     Ok(QueryOutcome { body: Json::obj(pairs).to_text(), trace_id, cached, truncation })
 }
 
@@ -1288,7 +1265,6 @@ mod tests {
             "/slow",
             "/trace.json",
             "/logs",
-            "/profile.folded",
             "/tenants",
             "/reload",
         ] {
@@ -1296,6 +1272,7 @@ mod tests {
             assert_ne!(ENDPOINTS[ei], "other", "{route} should have its own label");
         }
         assert_eq!(ENDPOINTS[endpoint_index("/nope")], "other");
+        assert_eq!(ENDPOINTS[endpoint_index("/profile.folded")], "other", "the profiler is gone");
         assert_eq!(ENDPOINTS[endpoint_index("/")], "other");
     }
 

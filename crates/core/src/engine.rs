@@ -378,9 +378,9 @@ impl Prospector {
     }
 
     /// The distance field for a search towards `target`, plus whether
-    /// this lookup hit the cache. `source` is an explicit query's input,
-    /// which a bounded field may serve; `None` (assist's multi-source
-    /// scope) needs a complete field.
+    /// this lookup hit the cache (the caller counts which). `source` is
+    /// an explicit query's input, which a bounded field may serve; `None`
+    /// (assist's multi-source scope) needs a complete field.
     ///
     /// A cached field that covers the query is a hit: a complete one, or
     /// a bounded one for the same source whose window is at least as
@@ -401,7 +401,6 @@ impl Prospector {
             None => field.is_complete(),
         };
         if let Some(field) = cached.as_ref().filter(|f| covers(f)) {
-            prospector_obs::add(Counter::EngineDistCacheHits, 1);
             return (Arc::clone(field), true);
         }
         let field = match (source, cached) {
@@ -411,7 +410,6 @@ impl Prospector {
         let field = Arc::new(field);
         let evicted =
             self.dist_cache.insert_unless(target, Arc::clone(&field), |old| old.is_complete());
-        prospector_obs::add(Counter::EngineDistCacheMisses, 1);
         if evicted > 0 {
             prospector_obs::add(Counter::EngineDistCacheEvictions, evicted as u64);
         }
@@ -473,9 +471,8 @@ impl Prospector {
     /// the hit paid for none of the pipeline, so every cost counter is 0
     /// and only the hit marker (and the caller's own trace id) is set.
     fn replay_cached(&self, cached: &QueryResult, id: TraceId) -> QueryResult {
-        prospector_obs::add(Counter::EngineResultCacheHits, 1);
         let mut qspan = trace::span(id);
-        qspan.count("cache", "result_cache_hit", 1);
+        qspan.add(Counter::EngineResultCacheHits, 1);
         let mut result = cached.clone();
         result.stats =
             QueryStats { trace_id: id.0, result_cache_hits: 1, ..QueryStats::default() };
@@ -622,9 +619,10 @@ impl Prospector {
         id: TraceId,
     ) -> (QueryResult, Arc<DistanceField>) {
         // The flight-recorder span. When tracing is disabled (the
-        // default) opening it costs one relaxed atomic load, every event
-        // call below is a plain branch, and each stage span reads the
-        // clock only if metrics are on.
+        // default) opening it costs one relaxed atomic load, every `add`
+        // below is the global counter add plus a plain branch, and each
+        // stage span reads the clock only if metrics are on. Each
+        // per-query quantity is recorded here, once.
         let mut qspan = trace::span(id);
         let tys: Vec<TyId> = sources.iter().map(|(_, t)| *t).collect();
         let (outcome, field, cache_hit) = {
@@ -648,12 +646,19 @@ impl Prospector {
             result_cache_hits: 0,
             result_cache_misses: 0,
         };
-        qspan.count("search", "dist_cache_hits", stats.dist_cache_hits);
-        qspan.count("search", "dist_cache_misses", stats.dist_cache_misses);
-        qspan.count("search", "bfs_relaxations", stats.bfs_relaxations);
-        qspan.count("search", "dfs_expansions", stats.dfs_expansions);
-        qspan.count("search", "paths_enumerated", jungloids.len() as u64);
-        qspan.count("search", "truncation", truncation as u64);
+        if cache_hit {
+            qspan.add(Counter::EngineDistCacheHits, 1);
+        } else {
+            qspan.add(Counter::EngineDistCacheMisses, 1);
+            qspan.add(Counter::SearchBfsRelaxations, relaxations);
+        }
+        qspan.add(Counter::SearchDfsExpansions, stats.dfs_expansions);
+        qspan.add(Counter::SearchPathsEnumerated, jungloids.len() as u64);
+        match truncation {
+            TruncationReason::None => {}
+            TruncationReason::PathCap => qspan.add(Counter::SearchTruncatedPathCap, 1),
+            TruncationReason::ExpansionCap => qspan.add(Counter::SearchTruncatedExpansionCap, 1),
+        }
 
         // Render, rank, and dedupe by rendered code (distinct paths —
         // e.g. differing only in widening — can render identically).
@@ -697,10 +702,8 @@ impl Prospector {
                 }
             }
         }
-        prospector_obs::add(Counter::SynthSnippets, snippets);
-        prospector_obs::add(Counter::EngineDedupDrops, dedup_drops);
-        qspan.count("synth", "snippets", snippets);
-        qspan.count("synth", "dedup_drops", dedup_drops);
+        qspan.add(Counter::SynthSnippets, snippets);
+        qspan.add(Counter::EngineDedupDrops, dedup_drops);
 
         // `best` is a BTreeMap so the pre-rank order (and therefore the
         // sort's comparison count, which the flight recorder attributes
@@ -715,9 +718,7 @@ impl Prospector {
                 a.key.cmp(&b.key)
             });
         }
-        prospector_obs::add(Counter::RankComparisons, comparisons.get());
-        qspan.count("rank", "comparisons", comparisons.get());
-        qspan.count("rank", "suggestions", suggestions.len() as u64);
+        qspan.add(Counter::RankComparisons, comparisons.get());
 
         qspan.finish();
         let result = QueryResult {
@@ -735,6 +736,7 @@ impl Prospector {
 mod tests {
     use super::*;
     use jungloid_apidef::ApiLoader;
+    use prospector_obs::trace::EventKind;
 
     /// The paper's running example (§1): parsing an IFile into an AST.
     fn eclipse_mini() -> Api {
@@ -953,8 +955,8 @@ mod tests {
         let id = prospector_obs::trace::TraceId(traced.stats.trace_id);
         let events = prospector_obs::trace::events_for(id);
         assert!(!events.is_empty(), "timeline retained under the query's id");
-        assert!(events.iter().any(|e| e.stage == "query" && e.key == "total"));
-        assert!(events.iter().any(|e| e.stage == "search" && e.key == "dfs_expansions"));
+        assert!(events.iter().any(|e| e.kind == EventKind::Query));
+        assert!(events.iter().any(|e| e.kind == EventKind::Count(Counter::SearchDfsExpansions)));
     }
 
     #[test]

@@ -241,9 +241,6 @@ impl CsrAdjacency {
         };
         prospector_obs::add(Counter::GraphCsrRebuilds, 1);
         csr.publish();
-        // Flight-recorder hook: a splice empties the engine's caches, so
-        // one rebuild mid-trace explains a burst of misses.
-        prospector_obs::trace::process_event("graph", "csr_rebuild", csr.edge_count() as u64);
         csr
     }
 

@@ -20,7 +20,6 @@ use std::collections::VecDeque;
 
 use jungloid_apidef::ElemJungloid;
 use jungloid_typesys::TyId;
-use prospector_obs::Counter;
 
 use crate::graph::{CsrAdjacency, JungloidGraph, NodeId};
 use crate::path::Jungloid;
@@ -145,8 +144,9 @@ impl DistanceField {
     /// Runs a reverse 0-1 BFS from `target` over the CSR reverse arrays,
     /// building the complete field.
     ///
-    /// Relaxations performed here are reported via the
-    /// `search.bfs_relaxations` counter and are *not* charged against
+    /// Relaxations performed here are kept on the field
+    /// ([`DistanceField::relaxations`]; the engine adds them to the
+    /// `search.bfs_relaxations` counter) and are *not* charged against
     /// [`SearchConfig::max_expansions`], which budgets the DFS alone.
     #[must_use]
     pub fn towards(graph: &JungloidGraph, target: TyId) -> Self {
@@ -176,7 +176,6 @@ impl DistanceField {
                 }
             }
         }
-        prospector_obs::add(Counter::SearchBfsRelaxations, relaxations);
         DistanceField { target, dist: Dist::Complete(dist), relaxations }
     }
 
@@ -193,8 +192,8 @@ impl DistanceField {
     /// fills in the exact distances the backward ball lacks. The buffers
     /// live in `scratch` and are left clean, so a build does no work
     /// proportional to the graph size. Relaxations count every edge the
-    /// three passes scan, under the same `search.bfs_relaxations` counter
-    /// as [`DistanceField::towards`].
+    /// three passes scan, kept on the field as [`DistanceField::towards`]
+    /// keeps them.
     #[must_use]
     pub fn bounded(
         graph: &JungloidGraph,
@@ -258,7 +257,6 @@ impl DistanceField {
         }
         fwd.clear();
         bwd.clear();
-        prospector_obs::add(Counter::SearchBfsRelaxations, relaxations);
         DistanceField {
             target,
             dist: Dist::Bounded { source, extra_steps, entries },
@@ -678,13 +676,6 @@ fn enumerate_dense(
         }
     }
     let Dfs { out, expansions, truncation, .. } = dfs;
-    prospector_obs::add(Counter::SearchDfsExpansions, expansions as u64);
-    prospector_obs::add(Counter::SearchPathsEnumerated, out.len() as u64);
-    match truncation {
-        TruncationReason::None => {}
-        TruncationReason::PathCap => prospector_obs::add(Counter::SearchTruncatedPathCap, 1),
-        TruncationReason::ExpansionCap => prospector_obs::add(Counter::SearchTruncatedExpansionCap, 1),
-    }
     // `m` could be 0 when a source widens straight into the target; in that
     // case the shortest *produced* path still reports 0.
     SearchOutcome { jungloids: out, shortest: Some(m), truncation, expansions }

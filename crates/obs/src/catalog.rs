@@ -233,8 +233,6 @@ catalog! {
         ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or in flight (sampled about once a second).";
         ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests; a connection whose response has left parks when the poller absorbs its completion, at most one 50 ms poll slice later on an idle server (sampled about once a second).";
         ServePollerInflight Gauge "serve.poller.inflight" "Requests dispatched to a worker and not yet answered (sampled about once a second).";
-        ProfileSamples Gauge "profile.samples" "Stacks the cooperative profiler folded.";
-        ProfileDropped Gauge "profile.dropped" "Profiler stacks dropped at the fold table's probe cap.";
         ProcessRssBytes Gauge "process.rss_bytes" "Resident set size from /proc/self/status, sampled about once a second.";
         ProcessThreads Gauge "process.threads" "Threads from /proc/self/status, sampled about once a second.";
     }

@@ -14,15 +14,18 @@
 //! * [`hist`] — fixed-size log2-bucket histograms (no allocation after
 //!   registration, no locks on the record path).
 //! * [`span`] — the closed [`Stage`] catalog and its one RAII span. A
-//!   span reads the clock once at each end and feeds the stage table,
-//!   the owning query's timeline and the profiler stack, each only when
-//!   that sink is on; with all of them off it reads no clock.
+//!   span reads the clock once at each end and feeds the stage table
+//!   and, on a recording query, that query's timeline, each only when
+//!   that sink is on; with both off it reads no clock.
 //! * [`json`] — a small strict JSON value type, writer, and parser, used
 //!   for the `--metrics-json` report and the `index build --json` dump.
 //! * [`trace`] — the per-query flight recorder: seeded [`trace::TraceId`]
 //!   allocation, an RAII [`trace::QuerySpan`] that buffers a query's
 //!   timestamped events and flushes them into a bounded lock-sharded
 //!   ring at finish, a slow-query log, and Chrome-trace / text exporters.
+//!   An event is a [`Stage`] lap or a [`Counter`] count
+//!   ([`trace::QuerySpan::add`], which also adds to the registry), and
+//!   the `query` envelope closes each timeline.
 //! * [`prom`] — Prometheus text exposition: each family's HELP and TYPE
 //!   lines once, from its catalog row, then its samples (histograms as
 //!   cumulative `_bucket{le=...}` series); backs `serve`'s `/metrics`.
@@ -33,10 +36,6 @@
 //! * [`log`] — the structured access log: one strict-JSON line per
 //!   served request (trace id, endpoint, code, queue wait, handle time)
 //!   to stderr or a file, plus a bounded in-memory tail for `GET /logs`.
-//! * [`profile`] — a cooperative sampling profiler: spans publish the
-//!   thread's stage stack (catalog ids) into a per-thread atomic word; a
-//!   sampler folds all stacks at ~100 Hz into flamegraph.pl-compatible
-//!   folded counts.
 //!
 //! [`rng`] is a bonus tenant: a tiny deterministic PRNG
 //! ([`rng::SmallRng`]) for the seeded generators and simulations, living
@@ -64,7 +63,6 @@ pub mod hist;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod profile;
 pub mod prom;
 pub mod report;
 pub mod rng;

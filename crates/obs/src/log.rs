@@ -37,8 +37,8 @@ pub const TAIL_CAP: usize = 512;
 pub struct AccessRecord {
     /// Wall-clock milliseconds since the Unix epoch.
     pub ts_ms: u64,
-    /// The flight-recorder trace id for `/query` requests; 0 for
-    /// endpoints that run no query pipeline.
+    /// The flight-recorder trace id for `/query` and `/assist`
+    /// requests; 0 for endpoints that run no query pipeline.
     pub trace_id: u64,
     /// Endpoint label (`"query"`, `"metrics"`, ..., `"other"`).
     pub endpoint: &'static str,

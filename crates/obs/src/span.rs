@@ -2,27 +2,24 @@
 //!
 //! A [`Span`] times one interval of a [`Stage`] with one clock read at
 //! each end and, on drop, feeds every sink that was on when it opened:
-//! the stage table ([`crate::metrics`]) when metrics are on; the owning
-//! query's `<stage>.total` event and `query.stage_ns.<stage>` histogram
-//! when it was opened on a recording query
-//! ([`crate::trace::QuerySpan::stage`]); the profiler stack
-//! ([`crate::profile`]) when profiling is on. Spans nest freely, and the
+//! the stage table ([`crate::metrics`]) when metrics are on, and the
+//! owning query's lap event and `query.stage_ns.<stage>` histogram when
+//! it was opened on a recording query
+//! ([`crate::trace::QuerySpan::stage`]). Spans nest freely, and the
 //! record path takes no lock and allocates nothing.
 
 use std::time::{Duration, Instant};
 
 use crate::catalog::Hist;
+use crate::metrics;
 use crate::trace::{EventKind, TraceEvent};
-use crate::{metrics, profile};
 
-/// A pipeline stage. The discriminant is the stage's profiler frame id
-/// (0 marks an empty frame), so the profiler needs no name interner.
-/// The six pipeline stages come first, in the order reports list them.
+/// A pipeline stage. The six pipeline stages come first, in the order
+/// reports list them; a stage's discriminant is its [`Stage::index`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
 pub enum Stage {
     /// Assembling the jungloid graph from an API.
-    Build = 1,
+    Build,
     /// Mining example jungloids from the client corpus (§4).
     Mine,
     /// Generalizing mined examples before they are spliced (§4.2).
@@ -37,7 +34,7 @@ pub enum Stage {
     Assist,
     /// A query batch fan-out.
     Batch,
-    /// One served HTTP request, the profiler's root frame.
+    /// One served HTTP request.
     ServeRequest,
     /// A snapshot save or load.
     Store,
@@ -45,8 +42,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage's name, in discriminant order: the name a stage has in
-    /// the stage table, query timelines, histogram names and folded
-    /// profiler stacks.
+    /// the stage table, query timelines and histogram names.
     pub const NAMES: [&'static str; 10] = [
         "build", "mine", "generalize", "search", "rank", "synth",
         "assist", "batch", "serve.request", "store",
@@ -59,10 +55,10 @@ impl Stage {
     }
 
     /// The stage's slot in per-stage arrays (and its label value in the
-    /// `query.stage_ns.<stage>` family): its profiler id minus one.
+    /// `query.stage_ns.<stage>` family): its discriminant.
     #[must_use]
     pub const fn index(self) -> usize {
-        self as usize - 1
+        self as usize
     }
 }
 
@@ -90,20 +86,17 @@ pub struct Span<'q> {
     table: bool,
     /// The owning query's timeline, when that query records.
     query: Option<QuerySink<'q>>,
-    /// Whether this span pushed a profiler frame it must pop on drop.
-    pushed: bool,
 }
 
 /// Opens a span on `stage`, writing to `query`'s timeline when given.
 pub(crate) fn open(stage: Stage, query: Option<QuerySink<'_>>) -> Span<'_> {
     let table = metrics::enabled();
     let start = (table || query.is_some()).then(Instant::now);
-    let pushed = profile::push(stage);
-    Span { stage, start, table, query, pushed }
+    Span { stage, start, table, query }
 }
 
-/// Opens a process-level span for `stage`: it feeds the stage table and
-/// the profiler, and belongs to no query timeline.
+/// Opens a process-level span for `stage`: it feeds the stage table
+/// only, and belongs to no query timeline.
 #[must_use]
 pub fn stage(stage: Stage) -> Span<'static> {
     open(stage, None)
@@ -111,9 +104,6 @@ pub fn stage(stage: Stage) -> Span<'static> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        if self.pushed {
-            profile::pop();
-        }
         let Some(start) = self.start else { return };
         let ns = nanos(start.elapsed());
         if self.table {
@@ -122,9 +112,7 @@ impl Drop for Span<'_> {
         if let Some(q) = &mut self.query {
             q.events.push(TraceEvent {
                 trace_id: q.trace_id,
-                stage: self.stage.name(),
-                kind: EventKind::Span,
-                key: "total",
+                kind: EventKind::Lap(self.stage),
                 value: ns,
                 t_ns: nanos(start.duration_since(q.epoch)),
             });
@@ -138,7 +126,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_stage_has_its_name_and_a_nonzero_id() {
+    fn every_stage_has_its_name_and_its_index() {
         let catalog = [
             (Stage::Build, "build"),
             (Stage::Mine, "mine"),
@@ -153,7 +141,7 @@ mod tests {
         ];
         assert_eq!(catalog.len(), Stage::NAMES.len());
         for (i, (stage, name)) in catalog.into_iter().enumerate() {
-            assert_eq!((stage.index(), stage as u8), (i, i as u8 + 1), "0 is the empty frame");
+            assert_eq!(stage.index(), i);
             assert_eq!(stage.name(), name);
         }
     }

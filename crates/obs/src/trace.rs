@@ -23,21 +23,22 @@
 //! * a **text timeline** ([`format_timeline`]) for the CLI's `explain`
 //!   replay and the slow-query dump.
 //!
-//! A query's stage intervals come from the one stage span
-//! ([`QuerySpan::stage`], see [`crate::span`]), which also feeds the
-//! stage table and the profiler; its end-to-end latency lands in the
-//! `query.latency_ns` histogram when the span finishes.
+//! A timeline holds two kinds of event, each named by the catalog: a
+//! [`Stage`] lap from the one stage span ([`QuerySpan::stage`], see
+//! [`crate::span`]), which also feeds the stage table, and a [`Counter`]
+//! count from [`QuerySpan::add`], which also adds to the global counter.
+//! The `query` envelope closes it: its end-to-end latency, which also
+//! lands in the `query.latency_ns` histogram.
 //!
 //! Recording is off by default. A disabled recorder costs one relaxed
-//! atomic load per [`QuerySpan`] (checked once at `begin`, cached as a
-//! plain bool for every event site) and one relaxed load per
-//! [`process_event`] site, and [`event_count`] stays zero.
+//! atomic load per [`QuerySpan`] (checked once when it opens, cached as
+//! a plain bool for every event site), and [`event_count`] stays zero.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::catalog::Hist;
+use crate::catalog::{Counter, Hist};
 use crate::json::Json;
 use crate::metrics;
 use crate::rng::SmallRng;
@@ -55,41 +56,52 @@ const RING_SHARD_CAP: usize = 1024;
 /// Older entries are dropped first.
 const DEFAULT_SLOW_LOG_CAP: usize = 32;
 
-/// What one [`TraceEvent`] measures.
+/// What one [`TraceEvent`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// A timed interval: `value` is the duration in nanoseconds and
-    /// `t_ns` the interval's start.
-    Span,
-    /// A counter attributed to the query: `value` is the count and
-    /// `t_ns` the moment it was charged.
-    Count,
+    /// One interval of a stage: `value` is its duration in nanoseconds
+    /// and `t_ns` its start.
+    Lap(Stage),
+    /// A counter charged to the query: `value` is the count and `t_ns`
+    /// the moment it was charged.
+    Count(Counter),
+    /// The query's end-to-end interval: `value` is its latency in
+    /// nanoseconds and `t_ns` its start.
+    Query,
 }
 
 impl EventKind {
-    /// Stable lower-case label for reports.
+    /// Stable lower-case label for reports: `lap`, `count` or `query`.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            EventKind::Span => "span",
-            EventKind::Count => "count",
+            EventKind::Lap(_) => "lap",
+            EventKind::Count(_) => "count",
+            EventKind::Query => "query",
+        }
+    }
+
+    /// The event's name in Chrome traces and `/slow`, from the catalog:
+    /// `<stage>.total` for a lap, the counter's series name for a count
+    /// (`search.dfs_expansions`), and `query` for the envelope.
+    #[must_use]
+    pub fn name(self) -> String {
+        match self {
+            EventKind::Lap(stage) => format!("{}.total", stage.name()),
+            EventKind::Count(counter) => counter.row().series(None),
+            EventKind::Query => "query".to_owned(),
         }
     }
 }
 
-/// One timestamped, query-attributed event.
+/// One timestamped event of a query's timeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// The owning query (0 for process-level events).
+    /// The owning query.
     pub trace_id: u64,
-    /// Pipeline stage the event belongs to (`"search"`, `"rank"`, ...).
-    pub stage: &'static str,
-    /// Interval or counter.
+    /// What the event records.
     pub kind: EventKind,
-    /// What was measured (`"dfs_expansions"`, `"total"`, ...).
-    pub key: &'static str,
-    /// Duration in nanoseconds ([`EventKind::Span`]) or the counter
-    /// value ([`EventKind::Count`]).
+    /// A duration in nanoseconds (a lap or the envelope) or a count.
     pub value: u64,
     /// Nanoseconds since the recorder's epoch.
     pub t_ns: u64,
@@ -98,12 +110,12 @@ pub struct TraceEvent {
 /// A per-query trace identifier.
 ///
 /// Ids are a pure function of the recorder seed and an atomic allocation
-/// counter: bit 48 is always set (so an id is never 0, which is reserved
-/// for process-level events), bits 24..48 derive from the seed via one
-/// splitmix64 draw, and bits 0..24 are the allocation index. Two runs
-/// with the same seed therefore allocate identical id sequences, and
-/// every id stays below 2^49 — exactly representable in the f64 JSON
-/// number type, so ids survive serialization unmangled.
+/// counter: bit 48 is always set (so an id is never 0), bits 32..48
+/// derive from the seed via one splitmix64 draw, and bits 0..32 are the
+/// allocation index. Two runs with the same seed therefore allocate
+/// identical id sequences, the first 2^32 allocations are unique and
+/// increasing, and every id stays below 2^49 — exactly representable in
+/// the f64 JSON number type, so ids survive serialization unmangled.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
 
@@ -165,9 +177,9 @@ impl RingShard {
 #[derive(Debug)]
 pub struct Recorder {
     enabled: AtomicBool,
-    /// Seed-derived 24-bit id prefix (see [`TraceId`]).
+    /// Seed-derived 16-bit id prefix (see [`TraceId`]).
     id_base: AtomicU64,
-    /// Allocation counter for the low 24 id bits.
+    /// Allocation counter for the low 32 id bits.
     next_id: AtomicU64,
     /// Total events ever recorded (monotonic; eviction never decreases it).
     recorded: AtomicU64,
@@ -219,7 +231,7 @@ impl Recorder {
     /// Re-seeds the id allocator: the id prefix becomes a pure function
     /// of `seed` and the allocation counter restarts at 0.
     pub fn set_seed(&self, seed: u64) {
-        let base = SmallRng::seed_from_u64(seed).next_u64() >> 40;
+        let base = SmallRng::seed_from_u64(seed).next_u64() >> 48;
         self.id_base.store(base, Ordering::Relaxed);
         self.next_id.store(0, Ordering::Relaxed);
     }
@@ -262,7 +274,7 @@ impl Recorder {
     pub fn next_id(&self) -> TraceId {
         let n = self.next_id.fetch_add(1, Ordering::Relaxed);
         let base = self.id_base.load(Ordering::Relaxed);
-        TraceId((1 << 48) | (base << 24) | (n & 0xff_ffff))
+        TraceId((1 << 48) | (base << 32) | (n & 0xffff_ffff))
     }
 
     /// Nanoseconds since this recorder was created (saturating).
@@ -278,23 +290,6 @@ impl Recorder {
     pub fn span(&self, id: TraceId) -> QuerySpan<'_> {
         let started = self.enabled().then(Instant::now);
         QuerySpan { recorder: self, id, started, events: Vec::new() }
-    }
-
-    /// Records a process-level (non-query) event, e.g. a CSR rebuild.
-    /// One relaxed load when recording is disabled.
-    pub fn process_event(&self, stage: &'static str, key: &'static str, value: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let e = TraceEvent {
-            trace_id: 0,
-            stage,
-            kind: EventKind::Count,
-            key,
-            value,
-            t_ns: self.now_ns(),
-        };
-        self.flush(0, std::slice::from_ref(&e));
     }
 
     /// Publishes a finished timeline into the ring under one shard lock.
@@ -390,9 +385,9 @@ impl QuerySpan<'_> {
         self.started.is_some()
     }
 
-    /// Opens a stage span on this query. Besides the stage table and
-    /// the profiler, it records the query's `<stage>.total` event and
-    /// its `query.stage_ns.<stage>` histogram when this span records.
+    /// Opens a stage span on this query. Besides the stage table, it
+    /// records the query's lap event and its `query.stage_ns.<stage>`
+    /// histogram when this span records.
     pub fn stage(&mut self, stage: Stage) -> Span<'_> {
         let sink = self.started.is_some().then_some(QuerySink {
             events: &mut self.events,
@@ -402,22 +397,23 @@ impl QuerySpan<'_> {
         span::open(stage, sink)
     }
 
-    /// Attributes a counter value to this query.
-    pub fn count(&mut self, stage: &'static str, key: &'static str, value: u64) {
+    /// Adds `n` to `counter` and, when this span records, charges it to
+    /// the query's timeline: one call records the quantity in both
+    /// places.
+    pub fn add(&mut self, counter: Counter, n: u64) {
+        metrics::add(counter, n);
         if self.started.is_none() {
             return;
         }
         self.events.push(TraceEvent {
             trace_id: self.id.0,
-            stage,
-            kind: EventKind::Count,
-            key,
-            value,
+            kind: EventKind::Count(counter),
+            value: n,
             t_ns: self.recorder.now_ns(),
         });
     }
 
-    /// Ends the query: records the end-to-end `query.total` span and
+    /// Ends the query: records the end-to-end `query` envelope and
     /// the `query.latency_ns` histogram, copies the timeline into the
     /// slow-query log if it met the threshold, and publishes everything
     /// to the ring. Returns the end-to-end latency in nanoseconds (0 when
@@ -432,9 +428,7 @@ impl QuerySpan<'_> {
         metrics::histogram(Hist::QueryLatencyNs, 0).record(total);
         self.events.push(TraceEvent {
             trace_id: self.id.0,
-            stage: "query",
-            kind: EventKind::Span,
-            key: "total",
+            kind: EventKind::Query,
             value: total,
             t_ns: nanos(started.duration_since(self.recorder.epoch)),
         });
@@ -504,11 +498,6 @@ pub fn span(id: TraceId) -> QuerySpan<'static> {
     global().span(id)
 }
 
-/// Records a process-level event on the global recorder.
-pub fn process_event(stage: &'static str, key: &'static str, value: u64) {
-    global().process_event(stage, key, value);
-}
-
 /// Total events ever recorded globally.
 #[must_use]
 pub fn event_count() -> u64 {
@@ -539,33 +528,34 @@ fn us(ns: u64) -> Json {
     Json::Num(ns as f64 / 1_000.0)
 }
 
-/// Renders events as a Chrome-trace (catapult) JSON array: spans become
-/// `"ph":"X"` complete events and counters become `"ph":"C"` counter
-/// events, with the trace id as the `tid` so each query gets its own
-/// track. The output opens directly in `chrome://tracing` / Perfetto.
+/// Renders events as a Chrome-trace (catapult) JSON array: laps and
+/// envelopes become `"ph":"X"` complete events and counts become
+/// `"ph":"C"` counter events, each under its [`EventKind::name`], with
+/// the trace id as the `tid` so each query gets its own track. The
+/// output opens directly in `chrome://tracing` / Perfetto.
 #[must_use]
 pub fn to_chrome_json(events: &[TraceEvent]) -> Json {
     let mut out = Vec::with_capacity(events.len());
     for e in events {
-        let name = if e.stage == "query" && e.key == "total" && e.kind == EventKind::Span {
-            e.stage.to_owned()
-        } else {
-            format!("{}.{}", e.stage, e.key)
-        };
+        let name = Json::Str(e.kind.name());
         let mut pairs: Vec<(&str, Json)> = Vec::new();
         match e.kind {
-            EventKind::Span => {
+            EventKind::Lap(_) | EventKind::Query => {
+                let cat = match e.kind {
+                    EventKind::Lap(stage) => stage.name(),
+                    _ => "query",
+                };
                 pairs.push(("ph", Json::Str("X".to_owned())));
-                pairs.push(("name", Json::Str(name)));
-                pairs.push(("cat", Json::Str(e.stage.to_owned())));
+                pairs.push(("name", name));
+                pairs.push(("cat", Json::Str(cat.to_owned())));
                 pairs.push(("ts", us(e.t_ns)));
                 pairs.push(("dur", us(e.value)));
             }
-            EventKind::Count => {
+            EventKind::Count(_) => {
                 pairs.push(("ph", Json::Str("C".to_owned())));
-                pairs.push(("name", Json::Str(name)));
+                pairs.push(("name", name));
                 pairs.push(("ts", us(e.t_ns)));
-                pairs.push(("args", Json::Obj(vec![(e.key.to_owned(), Json::num_u(e.value))])));
+                pairs.push(("args", Json::obj(vec![("value", Json::num_u(e.value))])));
             }
         }
         pairs.push(("pid", Json::num_u(1)));
@@ -576,7 +566,8 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> Json {
 }
 
 /// Renders one query's timeline as aligned text, e.g. for the CLI's
-/// `explain` replay and the slow-query dump.
+/// `explain` replay and the slow-query dump. Events go by their
+/// [`EventKind::name`], except that the envelope reads `query.total`.
 #[must_use]
 pub fn format_timeline(events: &[TraceEvent]) -> String {
     use std::fmt::Write as _;
@@ -584,25 +575,16 @@ pub fn format_timeline(events: &[TraceEvent]) -> String {
     let t0 = events.iter().map(|e| e.t_ns).min().unwrap_or(0);
     for e in events {
         let at_us = (e.t_ns - t0) / 1_000;
-        match e.kind {
-            EventKind::Span => {
-                #[allow(clippy::cast_precision_loss)]
-                let ms = e.value as f64 / 1e6;
-                let _ = writeln!(
-                    out,
-                    "  +{at_us:>7}µs  {:<22} {:>10.3}ms",
-                    format!("{}.{}", e.stage, e.key),
-                    ms,
-                );
-            }
-            EventKind::Count => {
-                let _ = writeln!(
-                    out,
-                    "  +{at_us:>7}µs  {:<22} {:>12}",
-                    format!("{}.{}", e.stage, e.key),
-                    e.value,
-                );
-            }
+        let name = match e.kind {
+            EventKind::Query => "query.total".to_owned(),
+            kind => kind.name(),
+        };
+        if let EventKind::Count(_) = e.kind {
+            let _ = writeln!(out, "  +{at_us:>7}µs  {name:<30} {:>12}", e.value);
+        } else {
+            #[allow(clippy::cast_precision_loss)]
+            let ms = e.value as f64 / 1e6;
+            let _ = writeln!(out, "  +{at_us:>7}µs  {name:<30} {ms:>10.3}ms");
         }
     }
     out
@@ -639,9 +621,8 @@ pub fn slow_to_json(slow: &[SlowQuery]) -> Json {
                                 .iter()
                                 .map(|e| {
                                     Json::obj(vec![
-                                        ("stage", Json::Str(e.stage.to_owned())),
+                                        ("name", Json::Str(e.kind.name())),
                                         ("kind", Json::Str(e.kind.label().to_owned())),
-                                        ("key", Json::Str(e.key.to_owned())),
                                         ("value", Json::num_u(e.value)),
                                         ("t_ns", Json::num_u(e.t_ns)),
                                     ])
@@ -664,7 +645,7 @@ mod tests {
         let r = Recorder::new();
         let mut span = r.span(r.next_id());
         drop(span.stage(Stage::Search));
-        span.count("search", "dfs_expansions", 42);
+        span.add(Counter::SearchDfsExpansions, 42);
         assert_eq!(span.finish(), 0);
         assert_eq!(r.event_count(), 0);
         assert!(r.events().is_empty());
@@ -676,21 +657,20 @@ mod tests {
         r.set_enabled(true);
         let id = r.next_id();
         let mut span = r.span(id);
-        span.count("search", "dfs_expansions", 7);
+        span.add(Counter::SearchDfsExpansions, 7);
         drop(span.stage(Stage::Search));
         // Nothing visible until the flush.
         assert_eq!(r.event_count(), 0);
         let total = span.finish();
         let events = r.events_for(id);
-        // count + stage span + the query.total envelope.
+        // count + lap + the query envelope.
         assert_eq!(events.len(), 3);
-        assert_eq!(events[0].kind, EventKind::Count);
+        assert_eq!(events[0].kind, EventKind::Count(Counter::SearchDfsExpansions));
         assert_eq!(events[0].value, 7);
-        assert_eq!((events[1].stage, events[1].kind, events[1].key), ("search", EventKind::Span, "total"));
+        assert_eq!(events[1].kind, EventKind::Lap(Stage::Search));
         assert!(events[1].value <= total, "the stage lies inside the query");
         assert!(events[1].t_ns >= events[2].t_ns, "the stage starts after the query");
-        assert_eq!(events[2].stage, "query");
-        assert_eq!(events[2].key, "total");
+        assert_eq!(events[2].kind, EventKind::Query);
         assert_eq!(events[2].value, total);
         assert_eq!(r.event_count(), 3);
     }
@@ -702,9 +682,27 @@ mod tests {
         let id = r.next_id();
         {
             let mut span = r.span(id);
-            span.count("search", "paths", 1);
+            span.add(Counter::SearchPathsEnumerated, 1);
         }
-        assert_eq!(r.events_for(id).len(), 2, "count + query.total envelope");
+        assert_eq!(r.events_for(id).len(), 2, "count + query envelope");
+    }
+
+    #[test]
+    fn events_are_named_by_the_catalog() {
+        let names: Vec<(String, &str)> = [
+            EventKind::Lap(Stage::ServeRequest),
+            EventKind::Count(Counter::EngineDistCacheHits),
+            EventKind::Query,
+        ]
+        .into_iter()
+        .map(|k| (k.name(), k.label()))
+        .collect();
+        let expected = [
+            ("serve.request.total", "lap"),
+            ("engine.dist_cache.hits", "count"),
+            ("query", "query"),
+        ];
+        assert_eq!(names.iter().map(|(n, l)| (n.as_str(), *l)).collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -728,18 +726,39 @@ mod tests {
         }
     }
 
+    /// A 24-bit allocation index named two requests with one id after
+    /// 2^24 allocations; the 32-bit index keeps going.
+    #[test]
+    fn ids_stay_unique_past_two_to_the_24_allocations() {
+        let r = Recorder::new();
+        r.set_seed(3);
+        let first = r.next_id();
+        let mut last = first;
+        for _ in 1..(1u64 << 24) {
+            last = r.next_id();
+        }
+        let next = r.next_id();
+        assert_ne!(next, first, "the 2^24+1-th id repeats none before it");
+        assert!(next > last, "ids keep increasing");
+        assert!(next.0 < (1 << 49));
+    }
+
     #[test]
     fn ring_overwrites_oldest_but_event_count_is_monotonic() {
         let r = Recorder::new();
         r.set_enabled(true);
-        // All events land in shard 0 (trace_id 0) and overflow it.
-        for i in 0..(RING_SHARD_CAP as u64 + 10) {
-            r.process_event("graph", "tick", i);
+        // One query in shard 0 (trace id 8) overflows it: counts valued
+        // 0, 1, .. and then the envelope.
+        let mut span = r.span(TraceId(8));
+        for i in 0..(RING_SHARD_CAP as u64 + 9) {
+            span.add(Counter::SynthSnippets, i);
         }
+        span.finish();
         let events = r.events();
         assert_eq!(events.len(), RING_SHARD_CAP);
         assert_eq!(events[0].value, 10, "oldest 10 overwritten");
-        assert_eq!(events.last().unwrap().value, RING_SHARD_CAP as u64 + 9);
+        assert_eq!(events[RING_SHARD_CAP - 2].value, RING_SHARD_CAP as u64 + 8);
+        assert_eq!(events.last().unwrap().kind, EventKind::Query, "the newest is retained");
         assert_eq!(r.event_count(), RING_SHARD_CAP as u64 + 10);
     }
 
@@ -750,23 +769,20 @@ mod tests {
         r.set_slow_threshold_ns(1); // everything is slow
         let id = r.next_id();
         let mut span = r.span(id);
-        span.count("search", "dfs_expansions", 5);
+        span.add(Counter::SearchDfsExpansions, 5);
         let total = span.finish();
-        // Now flood the ring until the slow query's events are evicted.
+        // Threshold 0 disables retention; then flood the ring with
+        // queries until the slow query's events are evicted.
+        r.set_slow_threshold_ns(0);
         for _ in 0..(RING_SHARDS * RING_SHARD_CAP + 64) {
-            r.process_event("graph", "noise", 0);
+            r.span(r.next_id()).add(Counter::SynthSnippets, 0);
         }
+        assert!(r.events_for(id).is_empty(), "the ring evicted the slow query");
         let slow = r.slow_queries();
-        assert_eq!(slow.len(), 1);
+        assert_eq!(slow.len(), 1, "no flood query was retained");
         assert_eq!(slow[0].trace_id, id.0);
         assert_eq!(slow[0].total_ns, total);
         assert_eq!(slow[0].events.len(), 2);
-        // Threshold 0 disables retention.
-        r.set_slow_threshold_ns(0);
-        let mut span = r.span(r.next_id());
-        span.count("search", "dfs_expansions", 1);
-        span.finish();
-        assert_eq!(r.slow_queries().len(), 1);
     }
 
     #[test]
@@ -818,7 +834,7 @@ mod tests {
         r.set_enabled(true);
         let id = r.next_id();
         let mut span = r.span(id);
-        span.count("search", "dfs_expansions", 3);
+        span.add(Counter::SearchDfsExpansions, 3);
         drop(span.stage(Stage::Search));
         span.finish();
         let doc = to_chrome_json(&r.events());
@@ -828,10 +844,8 @@ mod tests {
         assert_eq!(arr.len(), 3);
         let counter = &arr[0];
         assert_eq!(counter.get("ph").unwrap().as_str(), Some("C"));
-        assert_eq!(
-            counter.get("args").unwrap().get("dfs_expansions").unwrap().as_u64(),
-            Some(3)
-        );
+        assert_eq!(counter.get("name").unwrap().as_str(), Some("search.dfs_expansions"));
+        assert_eq!(counter.get("args").unwrap().get("value").unwrap().as_u64(), Some(3));
         let span_ev = &arr[1];
         assert_eq!(span_ev.get("ph").unwrap().as_str(), Some("X"));
         assert_eq!(span_ev.get("name").unwrap().as_str(), Some("search.total"));
@@ -848,11 +862,12 @@ mod tests {
         r.set_slow_threshold_ns(1);
         let id = r.next_id();
         let mut span = r.span(id);
-        span.count("search", "paths", 12);
+        span.add(Counter::SearchPathsEnumerated, 12);
         drop(span.stage(Stage::Search));
         span.finish();
         let text = format_timeline(&r.events_for(id));
-        assert!(text.contains("search.paths"), "{text}");
+        assert!(text.contains("search.paths_enumerated"), "{text}");
+        assert!(text.contains("search.total"), "{text}");
         assert!(text.contains("12"), "{text}");
         assert!(text.contains("query.total"), "{text}");
         let slow_text = format_slow_log(&r.slow_queries());
@@ -860,6 +875,12 @@ mod tests {
         let slow_json = slow_to_json(&r.slow_queries()).to_text();
         let parsed = Json::parse(&slow_json).unwrap();
         assert_eq!(parsed.as_arr().unwrap().len(), 1);
+        let events = parsed.as_arr().unwrap()[0].get("events").unwrap().as_arr().unwrap();
+        let names: Vec<_> = events.iter().map(|e| e.get("name").unwrap().as_str().unwrap()).collect();
+        assert_eq!(names, ["search.paths_enumerated", "search.total", "query"], "the Chrome names");
+        assert_eq!(events[0].get("kind").unwrap().as_str(), Some("count"));
+        assert_eq!(events[0].get("value").unwrap().as_u64(), Some(12));
+        assert!(events[2].get("t_ns").unwrap().as_u64().is_some());
     }
 
     #[test]
@@ -871,15 +892,15 @@ mod tests {
         // Interleave: open b's span first, finish a's first.
         let mut sb = r.span(b);
         let mut sa = r.span(a);
-        sa.count("search", "paths", 1);
-        sa.count("rank", "comparisons", 2);
+        sa.add(Counter::SearchPathsEnumerated, 1);
+        sa.add(Counter::RankComparisons, 2);
         sa.finish();
-        sb.count("search", "paths", 3);
+        sb.add(Counter::SearchPathsEnumerated, 3);
         sb.finish();
         let events = r.events();
         let a_events: Vec<_> = events.iter().filter(|e| e.trace_id == a.0).collect();
-        assert_eq!(a_events[0].stage, "search");
-        assert_eq!(a_events[1].stage, "rank");
+        assert_eq!(a_events[0].kind, EventKind::Count(Counter::SearchPathsEnumerated));
+        assert_eq!(a_events[1].kind, EventKind::Count(Counter::RankComparisons));
         // Sorted by id: all of a's events precede all of b's.
         let first_b = events.iter().position(|e| e.trace_id == b.0).unwrap();
         let last_a = events.iter().rposition(|e| e.trace_id == a.0).unwrap();

@@ -911,7 +911,6 @@ pub fn save_file(
     prospector_obs::add(Counter::StoreSaves, 1);
     prospector_obs::gauge_set(Gauge::StoreSaveBytes, bytes.len() as u64);
     record_sections(&manifest);
-    prospector_obs::trace::process_event("store", "save_bytes", bytes.len() as u64);
     Ok(manifest)
 }
 
@@ -922,7 +921,6 @@ fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
     // format exists to shrink.
     let ms = validate_us / 1000;
     prospector_obs::gauge_set(Gauge::StoreMapMs, ms);
-    prospector_obs::trace::process_event("store", "map_ms", ms);
     prospector_obs::gauge_set(Gauge::StoreLoadBytes, bytes);
     record_sections(manifest);
 }
