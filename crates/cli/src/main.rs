@@ -23,8 +23,9 @@
 //!   on-disk graph; `--json` writes the human-readable debug format
 //!   instead); `index inspect <path>` prints the validated section
 //!   breakdown; `index <path>` is shorthand for `index build -o <path>`;
-//!   `--index <path>` on any command warm-starts from a snapshot (binary
-//!   or JSON, sniffed by magic) instead of rebuilding;
+//!   `--index <path>` on any command warm-starts from a v3 binary
+//!   snapshot instead of rebuilding (a `--json` dump or an older format
+//!   version is refused);
 //! * `stats` — graph statistics (§5's size numbers).
 //!
 //! Engine flags (before the subcommand arguments): `--no-mining`,

@@ -80,8 +80,8 @@ mod imp {
 
     use crate::http::{FrameError, Framed, Request, RequestFramer};
     use crate::serve::{
-        answer, endpoint_of, frame_error_response, record_request, sampler_loop,
-        serialize_response, shed_response, Ctx,
+        answer, endpoint_of, frame_error_response, record_request, serialize_response,
+        shed_response, Ctx,
     };
 
     /// epoll data token for the listening socket.
@@ -395,11 +395,11 @@ mod imp {
     }
 
     /// Runs the epoll core until `shutdown` flips: spawns the worker
-    /// pool and the sampler inside one scope, then drives the readiness
-    /// loop on the calling thread. On shutdown the poller stops
-    /// accepting and dispatching, drains in-flight requests and
-    /// outbound buffers (bounded by [`DRAIN_GRACE`]), and the scope
-    /// joins every thread before this returns.
+    /// pool inside one scope, then drives the readiness loop on the
+    /// calling thread. On shutdown the poller stops accepting and
+    /// dispatching, drains in-flight requests and outbound buffers
+    /// (bounded by [`DRAIN_GRACE`]), and the scope joins every thread
+    /// before this returns.
     pub(crate) fn serve_epoll(
         listener: TcpListener,
         ctx: &Ctx<'_>,
@@ -439,10 +439,6 @@ mod imp {
                 let completions = &completions;
                 let stopping = &stopping;
                 scope.spawn(move || worker_loop(queue, completions, ctx, shutdown, stopping));
-            }
-            {
-                let stopping = &stopping;
-                scope.spawn(move || sampler_loop(ctx, shutdown, stopping));
             }
             let mut poller = Poller {
                 epfd,
@@ -750,7 +746,6 @@ mod imp {
                     let handle_ns =
                         u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     record_request(endpoint_of(&request.path), &response, 0, handle_ns);
-                    self.ctx.shed.fetch_add(1, Ordering::Relaxed);
                     prospector_obs::add(Counter::ServeShedTotal, 1);
                     conn.out.extend_from_slice(&bytes);
                     conn.served += 1;
@@ -869,7 +864,6 @@ mod imp {
             };
             if reap {
                 self.drop_conn(id);
-                self.ctx.reaped.fetch_add(1, Ordering::Relaxed);
                 prospector_obs::add(Counter::ServePollerReaped, 1);
             } else {
                 self.wheel.insert(id, remaining);

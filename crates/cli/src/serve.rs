@@ -61,6 +61,10 @@
 //! access log at bind time (it exists to expose them). Every catalog row
 //! ([`prospector_obs::catalog`]) exists from process start, so a scrape
 //! taken before the first query already shows every series at zero.
+//! `/metrics` and `/status` read the live server when scraped: the pool
+//! and poller gauges from the server's own counters, the tenant series
+//! and rings from the registry, and the process gauges from
+//! `/proc/self/status`.
 
 // Off Linux/x86_64 the poller is compiled out, so nothing calls the
 // request path below; `Server::run` returns the poller stub's error.
@@ -76,7 +80,7 @@ use prospector_obs::hist::Histogram;
 use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::prom::Exposition;
 use prospector_obs::trace::{self, TraceId};
-use prospector_obs::window::{self, CounterRing, WindowRing, STANDARD_WINDOWS};
+use prospector_obs::window::{CounterRing, WindowRing, WindowStats, STANDARD_WINDOWS};
 use prospector_obs::{Counter, Gauge, Hist, Json, Labeled, Window};
 use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 
@@ -94,14 +98,6 @@ pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// left at auto (`0`) — deep enough that bursts queue, shallow enough
 /// that a stalled pool sheds instead of buffering unboundedly.
 const INFLIGHT_SLOTS_PER_WORKER: usize = 64;
-
-/// The sampler thread's tick: it re-checks the stop flags this often,
-/// as often as the poller re-checks its own, so shutdown stays bounded.
-const SAMPLER_TICK: Duration = Duration::from_millis(50);
-
-/// Sampler ticks between gauge refreshes: 20 × [`SAMPLER_TICK`] ≈ one
-/// second between `/proc/self/status` reads.
-const SAMPLE_EVERY_TICKS: u32 = 20;
 
 /// Access-log records returned by `GET /logs` when `n` is not given.
 const DEFAULT_LOG_TAIL: usize = 100;
@@ -167,43 +163,28 @@ impl Default for ServeOptions {
     }
 }
 
-/// Per-endpoint × status-code request counters — the label support the
-/// metric registry does not have, kept serve-local and rendered into
-/// `/metrics` as `prospector_serve_http_requests_total{endpoint,code}`.
-struct HttpStats {
-    counts: Vec<[AtomicU64; CODES.len()]>,
-    /// Per-endpoint truncation-reason counts (queries only in practice;
-    /// the data rides on every response's `truncation` label).
-    truncations: Vec<[AtomicU64; TruncationReason::ALL.len()]>,
+/// One [`ENDPOINTS`] row of request accounting.
+struct EndpointStats {
+    /// Requests by status code, one cell per [`CODES`] entry.
+    codes: [AtomicU64; CODES.len()],
+    /// Requests by truncation reason (queries only in practice; the data
+    /// rides on every response's `truncation` label).
+    truncations: [AtomicU64; TruncationReason::ALL.len()],
+    /// Handle time since boot (`serve.http.latency_ns.<endpoint>`).
+    latency_hist: Histogram,
+    /// Handle time over the rolling windows.
+    latency: WindowRing,
+    /// Non-2xx answers over the rolling windows, for `/status`.
+    errors: CounterRing,
 }
 
-impl HttpStats {
-    fn new() -> HttpStats {
-        HttpStats {
-            counts: (0..ENDPOINTS.len())
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
-            truncations: (0..ENDPOINTS.len())
-                .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
-                .collect(),
-        }
-    }
-
-    fn record(&self, endpoint: usize, code: u16) {
-        let ci = CODES.iter().position(|&c| c == code).unwrap_or(CODES.len() - 1);
-        self.counts[endpoint][ci].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_truncation(&self, endpoint: usize, reason: TruncationReason) {
-        self.truncations[endpoint][reason as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `(requests, errors)` totals for one endpoint row.
-    fn totals(&self, endpoint: usize) -> (u64, u64) {
+impl EndpointStats {
+    /// `(requests, errors)` totals.
+    fn totals(&self) -> (u64, u64) {
         let mut requests = 0;
         let mut errors = 0;
-        for (ci, &code) in CODES.iter().enumerate() {
-            let v = self.counts[endpoint][ci].load(Ordering::Relaxed);
+        for (cell, &code) in self.codes.iter().zip(&CODES) {
+            let v = cell.load(Ordering::Relaxed);
             requests += v;
             if code >= 400 {
                 errors += v;
@@ -213,34 +194,32 @@ impl HttpStats {
     }
 }
 
-fn http_stats() -> &'static HttpStats {
-    static GLOBAL: OnceLock<HttpStats> = OnceLock::new();
-    GLOBAL.get_or_init(HttpStats::new)
+/// Serve's request table: one row per [`ENDPOINTS`] entry plus the
+/// queue-wait ring. [`record_request`] writes it; `/metrics` and
+/// `/status` read it. It is the label support the metric registry does
+/// not have, kept here because serve owns [`ENDPOINTS`].
+struct RequestTable {
+    endpoints: [EndpointStats; ENDPOINTS.len()],
+    queue_wait: WindowRing,
 }
 
-/// Per-endpoint latency (a window ring, and the histogram cells serve
-/// holds because it owns [`ENDPOINTS`]), per-endpoint windowed error
-/// counts for `/status`, and the queue-wait ring: resolved once, so the
-/// per-request path never touches the ring registry's lock.
-struct ServeRings {
-    latency: Vec<Arc<WindowRing>>,
-    latency_hist: [Histogram; ENDPOINTS.len()],
-    errors: [CounterRing; ENDPOINTS.len()],
-    queue_wait: Arc<WindowRing>,
-}
-
-fn serve_rings() -> &'static ServeRings {
-    static GLOBAL: OnceLock<ServeRings> = OnceLock::new();
-    GLOBAL.get_or_init(|| ServeRings {
-        latency: ENDPOINTS.iter().map(|e| window::ring(Window::HttpLatency, Some(e))).collect(),
-        latency_hist: std::array::from_fn(|_| Histogram::new()),
-        errors: std::array::from_fn(|_| CounterRing::new()),
-        queue_wait: window::ring(Window::QueueWait, None),
+fn requests() -> &'static RequestTable {
+    static TABLE: OnceLock<RequestTable> = OnceLock::new();
+    TABLE.get_or_init(|| RequestTable {
+        endpoints: std::array::from_fn(|_| EndpointStats {
+            codes: std::array::from_fn(|_| AtomicU64::new(0)),
+            truncations: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency_hist: Histogram::new(),
+            latency: WindowRing::new(),
+            errors: CounterRing::new(),
+        }),
+        queue_wait: WindowRing::new(),
     })
 }
 
 /// Shared per-run state: the tenant registry, the resolved options, and
-/// the live gauges the poller and workers update and `/status` reads.
+/// the live gauges the poller and workers update and `/metrics` and
+/// `/status` read when scraped.
 pub(crate) struct Ctx<'a> {
     pub(crate) registry: &'a Registry,
     pub(crate) max: usize,
@@ -261,12 +240,8 @@ pub(crate) struct Ctx<'a> {
     pub(crate) depth: AtomicU64,
     /// Requests dispatched to a worker and not yet answered.
     pub(crate) inflight: AtomicU64,
-    /// Requests shed with `429` at the admission ceiling.
-    pub(crate) shed: AtomicU64,
     /// Connections currently parked in the poller between requests.
     pub(crate) parked: AtomicU64,
-    /// Idle connections reaped by the poller's timer wheel.
-    pub(crate) reaped: AtomicU64,
 }
 
 impl<'a> Ctx<'a> {
@@ -289,9 +264,7 @@ impl<'a> Ctx<'a> {
             conns: AtomicU64::new(0),
             depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
             parked: AtomicU64::new(0),
-            reaped: AtomicU64::new(0),
         }
     }
 }
@@ -337,9 +310,9 @@ impl Server {
     }
 
     /// Serves until `shutdown` is set, on the epoll readiness core
-    /// ([`crate::poller`]). A sampler thread refreshes the `process.*`
-    /// and `serve.*` gauges about once a second, and when the flag
-    /// flips everything drains and joins before this returns.
+    /// ([`crate::poller`]): the calling thread is the poller, and the
+    /// worker pool answers requests. When the flag flips everything
+    /// drains and joins before this returns.
     ///
     /// # Errors
     ///
@@ -353,39 +326,6 @@ impl Server {
     ) -> Result<(), String> {
         let ctx = Ctx::new(registry, opts, self.workers);
         crate::poller::serve_epoll(self.listener, &ctx, shutdown)
-    }
-}
-
-/// The background sampler: about once a second it publishes the pool
-/// gauges plus `/proc/self/status` derived `process.*` gauges into the
-/// metric registry. It wakes every [`SAMPLER_TICK`] to re-check the stop
-/// flags, so shutdown latency is bounded by one tick.
-pub(crate) fn sampler_loop(ctx: &Ctx<'_>, shutdown: &AtomicBool, stopping: &AtomicBool) {
-    let mut ticks = 0u32;
-    loop {
-        if shutdown.load(Ordering::Relaxed) || stopping.load(Ordering::Relaxed) {
-            return;
-        }
-        if ticks.is_multiple_of(SAMPLE_EVERY_TICKS) {
-            sample_self_stats(ctx);
-        }
-        ticks = ticks.wrapping_add(1);
-        std::thread::sleep(SAMPLER_TICK);
-    }
-}
-
-/// One gauge refresh: pool gauges from [`Ctx`], process gauges from
-/// `/proc/self/status` (skipped when it is unreadable — the `serve.*`
-/// gauges still publish).
-fn sample_self_stats(ctx: &Ctx<'_>) {
-    prospector_obs::gauge_set(Gauge::ServeQueueDepth, ctx.depth.load(Ordering::Relaxed));
-    prospector_obs::gauge_set(Gauge::ServeWorkersBusy, ctx.busy.load(Ordering::Relaxed));
-    prospector_obs::gauge_set(Gauge::ServeConnsActive, ctx.conns.load(Ordering::Relaxed));
-    prospector_obs::gauge_set(Gauge::ServePollerParked, ctx.parked.load(Ordering::Relaxed));
-    prospector_obs::gauge_set(Gauge::ServePollerInflight, ctx.inflight.load(Ordering::Relaxed));
-    if let Some((rss, threads)) = read_proc_self_status() {
-        prospector_obs::gauge_set(Gauge::ProcessRssBytes, rss);
-        prospector_obs::gauge_set(Gauge::ProcessThreads, threads);
     }
 }
 
@@ -582,9 +522,7 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
     match ENDPOINTS[endpoint] {
         "healthz" => Response::new(200, "OK", "text/plain", "ok\n".to_owned()),
         "readyz" => Response::ok_json(readyz_json(ctx).to_text()),
-        "metrics" => {
-            Response::new(200, "OK", "text/plain; version=0.0.4", render_metrics(ctx.registry))
-        }
+        "metrics" => Response::new(200, "OK", "text/plain; version=0.0.4", render_metrics(ctx)),
         "status" => Response::ok_json(status_json(ctx).to_text()),
         "query" => on_tenant(ctx, query, |tenant| {
             tenant.record_query();
@@ -745,17 +683,19 @@ pub(crate) fn record_request(
     queue_wait_ns: u64,
     handle_ns: u64,
 ) {
-    http_stats().record(endpoint, response.code);
+    let table = requests();
+    let row = &table.endpoints[endpoint];
+    let ci = CODES.iter().position(|&c| c == response.code).unwrap_or(CODES.len() - 1);
+    row.codes[ci].fetch_add(1, Ordering::Relaxed);
     if let Some(reason) = response.truncation {
-        http_stats().record_truncation(endpoint, reason);
+        row.truncations[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
-    let rings = serve_rings();
-    rings.queue_wait.record(queue_wait_ns);
+    table.queue_wait.record(queue_wait_ns);
     prospector_obs::metrics::histogram(Hist::ServeQueueWaitNs, 0).record(queue_wait_ns);
-    rings.latency[endpoint].record(handle_ns);
-    rings.latency_hist[endpoint].record(handle_ns);
+    row.latency.record(handle_ns);
+    row.latency_hist.record(handle_ns);
     if response.code >= 400 {
-        rings.errors[endpoint].add(1);
+        row.errors.add(1);
     }
     if let Some(tenant) = &response.tenant {
         tenant.latency().record(handle_ns);
@@ -774,51 +714,67 @@ pub(crate) fn record_request(
     });
 }
 
-/// `GET /metrics`: the registry snapshot, every window ring, the
-/// labeled request counters and endpoint latency cells, and the
-/// per-tenant series (the lifecycle state as a one-hot gauge). Every
-/// endpoint × code cell is emitted, zeros included, so dashboards see
-/// each series before its first event. The cache-entry gauges are read
-/// here, summed over every tenant's engine.
-fn render_metrics(registry: &Registry) -> String {
+/// `GET /metrics`: the registry snapshot, the request table (labeled
+/// request counters, endpoint latency cells and window rings), and the
+/// per-tenant series and rings (the lifecycle state as a one-hot gauge).
+/// Every endpoint × code cell is emitted, zeros included, so dashboards
+/// see each series before its first event. The pool, poller, process,
+/// registry and cache-entry gauges are read here, from this server.
+fn render_metrics(ctx: &Ctx<'_>) -> String {
+    let registry = ctx.registry;
+    let tenants: Vec<Arc<Tenant>> =
+        registry.names().iter().filter_map(|name| registry.get(name)).collect();
     let (mut dist, mut result) = (0, 0);
-    for name in registry.names() {
-        if let Some(tenant) = registry.get(&name) {
-            let status = tenant.engine().status();
-            dist += status.dist_cache_entries;
-            result += status.result_cache_entries;
-        }
+    for tenant in &tenants {
+        let status = tenant.engine().status();
+        dist += status.dist_cache_entries;
+        result += status.result_cache_entries;
     }
-    // Into this scrape's copy, not the registry: the sum belongs to
+    let (rss, threads) = read_proc_self_status().unwrap_or_default();
+    let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+    // Into this scrape's copy, not the registry: these values belong to
     // this server, and a second server in the process has its own.
     let mut snap = prospector_obs::snapshot();
-    snap.gauges[Gauge::EngineDistCacheEntries.cell(0)] = dist;
-    snap.gauges[Gauge::EngineResultCacheEntries.cell(0)] = result;
-    let rings = serve_rings();
+    for (gauge, v) in [
+        (Gauge::EngineDistCacheEntries, dist),
+        (Gauge::EngineResultCacheEntries, result),
+        (Gauge::RegistryTenants, registry.len() as u64),
+        (Gauge::RegistryEngineBytes, registry.engine_bytes_total()),
+        (Gauge::ServeQueueDepth, read(&ctx.depth)),
+        (Gauge::ServeWorkersBusy, read(&ctx.busy)),
+        (Gauge::ServeConnsActive, read(&ctx.conns)),
+        (Gauge::ServePollerParked, read(&ctx.parked)),
+        (Gauge::ServePollerInflight, read(&ctx.inflight)),
+        (Gauge::ProcessRssBytes, rss),
+        (Gauge::ProcessThreads, threads),
+    ] {
+        snap.gauges[gauge.cell(0)] = v;
+    }
+    let table = requests();
     let mut e = Exposition::default();
     e.snapshot(&snap);
-    for view in window::views(&STANDARD_WINDOWS) {
-        e.window(&view);
-    }
-    for (ei, endpoint) in ENDPOINTS.iter().enumerate() {
-        for (ci, code) in CODES.iter().enumerate() {
-            let v = http_stats().counts[ei][ci].load(Ordering::Relaxed);
-            let labels = [("endpoint", *endpoint), ("code", &code.to_string())];
-            e.value(Labeled::ServeHttpRequests.row(), None, &labels, v);
+    for (row, endpoint) in table.endpoints.iter().zip(ENDPOINTS) {
+        for (cell, code) in row.codes.iter().zip(CODES) {
+            let labels = [("endpoint", endpoint), ("code", &code.to_string())];
+            e.value(Labeled::ServeHttpRequests.row(), None, &labels, cell.load(Ordering::Relaxed));
         }
-        e.histogram(Labeled::ServeHttpLatencyNs.row(), Some(endpoint), &rings.latency_hist[ei].snapshot());
+        e.histogram(Labeled::ServeHttpLatencyNs.row(), Some(endpoint), &row.latency_hist.snapshot());
+        e.window(Window::HttpLatency.row(), Some(endpoint), &row.latency);
     }
-    for t in registry.manifest() {
-        let tenant = [("tenant", t.name.as_str())];
-        e.value(Labeled::EngineGraphEpoch.row(), None, &tenant, t.graph_epoch);
-        e.value(Labeled::EngineBytes.row(), None, &tenant, t.engine_bytes);
-        e.value(Labeled::EngineQueries.row(), None, &tenant, t.queries);
-        e.value(Counter::RegistryReloads.row(), None, &tenant, t.reloads);
-        e.value(Counter::RegistryReloadFailures.row(), None, &tenant, t.reload_failures);
+    e.window(Window::QueueWait.row(), None, &table.queue_wait);
+    for tenant in &tenants {
+        let t = tenant.info();
+        let name = [("tenant", t.name.as_str())];
+        e.value(Labeled::EngineGraphEpoch.row(), None, &name, t.graph_epoch);
+        e.value(Labeled::EngineBytes.row(), None, &name, t.engine_bytes);
+        e.value(Labeled::EngineQueries.row(), None, &name, t.queries);
+        e.value(Counter::RegistryReloads.row(), None, &name, t.reloads);
+        e.value(Counter::RegistryReloadFailures.row(), None, &name, t.reload_failures);
         for state in ["loading", "ready", "draining", "failed"] {
             let labels = [("tenant", t.name.as_str()), ("state", state)];
             e.value(Labeled::TenantState.row(), None, &labels, u64::from(t.state.label() == state));
         }
+        e.window(Window::TenantLatency.row(), Some(tenant.name()), tenant.latency());
     }
     e.finish()
 }
@@ -869,7 +825,7 @@ fn hit_ratio(hits: u64, misses: u64) -> f64 {
 }
 
 /// One window's stats as the `/status` JSON shape.
-fn window_stats_json(v: window::WindowStats, errors_in_window: u64) -> Json {
+fn window_stats_json(v: WindowStats, errors_in_window: u64) -> Json {
     let error_rate =
         if v.count == 0 { 0.0 } else { errors_in_window as f64 / v.count as f64 };
     Json::obj(vec![
@@ -890,11 +846,12 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
     let default_engine = ctx.registry.get(DEFAULT_TENANT).map(|t| t.engine());
     let engine_status = default_engine.as_ref().map(|e| e.status()).unwrap_or_default();
     let (source, mode, epoch) = default_provenance(ctx.registry);
-    let rings = serve_rings();
+    let (rss, threads) = read_proc_self_status().unwrap_or_default();
+    let table = requests();
 
     let mut endpoints: Vec<(String, Json)> = Vec::new();
-    for (ei, name) in ENDPOINTS.iter().enumerate() {
-        let (requests, errors) = http_stats().totals(ei);
+    for (row, name) in table.endpoints.iter().zip(ENDPOINTS) {
+        let (requests, errors) = row.totals();
         let mut fields = vec![
             ("requests_total".to_owned(), Json::num_u(requests)),
             ("errors_total".to_owned(), Json::num_u(errors)),
@@ -903,7 +860,7 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
                 Json::Obj(
                     TruncationReason::ALL
                         .iter()
-                        .zip(&http_stats().truncations[ei])
+                        .zip(&row.truncations)
                         .map(|(reason, v)| {
                             (reason.label().to_owned(), Json::num_u(v.load(Ordering::Relaxed)))
                         })
@@ -911,18 +868,17 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
                 ),
             ),
         ];
-        for &(label, secs) in &STANDARD_WINDOWS {
-            let view = rings.latency[ei].view(secs);
-            let errs = rings.errors[ei].sum(secs);
-            fields.push((label.to_owned(), window_stats_json(view, errs)));
+        for (label, secs) in STANDARD_WINDOWS {
+            let errs = row.errors.sum(secs);
+            fields.push((label.to_owned(), window_stats_json(row.latency.view(secs), errs)));
         }
-        endpoints.push(((*name).to_owned(), Json::Obj(fields)));
+        endpoints.push((name.to_owned(), Json::Obj(fields)));
     }
 
     let queue_wait: Vec<(String, Json)> = STANDARD_WINDOWS
         .iter()
         .map(|&(label, secs)| {
-            (label.to_owned(), window_stats_json(rings.queue_wait.view(secs), 0))
+            (label.to_owned(), window_stats_json(table.queue_wait.view(secs), 0))
         })
         .collect();
 
@@ -967,15 +923,15 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
             Json::obj(vec![
                 ("parked", Json::num_u(ctx.parked.load(Ordering::Relaxed))),
                 ("inflight", Json::num_u(ctx.inflight.load(Ordering::Relaxed))),
-                ("shed_total", Json::num_u(ctx.shed.load(Ordering::Relaxed))),
-                ("reaped_total", Json::num_u(ctx.reaped.load(Ordering::Relaxed))),
+                ("shed_total", Json::num_u(snap.counter(Counter::ServeShedTotal))),
+                ("reaped_total", Json::num_u(snap.counter(Counter::ServePollerReaped))),
             ]),
         ),
         (
             "process",
             Json::obj(vec![
-                ("rss_bytes", Json::num_u(snap.gauge(Gauge::ProcessRssBytes))),
-                ("threads", Json::num_u(snap.gauge(Gauge::ProcessThreads))),
+                ("rss_bytes", Json::num_u(rss)),
+                ("threads", Json::num_u(threads)),
             ]),
         ),
         (
@@ -1230,7 +1186,7 @@ fn percent_decode(value: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{endpoint_index, percent_decode, query_param, ENDPOINTS};
+    use super::{endpoint_index, percent_decode, query_param, Json, ENDPOINTS};
 
     #[test]
     fn percent_decode_handles_escapes_and_passthrough() {
@@ -1282,6 +1238,115 @@ mod tests {
         assert_eq!(allowed_methods(endpoint_index("/tenants")), "GET, POST");
         assert_eq!(allowed_methods(endpoint_index("/reload")), "POST");
         assert_eq!(allowed_methods(endpoint_index("/query")), "GET");
+    }
+
+    /// The serve query boundary: seeded requests, each a well-formed
+    /// query for its route put through up to three mutations drawn from
+    /// parameter names, separators, broken and valid escapes, known and
+    /// unknown type names, multibyte text and empty strings. Every answer
+    /// is a typed 200, 400, 404 or 405 — never a panic — and every JSON
+    /// body parses as strict JSON.
+    #[test]
+    fn seeded_requests_get_typed_answers() {
+        use std::collections::BTreeMap;
+
+        use prospector_corpora::{build, BuildOptions};
+        use prospector_obs::SmallRng;
+        use prospector_registry::{Provenance, Registry};
+
+        use super::{answer, Ctx, ServeOptions};
+        use crate::http::Request;
+
+        // `(method, route, the route's own parameters)`. POST /tenants is
+        // left out: it opens the files it is named.
+        const ROUTES: [(&str, &str, &[&str]); 7] = [
+            ("GET", "/query", &["tin", "tout"]),
+            ("GET", "/assist", &["var", "var", "tout"]),
+            ("GET", "/logs", &["n"]),
+            ("GET", "/slow", &["clear"]),
+            ("GET", "/status", &[]),
+            ("GET", "/nope", &[]),
+            ("POST", "/reload", &["tenant"]),
+        ];
+        const TYPES: [&str; 6] =
+            ["IFile", "ASTNode", "InputStream", "BufferedReader", "java.io.Reader", "NoSuchType"];
+        const KEYS: [&str; 9] = ["tin", "tout", "var", "tenant", "n", "clear", "name", "x", ""];
+        const PIECES: [&str; 22] = [
+            "=", "&", "%", "%2", "%zz", "%+A", "%FF%FE", "%3A", "%2E", "+", ":", "é", "日本",
+            "🦀", "", "0", "-1", "99999999999999999999", "default", "ghost", "IFile", "Nope",
+        ];
+
+        let engine = build(&BuildOptions::default()).expect("corpus builds").prospector;
+        let registry = Registry::with_default(engine, Provenance::built());
+        let ctx = Ctx::new(&registry, &ServeOptions::default(), 1);
+        let mut rng = SmallRng::seed_from_u64(28);
+        let pick = |rng: &mut SmallRng, from: &[&'static str]| from[rng.gen_range(0..from.len())];
+        let mut codes: BTreeMap<u16, usize> = BTreeMap::new();
+        for _ in 0..20_000 {
+            let (mut method, route, own) = ROUTES[rng.gen_range(0..ROUTES.len())];
+            if rng.gen_bool(0.25) {
+                method = if method == "GET" { "POST" } else { "GET" };
+            }
+            let mut pairs: Vec<String> = own
+                .iter()
+                .map(|&key| {
+                    let value = match key {
+                        "tin" | "tout" => pick(&mut rng, &TYPES).to_owned(),
+                        "var" => format!("v:{}", pick(&mut rng, &TYPES)),
+                        "tenant" => pick(&mut rng, &["default", "ghost"]).to_owned(),
+                        _ => "1".to_owned(),
+                    };
+                    format!("{key}={value}")
+                })
+                .collect();
+            for _ in 0..rng.gen_range(0..=3) {
+                match rng.gen_range(0..3) {
+                    0 => {
+                        let pair = format!("{}={}", pick(&mut rng, &KEYS), pick(&mut rng, &PIECES));
+                        pairs.push(pair);
+                    }
+                    1 if !pairs.is_empty() => {
+                        let i = rng.gen_range(0..pairs.len());
+                        let at = pairs[i].char_indices().map(|(at, _)| at).collect::<Vec<_>>();
+                        let at = at[rng.gen_range(0..at.len())];
+                        pairs[i].insert_str(at, pick(&mut rng, &PIECES));
+                    }
+                    _ if !pairs.is_empty() => {
+                        pairs.remove(rng.gen_range(0..pairs.len()));
+                    }
+                    _ => {}
+                }
+            }
+            let path = match pairs.join("&") {
+                query if query.is_empty() && rng.gen_bool(0.5) => route.to_owned(),
+                query => format!("{route}?{query}"),
+            };
+            let request = Request { method: method.to_owned(), path, close: false };
+            let response = std::panic::catch_unwind(|| answer(&ctx, &request).1)
+                .unwrap_or_else(|_| panic!("{} {} panicked", request.method, request.path));
+            assert!(
+                [200, 400, 404, 405].contains(&response.code),
+                "{} {} answered {}: {}",
+                request.method,
+                request.path,
+                response.code,
+                response.body
+            );
+            if response.content_type == "application/json" {
+                if let Err(e) = Json::parse(&response.body) {
+                    panic!("{} {}: {e}: {}", request.method, request.path, response.body);
+                }
+            }
+            *codes.entry(response.code).or_default() += 1;
+        }
+        assert_eq!(codes.keys().copied().collect::<Vec<_>>(), [200, 400, 404, 405], "{codes:?}");
+
+        // Valid UTF-8 without `%` or `+` decodes to itself.
+        const CHARS: [char; 12] = ['a', 'Z', '0', '.', ':', '=', '&', ' ', 'é', '日', '🦀', '\u{0}'];
+        for _ in 0..2_000 {
+            let text: String = (0..rng.gen_range(0..12)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect();
+            assert_eq!(percent_decode(&text), text);
+        }
     }
 
     #[test]

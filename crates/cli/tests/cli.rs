@@ -526,9 +526,20 @@ fn serve_warm_start_records_store_stage_and_no_build_stages() {
     }
     assert!(metrics.contains("prospector_store_loads_total"), "{metrics}");
 
+    let status = get("/status");
+
     child.kill().expect("stop server");
     child.wait().expect("reap server");
     std::fs::remove_file(&path).ok();
+
+    // Serving runs the worker pool plus the poller on the calling
+    // thread, and no other thread.
+    let status = prospector_obs::Json::parse(&status).expect("status JSON");
+    let read = |section: &str, key: &str| {
+        status.get(section).and_then(|s| s.get(key)).and_then(prospector_obs::Json::as_u64)
+    };
+    let workers = read("pool", "workers").expect("pool.workers");
+    assert_eq!(read("process", "threads"), Some(workers + 1), "{status:?}");
 }
 
 #[test]

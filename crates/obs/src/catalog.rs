@@ -228,13 +228,13 @@ catalog! {
         StoreLoadBytes Gauge "store.load_bytes" "Bytes of the last snapshot loaded.";
         StoreMapMs Gauge "store.map_ms" "Milliseconds the last load spent validating the snapshot framing.";
         StoreSectionBytes Gauge "store.section.<section>.bytes" [&["strings", "types", "members", "graph", "csr", "examples", "suffixes"]] "Payload bytes of one section of the last snapshot written or loaded.";
-        ServeQueueDepth Gauge "serve.queue.depth" "Parsed requests queued for the worker pool (sampled about once a second).";
-        ServeWorkersBusy Gauge "serve.workers.busy" "Workers handling a request (sampled about once a second).";
-        ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or in flight (sampled about once a second).";
-        ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests; a connection whose response has left parks when the poller absorbs its completion, at most one 50 ms poll slice later on an idle server (sampled about once a second).";
-        ServePollerInflight Gauge "serve.poller.inflight" "Requests dispatched to a worker and not yet answered (sampled about once a second).";
-        ProcessRssBytes Gauge "process.rss_bytes" "Resident set size from /proc/self/status, sampled about once a second.";
-        ProcessThreads Gauge "process.threads" "Threads from /proc/self/status, sampled about once a second.";
+        ServeQueueDepth Gauge "serve.queue.depth" "Parsed requests queued for the worker pool.";
+        ServeWorkersBusy Gauge "serve.workers.busy" "Workers handling a request.";
+        ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or in flight.";
+        ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests; a connection whose response has left parks when the poller absorbs its completion, at most one 50 ms poll slice later on an idle server.";
+        ServePollerInflight Gauge "serve.poller.inflight" "Requests dispatched to a worker and not yet answered.";
+        ProcessRssBytes Gauge "process.rss_bytes" "Resident set size from /proc/self/status.";
+        ProcessThreads Gauge "process.threads" "Threads from /proc/self/status.";
     }
 
     /// Histograms the registry holds: [`crate::metrics::histogram`].
@@ -258,7 +258,9 @@ catalog! {
         TenantState Gauge "tenant.state{tenant,state}" "Tenant lifecycle state (1 for the current state's series).";
     }
 
-    /// Rolling-window rings ([`crate::window::ring`]).
+    /// Rolling-window rings ([`crate::window::WindowRing`]), each owned by
+    /// the code that records into it, which files it into the scrape
+    /// ([`crate::prom::Exposition::window`]).
     Window {
         HttpLatency Window "serve.http.latency_ns.<endpoint>" "Handle time per endpoint over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
         QueueWait Window "serve.queue.wait_ns" "Poller-to-worker queue wait over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";

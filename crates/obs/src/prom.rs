@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use crate::catalog::{self, Counter, Gauge, Hist, Kind, Labeled, Row};
 use crate::hist::{HistSnapshot, Histogram};
 use crate::metrics::Snapshot;
-use crate::window::RingViews;
+use crate::window::{WindowRing, STANDARD_WINDOWS};
 
 /// Mangles a series name into a Prometheus metric name: `prospector_`
 /// prefix, every non-alphanumeric byte to `_`.
@@ -107,23 +107,23 @@ impl Exposition {
         let _ = writeln!(text, "{name}_count {}", h.count);
     }
 
-    /// Files one ring's window views as gauges: `<name>_window{win,q}`
+    /// Files `ring`, the ring of `row`'s series for `label`, as gauges
+    /// over each of [`STANDARD_WINDOWS`]: `<name>_window{win,q}`
     /// quantiles (in the units recorded), `<name>_window_rate{win}`
     /// (events per second, 0 for an empty window, never NaN) and
     /// `<name>_window_count{win}`.
-    pub fn window(&mut self, view: &RingViews) {
-        let help = view.row.row().help;
-        let base = format!("{}_window", metric_name(&view.name));
-        for (win, stats) in &view.windows {
-            let win = escape_label(win);
-            let text = self.family(&base, "gauge", help);
+    pub fn window(&mut self, row: &Row, label: Option<&str>, ring: &WindowRing) {
+        let base = format!("{}_window", metric_name(&row.series(label)));
+        for (win, secs) in STANDARD_WINDOWS {
+            let stats = ring.view(secs);
+            let text = self.family(&base, "gauge", row.help);
             for (q, v) in [("p50", stats.p50), ("p90", stats.p90), ("p99", stats.p99)] {
                 let _ = writeln!(text, "{base}{{win=\"{win}\",q=\"{q}\"}} {v}");
             }
             let rate = if stats.rate.is_finite() { stats.rate } else { 0.0 };
-            let text = self.family(&format!("{base}_rate"), "gauge", help);
+            let text = self.family(&format!("{base}_rate"), "gauge", row.help);
             let _ = writeln!(text, "{base}_rate{{win=\"{win}\"}} {rate}");
-            let text = self.family(&format!("{base}_count"), "gauge", help);
+            let text = self.family(&format!("{base}_count"), "gauge", row.help);
             let _ = writeln!(text, "{base}_count{{win=\"{win}\"}} {}", stats.count);
         }
     }
@@ -255,15 +255,8 @@ mod tests {
 
     #[test]
     fn empty_window_gauges_are_finite_f64() {
-        use crate::window::WindowRing;
-        let ring = WindowRing::new();
-        let view = RingViews {
-            name: "serve.http.latency_ns.query".to_owned(),
-            row: Window::HttpLatency,
-            windows: vec![("1m", ring.view(60)), ("5m", ring.view(300))],
-        };
         let mut e = Exposition::default();
-        e.window(&view);
+        e.window(Window::HttpLatency.row(), Some("query"), &WindowRing::new());
         let text = e.finish();
         assert!(
             text.contains("prospector_serve_http_latency_ns_query_window{win=\"1m\",q=\"p99\"} 0"),

@@ -476,11 +476,6 @@ pub fn set_seed(seed: u64) {
     global().set_seed(seed);
 }
 
-/// Sets the global slow-query threshold in milliseconds (0 = off).
-pub fn set_slow_threshold_ms(ms: u64) {
-    global().set_slow_threshold_ns(ms.saturating_mul(1_000_000));
-}
-
 /// Sets the global slow-query retention cap (clamped to at least 1).
 pub fn set_slow_log_cap(cap: usize) {
     global().set_slow_log_cap(cap);

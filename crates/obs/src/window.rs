@@ -12,13 +12,14 @@
 //! Deltas, not cumulative snapshots, back the ring on purpose: a slot
 //! that ages out of every window simply stops being merged — there is no
 //! subtraction, no pairing of "snapshot at T" with "snapshot at T−60",
-//! and a reader never needs two coordinated reads to be correct. Each
-//! slot is claimed for a new second with one CAS on its stamp; the claim
-//! resets the slot's buckets and every recorder thereafter does plain
-//! relaxed fetch-adds. Races at a second boundary can misattribute (or,
-//! between a claim's CAS and its reset, drop) a handful of samples into
-//! a neighboring second — bounded, harmless noise for monitoring, and
-//! the price of a record path with **no locks and no allocation**.
+//! and a reader never needs two coordinated reads to be correct. The
+//! first recorder of a new second claims its slot in three steps: one
+//! CAS moves the slot's stamp to a marker, it resets the slot's buckets,
+//! and it publishes the new second. A recorder that finds the marker waits for
+//! the publication, and no recorder reclaims a slot that holds a later
+//! second, so no observation is lost; every recorder after the claim
+//! does plain relaxed fetch-adds. The record path takes **no locks and
+//! no allocation**.
 //!
 //! Two ring flavors:
 //!
@@ -27,18 +28,15 @@
 //! * [`CounterRing`] — one counter per slot, for windowed event rates
 //!   (requests, errors) where a distribution is not needed.
 //!
-//! A process-global registry of [`WindowRing`]s ([`ring`], [`views`]),
-//! each named by a [`Window`] catalog row, lets the serve layer render
-//! every registered ring into `/metrics` generically.
+//! A ring is a plain value owned by the code that records into it (the
+//! serve layer's request table, each registry tenant), which files it
+//! into `/metrics` with [`crate::prom::Exposition::window`].
 //! [`STANDARD_WINDOWS`] fixes the two views every consumer shares: 1m
 //! and 5m.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::catalog::Window;
 use crate::hist::{HistSnapshot, Histogram};
 
 /// Ring capacity in one-second slots. Sized to hold the largest standard
@@ -48,6 +46,35 @@ pub const SLOTS: usize = 330;
 
 /// The window views every consumer renders: `(label, seconds)`.
 pub const STANDARD_WINDOWS: [(&str, u64); 2] = [("1m", 60), ("5m", 300)];
+
+/// The stamp of a slot whose claimer is resetting it. Views skip it: it
+/// is above every second they ask for.
+const CLAIMING: u64 = u64::MAX;
+
+/// Makes a slot's `stamp` read `second` before the caller records into
+/// the slot. A slot holding an earlier second is claimed: its stamp
+/// becomes [`CLAIMING`], `reset` zeroes the slot, then the second is
+/// published. A slot being claimed is waited for, and a slot holding
+/// `second` or a later one is left as it is.
+fn claim(stamp: &AtomicU64, second: u64, reset: impl FnOnce()) {
+    loop {
+        let seen = stamp.load(Ordering::Acquire);
+        if seen == CLAIMING {
+            std::thread::yield_now();
+        } else if seen >= second {
+            return;
+        } else if stamp
+            .compare_exchange_weak(seen, CLAIMING, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+        {
+            reset();
+            // Release pairs with the Acquire loads above: a recorder that
+            // reads the second also sees the reset.
+            stamp.store(second, Ordering::Release);
+            return;
+        }
+    }
+}
 
 /// One slot: the second it belongs to (`0` = never used; stored as
 /// `second + 1`) and that second's delta histogram.
@@ -107,8 +134,8 @@ impl WindowRing {
     }
 
     /// Records one observation into the current second's slot. No locks,
-    /// no allocation: one `Instant` read, at most one CAS (only on the
-    /// first record of a new second), then relaxed fetch-adds.
+    /// no allocation: one `Instant` read, one stamp load (plus the claim
+    /// on the first record of a new second), then relaxed fetch-adds.
     pub fn record(&self, value: u64) {
         self.record_at(value, self.now_second());
     }
@@ -117,18 +144,7 @@ impl WindowRing {
     /// benches that need deterministic slot placement.
     pub fn record_at(&self, value: u64, second: u64) {
         let slot = &self.slots[(second % self.slots.len() as u64) as usize];
-        let stamp = slot.stamp.load(Ordering::Acquire);
-        if stamp != second
-            && slot
-                .stamp
-                .compare_exchange(stamp, second, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            // This thread claimed the slot for the new second: drop the
-            // stale delta. A racing recorder between the CAS and this
-            // reset can lose its sample — bounded monitoring noise.
-            slot.hist.reset();
-        }
+        claim(&slot.stamp, second, || slot.hist.reset());
         slot.hist.record(value);
     }
 
@@ -201,14 +217,7 @@ impl CounterRing {
     /// [`add`](Self::add) with an explicit second.
     pub fn add_at(&self, n: u64, second: u64) {
         let i = (second % self.stamps.len() as u64) as usize;
-        let stamp = self.stamps[i].load(Ordering::Acquire);
-        if stamp != second
-            && self.stamps[i]
-                .compare_exchange(stamp, second, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        {
-            self.counts[i].store(0, Ordering::Relaxed);
-        }
+        claim(&self.stamps[i], second, || self.counts[i].store(0, Ordering::Relaxed));
         self.counts[i].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -230,61 +239,6 @@ impl CounterRing {
         }
         total
     }
-}
-
-/// One registered ring's views, for rendering: its series name and row
-/// plus [`WindowStats`] per standard window label.
-#[derive(Clone, Debug)]
-pub struct RingViews {
-    /// The series name (dotted, e.g. `serve.http.latency_ns.query`).
-    pub name: String,
-    /// The ring's catalog row.
-    pub row: Window,
-    /// `(window label, stats)` per entry of the requested window set.
-    pub windows: Vec<(&'static str, WindowStats)>,
-}
-
-/// Every registered ring by series name, with its row.
-type Rings = Mutex<HashMap<String, (Window, Arc<WindowRing>)>>;
-
-fn registry() -> &'static Rings {
-    static GLOBAL: OnceLock<Rings> = OnceLock::new();
-    GLOBAL.get_or_init(Rings::default)
-}
-
-/// A shared handle to the global window ring of `row`'s series for
-/// `label` (`None` for a row without a placeholder), creating it empty.
-/// Resolve it once and keep the handle: this takes the registry lock.
-///
-/// # Panics
-///
-/// Panics only if the registry mutex is poisoned.
-#[must_use]
-pub fn ring(row: Window, label: Option<&str>) -> Arc<WindowRing> {
-    let name = row.row().series(label);
-    let mut map = registry().lock().expect("window ring registry poisoned");
-    Arc::clone(&map.entry(name).or_insert_with(|| (row, Arc::new(WindowRing::new()))).1)
-}
-
-/// Views of every registered [`WindowRing`] over the given windows,
-/// sorted by name for deterministic rendering.
-///
-/// # Panics
-///
-/// Panics only if the registry mutex is poisoned.
-#[must_use]
-pub fn views(windows: &[(&'static str, u64)]) -> Vec<RingViews> {
-    let map = registry().lock().expect("window ring registry poisoned");
-    let mut out: Vec<RingViews> = map
-        .iter()
-        .map(|(name, (row, ring))| RingViews {
-            name: name.clone(),
-            row: *row,
-            windows: windows.iter().map(|&(label, secs)| (label, ring.view(secs))).collect(),
-        })
-        .collect();
-    out.sort_by(|a, b| a.name.cmp(&b.name));
-    out
 }
 
 #[cfg(test)]
@@ -329,6 +283,10 @@ mod tests {
         let v = ring.view_at(60, 7 + SLOTS as u64);
         assert_eq!(v.count, 1);
         assert_eq!(v.sum, 9);
+        // A straggler still on the old second counts into the newer one
+        // instead of reclaiming (and resetting) the slot.
+        ring.record_at(3, 7);
+        assert_eq!(ring.view_at(60, 7 + SLOTS as u64).count, 2);
     }
 
     #[test]
@@ -377,22 +335,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_shares_rings_by_name_and_views_are_sorted() {
-        let a = ring(Window::TenantLatency, Some("test-alpha"));
-        a.record_at(10, 5);
-        let a2 = ring(Window::TenantLatency, Some("test-alpha"));
-        assert_eq!(a2.view_at(60, 5).count, 1, "same name, same ring");
-        let _ = ring(Window::TenantLatency, Some("test-beta"));
-        let all = views(&STANDARD_WINDOWS);
-        let names: Vec<&str> = all
-            .iter()
-            .map(|r| r.name.as_str())
-            .filter(|n| n.contains(".test-"))
-            .collect();
-        assert_eq!(names, ["serve.tenant.latency_ns.test-alpha", "serve.tenant.latency_ns.test-beta"]);
-        let alpha = all.iter().find(|r| r.name.ends_with("test-alpha")).unwrap();
-        assert_eq!(alpha.row, Window::TenantLatency);
-        assert_eq!(alpha.windows.len(), 2);
-        assert_eq!(alpha.windows[0].0, "1m");
+    fn concurrent_adds_within_one_second_lose_nothing() {
+        let ring = CounterRing::new();
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let ring = &ring;
+                scope.spawn(move || {
+                    for _ in 0..10_000 {
+                        ring.add_at(1, 42);
+                    }
+                });
+            }
+        });
+        assert_eq!(ring.sum_at(60, 42), 80_000);
     }
 }

@@ -42,8 +42,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use prospector_core::Prospector;
-use prospector_obs::window::{self, WindowRing};
-use prospector_obs::{Counter, Gauge, Window};
+use prospector_obs::window::WindowRing;
+use prospector_obs::Counter;
 use prospector_store::LoadMode;
 
 /// The tenant every single-tenant URL and CLI flag routes to when no
@@ -51,7 +51,7 @@ use prospector_store::LoadMode;
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Longest accepted tenant name. Names become metric label values and
-/// window-ring names, so they are also restricted to
+/// series names, so they are also restricted to
 /// `[A-Za-z0-9_.-]` (see [`validate_name`]).
 pub const MAX_NAME_LEN: usize = 64;
 
@@ -176,8 +176,9 @@ pub struct Tenant {
     queries: AtomicU64,
     /// Failed reload attempts (the old engine kept serving each time).
     reload_failures: AtomicU64,
-    /// Its `serve.tenant.latency_ns.<tenant>` ring, resolved at registration.
-    latency: Arc<WindowRing>,
+    /// Its `serve.tenant.latency_ns.<tenant>` ring: it lives and dies
+    /// with the tenant, so a name registered again starts empty.
+    latency: WindowRing,
 }
 
 impl Tenant {
@@ -188,7 +189,7 @@ impl Tenant {
             reload_gate: Mutex::new(()),
             queries: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
-            latency: window::ring(Window::TenantLatency, Some(name)),
+            latency: WindowRing::new(),
         }
     }
 
@@ -356,7 +357,7 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// Rejects names that would corrupt metric labels, window-ring names,
+/// Rejects names that would corrupt metric labels, series names,
 /// or URLs: empty, longer than [`MAX_NAME_LEN`], or containing anything
 /// outside `[A-Za-z0-9_.-]`.
 ///
@@ -426,7 +427,6 @@ impl Registry {
             }
             map.insert(name.to_owned(), Arc::clone(&tenant));
         }
-        self.publish_gauges();
         Ok(tenant)
     }
 
@@ -510,7 +510,6 @@ impl Registry {
                 // query releases its clone).
                 drop(old);
                 prospector_obs::add(Counter::RegistryReloads, 1);
-                self.publish_gauges();
                 Ok(tenant.info())
             }
             Err(error) => {
@@ -552,7 +551,6 @@ impl Registry {
             let mut slot = tenant.slot.write().expect("tenant slot poisoned");
             slot.state = TenantState::Draining;
         }
-        self.publish_gauges();
         Ok(tenant.info())
     }
 
@@ -622,13 +620,6 @@ impl Registry {
     #[must_use]
     pub fn engine_bytes_total(&self) -> u64 {
         self.manifest().iter().map(|t| t.engine_bytes).sum()
-    }
-
-    /// Publishes the registry-level gauges (`registry.tenants`,
-    /// `registry.engine_bytes`) after any mutation.
-    fn publish_gauges(&self) {
-        prospector_obs::gauge_set(Gauge::RegistryTenants, self.len() as u64);
-        prospector_obs::gauge_set(Gauge::RegistryEngineBytes, self.engine_bytes_total());
     }
 }
 
