@@ -196,9 +196,8 @@ fn main() {
     };
     let herds: &[usize] = if quick { &[2, 8] } else { &[4, 16, 64] };
     let requests_per_conn = if quick { 40 } else { 150 };
-    let workers = std::thread::available_parallelism()
-        .map_or(2, std::num::NonZeroUsize::get)
-        .min(8);
+    let nproc = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+    let workers = nproc.min(8);
 
     println!("\n=== serve-layer scale: synthetic jungle over the epoll core ===\n");
     let mut size_cells = Vec::new();
@@ -279,6 +278,7 @@ fn main() {
         ("bench", Json::Str("scale_serve".to_owned())),
         ("quick", Json::Bool(quick)),
         ("serve_core", Json::Str("epoll".to_owned())),
+        ("nproc", Json::num_u(nproc as u64)),
         ("workers", Json::num_u(workers as u64)),
         ("sizes", Json::Arr(size_cells)),
     ]);

@@ -27,6 +27,12 @@
 //! threads recording the same cell at once. The process-level span and
 //! every record must make zero allocations.
 //!
+//! The `access_log_record` case prices the access log the serve layer
+//! writes once per request: a `/query`-shaped record into an
+//! [`AccessLog`] with a file sink, after [`TAIL_CAP`] warm-up records so
+//! the tail no longer grows. Each record is one `write(2)` of a line
+//! rendered into a reused buffer, and must make zero allocations.
+//!
 //! Run with `cargo bench -p bench --bench trace_overhead`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
 //! run.
@@ -34,12 +40,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use jungloid_typesys::TyId;
 use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
+use prospector_obs::log::{AccessLog, AccessRecord, TAIL_CAP};
 use prospector_obs::trace::Recorder;
 use prospector_obs::window::WindowRing;
 use prospector_obs::{Counter, Gauge, Hist, Json, Stage};
@@ -248,6 +255,43 @@ fn measure_record(iters: u64, record: &(dyn Fn(u64) + Sync)) -> RecordCost {
     RecordCost { one_thread_ns: per(one_thread), two_threads_ns: per(two_threads), allocs }
 }
 
+/// `(ns_per_record, allocations)` over `iters` access-log records, each
+/// a `/query` answer's record, into a log whose tail is already full.
+fn measure_access_log(iters: u64) -> (f64, u64) {
+    let log = AccessLog::new();
+    log.set_enabled(true);
+    let path = std::env::temp_dir()
+        .join(format!("prospector_bench_access_log_{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    log.set_file(path.to_str().expect("UTF-8 temp path")).expect("log file opens");
+    let tenant: Arc<str> = Arc::from("default");
+    let record = |i: u64| AccessRecord {
+        ts_ms: 1_760_000_000_000 + i,
+        trace_id: (1 << 48) | (3 << 32) | i,
+        endpoint: "query",
+        tenant: Arc::clone(&tenant),
+        code: 200,
+        bytes: 512 + i % 1_024,
+        queue_wait_us: 12,
+        handle_us: 9,
+        cached: true,
+        truncation: "none",
+    };
+    for i in 0..TAIL_CAP as u64 {
+        log.record(record(i));
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let started = Instant::now();
+    for i in 0..iters {
+        log.record(record(black_box(i)));
+    }
+    let elapsed = started.elapsed();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let _ = std::fs::remove_file(&path);
+    #[allow(clippy::cast_precision_loss)]
+    (elapsed.as_nanos() as f64 / iters as f64, allocs)
+}
+
 fn main() {
     let quick = quick_mode();
     let passes = if quick { 5 } else { 50 };
@@ -326,6 +370,12 @@ fn main() {
         assert_eq!(r.allocs, 0, "{name} on a catalog row must not allocate");
     }
 
+    println!("\n=== access-log record (file sink, full tail) ===\n");
+    let log_iters: u64 = if quick { 20_000 } else { 200_000 };
+    let (log_ns, log_allocs) = measure_access_log(log_iters);
+    println!("access log:    {log_ns:>10.1} ns/record  ({log_iters} records, {log_allocs} allocations)");
+    assert_eq!(log_allocs, 0, "an access-log record must not allocate once the tail is full");
+
     let round1 = |x: f64| Json::Num((x * 10.0).round() / 10.0);
     let mut stage_span = vec![
         ("iters".to_owned(), Json::num_u(span_iters)),
@@ -350,6 +400,14 @@ fn main() {
                 ("iters", Json::num_u(iters)),
                 ("ns_per_record", Json::Num((per_record * 10.0).round() / 10.0)),
                 ("allocations", Json::num_u(allocs)),
+            ]),
+        ),
+        (
+            "access_log_record",
+            Json::obj(vec![
+                ("iters", Json::num_u(log_iters)),
+                ("ns_per_record", round1(log_ns)),
+                ("allocations", Json::num_u(log_allocs)),
             ]),
         ),
         (

@@ -70,13 +70,15 @@
 // request path below; `Server::run` returns the poller stub's error.
 #![cfg_attr(not(all(target_os = "linux", target_arch = "x86_64")), allow(dead_code))]
 
+use std::borrow::Cow;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use prospector_core::{Prospector, TruncationReason};
+use prospector_core::{Prospector, Suggestion, TruncationReason};
 use prospector_obs::hist::Histogram;
+use prospector_obs::json::JsonWriter;
 use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::prom::Exposition;
 use prospector_obs::trace::{self, TraceId};
@@ -399,14 +401,20 @@ impl Response {
 
     /// A strict-JSON 400 — the shape every engine endpoint returns for
     /// bad parameters, including an unknown `?tenant=` key.
-    fn bad_request(message: String) -> Response {
-        let body = Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(message)),
-        ])
-        .to_text();
-        Response::new(400, "Bad Request", "application/json", body)
+    fn bad_request(message: &str) -> Response {
+        Response::new(400, "Bad Request", "application/json", error_body(message))
     }
+}
+
+/// `{"ok":false,"error":..}`, the body of every JSON error.
+fn error_body(message: &str) -> String {
+    let mut body = String::with_capacity(32 + message.len());
+    let mut w = JsonWriter::new(&mut body);
+    w.begin_obj();
+    w.key("ok").bool(false);
+    w.key("error").str(message);
+    w.end_obj();
+    body
 }
 
 /// Routes one parsed request to its handler. Returns the endpoint row
@@ -428,11 +436,7 @@ pub(crate) fn answer(ctx: &Ctx<'_>, request: &Request) -> (usize, Response) {
 /// The strict-JSON response for a stream the framer rejected, carrying
 /// the frame error's own status code (`400`/`431`/`413`).
 pub(crate) fn frame_error_response(error: &FrameError) -> Response {
-    let body = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        ("error", Json::Str(error.message())),
-    ])
-    .to_text();
+    let body = error_body(&error.message());
     let (code, reason) = match error {
         FrameError::BadRequestLine(_) => (400, "Bad Request"),
         FrameError::HeadersTooLarge(_) => (431, "Request Header Fields Too Large"),
@@ -444,16 +448,8 @@ pub(crate) fn frame_error_response(error: &FrameError) -> Response {
 /// The `429` the poller sheds with at the admission ceiling: strict
 /// JSON, `Retry-After: 1`, built without touching a worker.
 pub(crate) fn shed_response() -> Response {
-    let body = Json::obj(vec![
-        ("ok", Json::Bool(false)),
-        (
-            "error",
-            Json::Str("overloaded: in-flight request ceiling reached".to_owned()),
-        ),
-        ("shed", Json::Bool(true)),
-    ])
-    .to_text();
-    let mut r = Response::new(429, "Too Many Requests", "application/json", body);
+    let body = r#"{"ok":false,"error":"overloaded: in-flight request ceiling reached","shed":true}"#;
+    let mut r = Response::new(429, "Too Many Requests", "application/json", body.to_owned());
     r.retry_after = 1;
     r
 }
@@ -513,7 +509,7 @@ fn on_tenant(ctx: &Ctx<'_>, query: &str, handler: impl FnOnce(&Tenant) -> Respon
     let name = query_param(query, "tenant");
     match ctx.registry.resolve(name.as_deref()) {
         Ok(tenant) => handler(&tenant).for_tenant(&tenant),
-        Err(e) => Response::bad_request(e.to_string()),
+        Err(e) => Response::bad_request(&e.to_string()),
     }
 }
 
@@ -544,20 +540,10 @@ fn route_get(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
         }
         "trace" => Response::ok_json(trace::to_chrome_json(&trace::events()).to_text()),
         "logs" => match query_param(query, "n") {
-            None => Response::ok_json(alog::to_json_array(&alog::tail(DEFAULT_LOG_TAIL)).to_text()),
+            None => Response::ok_json(alog::to_json_array(&alog::tail(DEFAULT_LOG_TAIL))),
             Some(raw) => match raw.parse::<usize>() {
-                Ok(n) => {
-                    let n = n.min(MAX_LOG_TAIL);
-                    Response::ok_json(alog::to_json_array(&alog::tail(n)).to_text())
-                }
-                Err(_) => {
-                    let body = Json::obj(vec![
-                        ("ok", Json::Bool(false)),
-                        ("error", Json::Str(format!("invalid `n` parameter: {raw:?}"))),
-                    ])
-                    .to_text();
-                    Response::new(400, "Bad Request", "application/json", body)
-                }
+                Ok(n) => Response::ok_json(alog::to_json_array(&alog::tail(n.min(MAX_LOG_TAIL)))),
+                Err(_) => Response::bad_request(&format!("invalid `n` parameter: {raw:?}")),
             },
         },
         "tenants" => Response::ok_json(tenants_json(ctx.registry).to_text()),
@@ -579,15 +565,15 @@ fn route_post(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                     ])
                     .to_text(),
                 ),
-                Err(e) => Response::bad_request(e.to_string()),
+                Err(e) => Response::bad_request(&e.to_string()),
             }
         }),
         "tenants" => {
             let Some(name) = query_param(query, "name") else {
-                return Response::bad_request("missing query parameter `name`".to_owned());
+                return Response::bad_request("missing query parameter `name`");
             };
             let Some(path) = query_param(query, "path") else {
-                return Response::bad_request("missing query parameter `path`".to_owned());
+                return Response::bad_request("missing query parameter `path`");
             };
             let mmap = query_param(query, "mmap")
                 .map_or(ctx.mmap, |v| v == "1" || v == "true");
@@ -600,7 +586,7 @@ fn route_post(ctx: &Ctx<'_>, endpoint: usize, query: &str) -> Response {
                     .to_text(),
                 )
                 .for_tenant(&tenant),
-                Err(e) => Response::bad_request(e.to_string()),
+                Err(e) => Response::bad_request(&e.to_string()),
             }
         }
         _ => method_not_allowed(endpoint),
@@ -651,7 +637,7 @@ fn tenants_json(registry: &Registry) -> Json {
 }
 
 /// The value of one query-string parameter, percent-decoded.
-fn query_param(query: &str, name: &str) -> Option<String> {
+fn query_param<'q>(query: &'q str, name: &str) -> Option<Cow<'q, str>> {
     query
         .split('&')
         .filter_map(|pair| pair.split_once('='))
@@ -661,7 +647,7 @@ fn query_param(query: &str, name: &str) -> Option<String> {
 
 /// Every value of a repeatable query-string parameter (`/assist`'s
 /// `var=`), percent-decoded, in request order.
-fn query_params_all(query: &str, name: &str) -> Vec<String> {
+fn query_params_all<'q>(query: &'q str, name: &str) -> Vec<Cow<'q, str>> {
     query
         .split('&')
         .filter_map(|pair| pair.split_once('='))
@@ -704,7 +690,7 @@ pub(crate) fn record_request(
         ts_ms: alog::now_ms(),
         trace_id: response.trace_id,
         endpoint: ENDPOINTS[endpoint],
-        tenant: response.tenant.as_ref().map_or_else(String::new, |t| t.name().to_owned()),
+        tenant: response.tenant.as_ref().map_or_else(Arc::default, |t| Arc::clone(t.shared_name())),
         code: response.code,
         bytes: response.body.len() as u64,
         queue_wait_us: queue_wait_ns / 1_000,
@@ -963,31 +949,47 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
 }
 
 /// Serializes one response to its wire bytes — header block plus body —
-/// for the poller's outbound buffers. `Allow:` rides on 405s,
-/// `Retry-After:` on shed 429s.
+/// for the poller's outbound buffers, in one buffer of exactly their
+/// size. `Allow:` rides on 405s, `Retry-After:` on shed 429s.
 pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
+    use std::fmt::Write;
+    /// Decimal digits in `n`.
+    fn digits(n: u64) -> usize {
+        n.checked_ilog10().map_or(1, |d| d as usize + 1)
+    }
     let connection = if close { "close" } else { "keep-alive" };
-    let allow = if response.allow.is_empty() {
-        String::new()
-    } else {
-        format!("Allow: {}\r\n", response.allow)
-    };
-    let retry = if response.retry_after == 0 {
-        String::new()
-    } else {
-        format!("Retry-After: {}\r\n", response.retry_after)
-    };
-    let header = format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{allow}{retry}Connection: {connection}\r\n\r\n",
-        response.code,
-        response.reason,
-        response.content_type,
-        response.body.len()
+    let body_len = response.body.len();
+    let mut len = "HTTP/1.1  \r\nContent-Type: \r\nContent-Length: \r\nConnection: \r\n\r\n".len()
+        + digits(u64::from(response.code))
+        + response.reason.len()
+        + response.content_type.len()
+        + digits(body_len as u64)
+        + connection.len()
+        + body_len;
+    if !response.allow.is_empty() {
+        len += "Allow: \r\n".len() + response.allow.len();
+    }
+    if response.retry_after != 0 {
+        len += "Retry-After: \r\n".len() + digits(response.retry_after);
+    }
+    let mut out = String::with_capacity(len);
+    // Writing into a `String` cannot fail, and the capacity is exact,
+    // so nothing here reallocates.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {body_len}\r\n",
+        response.code, response.reason, response.content_type
     );
-    let mut out = Vec::with_capacity(header.len() + response.body.len());
-    out.extend_from_slice(header.as_bytes());
-    out.extend_from_slice(response.body.as_bytes());
-    out
+    if !response.allow.is_empty() {
+        let _ = write!(out, "Allow: {}\r\n", response.allow);
+    }
+    if response.retry_after != 0 {
+        let _ = write!(out, "Retry-After: {}\r\n", response.retry_after);
+    }
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
+    out.push_str(&response.body);
+    debug_assert_eq!(out.len(), len, "the head's size is computed exactly");
+    out.into_bytes()
 }
 
 /// A successful `/query` or `/assist` answer plus the accounting fields
@@ -1010,11 +1012,30 @@ fn query_response(outcome: Result<QueryOutcome, String>) -> Response {
             r.truncation = Some(outcome.truncation);
             r
         }
-        Err(message) => Response::bad_request(message),
+        Err(message) => Response::bad_request(&message),
     }
 }
 
-/// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON.
+/// A body buffer for a `/query` or `/assist` answer, sized so that
+/// writing it does not reallocate: 512 bytes for the keys, numbers and
+/// punctuation, twice the query string for the values it echoes, and
+/// the shown code with an eighth more for escapes.
+fn body_buffer(query: &str, shown: &[Suggestion]) -> String {
+    let code: usize = shown.iter().map(|s| s.code.len() + 3).sum();
+    String::with_capacity(512 + 2 * query.len() + code + code / 8)
+}
+
+/// Writes `"suggestions":[..]`, each suggestion's code.
+fn write_suggestions(w: &mut JsonWriter<'_>, shown: &[Suggestion]) {
+    w.key("suggestions").begin_arr();
+    for s in shown {
+        w.str(&s.code);
+    }
+    w.end_arr();
+}
+
+/// Answers `GET /query?tin=..&tout=..` with ranked-jungloid JSON,
+/// written straight into the body buffer.
 fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcome, String> {
     let tin = query_param(query, "tin").ok_or("missing query parameter `tin`")?;
     let tout = query_param(query, "tout").ok_or("missing query parameter `tout`")?;
@@ -1029,45 +1050,36 @@ fn run_query(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutcom
     let result = result.map_err(|e| e.to_string())?;
     let cached = result.stats.result_cache_hits > 0;
     let truncation = result.truncation;
+    let stats = &result.stats;
 
-    let mut pairs = vec![
-        ("ok", Json::Bool(true)),
-        ("tin", Json::Str(tin)),
-        ("tout", Json::Str(tout)),
-        ("trace_id", Json::num_u(trace_id)),
-        ("trace_id_hex", Json::Str(TraceId(trace_id).to_string())),
-        (
-            "shortest",
-            result.shortest.map_or(Json::Null, |m| Json::num_u(u64::from(m))),
-        ),
-        ("truncation", Json::Str(truncation.label().to_owned())),
-        ("cached", Json::Bool(cached)),
-        ("found", Json::num_u(result.suggestions.len() as u64)),
-        (
-            "suggestions",
-            Json::Arr(
-                result
-                    .suggestions
-                    .iter()
-                    .take(max)
-                    .map(|s| Json::Str(s.code.clone()))
-                    .collect(),
-            ),
-        ),
-        (
-            "stats",
-            Json::obj(vec![
-                ("result_cache_hits", Json::num_u(result.stats.result_cache_hits)),
-                ("result_cache_misses", Json::num_u(result.stats.result_cache_misses)),
-                ("dist_cache_hits", Json::num_u(result.stats.dist_cache_hits)),
-                ("dist_cache_misses", Json::num_u(result.stats.dist_cache_misses)),
-                ("bfs_relaxations", Json::num_u(result.stats.bfs_relaxations)),
-                ("dfs_expansions", Json::num_u(result.stats.dfs_expansions)),
-            ]),
-        ),
-    ];
-    pairs.push(("time_us", Json::num_u(time.as_micros() as u64)));
-    Ok(QueryOutcome { body: Json::obj(pairs).to_text(), trace_id, cached, truncation })
+    let shown = &result.suggestions[..result.suggestions.len().min(max)];
+    let mut body = body_buffer(query, shown);
+    let mut w = JsonWriter::new(&mut body);
+    w.begin_obj();
+    w.key("ok").bool(true);
+    w.key("tin").str(&tin);
+    w.key("tout").str(&tout);
+    w.key("trace_id").u64(trace_id);
+    w.key("trace_id_hex").hex(trace_id);
+    match result.shortest {
+        Some(m) => w.key("shortest").u64(u64::from(m)),
+        None => w.key("shortest").null(),
+    };
+    w.key("truncation").str(truncation.label());
+    w.key("cached").bool(cached);
+    w.key("found").u64(result.suggestions.len() as u64);
+    write_suggestions(&mut w, shown);
+    w.key("stats").begin_obj();
+    w.key("result_cache_hits").u64(stats.result_cache_hits);
+    w.key("result_cache_misses").u64(stats.result_cache_misses);
+    w.key("dist_cache_hits").u64(stats.dist_cache_hits);
+    w.key("dist_cache_misses").u64(stats.dist_cache_misses);
+    w.key("bfs_relaxations").u64(stats.bfs_relaxations);
+    w.key("dfs_expansions").u64(stats.dfs_expansions);
+    w.end_obj();
+    w.key("time_us").u64(time.as_micros() as u64);
+    w.end_obj();
+    Ok(QueryOutcome { body, trace_id, cached, truncation })
 }
 
 /// Answers `GET /assist?var=name:Type&var=..&tout=Type` — the editor
@@ -1082,71 +1094,57 @@ fn run_assist(engine: &Prospector, max: usize, query: &str) -> Result<QueryOutco
     if vars.is_empty() {
         return Err("missing query parameter `var` (repeatable, `name:Type`)".to_owned());
     }
-    let mut parsed: Vec<(String, String)> = Vec::with_capacity(vars.len());
+    let mut parsed: Vec<(&str, &str)> = Vec::with_capacity(vars.len());
     for raw in &vars {
-        let (name, ty) = raw
-            .split_once(':')
-            .ok_or_else(|| format!("malformed `var` value {raw:?} (expected `name:Type`)"))?;
-        if name.is_empty() || ty.is_empty() {
-            return Err(format!("malformed `var` value {raw:?} (expected `name:Type`)"));
+        match raw.split_once(':') {
+            Some((name, ty)) if !name.is_empty() && !ty.is_empty() => parsed.push((name, ty)),
+            _ => return Err(format!("malformed `var` value {raw:?} (expected `name:Type`)")),
         }
-        parsed.push((name.to_owned(), ty.to_owned()));
     }
     let mut visible = Vec::with_capacity(parsed.len());
-    for (name, ty) in &parsed {
+    for &(name, ty) in &parsed {
         let ty_id = engine.api().types().resolve(ty).map_err(|e| e.to_string())?;
-        visible.push((name.as_str(), ty_id));
+        visible.push((name, ty_id));
     }
     let result = engine.assist(&visible, tout_ty).map_err(|e| e.to_string())?;
     let trace_id = result.stats.trace_id;
-    let body = Json::obj(vec![
-        ("ok", Json::Bool(true)),
-        ("tout", Json::Str(tout)),
-        ("trace_id", Json::num_u(trace_id)),
-        ("trace_id_hex", Json::Str(TraceId(trace_id).to_string())),
-        (
-            "vars",
-            Json::Arr(
-                parsed
-                    .iter()
-                    .map(|(name, ty)| {
-                        Json::obj(vec![
-                            ("name", Json::Str(name.clone())),
-                            ("type", Json::Str(ty.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "already_available",
-            Json::Arr(result.already_available.iter().cloned().map(Json::Str).collect()),
-        ),
-        (
-            "shortest",
-            result.shortest.map_or(Json::Null, |m| Json::num_u(u64::from(m))),
-        ),
-        ("truncation", Json::Str(result.truncation.label().to_owned())),
-        ("found", Json::num_u(result.suggestions.len() as u64)),
-        (
-            "suggestions",
-            Json::Arr(
-                result
-                    .suggestions
-                    .iter()
-                    .take(max)
-                    .map(|s| Json::Str(s.code.clone()))
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_text();
+
+    let shown = &result.suggestions[..result.suggestions.len().min(max)];
+    let mut body = body_buffer(query, shown);
+    let mut w = JsonWriter::new(&mut body);
+    w.begin_obj();
+    w.key("ok").bool(true);
+    w.key("tout").str(&tout);
+    w.key("trace_id").u64(trace_id);
+    w.key("trace_id_hex").hex(trace_id);
+    w.key("vars").begin_arr();
+    for &(name, ty) in &parsed {
+        w.begin_obj().key("name").str(name).key("type").str(ty).end_obj();
+    }
+    w.end_arr();
+    w.key("already_available").begin_arr();
+    for name in &result.already_available {
+        w.str(name);
+    }
+    w.end_arr();
+    match result.shortest {
+        Some(m) => w.key("shortest").u64(u64::from(m)),
+        None => w.key("shortest").null(),
+    };
+    w.key("truncation").str(result.truncation.label());
+    w.key("found").u64(result.suggestions.len() as u64);
+    write_suggestions(&mut w, shown);
+    w.end_obj();
     Ok(QueryOutcome { body, trace_id, cached: false, truncation: result.truncation })
 }
 
 /// Minimal percent-decoding for query values (`%2E`, `+` → space). Type
-/// names are dot-separated identifiers, so this is already generous.
-fn percent_decode(value: &str) -> String {
+/// names are dot-separated identifiers, so this is already generous. A
+/// value with neither `%` nor `+` decodes to itself and is not copied.
+fn percent_decode(value: &str) -> Cow<'_, str> {
+    if !value.bytes().any(|b| b == b'%' || b == b'+') {
+        return Cow::Borrowed(value);
+    }
     let bytes = value.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
@@ -1181,7 +1179,7 @@ fn percent_decode(value: &str) -> String {
             }
         }
     }
-    String::from_utf8_lossy(&out).into_owned()
+    Cow::Owned(String::from_utf8_lossy(&out).into_owned())
 }
 
 #[cfg(test)]
@@ -1347,6 +1345,251 @@ mod tests {
             let text: String = (0..rng.gen_range(0..12)).map(|_| CHARS[rng.gen_range(0..CHARS.len())]).collect();
             assert_eq!(percent_decode(&text), text);
         }
+    }
+
+    /// Counts the allocations (and reallocations) each thread makes, so
+    /// the pin below is not disturbed by tests running beside it.
+    mod counting {
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        struct CountingAlloc;
+
+        thread_local! {
+            static ALLOCS: Cell<u64> = const { Cell::new(0) };
+        }
+
+        fn count() {
+            // `try_with`: the allocator can run while this thread's
+            // locals are being torn down.
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+
+        // SAFETY: defers to `System` for every operation; only adds a
+        // thread-local counter bump on the allocation paths.
+        #[allow(unsafe_code)]
+        unsafe impl GlobalAlloc for CountingAlloc {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                count();
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                System.dealloc(ptr, layout);
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                count();
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static ALLOC: CountingAlloc = CountingAlloc;
+
+        /// Allocations this thread has made so far.
+        pub(super) fn allocations() -> u64 {
+            ALLOCS.with(Cell::get)
+        }
+    }
+
+    /// Turns the process-global access log on, writing to one temp file
+    /// that this test binary owns, and returns the file.
+    fn global_log_file() -> &'static std::path::Path {
+        static PATH: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
+        PATH.get_or_init(|| {
+            let path = std::env::temp_dir().join("prospector-serve-unit-access.jsonl");
+            let _ = std::fs::remove_file(&path);
+            prospector_obs::log::set_file(path.to_str().unwrap()).expect("log file opens");
+            prospector_obs::log::set_enabled(true);
+            path
+        })
+    }
+
+    fn default_registry() -> prospector_registry::Registry {
+        use prospector_corpora::{build, BuildOptions};
+        let engine = build(&BuildOptions::default()).expect("corpus builds").prospector;
+        prospector_registry::Registry::with_default(engine, prospector_registry::Provenance::built())
+    }
+
+    fn get(path: &str) -> crate::http::Request {
+        crate::http::Request { method: "GET".to_owned(), path: path.to_owned(), close: false }
+    }
+
+    /// `/query` and `/assist` bodies and the access-log line, written
+    /// once into byte buffers, are the bytes the `Json` tree printed for
+    /// the same answers. The reference trees are built here from a
+    /// second engine asked the same questions in the same order, so its
+    /// cache state and counters match; trace ids and `time_us` are the
+    /// served ones.
+    #[test]
+    fn served_bytes_match_the_reference_tree() {
+        use prospector_core::QueryResult;
+        use prospector_obs::trace::TraceId;
+        use prospector_obs::Json;
+
+        use super::{answer, record_request, Ctx, ServeOptions};
+
+        fn suggestions(result: &QueryResult, max: usize) -> Json {
+            Json::Arr(result.suggestions.iter().take(max).map(|s| Json::Str(s.code.clone())).collect())
+        }
+        fn shortest(result: &QueryResult) -> Json {
+            result.shortest.map_or(Json::Null, |m| Json::num_u(u64::from(m)))
+        }
+        fn query_tree(tin: &str, tout: &str, r: &QueryResult, max: usize, time_us: u64) -> Json {
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("tin", Json::Str(tin.to_owned())),
+                ("tout", Json::Str(tout.to_owned())),
+                ("trace_id", Json::num_u(r.stats.trace_id)),
+                ("trace_id_hex", Json::Str(TraceId(r.stats.trace_id).to_string())),
+                ("shortest", shortest(r)),
+                ("truncation", Json::Str(r.truncation.label().to_owned())),
+                ("cached", Json::Bool(r.stats.result_cache_hits > 0)),
+                ("found", Json::num_u(r.suggestions.len() as u64)),
+                ("suggestions", suggestions(r, max)),
+                (
+                    "stats",
+                    Json::obj(vec![
+                        ("result_cache_hits", Json::num_u(r.stats.result_cache_hits)),
+                        ("result_cache_misses", Json::num_u(r.stats.result_cache_misses)),
+                        ("dist_cache_hits", Json::num_u(r.stats.dist_cache_hits)),
+                        ("dist_cache_misses", Json::num_u(r.stats.dist_cache_misses)),
+                        ("bfs_relaxations", Json::num_u(r.stats.bfs_relaxations)),
+                        ("dfs_expansions", Json::num_u(r.stats.dfs_expansions)),
+                    ]),
+                ),
+                ("time_us", Json::num_u(time_us)),
+            ])
+        }
+        fn assist_tree(tout: &str, vars: &[(&str, &str)], r: &QueryResult, max: usize, id: u64) -> Json {
+            Json::obj(vec![
+                ("ok", Json::Bool(true)),
+                ("tout", Json::Str(tout.to_owned())),
+                ("trace_id", Json::num_u(id)),
+                ("trace_id_hex", Json::Str(TraceId(id).to_string())),
+                (
+                    "vars",
+                    Json::Arr(
+                        vars.iter()
+                            .map(|(name, ty)| {
+                                Json::obj(vec![
+                                    ("name", Json::Str((*name).to_owned())),
+                                    ("type", Json::Str((*ty).to_owned())),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+                (
+                    "already_available",
+                    Json::Arr(r.already_available.iter().cloned().map(Json::Str).collect()),
+                ),
+                ("shortest", shortest(r)),
+                ("truncation", Json::Str(r.truncation.label().to_owned())),
+                ("found", Json::num_u(r.suggestions.len() as u64)),
+                ("suggestions", suggestions(r, max)),
+            ])
+        }
+        let num = |body: &str, key: &str| {
+            Json::parse(body).expect("strict JSON").get(key).and_then(Json::as_u64).expect(key)
+        };
+
+        let served = default_registry();
+        let reference = default_registry().get("default").expect("default tenant").engine();
+        let ctx = Ctx::new(&served, &ServeOptions::default(), 1);
+        let types = reference.api().types();
+        let log = global_log_file();
+
+        // A miss, its hit, a percent-encoded spelling of the same key (a
+        // hit), and a second key.
+        for (path, tin, tout) in [
+            ("/query?tin=IFile&tout=ASTNode", "IFile", "ASTNode"),
+            ("/query?tin=IFile&tout=ASTNode", "IFile", "ASTNode"),
+            ("/query?tin=I%46ile&tout=AST%4Eode", "IFile", "ASTNode"),
+            ("/query?tin=InputStream&tout=BufferedReader", "InputStream", "BufferedReader"),
+        ] {
+            let (endpoint, response) = answer(&ctx, &get(path));
+            let body = &response.body;
+            let id = num(body, "trace_id");
+            let r = reference
+                .query_with_trace(types.resolve(tin).unwrap(), types.resolve(tout).unwrap(), TraceId(id))
+                .expect("reference answers");
+            let tree = query_tree(tin, tout, &r, ctx.max, num(body, "time_us"));
+            assert_eq!(*body, tree.to_text(), "{path}");
+
+            // Its access-log line, found in the shared file by trace id.
+            record_request(endpoint, &response, 7_999, 123_456);
+            let text = std::fs::read_to_string(log).expect("log file reads");
+            let line = text
+                .lines()
+                .find(|l| l.contains(&format!("\"trace_id\":{id},")))
+                .expect("the request's line");
+            let line_tree = Json::obj(vec![
+                ("ts_ms", Json::num_u(num(line, "ts_ms"))),
+                ("trace_id", Json::num_u(id)),
+                ("endpoint", Json::Str("query".to_owned())),
+                ("tenant", Json::Str("default".to_owned())),
+                ("code", Json::num_u(200)),
+                ("bytes", Json::num_u(body.len() as u64)),
+                ("queue_wait_us", Json::num_u(7)),
+                ("handle_us", Json::num_u(123)),
+                ("cached", Json::Bool(r.stats.result_cache_hits > 0)),
+                ("truncation", Json::Str(r.truncation.label().to_owned())),
+            ]);
+            assert_eq!(line, line_tree.to_text(), "{path}");
+        }
+
+        let (_, response) =
+            answer(&ctx, &get("/assist?var=file:IFile&var=name%3AString&var=root:ASTNode&tout=ASTNode"));
+        let vars = [("file", "IFile"), ("name", "String"), ("root", "ASTNode")];
+        let visible: Vec<_> = vars.iter().map(|&(n, t)| (n, types.resolve(t).unwrap())).collect();
+        let r = reference.assist(&visible, types.resolve("ASTNode").unwrap()).expect("assist");
+        let tree = assist_tree("ASTNode", &vars, &r, ctx.max, num(&response.body, "trace_id"));
+        assert_eq!(response.body, tree.to_text());
+
+        // A 400 keeps its shape.
+        let (_, response) = answer(&ctx, &get("/query?tin=IFile"));
+        let tree = Json::obj(vec![
+            ("ok", Json::Bool(false)),
+            ("error", Json::Str("missing query parameter `tout`".to_owned())),
+        ]);
+        assert_eq!((response.code, response.body), (400, tree.to_text()));
+    }
+
+    /// The allocation pin: a warm cached `/query`, from `answer` through
+    /// `serialize_response` and `record_request`, with the metric
+    /// registry, the flight recorder and the access log on (as a bound
+    /// server has them) and the log's tail full. The engine's cache hit
+    /// buffers its trace events (1), the body is one buffer (1) and the
+    /// wire bytes another (1); the log line reuses this thread's buffer.
+    #[test]
+    fn a_warm_cached_query_makes_at_most_four_allocations() {
+        use super::{answer, record_request, serialize_response, Ctx, ServeOptions};
+
+        global_log_file();
+        prospector_obs::set_enabled(true);
+        prospector_obs::trace::set_enabled(true);
+        let registry = default_registry();
+        let ctx = Ctx::new(&registry, &ServeOptions::default(), 1);
+        let request = get("/query?tin=IFile&tout=ASTNode");
+        let serve_one = || {
+            let (endpoint, response) = answer(&ctx, &request);
+            let bytes = serialize_response(&response, false);
+            record_request(endpoint, &response, 10_000, 20_000);
+            bytes
+        };
+        for _ in 0..prospector_obs::log::TAIL_CAP + 8 {
+            serve_one();
+        }
+        let mut most = 0;
+        for _ in 0..200 {
+            let before = counting::allocations();
+            let bytes = serve_one();
+            most = most.max(counting::allocations() - before);
+            assert!(String::from_utf8_lossy(&bytes).contains("\"cached\":true"));
+        }
+        assert!(most <= 4, "a warm cached /query made {most} allocations");
     }
 
     #[test]

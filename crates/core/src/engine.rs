@@ -9,7 +9,6 @@
 //!   deduplicated by rendered code.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -662,9 +661,8 @@ impl Prospector {
 
         // Render, rank, and dedupe by rendered code (distinct paths —
         // e.g. differing only in widening — can render identically).
-        let mut best: BTreeMap<String, Suggestion> = BTreeMap::new();
-        let mut snippets: u64 = 0;
-        let mut dedup_drops: u64 = 0;
+        let mut suggestions: Vec<Suggestion> = Vec::with_capacity(jungloids.len());
+        let snippets = jungloids.len() as u64;
         {
             let _span = qspan.stage(Stage::Synth);
             // An unnamed source's input renders under the name
@@ -685,31 +683,21 @@ impl Prospector {
                     unnamed.iter().find(|(t, _)| *t == j.source).map(|(_, name)| name.as_str())
                 });
                 let code = render_code(&self.api, &j, input_name);
-                snippets += 1;
                 let key = rank_key(&self.api, &j, code.clone(), &self.ranking);
-                let replace = match best.get(&code) {
-                    Some(existing) => {
-                        dedup_drops += 1;
-                        existing.key > key
-                    }
-                    None => true,
-                };
-                if replace {
-                    best.insert(
-                        code.clone(),
-                        Suggestion { jungloid: j, code, input_var, key },
-                    );
-                }
+                suggestions.push(Suggestion { jungloid: j, code, input_var, key });
             }
+            // A stable sort by (code, key) puts each code's copies in a
+            // run, best key first and equal keys in enumeration order;
+            // the first of each run survives. It also leaves the
+            // survivors in code order, so the rank sort below starts from
+            // a deterministic order (and its comparison count, which the
+            // flight recorder attributes to the query, is one too).
+            suggestions.sort_by(|a, b| a.code.cmp(&b.code).then_with(|| a.key.cmp(&b.key)));
+            suggestions.dedup_by(|later, first| later.code == first.code);
         }
         qspan.add(Counter::SynthSnippets, snippets);
-        qspan.add(Counter::EngineDedupDrops, dedup_drops);
+        qspan.add(Counter::EngineDedupDrops, snippets - suggestions.len() as u64);
 
-        // `best` is a BTreeMap so the pre-rank order (and therefore the
-        // sort's comparison count, which the flight recorder attributes
-        // to the query) is deterministic — and key ties break by code
-        // instead of by hash-map iteration order.
-        let mut suggestions: Vec<Suggestion> = best.into_values().collect();
         let comparisons = std::cell::Cell::new(0u64);
         {
             let _span = qspan.stage(Stage::Rank);

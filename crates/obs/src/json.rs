@@ -1,10 +1,16 @@
-//! A minimal JSON value type with a writer and a strict parser.
+//! A minimal JSON value type, a streaming writer, and a strict parser.
 //!
 //! Objects preserve insertion order (they are association lists, not
 //! maps), which keeps debug dumps and metric reports diffable. The
 //! parser is strict: the whole input must be one JSON value, trailing
 //! garbage is an error, and duplicate keys are kept as-is (lookups find
 //! the first).
+//!
+//! [`JsonWriter`] writes the same text without building a [`Json`]
+//! value: the serve layer's answers and access-log lines go straight
+//! into a byte buffer through it. Both print strings and integers with
+//! the same two routines (`write_str`, `write_radix`), so a value
+//! written either way has the same bytes.
 
 use std::fmt;
 
@@ -182,9 +188,12 @@ impl Json {
 fn write_num(n: f64, out: &mut String) {
     if n.is_finite() {
         // Integers print without a fractional part.
-        #[allow(clippy::cast_possible_truncation)]
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         if n.fract() == 0.0 && n.abs() < 9.0e15 {
-            let _ = fmt::Write::write_fmt(out, format_args!("{}", n as i64));
+            if n < 0.0 {
+                out.push('-');
+            }
+            write_radix::<10>(n.abs() as u64, out);
         } else {
             let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
         }
@@ -193,22 +202,172 @@ fn write_num(n: f64, out: &mut String) {
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// Appends `n` in base `RADIX` (10 or 16; lowercase digits), without
+/// `fmt`. The radix is a constant so each division is one by a constant.
+fn write_radix<const RADIX: u64>(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = HEX[(n % RADIX) as usize];
+        n /= RADIX;
+        if n == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal. Each run of bytes that needs no
+/// escape is copied with one `push_str`; a run can only end at an ASCII
+/// byte, so every cut falls on a char boundary.
+fn write_str(s: &str, out: &mut String) {
     out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Writes JSON text straight into a `String`, without building a
+/// [`Json`] value: the path for documents written on every request.
+///
+/// The writer tracks one bit of state, whether the next key or value
+/// needs a comma before it, so the caller only opens and closes
+/// containers and names keys. Strings and integers print exactly as
+/// [`Json::write`] prints them. It does not check structure: a key
+/// outside an object or an unclosed container is the caller's bug.
+///
+/// ```
+/// use prospector_obs::json::JsonWriter;
+///
+/// let mut out = String::new();
+/// let mut w = JsonWriter::new(&mut out);
+/// w.begin_obj();
+/// w.key("ok").bool(true);
+/// w.key("ids").begin_arr().u64(1).u64(2).end_arr();
+/// w.key("name").str("a\"b");
+/// w.end_obj();
+/// assert_eq!(out, r#"{"ok":true,"ids":[1,2],"name":"a\"b"}"#);
+/// ```
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> JsonWriter<'a> {
+        JsonWriter { out, comma: false }
+    }
+
+    /// Starts a value: a comma first unless it opens a container or
+    /// follows a key.
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Writes an object key; the next call writes its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        write_str(key, self.out);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// Opens an object.
+    pub fn begin_obj(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Opens an array.
+    pub fn begin_arr(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Closes the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// Writes a string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        write_str(s, self.out);
+        self
+    }
+
+    /// Writes an integer value, exactly.
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        self.sep();
+        write_radix::<10>(n, self.out);
+        self
+    }
+
+    /// Writes `n` as a string of lowercase hex digits without leading
+    /// zeros, as `format!("{n:x}")` would.
+    pub fn hex(&mut self, n: u64) -> &mut Self {
+        self.sep();
+        self.out.push('"');
+        write_radix::<16>(n, self.out);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a boolean value.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.sep();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.sep();
+        self.out.push_str("null");
+        self
+    }
 }
 
 struct Parser<'a> {

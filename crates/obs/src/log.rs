@@ -19,15 +19,19 @@
 //!
 //! The log is off by default and costs nothing when off: a disabled
 //! [`record`] is one relaxed atomic load. The serve layer turns it on at
-//! bind time; CLI one-shot commands never do.
+//! bind time; CLI one-shot commands never do. When on, a record costs no
+//! heap allocation once the tail is full: the line is written with
+//! [`JsonWriter`] into a buffer each thread reuses, and the tenant name
+//! is shared with the registry, not copied.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::Json;
+use crate::json::JsonWriter;
 
 /// Records retained in the in-memory tail.
 pub const TAIL_CAP: usize = 512;
@@ -44,8 +48,10 @@ pub struct AccessRecord {
     pub endpoint: &'static str,
     /// The tenant the request was routed to (`"default"` for bare
     /// single-tenant URLs); empty for endpoints that touch no engine and
-    /// for a `?tenant=` key that names no registered tenant.
-    pub tenant: String,
+    /// for a `?tenant=` key that names no registered tenant. Shared with
+    /// the registry's tenant, so a record copies no name
+    /// (`Arc::default()` is the empty name and allocates nothing).
+    pub tenant: Arc<str>,
     /// HTTP status code sent.
     pub code: u16,
     /// Response body bytes sent.
@@ -64,21 +70,22 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
-    /// The record as a strict JSON object (insertion-ordered keys).
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("ts_ms", Json::num_u(self.ts_ms)),
-            ("trace_id", Json::num_u(self.trace_id)),
-            ("endpoint", Json::Str(self.endpoint.to_owned())),
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("code", Json::num_u(u64::from(self.code))),
-            ("bytes", Json::num_u(self.bytes)),
-            ("queue_wait_us", Json::num_u(self.queue_wait_us)),
-            ("handle_us", Json::num_u(self.handle_us)),
-            ("cached", Json::Bool(self.cached)),
-            ("truncation", Json::Str(self.truncation.to_owned())),
-        ])
+    /// Writes the record as one strict-JSON object. This is the one
+    /// field list: the sink's lines and `GET /logs` both render through
+    /// it.
+    pub fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("ts_ms").u64(self.ts_ms);
+        w.key("trace_id").u64(self.trace_id);
+        w.key("endpoint").str(self.endpoint);
+        w.key("tenant").str(&self.tenant);
+        w.key("code").u64(u64::from(self.code));
+        w.key("bytes").u64(self.bytes);
+        w.key("queue_wait_us").u64(self.queue_wait_us);
+        w.key("handle_us").u64(self.handle_us);
+        w.key("cached").bool(self.cached);
+        w.key("truncation").str(self.truncation);
+        w.end_obj();
     }
 }
 
@@ -154,20 +161,24 @@ impl AccessLog {
     /// the record onto the tail (dropping the oldest past [`TAIL_CAP`]).
     /// One relaxed load when disabled.
     pub fn record(&self, rec: AccessRecord) {
+        thread_local! {
+            static LINE: RefCell<String> = const { RefCell::new(String::new()) };
+        }
         if !self.enabled() {
             return;
         }
-        // The newline is rendered into the line so each record is one
-        // `write(2)` on the unbuffered sink, not two.
-        let mut line = rec.to_json().to_text();
-        line.push('\n');
-        {
+        LINE.with_borrow_mut(|line| {
+            line.clear();
+            rec.write_json(&mut JsonWriter::new(line));
+            // The newline is rendered into the line so each record is
+            // one `write(2)` on the unbuffered sink, not two.
+            line.push('\n');
             let mut sink = self.sink.lock().expect("access-log sink poisoned");
             let _ = match &mut *sink {
                 Sink::Stderr => std::io::stderr().lock().write_all(line.as_bytes()),
                 Sink::File(f) => f.write_all(line.as_bytes()),
             };
-        }
+        });
         let mut tail = self.tail.lock().expect("access-log tail poisoned");
         if tail.len() >= TAIL_CAP {
             tail.pop_front();
@@ -219,22 +230,31 @@ pub fn tail(n: usize) -> Vec<AccessRecord> {
     global().tail(n)
 }
 
-/// Renders records as a strict-JSON array (for `GET /logs`).
+/// Renders records as a strict-JSON array (for `GET /logs`), each
+/// element the object its sink line holds.
 #[must_use]
-pub fn to_json_array(records: &[AccessRecord]) -> Json {
-    Json::Arr(records.iter().map(AccessRecord::to_json).collect())
+pub fn to_json_array(records: &[AccessRecord]) -> String {
+    let mut out = String::new();
+    let mut w = JsonWriter::new(&mut out);
+    w.begin_arr();
+    for rec in records {
+        rec.write_json(&mut w);
+    }
+    w.end_arr();
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     fn rec(ts: u64, endpoint: &'static str) -> AccessRecord {
         AccessRecord {
             ts_ms: ts,
             trace_id: 0x1_0000_0000_0001,
             endpoint,
-            tenant: "default".to_owned(),
+            tenant: Arc::from("default"),
             code: 200,
             bytes: 42,
             queue_wait_us: 7,
@@ -253,25 +273,34 @@ mod tests {
 
     #[test]
     fn lines_are_strict_json_with_required_keys() {
-        let line = rec(5, "query").to_json().to_text();
+        let mut line = String::new();
+        rec(5, "query").write_json(&mut JsonWriter::new(&mut line));
         assert!(!line.contains('\n'), "one line per record");
         let parsed = Json::parse(&line).expect("strict JSON");
-        for key in [
-            "ts_ms",
-            "trace_id",
-            "endpoint",
-            "tenant",
-            "code",
-            "bytes",
-            "queue_wait_us",
-            "handle_us",
-            "cached",
-            "truncation",
-        ] {
-            assert!(parsed.get(key).is_some(), "missing {key}: {line}");
-        }
+        let keys: Vec<&str> =
+            parsed.as_obj().expect("an object").iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "ts_ms",
+                "trace_id",
+                "endpoint",
+                "tenant",
+                "code",
+                "bytes",
+                "queue_wait_us",
+                "handle_us",
+                "cached",
+                "truncation",
+            ],
+            "{line}"
+        );
         assert_eq!(parsed.get("endpoint").unwrap().as_str(), Some("query"));
         assert_eq!(parsed.get("code").unwrap().as_u64(), Some(200));
+        let none = AccessRecord { tenant: Arc::default(), truncation: "", ..rec(5, "healthz") };
+        let mut line = String::new();
+        none.write_json(&mut JsonWriter::new(&mut line));
+        assert!(line.contains(r#""tenant":"","#) && line.ends_with(r#""truncation":""}"#), "{line}");
     }
 
     #[test]
@@ -326,9 +355,18 @@ mod tests {
     }
 
     #[test]
-    fn json_array_rendering_round_trips() {
-        let arr = to_json_array(&[rec(1, "query"), rec(2, "metrics")]);
-        let parsed = Json::parse(&arr.to_text()).unwrap();
-        assert_eq!(parsed.as_arr().unwrap().len(), 2);
+    fn json_array_holds_the_sink_lines() {
+        let log = AccessLog::new();
+        log.set_enabled(true);
+        let path = std::env::temp_dir().join("prospector_access_log_array.jsonl");
+        let _ = std::fs::remove_file(&path);
+        log.set_file(path.to_str().unwrap()).expect("open log file");
+        log.record(rec(1, "query"));
+        log.record(rec(2, "metrics"));
+        let text = std::fs::read_to_string(&path).expect("read log file");
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(to_json_array(&log.tail(2)), format!("[{}]", lines.join(",")));
+        assert_eq!(to_json_array(&[]), "[]");
     }
 }

@@ -168,7 +168,8 @@ struct Slot {
 /// One named tenant: an atomic-swap engine slot plus counters that
 /// survive swaps.
 pub struct Tenant {
-    name: String,
+    /// Shared, so an access-log record can carry it without a copy.
+    name: Arc<str>,
     slot: RwLock<Slot>,
     /// Serializes reloads of this tenant; queries never take it.
     reload_gate: Mutex<()>,
@@ -184,7 +185,7 @@ pub struct Tenant {
 impl Tenant {
     fn new(name: &str, engine: Prospector, provenance: Provenance) -> Tenant {
         Tenant {
-            name: name.to_owned(),
+            name: Arc::from(name),
             slot: RwLock::new(Slot::install(Arc::new(engine), provenance)),
             reload_gate: Mutex::new(()),
             queries: AtomicU64::new(0),
@@ -202,6 +203,13 @@ impl Tenant {
     /// The tenant's name (the routing key).
     #[must_use]
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The tenant's name as a shared string: cloning it bumps a count
+    /// and copies nothing.
+    #[must_use]
+    pub fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -232,7 +240,7 @@ impl Tenant {
     pub fn info(&self) -> TenantInfo {
         let slot = self.slot.read().expect("tenant slot poisoned");
         TenantInfo {
-            name: self.name.clone(),
+            name: self.name.to_string(),
             state: slot.state.clone(),
             snapshot_path: slot.provenance.snapshot_path.clone(),
             format_version: slot.provenance.format_version,
