@@ -15,7 +15,11 @@
 //!
 //! Besides the human-readable report, the run writes a machine-readable
 //! baseline to `BENCH_scale.json` at the repository root (override the
-//! path with `BENCH_SCALE_OUT`). Run with
+//! path with `BENCH_SCALE_OUT`). `BENCH_SCALE_BASELINE=<file>` files a
+//! run of another build (its own `BENCH_scale.json`) beside this one as
+//! `baseline`. The server's access log goes to a file in the bench's
+//! scratch directory, so the latencies measure the server, not
+//! whatever stderr is. Run with
 //! `cargo bench -p bench --bench scale_serve`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized 10^4
 //! smoke run.
@@ -198,6 +202,17 @@ fn main() {
     let requests_per_conn = if quick { 40 } else { 150 };
     let nproc = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
     let workers = nproc.min(8);
+    let baseline = std::env::var("BENCH_SCALE_BASELINE").ok().map(|path| {
+        let text = std::fs::read_to_string(&path).expect("read the baseline run");
+        Json::parse(&text).expect("the baseline is a scale_serve JSON document")
+    });
+    // One access-log line per request, as servebench does: to a file,
+    // so no terminal or pipe sits inside the measured latencies.
+    let scratch = std::env::temp_dir().join("prospector-bench-scale");
+    std::fs::create_dir_all(&scratch).expect("create the bench scratch directory");
+    let log = scratch.join(format!("access-{}.log", std::process::id()));
+    prospector_obs::log::set_file(log.to_str().expect("UTF-8 scratch path"))
+        .expect("open the access log");
 
     println!("\n=== serve-layer scale: synthetic jungle over the epoll core ===\n");
     let mut size_cells = Vec::new();
@@ -274,14 +289,17 @@ fn main() {
         ]));
     }
 
-    let doc = Json::obj(vec![
+    let mut fields = vec![
         ("bench", Json::Str("scale_serve".to_owned())),
         ("quick", Json::Bool(quick)),
         ("serve_core", Json::Str("epoll".to_owned())),
         ("nproc", Json::num_u(nproc as u64)),
         ("workers", Json::num_u(workers as u64)),
         ("sizes", Json::Arr(size_cells)),
-    ]);
+    ];
+    fields.extend(baseline.map(|run| ("baseline", run)));
+    let doc = Json::obj(fields);
+    std::fs::remove_file(&log).expect("remove the access log");
     let out = std::env::var("BENCH_SCALE_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json").to_owned()
     });

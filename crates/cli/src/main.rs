@@ -47,11 +47,11 @@
 //! [--tenant name=path.pspk]... [--tenants-dir <dir>]` runs the std-only
 //! observability HTTP server (`/metrics`, `/healthz`, `/readyz`,
 //! `/status`, `/query`, `/assist`, `/slow`, `/trace.json`, `/logs`,
-//! `/tenants`, `/reload`) on a fixed worker pool (default: available
-//! parallelism) behind the epoll core, so serving is Linux/x86_64-only —
-//! see the `serve` module in the library half of this crate. The
-//! structured access log goes to stderr unless `--access-log` redirects
-//! it to a file. The server is multi-tenant: `--index` (or an
+//! `/tenants`, `/reload`) on `--workers` serve threads (default:
+//! available parallelism) sharing the epoll core, so serving is
+//! Linux/x86_64-only — see the `serve` module in the library half of
+//! this crate. The structured access log goes to stderr unless
+//! `--access-log` redirects it to a file. The server is multi-tenant: `--index` (or an
 //! in-process build) becomes the `default` tenant, each `--tenant
 //! name=path.pspk` adds a named tenant, `--tenants-dir` registers one
 //! tenant per `.pspk` in a directory (named by file stem), and `POST

@@ -1,51 +1,54 @@
-//! The epoll readiness serve core: 10k keep-alive connections on one
-//! poller thread.
+//! The epoll readiness serve core: 10k keep-alive connections answered
+//! by `--workers` threads on one shared epoll set.
 //!
-//! A worker thread parked on every keep-alive connection would cap
-//! concurrency at `--workers`, though idle connections are the common
-//! case for IDE content-assist clients. This module inverts that: **one
-//! poller thread owns the listener and every parked socket**, and
-//! workers only ever see *parsed requests* — and, while they hold one,
-//! the socket to answer it on.
+//! A thread parked on every keep-alive connection would cap concurrency
+//! at the thread count, though idle connections are the common case for
+//! IDE content-assist clients. Here idle connections cost a file
+//! descriptor and a little state, and **every serve thread runs the same
+//! loop**: wait on the shared epoll set for one event, take the
+//! connection it names, read, frame and answer every framed request in
+//! order, write, and let the connection go. There is no poller → worker
+//! queue, so a request is answered by the thread that epoll woke for it.
 //!
 //! Ownership rules (the whole design in four lines):
 //!
-//! 1. The poller reads, parks and closes: it alone reads sockets, owns
-//!    the epoll set and all per-connection state, and decides when a
-//!    connection closes. No lock guards any of it.
-//! 2. The worker holding a connection's one in-flight request writes its
-//!    response. When no earlier output is waiting, the job carries the
-//!    socket (`Arc<TcpStream>`, never a raw fd number); the worker logs
-//!    the request, writes with nonblocking writes, and returns only an
-//!    unwritten remainder for the poller to flush under `EPOLLOUT`.
-//! 3. The completion queue's eventfd is the only cross-thread signal
-//!    into the poller, and a worker rings it only when the poller has
-//!    work for that connection: a remainder, a close, or requests, a
-//!    frame error or EOF waiting behind the in-flight one. Every other
-//!    completion is absorbed on the poller's next wake-up, before it
-//!    reads any socket.
-//! 4. A connection id is never reused, so a completion for a connection
-//!    that died mid-request falls harmlessly on the floor; the shared
-//!    socket stays open until the worker lets go of it.
+//! 1. The listener and every connection are registered `EPOLLONESHOT`,
+//!    and a wait takes one event, so exactly one thread holds a
+//!    connection's event. That thread alone reads, answers and writes
+//!    the connection until it re-arms it (`EPOLL_CTL_MOD` with
+//!    `Conn::interest`) or closes it.
+//! 2. Connection state lives in a map from id to `Arc<Mutex<Conn>>`.
+//!    The thread holding the event is the only one that blocks on the
+//!    lock, so it is uncontended; the reaper and the drain check only
+//!    `try_lock`. Lock order: connection, then map. The timer wheel is
+//!    never held with either.
+//! 3. A connection id is never reused, and the socket closes when the
+//!    last `Arc` drops, so no fd number is reused while a thread still
+//!    holds it. A closed connection is marked `closed`, which tells a
+//!    thread that raced the close to let go.
+//! 4. Re-arming is level-triggered: a request that arrived while a
+//!    thread held the connection is reported by the re-arm itself, so
+//!    no wake-up is ever lost and none is ever sent between threads.
 //!
-//! Parsing happens **in the poller** (cheap, bounded by the framer's
-//! head cap) while query execution happens **in a worker** (expensive,
-//! unbounded): splitting at the parsed-request boundary means a slow
-//! query never blocks framing on other connections, and the poller can
-//! make shed decisions — `429` + `Retry-After`, written without waking
-//! a worker — on requests it has already routed.
+//! A slow answer stalls only its own connection: the other threads keep
+//! waiting on the set and take every other ready connection. The
+//! thread count bounds the requests being answered at once, so a burst
+//! beyond it waits in its sockets, not in a queue. Admission control
+//! still runs per request: past the in-flight ceiling a thread answers
+//! `429` + `Retry-After` without calling the engine.
 //!
-//! Writes that would block re-arm the connection with `EPOLLOUT` and
-//! continue from a per-connection outbound buffer when the socket
-//! drains. A peer's EOF drops the read bits from the registration, so a
-//! half-closed connection waiting on its answer wakes nothing. Idle
-//! connections are reaped by a coarse **timer wheel**:
-//! accept inserts the connection one `idle_timeout` ahead, and each
-//! firing either reaps (still parked and idle past the deadline) or
-//! lazily reinserts at the remaining time — activity just stamps
-//! `idle_since`, never touches the wheel.
+//! Writes that would block leave the remainder in a per-connection
+//! outbound buffer and re-arm with `EPOLLOUT`; the burst behind it keeps
+//! being answered, so a reader that stalls holds no thread. A peer's
+//! EOF drops the read bits from the registration, so a half-closed
+//! connection waiting on its answer wakes nothing. Idle connections are
+//! reaped by a coarse **timer wheel**: accept inserts the connection
+//! one `idle_timeout` ahead, and each firing either reaps (idle past
+//! the deadline, nothing left to write, held by no thread) or lazily
+//! reinserts at the remaining time — activity just stamps `idle_since`,
+//! never touches the wheel.
 //!
-//! The raw `epoll`/`eventfd` syscall wrappers mirror the mmap shim in
+//! The raw `epoll` syscall wrappers mirror the mmap shim in
 //! `jungloid-typesys`' `slab::sys`: Linux/x86_64 inline-assembly
 //! syscalls, no libc. This is the only serve core, so serving is
 //! Linux/x86_64-only (DESIGN §15); everywhere else `serve` exits with
@@ -68,17 +71,17 @@ pub(crate) fn serve_epoll(
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod imp {
-    use std::collections::{HashMap, VecDeque};
+    use std::collections::HashMap;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, Mutex, TryLockError};
     use std::time::{Duration, Instant};
 
     use prospector_obs::{Counter, Stage};
 
-    use crate::http::{FrameError, Framed, Request, RequestFramer};
+    use crate::http::{Framed, RequestFramer};
     use crate::serve::{
         answer, endpoint_of, frame_error_response, record_request, serialize_response,
         shed_response, Ctx,
@@ -86,20 +89,15 @@ mod imp {
 
     /// epoll data token for the listening socket.
     const TOKEN_LISTENER: u64 = 0;
-    /// epoll data token for the completion queue's eventfd.
-    const TOKEN_WAKE: u64 = 1;
     /// First connection id; ids only grow and are never reused.
-    const FIRST_CONN: u64 = 2;
+    const FIRST_CONN: u64 = 1;
 
-    /// Readiness events drained per `epoll_wait` call.
-    const EVENT_BATCH: usize = 256;
-
-    /// Upper bound on one `epoll_wait` sleep: the shutdown flag and the
+    /// Upper bound on one `epoll_wait` sleep: the stop flags and the
     /// timer wheel are re-checked at least this often.
     const WAIT_SLICE: Duration = Duration::from_millis(50);
 
-    /// How long a draining shutdown waits for in-flight requests to
-    /// finish and flush before giving up and closing anyway.
+    /// How long a draining shutdown waits for answers in progress and
+    /// outbound buffers to finish before giving up and closing anyway.
     const DRAIN_GRACE: Duration = Duration::from_secs(3);
 
     /// Nonblocking read chunk; large enough that a pipelined burst
@@ -115,202 +113,63 @@ mod imp {
     /// use fractions of a second) cannot spin the wheel every few µs.
     const MIN_TICK: Duration = Duration::from_millis(25);
 
-    /// One parsed request on its way to a worker.
-    struct ParsedJob {
-        conn: u64,
-        request: Request,
-        /// Close the connection after this response (client asked, or
-        /// the keep-alive cap is reached).
-        close: bool,
-        /// The connection's socket when no earlier output is waiting to
-        /// be written, so the worker writes the response itself; `None`
-        /// hands every byte back to the poller.
-        stream: Option<Arc<TcpStream>>,
-        /// The poller already holds work behind this request, so its
-        /// completion must ring the eventfd.
-        wake: bool,
-        enqueued: Instant,
+    const POISONED_MAP: &str = "a serve thread panicked holding the connection map";
+    const POISONED_WHEEL: &str = "a serve thread panicked holding the timer wheel";
+
+    /// Nanoseconds in `d`, saturating.
+    fn nanos(d: Duration) -> u64 {
+        u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// The poller → worker handoff: pops are attempted *before* the stop
-    /// checks so everything queued before shutdown is always drained.
-    struct ParsedQueue {
-        jobs: Mutex<VecDeque<ParsedJob>>,
-        ready: Condvar,
-    }
-
-    impl ParsedQueue {
-        fn new() -> ParsedQueue {
-            ParsedQueue { jobs: Mutex::new(VecDeque::new()), ready: Condvar::new() }
-        }
-
-        /// Queues a job; returns the queue's length after the push.
-        fn push(&self, job: ParsedJob) -> usize {
-            let mut jobs = self.jobs.lock().expect("a worker panicked holding the jobs");
-            jobs.push_back(job);
-            let len = jobs.len();
-            drop(jobs);
-            self.ready.notify_one();
-            len
-        }
-
-        /// The next job and the queue's length after taking it.
-        fn pop(&self, shutdown: &AtomicBool, stopping: &AtomicBool) -> Option<(ParsedJob, usize)> {
-            let mut jobs = self.jobs.lock().unwrap();
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    return Some((job, jobs.len()));
-                }
-                if shutdown.load(Ordering::Relaxed) || stopping.load(Ordering::Relaxed) {
-                    return None;
-                }
-                jobs = self.ready.wait_timeout(jobs, WAIT_SLICE).unwrap().0;
-            }
-        }
-    }
-
-    /// One finished request on its way back to the poller.
-    struct Completion {
-        conn: u64,
-        /// Response bytes the worker did not write: all of them when the
-        /// job carried no socket, the tail when the socket filled up.
-        rest: Vec<u8>,
-        /// Close once `rest` is flushed: the response said so, or the
-        /// worker's write failed.
-        close: bool,
-    }
-
-    /// The worker → poller handoff. A completion rings the eventfd only
-    /// when the poller has work for its connection; the rest wait for
-    /// the poller's next wake-up.
-    struct CompletionQueue {
-        state: Mutex<Completions>,
-        wake_fd: i32,
-    }
-
-    const POISONED_COMPLETIONS: &str = "a thread panicked holding the completion queue";
-
-    /// Finished requests, and the connections whose completion the
-    /// poller asked to be woken for after dispatch. One lock covers
-    /// both, so a completion either is queued when the poller asks (and
-    /// the poller absorbs it without a ring) or rings when it is queued.
-    #[derive(Default)]
-    struct Completions {
-        done: Vec<Completion>,
-        wanted: Vec<u64>,
-    }
-
-    impl CompletionQueue {
-        /// Queues a finished request, ringing the eventfd when `wake` is
-        /// set or the poller asked for its connection.
-        fn push(&self, completion: Completion, wake: bool) {
-            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
-            let asked = state.wanted.iter().position(|&c| c == completion.conn);
-            if let Some(i) = asked {
-                state.wanted.swap_remove(i);
-            }
-            state.done.push(completion);
-            drop(state);
-            if wake || asked.is_some() {
-                sys::eventfd_ring(self.wake_fd);
-                prospector_obs::add(Counter::ServePollerCompletionWakes, 1);
-            }
-        }
-
-        /// Asks for a ring when `conn`'s in-flight completion is queued.
-        /// Returns `true` when it is queued already, so no ring will come
-        /// and the poller must absorb it itself.
-        fn want(&self, conn: u64) -> bool {
-            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
-            if state.done.iter().any(|c| c.conn == conn) {
-                return true;
-            }
-            state.wanted.push(conn);
-            false
-        }
-
-        /// Moves every queued completion into `into` (which is empty), so
-        /// the two buffers trade places and neither side reallocates.
-        fn drain_into(&self, into: &mut Vec<Completion>) {
-            let mut state = self.state.lock().expect(POISONED_COMPLETIONS);
-            std::mem::swap(&mut state.done, into);
-        }
-    }
-
-    /// Everything the poller knows about one connection.
+    /// Everything the server knows about one connection. Only the thread
+    /// holding the connection's event reads or writes it.
     struct Conn {
-        /// Shared with the worker answering the in-flight request, which
-        /// writes its response; the fd closes when both let go.
-        stream: Arc<TcpStream>,
+        stream: TcpStream,
         framer: RequestFramer,
-        /// Requests framed but not yet dispatched, with their close flag
-        /// already resolved against the keep-alive cap.
-        pending: VecDeque<(Request, bool)>,
-        /// The frame error that ended the byte stream. It is answered
-        /// (and the connection closed) only once every request framed
-        /// before it has been answered, so it never overtakes them.
-        frame_error: Option<FrameError>,
         /// Outbound bytes not yet written (`out_pos..` is the remainder).
         out: Vec<u8>,
         out_pos: usize,
-        /// A request from this connection is with a worker, or finished
-        /// and not yet absorbed. At most one: pipelined requests
-        /// serialize per connection.
-        in_flight: bool,
-        /// The in-flight request's completion will ring the eventfd,
-        /// flagged at dispatch or later through [`CompletionQueue::want`].
-        wake_asked: bool,
-        /// Close once `out` is fully flushed; no further dispatches.
+        /// Close once `out` is fully flushed; nothing more is answered.
         close_after_flush: bool,
-        /// The peer closed its write side (EOF) — serve what is pending,
-        /// then drop.
+        /// The peer closed its write side (EOF): answer what was framed,
+        /// flush, then close.
         peer_gone: bool,
-        /// Requests served (dispatch + shed) toward the keep-alive cap.
+        /// Requests answered (shed ones too) toward the keep-alive cap.
         served: usize,
-        /// Last activity, read lazily by the timer wheel.
+        /// End of the last activity, read lazily by the timer wheel.
         idle_since: Instant,
-        /// Outbound bytes wait for the socket to drain (`EPOLLOUT`).
-        want_write: bool,
+        /// Deregistered and out of the map; a thread that raced the
+        /// close finds this and lets go.
+        closed: bool,
     }
 
     impl Conn {
         fn new(stream: TcpStream) -> Conn {
             Conn {
-                stream: Arc::new(stream),
+                stream,
                 framer: RequestFramer::new(),
-                pending: VecDeque::new(),
-                frame_error: None,
                 out: Vec::new(),
                 out_pos: 0,
-                in_flight: false,
-                wake_asked: false,
                 close_after_flush: false,
                 peer_gone: false,
                 served: 0,
                 idle_since: Instant::now(),
-                want_write: false,
+                closed: false,
             }
         }
 
-        /// The epoll registration this state calls for: the read bits
-        /// until the peer's EOF (level-triggered, they would stay ready
-        /// after it and spin the poller), `EPOLLOUT` while bytes wait.
-        /// Every `EPOLL_CTL_ADD` and `EPOLL_CTL_MOD` registers this.
+        /// The registration this state calls for: the read bits while
+        /// more requests may come (level-triggered, they would stay
+        /// ready after an EOF or on bytes nobody will frame),
+        /// `EPOLLOUT` while bytes wait, always one-shot.
         fn interest(&self) -> u32 {
-            let read = if self.peer_gone { 0 } else { sys::EPOLLIN | sys::EPOLLRDHUP };
-            let write = if self.want_write { sys::EPOLLOUT } else { 0 };
-            read | write
-        }
-
-        /// Re-registers the socket with [`Conn::interest`].
-        fn rearm(&self, epfd: i32, id: u64) {
-            let _ = sys::epoll_ctl(
-                epfd,
-                sys::EPOLL_CTL_MOD,
-                self.stream.as_raw_fd(),
-                self.interest(),
-                id,
-            );
+            let read = if self.peer_gone || self.close_after_flush {
+                0
+            } else {
+                sys::EPOLLIN | sys::EPOLLRDHUP
+            };
+            let write = if self.has_backlog() { sys::EPOLLOUT } else { 0 };
+            read | write | sys::EPOLLONESHOT
         }
 
         /// Unwritten outbound bytes remain.
@@ -318,19 +177,55 @@ mod imp {
             self.out_pos < self.out.len()
         }
 
-        /// Requests, a frame error or EOF wait behind the in-flight
-        /// request: the poller has work once it completes.
-        fn has_work_behind(&self) -> bool {
-            !self.pending.is_empty() || self.frame_error.is_some() || self.peer_gone
+        /// Reads until the socket is drained, into the framer. A short
+        /// read drains it too: anything that lands later is reported by
+        /// the level-triggered re-arm. Only after `EPOLLRDHUP` does the
+        /// read go on to see the EOF. Returns `false` on a read error.
+        fn read(&mut self, chunk: &mut [u8], rdhup: bool) -> bool {
+            loop {
+                match (&self.stream).read(chunk) {
+                    Ok(0) => {
+                        self.peer_gone = true;
+                        return true;
+                    }
+                    Ok(n) => {
+                        self.framer.push(&chunk[..n]);
+                        if n < chunk.len() && !rdhup {
+                            return true;
+                        }
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return false,
+                }
+            }
         }
 
-        /// Nothing pending or held, nothing in flight, nothing to write —
-        /// the state the timer wheel may reap and EOF may drop.
-        fn is_parked_empty(&self) -> bool {
-            !self.in_flight
-                && self.pending.is_empty()
-                && self.frame_error.is_none()
-                && !self.has_backlog()
+        /// Writes the outbound buffer until the socket would block.
+        /// Returns `false` when the write failed; the connection then
+        /// gets no further bytes and is closed.
+        fn flush(&mut self) -> bool {
+            while self.out_pos < self.out.len() {
+                match (&self.stream).write(&self.out[self.out_pos..]) {
+                    Ok(0) => return false,
+                    Ok(n) => self.out_pos += n,
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(_) => return false,
+                }
+            }
+            self.out.clear();
+            self.out_pos = 0;
+            true
+        }
+
+        /// Queues one response's bytes behind whatever waits unwritten.
+        fn push_out(&mut self, bytes: Vec<u8>) {
+            if self.out.is_empty() {
+                self.out = bytes;
+            } else {
+                self.out.extend_from_slice(&bytes);
+            }
         }
     }
 
@@ -375,31 +270,29 @@ mod imp {
         }
     }
 
-    /// The poller thread's whole state. All methods run on that one
-    /// thread; only the two queues are shared.
-    struct Poller<'p> {
+    /// What every serve thread shares: the epoll set, the listener, the
+    /// connection map and the timer wheel.
+    struct Core<'p> {
         epfd: i32,
         ctx: &'p Ctx<'p>,
-        queue: &'p ParsedQueue,
-        completions: &'p CompletionQueue,
-        /// The drained-completions buffer, kept to trade places with the
-        /// queue's on every drain.
-        absorbed: Vec<Completion>,
-        /// A [`CompletionQueue::want`] found its completion queued
-        /// already: absorb again before the next wait.
-        redrain: bool,
+        listener: &'p TcpListener,
+        /// The caller's shutdown flag; only read here.
         shutdown: &'p AtomicBool,
-        conns: HashMap<u64, Conn>,
-        wheel: TimerWheel,
-        next_id: u64,
+        /// Set by a thread that hit a fatal error, so the others drain
+        /// and return too.
+        stop: AtomicBool,
+        conns: Mutex<HashMap<u64, Arc<Mutex<Conn>>>>,
+        wheel: Mutex<TimerWheel>,
+        next_id: AtomicU64,
+        /// `epoll_wait` timeout: the wait slice or the wheel tick.
+        wait_ms: i32,
     }
 
-    /// Runs the epoll core until `shutdown` flips: spawns the worker
-    /// pool inside one scope, then drives the readiness loop on the
-    /// calling thread. On shutdown the poller stops accepting and
-    /// dispatching, drains in-flight requests and outbound buffers
-    /// (bounded by [`DRAIN_GRACE`]), and the scope joins every thread
-    /// before this returns.
+    /// Runs the epoll core until `shutdown` flips: `ctx.workers` threads
+    /// inside one scope, the calling thread among them, each running
+    /// [`Core::run`]. On shutdown they stop accepting and answering,
+    /// flush outbound buffers (bounded by [`DRAIN_GRACE`]), and the
+    /// scope joins every thread before this returns.
     pub(crate) fn serve_epoll(
         listener: TcpListener,
         ctx: &Ctx<'_>,
@@ -409,503 +302,342 @@ mod imp {
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
         let epfd = sys::epoll_create1().map_err(|e| format!("epoll_create1: errno {e}"))?;
-        let wake_fd = match sys::eventfd() {
-            Ok(fd) => fd,
-            Err(e) => {
-                sys::close(epfd);
-                return Err(format!("eventfd: errno {e}"));
-            }
-        };
-        let setup = sys::epoll_ctl(
-            epfd,
-            sys::EPOLL_CTL_ADD,
-            listener.as_raw_fd(),
-            sys::EPOLLIN,
-            TOKEN_LISTENER,
-        )
-        .and_then(|()| sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, wake_fd, sys::EPOLLIN, TOKEN_WAKE));
-        if let Err(e) = setup {
-            sys::close(wake_fd);
+        let interest = sys::EPOLLIN | sys::EPOLLONESHOT;
+        let fd = listener.as_raw_fd();
+        if let Err(e) = sys::epoll_ctl(epfd, sys::EPOLL_CTL_ADD, fd, interest, TOKEN_LISTENER) {
             sys::close(epfd);
-            return Err(format!("epoll_ctl(setup): errno {e}"));
+            return Err(format!("epoll_ctl(listener): errno {e}"));
         }
-
-        let queue = ParsedQueue::new();
-        let completions = CompletionQueue { state: Mutex::default(), wake_fd };
-        let stopping = AtomicBool::new(false);
+        let wheel = TimerWheel::new(ctx.idle_timeout);
+        let wait_ms = i32::try_from(WAIT_SLICE.min(wheel.tick).as_millis()).unwrap_or(50);
+        let core = Core {
+            epfd,
+            ctx,
+            listener: &listener,
+            shutdown,
+            stop: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
+            wheel: Mutex::new(wheel),
+            next_id: AtomicU64::new(FIRST_CONN),
+            wait_ms,
+        };
         let result = std::thread::scope(|scope| {
-            for _ in 0..ctx.workers {
-                let queue = &queue;
-                let completions = &completions;
-                let stopping = &stopping;
-                scope.spawn(move || worker_loop(queue, completions, ctx, shutdown, stopping));
+            let core = &core;
+            let others: Vec<_> = (1..ctx.workers)
+                .map(|_| scope.spawn(move || core.run()))
+                .collect();
+            let mut result = core.run();
+            for thread in others {
+                let joined = thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                result = result.and(joined);
             }
-            let mut poller = Poller {
-                epfd,
-                ctx,
-                queue: &queue,
-                completions: &completions,
-                absorbed: Vec::new(),
-                redrain: false,
-                shutdown,
-                conns: HashMap::new(),
-                wheel: TimerWheel::new(ctx.idle_timeout),
-                next_id: FIRST_CONN,
-            };
-            let result = poller.run(&listener, wake_fd);
-            // Wake every parked worker so they observe the stop without
-            // waiting out their poll interval.
-            stopping.store(true, Ordering::Relaxed);
-            queue.ready.notify_all();
             result
         });
-        sys::close(wake_fd);
+        // The connections close with the map; the epoll set goes last.
+        drop(core);
         sys::close(epfd);
         result
     }
 
-    /// One worker: pops parsed requests, answers and records them,
-    /// writes the response when the job carries the socket, and hands
-    /// any unwritten bytes back as a completion. Queue wait is measured
-    /// per request — the poller stamps every job at dispatch, so
-    /// keep-alive follow-ups get real wait numbers too.
-    fn worker_loop(
-        queue: &ParsedQueue,
-        completions: &CompletionQueue,
-        ctx: &Ctx<'_>,
-        shutdown: &AtomicBool,
-        stopping: &AtomicBool,
-    ) {
-        while let Some((job, depth)) = queue.pop(shutdown, stopping) {
-            ctx.depth.store(depth as u64, Ordering::Relaxed);
-            let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            ctx.busy.fetch_add(1, Ordering::Relaxed);
-            let started = Instant::now();
-            // The stage table's `serve.request` row: every request's
-            // handle time, next to the `search`, `synth` and `rank`
-            // laps it contains.
-            let _span = prospector_obs::stage(Stage::ServeRequest);
-            let (endpoint, response) = answer(ctx, &job.request);
-            let bytes = serialize_response(&response, job.close);
-            let handle_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // Logged before the first byte leaves, so a client that
-            // reads `/logs` right after its response finds the line.
-            record_request(endpoint, &response, wait_ns, handle_ns);
-            // Answered before the first byte leaves, too: a client that
-            // sends its next request on reading this response must not
-            // be shed for this one.
-            ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-            let (rest, broken) = match job.stream {
-                Some(stream) => write_nonblocking(&stream, bytes),
-                None => (bytes, false),
-            };
-            ctx.busy.fetch_sub(1, Ordering::Relaxed);
-            let close = job.close || broken;
-            let wake = job.wake || close || !rest.is_empty();
-            completions.push(Completion { conn: job.conn, rest, close }, wake);
+    impl Core<'_> {
+        /// Shutdown was asked for, or a thread failed.
+        fn stopping(&self) -> bool {
+            self.shutdown.load(Ordering::Relaxed) || self.stop.load(Ordering::Relaxed)
         }
-    }
 
-    /// Writes `bytes` to a nonblocking socket until it would block.
-    /// Returns the unwritten remainder and whether the write failed; a
-    /// failed connection gets no further bytes and is closed.
-    fn write_nonblocking(mut stream: &TcpStream, mut bytes: Vec<u8>) -> (Vec<u8>, bool) {
-        let mut written = 0;
-        while written < bytes.len() {
-            match stream.write(&bytes[written..]) {
-                Ok(0) => return (Vec::new(), true),
-                Ok(n) => written += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return (Vec::new(), true),
-            }
+        /// Stops every thread after a fatal error and returns it.
+        fn fail(&self, error: String) -> Result<(), String> {
+            self.stop.store(true, Ordering::Relaxed);
+            Err(error)
         }
-        if written == bytes.len() {
-            return (Vec::new(), false);
-        }
-        bytes.drain(..written);
-        (bytes, false)
-    }
 
-    impl Poller<'_> {
-        /// The readiness loop: wait, absorb completions, dispatch
-        /// events, turn the timer wheel, repeat.
-        fn run(&mut self, listener: &TcpListener, wake_fd: i32) -> Result<(), String> {
-            let mut events = [sys::EpollEvent { events: 0, data: 0 }; EVENT_BATCH];
+        /// One serve thread: wait for one event, handle it, turn the
+        /// timer wheel, repeat. Once stopping, it returns when nothing is
+        /// held or left to write, or after [`DRAIN_GRACE`].
+        fn run(&self) -> Result<(), String> {
+            let mut events = [sys::EpollEvent { events: 0, data: 0 }];
+            let mut chunk = vec![0u8; READ_CHUNK];
             let mut draining_since: Option<Instant> = None;
             loop {
-                let stop = self.shutdown.load(Ordering::Relaxed);
-                if stop {
+                let stopping = self.stopping();
+                if stopping {
                     let since = *draining_since.get_or_insert_with(Instant::now);
-                    let drained = !self.conns.values().any(|c| c.in_flight || c.has_backlog());
-                    if drained || since.elapsed() >= DRAIN_GRACE {
+                    if self.drained() || since.elapsed() >= DRAIN_GRACE {
                         return Ok(());
                     }
                 }
-                let timeout =
-                    i32::try_from(WAIT_SLICE.as_millis().min(self.wheel.tick.as_millis()))
-                        .unwrap_or(50);
-                let n = match sys::epoll_wait(self.epfd, &mut events, timeout) {
+                let n = match sys::epoll_wait(self.epfd, &mut events, self.wait_ms) {
                     Ok(n) => n,
                     Err(sys::EINTR) => 0,
-                    Err(e) => return Err(format!("epoll_wait: errno {e}")),
+                    Err(e) => return self.fail(format!("epoll_wait: errno {e}")),
                 };
-                // Absorb finished requests before reading any socket, so a
-                // keep-alive client's next request finds its connection
-                // free. The eventfd is reset first: a ring that lands
-                // after the reset stays set and ends the next wait.
-                if events[..n].iter().any(|ev| { ev.data } == TOKEN_WAKE) {
-                    sys::eventfd_drain(wake_fd);
-                }
-                self.process_completions();
-                for ev in &events[..n] {
+                if n == 1 {
                     // Copy out of the packed struct before use.
-                    let (bits, token) = (ev.events, ev.data);
-                    match token {
-                        TOKEN_LISTENER => {
-                            if !stop {
-                                self.accept_all(listener)?;
-                            }
+                    let (bits, token) = (events[0].events, events[0].data);
+                    if token == TOKEN_LISTENER {
+                        if let Err(e) = self.on_listener(stopping) {
+                            return self.fail(e);
                         }
-                        TOKEN_WAKE => {}
-                        id => self.on_conn_event(id, bits),
+                    } else {
+                        self.on_conn(token, bits, &mut chunk);
                     }
                 }
-                if std::mem::take(&mut self.redrain) {
-                    self.process_completions();
-                }
-                for id in self.wheel.expired(Instant::now()) {
-                    self.check_reap(id);
-                }
+                self.sweep();
             }
         }
 
-        /// Accepts until the backlog is empty, registering each socket
-        /// for readiness and arming its idle timer. There is no accept
-        /// backpressure here — admission control happens per *request*
-        /// at dispatch, where shedding can actually answer the client.
-        fn accept_all(&mut self, listener: &TcpListener) -> Result<(), String> {
+        /// Nothing is held by a thread and nothing waits to be written.
+        fn drained(&self) -> bool {
+            let conns = self.conns.lock().expect(POISONED_MAP);
+            self.ctx.busy.load(Ordering::Relaxed) == 0
+                && conns
+                    .values()
+                    .all(|cell| cell.try_lock().is_ok_and(|conn| !conn.has_backlog()))
+        }
+
+        /// Accepts until the backlog is empty, then re-arms the listener.
+        /// There is no accept backpressure here — admission control
+        /// happens per *request*, where shedding can answer the client.
+        fn on_listener(&self, stopping: bool) -> Result<(), String> {
+            if stopping {
+                return Ok(());
+            }
             loop {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // Without `TCP_NODELAY`, Nagle's algorithm holds a
-                        // response written right behind another on the
-                        // same connection until the client's delayed ACK
-                        // (~40 ms on Linux).
-                        if stream
-                            .set_nonblocking(true)
-                            .and_then(|()| stream.set_nodelay(true))
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        let id = self.next_id;
-                        self.next_id += 1;
-                        let conn = Conn::new(stream);
-                        if sys::epoll_ctl(
-                            self.epfd,
-                            sys::EPOLL_CTL_ADD,
-                            conn.stream.as_raw_fd(),
-                            conn.interest(),
-                            id,
-                        )
-                        .is_err()
-                        {
-                            continue;
-                        }
-                        self.conns.insert(id, conn);
-                        self.wheel.insert(id, self.ctx.idle_timeout);
-                        self.ctx.conns.fetch_add(1, Ordering::Relaxed);
-                        self.ctx.parked.fetch_add(1, Ordering::Relaxed);
-                        prospector_obs::add(Counter::ServePollerAccepts, 1);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
+                match self.listener.accept() {
+                    Ok((stream, _peer)) => self.register(stream),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(format!("accept: {e}")),
                 }
             }
+            let interest = sys::EPOLLIN | sys::EPOLLONESHOT;
+            let fd = self.listener.as_raw_fd();
+            sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, interest, TOKEN_LISTENER)
+                .map_err(|e| format!("epoll_ctl(listener): errno {e}"))
         }
 
-        /// Routes one readiness event for a connection.
-        fn on_conn_event(&mut self, id: u64, bits: u32) {
-            if !self.conns.contains_key(&id) {
+        /// Registers one accepted socket for readiness and arms its idle
+        /// timer. The gauges count it before it is armed, so a thread
+        /// that answers it at once never takes them below zero.
+        fn register(&self, stream: TcpStream) {
+            // Without `TCP_NODELAY`, Nagle's algorithm holds a response
+            // written right behind another on the same connection until
+            // the client's delayed ACK (~40 ms on Linux).
+            if stream
+                .set_nonblocking(true)
+                .and_then(|()| stream.set_nodelay(true))
+                .is_err()
+            {
                 return;
             }
-            if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
-                self.drop_conn(id);
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let fd = stream.as_raw_fd();
+            let conn = Conn::new(stream);
+            let interest = conn.interest();
+            self.conns
+                .lock()
+                .expect(POISONED_MAP)
+                .insert(id, Arc::new(Mutex::new(conn)));
+            self.ctx.conns.fetch_add(1, Ordering::Relaxed);
+            self.ctx.parked.fetch_add(1, Ordering::Relaxed);
+            if sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd, interest, id).is_err() {
+                self.conns.lock().expect(POISONED_MAP).remove(&id);
+                self.ctx.conns.fetch_sub(1, Ordering::Relaxed);
+                self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
                 return;
             }
-            if bits & sys::EPOLLOUT != 0 {
-                self.try_flush(id);
-            }
-            if bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
-                self.read_ready(id);
-            }
+            self.wheel
+                .lock()
+                .expect(POISONED_WHEEL)
+                .insert(id, self.ctx.idle_timeout);
+            prospector_obs::add(Counter::ServePollerAccepts, 1);
         }
 
-        /// Drains the socket into the framer, frames every complete
-        /// request, dispatches / sheds, and flushes whatever the shed
-        /// path wrote.
-        fn read_ready(&mut self, id: u64) {
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            let mut chunk = [0u8; READ_CHUNK];
-            let mut fatal = false;
-            loop {
-                match (&*conn.stream).read(&mut chunk) {
-                    Ok(0) => {
-                        conn.peer_gone = true;
-                        conn.rearm(self.epfd, id);
-                        break;
-                    }
-                    Ok(n) => conn.framer.push(&chunk[..n]),
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        fatal = true;
-                        break;
+        /// The connection `id` names, unless it is closed.
+        fn lookup(&self, id: u64) -> Option<Arc<Mutex<Conn>>> {
+            self.conns.lock().expect(POISONED_MAP).get(&id).cloned()
+        }
+
+        /// Takes the connection one event names: read, answer what was
+        /// framed, write, and let go.
+        fn on_conn(&self, id: u64, bits: u32, chunk: &mut [u8]) {
+            let Some(cell) = self.lookup(id) else { return };
+            // Poisoned: a thread panicked answering on it; leave it be.
+            let Ok(mut conn) = cell.lock() else { return };
+            if conn.closed {
+                return;
+            }
+            self.ctx.busy.fetch_add(1, Ordering::Relaxed);
+            let picked = Instant::now();
+            let stopping = self.stopping();
+            let mut open = bits & (sys::EPOLLERR | sys::EPOLLHUP) == 0;
+            let readable = bits & conn.interest() & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0;
+            if open && readable && !stopping {
+                open = conn.read(chunk, bits & sys::EPOLLRDHUP != 0);
+                if open {
+                    self.answer_framed(&mut conn, picked);
+                }
+            }
+            open = open && conn.flush();
+            let mut rearm = None;
+            if !open || (!conn.has_backlog() && (conn.close_after_flush || conn.peer_gone)) {
+                self.close(id, &mut conn);
+            } else if !stopping || conn.has_backlog() {
+                conn.idle_since = Instant::now();
+                // Draining: flush what is owed, read nothing more.
+                rearm = Some(if stopping {
+                    sys::EPOLLOUT | sys::EPOLLONESHOT
+                } else {
+                    conn.interest()
+                });
+            }
+            let fd = conn.stream.as_raw_fd();
+            // Let go of the lock before the re-arm: a request that is
+            // already waiting fires at once, and the thread it wakes must
+            // not sleep on this lock while this one is preempted. The
+            // `Arc` keeps the fd open, and the connection is disarmed, so
+            // only the reaper can touch it in between — and it was just
+            // active.
+            drop(conn);
+            self.ctx.busy.fetch_sub(1, Ordering::Relaxed);
+            if let Some(interest) = rearm {
+                if sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, interest, id).is_err() {
+                    if let Ok(mut conn) = cell.lock() {
+                        if !conn.closed {
+                            self.close(id, &mut conn);
+                        }
                     }
                 }
             }
-            if fatal {
-                self.drop_conn(id);
-                return;
-            }
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            conn.idle_since = Instant::now();
-            // Frame everything available; stop at the request that will
-            // close the connection (any pipelined bytes after it are
-            // dead on arrival anyway).
-            loop {
-                match conn.framer.next() {
+        }
+
+        /// Answers every request the framer holds, in order, into the
+        /// outbound buffer, and a frame error after them; stops at the
+        /// answer that closes the connection, and on shutdown. Each
+        /// answer is logged before its first byte leaves, and the
+        /// connection counts as parked again before then, too.
+        fn answer_framed(&self, conn: &mut Conn, picked: Instant) {
+            let ctx = self.ctx;
+            let mut answering = false;
+            while !conn.close_after_flush && !self.stopping() {
+                let framed = conn.framer.next();
+                if matches!(framed, Framed::Incomplete) {
+                    break;
+                }
+                if !answering {
+                    answering = true;
+                    ctx.parked.fetch_sub(1, Ordering::Relaxed);
+                }
+                let started = Instant::now();
+                let wait_ns = nanos(started - picked);
+                let mut admitted = false;
+                let (endpoint, response, close) = match framed {
                     Framed::Request(request) => {
-                        // `served` already counts the in-flight request.
-                        let close = request.close
-                            || conn.served + conn.pending.len() + 1 >= self.ctx.keepalive_max;
-                        conn.pending.push_back((request, close));
-                        if close {
-                            break;
+                        conn.served += 1;
+                        let close = request.close || conn.served >= ctx.keepalive_max;
+                        admitted =
+                            ctx.inflight.fetch_add(1, Ordering::Relaxed) < ctx.max_inflight as u64;
+                        if admitted {
+                            // The stage table's `serve.request` row: every
+                            // answer's handle time, next to the `search`,
+                            // `synth` and `rank` laps it contains.
+                            let _span = prospector_obs::stage(Stage::ServeRequest);
+                            let (endpoint, response) = answer(ctx, &request);
+                            (endpoint, response, close)
+                        } else {
+                            // Admission control: `429` + `Retry-After`,
+                            // no engine call.
+                            ctx.inflight.fetch_sub(1, Ordering::Relaxed);
+                            prospector_obs::add(Counter::ServeShedTotal, 1);
+                            (endpoint_of(&request.path), shed_response(), close)
                         }
                     }
                     Framed::Error(error) => {
-                        conn.frame_error = Some(error);
-                        break;
+                        prospector_obs::add(Counter::ServePollerFrameErrors, 1);
+                        (endpoint_of(""), frame_error_response(&error), true)
                     }
                     Framed::Incomplete => break,
+                };
+                let bytes = serialize_response(&response, close);
+                record_request(endpoint, &response, wait_ns, nanos(started.elapsed()));
+                // Answered before the first byte leaves: a client that
+                // sends its next request on reading this response must
+                // not be shed for this one.
+                if admitted {
+                    ctx.inflight.fetch_sub(1, Ordering::Relaxed);
                 }
+                conn.push_out(bytes);
+                conn.close_after_flush |= close;
             }
-            if conn.in_flight && !conn.wake_asked && conn.has_work_behind() {
-                conn.wake_asked = true;
-                self.redrain |= self.completions.want(id);
-            }
-            self.maybe_dispatch(id);
-            self.try_flush(id);
-            if let Some(conn) = self.conns.get(&id) {
-                if conn.peer_gone && conn.is_parked_empty() {
-                    self.drop_conn(id);
-                }
+            if answering {
+                ctx.parked.fetch_add(1, Ordering::Relaxed);
             }
         }
 
-        /// Dispatches the connection's next pending request to the
-        /// worker pool — or sheds it with a poller-written `429` when
-        /// the in-flight ceiling is reached. Loops so a burst of
-        /// pipelined requests sheds in one pass instead of one per
-        /// readiness event. Once nothing is pending or in flight, a held
-        /// frame error is answered and the connection set to close.
-        fn maybe_dispatch(&mut self, id: u64) {
-            loop {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                if conn.in_flight
-                    || conn.close_after_flush
-                    || self.shutdown.load(Ordering::Relaxed)
-                {
-                    return;
-                }
-                let Some((request, close)) = conn.pending.pop_front() else {
-                    if let Some(error) = conn.frame_error.take() {
-                        // Answered straight from the poller: a framing
-                        // error needs no engine.
-                        let started = Instant::now();
-                        let response = frame_error_response(&error);
-                        let bytes = serialize_response(&response, true);
-                        let handle_ns =
-                            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        record_request(endpoint_of(""), &response, 0, handle_ns);
-                        prospector_obs::add(Counter::ServePollerFrameErrors, 1);
-                        conn.out.extend_from_slice(&bytes);
-                        conn.close_after_flush = true;
-                    }
-                    return;
-                };
-                if self.ctx.inflight.load(Ordering::Relaxed) >= self.ctx.max_inflight as u64 {
-                    // Admission control: answer 429 + Retry-After from
-                    // this thread; no worker, no queue slot.
-                    let started = Instant::now();
-                    let response = shed_response();
-                    let bytes = serialize_response(&response, close);
-                    let handle_ns =
-                        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    record_request(endpoint_of(&request.path), &response, 0, handle_ns);
-                    prospector_obs::add(Counter::ServeShedTotal, 1);
-                    conn.out.extend_from_slice(&bytes);
-                    conn.served += 1;
-                    if close {
-                        conn.close_after_flush = true;
+        /// Deregisters one connection and takes it out of the map. The
+        /// socket closes when the last `Arc` lets go of it.
+        fn close(&self, id: u64, conn: &mut Conn) {
+            conn.closed = true;
+            let _ = sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
+            self.conns.lock().expect(POISONED_MAP).remove(&id);
+            self.ctx.conns.fetch_sub(1, Ordering::Relaxed);
+            self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
+        }
+
+        /// Turns the timer wheel when its tick is due and no other thread
+        /// is turning it.
+        fn sweep(&self) {
+            let fired = match self.wheel.try_lock() {
+                Ok(mut wheel) => wheel.expired(Instant::now()),
+                Err(_) => return,
+            };
+            for id in fired {
+                self.check_reap(id);
+            }
+        }
+
+        /// A timer-wheel firing for `id`: reap if held by no thread,
+        /// nothing waits to be written and it has idled past the
+        /// timeout; otherwise reinsert at the remaining time.
+        fn check_reap(&self, id: u64) {
+            let Some(cell) = self.lookup(id) else { return };
+            let timeout = self.ctx.idle_timeout;
+            let remaining = match cell.try_lock() {
+                Ok(mut conn) => {
+                    if conn.closed {
                         return;
                     }
-                    continue;
-                }
-                conn.in_flight = true;
-                conn.wake_asked = conn.has_work_behind();
-                conn.served += 1;
-                self.ctx.inflight.fetch_add(1, Ordering::Relaxed);
-                self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
-                // With nothing earlier left to write, the response cannot
-                // overtake other bytes, so the worker may write it.
-                let stream = (!conn.has_backlog()).then(|| Arc::clone(&conn.stream));
-                let depth = self.queue.push(ParsedJob {
-                    conn: id,
-                    request,
-                    close,
-                    stream,
-                    wake: conn.wake_asked,
-                    enqueued: Instant::now(),
-                });
-                self.ctx.depth.store(depth as u64, Ordering::Relaxed);
-                return;
-            }
-        }
-
-        /// Absorbs finished requests: append what the worker left
-        /// unwritten to the connection's outbound buffer, flush, and
-        /// dispatch whatever pipelined request was waiting its turn.
-        fn process_completions(&mut self) {
-            let mut absorbed = std::mem::take(&mut self.absorbed);
-            self.completions.drain_into(&mut absorbed);
-            for done in absorbed.drain(..) {
-                let Some(conn) = self.conns.get_mut(&done.conn) else {
-                    // The connection died while its request was with a
-                    // worker; ids are never reused, so just drop it.
-                    continue;
-                };
-                conn.in_flight = false;
-                conn.wake_asked = false;
-                conn.idle_since = Instant::now();
-                self.ctx.parked.fetch_add(1, Ordering::Relaxed);
-                conn.out.extend_from_slice(&done.rest);
-                if done.close {
-                    conn.close_after_flush = true;
-                }
-                self.try_flush(done.conn);
-                self.maybe_dispatch(done.conn);
-                self.try_flush(done.conn);
-            }
-            self.absorbed = absorbed;
-        }
-
-        /// Writes the outbound buffer as far as the socket allows.
-        /// `WouldBlock` re-arms the registration with `EPOLLOUT`; a
-        /// complete flush disarms it again and completes any deferred
-        /// close.
-        fn try_flush(&mut self, id: u64) {
-            let epfd = self.epfd;
-            let mut drop_now = false;
-            {
-                let Some(conn) = self.conns.get_mut(&id) else { return };
-                loop {
-                    if conn.out_pos >= conn.out.len() {
-                        break;
+                    let idle = conn.idle_since.elapsed();
+                    if !conn.has_backlog() && idle >= timeout {
+                        self.close(id, &mut conn);
+                        prospector_obs::add(Counter::ServePollerReaped, 1);
+                        return;
                     }
-                    match (&*conn.stream).write(&conn.out[conn.out_pos..]) {
-                        Ok(0) => {
-                            drop_now = true;
-                            break;
-                        }
-                        Ok(n) => conn.out_pos += n,
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if !conn.want_write {
-                                conn.want_write = true;
-                                conn.rearm(epfd, id);
-                            }
-                            return;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            drop_now = true;
-                            break;
-                        }
-                    }
+                    timeout.saturating_sub(idle)
                 }
-                if !drop_now {
-                    conn.out.clear();
-                    conn.out_pos = 0;
-                    if conn.want_write {
-                        conn.want_write = false;
-                        conn.rearm(epfd, id);
-                    }
-                    if conn.close_after_flush || (conn.peer_gone && conn.is_parked_empty()) {
-                        drop_now = true;
-                    }
-                }
-            }
-            if drop_now {
-                self.drop_conn(id);
-            }
-        }
-
-        /// A timer-wheel firing for `id`: reap if still parked and idle
-        /// past the timeout, otherwise reinsert at the remaining time.
-        fn check_reap(&mut self, id: u64) {
-            let (reap, remaining) = {
-                let Some(conn) = self.conns.get(&id) else { return };
-                let idle = conn.idle_since.elapsed();
-                let reap = conn.is_parked_empty() && idle >= self.ctx.idle_timeout;
-                (reap, self.ctx.idle_timeout.saturating_sub(idle))
+                // A thread holds it, so it is not idle.
+                Err(TryLockError::WouldBlock) => timeout,
+                Err(TryLockError::Poisoned(_)) => return,
             };
-            if reap {
-                self.drop_conn(id);
-                prospector_obs::add(Counter::ServePollerReaped, 1);
-            } else {
-                self.wheel.insert(id, remaining);
-            }
-        }
-
-        /// Deregisters and closes one connection. Safe to call with a
-        /// request still in flight: the completion finds no connection
-        /// and is discarded.
-        fn drop_conn(&mut self, id: u64) {
-            let Some(conn) = self.conns.remove(&id) else { return };
-            let _ = sys::epoll_ctl(
-                self.epfd,
-                sys::EPOLL_CTL_DEL,
-                conn.stream.as_raw_fd(),
-                0,
-                0,
-            );
-            if !conn.in_flight {
-                self.ctx.parked.fetch_sub(1, Ordering::Relaxed);
-            }
-            self.ctx.conns.fetch_sub(1, Ordering::Relaxed);
-            // `conn.stream` drops here, closing the fd unless a worker
-            // still holds it to write the in-flight response.
+            self.wheel
+                .lock()
+                .expect(POISONED_WHEEL)
+                .insert(id, remaining);
         }
     }
 
-    /// Raw `epoll(7)` / `eventfd(2)` syscall wrappers — std-only, no
-    /// libc, in the style of `jungloid-typesys`' `slab::sys` mmap shim.
-    /// Errors are `-errno` returns surfaced as positive errno values.
+    /// Raw `epoll(7)` syscall wrappers — std-only, no libc, in the style
+    /// of `jungloid-typesys`' `slab::sys` mmap shim. Errors are `-errno`
+    /// returns surfaced as positive errno values.
     mod sys {
-        const SYS_READ: usize = 0;
-        const SYS_WRITE: usize = 1;
         const SYS_CLOSE: usize = 3;
         const SYS_EPOLL_WAIT: usize = 232;
         const SYS_EPOLL_CTL: usize = 233;
-        const SYS_EVENTFD2: usize = 290;
         const SYS_EPOLL_CREATE1: usize = 291;
 
         const EPOLL_CLOEXEC: usize = 0x80000;
-        const EFD_CLOEXEC: usize = 0x80000;
-        const EFD_NONBLOCK: usize = 0x800;
 
         pub const EPOLL_CTL_ADD: i32 = 1;
         pub const EPOLL_CTL_DEL: i32 = 2;
@@ -915,8 +647,9 @@ mod imp {
         pub const EPOLLERR: u32 = 0x008;
         pub const EPOLLHUP: u32 = 0x010;
         pub const EPOLLRDHUP: u32 = 0x2000;
+        pub const EPOLLONESHOT: u32 = 1 << 30;
 
-        /// `EINTR`, the one errno the poll loop treats as "no events".
+        /// `EINTR`, the one errno the serve loop treats as "no events".
         pub const EINTR: isize = 4;
 
         /// The kernel's `struct epoll_event` on x86_64 (packed: the
@@ -976,7 +709,9 @@ mod imp {
         /// event payload (ignored by the kernel for `EPOLL_CTL_DEL`).
         pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, events: u32, data: u64) -> Result<(), isize> {
             let ev = EpollEvent { events, data };
-            // SAFETY: `ev` lives across the call; fds are ours.
+            // SAFETY: the only pointer is to `ev`, which lives across the
+            // call; the kernel checks both fds and reports a bad one as
+            // `EBADF`, an unregistered one as `ENOENT`.
             let ret = unsafe {
                 syscall4(
                     SYS_EPOLL_CTL,
@@ -996,8 +731,9 @@ mod imp {
             events: &mut [EpollEvent],
             timeout_ms: i32,
         ) -> Result<usize, isize> {
-            // SAFETY: the buffer outlives the call and its length is
-            // passed alongside.
+            // SAFETY: the kernel writes at most `events.len()` entries
+            // into the buffer, which outlives the call; a fd that is no
+            // epoll set is `EINVAL`.
             let ret = unsafe {
                 syscall4(
                     SYS_EPOLL_WAIT,
@@ -1010,38 +746,73 @@ mod imp {
             check(ret).map(|n| n as usize)
         }
 
-        /// `eventfd2(0, EFD_CLOEXEC | EFD_NONBLOCK)` — the poller's
-        /// wake-up channel.
-        pub fn eventfd() -> Result<i32, isize> {
-            // SAFETY: no pointers.
-            let ret = unsafe { syscall4(SYS_EVENTFD2, 0, EFD_CLOEXEC | EFD_NONBLOCK, 0, 0) };
-            check(ret).map(|fd| fd as i32)
-        }
-
-        /// Adds 1 to the eventfd counter, waking the poller. Failure
-        /// (counter saturated) is ignored — the poller is then already
-        /// guaranteed to wake.
-        pub fn eventfd_ring(fd: i32) {
-            let one: u64 = 1;
-            // SAFETY: 8 bytes of a live stack value.
-            let _ = unsafe {
-                syscall4(SYS_WRITE, fd as usize, std::ptr::addr_of!(one) as usize, 8, 0)
-            };
-        }
-
-        /// Zeroes the eventfd counter so it can signal again.
-        pub fn eventfd_drain(fd: i32) {
-            let mut buf = [0u8; 8];
-            // SAFETY: 8 bytes of a live stack buffer.
-            let _ = unsafe {
-                syscall4(SYS_READ, fd as usize, buf.as_mut_ptr() as usize, 8, 0)
-            };
-        }
-
         /// `close(fd)` for the fds this module created raw.
         pub fn close(fd: i32) {
-            // SAFETY: only called on fds this module owns.
+            // SAFETY: only called on fds this module owns, once each.
             let _ = unsafe { syscall4(SYS_CLOSE, fd as usize, 0, 0, 0) };
+        }
+    }
+
+    /// The failure edges of the raw wrappers: each reports the kernel's
+    /// errno instead of succeeding or faulting.
+    #[cfg(test)]
+    mod tests {
+        use std::net::TcpListener;
+        use std::os::fd::AsRawFd;
+
+        use super::sys;
+
+        const ENOENT: isize = 2;
+        const EBADF: isize = 9;
+        const EINVAL: isize = 22;
+
+        /// An epoll set closed when dropped.
+        struct Epoll(i32);
+
+        impl Drop for Epoll {
+            fn drop(&mut self) {
+                sys::close(self.0);
+            }
+        }
+
+        fn epoll() -> Epoll {
+            Epoll(sys::epoll_create1().expect("epoll_create1"))
+        }
+
+        #[test]
+        fn epoll_ctl_mod_on_an_unregistered_fd_is_enoent() {
+            let set = epoll();
+            let socket = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let fd = socket.as_raw_fd();
+            let ret = sys::epoll_ctl(set.0, sys::EPOLL_CTL_MOD, fd, sys::EPOLLIN, 7);
+            assert_eq!(ret, Err(ENOENT));
+        }
+
+        #[test]
+        fn epoll_ctl_add_on_a_closed_fd_is_ebadf() {
+            let set = epoll();
+            // No fd table reaches `i32::MAX` (`fs.nr_open` is capped below
+            // it), so this number is closed in every process, and no other
+            // test's socket can take it between a close and this call.
+            let ret = sys::epoll_ctl(set.0, sys::EPOLL_CTL_ADD, i32::MAX, sys::EPOLLIN, 7);
+            assert_eq!(ret, Err(EBADF));
+        }
+
+        #[test]
+        fn epoll_wait_on_a_fd_that_is_no_epoll_set_is_einval() {
+            let socket = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let mut events = [sys::EpollEvent { events: 0, data: 0 }];
+            assert_eq!(
+                sys::epoll_wait(socket.as_raw_fd(), &mut events, 0),
+                Err(EINVAL)
+            );
+        }
+
+        #[test]
+        fn epoll_wait_with_no_timeout_on_an_empty_set_is_zero_events() {
+            let set = epoll();
+            let mut events = [sys::EpollEvent { events: 0, data: 0 }];
+            assert_eq!(sys::epoll_wait(set.0, &mut events, 0), Ok(0));
         }
     }
 }

@@ -1,19 +1,20 @@
 //! `prospector serve` — a zero-dependency HTTP/1.1 observability server.
 //!
 //! Everything here is `std`-only, and [`Server::run`] has one serve
-//! core, the **epoll readiness core** ([`crate::poller`]): one poller
-//! thread owns the listener and every parked socket, frames requests
-//! nonblockingly, and hands *parsed* requests to the worker pool.
-//! Keep-alive connections wait in the poller between requests instead
-//! of occupying workers, so 10k idle connections cost file descriptors,
-//! not threads. The poller also runs admission control: past the
-//! in-flight ceiling it sheds with `429` + `Retry-After` straight off
-//! the poller thread. Serving is Linux/x86_64-only (DESIGN §15); on
-//! other platforms [`Server::run`] returns an error.
+//! core, the **epoll readiness core** ([`crate::poller`]): `--workers`
+//! threads wait on one shared epoll set, and the thread an event wakes
+//! takes that connection, frames its requests nonblockingly, answers
+//! them and writes the answers. Keep-alive connections wait in the
+//! epoll set between requests instead of occupying threads, so 10k idle
+//! connections cost file descriptors, not threads. Admission control
+//! runs per request: past the in-flight ceiling a thread sheds with
+//! `429` + `Retry-After` without calling the engine. Serving is
+//! Linux/x86_64-only (DESIGN §15); on other platforms [`Server::run`]
+//! returns an error.
 //!
 //! The threads live inside one [`std::thread::scope`], so shutting down
-//! is "set the flag, wait for the scope": accepting stops, in-flight
-//! requests drain, and the scope joins everything before
+//! is "set the flag, wait for the scope": accepting and answering stop,
+//! outbound buffers drain, and the scope joins everything before
 //! [`Server::run`] returns — no thread outlives it.
 //!
 //! Connections are HTTP/1.1 **keep-alive** by default: the server
@@ -90,15 +91,16 @@ use crate::http::{FrameError, Request};
 
 /// Default cap on requests served over one keep-alive connection before
 /// the server closes it (`--keepalive-max`) — a backstop so one chatty
-/// client cannot hold a worker or a parked slot forever.
+/// client cannot hold a connection slot forever.
 pub(crate) const DEFAULT_KEEPALIVE_MAX: usize = 1000;
 
 /// Default parked-connection idle timeout (`--idle-timeout`).
 pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// In-flight request slots granted per worker when `--max-inflight` is
-/// left at auto (`0`) — deep enough that bursts queue, shallow enough
-/// that a stalled pool sheds instead of buffering unboundedly.
+/// In-flight request slots granted per serve thread when
+/// `--max-inflight` is left at auto (`0`). A thread answers one request
+/// at a time, so the thread count bounds the requests in flight and this
+/// ceiling never binds; a lower explicit `--max-inflight` does.
 const INFLIGHT_SLOTS_PER_WORKER: usize = 64;
 
 /// Access-log records returned by `GET /logs` when `n` is not given.
@@ -144,12 +146,13 @@ pub struct ServeOptions {
     /// Requests served over one keep-alive connection before the server
     /// closes it (`--keepalive-max`).
     pub keepalive_max: usize,
-    /// How long a parked connection may sit idle before the poller's
-    /// timer wheel reaps it (`--idle-timeout`).
+    /// How long a parked connection may sit idle before the serve
+    /// core's timer wheel reaps it (`--idle-timeout`).
     pub idle_timeout: Duration,
-    /// Admission-control ceiling on requests dispatched and not yet
-    /// answered; `0` resolves to `workers × 64`. Past the ceiling the
-    /// poller sheds with `429` + `Retry-After`.
+    /// Admission-control ceiling on requests being answered at once;
+    /// `0` resolves to `workers × 64`, which the thread count never
+    /// reaches. Past the ceiling a request is shed with `429` +
+    /// `Retry-After`.
     pub max_inflight: usize,
 }
 
@@ -220,7 +223,7 @@ fn requests() -> &'static RequestTable {
 }
 
 /// Shared per-run state: the tenant registry, the resolved options, and
-/// the live gauges the poller and workers update and `/metrics` and
+/// the live gauges the serve threads update and `/metrics` and
 /// `/status` read when scraped.
 pub(crate) struct Ctx<'a> {
     pub(crate) registry: &'a Registry,
@@ -234,15 +237,15 @@ pub(crate) struct Ctx<'a> {
     pub(crate) idle_timeout: Duration,
     /// Resolved admission ceiling (never zero; see [`ServeOptions`]).
     pub(crate) max_inflight: usize,
-    /// Workers currently handling a request.
+    /// Serve threads holding a connection: reading, answering or
+    /// writing it.
     pub(crate) busy: AtomicU64,
-    /// Connections accepted and not yet closed (parked + in-flight).
+    /// Connections accepted and not yet closed (parked + being answered).
     pub(crate) conns: AtomicU64,
-    /// Parsed requests waiting in the poller → worker queue.
-    pub(crate) depth: AtomicU64,
-    /// Requests dispatched to a worker and not yet answered.
+    /// Requests being answered: admitted and not yet logged.
     pub(crate) inflight: AtomicU64,
-    /// Connections currently parked in the poller between requests.
+    /// Connections not being answered: waiting for a request or writing
+    /// answers already logged.
     pub(crate) parked: AtomicU64,
 }
 
@@ -264,7 +267,6 @@ impl<'a> Ctx<'a> {
             max_inflight: max_inflight.max(1),
             busy: AtomicU64::new(0),
             conns: AtomicU64::new(0),
-            depth: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             parked: AtomicU64::new(0),
         }
@@ -281,7 +283,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` and turns the metric registry, flight recorder, and
-    /// access log on. The worker pool defaults to the machine's
+    /// access log on. The serve thread count defaults to the machine's
     /// available parallelism.
     ///
     /// # Errors
@@ -296,8 +298,8 @@ impl Server {
         Ok(Server { listener, workers })
     }
 
-    /// Overrides the worker-pool size (`--workers N`); zero is clamped
-    /// to one.
+    /// Overrides the serve thread count (`--workers N`: `serve` runs N
+    /// threads, the calling one among them); zero is clamped to one.
     pub fn set_workers(&mut self, workers: usize) {
         self.workers = workers.max(1);
     }
@@ -312,14 +314,15 @@ impl Server {
     }
 
     /// Serves until `shutdown` is set, on the epoll readiness core
-    /// ([`crate::poller`]): the calling thread is the poller, and the
-    /// worker pool answers requests. When the flag flips everything
-    /// drains and joins before this returns.
+    /// ([`crate::poller`]): the calling thread is one of the serve
+    /// threads, each of which answers the requests it reads. When the
+    /// flag flips everything drains and joins before this returns.
     ///
     /// # Errors
     ///
-    /// Returns poller failures as displayable messages — including, on
-    /// any platform but Linux/x86_64, that serving is unavailable there.
+    /// Returns serve-core failures as displayable messages — including,
+    /// on any platform but Linux/x86_64, that serving is unavailable
+    /// there.
     pub fn run(
         self,
         registry: &Registry,
@@ -445,8 +448,8 @@ pub(crate) fn frame_error_response(error: &FrameError) -> Response {
     Response::new(code, reason, "application/json", body)
 }
 
-/// The `429` the poller sheds with at the admission ceiling: strict
-/// JSON, `Retry-After: 1`, built without touching a worker.
+/// The `429` a request is shed with at the admission ceiling: strict
+/// JSON, `Retry-After: 1`, built without calling the engine.
 pub(crate) fn shed_response() -> Response {
     let body = r#"{"ok":false,"error":"overloaded: in-flight request ceiling reached","shed":true}"#;
     let mut r = Response::new(429, "Too Many Requests", "application/json", body.to_owned());
@@ -455,7 +458,8 @@ pub(crate) fn shed_response() -> Response {
 }
 
 /// Maps a request target (route + optional query string) to its
-/// [`ENDPOINTS`] row — the shape the poller has in hand when it sheds.
+/// [`ENDPOINTS`] row — the shape a serve thread has in hand when it
+/// sheds.
 pub(crate) fn endpoint_of(path: &str) -> usize {
     endpoint_index(path.split('?').next().unwrap_or(path))
 }
@@ -661,8 +665,9 @@ fn query_params_all<'q>(query: &'q str, name: &str) -> Vec<Cow<'q, str>> {
 /// error counter for non-2xx codes, the queue wait, and exactly one
 /// access-log record. Handle time runs from parsed request to serialized
 /// response, so keep-alive idle gaps are never counted as latency.
-/// Queue wait is the measured poller → worker hand-off; responses the
-/// poller writes itself (sheds, frame errors) record zero.
+/// Queue wait runs from the serve thread's pickup of the connection to
+/// the start of this answer: the read, the framing, and the answers to
+/// the requests pipelined before it.
 pub(crate) fn record_request(
     endpoint: usize,
     response: &Response,
@@ -726,7 +731,6 @@ fn render_metrics(ctx: &Ctx<'_>) -> String {
         (Gauge::EngineResultCacheEntries, result),
         (Gauge::RegistryTenants, registry.len() as u64),
         (Gauge::RegistryEngineBytes, registry.engine_bytes_total()),
-        (Gauge::ServeQueueDepth, read(&ctx.depth)),
         (Gauge::ServeWorkersBusy, read(&ctx.busy)),
         (Gauge::ServeConnsActive, read(&ctx.conns)),
         (Gauge::ServePollerParked, read(&ctx.parked)),
@@ -766,7 +770,7 @@ fn render_metrics(ctx: &Ctx<'_>) -> String {
 }
 
 /// `GET /readyz`: strict JSON distinguishing *ready to answer queries*
-/// from bare liveness (`/healthz`). The worker pool only runs once the
+/// from bare liveness (`/healthz`). The serve threads only run once the
 /// engine is constructed, so a served `/readyz` is always `ready`; the
 /// value of the endpoint is the provenance — whether this process
 /// warm-started from a snapshot and which graph epoch it serves.
@@ -900,7 +904,6 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
             Json::obj(vec![
                 ("workers", Json::num_u(ctx.workers as u64)),
                 ("busy", Json::num_u(ctx.busy.load(Ordering::Relaxed))),
-                ("queue_depth", Json::num_u(ctx.depth.load(Ordering::Relaxed))),
                 ("conns_active", Json::num_u(ctx.conns.load(Ordering::Relaxed))),
             ]),
         ),
@@ -949,7 +952,7 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
 }
 
 /// Serializes one response to its wire bytes — header block plus body —
-/// for the poller's outbound buffers, in one buffer of exactly their
+/// for a connection's outbound buffer, in one buffer of exactly their
 /// size. `Allow:` rides on 405s, `Retry-After:` on shed 429s.
 pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     use std::fmt::Write;

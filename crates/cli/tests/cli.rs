@@ -554,14 +554,14 @@ fn serve_warm_start_records_store_stage_and_no_build_stages() {
     drop(child);
     std::fs::remove_file(&path).ok();
 
-    // Serving runs the worker pool plus the poller on the calling
-    // thread, and no other thread.
+    // Serving runs `--workers` threads, the calling thread among them,
+    // and no other thread.
     let status = prospector_obs::Json::parse(&status).expect("status JSON");
     let read = |section: &str, key: &str| {
         status.get(section).and_then(|s| s.get(key)).and_then(prospector_obs::Json::as_u64)
     };
     let workers = read("pool", "workers").expect("pool.workers");
-    assert_eq!(read("process", "threads"), Some(workers + 1), "{status:?}");
+    assert_eq!(read("process", "threads"), Some(workers), "{status:?}");
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! End-to-end tests of the epoll readiness serve core: a parked herd of
-//! keep-alive connections on a tiny worker pool, admission-control
+//! keep-alive connections on two serve threads, admission-control
 //! shedding under saturation, the framer's strict rejections over a
-//! real socket, and the wire contract of worker-written responses
-//! (request order, no Nagle stalls, slow readers, vanished peers, log
-//! before bytes). Serving is Linux/x86_64-only, like every serve test.
+//! real socket, and the wire contract of connections shared by every
+//! serve thread (request order, no Nagle stalls, slow readers, vanished
+//! peers, log before bytes, one thread in a slow answer). Serving is
+//! Linux/x86_64-only, like every serve test.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::fs::{File, OpenOptions};
@@ -238,15 +239,17 @@ fn parked_keepalive_herd_on_two_workers() {
     });
 }
 
-/// Admission control: with a 1-slot in-flight ceiling and one worker,
-/// concurrent clients are shed with `429` + `Retry-After`, the shed
-/// counter advances, and every accepted answer is unaffected by the
-/// overload (same suggestions as an unloaded reference).
+/// Admission control: with a 1-slot in-flight ceiling and two serve
+/// threads, concurrent clients are shed with `429` + `Retry-After` (a
+/// thread that picks up a request while the other is answering sheds
+/// it), the shed counter advances, and every accepted answer is
+/// unaffected by the overload (same suggestions as an unloaded
+/// reference).
 #[test]
 fn saturation_sheds_with_retry_after() {
     let registry = default_registry();
     let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
-    server.set_workers(1);
+    server.set_workers(2);
     let addr = server.local_addr().expect("bound address");
     let shutdown = AtomicBool::new(false);
     let options = ServeOptions { max_inflight: 1, ..opts() };
@@ -902,6 +905,259 @@ fn access_log_line_precedes_the_response() {
                 .any(|r| r.get("trace_id").unwrap().as_u64() == Some(trace_id));
             assert!(logged, "request {i}: trace {trace_id} was not logged before its response");
         }
+
+        }));
+
+        shutdown.store(true, Ordering::SeqCst);
+        serving.join().expect("serve thread").expect("serve loop exits cleanly");
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// Kills and reaps a `prospector serve` child when dropped, so a failed
+/// assertion cannot orphan it.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `/assist` scopes the bundled corpus answers: `(var, tout)`.
+const ASSISTS: [(&str, &str); 2] = [("file:IFile", "ASTNode"), ("in:InputStream", "BufferedReader")];
+
+/// One request of a shared-ownership burst and what its answer must say.
+enum Asked {
+    Query(&'static str, &'static str),
+    Assist(&'static str, &'static str),
+    Healthz,
+}
+
+impl Asked {
+    /// The `i`-th request of a burst on connection `c`: queries, assist
+    /// fan-outs and health checks, rotated so neighbours differ.
+    fn nth(c: usize, i: usize) -> Asked {
+        match (c + i) % 3 {
+            0 => {
+                let (tin, tout) = PAIRS[(c + i) % PAIRS.len()];
+                Asked::Query(tin, tout)
+            }
+            1 => {
+                let (var, tout) = ASSISTS[(c + i) % ASSISTS.len()];
+                Asked::Assist(var, tout)
+            }
+            _ => Asked::Healthz,
+        }
+    }
+
+    fn path(&self) -> String {
+        match self {
+            Asked::Query(tin, tout) => format!("/query?tin={tin}&tout={tout}"),
+            Asked::Assist(var, tout) => format!("/assist?var={var}&tout={tout}"),
+            Asked::Healthz => "/healthz".to_owned(),
+        }
+    }
+
+    /// Checks the answer to this request; returns its trace id, if the
+    /// endpoint assigns one.
+    fn check(&self, head: &str, body: &str) -> Option<u64> {
+        assert!(head.starts_with("HTTP/1.1 200"), "{}: {head}: {body}", self.path());
+        if let Asked::Healthz = self {
+            assert_eq!(body, "ok\n");
+            return None;
+        }
+        let json = Json::parse(body).expect("engine answer JSON");
+        let field = |key: &str| json.get(key).and_then(Json::as_str).map(str::to_owned);
+        match self {
+            Asked::Query(tin, tout) => {
+                assert_eq!(field("tin").as_deref(), Some(*tin), "{body}");
+                assert_eq!(field("tout").as_deref(), Some(*tout), "{body}");
+            }
+            Asked::Assist(var, tout) => {
+                assert_eq!(field("tout").as_deref(), Some(*tout), "{body}");
+                let name = json.get("vars").unwrap().as_arr().unwrap()[0].get("name").unwrap();
+                assert_eq!(name.as_str(), var.split(':').next(), "{body}");
+            }
+            Asked::Healthz => unreachable!(),
+        }
+        json.get("trace_id").and_then(Json::as_u64)
+    }
+}
+
+/// Connections share every serve thread: 32 keep-alive connections on
+/// a four-thread server (its own process, so `/logs` holds only this
+/// test's lines) send pipelined bursts of `/query`, `/assist` and
+/// `/healthz`, and every fourth connection's last burst ends in a
+/// malformed request. Whichever threads pick the connections up, each
+/// reads its answers in request order, then its `400` and EOF; `/logs`
+/// holds one line per answered request; and the connection and request
+/// gauges return to their baseline.
+#[test]
+fn shared_connections_answer_in_order_on_every_thread() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    const CONNS: usize = 32;
+    const BURSTS: usize = 2;
+    const BURST: usize = 6;
+
+    let mut child = KillOnDrop(
+        Command::new(env!("CARGO_BIN_EXE_prospector"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "4"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("serve spawns"),
+    );
+    let stdout = child.0.stdout.take().expect("piped stdout");
+    let mut lines = BufReader::new(stdout).lines();
+    let addr: SocketAddr = loop {
+        let line = lines.next().expect("serve prints its address").expect("readable");
+        if let Some(rest) = line.strip_prefix("serving on http://") {
+            break rest.trim().parse().expect("socket address");
+        }
+    };
+
+    // `/status` as its own request sees it: its connection is active
+    // and being answered, on the one thread that holds it.
+    let gauges = || {
+        let (_, head, body) = http_get(addr, "/status");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let json = Json::parse(&body).expect("status JSON");
+        let read = |section: &str, key: &str| {
+            json.get(section).and_then(|s| s.get(key)).and_then(Json::as_u64).expect(key)
+        };
+        assert_eq!(read("pool", "workers"), 4);
+        [
+            read("pool", "conns_active"),
+            read("poller", "parked"),
+            read("poller", "inflight"),
+            read("pool", "busy"),
+        ]
+    };
+    let baseline = gauges();
+    assert_eq!(baseline, [1, 0, 1, 1], "conns_active, parked, inflight, busy");
+
+    let answered: Vec<(Vec<u64>, usize, usize)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CONNS)
+            .map(|c| {
+                scope.spawn(move || {
+                    let mut stream = connect(addr);
+                    let mut trace_ids = Vec::new();
+                    let (mut healthz, mut malformed) = (0, 0);
+                    for burst in 0..BURSTS {
+                        let asked: Vec<Asked> =
+                            (0..BURST).map(|i| Asked::nth(c, burst * BURST + i)).collect();
+                        let mut wire: String = asked
+                            .iter()
+                            .map(|a| format!("GET {} HTTP/1.1\r\nHost: t\r\n\r\n", a.path()))
+                            .collect();
+                        let bad = burst + 1 == BURSTS && c % 4 == 0;
+                        if bad {
+                            wire.push_str("NOT_HTTP garbage\r\n\r\n");
+                        }
+                        stream.write_all(wire.as_bytes()).expect("send burst");
+                        for a in &asked {
+                            let (_, head, body) = read_one_response(&mut stream);
+                            trace_ids.extend(a.check(&head, &body));
+                            healthz += usize::from(matches!(a, Asked::Healthz));
+                        }
+                        if bad {
+                            let (status, head, body) = read_one_response(&mut stream);
+                            assert!(status.contains("400"), "conn {c}: {status}: {body}");
+                            assert!(head.contains("Connection: close"), "{head}");
+                            expect_eof(&mut stream);
+                            malformed += 1;
+                        }
+                    }
+                    (trace_ids, healthz, malformed)
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client")).collect()
+    });
+
+    // One access-log line per answered request: the baseline `/status`,
+    // every burst's answers and every `400`.
+    let (_, _, body) = http_get(addr, "/logs?n=10000");
+    let records = Json::parse(&body).expect("logs JSON");
+    let records = records.as_arr().expect("logs array");
+    let count = |endpoint: &str, code: u64| {
+        records
+            .iter()
+            .filter(|r| {
+                r.get("endpoint").unwrap().as_str() == Some(endpoint)
+                    && r.get("code").unwrap().as_u64() == Some(code)
+            })
+            .count()
+    };
+    let traced: Vec<u64> = answered.iter().flat_map(|(ids, _, _)| ids.iter().copied()).collect();
+    let healthz: usize = answered.iter().map(|(_, h, _)| h).sum();
+    let malformed: usize = answered.iter().map(|(_, _, m)| m).sum();
+    assert_eq!(traced.len() + healthz, CONNS * BURSTS * BURST);
+    assert_eq!(malformed, CONNS / 4);
+    assert_eq!(records.len(), 1 + traced.len() + healthz + malformed, "{body}");
+    assert_eq!(count("status", 200), 1);
+    assert_eq!(count("healthz", 200), healthz);
+    assert_eq!(count("query", 200) + count("assist", 200), traced.len());
+    assert_eq!(count("other", 400), malformed);
+    for id in &traced {
+        let lines = records.iter().filter(|r| r.get("trace_id").unwrap().as_u64() == Some(*id));
+        assert_eq!(lines.count(), 1, "trace {id} is logged once");
+    }
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let now = gauges();
+        if now == baseline {
+            break;
+        }
+        assert!(Instant::now() < deadline, "gauges {now:?} never returned to {baseline:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One thread in a slow answer leaves the other serving: with two serve
+/// threads and one parked in a FIFO tenant load, a fresh connection's
+/// `/query` and a parked keep-alive connection's `/healthz` are still
+/// answered.
+#[test]
+fn a_slow_answer_holds_one_thread_only() {
+    let registry = default_registry();
+    let mut server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    server.set_workers(2);
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(&registry, &opts(), &shutdown));
+
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+
+        let mut parked = connect(addr);
+        let (_, head, body) = keepalive_get(&mut parked, "/healthz");
+        assert!(head.contains("Connection: keep-alive"), "{head}: {body}");
+
+        let (mut blocker, writer) = park_a_worker(addr, "onethread");
+        let (status, _, body) = http_get(addr, "/query?tin=IFile&tout=ASTNode");
+        assert!(status.contains("200"), "{status}: {body}");
+        let json = Json::parse(&body).expect("query JSON");
+        let top = json.get("suggestions").unwrap().as_arr().unwrap()[0].as_str().unwrap();
+        assert!(top.starts_with("AST.parseCompilationUnit("), "{top}");
+        let (status, _, body) = keepalive_get(&mut parked, "/healthz");
+        assert!(status.contains("200"), "{status}");
+        assert_eq!(body, "ok\n");
+
+        // EOF on the FIFO fails the load and frees the thread.
+        drop(writer);
+        let (status, _, _) = read_one_response(&mut blocker);
+        assert!(status.contains("400"), "an empty FIFO is no snapshot: {status}");
 
         }));
 

@@ -9,7 +9,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use jungloid_apidef::ApiLoader;
 use prospector_cli::serve::{ServeOptions, Server};
@@ -141,7 +141,9 @@ fn the_scrape_reads_the_served_registry() {
 }
 
 /// The poller gauges are read when scraped: connections parked just
-/// before the scrape are counted in it, with no wait for a sample.
+/// before the scrape are counted in it, with no wait for a sample. A
+/// connection counts as parked before the first byte of its answer
+/// leaves, so one scrape right after the last answer sees all of them.
 #[test]
 fn the_scrape_reads_the_live_poller() {
     let registry = Registry::with_default(tiny_engine(), Provenance::built());
@@ -154,17 +156,7 @@ fn the_scrape_reads_the_live_poller() {
                 stream
             })
             .collect();
-        // The last connection parks when the poller absorbs its
-        // completion, which its worker queues just after writing the
-        // response. So scrape again (no sleep) until that lands, for at
-        // most 100 ms: a tenth of the old one-second sampling period.
-        let deadline = Instant::now() + Duration::from_millis(100);
-        let parked = loop {
-            let parked = sample(&scrape(addr), "prospector_serve_poller_parked");
-            if parked >= 8 || Instant::now() >= deadline {
-                break parked;
-            }
-        };
+        let parked = sample(&scrape(addr), "prospector_serve_poller_parked");
         assert!(parked >= 8, "{parked} parked, 8 expected");
         drop(herd);
     });

@@ -207,10 +207,9 @@ catalog! {
         StoreSaves Counter "store.saves" "Snapshots written.";
         StoreLoads Counter "store.loads" "Snapshots loaded.";
         ServeShedTotal Counter "serve.shed.total" "Requests shed with 429 at the in-flight ceiling.";
-        ServePollerAccepts Counter "serve.poller.accepts" "Connections accepted by the poller.";
-        ServePollerReaped Counter "serve.poller.reaped" "Idle connections reaped by the poller's timer wheel.";
+        ServePollerAccepts Counter "serve.poller.accepts" "Connections accepted by the serve threads.";
+        ServePollerReaped Counter "serve.poller.reaped" "Idle connections reaped by the serve core's timer wheel.";
         ServePollerFrameErrors Counter "serve.poller.frame_errors" "Connections closed after a request the framer rejected (400, 413 or 431).";
-        ServePollerCompletionWakes Counter "serve.poller.completion_wakes" "Times a worker woke the poller through the completion eventfd.";
     }
 
     /// Gauges the registry holds: [`crate::metrics::gauge_set`] them.
@@ -228,11 +227,10 @@ catalog! {
         StoreLoadBytes Gauge "store.load_bytes" "Bytes of the last snapshot loaded.";
         StoreMapMs Gauge "store.map_ms" "Milliseconds the last load spent validating the snapshot framing.";
         StoreSectionBytes Gauge "store.section.<section>.bytes" [&["strings", "types", "members", "graph", "csr", "examples", "suffixes"]] "Payload bytes of one section of the last snapshot written or loaded.";
-        ServeQueueDepth Gauge "serve.queue.depth" "Parsed requests queued for the worker pool.";
-        ServeWorkersBusy Gauge "serve.workers.busy" "Workers handling a request.";
-        ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or in flight.";
-        ServePollerParked Gauge "serve.poller.parked" "Connections parked in the poller between requests; a connection whose response has left parks when the poller absorbs its completion, at most one 50 ms poll slice later on an idle server.";
-        ServePollerInflight Gauge "serve.poller.inflight" "Requests dispatched to a worker and not yet answered.";
+        ServeWorkersBusy Gauge "serve.workers.busy" "Serve threads holding a connection: reading, answering or writing it.";
+        ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or being answered.";
+        ServePollerParked Gauge "serve.poller.parked" "Accepted connections not being answered: idle, or writing answers already logged; a connection parks before the first byte of its last answer leaves.";
+        ServePollerInflight Gauge "serve.poller.inflight" "Requests being answered: admitted under the in-flight ceiling and not yet logged.";
         ProcessRssBytes Gauge "process.rss_bytes" "Resident set size from /proc/self/status.";
         ProcessThreads Gauge "process.threads" "Threads from /proc/self/status.";
     }
@@ -241,7 +239,7 @@ catalog! {
     Hist {
         QueryLatencyNs Histogram "query.latency_ns" "Wall time of one recorded query, in nanoseconds.";
         QueryStageNs Histogram "query.stage_ns.<stage>" [&Stage::NAMES] "Wall time of one stage of a recorded query, in nanoseconds.";
-        ServeQueueWaitNs Histogram "serve.queue.wait_ns" "Time a parsed request waited in the poller-to-worker queue, in nanoseconds.";
+        ServeQueueWaitNs Histogram "serve.queue.wait_ns" "Time from a serve thread's pickup of the connection to the start of the request's answer (read, framing, earlier pipelined answers), in nanoseconds.";
     }
 
     /// Labeled series whose cells live with their owner, who files them
@@ -263,7 +261,7 @@ catalog! {
     /// ([`crate::prom::Exposition::window`]).
     Window {
         HttpLatency Window "serve.http.latency_ns.<endpoint>" "Handle time per endpoint over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
-        QueueWait Window "serve.queue.wait_ns" "Poller-to-worker queue wait over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
+        QueueWait Window "serve.queue.wait_ns" "Pickup-to-answer wait over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
         TenantLatency Window "serve.tenant.latency_ns.<tenant>" "Handle time of the tenant's requests over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
     }
 }
@@ -305,8 +303,8 @@ mod tests {
         assert_eq!(Hist::QueryStageNs.cell(0), 1);
         assert_eq!(Hist::ServeQueueWaitNs.cell(0), 1 + Stage::NAMES.len());
         let sections = Gauge::StoreSectionBytes;
-        assert_eq!(Gauge::ROWS[sections as usize + 1].name, "serve.queue.depth");
-        assert_eq!(Gauge::ServeQueueDepth.cell(0), sections.cell(6) + 1);
+        assert_eq!(Gauge::ROWS[sections as usize + 1].name, "serve.workers.busy");
+        assert_eq!(Gauge::ServeWorkersBusy.cell(0), sections.cell(6) + 1);
         let labels: Vec<_> = cells(Gauge::ROWS).map(|(row, label)| row.series(label)).collect();
         assert_eq!(labels.len(), Gauge::CELLS);
         assert_eq!(labels[sections.cell(0)], "store.section.strings.bytes");

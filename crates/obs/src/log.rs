@@ -56,9 +56,9 @@ pub struct AccessRecord {
     pub code: u16,
     /// Response body bytes sent.
     pub bytes: u64,
-    /// Microseconds the request waited in the poller → worker queue
-    /// before a worker picked it up (0 for responses the poller writes
-    /// itself: sheds and frame errors).
+    /// Microseconds from the serve thread's pickup of the connection to
+    /// the start of this request's answer: the read, the framing, and
+    /// the answers to the requests pipelined before it.
     pub queue_wait_us: u64,
     /// Microseconds from parsed request to serialized response.
     pub handle_us: u64,
