@@ -51,7 +51,7 @@ fn print_report() {
     let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     println!("snapshot size: {:.1} MB (paper: 8 MB)", mb(manifest.total_bytes));
     let t1 = Instant::now();
-    let (loaded, _) = prospector_store::load_file(&path).expect("snapshot loads");
+    let loaded = prospector_store::load(&path, false).expect("snapshot loads").snapshot;
     let load_s = t1.elapsed().as_secs_f64();
     std::fs::remove_file(&path).ok();
     println!("load time: {:.3} s (paper: 1.5 s)", load_s);
@@ -102,8 +102,8 @@ fn bench_load_and_query(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("load_snapshot", |b| {
         b.iter(|| {
-            let (snap, _) = prospector_store::load_file(&path).unwrap();
-            std::hint::black_box(snap.graph.edge_count())
+            let loaded = prospector_store::load(&path, false).unwrap();
+            std::hint::black_box(loaded.snapshot.graph.edge_count())
         });
     });
     std::fs::remove_file(&path).ok();

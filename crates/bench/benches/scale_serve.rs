@@ -10,8 +10,8 @@
 //!    the harness reports precision@1 (the acceptance bar is 1.0).
 //! 2. **Load** — per connection count, a herd of keep-alive clients
 //!    replays a mixed workload (planted queries, no-path bulk pairs,
-//!    `/healthz`) and the harness reports qps, p50/p99 latency, and the
-//!    `429` shed rate.
+//!    `/healthz`) and the harness reports qps and p50/p99 latency; every
+//!    answer must be a `200`.
 //!
 //! Besides the human-readable report, the run writes a machine-readable
 //! baseline to `BENCH_scale.json` at the repository root (override the
@@ -26,7 +26,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use jungloid_apidef::ApiLoader;
@@ -118,11 +118,10 @@ struct LoadCell {
     qps: f64,
     p50_us: f64,
     p99_us: f64,
-    shed_rate: f64,
 }
 
 /// Replays the mixed workload from `conns` keep-alive clients and
-/// aggregates latency + shed statistics.
+/// aggregates latency statistics.
 fn load_pass(
     addr: SocketAddr,
     planted: &[PlantedPath],
@@ -130,11 +129,9 @@ fn load_pass(
     conns: usize,
     requests_per_conn: usize,
 ) -> LoadCell {
-    let shed = AtomicU64::new(0);
     let latencies: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..conns)
             .map(|c| {
-                let shed = &shed;
                 scope.spawn(move || {
                     let mut stream = TcpStream::connect(addr).expect("connect load client");
                     let mut lat = Vec::with_capacity(requests_per_conn);
@@ -155,13 +152,7 @@ fn load_pass(
                             _ => "/healthz".to_owned(),
                         };
                         let (code, body, ns) = keepalive_get(&mut stream, &path);
-                        match code {
-                            200 => {}
-                            429 => {
-                                shed.fetch_add(1, Ordering::Relaxed);
-                            }
-                            other => panic!("unexpected status {other}: {body}"),
-                        }
+                        assert_eq!(code, 200, "unexpected status: {body}");
                         lat.push(ns);
                     }
                     lat
@@ -180,13 +171,7 @@ fn load_pass(
     let per_conn_s = summed_ns as f64 / 1e9 / conns as f64;
     let qps = total as f64 / per_conn_s.max(1e-9);
     let pct = |q: f64| all[((total - 1) as f64 * q) as usize] as f64 / 1_000.0;
-    LoadCell {
-        conns,
-        qps,
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        shed_rate: shed.load(Ordering::Relaxed) as f64 / total as f64,
-    }
+    LoadCell { conns, qps, p50_us: pct(0.50), p99_us: pct(0.99) }
 }
 
 fn main() {
@@ -246,8 +231,8 @@ fn main() {
                 .map(|&conns| {
                     let cell = load_pass(addr, &report.planted, types, conns, requests_per_conn);
                     println!(
-                        "  {conns:>3} conns: {:>9.0} qps  p50 {:>8.0}us  p99 {:>8.0}us  shed {:.3}",
-                        cell.qps, cell.p50_us, cell.p99_us, cell.shed_rate
+                        "  {conns:>3} conns: {:>9.0} qps  p50 {:>8.0}us  p99 {:>8.0}us",
+                        cell.qps, cell.p50_us, cell.p99_us
                     );
                     cell
                 })
@@ -280,7 +265,6 @@ fn main() {
                                 ("qps", Json::Num(c.qps)),
                                 ("p50_us", Json::Num(c.p50_us)),
                                 ("p99_us", Json::Num(c.p99_us)),
-                                ("shed_rate", Json::Num(c.shed_rate)),
                             ])
                         })
                         .collect(),

@@ -88,8 +88,8 @@ fn ms(us: u64) -> f64 {
 fn synth_child(path: &str) {
     let rss_before = rss_bytes();
     let start = Instant::now();
-    let mapped = prospector_store::MappedSnapshot::map(Path::new(path)).expect("snapshot maps");
-    let (snap, phases) = mapped.thaw_timed().expect("snapshot thaws");
+    let loaded = prospector_store::load(Path::new(path), true).expect("snapshot maps");
+    let (snap, phases) = (loaded.snapshot, loaded.phases);
     if cfg!(target_endian = "little") {
         assert!(snap.api.is_borrowed(), "a mapped load must borrow the type and member arrays");
         assert!(snap.graph.csr().is_borrowed(), "a mapped load must borrow the CSR");
@@ -105,7 +105,6 @@ fn synth_child(path: &str) {
 
     let registry = Registry::with_default(engine, Provenance::built());
     let engine_bytes = registry.engine_bytes_total();
-    drop(mapped);
     let t = Instant::now();
     drop(registry);
     let drop_us = t.elapsed().as_micros() as u64;
@@ -224,27 +223,29 @@ fn main() {
     });
     let bin_bytes = std::fs::metadata(&bin_path).expect("saved").len();
     let (bin_load_us, bin_loaded) = best_us(rounds, || {
-        prospector_store::load_file(&bin_path).expect("binary loads").0
+        prospector_store::load(&bin_path, false).expect("binary loads").snapshot
     });
     println!(
         "binary:      save {bin_save_us:10.0} us   load {bin_load_us:10.0} us   {bin_bytes:>9} bytes"
     );
 
-    // The zero-copy load: validate header + section CRCs once and hand
-    // out borrowed views — O(sections checksummed), no per-element work.
-    let (map_us, mapped) = best_us(rounds, || {
-        let m = prospector_store::MappedSnapshot::map(&bin_path).expect("binary maps");
-        assert_eq!(m.manifest().sections.len(), 7);
-        m.is_mapped()
-    });
+    // The zero-copy load's validate phase: open, map, and check the
+    // header and section CRCs once — O(sections checksummed), no
+    // per-element work.
+    let (mut map_us, mut mapped) = (f64::INFINITY, false);
+    for _ in 0..rounds {
+        let loaded = prospector_store::load(&bin_path, true).expect("binary maps");
+        assert_eq!(loaded.manifest.sections.len(), 7);
+        map_us = map_us.min(loaded.phases.validate_us as f64);
+        mapped = loaded.mapped;
+    }
     println!(
         "binary zero-copy (validate + mmap): {map_us:7.0} us   (mapped: {mapped})"
     );
 
     // Warm start to first answer: load + engine assembly + one query.
     let (first_query_us, answered) = best_us(rounds, || {
-        let m = prospector_store::MappedSnapshot::map(&bin_path).expect("binary maps");
-        first_query(m.thaw().expect("binary thaws"))
+        first_query(prospector_store::load(&bin_path, true).expect("binary maps").snapshot)
     });
     let tin = engine.api().types().resolve("IFile").expect("IFile resolves");
     let tout = engine.api().types().resolve("ASTNode").expect("ASTNode resolves");

@@ -8,8 +8,12 @@
 //! plain byte slices.
 //!
 //! Malformed input is a *typed* error, not a silent drop: a garbage
-//! request line maps to `400`, a head that never terminates within
-//! [`MAX_HEAD_BYTES`] to `431`, and a declared body over
+//! request line maps to `400`, and so does a `Content-Length` that is
+//! not `1*DIGIT` or disagrees with another one (RFC 9112 §6.3, §8.6),
+//! any `Transfer-Encoding` (there is no chunked decoder, so the body's
+//! end would be unknown) and whitespace between a header name and its
+//! colon (§5.1); a head that never terminates within
+//! [`MAX_HEAD_BYTES`] maps to `431`, and a declared body over
 //! [`MAX_BODY_BYTES`] to `413`. The serve layer turns each into a
 //! strict-JSON response — after answering every request framed before
 //! it — and then closes the connection, so misbehaving clients get told
@@ -48,6 +52,10 @@ pub struct Request {
 pub enum FrameError {
     /// The request line is not `METHOD /target HTTP/x.y` → `400`.
     BadRequestLine(String),
+    /// A header this framer cannot trust: a malformed or conflicting
+    /// `Content-Length`, a `Transfer-Encoding`, or whitespace before a
+    /// colon → `400`.
+    BadHeader(String),
     /// No end-of-head within [`MAX_HEAD_BYTES`] → `431`.
     HeadersTooLarge(usize),
     /// Declared `Content-Length` over [`MAX_BODY_BYTES`] → `413`.
@@ -59,7 +67,7 @@ impl FrameError {
     #[must_use]
     pub fn code(&self) -> u16 {
         match self {
-            FrameError::BadRequestLine(_) => 400,
+            FrameError::BadRequestLine(_) | FrameError::BadHeader(_) => 400,
             FrameError::HeadersTooLarge(_) => 431,
             FrameError::BodyTooLarge(_) => 413,
         }
@@ -72,6 +80,7 @@ impl FrameError {
             FrameError::BadRequestLine(line) => {
                 format!("malformed request line: {line:?}")
             }
+            FrameError::BadHeader(detail) => format!("unframable request head: {detail}"),
             FrameError::HeadersTooLarge(bytes) => format!(
                 "request head exceeds {MAX_HEAD_BYTES} bytes ({bytes} buffered without end-of-headers)"
             ),
@@ -146,7 +155,9 @@ impl RequestFramer {
             return Framed::Incomplete;
         }
         let Some(head_end) = self.find_head_end() else {
-            if self.buf.len() > MAX_HEAD_BYTES {
+            // Past this length a terminator still to come would start
+            // beyond the cap; before it, one may be half buffered.
+            if self.buf.len() >= MAX_HEAD_BYTES + 4 {
                 self.poisoned = true;
                 return Framed::Error(FrameError::HeadersTooLarge(self.buf.len()));
             }
@@ -229,9 +240,14 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, FrameError> {
     }
     let http10 = version == "HTTP/1.0";
     let mut close = http10;
-    let mut content_length: u64 = 0;
+    let mut content_length: Option<u64> = None;
     for (name, value) in lines.filter_map(|l| l.split_once(':')) {
         let value = value.trim();
+        if name.ends_with([' ', '\t']) {
+            // RFC 9112 §5.1: `Transfer-Encoding : chunked` must not slip
+            // past the name checks below.
+            return Err(FrameError::BadHeader(format!("whitespace before the colon in {name:?}")));
+        }
         if name.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 close = true;
@@ -239,14 +255,20 @@ fn parse_head(head: &[u8]) -> Result<ParsedHead, FrameError> {
                 close = false;
             }
         } else if name.eq_ignore_ascii_case("content-length") {
-            content_length = value
-                .parse()
-                .map_err(|_| FrameError::BadRequestLine(format!("content-length: {value:?}")))?;
+            // `1*DIGIT`: `u64::from_str` alone would take a `+` sign.
+            let length = Some(value)
+                .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| content_length.is_none_or(|seen| seen == n))
+                .ok_or_else(|| FrameError::BadHeader(format!("content-length: {value:?}")))?;
+            content_length = Some(length);
+        } else if name.eq_ignore_ascii_case("transfer-encoding") {
+            return Err(FrameError::BadHeader(format!("transfer-encoding: {value:?}")));
         }
     }
     Ok(ParsedHead {
         request: Request { method: method.to_owned(), path: target.to_owned(), close },
-        content_length,
+        content_length: content_length.unwrap_or(0),
     })
 }
 
@@ -405,5 +427,183 @@ mod tests {
     fn bad_content_length_is_a_400() {
         let (_, err) = frame_all(b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n");
         assert_eq!(err.expect("non-numeric length must error").code(), 400);
+    }
+
+    #[test]
+    fn content_length_is_digits_only_and_agrees_with_itself() {
+        for wire in [
+            "POST /x HTTP/1.1\r\nContent-Length: +3\r\n\r\nabc",
+            "POST /x HTTP/1.1\r\nContent-Length: -0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: \r\n\r\n",
+            "POST /x HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd",
+        ] {
+            let (reqs, err) = frame_all(wire.as_bytes());
+            assert!(reqs.is_empty(), "{wire:?} framed {reqs:?}");
+            assert_eq!(err.map(|e| e.code()), Some(400), "{wire:?}");
+        }
+        // Repeats that agree are one length.
+        let wire = b"POST /x HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabcGET /y HTTP/1.1\r\n\r\n";
+        let (reqs, err) = frame_all(wire);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(reqs.iter().map(|r| r.path.as_str()).collect::<Vec<_>>(), ["/x", "/y"]);
+    }
+
+    #[test]
+    fn transfer_encoding_is_a_400_before_the_request_is_answered() {
+        let wire = b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n0\r\n\r\n";
+        let (reqs, err) = frame_all(wire);
+        assert!(reqs.is_empty(), "a chunked request was answered: {reqs:?}");
+        let err = err.expect("a chunked body cannot be framed");
+        assert_eq!(err.code(), 400);
+        assert!(err.message().contains("transfer-encoding"), "{}", err.message());
+        // Nor does whitespace before the colon hide the header.
+        let wire = b"POST /x HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n0\r\n\r\n";
+        let (reqs, err) = frame_all(wire);
+        assert!(reqs.is_empty(), "a chunked request was answered: {reqs:?}");
+        assert_eq!(err.map(|e| e.code()), Some(400));
+    }
+
+    /// A head whose terminator straddles the head cap frames the same
+    /// whether it arrives whole or torn just past the cap.
+    #[test]
+    fn a_head_ending_at_the_cap_frames_torn_or_whole() {
+        let mut wire = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
+        wire.resize(MAX_HEAD_BYTES, b'a');
+        wire.extend_from_slice(b"\r\n\r\n");
+        let mut framer = RequestFramer::new();
+        framer.push(&wire[..MAX_HEAD_BYTES + 2]);
+        assert!(matches!(framer.next(), Framed::Incomplete));
+        framer.push(&wire[MAX_HEAD_BYTES + 2..]);
+        assert!(matches!(framer.next(), Framed::Request(r) if r.path == "/x"));
+        assert_eq!(frame_all(&wire).0.len(), 1);
+    }
+
+    /// One seeded stream: requests whose heads carry random framing
+    /// headers (valid, signed, empty, huge and repeated lengths,
+    /// `Transfer-Encoding`, padding up to the head cap) with their
+    /// bodies, junk bytes, CRLF fragments and invalid UTF-8.
+    fn seeded_stream(rng: &mut prospector_obs::SmallRng) -> Vec<u8> {
+        const HEADS: [&str; 5] = [
+            "GET /a HTTP/1.1",
+            "POST /r?x=1 HTTP/1.1",
+            "GET /b HTTP/1.0",
+            "DELETE /c HTTP/1.1",
+            "GET /%FF?q=日本 HTTP/1.1",
+        ];
+        const LENGTHS: [&str; 12] = [
+            "0",
+            "3",
+            "17",
+            "+3",
+            "-1",
+            "",
+            "3 3",
+            "0x10",
+            "65536",
+            "65537",
+            "18446744073709551615",
+            "99999999999999999999999",
+        ];
+        const JUNK: [&[u8]; 9] =
+            [b"\r", b"\n", b"\r\n", b"\r\n\r\n", b" ", b":", b"\xff\xfe", b"\xc3\x28", b"\x00"];
+        let mut out = Vec::new();
+        for _ in 0..rng.gen_range(1..=5) {
+            if rng.gen_bool(0.2) {
+                for _ in 0..rng.gen_range(1..=8) {
+                    if rng.gen_bool(0.5) {
+                        out.extend_from_slice(JUNK[rng.gen_range(0..JUNK.len())]);
+                    } else {
+                        out.push(rng.gen_range(0..256) as u8);
+                    }
+                }
+                continue;
+            }
+            out.extend_from_slice(HEADS[rng.gen_range(0..HEADS.len())].as_bytes());
+            out.extend_from_slice(b"\r\n");
+            let mut body: u64 = 0;
+            for _ in 0..rng.gen_range(0..=3) {
+                let line = match rng.gen_range(0..10) {
+                    0..=4 => {
+                        let value = LENGTHS[rng.gen_range(0..LENGTHS.len())];
+                        body = value.parse().unwrap_or(body);
+                        format!("Content-Length: {value}")
+                    }
+                    5 => "Transfer-Encoding: chunked".to_owned(),
+                    6 => "Connection: close".to_owned(),
+                    7 => format!("X-Pad: {}", "a".repeat(rng.gen_range(8_000..=8_200))),
+                    8 => ["X-Bytes: \u{fffd}🦀", "Content-Length : 3", "Transfer-Encoding: gzip"]
+                        [rng.gen_range(0..3)]
+                    .to_owned(),
+                    _ => "Host: t".to_owned(),
+                };
+                out.extend_from_slice(line.as_bytes());
+                out.extend_from_slice(b"\r\n");
+            }
+            out.extend_from_slice(b"\r\n");
+            let body = if body <= 64 { body as usize } else { rng.gen_range(0..64) };
+            out.extend((0..body).map(|i| b'a' + (i % 26) as u8));
+        }
+        out
+    }
+
+    /// Seeded streams frame alike pushed whole and in random chunks: the
+    /// same requests, the same error code. Nothing panics, and after an
+    /// error the framer reports `Incomplete` and buffers nothing more.
+    #[test]
+    fn seeded_streams_frame_alike_whole_and_chunked() {
+        let summary = |r: &Request| (r.method.clone(), r.path.clone(), r.close);
+        let mut rng = prospector_obs::SmallRng::seed_from_u64(31);
+        let mut codes = std::collections::BTreeMap::<Option<u16>, usize>::new();
+        for case in 0..20_000 {
+            let stream = seeded_stream(&mut rng);
+            let (whole, whole_error) = frame_all(&stream);
+            let whole: Vec<_> = whole.iter().map(summary).collect();
+            let whole_code = whole_error.map(|e| e.code());
+
+            let mut framer = RequestFramer::new();
+            let (mut chunked, mut chunked_code, mut frozen) = (Vec::new(), None, None);
+            let mut rest = &stream[..];
+            while !rest.is_empty() {
+                let cap = match rng.gen_range(0..3) {
+                    0 => 1,
+                    1 => 32,
+                    _ => 4096,
+                };
+                let (chunk, tail) = rest.split_at(rng.gen_range(1..=cap).min(rest.len()));
+                rest = tail;
+                framer.push(chunk);
+                if let Some(len) = frozen {
+                    assert_eq!(
+                        framer.buffered(),
+                        len,
+                        "case {case}: a poisoned framer buffered more"
+                    );
+                }
+                loop {
+                    match framer.next() {
+                        Framed::Request(r) => {
+                            assert!(frozen.is_none(), "case {case}: a request after the error");
+                            chunked.push(summary(&r));
+                        }
+                        Framed::Error(e) => {
+                            assert!(frozen.is_none(), "case {case}: a second error");
+                            chunked_code = Some(e.code());
+                            frozen = Some(framer.buffered());
+                        }
+                        Framed::Incomplete => break,
+                    }
+                }
+            }
+            assert_eq!(chunked, whole, "case {case}: {:?}", String::from_utf8_lossy(&stream));
+            assert_eq!(
+                chunked_code,
+                whole_code,
+                "case {case}: {:?}",
+                String::from_utf8_lossy(&stream)
+            );
+            *codes.entry(whole_code).or_default() += 1;
+        }
+        let seen: Vec<_> = codes.keys().copied().collect();
+        assert_eq!(seen, [None, Some(400), Some(413), Some(431)], "{codes:?}");
     }
 }

@@ -37,9 +37,8 @@
 //! command runs; `--metrics-json <path>` writes the same snapshot as a
 //! machine-readable JSON document (see the README's metric schema);
 //! `--slow-ms <N>` turns the flight recorder on and retains the full
-//! timeline of any query slower than `N` ms (dumped to stderr at exit);
-//! `--slow-log-cap <N>` bounds how many slow-query timelines are
-//! retained (default 32); `--trace-json <path>` turns the flight
+//! timeline of any query slower than `N` ms (dumped to stderr at exit;
+//! the newest 32 are retained); `--trace-json <path>` turns the flight
 //! recorder on and writes the recorded ring as Chrome-trace JSON after
 //! the command.
 //!
@@ -86,7 +85,6 @@ struct Flags {
     metrics: bool,
     metrics_json: Option<String>,
     slow_ms: Option<u64>,
-    slow_log_cap: Option<usize>,
     trace_json: Option<String>,
     rest: Vec<String>,
 }
@@ -99,7 +97,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut metrics = false;
     let mut metrics_json = None;
     let mut slow_ms = None;
-    let mut slow_log_cap = None;
     let mut trace_json = None;
     let mut rest = Vec::new();
     let mut it = args.iter();
@@ -140,32 +137,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                         .map_err(|_| "--slow-ms needs a number".to_owned())?,
                 );
             }
-            "--slow-log-cap" => {
-                slow_log_cap = Some(
-                    it.next()
-                        .ok_or("--slow-log-cap needs a number")?
-                        .parse()
-                        .map_err(|_| "--slow-log-cap needs a number".to_owned())?,
-                );
-            }
             "--trace-json" => {
                 trace_json = Some(it.next().ok_or("--trace-json needs a path")?.clone());
             }
             other => rest.push(other.to_owned()),
         }
     }
-    Ok(Flags {
-        options,
-        max,
-        seed,
-        index,
-        metrics,
-        metrics_json,
-        slow_ms,
-        slow_log_cap,
-        trace_json,
-        rest,
-    })
+    Ok(Flags { options, max, seed, index, metrics, metrics_json, slow_ms, trace_json, rest })
 }
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -190,9 +168,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     if flags.trace_json.is_some() {
         prospector_obs::trace::set_enabled(true);
-    }
-    if let Some(cap) = flags.slow_log_cap {
-        prospector_obs::trace::set_slow_log_cap(cap);
     }
     let result = run_command(&flags);
     // Emit metrics even when the command failed — the partial pipeline
@@ -512,13 +487,6 @@ fn run_command(flags: &Flags) -> Result<(), String> {
                             .map_err(|_| "--idle-timeout needs seconds".to_owned())?;
                         opts.idle_timeout = std::time::Duration::from_secs(secs);
                     }
-                    "--max-inflight" => {
-                        opts.max_inflight = it
-                            .next()
-                            .ok_or("--max-inflight needs a number")?
-                            .parse()
-                            .map_err(|_| "--max-inflight needs a number".to_owned())?;
-                    }
                     "--tenant" => {
                         let spec = it.next().ok_or("--tenant needs name=path.pspk")?;
                         let (name, path) = spec
@@ -601,7 +569,17 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             if let Some(other) = flags.rest.get(1) {
                 return Err(format!("stats: unknown argument `{other}`"));
             }
-            let engine = engine(flags)?;
+            // A warm start keeps its manifest for the section breakdown.
+            let (engine, manifest) = match &flags.index {
+                Some(path) => {
+                    let loaded = prospector_store::load(std::path::Path::new(path), false)
+                        .map_err(|e| e.to_string())?;
+                    let snap = loaded.snapshot;
+                    let engine = Prospector::from_parts(snap.api, snap.graph);
+                    (CommandEngine(engine), Some(loaded.manifest))
+                }
+                None => (engine(flags)?, None),
+            };
             let g = engine.graph();
             let stats = g.stats(engine.api());
             println!("types:        {}", engine.api().types().len());
@@ -616,17 +594,13 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             println!("  widening:    {}", stats.widening_edges);
             println!("  downcast:    {} (mined examples: {})", stats.downcast_edges, stats.examples);
             println!("approx bytes: {}", g.approx_bytes());
-            if let Some(path) = &flags.index {
-                if let Ok(bytes) = std::fs::read(path) {
-                    if let Ok(m) = prospector_store::manifest(&bytes) {
-                        println!(
-                            "snapshot sections (format v{}, {} bytes total):",
-                            m.version, m.total_bytes
-                        );
-                        for s in &m.sections {
-                            println!("  {:<9} {:>9} bytes", s.name, s.bytes);
-                        }
-                    }
+            if let Some(m) = &manifest {
+                println!(
+                    "snapshot sections (format v{}, {} bytes total):",
+                    m.version, m.total_bytes
+                );
+                for s in &m.sections {
+                    println!("  {:<9} {:>9} bytes", s.name, s.bytes);
                 }
             }
             // `--metrics` prints the same block once the command returns.
@@ -901,9 +875,13 @@ fn build_custom(
 /// payload offsets, padding) that documents where the zero-copy loader
 /// borrows its views from.
 fn index_inspect(path: &str, layout: bool) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    let m = prospector_store::manifest(&bytes).map_err(|e| format!("{path}: {e}"))?;
-    let snap = prospector_store::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    // An I/O error names the path itself.
+    let loaded =
+        prospector_store::load(std::path::Path::new(path), false).map_err(|e| match e {
+            prospector_store::StoreError::Io { .. } => e.to_string(),
+            e => format!("{path}: {e}"),
+        })?;
+    let (m, snap) = (&loaded.manifest, &loaded.snapshot);
     println!("{path}: prospector snapshot, format v{}, {} bytes", m.version, m.total_bytes);
     // The mode a loader would achieve: borrowing (mmap or zero-copy
     // buffer views) needs every section 8-aligned.
@@ -1158,12 +1136,12 @@ usage:
   prospector [flags] index inspect <path> [--layout]
   prospector [flags] serve [--addr host:port] [--workers N] [--access-log <path>] [--mmap]
                            [--tenant name=path.pspk]... [--tenants-dir <dir>]
-                           [--keepalive-max N] [--idle-timeout SECS] [--max-inflight N]
+                           [--keepalive-max N] [--idle-timeout SECS]
   prospector [flags] synth --types N [--alpha F] [--planted N] [--plant-len N]
                            [-o <path.pspk>] [--queries <batch-file>]
 
 flags: --no-mining --no-generalize --include-protected --mine-params --extended --jungle
        --max N --seed N --index <path> --metrics --metrics-json <path>
-       --slow-ms N --slow-log-cap N --trace-json <path>"
+       --slow-ms N --trace-json <path>"
     );
 }

@@ -32,10 +32,8 @@
 //!
 //! A slow answer stalls only its own connection: the other threads keep
 //! waiting on the set and take every other ready connection. The
-//! thread count bounds the requests being answered at once, so a burst
-//! beyond it waits in its sockets, not in a queue. Admission control
-//! still runs per request: past the in-flight ceiling a thread answers
-//! `429` + `Retry-After` without calling the engine.
+//! thread count is the one bound on the requests being answered at
+//! once, so a burst beyond it waits in its sockets, not in a queue.
 //!
 //! Writes that would block leave the remainder in a per-connection
 //! outbound buffer and re-arm with `EPOLLOUT`; the burst behind it keeps
@@ -82,10 +80,7 @@ mod imp {
     use prospector_obs::{Counter, Stage};
 
     use crate::http::{Framed, RequestFramer};
-    use crate::serve::{
-        answer, endpoint_of, frame_error_response, record_request, serialize_response,
-        shed_response, Ctx,
-    };
+    use crate::serve::{answer, frame_error_response, record_request, serialize_response, Ctx};
 
     /// epoll data token for the listening socket.
     const TOKEN_LISTENER: u64 = 0;
@@ -134,7 +129,7 @@ mod imp {
         /// The peer closed its write side (EOF): answer what was framed,
         /// flush, then close.
         peer_gone: bool,
-        /// Requests answered (shed ones too) toward the keep-alive cap.
+        /// Requests answered toward the keep-alive cap.
         served: usize,
         /// End of the last activity, read lazily by the timer wheel.
         idle_since: Instant,
@@ -398,8 +393,9 @@ mod imp {
         }
 
         /// Accepts until the backlog is empty, then re-arms the listener.
-        /// There is no accept backpressure here — admission control
-        /// happens per *request*, where shedding can answer the client.
+        /// There is no accept backpressure: an accepted connection costs
+        /// a file descriptor, and its requests wait in its socket until
+        /// a thread is free.
         fn on_listener(&self, stopping: bool) -> Result<(), String> {
             if stopping {
                 return Ok(());
@@ -532,42 +528,24 @@ mod imp {
                 }
                 let started = Instant::now();
                 let wait_ns = nanos(started - picked);
-                let mut admitted = false;
-                let (endpoint, response, close) = match framed {
+                let ((endpoint, response), close) = match framed {
                     Framed::Request(request) => {
                         conn.served += 1;
                         let close = request.close || conn.served >= ctx.keepalive_max;
-                        admitted =
-                            ctx.inflight.fetch_add(1, Ordering::Relaxed) < ctx.max_inflight as u64;
-                        if admitted {
-                            // The stage table's `serve.request` row: every
-                            // answer's handle time, next to the `search`,
-                            // `synth` and `rank` laps it contains.
-                            let _span = prospector_obs::stage(Stage::ServeRequest);
-                            let (endpoint, response) = answer(ctx, &request);
-                            (endpoint, response, close)
-                        } else {
-                            // Admission control: `429` + `Retry-After`,
-                            // no engine call.
-                            ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-                            prospector_obs::add(Counter::ServeShedTotal, 1);
-                            (endpoint_of(&request.path), shed_response(), close)
-                        }
+                        // The stage table's `serve.request` row: every
+                        // answer's handle time, next to the `search`,
+                        // `synth` and `rank` laps it contains.
+                        let _span = prospector_obs::stage(Stage::ServeRequest);
+                        (answer(ctx, &request), close)
                     }
                     Framed::Error(error) => {
                         prospector_obs::add(Counter::ServePollerFrameErrors, 1);
-                        (endpoint_of(""), frame_error_response(&error), true)
+                        (frame_error_response(&error), true)
                     }
                     Framed::Incomplete => break,
                 };
                 let bytes = serialize_response(&response, close);
                 record_request(endpoint, &response, wait_ns, nanos(started.elapsed()));
-                // Answered before the first byte leaves: a client that
-                // sends its next request on reading this response must
-                // not be shed for this one.
-                if admitted {
-                    ctx.inflight.fetch_sub(1, Ordering::Relaxed);
-                }
                 conn.push_out(bytes);
                 conn.close_after_flush |= close;
             }

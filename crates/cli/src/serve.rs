@@ -6,11 +6,10 @@
 //! takes that connection, frames its requests nonblockingly, answers
 //! them and writes the answers. Keep-alive connections wait in the
 //! epoll set between requests instead of occupying threads, so 10k idle
-//! connections cost file descriptors, not threads. Admission control
-//! runs per request: past the in-flight ceiling a thread sheds with
-//! `429` + `Retry-After` without calling the engine. Serving is
-//! Linux/x86_64-only (DESIGN §15); on other platforms [`Server::run`]
-//! returns an error.
+//! connections cost file descriptors, not threads. A thread answers one
+//! request at a time, so the thread count is the one bound on requests
+//! answered at once. Serving is Linux/x86_64-only (DESIGN §15); on
+//! other platforms [`Server::run`] returns an error.
 //!
 //! The threads live inside one [`std::thread::scope`], so shutting down
 //! is "set the flag, wait for the scope": accepting and answering stop,
@@ -97,12 +96,6 @@ pub(crate) const DEFAULT_KEEPALIVE_MAX: usize = 1000;
 /// Default parked-connection idle timeout (`--idle-timeout`).
 pub(crate) const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// In-flight request slots granted per serve thread when
-/// `--max-inflight` is left at auto (`0`). A thread answers one request
-/// at a time, so the thread count bounds the requests in flight and this
-/// ceiling never binds; a lower explicit `--max-inflight` does.
-const INFLIGHT_SLOTS_PER_WORKER: usize = 64;
-
 /// Access-log records returned by `GET /logs` when `n` is not given.
 const DEFAULT_LOG_TAIL: usize = 100;
 
@@ -129,7 +122,7 @@ const ENDPOINTS: [&str; 12] = [
 ];
 
 /// Status codes the server can emit, one counter column each.
-const CODES: [u16; 8] = [200, 400, 404, 405, 413, 429, 431, 500];
+const CODES: [u16; 7] = [200, 400, 404, 405, 413, 431, 500];
 
 /// Everything [`Server::run`] needs beyond the registry itself.
 /// Provenance (snapshot source/mode, graph epoch) now lives on each
@@ -149,11 +142,6 @@ pub struct ServeOptions {
     /// How long a parked connection may sit idle before the serve
     /// core's timer wheel reaps it (`--idle-timeout`).
     pub idle_timeout: Duration,
-    /// Admission-control ceiling on requests being answered at once;
-    /// `0` resolves to `workers × 64`, which the thread count never
-    /// reaches. Past the ceiling a request is shed with `429` +
-    /// `Retry-After`.
-    pub max_inflight: usize,
 }
 
 impl Default for ServeOptions {
@@ -163,7 +151,6 @@ impl Default for ServeOptions {
             mmap: false,
             keepalive_max: DEFAULT_KEEPALIVE_MAX,
             idle_timeout: DEFAULT_IDLE_TIMEOUT,
-            max_inflight: 0,
         }
     }
 }
@@ -235,15 +222,11 @@ pub(crate) struct Ctx<'a> {
     pub(crate) keepalive_max: usize,
     /// Parked-connection idle timeout (`--idle-timeout`).
     pub(crate) idle_timeout: Duration,
-    /// Resolved admission ceiling (never zero; see [`ServeOptions`]).
-    pub(crate) max_inflight: usize,
     /// Serve threads holding a connection: reading, answering or
     /// writing it.
     pub(crate) busy: AtomicU64,
     /// Connections accepted and not yet closed (parked + being answered).
     pub(crate) conns: AtomicU64,
-    /// Requests being answered: admitted and not yet logged.
-    pub(crate) inflight: AtomicU64,
     /// Connections not being answered: waiting for a request or writing
     /// answers already logged.
     pub(crate) parked: AtomicU64,
@@ -251,11 +234,6 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     fn new(registry: &'a Registry, opts: &ServeOptions, workers: usize) -> Ctx<'a> {
-        let max_inflight = if opts.max_inflight == 0 {
-            workers * INFLIGHT_SLOTS_PER_WORKER
-        } else {
-            opts.max_inflight
-        };
         Ctx {
             registry,
             max: opts.max,
@@ -264,10 +242,8 @@ impl<'a> Ctx<'a> {
             started: Instant::now(),
             keepalive_max: opts.keepalive_max.max(1),
             idle_timeout: opts.idle_timeout.max(Duration::from_millis(100)),
-            max_inflight: max_inflight.max(1),
             busy: AtomicU64::new(0),
             conns: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
             parked: AtomicU64::new(0),
         }
     }
@@ -360,8 +336,6 @@ pub(crate) struct Response {
     body: String,
     /// `Allow:` header value for 405 responses; empty sends no header.
     allow: &'static str,
-    /// `Retry-After:` seconds for 429 shed responses; 0 sends no header.
-    retry_after: u64,
     /// The flight-recorder id for `/query` and `/assist`; 0 elsewhere.
     trace_id: u64,
     /// Whether a `/query` answer came from the result cache.
@@ -382,7 +356,6 @@ impl Response {
             content_type,
             body,
             allow: "",
-            retry_after: 0,
             trace_id: 0,
             cached: false,
             truncation: None,
@@ -437,31 +410,17 @@ pub(crate) fn answer(ctx: &Ctx<'_>, request: &Request) -> (usize, Response) {
 }
 
 /// The strict-JSON response for a stream the framer rejected, carrying
-/// the frame error's own status code (`400`/`431`/`413`).
-pub(crate) fn frame_error_response(error: &FrameError) -> Response {
+/// the frame error's own status code (`400`/`431`/`413`). Returns the
+/// `other` endpoint row (for accounting) alongside it, as [`answer`]
+/// returns its route's.
+pub(crate) fn frame_error_response(error: &FrameError) -> (usize, Response) {
     let body = error_body(&error.message());
     let (code, reason) = match error {
-        FrameError::BadRequestLine(_) => (400, "Bad Request"),
+        FrameError::BadRequestLine(_) | FrameError::BadHeader(_) => (400, "Bad Request"),
         FrameError::HeadersTooLarge(_) => (431, "Request Header Fields Too Large"),
         FrameError::BodyTooLarge(_) => (413, "Payload Too Large"),
     };
-    Response::new(code, reason, "application/json", body)
-}
-
-/// The `429` a request is shed with at the admission ceiling: strict
-/// JSON, `Retry-After: 1`, built without calling the engine.
-pub(crate) fn shed_response() -> Response {
-    let body = r#"{"ok":false,"error":"overloaded: in-flight request ceiling reached","shed":true}"#;
-    let mut r = Response::new(429, "Too Many Requests", "application/json", body.to_owned());
-    r.retry_after = 1;
-    r
-}
-
-/// Maps a request target (route + optional query string) to its
-/// [`ENDPOINTS`] row — the shape a serve thread has in hand when it
-/// sheds.
-pub(crate) fn endpoint_of(path: &str) -> usize {
-    endpoint_index(path.split('?').next().unwrap_or(path))
+    (endpoint_index(""), Response::new(code, reason, "application/json", body))
 }
 
 /// Maps a route to its [`ENDPOINTS`] row; unknown paths land on `other`.
@@ -734,7 +693,6 @@ fn render_metrics(ctx: &Ctx<'_>) -> String {
         (Gauge::ServeWorkersBusy, read(&ctx.busy)),
         (Gauge::ServeConnsActive, read(&ctx.conns)),
         (Gauge::ServePollerParked, read(&ctx.parked)),
-        (Gauge::ServePollerInflight, read(&ctx.inflight)),
         (Gauge::ProcessRssBytes, rss),
         (Gauge::ProcessThreads, threads),
     ] {
@@ -896,7 +854,6 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
                 ("serve_core", Json::Str("epoll".to_owned())),
                 ("keepalive_max", Json::num_u(ctx.keepalive_max as u64)),
                 ("idle_timeout_s", Json::num_u(ctx.idle_timeout.as_secs())),
-                ("max_inflight", Json::num_u(ctx.max_inflight as u64)),
             ]),
         ),
         (
@@ -911,8 +868,6 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
             "poller",
             Json::obj(vec![
                 ("parked", Json::num_u(ctx.parked.load(Ordering::Relaxed))),
-                ("inflight", Json::num_u(ctx.inflight.load(Ordering::Relaxed))),
-                ("shed_total", Json::num_u(snap.counter(Counter::ServeShedTotal))),
                 ("reaped_total", Json::num_u(snap.counter(Counter::ServePollerReaped))),
             ]),
         ),
@@ -953,7 +908,7 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
 
 /// Serializes one response to its wire bytes — header block plus body —
 /// for a connection's outbound buffer, in one buffer of exactly their
-/// size. `Allow:` rides on 405s, `Retry-After:` on shed 429s.
+/// size. `Allow:` rides on 405s.
 pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     use std::fmt::Write;
     /// Decimal digits in `n`.
@@ -972,9 +927,6 @@ pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     if !response.allow.is_empty() {
         len += "Allow: \r\n".len() + response.allow.len();
     }
-    if response.retry_after != 0 {
-        len += "Retry-After: \r\n".len() + digits(response.retry_after);
-    }
     let mut out = String::with_capacity(len);
     // Writing into a `String` cannot fail, and the capacity is exact,
     // so nothing here reallocates.
@@ -985,9 +937,6 @@ pub(crate) fn serialize_response(response: &Response, close: bool) -> Vec<u8> {
     );
     if !response.allow.is_empty() {
         let _ = write!(out, "Allow: {}\r\n", response.allow);
-    }
-    if response.retry_after != 0 {
-        let _ = write!(out, "Retry-After: {}\r\n", response.retry_after);
     }
     let _ = write!(out, "Connection: {connection}\r\n\r\n");
     out.push_str(&response.body);

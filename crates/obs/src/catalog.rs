@@ -206,7 +206,6 @@ catalog! {
         RegistryReloadFailures Counter "registry.reload_failures" "Failed reloads, the old engine kept serving: the process total, and each tenant's under a tenant label.";
         StoreSaves Counter "store.saves" "Snapshots written.";
         StoreLoads Counter "store.loads" "Snapshots loaded.";
-        ServeShedTotal Counter "serve.shed.total" "Requests shed with 429 at the in-flight ceiling.";
         ServePollerAccepts Counter "serve.poller.accepts" "Connections accepted by the serve threads.";
         ServePollerReaped Counter "serve.poller.reaped" "Idle connections reaped by the serve core's timer wheel.";
         ServePollerFrameErrors Counter "serve.poller.frame_errors" "Connections closed after a request the framer rejected (400, 413 or 431).";
@@ -230,7 +229,6 @@ catalog! {
         ServeWorkersBusy Gauge "serve.workers.busy" "Serve threads holding a connection: reading, answering or writing it.";
         ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or being answered.";
         ServePollerParked Gauge "serve.poller.parked" "Accepted connections not being answered: idle, or writing answers already logged; a connection parks before the first byte of its last answer leaves.";
-        ServePollerInflight Gauge "serve.poller.inflight" "Requests being answered: admitted under the in-flight ceiling and not yet logged.";
         ProcessRssBytes Gauge "process.rss_bytes" "Resident set size from /proc/self/status.";
         ProcessThreads Gauge "process.threads" "Threads from /proc/self/status.";
     }
@@ -288,8 +286,8 @@ mod tests {
         let stage = Hist::QueryStageNs.row();
         assert_eq!(stage.series(Some("search")), "query.stage_ns.search");
         assert_eq!(stage.prom_name(Some("search")), "prospector_query_stage_ns_search");
-        let shed = Counter::ServeShedTotal.row();
-        assert_eq!(shed.prom_name(None), "prospector_serve_shed_total_total");
+        let reaped = Counter::ServePollerReaped.row();
+        assert_eq!(reaped.prom_name(None), "prospector_serve_poller_reaped_total");
         let requests = Labeled::ServeHttpRequests.row();
         assert_eq!(requests.series(None), "serve.http.requests");
         assert_eq!(requests.prom_name(None), "prospector_serve_http_requests_total");

@@ -499,10 +499,14 @@ impl Parser<'_> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would take a sign (`\u+041`).
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &b| {
+                                    char::from(b).to_digit(16).map(|d| code << 4 | d)
+                                })
+                                .ok_or_else(|| self.err("bad \\u escape"))?;
                             // Surrogates degrade to the replacement char;
                             // the writer never emits them.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -512,6 +516,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(0..=0x1f) => return Err(self.err("unescaped control character")),
                 Some(_) => {
                     // Consume one UTF-8 scalar.
                     let rest = &self.bytes[self.pos..];
@@ -528,32 +533,46 @@ impl Parser<'_> {
         }
     }
 
+    /// `-? (0 | [1-9] DIGIT*) (. DIGIT+)? ([eE] [+-]? DIGIT+)?`, the
+    /// RFC 8259 grammar: `str::parse::<f64>` alone would also take `01`,
+    /// `1.` and `.5`.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        if self.peek() == Some(b'0') {
             self.pos += 1;
+        } else {
+            self.digits()?;
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits()?;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
         text.parse::<f64>().map(Json::Num).map_err(|_| self.err("bad number"))
+    }
+
+    /// Consumes `DIGIT+`.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if self.pos == start {
+            Err(self.err("bad number"))
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -593,6 +612,15 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{not json", "[1,]", "{\"a\":}", "nul", "1 2", "{\"a\" 1}", "\"open"] {
             assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
+        }
+        // RFC 8259: a `\u` escape is four hex digits, an integer part has
+        // no leading zero, a fraction has a digit, and a string holds no
+        // raw control character.
+        for bad in ["\"\\u+041\"", "01", "1.", "\"a\u{1}b\"", "-01", "-", ".5", "-.5", "1e", "1.e3", "[1.]"] {
+            assert!(Json::parse(bad).is_err(), "`{bad}` should fail");
+        }
+        for good in ["0", "-0", "0.5", "10", "1e3", "1E+3", "-1.25e-2", "\"\\u00e9\\u001F\""] {
+            assert!(Json::parse(good).is_ok(), "`{good}` should parse");
         }
     }
 

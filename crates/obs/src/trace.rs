@@ -51,10 +51,8 @@ const RING_SHARDS: usize = 8;
 /// Events retained per shard before the oldest are overwritten.
 const RING_SHARD_CAP: usize = 1024;
 
-/// Default slow-query retention; configurable per recorder
-/// ([`Recorder::set_slow_log_cap`], the CLI's `--slow-log-cap N`).
-/// Older entries are dropped first.
-const DEFAULT_SLOW_LOG_CAP: usize = 32;
+/// Slow queries retained; older entries are dropped first.
+const SLOW_LOG_CAP: usize = 32;
 
 /// What one [`TraceEvent`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,8 +183,6 @@ pub struct Recorder {
     recorded: AtomicU64,
     /// Slow-query latency threshold in nanoseconds; 0 disables the log.
     slow_threshold_ns: AtomicU64,
-    /// Slow queries retained before the oldest are dropped.
-    slow_cap: AtomicU64,
     epoch: Instant,
     shards: Vec<Mutex<RingShard>>,
     slow: Mutex<Vec<SlowQuery>>,
@@ -208,7 +204,6 @@ impl Recorder {
             next_id: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
             slow_threshold_ns: AtomicU64::new(0),
-            slow_cap: AtomicU64::new(DEFAULT_SLOW_LOG_CAP as u64),
             epoch: Instant::now(),
             shards: (0..RING_SHARDS).map(|_| Mutex::new(RingShard::default())).collect(),
             slow: Mutex::new(Vec::new()),
@@ -247,21 +242,8 @@ impl Recorder {
         self.slow_threshold_ns.load(Ordering::Relaxed)
     }
 
-    /// Sets how many slow queries are retained (clamped to at least 1).
-    /// Shrinking below the current retention drops the oldest entries on
-    /// the next insert.
-    pub fn set_slow_log_cap(&self, cap: usize) {
-        self.slow_cap.store(cap.max(1) as u64, Ordering::Relaxed);
-    }
-
-    /// How many slow queries are retained before the oldest is dropped.
-    #[must_use]
-    pub fn slow_log_cap(&self) -> usize {
-        usize::try_from(self.slow_cap.load(Ordering::Relaxed)).unwrap_or(usize::MAX)
-    }
-
-    /// Drops every retained slow query (the ring, threshold, and cap are
-    /// left alone). Returns how many entries were dropped.
+    /// Drops every retained slow query (the ring and threshold are left
+    /// alone). Returns how many entries were dropped.
     pub fn clear_slow(&self) -> usize {
         let mut slow = self.slow.lock().expect("slow log poisoned");
         let dropped = slow.len();
@@ -306,9 +288,8 @@ impl Recorder {
     }
 
     fn retain_slow(&self, entry: SlowQuery) {
-        let cap = self.slow_log_cap();
         let mut slow = self.slow.lock().expect("slow log poisoned");
-        while slow.len() >= cap {
+        while slow.len() >= SLOW_LOG_CAP {
             slow.remove(0);
         }
         slow.push(entry);
@@ -474,11 +455,6 @@ pub fn enabled() -> bool {
 /// Re-seeds the global id allocator (see [`Recorder::set_seed`]).
 pub fn set_seed(seed: u64) {
     global().set_seed(seed);
-}
-
-/// Sets the global slow-query retention cap (clamped to at least 1).
-pub fn set_slow_log_cap(cap: usize) {
-    global().set_slow_log_cap(cap);
 }
 
 /// Drops every globally retained slow query; returns how many were
@@ -787,37 +763,24 @@ mod tests {
         r.set_slow_threshold_ns(1);
         let first = r.next_id();
         r.span(first).finish();
-        for _ in 0..DEFAULT_SLOW_LOG_CAP {
+        for _ in 0..SLOW_LOG_CAP {
             r.span(r.next_id()).finish();
         }
         let slow = r.slow_queries();
-        assert_eq!(slow.len(), DEFAULT_SLOW_LOG_CAP);
+        assert_eq!(slow.len(), SLOW_LOG_CAP);
         assert!(slow.iter().all(|q| q.trace_id != first.0), "oldest dropped");
     }
 
     #[test]
-    fn slow_log_cap_is_configurable_and_clearable() {
+    fn slow_log_is_clearable() {
         let r = Recorder::new();
         r.set_enabled(true);
         r.set_slow_threshold_ns(1);
-        r.set_slow_log_cap(3);
-        assert_eq!(r.slow_log_cap(), 3);
-        let ids: Vec<TraceId> = (0..5).map(|_| r.next_id()).collect();
-        for &id in &ids {
-            r.span(id).finish();
+        for _ in 0..SLOW_LOG_CAP + 2 {
+            r.span(r.next_id()).finish();
         }
-        let slow = r.slow_queries();
-        assert_eq!(slow.len(), 3, "cap 3 retains the newest 3");
-        assert_eq!(slow[0].trace_id, ids[2].0);
-        // Shrinking the cap evicts down on the next insert.
-        r.set_slow_log_cap(1);
-        r.span(r.next_id()).finish();
-        assert_eq!(r.slow_queries().len(), 1);
-        // Zero clamps to one: the log cannot be silently disabled by cap.
-        r.set_slow_log_cap(0);
-        assert_eq!(r.slow_log_cap(), 1);
-        // clear_slow drops everything but keeps threshold and cap.
-        assert_eq!(r.clear_slow(), 1);
+        // clear_slow drops the capped log but keeps the threshold.
+        assert_eq!(r.clear_slow(), SLOW_LOG_CAP);
         assert!(r.slow_queries().is_empty());
         r.span(r.next_id()).finish();
         assert_eq!(r.slow_queries().len(), 1, "retention continues after clear");

@@ -44,7 +44,6 @@ use std::time::Instant;
 use prospector_core::Prospector;
 use prospector_obs::window::WindowRing;
 use prospector_obs::Counter;
-use prospector_store::LoadMode;
 
 /// The tenant every single-tenant URL and CLI flag routes to when no
 /// `?tenant=` key is given.
@@ -60,7 +59,8 @@ pub const MAX_NAME_LEN: usize = 64;
 pub enum EngineMode {
     /// Built in-process (graph construction + mining), no snapshot.
     Built,
-    /// Decoded from a snapshot into owned storage.
+    /// Borrowing from one owned read of a snapshot (also what an mmap
+    /// request the platform could not honor gets).
     Owned,
     /// Serving borrowed views out of an mmap'd snapshot.
     Mapped,
@@ -74,15 +74,6 @@ impl EngineMode {
             EngineMode::Built => "built",
             EngineMode::Owned => "owned",
             EngineMode::Mapped => "mmap",
-        }
-    }
-}
-
-impl From<LoadMode> for EngineMode {
-    fn from(mode: LoadMode) -> EngineMode {
-        match mode {
-            LoadMode::Owned => EngineMode::Owned,
-            LoadMode::Mapped => EngineMode::Mapped,
         }
     }
 }
@@ -643,14 +634,14 @@ impl Registry {
 /// named).
 pub fn load_engine(path: &str, mmap: bool) -> Result<(Prospector, Provenance), String> {
     let started = Instant::now();
-    let (snap, manifest, mode) =
-        prospector_store::load_auto(Path::new(path), mmap).map_err(|e| e.to_string())?;
+    let loaded = prospector_store::load(Path::new(path), mmap).map_err(|e| e.to_string())?;
     let provenance = Provenance {
         snapshot_path: Some(path.to_owned()),
-        format_version: Some(manifest.version),
-        mode: mode.into(),
+        format_version: Some(loaded.manifest.version),
+        mode: if loaded.mapped { EngineMode::Mapped } else { EngineMode::Owned },
         load_us: elapsed_us(started),
     };
+    let snap = loaded.snapshot;
     Ok((Prospector::from_parts(snap.api, snap.graph), provenance))
 }
 

@@ -4,11 +4,12 @@
 //! A little-endian binary layout whose tables (string pool, type and
 //! member records, forward+reverse CSR arrays, packed jungloid quads)
 //! are 8-byte-aligned slabs the loader *borrows directly* from one
-//! aligned read — or an mmap'd region via [`map_file`] — so a server
-//! warm-starts by validating checksums once and handing out views, with
-//! zero per-element copies and no graph construction, mining, or
-//! generalization. The CLI, `serve`, tenant (re)loads and the benchmarks
-//! all load through [`load_auto`]; no other module reads the format.
+//! aligned read or an mmap'd region, so a server warm-starts by
+//! validating checksums once and handing out views, with zero
+//! per-element copies and no graph construction, mining, or
+//! generalization. [`load`] is the one way to load a snapshot file: the
+//! CLI, `serve`, tenant (re)loads, `index inspect`, the benchmarks and
+//! the tests all call it, and no other module reads the format.
 //!
 //! Format guarantees:
 //!
@@ -45,8 +46,8 @@ mod snapshot;
 pub use crc32::{crc32, Crc32};
 pub use error::StoreError;
 pub use snapshot::{
-    from_buf, from_bytes, load_auto, load_file, manifest, map_file, pad_for, save_file, to_bytes,
-    LoadMode, LoadPhases, Manifest, MappedSnapshot, SectionInfo, Snapshot, FORMAT_VERSION, MAGIC,
+    from_buf, from_bytes, load, manifest, pad_for, save_file, to_bytes, LoadPhases, Loaded,
+    Manifest, SectionInfo, Snapshot, FORMAT_VERSION, MAGIC,
 };
 
 #[cfg(test)]

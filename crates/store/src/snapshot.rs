@@ -796,7 +796,8 @@ fn section_payload<'a>(bytes: &'a [u8], info: &SectionInfo) -> &'a [u8] {
 /// Wall time of each stage of one snapshot load, in microseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadPhases {
-    /// Framing validation: header, section frames, padding, CRCs.
+    /// Opening the file (read or map) and validating its framing:
+    /// header, section frames, padding, CRCs.
     pub validate_us: u64,
     /// The string pool and the type table, name index included.
     pub types_us: u64,
@@ -853,8 +854,8 @@ fn decode(
 
 /// Decodes snapshot bytes back into a ready-to-query engine state. The
 /// input is first copied into one aligned buffer so the engine can
-/// borrow from it; use [`from_buf`] / [`load_file`] / [`map_file`] to
-/// avoid even that single copy.
+/// borrow from it; use [`from_buf`] or [`load`] to avoid even that
+/// single copy.
 ///
 /// # Errors
 ///
@@ -925,173 +926,55 @@ fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
     record_sections(manifest);
 }
 
-/// Stage one of the two-stage warm start: a snapshot buffer (one
-/// owned read or an mmap'd region) whose framing — magic, version,
-/// section offsets, padding, CRCs — has been validated exactly once.
-/// Creating one is the *validate-only* cost: O(sections checksummed),
-/// with zero per-element work. [`MappedSnapshot::thaw`] is stage two:
-/// it checks the tables, builds the type-name and per-type member
-/// indexes and materializes the example lists, while the string pool,
-/// the API tables and the CSR stay borrowed from this buffer.
+/// A snapshot loaded from a file by [`load`], with what the load saw.
 #[derive(Debug)]
-pub struct MappedSnapshot {
-    buf: Arc<SnapshotBuf>,
-    manifest: Manifest,
-    /// How long the framing validation took.
-    validate_us: u64,
-}
-
-impl MappedSnapshot {
-    /// Validates a snapshot from one owned aligned read.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] if the file cannot be read; any framing-level
-    /// [`StoreError`] from validation.
-    pub fn open(path: &Path) -> Result<Self, StoreError> {
-        let buf = SnapshotBuf::read_file(path)
-            .map_err(|source| StoreError::Io { path: path.to_owned(), source })?;
-        Self::from_snapshot_buf(buf)
-    }
-
-    /// Validates a snapshot from a read-only memory mapping when the
-    /// platform supports it (falling back to an owned read), so the
-    /// kernel pages the snapshot in on demand and shares it across
-    /// processes.
-    ///
-    /// # Errors
-    ///
-    /// As [`MappedSnapshot::open`].
-    pub fn map(path: &Path) -> Result<Self, StoreError> {
-        let (buf, _) = SnapshotBuf::map_file(path)
-            .map_err(|source| StoreError::Io { path: path.to_owned(), source })?;
-        Self::from_snapshot_buf(buf)
-    }
-
-    fn from_snapshot_buf(buf: SnapshotBuf) -> Result<Self, StoreError> {
-        let start = Instant::now();
-        let manifest = walk(buf.as_slice())?;
-        Ok(MappedSnapshot { buf: Arc::new(buf), manifest, validate_us: elapsed_us(start) })
-    }
-
+pub struct Loaded {
+    /// The decoded engine state.
+    pub snapshot: Snapshot,
     /// The validated per-section breakdown.
-    #[must_use]
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// Whether the engine would serve borrowed views out of an mmap'd
-    /// region (mapping succeeded; an owned read reports `false`).
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        self.buf.is_mapped()
-    }
-
-    /// Stage two: checks and assembles the engine state. Framing is NOT
-    /// re-validated — that happened once at construction, which is what
-    /// makes borrow-after-CRC safe. The tables are handed out as
-    /// borrowed views (the `Arc` keeps the buffer alive).
-    ///
-    /// # Errors
-    ///
-    /// Any structural (payload-level) [`StoreError`].
-    pub fn thaw(&self) -> Result<Snapshot, StoreError> {
-        self.thaw_timed().map(|(snapshot, _)| snapshot)
-    }
-
-    /// [`MappedSnapshot::thaw`], also reporting how long each load
-    /// phase took (validation counted from construction).
-    ///
-    /// # Errors
-    ///
-    /// As [`MappedSnapshot::thaw`].
-    pub fn thaw_timed(&self) -> Result<(Snapshot, LoadPhases), StoreError> {
-        let mut phases = LoadPhases { validate_us: self.validate_us, ..LoadPhases::default() };
-        let snapshot = decode(&self.buf, &self.manifest, &mut phases)?;
-        Ok((snapshot, phases))
-    }
+    pub manifest: Manifest,
+    /// Whether the tables borrow from an mmap'd region; `false` for an
+    /// owned read, including an mmap request the platform could not
+    /// honor.
+    pub mapped: bool,
+    /// How long each phase of the load took.
+    pub phases: LoadPhases,
 }
 
 fn elapsed_us(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// Reads and decodes a snapshot from one aligned read: validate, then
-/// borrow (the validate-only stage is recorded as `store.map_ms`).
+/// Loads a snapshot file: the one entry point the CLI, `serve`, tenant
+/// (re)loads, `index inspect`, the benchmarks and the tests share.
+///
+/// With `mmap` the file is mapped read-only where the platform allows,
+/// so the kernel pages it in on demand and shares it across processes;
+/// when mapping fails it is read into one owned aligned buffer instead,
+/// and [`Loaded::mapped`] says which happened. Either way the framing —
+/// magic, version, section offsets, padding, CRCs — is validated once
+/// (recorded as `store.map_ms`), and then the string pool, the API
+/// tables and the CSR are borrowed from the buffer, never copied.
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] if the file cannot be read; any decode-level
 /// [`StoreError`] otherwise.
-pub fn load_file(path: &Path) -> Result<(Snapshot, Manifest), StoreError> {
+pub fn load(path: &Path, mmap: bool) -> Result<Loaded, StoreError> {
     let _span = prospector_obs::stage(Stage::Store);
     let start = Instant::now();
-    let mapped = MappedSnapshot::open(path)?;
-    let validate_us = elapsed_us(start);
-    let snapshot = mapped.thaw()?;
-    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us);
-    Ok((snapshot, mapped.manifest))
-}
-
-/// Like [`load_file`] but memory-maps the file read-only when the
-/// platform supports it, so the kernel pages the snapshot in on demand
-/// and shares it across processes. The returned flag is `true` when the
-/// engine is actually serving borrowed views out of an mmap'd region;
-/// where the platform cannot map, it falls back to an owned read and
-/// reports `false` honestly.
-///
-/// # Errors
-///
-/// As [`load_file`].
-pub fn map_file(path: &Path) -> Result<(Snapshot, Manifest, bool), StoreError> {
-    let _span = prospector_obs::stage(Stage::Store);
-    let start = Instant::now();
-    let mapped = MappedSnapshot::map(path)?;
-    let validate_us = elapsed_us(start);
-    let snapshot = mapped.thaw()?;
-    let is_mapped = mapped.is_mapped();
-    record_load(&mapped.manifest, mapped.buf.len() as u64, validate_us);
-    Ok((snapshot, mapped.manifest, is_mapped))
-}
-
-/// How [`load_auto`] ended up holding the snapshot in memory.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LoadMode {
-    /// Borrowed from one owned aligned read (or an mmap request the
-    /// platform could not honor).
-    Owned,
-    /// Serving borrowed views out of an mmap'd region.
-    Mapped,
-}
-
-impl LoadMode {
-    /// The label `/readyz`, `/status`, and `/tenants` report.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            LoadMode::Owned => "owned",
-            LoadMode::Mapped => "mmap",
-        }
-    }
-}
-
-/// The one snapshot-opening entry point warm starts and tenant
-/// (re)loads share: [`map_file`] when `mmap` is requested, [`load_file`]
-/// otherwise, with the mode actually achieved reported honestly (an
-/// mmap request on an unsupported platform loads owned and says so).
-///
-/// # Errors
-///
-/// As [`load_file`].
-pub fn load_auto(path: &Path, mmap: bool) -> Result<(Snapshot, Manifest, LoadMode), StoreError> {
-    if mmap {
-        let (snapshot, manifest, is_mapped) = map_file(path)?;
-        let mode = if is_mapped { LoadMode::Mapped } else { LoadMode::Owned };
-        Ok((snapshot, manifest, mode))
+    let read = if mmap {
+        SnapshotBuf::map_file(path).map(|(buf, _)| buf)
     } else {
-        let (snapshot, manifest) = load_file(path)?;
-        Ok((snapshot, manifest, LoadMode::Owned))
-    }
+        SnapshotBuf::read_file(path)
+    };
+    let buf = read.map_err(|source| StoreError::Io { path: path.to_owned(), source })?;
+    let manifest = walk(buf.as_slice())?;
+    let mut phases = LoadPhases { validate_us: elapsed_us(start), ..LoadPhases::default() };
+    let buf = Arc::new(buf);
+    let snapshot = decode(&buf, &manifest, &mut phases)?;
+    record_load(&manifest, buf.len() as u64, phases.validate_us);
+    Ok(Loaded { snapshot, manifest, mapped: buf.is_mapped(), phases })
 }
 
 #[cfg(test)]
@@ -1102,5 +985,18 @@ mod tests {
     fn section_gauges_follow_the_file_order() {
         let labels = prospector_obs::Gauge::StoreSectionBytes.row().labels;
         assert_eq!(labels, super::SECTIONS.map(|(_, name)| name));
+    }
+
+    /// A directory maps to nothing and cannot be read either, so the
+    /// owned-read fallback's error comes back typed.
+    #[test]
+    fn loading_a_directory_is_an_io_error() {
+        let dir = std::env::temp_dir();
+        for mmap in [true, false] {
+            match super::load(&dir, mmap) {
+                Err(crate::StoreError::Io { path, .. }) => assert_eq!(path, dir),
+                other => panic!("mmap={mmap}: expected an I/O error, got {other:?}"),
+            }
+        }
     }
 }

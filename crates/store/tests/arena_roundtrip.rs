@@ -1,5 +1,5 @@
 //! Loading rebuilds the API exactly. The API a snapshot decodes to —
-//! through `map_file` and `from_bytes` — agrees with the API that was
+//! through `load` (mmap'd) and `from_bytes` — agrees with the API that was
 //! saved on every method and field view, on the per-class member order,
 //! on every name lookup, and on its whole JSON rendering (the loaded
 //! graph's too), over seeded random APIs (deterministic: failures
@@ -149,10 +149,10 @@ fn assert_every_load_agrees(api: &Api, graph: &JungloidGraph, label: &str) -> (u
     let file = format!("arena_roundtrip_{}_{}.pspk", std::process::id(), label.replace(' ', "_"));
     let path = std::env::temp_dir().join(file);
     std::fs::write(&path, &bytes).expect("temp snapshot writes");
-    let (mapped, _, _) = prospector_store::map_file(&path).expect("map_file loads");
+    let mapped = prospector_store::load(&path, true).expect("load maps").snapshot;
     std::fs::remove_file(&path).ok();
-    let seen = assert_same_api(api, &mapped.api, &format!("{label} map_file"));
-    assert_same_json((api, graph), (&mapped.api, &mapped.graph), &format!("{label} map_file"));
+    let seen = assert_same_api(api, &mapped.api, &format!("{label} load"));
+    assert_same_json((api, graph), (&mapped.api, &mapped.graph), &format!("{label} load"));
     let owned = from_bytes(&bytes).expect("from_bytes loads");
     assert_same_api(api, &owned.api, &format!("{label} from_bytes"));
     assert_same_json((api, graph), (&owned.api, &owned.graph), &format!("{label} from_bytes"));

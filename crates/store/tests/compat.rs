@@ -1,10 +1,10 @@
 //! Retired formats are refused, not misread. The committed fixtures are
 //! `.pspk` files written in the retired formats v1 and v2 (the same tiny
 //! `java.io` engine, saved by the last builds that wrote each format);
-//! every way this build opens a snapshot — in memory, owned read, mmap,
-//! the staged open, and the registry's engine load that the CLI, `serve`
-//! and tenants share — must reject them with the typed version error
-//! naming both versions.
+//! every way this build opens a snapshot — in memory, the file loader
+//! with an owned read and with mmap, and the registry's engine load that
+//! the CLI, `serve` and tenants share — must reject them with the typed
+//! version error naming both versions.
 
 use std::path::Path;
 
@@ -38,12 +38,9 @@ fn committed_v1_and_v2_fixtures_are_refused_by_every_loader() {
         let via = |how: &str| format!("v{version} via {how}");
         assert_refused(prospector_store::manifest(&bytes), version, &via("manifest"));
         assert_refused(prospector_store::from_bytes(&bytes), version, &via("from_bytes"));
-        assert_refused(prospector_store::load_file(path), version, &via("load_file"));
-        assert_refused(prospector_store::map_file(path), version, &via("map_file"));
-        assert_refused(prospector_store::MappedSnapshot::open(path), version, &via("open"));
-        assert_refused(prospector_store::MappedSnapshot::map(path), version, &via("map"));
-
         for mmap in [false, true] {
+            let how = format!("load (mmap {mmap})");
+            assert_refused(prospector_store::load(path, mmap), version, &via(&how));
             let err = prospector_registry::load_engine(&file, mmap).err().unwrap_or_else(|| {
                 panic!("registry::load_engine (mmap {mmap}) loaded a v{version} snapshot")
             });

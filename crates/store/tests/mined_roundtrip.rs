@@ -82,8 +82,9 @@ fn save_and_load_round_trip_through_a_file() {
 
     let saved = prospector_store::save_file(&path, live.api(), live.graph(), &mined)
         .expect("snapshot saves");
-    let (snap, loaded) = prospector_store::load_file(&path).expect("snapshot loads");
-    assert_eq!(saved, loaded, "save and load must agree on the manifest");
+    let loaded = prospector_store::load(&path, false).expect("snapshot loads");
+    assert_eq!(saved, loaded.manifest, "save and load must agree on the manifest");
+    let snap = loaded.snapshot;
     assert_eq!(snap.graph.node_count(), live.graph().node_count());
     assert_eq!(snap.graph.edge_count(), live.graph().edge_count());
     assert_eq!(snap.graph.csr().out_to(), live.graph().csr().out_to());

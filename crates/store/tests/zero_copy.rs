@@ -89,12 +89,14 @@ fn mmap_load_matches_owned_read() {
     let path = dir.join("zero-copy.pspk");
     prospector_store::save_file(&path, live.api(), live.graph(), &mined).expect("snapshot saves");
 
-    let (read_snap, read_manifest) = prospector_store::load_file(&path).expect("read loads");
-    let (map_snap, map_manifest, mapped) = prospector_store::map_file(&path).expect("map loads");
-    assert_eq!(read_manifest, map_manifest);
+    let read = prospector_store::load(&path, false).expect("read loads");
+    let map = prospector_store::load(&path, true).expect("map loads");
+    assert_eq!(read.manifest, map.manifest);
+    assert!(!read.mapped, "an owned read is no mapping");
     if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
-        assert!(mapped, "a snapshot on linux must actually serve from the mapping");
+        assert!(map.mapped, "a snapshot on linux must actually serve from the mapping");
     }
+    let (read_snap, map_snap) = (read.snapshot, map.snapshot);
     if cfg!(target_endian = "little") {
         assert!(read_snap.api.is_borrowed(), "an owned read borrows the API tables");
         assert!(map_snap.api.is_borrowed(), "a mapping borrows the API tables");
@@ -103,22 +105,15 @@ fn mmap_load_matches_owned_read() {
 
     assert_eq!(read_snap.graph.csr().out_to(), map_snap.graph.csr().out_to());
     assert_eq!(read_snap.graph.csr().out_elem(), map_snap.graph.csr().out_elem());
-
-    // The staged path — validate once, thaw later — must agree too.
-    let staged = prospector_store::MappedSnapshot::map(&path).expect("staged map validates");
-    assert_eq!(staged.manifest(), &read_manifest);
-    assert_eq!(staged.is_mapped(), mapped);
-    let staged_snap = staged.thaw().expect("staged thaw decodes");
-    assert_eq!(staged_snap.mined_examples, read_snap.mined_examples);
+    assert_eq!(read_snap.mined_examples, map_snap.mined_examples);
 
     let read_engine = Prospector::from_parts(read_snap.api, read_snap.graph);
     let map_engine = Prospector::from_parts(map_snap.api, map_snap.graph);
-    let staged_engine = Prospector::from_parts(staged_snap.api, staged_snap.graph);
-    let read_sheet = answer_sheet(&read_engine);
-    let map_sheet = answer_sheet(&map_engine);
-    let staged_sheet = answer_sheet(&staged_engine);
-    assert_eq!(read_sheet, map_sheet, "read vs mmap: answers diverge");
-    assert_eq!(map_sheet, staged_sheet, "mmap vs staged thaw: answers diverge");
+    assert_eq!(
+        answer_sheet(&read_engine),
+        answer_sheet(&map_engine),
+        "read vs mmap: answers diverge"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -225,13 +225,15 @@ mod sys {
     const PROT_READ: usize = 1;
     const MAP_PRIVATE: usize = 2;
 
-    /// Maps `len` bytes of `fd` read-only/private. `None` on failure.
+    /// Maps `len` bytes of `fd` read-only/private. `None` on failure;
+    /// the kernel itself rejects a closed or unreadable `fd` and a zero
+    /// `len`, so those need no promise from the caller.
     ///
     /// # Safety
     ///
-    /// `fd` must be an open, readable file descriptor and `len` no larger
-    /// than the file. The caller owns the returned mapping and must
-    /// `munmap` it exactly once.
+    /// The caller owns the returned mapping and must [`munmap`] it
+    /// exactly once, with this `len`. Only the bytes the file backs may
+    /// be read through it: a page wholly past the end faults.
     pub unsafe fn mmap_readonly(fd: i32, len: usize) -> Option<*const u8> {
         let ret: isize;
         // SAFETY: plain syscall; the kernel validates every argument and
@@ -494,6 +496,51 @@ mod tests {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         assert!(mapped, "the raw mmap path must engage on linux/x86-64");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A scratch directory of its own for each test that touches files.
+    fn scratch_dir(test: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("prospector-slab-{test}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn mmap_of_a_closed_fd_is_none() {
+        // No fd table reaches `i32::MAX` (`fs.nr_open` is capped below
+        // it), so this number is closed in every process.
+        // SAFETY: nothing is mapped, so there is nothing to unmap.
+        let mapped = unsafe { sys::mmap_readonly(i32::MAX, 4096) };
+        assert_eq!(mapped, None);
+    }
+
+    #[test]
+    fn map_file_of_an_empty_file_is_an_owned_empty_buffer() {
+        let dir = scratch_dir("empty");
+        let path = dir.join("empty.bin");
+        std::fs::write(&path, b"").expect("write");
+        let (buf, mapped) = SnapshotBuf::map_file(&path).expect("an empty file reads");
+        assert!(!mapped && !buf.is_mapped());
+        assert!(buf.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn map_file_of_a_missing_path_is_not_found() {
+        let path = std::env::temp_dir()
+            .join(format!("prospector-slab-missing-{}.bin", std::process::id()));
+        let err = SnapshotBuf::map_file(&path).expect_err("nothing to map or read");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn map_file_of_a_directory_is_the_fallback_reads_error() {
+        let dir = scratch_dir("dir");
+        let err = SnapshotBuf::map_file(&dir).expect_err("a directory is no snapshot");
+        assert_eq!(err.kind(), std::io::ErrorKind::IsADirectory);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -127,10 +127,10 @@ fn persisted_engine_answers_identically() {
     let path = std::env::temp_dir()
         .join(format!("prospector-pipeline-{}.pspk", std::process::id()));
     prospector_store::save_file(&path, prospector.api(), prospector.graph(), &[]).unwrap();
-    let (mapped, _, _) = prospector_store::map_file(&path).unwrap();
+    let mapped = prospector_store::load(&path, true).unwrap().snapshot;
     std::fs::remove_file(&path).ok();
 
-    for (how, snap) in [("from_bytes", decoded), ("map_file", mapped)] {
+    for (how, snap) in [("from_bytes", decoded), ("load", mapped)] {
         let thawed = Prospector::from_parts(snap.api, snap.graph);
         for problem in prospector_corpora::problems::table1() {
             let a = prospector_corpora::report::run_problem(&prospector, &problem);
