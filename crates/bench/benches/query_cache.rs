@@ -16,16 +16,28 @@
 //! repeat-pipeline, and warm ns/query, the cold/warm speedup, hit/miss
 //! counters, and the identity check.
 //!
+//! The `dist_field` row prices one entry of the distance cache on a
+//! seeded `synth` jungle (10^5 bulk types; 10^4 in quick mode): the heap
+//! bytes of a complete field, its build time and one assist-shaped
+//! multi-source walk over it (medians over random targets), the largest
+//! finite distance seen, and the host CPU count. To compare two builds,
+//! run the bench on the baseline build with `BENCH_RESULT_CACHE_OUT=<file>`,
+//! then on the candidate with `BENCH_RESULT_CACHE_BASELINE=<file>`: the
+//! output then carries the baseline's row as `dist_field_baseline`.
+//!
 //! Run with `cargo bench -p bench --bench query_cache`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
 //! run.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use jungloid_typesys::TyId;
-use prospector_core::Prospector;
+use prospector_core::search::enumerate_with;
+use prospector_core::{DistanceField, Prospector, SearchConfig, SearchScratch};
+use prospector_corpora::synth::{grow_synth, SynthSpec};
 use prospector_corpora::{build, problems, BuildOptions};
-use prospector_obs::Json;
+use prospector_obs::{Json, SmallRng};
 
 fn quick_mode() -> bool {
     std::env::var_os("PROSPECTOR_BENCH_QUICK").is_some()
@@ -81,6 +93,71 @@ fn measure(engine: &Prospector, queries: &[(TyId, TyId)], rounds: usize) -> f64 
     #[allow(clippy::cast_precision_loss)]
     let per_query = started.elapsed().as_nanos() as f64 / (rounds * queries.len()) as f64;
     per_query
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The `dist_field` row: one complete distance field per random bulk
+/// target of the seed-3 jungle, each walked from four random bulk types
+/// plus `void`, as `assist` walks a scope.
+fn dist_field_row(quick: bool) -> Json {
+    let types = if quick { 10_000 } else { 100_000 };
+    let targets = if quick { 16 } else { 40 };
+    let walks = 5;
+    let mut api = jungloid_apidef::ApiLoader::with_prelude().finish().expect("prelude loads");
+    grow_synth(&mut api, &SynthSpec { seed: 3, types, ..SynthSpec::default() });
+    let engine = Prospector::new(api);
+    let (api, graph) = (engine.api(), engine.graph());
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut bulk = || {
+        let name = format!("Syn{}", rng.gen_range(0..types));
+        api.types().resolve(&name).expect("bulk class resolves")
+    };
+    let mut scratch = SearchScratch::new();
+    let (mut bytes, mut build_us, mut walk_us) = (Vec::new(), Vec::new(), Vec::new());
+    let mut farthest = 0;
+    for _ in 0..targets {
+        let tout = bulk();
+        let started = Instant::now();
+        let field = DistanceField::towards(graph, tout);
+        build_us.push(started.elapsed().as_secs_f64() * 1e6);
+        #[allow(clippy::cast_precision_loss)]
+        bytes.push(field.heap_bytes() as f64);
+        let far = field.reached().map(|v| field.from(graph, graph.node_at(v as usize))).max();
+        farthest = farthest.max(far.unwrap_or(0));
+        let mut sources: Vec<TyId> = (0..4).map(|_| bulk()).collect();
+        sources.push(api.types().void());
+        for _ in 0..walks {
+            let started = Instant::now();
+            let outcome = enumerate_with(
+                graph,
+                &sources,
+                tout,
+                &field,
+                &SearchConfig::default(),
+                &mut scratch,
+            );
+            walk_us.push(started.elapsed().as_secs_f64() * 1e6);
+            black_box(outcome);
+        }
+    }
+    let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let round1 = |x: f64| (x * 10.0).round() / 10.0;
+    let row = Json::obj(vec![
+        ("types", Json::num_u(types as u64)),
+        ("nodes", Json::num_u(graph.node_count() as u64)),
+        ("targets", Json::num_u(targets as u64)),
+        ("field_bytes", Json::num_u(median(bytes) as u64)),
+        ("build_us", Json::Num(round1(median(build_us)))),
+        ("walk_us", Json::Num(round1(median(walk_us)))),
+        ("max_distance", Json::num_u(u64::from(farthest))),
+        ("cpus", Json::num_u(cpus as u64)),
+    ]);
+    println!("dist_field ({types} types): {}", row.to_text());
+    row
 }
 
 fn main() {
@@ -159,8 +236,20 @@ fn main() {
         ("hits", Json::num_u(hits)),
         ("misses", Json::num_u(misses)),
         ("identical", Json::Bool(identical)),
+        ("dist_field", dist_field_row(quick)),
         ("quick", Json::Bool(quick)),
     ]);
+    let doc = match std::env::var("BENCH_RESULT_CACHE_BASELINE") {
+        Ok(path) => {
+            let text = std::fs::read_to_string(&path).expect("baseline file reads");
+            let baseline = Json::parse(&text).expect("baseline is JSON");
+            let row = baseline.get("dist_field").cloned().expect("baseline has a dist_field row");
+            let Json::Obj(mut pairs) = doc else { unreachable!("built as an object") };
+            pairs.push(("dist_field_baseline".to_owned(), row));
+            Json::Obj(pairs)
+        }
+        Err(_) => doc,
+    };
     let out = std::env::var("BENCH_RESULT_CACHE_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_result_cache.json").to_owned()
     });

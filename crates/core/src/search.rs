@@ -12,7 +12,8 @@
 //! by a depth-first enumeration pruned with exact distance-to-target
 //! lower bounds, so the enumeration only ever walks prefixes that can
 //! still finish within the bound. The field is either complete (a
-//! reverse BFS over everything that reaches the target) or bounded to one
+//! reverse BFS over everything that reaches the target, one byte per node
+//! unless some node lies 255 or more steps out) or bounded to one
 //! source's window (a meet-in-the-middle search that settles only the
 //! nodes such a path can cross); the walk prunes identically over both.
 
@@ -114,7 +115,8 @@ pub struct SearchOutcome {
 /// A field comes in one of two kinds (DESIGN §16):
 ///
 /// * **complete** ([`DistanceField::towards`]): one dense slot per node,
-///   so it serves any source set and any window;
+///   so it serves any source set and any window. A slot is one byte
+///   unless some finite distance is 255 or more, and then a `u32`;
 /// * **bounded** ([`DistanceField::bounded`]): exact distances for the
 ///   nodes on some path of length ≤ `m + extra_steps` from one source
 ///   (and the few others the builder cannot rule out); every other node
@@ -133,8 +135,12 @@ pub struct DistanceField {
 
 #[derive(Clone, Debug)]
 enum Dist {
-    /// Dense-indexed, `u32::MAX` where the target is unreachable.
-    Complete(Vec<u32>),
+    /// Complete, dense-indexed, every finite distance below 255:
+    /// `u8::MAX` where the target is unreachable.
+    Bytes(Vec<u8>),
+    /// Complete, dense-indexed, some node 255 or more steps out:
+    /// `u32::MAX` where the target is unreachable.
+    Wide(Vec<u32>),
     /// Sorted `(dense index, distance)` entries covering every node on a
     /// path of length ≤ `m + extra_steps` from `source`.
     Bounded { source: TyId, extra_steps: u32, entries: Vec<(u32, u32)> },
@@ -144,6 +150,11 @@ impl DistanceField {
     /// Runs a reverse 0-1 BFS from `target` over the CSR reverse arrays,
     /// building the complete field.
     ///
+    /// The build stores one byte per node. A target with a node 255 or
+    /// more steps out is built again with `u32` slots, and only that
+    /// build's relaxations count: both builds make the same queue
+    /// operations, so the count is that of one reverse BFS.
+    ///
     /// Relaxations performed here are kept on the field
     /// ([`DistanceField::relaxations`]; the engine adds them to the
     /// `search.bfs_relaxations` counter) and are *not* charged against
@@ -151,32 +162,16 @@ impl DistanceField {
     #[must_use]
     pub fn towards(graph: &JungloidGraph, target: TyId) -> Self {
         let csr = graph.csr();
-        let n = csr.node_count();
-        let rev_from = csr.in_from();
-        let rev_cost = csr.in_cost();
-        let mut dist = vec![u32::MAX; n];
         let ti = dense(graph, target);
-        let mut queue: VecDeque<u32> = VecDeque::new();
-        dist[ti as usize] = 0;
-        queue.push_back(ti);
-        let mut relaxations: u64 = 0;
-        while let Some(i) = queue.pop_front() {
-            let d = dist[i as usize];
-            let range = csr.in_range(i as usize);
-            relaxations += range.len() as u64;
-            for (&from, &cost) in rev_from[range.clone()].iter().zip(&rev_cost[range]) {
-                let nd = d + u32::from(cost);
-                if nd < dist[from as usize] {
-                    dist[from as usize] = nd;
-                    if cost == 0 {
-                        queue.push_front(from);
-                    } else {
-                        queue.push_back(from);
-                    }
-                }
+        let (dist, relaxations) = match reverse_bfs::<u8>(csr, ti) {
+            Some((bytes, relaxations)) => (Dist::Bytes(bytes), relaxations),
+            None => {
+                let (wide, relaxations) =
+                    reverse_bfs::<u32>(csr, ti).expect("every distance fits a u32");
+                (Dist::Wide(wide), relaxations)
             }
-        }
-        DistanceField { target, dist: Dist::Complete(dist), relaxations }
+        };
+        DistanceField { target, dist, relaxations }
     }
 
     /// Builds the bounded field for one `source` and the window
@@ -279,7 +274,7 @@ impl DistanceField {
     /// Whether this is a complete field, serving every source and window.
     #[must_use]
     pub fn is_complete(&self) -> bool {
-        matches!(self.dist, Dist::Complete(_))
+        !matches!(self.dist, Dist::Bounded { .. })
     }
 
     /// Whether this field prunes a walk from `source` with window
@@ -287,7 +282,7 @@ impl DistanceField {
     #[must_use]
     pub fn covers(&self, source: TyId, extra_steps: u32) -> bool {
         match self.dist {
-            Dist::Complete(_) => true,
+            Dist::Bytes(_) | Dist::Wide(_) => true,
             Dist::Bounded { source: s, extra_steps: e, .. } => s == source && extra_steps <= e,
         }
     }
@@ -298,7 +293,8 @@ impl DistanceField {
     pub fn from(&self, graph: &JungloidGraph, node: NodeId) -> u32 {
         let i = graph.index_of(node);
         match &self.dist {
-            Dist::Complete(dist) => dist[i],
+            Dist::Bytes(dist) => dist[i].get(),
+            Dist::Wide(dist) => dist[i].get(),
             Dist::Bounded { entries, .. } => entries
                 .binary_search_by_key(&i, |&(v, _)| v as usize)
                 .map_or(u32::MAX, |k| entries[k].1),
@@ -307,13 +303,111 @@ impl DistanceField {
 
     /// Dense indices of the nodes with a finite stored distance.
     pub fn reached(&self) -> impl Iterator<Item = u32> + '_ {
-        let (dense, sparse): (&[u32], &[(u32, u32)]) = match &self.dist {
-            Dist::Complete(dist) => (dist, &[]),
-            Dist::Bounded { entries, .. } => (&[], entries),
+        let (bytes, wide, sparse): (&[u8], &[u32], &[(u32, u32)]) = match &self.dist {
+            Dist::Bytes(dist) => (dist, &[], &[]),
+            Dist::Wide(dist) => (&[], dist, &[]),
+            Dist::Bounded { entries, .. } => (&[], &[], entries),
         };
-        let dense = dense.iter().enumerate().filter(|&(_, &d)| d != u32::MAX);
-        dense.map(|(i, _)| i as u32).chain(sparse.iter().map(|&(v, _)| v))
+        reached_slots(bytes).chain(reached_slots(wide)).chain(sparse.iter().map(|&(v, _)| v))
     }
+
+    /// Heap bytes the stored distances take: one per node for a complete
+    /// field whose distances fit a byte, four per node for a wide one,
+    /// eight per bounded entry.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match &self.dist {
+            Dist::Bytes(dist) => dist.capacity(),
+            Dist::Wide(dist) => dist.capacity() * std::mem::size_of::<u32>(),
+            Dist::Bounded { entries, .. } => {
+                entries.capacity() * std::mem::size_of::<(u32, u32)>()
+            }
+        }
+    }
+}
+
+/// A complete field's per-node distance: `u8` or `u32`. The walk reads
+/// either, and the bounded field's `u32` scatter buffer, through this
+/// one bound.
+trait Slot: Copy + Eq + Into<u32> + TryFrom<u32> {
+    /// Marks a node that cannot reach the target; never a distance.
+    const UNREACHED: Self;
+
+    /// The stored distance, or `u32::MAX` for [`Slot::UNREACHED`].
+    fn get(self) -> u32 {
+        if self == Self::UNREACHED {
+            u32::MAX
+        } else {
+            self.into()
+        }
+    }
+
+    /// `d` as a slot, or `None` if it does not fit below
+    /// [`Slot::UNREACHED`].
+    fn store(d: u32) -> Option<Self> {
+        Self::try_from(d).ok().filter(|&s| s != Self::UNREACHED)
+    }
+}
+
+impl Slot for u8 {
+    const UNREACHED: u8 = u8::MAX;
+}
+
+impl Slot for u32 {
+    const UNREACHED: u32 = u32::MAX;
+}
+
+fn reached_slots<S: Slot>(dist: &[S]) -> impl Iterator<Item = u32> + '_ {
+    dist.iter().enumerate().filter(|&(_, &d)| d != S::UNREACHED).map(|(i, _)| i as u32)
+}
+
+/// The complete field's reverse 0-1 BFS from dense node `ti`, in slots of
+/// type `S`: the distances and the edges relaxed, or `None` if some node
+/// lies farther out than `S` holds. Queue operations depend only on the
+/// distances, never on the slot width, so a build that fits makes
+/// exactly the relaxations of a `u32` build.
+fn reverse_bfs<S: Slot>(csr: &CsrAdjacency, ti: u32) -> Option<(Vec<S>, u64)> {
+    let n = csr.node_count();
+    let (rev_from, rev_cost) = (csr.in_from(), csr.in_cost());
+    let mut dist = vec![S::UNREACHED; n];
+    // Queued nodes whose tentative distance `S` cannot hold. A zero-cost
+    // edge may still pull one back in range; if one is popped first, its
+    // distance is final and the build does not fit.
+    let mut beyond: Vec<bool> = Vec::new();
+    let mut queue: VecDeque<u32> = VecDeque::new();
+    dist[ti as usize] = S::store(0)?;
+    queue.push_back(ti);
+    let mut relaxations: u64 = 0;
+    while let Some(i) = queue.pop_front() {
+        let d = dist[i as usize].get();
+        if d == u32::MAX {
+            return None;
+        }
+        let range = csr.in_range(i as usize);
+        relaxations += range.len() as u64;
+        for (&from, &cost) in rev_from[range.clone()].iter().zip(&rev_cost[range]) {
+            let nd = d + u32::from(cost);
+            if nd >= dist[from as usize].get() {
+                continue;
+            }
+            if let Some(slot) = S::store(nd) {
+                dist[from as usize] = slot;
+            } else {
+                if beyond.is_empty() {
+                    beyond.resize(n, false);
+                }
+                if std::mem::replace(&mut beyond[from as usize], true) {
+                    continue;
+                }
+            }
+            if cost == 0 {
+                queue.push_front(from);
+            } else {
+                queue.push_back(from);
+            }
+        }
+    }
+    Some((dist, relaxations))
 }
 
 /// Dense index of a type node.
@@ -573,9 +667,8 @@ pub fn enumerate_with(
 ) -> SearchOutcome {
     assert_eq!(field.target(), target, "distance field target mismatch");
     let entries = match &field.dist {
-        Dist::Complete(dist) => {
-            return enumerate_dense(graph, sources, target, dist, config, scratch);
-        }
+        Dist::Bytes(dist) => return enumerate_dense(graph, sources, target, dist, config, scratch),
+        Dist::Wide(dist) => return enumerate_dense(graph, sources, target, dist, config, scratch),
         Dist::Bounded { entries, .. } => entries,
     };
     assert!(
@@ -602,11 +695,11 @@ pub fn enumerate_with(
 }
 
 /// The walk over a dense distance array (`dist[i]` for dense index `i`).
-fn enumerate_dense(
+fn enumerate_dense<S: Slot>(
     graph: &JungloidGraph,
     sources: &[TyId],
     target: TyId,
-    dist: &[u32],
+    dist: &[S],
     config: &SearchConfig,
     scratch: &mut SearchScratch,
 ) -> SearchOutcome {
@@ -630,7 +723,7 @@ fn enumerate_dense(
     }
     let m = uniq_sources
         .iter()
-        .map(|&s| dist[graph.index_of(NodeId::Ty(s))])
+        .map(|&s| dist[graph.index_of(NodeId::Ty(s))].get())
         .filter(|&d| d != u32::MAX)
         .min();
     let Some(m) = m else {
@@ -651,7 +744,7 @@ fn enumerate_dense(
     scratch.stack.reserve(bound as usize + 9);
     let fanout: usize = uniq_sources
         .iter()
-        .filter(|&&s| dist[graph.index_of(NodeId::Ty(s))] != u32::MAX)
+        .filter(|&&s| dist[graph.index_of(NodeId::Ty(s))] != S::UNREACHED)
         .map(|&s| csr.out_range(graph.index_of(NodeId::Ty(s))).len())
         .sum();
     let mut dfs = Dfs {
@@ -666,7 +759,7 @@ fn enumerate_dense(
         truncation: TruncationReason::None,
     };
     for &s in &uniq_sources {
-        if dist[graph.index_of(NodeId::Ty(s))] == u32::MAX {
+        if dist[graph.index_of(NodeId::Ty(s))] == S::UNREACHED {
             continue;
         }
         let si = dense(graph, s);
@@ -681,9 +774,9 @@ fn enumerate_dense(
     SearchOutcome { jungloids: out, shortest: Some(m), truncation, expansions }
 }
 
-struct Dfs<'a> {
+struct Dfs<'a, S> {
     csr: &'a CsrAdjacency,
-    dist: &'a [u32],
+    dist: &'a [S],
     target_idx: u32,
     bound: u32,
     config: &'a SearchConfig,
@@ -693,7 +786,7 @@ struct Dfs<'a> {
     truncation: TruncationReason,
 }
 
-impl Dfs<'_> {
+impl<S: Slot> Dfs<'_, S> {
     /// Walks all bounded acyclic paths from one source with an explicit
     /// stack, visiting edges in exactly the order the recursive
     /// formulation did (result order is part of the engine's contract).
@@ -734,7 +827,7 @@ impl Dfs<'_> {
             }
             let new_cost = cost + u32::from(fwd_cost[ei]);
             let to_go = self.dist[to as usize];
-            if to_go == u32::MAX || new_cost + to_go > self.bound {
+            if to_go == S::UNREACHED || new_cost + to_go.into() > self.bound {
                 continue;
             }
             if to == self.target_idx {

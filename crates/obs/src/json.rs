@@ -495,22 +495,22 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would take a sign (`\u+041`).
-                            let code = hex
-                                .iter()
-                                .try_fold(0, |code, &b| {
-                                    char::from(b).to_digit(16).map(|d| code << 4 | d)
-                                })
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogates degrade to the replacement char;
-                            // the writer never emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // An escaped high surrogate and an escaped low
+                            // one are one scalar beyond the Basic
+                            // Multilingual Plane (RFC 8259 §7). A lone
+                            // surrogate degrades to the replacement char;
+                            // the writer never emits either.
+                            let low_follows =
+                                self.bytes.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..]);
+                            if (0xd800..0xdc00).contains(&code) && low_follows {
+                                if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                                    code = 0x10000 + ((code - 0xd800) << 10 | (low - 0xdc00));
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -531,6 +531,16 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`:
+    /// exactly four, as `from_str_radix` alone would take a sign
+    /// (`\u+041`).
+    fn hex4(&self, at: usize) -> Result<u32, JsonError> {
+        let hex = self.bytes.get(at..at + 4).ok_or_else(|| self.err("truncated \\u escape"))?;
+        hex.iter()
+            .try_fold(0, |code, &b| char::from(b).to_digit(16).map(|d| code << 4 | d))
+            .ok_or_else(|| self.err("bad \\u escape"))
     }
 
     /// `-? (0 | [1-9] DIGIT*) (. DIGIT+)? ([eE] [+-]? DIGIT+)?`, the

@@ -10,14 +10,21 @@
 //! alignment padding (which sits *outside* the CRC), a stored CRC that
 //! was wrongly computed over the padding, and absurd counts and crafted
 //! type, member and pool records behind a recomputed CRC (which only the
-//! decoders' own checks can catch).
+//! decoders' own checks can catch). A seeded loop of random bit flips,
+//! half of them behind a recomputed CRC, runs every loader on the damage
+//! and every engine that loads through a query and an assist.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use jungloid_apidef::{Api, FieldDef, MethodDef, Visibility};
-use jungloid_typesys::TypeKind;
+use jungloid_typesys::{TyId, TypeKind};
 use prospector_core::graph::JungloidGraph;
-use prospector_core::GraphConfig;
+use prospector_core::{GraphConfig, Prospector};
 use prospector_corpora::{build, BuildOptions};
-use prospector_store::{crc32, from_bytes, manifest, to_bytes, Crc32, SectionInfo, StoreError};
+use prospector_obs::SmallRng;
+use prospector_store::{
+    crc32, from_bytes, load, manifest, to_bytes, Crc32, SectionInfo, Snapshot, StoreError,
+};
 
 /// File header and section frame sizes.
 const HEADER_BYTES: usize = 16;
@@ -295,6 +302,88 @@ fn crafted_counts_behind_a_valid_crc_are_typed_errors() {
         }
     }
     assert!(mutations >= 50, "only {mutations} mutations ran; the sweep proved little");
+}
+
+// --- seeded bit flips -----------------------------------------------------
+
+/// Runs `f` under `catch_unwind`; a panic fails the test, naming `case`.
+fn no_panic<T>(case: &str, f: impl FnOnce() -> T) -> T {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| panic!("{case}: panicked"))
+}
+
+/// A loaded engine's every edge resolves against its API, and it
+/// answers a seeded query and an assist: a typed `QueryError` is fine,
+/// a panic is not. A random query walks few edges, so the edge sweep is
+/// what reaches a damaged element.
+fn answers(snapshot: Snapshot, rng: &mut SmallRng, case: &str) {
+    let engine = Prospector::from_parts(snapshot.api, snapshot.graph);
+    let (api, graph) = (engine.api(), engine.graph());
+    no_panic(&format!("{case}: edge sweep"), || {
+        for v in 0..graph.node_count() {
+            for edge in graph.out_edges(graph.node_at(v)) {
+                let _ = (edge.elem.input_ty(api), edge.elem.output_ty(api));
+                let _ = edge.elem.free_var_types(api);
+            }
+        }
+    });
+    let ids: Vec<TyId> = api.types().ids().collect();
+    let (tin, tout) = (ids[rng.gen_range(0..ids.len())], ids[rng.gen_range(0..ids.len())]);
+    no_panic(&format!("{case}: query {tin:?} -> {tout:?}"), || {
+        let _ = engine.query(tin, tout);
+        let _ = engine.assist(&[("x", tin)], tout);
+    });
+}
+
+/// Flips 1–3 bits inside one seeded section (frame, payload or padding)
+/// of the bundled engine's snapshot, recomputing that section's CRC on
+/// every other input so the damage reaches the decoders. Every input
+/// goes through `from_bytes`, every 16th also through `load` from a
+/// file, owned and mmap. Each must load or fail with a typed
+/// `StoreError`, and each engine that loads must answer.
+#[test]
+fn seeded_bit_flips_load_or_fail_typed_and_loaded_engines_answer() {
+    const INPUTS: usize = 4_000;
+    let bytes = snapshot_bytes();
+    let m = manifest(&bytes).expect("pristine snapshot validates");
+    let dir = std::env::temp_dir().join(format!("prospector-store-flips-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("flipped.pspk");
+    let mut rng = SmallRng::seed_from_u64(0xf11b_5eed);
+    let (mut accepted, mut rejected) = (0usize, 0usize);
+    for i in 0..INPUTS {
+        let s = &m.sections[rng.gen_range(0..m.sections.len())];
+        let payload_start = usize::try_from(s.offset).expect("fits");
+        let end = payload_start + usize::try_from(s.bytes).expect("fits") + s.pad_bytes as usize;
+        let mut mutated = bytes.clone();
+        for _ in 0..rng.gen_range(1..=3) {
+            mutated[rng.gen_range(payload_start - FRAME_BYTES..end)] ^= 1 << rng.gen_range(0..8);
+        }
+        if i % 2 == 1 {
+            recompute_crc(&mut mutated, s);
+        }
+        let case = format!("input {i} (section `{}`)", s.name);
+        let mut outcomes = vec![no_panic(&case, || from_bytes(&mutated))];
+        if i % 16 == 0 {
+            std::fs::write(&path, &mutated).expect("temp file writes");
+            for mmap in [false, true] {
+                let loaded = no_panic(&case, || load(&path, mmap));
+                outcomes.push(loaded.map(|l| l.snapshot));
+            }
+        }
+        for outcome in outcomes {
+            match outcome {
+                Ok(snapshot) => {
+                    accepted += 1;
+                    answers(snapshot, &mut rng, &case);
+                }
+                Err(StoreError::Io { .. }) => panic!("{case}: I/O error on a readable file"),
+                Err(_) => rejected += 1,
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    // Both outcomes must occur, or the loop tested one side only.
+    assert!(accepted > 0 && rejected > accepted, "{accepted} accepted, {rejected} rejected");
 }
 
 // --- crafted records ------------------------------------------------------

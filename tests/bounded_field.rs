@@ -7,7 +7,8 @@
 //! APIs (subtyping, statics and constructors, so `void` sources and
 //! widening-only pairs occur), the same APIs with spliced mined examples,
 //! the corpus-mined Eclipse engine, and `synth` jungles at 10^3 types,
-//! then once more through the engine and its cache policy.
+//! then once more through the engine and its cache policy. Chain APIs
+//! pin where a complete field switches from byte slots to `u32` ones.
 //!
 //! Everything is drawn from seeded generators; failures reproduce by seed.
 
@@ -144,6 +145,33 @@ fn forward(graph: &JungloidGraph, source: TyId) -> Vec<u32> {
         }
     }
     dist
+}
+
+/// Reverse 0-1 BFS distances to `target`, dense-indexed, and the edges
+/// it relaxes (every in-edge of every node it pops).
+fn reverse(graph: &JungloidGraph, target: TyId) -> (Vec<u32>, u64) {
+    let csr = graph.csr();
+    let mut dist = vec![u32::MAX; csr.node_count()];
+    let mut queue = std::collections::VecDeque::new();
+    let t = graph.index_of(NodeId::Ty(target));
+    dist[t] = 0;
+    queue.push_back(t);
+    let mut relaxed = 0;
+    while let Some(v) = queue.pop_front() {
+        relaxed += csr.in_range(v).len() as u64;
+        for e in csr.in_range(v) {
+            let (u, cost) = (csr.in_from()[e] as usize, u32::from(csr.in_cost()[e]));
+            if dist[v] + cost < dist[u] {
+                dist[u] = dist[v] + cost;
+                if cost == 0 {
+                    queue.push_front(u);
+                } else {
+                    queue.push_back(u);
+                }
+            }
+        }
+    }
+    (dist, relaxed)
 }
 
 fn same_outcome(bounded: &SearchOutcome, complete: &SearchOutcome, ctx: &str) {
@@ -359,4 +387,133 @@ fn distance_cache_policy_on_a_synth_jungle() {
     let wider = ask(&mut engine, s3[0], t3, 2);
     assert_eq!((wider.dist_cache_misses, wider.bfs_relaxations), (1, full3));
     assert_eq!(ask(&mut engine, s3[1], t3, 0).dist_cache_hits, 1);
+}
+
+fn method(name: &str, declaring: TyId, ret: TyId) -> MethodDef {
+    MethodDef {
+        name: name.to_owned(),
+        declaring,
+        params: Vec::new(),
+        param_names: Vec::new(),
+        ret,
+        visibility: Visibility::Public,
+        is_static: false,
+        is_constructor: false,
+    }
+}
+
+/// Appends classes `chain.Link0..=Link{len}`, each with a `next()` that
+/// returns the following link, and a last `next()` into `exit` if given.
+/// No constructor or static method enters the chain, so `Link0` is the
+/// node farthest from `Link{len}`.
+fn append_chain(api: &mut Api, len: usize, exit: Option<TyId>) -> Vec<TyId> {
+    let links: Vec<TyId> =
+        (0..=len).map(|i| api.declare_class("chain", &format!("Link{i}")).unwrap()).collect();
+    for (i, &link) in links.iter().enumerate() {
+        if let Some(next) = links.get(i + 1).copied().or(exit) {
+            api.add_method(method("next", link, next)).unwrap();
+        }
+    }
+    links
+}
+
+/// A chain whose target `Link{len}` lies exactly `len` steps from
+/// `Link0`. With `pulled_back`, more classes sit one step past `Link0`:
+/// `A`, `B` and `C` call into it, and `Y<i>` extends the `i`-th of them,
+/// calls into the other two and has a subclass `Below<i>`. Whichever of
+/// `A`, `B` and `C` the reverse BFS settles last, the other two first
+/// reach its `Y` one step farther out, twice, before its widening pulls
+/// that `Y` back level with them.
+fn chain_api(len: usize, pulled_back: bool) -> (Api, Vec<TyId>) {
+    let mut api = Api::new();
+    api.types_mut().declare("java.lang", "Object", TypeKind::Class).unwrap();
+    let links = append_chain(&mut api, len, None);
+    if pulled_back {
+        let tied: Vec<TyId> =
+            ["A", "B", "C"].iter().map(|n| api.declare_class("tie", n).unwrap()).collect();
+        for (i, &t) in tied.iter().enumerate() {
+            api.add_method(method("step", t, links[0])).unwrap();
+            let y = api.declare_class("tie", &format!("Y{i}")).unwrap();
+            api.types_mut().set_superclass(y, t).unwrap();
+            let below = api.declare_class("tie", &format!("Below{i}")).unwrap();
+            api.types_mut().set_superclass(below, y).unwrap();
+            for (j, &other) in tied.iter().enumerate() {
+                if j != i {
+                    api.add_method(method(&format!("to{j}"), y, other)).unwrap();
+                }
+            }
+        }
+    }
+    (api, links)
+}
+
+/// A complete field stores bytes while its largest finite distance is
+/// at most 254, and `u32`s from 255 on. Either way it holds exactly the
+/// reverse BFS's distances, charges one reverse BFS's relaxations, and
+/// walks like the bounded field.
+#[test]
+fn complete_fields_are_bytes_up_to_254_steps_and_wide_from_255() {
+    for (len, pulled_back, farthest, wide) in [
+        (254, false, 254, false),
+        (253, true, 254, false),
+        (255, false, 255, true),
+        (300, false, 300, true),
+    ] {
+        let (api, links) = chain_api(len, pulled_back);
+        let graph = JungloidGraph::from_api(&api, GraphConfig::default());
+        let (head, tail) = (links[0], links[len]);
+        let ctx = format!("chain of {len}{}", if pulled_back { " pulled back" } else { "" });
+        let field = DistanceField::towards(&graph, tail);
+        let (dist, relaxed) = reverse(&graph, tail);
+        assert_eq!(dist.iter().filter(|&&d| d != u32::MAX).max(), Some(&farthest), "{ctx}");
+        let n = graph.node_count();
+        assert_eq!(field.heap_bytes(), if wide { 4 * n } else { n }, "{ctx}: {n} nodes");
+        for (v, &d) in dist.iter().enumerate() {
+            assert_eq!(field.from(&graph, graph.node_at(v)), d, "{ctx}: node {v}");
+        }
+        assert_eq!(field.relaxations(), relaxed, "{ctx}: relaxations");
+        let void = api.types().void();
+        let qs = [(head, tail), (links[1], tail), (void, tail), (head, links[len / 2])];
+        check_graph(&graph, &qs, &[0, 1, 2], &ctx);
+    }
+}
+
+/// Random APIs entered through a 260-step chain: a complete field
+/// towards anything the chain's end reaches is wide, and walks like the
+/// bounded field.
+#[test]
+fn wide_fields_walk_like_the_bounded_field_on_random_apis() {
+    for seed in 0..6u64 {
+        let mut api = random_api(seed, 10, 30);
+        let classes = reference_types(&api);
+        let object = api.types().object().unwrap();
+        let entry = *classes.iter().find(|&&t| t != object).unwrap();
+        let links = append_chain(&mut api, 260, Some(entry));
+        let graph = JungloidGraph::from_api(&api, GraphConfig::default());
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x1c4a);
+        let qs = pairs(&api, &mut rng, 12, &[(links[0], entry), (links[200], entry)]);
+        let wide = qs
+            .iter()
+            .filter(|&&(_, tout)| {
+                DistanceField::towards(&graph, tout).heap_bytes() == 4 * graph.node_count()
+            })
+            .count();
+        assert!(wide >= 2, "seed {seed}: only {wide} wide fields");
+        check_graph(&graph, &qs, &[0, 1, 2], &format!("random+chain seed {seed}"));
+    }
+}
+
+/// `assist` over a 300-step chain: the wide complete field serves it,
+/// the one path comes back, and the build charges one reverse BFS.
+#[test]
+fn assist_answers_over_a_wide_field() {
+    let (api, links) = chain_api(300, false);
+    let engine = Prospector::new(api);
+    let (head, tail) = (links[0], links[300]);
+    let result = engine.assist(&[("link", head)], tail).unwrap();
+    assert_eq!(result.shortest, Some(300));
+    assert_eq!(result.suggestions.len(), 1);
+    assert_eq!(result.suggestions[0].code, format!("link{}", ".next()".repeat(300)));
+    assert_eq!(result.stats.dist_cache_misses, 1);
+    assert_eq!(result.stats.bfs_relaxations, reverse(engine.graph(), tail).1);
 }
