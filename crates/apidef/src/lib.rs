@@ -44,14 +44,12 @@
 
 #![deny(unsafe_code)]
 
-pub mod builder;
 pub mod elem;
 mod error;
 mod loader;
 mod model;
 pub mod printer;
 
-pub use builder::ClassBuilder;
 pub use elem::{ElemJungloid, InputSlot};
 pub use error::ApiError;
 pub use loader::{ApiLoader, PRELUDE};

@@ -1,10 +1,12 @@
 //! Property: printing any buildable API to `.api` text and reloading it
-//! preserves every signature-level fact the synthesizer consumes.
+//! preserves every signature-level fact the synthesizer consumes. And
+//! the `.api` loader is an input boundary: mutated stub text loads or
+//! fails with a typed error, never a panic.
 //!
 //! Checked over a sweep of seeded random APIs (deterministic — failures
 //! reproduce by seed).
 
-use jungloid_apidef::{Api, ApiLoader, FieldDef, MethodDef, Visibility};
+use jungloid_apidef::{printer, Api, ApiLoader, FieldDef, MethodDef, Visibility};
 use jungloid_typesys::TyId;
 use prospector_obs::SmallRng;
 
@@ -143,4 +145,81 @@ fn print_reload_preserves_signatures() {
             }
         }
     }
+}
+
+/// Applies one mutation to `text`: a bit flip, a truncation, a token
+/// spliced in, or a span deleted or duplicated.
+fn mutate(rng: &mut SmallRng, text: &mut Vec<u8>) {
+    const TOKENS: [&str; 12] =
+        ["{", "}", "(", ")", ";", ",", ".", "[]", "extends", "implements", "static", " "];
+    let at = |rng: &mut SmallRng, text: &[u8]| rng.gen_range(0..=text.len());
+    match rng.gen_range(0..5) {
+        0 if !text.is_empty() => {
+            let i = rng.gen_range(0..text.len());
+            text[i] ^= 1 << rng.gen_range(0..8);
+        }
+        1 => {
+            let end = at(rng, text);
+            text.truncate(end);
+        }
+        2 => {
+            let token = TOKENS[rng.gen_range(0..TOKENS.len())];
+            let i = at(rng, text);
+            text.splice(i..i, token.bytes());
+        }
+        kind => {
+            let (a, b) = (at(rng, text), at(rng, text));
+            let span = a.min(b)..a.max(b);
+            if kind == 3 {
+                text.drain(span);
+            } else {
+                let copy = text[span].to_vec();
+                let i = at(rng, text);
+                text.splice(i..i, copy);
+            }
+        }
+    }
+}
+
+/// The `.api` loader boundary: seeded inputs, each a printed random API
+/// put through 0–2 mutations. Every input loads to an `Api` or a typed
+/// `ApiError`, never a panic, and every accepted `Api` answers `decls`,
+/// `methods_of` and `is_subtype` over all its pairs and prints again.
+#[test]
+fn mutated_stub_text_loads_or_fails_typed() {
+    let bases: Vec<String> = (0..64).map(|seed| printer::to_stub_text(&random_api(seed))).collect();
+    let mut rng = SmallRng::seed_from_u64(33);
+    let (mut accepted, mut rejected) = (0, 0);
+    for n in 0..20_000 {
+        let mut bytes = bases[rng.gen_range(0..bases.len())].clone().into_bytes();
+        for _ in 0..rng.gen_range(0..=2) {
+            mutate(&mut rng, &mut bytes);
+        }
+        let text = String::from_utf8_lossy(&bytes);
+        let checked = std::panic::catch_unwind(|| {
+            let mut loader = ApiLoader::new();
+            loader.add_source("mutated.api", &text)?;
+            let api = loader.finish()?;
+            let decls: Vec<TyId> = api.types().decls().map(|d| d.id).collect();
+            for &a in &decls {
+                for &m in api.methods_of(a) {
+                    let _ = api.method(m).name();
+                }
+                for &b in &decls {
+                    let _ = api.types().is_subtype(a, b);
+                }
+            }
+            let printed = printer::to_stub_text(&api);
+            let mut again = ApiLoader::new();
+            again.add_source("printed.api", &printed).expect("printed text parses");
+            let again = again.finish().expect("printed text resolves");
+            assert_eq!(again.types().len(), api.types().len(), "{printed}");
+            Ok::<_, jungloid_apidef::ApiError>(())
+        });
+        match checked.unwrap_or_else(|_| panic!("input {n} panicked:\n{text}")) {
+            Ok(()) => accepted += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(accepted > 1_000 && rejected > 1_000, "{accepted} accepted, {rejected} rejected");
 }

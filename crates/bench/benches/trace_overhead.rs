@@ -11,27 +11,24 @@
 //! drift lands on both; the reported overhead is the median of the
 //! per-round differences, with their quartiles and range as its spread.
 //!
-//! The `window_record` case extends the same contract to the rolling
-//! SLO windows ([`prospector_obs::window`]): recording one observation
-//! into a [`WindowRing`] must be O(ns) and **allocation-free** — the
-//! serve layer calls it on every request, so a counting global
-//! allocator asserts zero allocations across the hot loop. Results land
-//! in `BENCH_obs_window.json` at the repository root (override with
-//! `BENCH_OBS_WINDOW_OUT`).
-//!
 //! The `stage_span` case prices the one stage span with metrics on: a
 //! process-level span (the stage table) and a span on a recording query
 //! (also its lap event and `query.stage_ns` histogram). Next to it, the
 //! metric record path: a counter `add`, a `gauge_set` and a histogram
 //! `record` on catalog rows, each timed on one thread and with two
-//! threads recording the same cell at once. The process-level span and
-//! every record must make zero allocations.
+//! threads recording the same cell at once. The histogram record is the
+//! one every served latency takes (endpoint, queue wait, tenant). The
+//! process-level span and every record must make zero allocations; a
+//! counting global allocator checks each hot loop.
 //!
 //! The `access_log_record` case prices the access log the serve layer
 //! writes once per request: a `/query`-shaped record into an
 //! [`AccessLog`] with a file sink, after [`TAIL_CAP`] warm-up records so
 //! the tail no longer grows. Each record is one `write(2)` of a line
 //! rendered into a reused buffer, and must make zero allocations.
+//!
+//! Results land in `BENCH_obs_window.json` at the repository root
+//! (override with `BENCH_OBS_WINDOW_OUT`).
 //!
 //! Run with `cargo bench -p bench --bench trace_overhead`; set
 //! `PROSPECTOR_BENCH_QUICK=1` (or pass `--quick`) for a CI-sized smoke
@@ -48,12 +45,11 @@ use prospector_core::Prospector;
 use prospector_corpora::{build, problems, BuildOptions};
 use prospector_obs::log::{AccessLog, AccessRecord, TAIL_CAP};
 use prospector_obs::trace::Recorder;
-use prospector_obs::window::WindowRing;
 use prospector_obs::{Counter, Gauge, Hist, Json, Stage};
 
-/// Counts every heap allocation so the window-record loop can prove it
-/// makes none. Deallocation is uncounted — the contract is "no new
-/// memory on the record path".
+/// Counts every heap allocation so the record loops can prove they make
+/// none. Deallocation is uncounted — the contract is "no new memory on
+/// the record path".
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -133,31 +129,6 @@ fn quantile(xs: &mut [f64], q: f64) -> f64 {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss, clippy::cast_precision_loss)]
     let rank = ((xs.len() - 1) as f64 * q).round() as usize;
     xs[rank]
-}
-
-/// `(ns_per_record, allocations, ns_per_view)` over `iters` records
-/// into one ring. The slot for the current second is claimed before the
-/// timed loop, so the loop measures the steady-state path: one `Instant`
-/// read, one stamp load, one bucket fetch-add.
-fn measure_window(iters: u64) -> (f64, u64, f64) {
-    let ring = WindowRing::new();
-    ring.record(1); // claim the current slot outside the timed loop
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let started = Instant::now();
-    for i in 0..iters {
-        ring.record(black_box(i & 0xFFFF));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let per_record = started.elapsed().as_nanos() as f64 / iters as f64;
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    let views = (iters / 100).max(100);
-    let started = Instant::now();
-    for _ in 0..views {
-        black_box(ring.view(60));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let per_view = started.elapsed().as_nanos() as f64 / views as f64;
-    (per_record, allocs, per_view)
 }
 
 /// What the `stage_span` case measured.
@@ -331,17 +302,6 @@ fn main() {
         delta / off * 100.0
     );
 
-    println!("\n=== rolling-window recording ===\n");
-    let iters: u64 = if quick { 200_000 } else { 5_000_000 };
-    let (per_record, allocs, per_view) = measure_window(iters);
-    println!("window record: {per_record:>10.1} ns/record  ({iters} records, {allocs} allocations)");
-    println!("window view:   {per_view:>10.1} ns/view (1m over 330 slots)");
-    assert_eq!(allocs, 0, "the window record path must not allocate");
-    assert!(
-        per_record < 10_000.0,
-        "window recording must stay O(ns): {per_record} ns/record"
-    );
-
     println!("\n=== stage span (metrics on) ===\n");
     let span_iters: u64 = if quick { 200_000 } else { 2_000_000 };
     let cost = measure_stage_span(span_iters);
@@ -395,24 +355,12 @@ fn main() {
     let doc = Json::obj(vec![
         ("stage_span", Json::Obj(stage_span)),
         (
-            "window_record",
-            Json::obj(vec![
-                ("iters", Json::num_u(iters)),
-                ("ns_per_record", Json::Num((per_record * 10.0).round() / 10.0)),
-                ("allocations", Json::num_u(allocs)),
-            ]),
-        ),
-        (
             "access_log_record",
             Json::obj(vec![
                 ("iters", Json::num_u(log_iters)),
                 ("ns_per_record", round1(log_ns)),
                 ("allocations", Json::num_u(log_allocs)),
             ]),
-        ),
-        (
-            "window_view_1m",
-            Json::obj(vec![("ns_per_view", Json::Num((per_view * 10.0).round() / 10.0))]),
         ),
         (
             "trace_overhead",

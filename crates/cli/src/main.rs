@@ -545,7 +545,7 @@ fn run_command(flags: &Flags) -> Result<(), String> {
             println!("  GET /healthz     liveness");
             println!("  GET /readyz      readiness + warm-start provenance (JSON)");
             println!("  GET /metrics     Prometheus text exposition (per-tenant labeled series)");
-            println!("  GET /status      SLO introspection: windowed latency, rates, pool, RSS, tenants (JSON)");
+            println!("  GET /status      SLO introspection: latency since boot, counts, pool, RSS, tenants (JSON)");
             println!("  GET /query?tin=..&tout=..[&tenant=]  ranked jungloids + trace_id");
             println!("  GET /assist?var=n:T&tout=..[&tenant=]  content-assist fan-out (JSON)");
             println!("  GET /slow        retained slow-query timelines (JSON; ?clear=1 resets)");

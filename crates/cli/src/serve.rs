@@ -31,7 +31,7 @@
 //! | `GET /healthz`            | `ok` (liveness)                             |
 //! | `GET /readyz`             | readiness JSON (warm-start provenance)      |
 //! | `GET /metrics`            | Prometheus text exposition of the registry  |
-//! | `GET /status`             | SLO introspection JSON (windowed latency, rates, pool, RSS, tenants) |
+//! | `GET /status`             | SLO introspection JSON (latency quantiles since boot, counts, pool, RSS, tenants) |
 //! | `GET /query?tin=..&tout=..` | ranked-jungloid JSON + the query's `trace_id` |
 //! | `GET /assist?var=n:T&tout=..` | assist fan-out JSON: suggestions from every visible variable + its `trace_id` |
 //! | `GET /slow`               | the retained slow-query timelines as JSON (`?clear=1` resets) |
@@ -51,11 +51,15 @@
 //!
 //! Every finished request is accounted three ways, whatever the
 //! endpoint: a `serve.http.requests{endpoint,code}` counter, a
-//! per-endpoint latency observation (cumulative histogram *and* the
-//! rolling 1m/5m window rings of [`prospector_obs::window`]), and one
-//! strict-JSON access-log line ([`prospector_obs::log`]) carrying the
-//! same `trace_id` the flight recorder assigned — so `/metrics`,
-//! `/status`, `/logs`, and `/trace.json` tell one joinable story.
+//! per-endpoint latency observation, and one strict-JSON access-log
+//! line ([`prospector_obs::log`]) carrying the same `trace_id` the
+//! flight recorder assigned — so `/metrics`, `/status`, `/logs`, and
+//! `/trace.json` tell one joinable story. Each latency the server
+//! records (the endpoint's handle time, the queue wait, the tenant's
+//! handle time) is one cumulative log2 histogram: `/metrics` exposes
+//! its buckets, from which a scraper takes any window with `rate()`,
+//! `/status` reads its quantiles since boot, and `GET /logs` holds the
+//! newest requests one by one.
 //!
 //! The server enables the metric registry, the flight recorder, and the
 //! access log at bind time (it exists to expose them). Every catalog row
@@ -63,7 +67,7 @@
 //! taken before the first query already shows every series at zero.
 //! `/metrics` and `/status` read the live server when scraped: the pool
 //! and poller gauges from the server's own counters, the tenant series
-//! and rings from the registry, and the process gauges from
+//! and cache entries from the registry, and the process gauges from
 //! `/proc/self/status`.
 
 // Off Linux/x86_64 the poller is compiled out, so nothing calls the
@@ -77,13 +81,12 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use prospector_core::{Prospector, Suggestion, TruncationReason};
-use prospector_obs::hist::Histogram;
+use prospector_obs::hist::{HistSnapshot, Histogram};
 use prospector_obs::json::JsonWriter;
 use prospector_obs::log::{self as alog, AccessRecord};
 use prospector_obs::prom::Exposition;
 use prospector_obs::trace::{self, TraceId};
-use prospector_obs::window::{CounterRing, WindowRing, WindowStats, STANDARD_WINDOWS};
-use prospector_obs::{Counter, Gauge, Hist, Json, Labeled, Window};
+use prospector_obs::{Counter, Gauge, Hist, Json, Labeled};
 use prospector_registry::{Registry, Tenant, TenantInfo, TenantState, DEFAULT_TENANT};
 
 use crate::http::{FrameError, Request};
@@ -163,11 +166,7 @@ struct EndpointStats {
     /// rides on every response's `truncation` label).
     truncations: [AtomicU64; TruncationReason::ALL.len()],
     /// Handle time since boot (`serve.http.latency_ns.<endpoint>`).
-    latency_hist: Histogram,
-    /// Handle time over the rolling windows.
-    latency: WindowRing,
-    /// Non-2xx answers over the rolling windows, for `/status`.
-    errors: CounterRing,
+    latency: Histogram,
 }
 
 impl EndpointStats {
@@ -186,26 +185,18 @@ impl EndpointStats {
     }
 }
 
-/// Serve's request table: one row per [`ENDPOINTS`] entry plus the
-/// queue-wait ring. [`record_request`] writes it; `/metrics` and
-/// `/status` read it. It is the label support the metric registry does
-/// not have, kept here because serve owns [`ENDPOINTS`].
-struct RequestTable {
-    endpoints: [EndpointStats; ENDPOINTS.len()],
-    queue_wait: WindowRing,
-}
-
-fn requests() -> &'static RequestTable {
-    static TABLE: OnceLock<RequestTable> = OnceLock::new();
-    TABLE.get_or_init(|| RequestTable {
-        endpoints: std::array::from_fn(|_| EndpointStats {
+/// Serve's request table: one row per [`ENDPOINTS`] entry.
+/// [`record_request`] writes it; `/metrics` and `/status` read it. It is
+/// the label support the metric registry does not have, kept here
+/// because serve owns [`ENDPOINTS`].
+fn requests() -> &'static [EndpointStats; ENDPOINTS.len()] {
+    static TABLE: OnceLock<[EndpointStats; ENDPOINTS.len()]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|_| EndpointStats {
             codes: std::array::from_fn(|_| AtomicU64::new(0)),
             truncations: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_hist: Histogram::new(),
-            latency: WindowRing::new(),
-            errors: CounterRing::new(),
-        }),
-        queue_wait: WindowRing::new(),
+            latency: Histogram::new(),
+        })
     })
 }
 
@@ -344,7 +335,7 @@ pub(crate) struct Response {
     truncation: Option<TruncationReason>,
     /// The tenant the request resolved to; `None` for endpoints that
     /// touch no engine. Feeds the access log and the tenant's latency
-    /// ring.
+    /// histogram.
     tenant: Option<Arc<Tenant>>,
 }
 
@@ -368,8 +359,8 @@ impl Response {
     }
 
     /// Attributes the response to `tenant` — the only place `tenant` is
-    /// set, so the access log and the per-tenant latency rings only ever
-    /// see a registered (and therefore validated) name.
+    /// set, so the access log and the per-tenant latency histograms only
+    /// ever see a registered (and therefore validated) name.
     fn for_tenant(mut self, tenant: &Arc<Tenant>) -> Response {
         self.tenant = Some(Arc::clone(tenant));
         self
@@ -620,8 +611,7 @@ fn query_params_all<'q>(query: &'q str, name: &str) -> Vec<Cow<'q, str>> {
 }
 
 /// Records one answered request: the endpoint/code counter, the
-/// endpoint's latency (window ring + cumulative histogram), the windowed
-/// error counter for non-2xx codes, the queue wait, and exactly one
+/// endpoint's and the tenant's latency, the queue wait, and exactly one
 /// access-log record. Handle time runs from parsed request to serialized
 /// response, so keep-alive idle gaps are never counted as latency.
 /// Queue wait runs from the serve thread's pickup of the connection to
@@ -633,20 +623,14 @@ pub(crate) fn record_request(
     queue_wait_ns: u64,
     handle_ns: u64,
 ) {
-    let table = requests();
-    let row = &table.endpoints[endpoint];
+    let row = &requests()[endpoint];
     let ci = CODES.iter().position(|&c| c == response.code).unwrap_or(CODES.len() - 1);
     row.codes[ci].fetch_add(1, Ordering::Relaxed);
     if let Some(reason) = response.truncation {
         row.truncations[reason as usize].fetch_add(1, Ordering::Relaxed);
     }
-    table.queue_wait.record(queue_wait_ns);
     prospector_obs::metrics::histogram(Hist::ServeQueueWaitNs, 0).record(queue_wait_ns);
     row.latency.record(handle_ns);
-    row.latency_hist.record(handle_ns);
-    if response.code >= 400 {
-        row.errors.add(1);
-    }
     if let Some(tenant) = &response.tenant {
         tenant.latency().record(handle_ns);
     }
@@ -664,22 +648,31 @@ pub(crate) fn record_request(
     });
 }
 
+/// The served registry's tenants, in name order.
+fn served_tenants(registry: &Registry) -> Vec<Arc<Tenant>> {
+    registry.names().iter().filter_map(|name| registry.get(name)).collect()
+}
+
+/// Live `(distance, result)` cache entries, summed over every tenant of
+/// the served registry: `/metrics` and `/status` both read them here.
+fn cache_entries(tenants: &[Arc<Tenant>]) -> (u64, u64) {
+    tenants.iter().fold((0, 0), |(dist, result), tenant| {
+        let status = tenant.engine().status();
+        (dist + status.dist_cache_entries, result + status.result_cache_entries)
+    })
+}
+
 /// `GET /metrics`: the registry snapshot, the request table (labeled
-/// request counters, endpoint latency cells and window rings), and the
-/// per-tenant series and rings (the lifecycle state as a one-hot gauge).
-/// Every endpoint × code cell is emitted, zeros included, so dashboards
-/// see each series before its first event. The pool, poller, process,
-/// registry and cache-entry gauges are read here, from this server.
+/// request counters and endpoint latency histograms), and the per-tenant
+/// series and latency histograms (the lifecycle state as a one-hot
+/// gauge). Every endpoint × code cell is emitted, zeros included, so
+/// dashboards see each series before its first event. The pool, poller,
+/// process, registry and cache-entry gauges are read here, from this
+/// server.
 fn render_metrics(ctx: &Ctx<'_>) -> String {
     let registry = ctx.registry;
-    let tenants: Vec<Arc<Tenant>> =
-        registry.names().iter().filter_map(|name| registry.get(name)).collect();
-    let (mut dist, mut result) = (0, 0);
-    for tenant in &tenants {
-        let status = tenant.engine().status();
-        dist += status.dist_cache_entries;
-        result += status.result_cache_entries;
-    }
+    let tenants = served_tenants(registry);
+    let (dist, result) = cache_entries(&tenants);
     let (rss, threads) = read_proc_self_status().unwrap_or_default();
     let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
     // Into this scrape's copy, not the registry: these values belong to
@@ -698,18 +691,15 @@ fn render_metrics(ctx: &Ctx<'_>) -> String {
     ] {
         snap.gauges[gauge.cell(0)] = v;
     }
-    let table = requests();
     let mut e = Exposition::default();
     e.snapshot(&snap);
-    for (row, endpoint) in table.endpoints.iter().zip(ENDPOINTS) {
+    for (row, endpoint) in requests().iter().zip(ENDPOINTS) {
         for (cell, code) in row.codes.iter().zip(CODES) {
             let labels = [("endpoint", endpoint), ("code", &code.to_string())];
             e.value(Labeled::ServeHttpRequests.row(), None, &labels, cell.load(Ordering::Relaxed));
         }
-        e.histogram(Labeled::ServeHttpLatencyNs.row(), Some(endpoint), &row.latency_hist.snapshot());
-        e.window(Window::HttpLatency.row(), Some(endpoint), &row.latency);
+        e.histogram(Labeled::ServeHttpLatencyNs.row(), Some(endpoint), &[], &row.latency.snapshot());
     }
-    e.window(Window::QueueWait.row(), None, &table.queue_wait);
     for tenant in &tenants {
         let t = tenant.info();
         let name = [("tenant", t.name.as_str())];
@@ -718,11 +708,11 @@ fn render_metrics(ctx: &Ctx<'_>) -> String {
         e.value(Labeled::EngineQueries.row(), None, &name, t.queries);
         e.value(Counter::RegistryReloads.row(), None, &name, t.reloads);
         e.value(Counter::RegistryReloadFailures.row(), None, &name, t.reload_failures);
-        for state in ["loading", "ready", "draining", "failed"] {
+        for state in ["loading", "ready", "failed"] {
             let labels = [("tenant", t.name.as_str()), ("state", state)];
             e.value(Labeled::TenantState.row(), None, &labels, u64::from(t.state.label() == state));
         }
-        e.window(Window::TenantLatency.row(), Some(tenant.name()), tenant.latency());
+        e.histogram(Labeled::TenantLatencyNs.row(), None, &name, &tenant.latency().snapshot());
     }
     e.finish()
 }
@@ -772,63 +762,43 @@ fn hit_ratio(hits: u64, misses: u64) -> f64 {
     }
 }
 
-/// One window's stats as the `/status` JSON shape.
-fn window_stats_json(v: WindowStats, errors_in_window: u64) -> Json {
-    let error_rate =
-        if v.count == 0 { 0.0 } else { errors_in_window as f64 / v.count as f64 };
+/// A latency histogram as its `/status` block: the observations since
+/// boot and their bucket-resolution p50, p90 and p99.
+fn latency_json(h: &HistSnapshot) -> Json {
     Json::obj(vec![
-        ("count", Json::num_u(v.count)),
-        ("rate", Json::Num(if v.rate.is_finite() { v.rate } else { 0.0 })),
-        ("error_rate", Json::Num(error_rate)),
-        ("p50_ns", Json::num_u(v.p50)),
-        ("p90_ns", Json::num_u(v.p90)),
-        ("p99_ns", Json::num_u(v.p99)),
+        ("count", Json::num_u(h.count)),
+        ("p50_ns", Json::num_u(h.quantile(0.5))),
+        ("p90_ns", Json::num_u(h.quantile(0.9))),
+        ("p99_ns", Json::num_u(h.quantile(0.99))),
     ])
 }
 
 /// `GET /status`: the SLO dashboard in one strict-JSON document —
-/// uptime, provenance, per-endpoint windowed latency/rate/error-rate,
-/// pool and process gauges, and engine cache hit ratios.
+/// uptime, provenance, per-endpoint request and error counts and
+/// latency since boot, pool and process gauges, and engine cache hit
+/// ratios. Rates follow from the counts and `uptime_s`.
 fn status_json(ctx: &Ctx<'_>) -> Json {
     let snap = prospector_obs::snapshot();
-    let default_engine = ctx.registry.get(DEFAULT_TENANT).map(|t| t.engine());
-    let engine_status = default_engine.as_ref().map(|e| e.status()).unwrap_or_default();
+    let (dist_entries, result_entries) = cache_entries(&served_tenants(ctx.registry));
     let (source, mode, epoch) = default_provenance(ctx.registry);
     let (rss, threads) = read_proc_self_status().unwrap_or_default();
-    let table = requests();
 
     let mut endpoints: Vec<(String, Json)> = Vec::new();
-    for (row, name) in table.endpoints.iter().zip(ENDPOINTS) {
+    for (row, name) in requests().iter().zip(ENDPOINTS) {
         let (requests, errors) = row.totals();
-        let mut fields = vec![
-            ("requests_total".to_owned(), Json::num_u(requests)),
-            ("errors_total".to_owned(), Json::num_u(errors)),
-            (
-                "truncation".to_owned(),
-                Json::Obj(
-                    TruncationReason::ALL
-                        .iter()
-                        .zip(&row.truncations)
-                        .map(|(reason, v)| {
-                            (reason.label().to_owned(), Json::num_u(v.load(Ordering::Relaxed)))
-                        })
-                        .collect(),
-                ),
-            ),
-        ];
-        for (label, secs) in STANDARD_WINDOWS {
-            let errs = row.errors.sum(secs);
-            fields.push((label.to_owned(), window_stats_json(row.latency.view(secs), errs)));
-        }
-        endpoints.push((name.to_owned(), Json::Obj(fields)));
+        let truncation = TruncationReason::ALL
+            .iter()
+            .zip(&row.truncations)
+            .map(|(reason, v)| (reason.label().to_owned(), Json::num_u(v.load(Ordering::Relaxed))))
+            .collect();
+        let fields = Json::obj(vec![
+            ("requests_total", Json::num_u(requests)),
+            ("errors_total", Json::num_u(errors)),
+            ("truncation", Json::Obj(truncation)),
+            ("latency", latency_json(&row.latency.snapshot())),
+        ]);
+        endpoints.push((name.to_owned(), fields));
     }
-
-    let queue_wait: Vec<(String, Json)> = STANDARD_WINDOWS
-        .iter()
-        .map(|&(label, secs)| {
-            (label.to_owned(), window_stats_json(table.queue_wait.view(secs), 0))
-        })
-        .collect();
 
     let result_hits = snap.counter(Counter::EngineResultCacheHits);
     let result_misses = snap.counter(Counter::EngineResultCacheMisses);
@@ -887,7 +857,7 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
                         ("hits", Json::num_u(result_hits)),
                         ("misses", Json::num_u(result_misses)),
                         ("hit_ratio", Json::Num(hit_ratio(result_hits, result_misses))),
-                        ("entries", Json::num_u(engine_status.result_cache_entries)),
+                        ("entries", Json::num_u(result_entries)),
                     ]),
                 ),
                 (
@@ -896,12 +866,12 @@ fn status_json(ctx: &Ctx<'_>) -> Json {
                         ("hits", Json::num_u(dist_hits)),
                         ("misses", Json::num_u(dist_misses)),
                         ("hit_ratio", Json::Num(hit_ratio(dist_hits, dist_misses))),
-                        ("entries", Json::num_u(engine_status.dist_cache_entries)),
+                        ("entries", Json::num_u(dist_entries)),
                     ]),
                 ),
             ]),
         ),
-        ("queue_wait", Json::Obj(queue_wait)),
+        ("queue_wait", latency_json(snap.histogram(Hist::ServeQueueWaitNs, 0))),
         ("endpoints", Json::Obj(endpoints)),
     ])
 }

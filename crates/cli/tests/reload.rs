@@ -312,10 +312,9 @@ fn tenants_admin_endpoints_and_labeled_metrics() {
     let _ = std::fs::remove_file(&snapshot);
 }
 
-/// `/metrics` reads the cache-entry gauges at scrape time, summed over
-/// every tenant: three entries in each of the default tenant's caches
-/// plus one in each of `beta`'s show as 4 and 4, while `/status` keeps
-/// reporting the default tenant's 3 and 3.
+/// `/metrics` and `/status` read the cache entries at scrape time,
+/// summed over every tenant: three entries in each of the default
+/// tenant's caches plus one in each of `beta`'s show as 4 and 4 in both.
 #[test]
 fn cache_entry_gauges_sum_every_tenant() {
     let snapshot = save_snapshot("caches");
@@ -348,7 +347,7 @@ fn cache_entry_gauges_sum_every_tenant() {
         let cache = status.get("cache").unwrap();
         for kind in ["dist", "result"] {
             let entries = cache.get(kind).unwrap().get("entries").unwrap().as_u64();
-            assert_eq!(entries, Some(3), "/status reports the default tenant's {kind} cache");
+            assert_eq!(entries, Some(4), "/status sums every tenant's {kind} cache");
         }
         let (_, metrics) = http_get(addr, "/metrics");
         for series in [

@@ -1,9 +1,8 @@
 //! `/metrics` reads the live server when it is scraped: the registry
-//! gauges and tenant rings come from the registry being served, so a
-//! removed tenant's series leave with it and another registry in the
-//! process writes nothing into the scrape, and the poller gauges are
-//! current, not a sample taken up to a second ago. Serving is
-//! Linux/x86_64-only, so these tests are too.
+//! gauges and tenant series come from the registry being served, so
+//! another registry in the process writes nothing into the scrape, and
+//! the poller gauges are current, not a sample taken up to a second
+//! ago. Serving is Linux/x86_64-only, so these tests are too.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::io::{Read, Write};
@@ -108,35 +107,32 @@ fn sample(metrics: &str, name: &str) -> u64 {
         .expect("integer sample")
 }
 
-/// The scrape's tenant series are the served registry's: a removed
-/// tenant's ring leaves with it, a second registry in the process moves
-/// no gauge, and a name registered again starts with an empty ring.
+/// The scrape's tenant series are the served registry's: each tenant's
+/// latency histogram carries its name in a `tenant` label, and a second
+/// registry in the process moves no gauge and files no series.
 #[test]
 fn the_scrape_reads_the_served_registry() {
     let a = Registry::with_default(tiny_engine(), Provenance::built());
-    a.insert("gone", tiny_engine(), Provenance::built()).expect("gone registers");
+    a.insert("alt", tiny_engine(), Provenance::built()).expect("alt registers");
     serve(&a, 1, |addr| {
-        let ring = "prospector_serve_tenant_latency_ns_gone_window";
+        let count = "prospector_serve_tenant_latency_ns_count{tenant=\"alt\"}";
         let (status, body) =
-            get_on(&mut connect(addr), "/query?tenant=gone&tin=InputStream&tout=BufferedReader");
+            get_on(&mut connect(addr), "/query?tenant=alt&tin=InputStream&tout=BufferedReader");
         assert!(status.contains("200"), "{status}: {body}");
         let metrics = scrape(addr);
         assert_eq!(sample(&metrics, "prospector_registry_tenants"), 2);
-        assert_eq!(sample(&metrics, &format!("{ring}_count{{win=\"1m\"}}")), 1);
+        assert_eq!(sample(&metrics, count), 1);
+        assert_eq!(sample(&metrics, "prospector_serve_tenant_latency_ns_count{tenant=\"default\"}"), 0);
 
-        a.remove("gone").expect("gone is removable");
         let b = Registry::new();
         for name in ["b1", "b2", "b3"] {
             b.insert(name, tiny_engine(), Provenance::built()).expect("b tenant registers");
         }
         let metrics = scrape(addr);
-        assert_eq!(sample(&metrics, "prospector_registry_tenants"), 1, "A serves one tenant");
-        let left: Vec<&str> = metrics.lines().filter(|l| l.contains(ring)).collect();
-        assert!(left.is_empty(), "the removed tenant's ring is still scraped: {left:?}");
-
-        a.insert("gone", tiny_engine(), Provenance::built()).expect("gone registers again");
-        let metrics = scrape(addr);
-        assert_eq!(sample(&metrics, &format!("{ring}_count{{win=\"1m\"}}")), 0, "a fresh ring");
+        assert_eq!(sample(&metrics, "prospector_registry_tenants"), 2, "A serves two tenants");
+        assert_eq!(sample(&metrics, count), 1);
+        let foreign: Vec<&str> = metrics.lines().filter(|l| l.contains("tenant=\"b")).collect();
+        assert!(foreign.is_empty(), "another registry's tenants are scraped: {foreign:?}");
     });
 }
 

@@ -49,13 +49,15 @@ fn is_metric_char(c: char, first: bool) -> bool {
 /// `name{labels} value` with a well-formed metric name and numeric value.
 /// Each family has exactly one `# HELP` and one `# TYPE`, both before its
 /// first sample, and its samples form one group. Every HELP text is a
-/// catalog row's help, never a generic fallback.
+/// catalog row's help, never a generic fallback. No `name{labels}`
+/// series appears twice.
 fn validate_prometheus(body: &str) {
     use std::collections::{BTreeMap, BTreeSet};
     let catalog_helps: BTreeSet<&str> = prospector_obs::catalog::rows().map(|r| r.help).collect();
     let mut helped = BTreeSet::new();
     let mut types: BTreeMap<&str, &str> = BTreeMap::new();
     let mut finished: BTreeSet<&str> = BTreeSet::new();
+    let mut seen: BTreeSet<&str> = BTreeSet::new();
     let mut current = "";
     for line in body.lines() {
         if line.is_empty() {
@@ -67,7 +69,6 @@ fn validate_prometheus(body: &str) {
             for generic in ["Registry counter", "Registry gauge", "Log2-bucket histogram from the metric registry"] {
                 assert!(!help.contains(generic), "generic help for `{name}`: {help}");
             }
-            assert!(!(help.starts_with("Rolling-window") && help.contains(" of `")), "generic help: {line}");
             assert!(catalog_helps.contains(help), "`{name}`'s help is no catalog row's: {help}");
             continue;
         }
@@ -78,6 +79,7 @@ fn validate_prometheus(body: &str) {
         }
         assert!(!line.starts_with('#'), "comment line is neither HELP nor TYPE: {line}");
         let (series, value) = line.rsplit_once(' ').unwrap_or_else(|| panic!("no value: {line}"));
+        assert!(seen.insert(series), "series `{series}` appears twice");
         let name = series.split('{').next().unwrap();
         assert!(!name.is_empty(), "empty metric name: {line}");
         for (i, c) in name.chars().enumerate() {
@@ -110,8 +112,9 @@ fn validate_prometheus(body: &str) {
     }
 }
 
-/// For every `_bucket` family: counts are cumulative (nondecreasing in
-/// file order), the last bucket is `le="+Inf"`, and it equals `_count`.
+/// For every histogram, keyed by its family plus its labels other than
+/// `le`: bucket counts are cumulative (nondecreasing in file order), the
+/// last bucket is `le="+Inf"`, and it equals `_count`.
 fn validate_histogram_buckets(body: &str) {
     use std::collections::BTreeMap;
     let mut buckets: BTreeMap<String, Vec<(String, u64)>> = BTreeMap::new();
@@ -121,16 +124,27 @@ fn validate_histogram_buckets(body: &str) {
             continue;
         }
         let (series, value) = line.rsplit_once(' ').unwrap();
-        if let Some(prefix) = series.split('{').next().unwrap().strip_suffix("_bucket") {
-            let le = series
-                .split("le=\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or_else(|| panic!("bucket without le label: {line}"))
-                .to_owned();
-            buckets.entry(prefix.to_owned()).or_default().push((le, value.parse().unwrap()));
-        } else if let Some(prefix) = series.strip_suffix("_count") {
-            counts.insert(prefix.to_owned(), value.parse().unwrap());
+        let (name, labels) = series.split_once('{').map_or((series, ""), |(n, l)| (n, l.trim_end_matches('}')));
+        let mut le = None;
+        let others: Vec<&str> = labels
+            .split(',')
+            .filter(|pair| !pair.is_empty())
+            .filter(|pair| match pair.strip_prefix("le=") {
+                Some(bound) => {
+                    le = Some(bound.trim_matches('"').to_owned());
+                    false
+                }
+                None => true,
+            })
+            .collect();
+        let key = |family: &str| {
+            if others.is_empty() { family.to_owned() } else { format!("{family}{{{}}}", others.join(",")) }
+        };
+        if let Some(family) = name.strip_suffix("_bucket") {
+            let le = le.unwrap_or_else(|| panic!("bucket without le label: {line}"));
+            buckets.entry(key(family)).or_default().push((le, value.parse().unwrap()));
+        } else if let Some(family) = name.strip_suffix("_count") {
+            counts.insert(key(family), value.parse().unwrap());
         }
     }
     assert!(!buckets.is_empty(), "no histogram families rendered");
@@ -380,8 +394,8 @@ fn prom_value(body: &str, series: &str) -> Option<f64> {
 }
 
 /// The SLO observability surface end to end: generated `/query` load
-/// moves the rolling windows, `/status` reports it as strict JSON,
-/// `/metrics` grows labeled request counters and window gauges, every
+/// moves the latency histograms, `/status` reports it as strict JSON,
+/// `/metrics` grows labeled request counters and histograms, every
 /// request leaves exactly one access-log line whose `trace_id` joins
 /// against `/trace.json`, `/readyz` reports provenance, `/slow?clear=1`
 /// resets the slow log, 404s land on `endpoint="other"`, and 405s carry
@@ -450,9 +464,9 @@ fn serve_status_logs_and_introspection() {
         );
         assert!(ready.get("graph_epoch").unwrap().as_u64().is_some());
 
-        // /status: the windows saw the load — nonzero 1m count and p99
-        // for the query endpoint, queue waits recorded, pool and cache
-        // sections populated.
+        // /status: the latency histograms saw the load — a count and a
+        // nonzero p99 for the query endpoint, queue waits recorded, pool
+        // and cache sections populated.
         let (status, body) = http_get(addr, "/status");
         assert!(status.contains("200"), "{status}");
         let doc = Json::parse(&body).expect("status is strict JSON");
@@ -460,26 +474,22 @@ fn serve_status_logs_and_introspection() {
         assert!(doc.get("uptime_s").unwrap().as_f64().unwrap() >= 0.0);
         let query_ep = doc.get("endpoints").unwrap().get("query").expect("query endpoint");
         assert!(query_ep.get("requests_total").unwrap().as_u64().unwrap() >= 64);
-        let one_min = query_ep.get("1m").expect("1m window");
+        let latency = query_ep.get("latency").expect("query latency since boot");
+        let keys: Vec<&str> = latency.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["count", "p50_ns", "p90_ns", "p99_ns"], "{body}");
         assert!(
-            one_min.get("count").unwrap().as_u64().unwrap() >= 60,
-            "the generated load lands in the 1m window: {body}"
+            latency.get("count").unwrap().as_u64().unwrap() >= 64,
+            "the generated load is counted: {body}"
         );
-        assert!(
-            one_min.get("p99_ns").unwrap().as_u64().unwrap() > 0,
-            "p99 must be nonzero after 60+ queries"
-        );
-        assert!(one_min.get("rate").unwrap().as_f64().unwrap() > 0.0);
-        // The error rings are process-global and another test in this
-        // binary deliberately 400s a /query, so only bound the rate.
-        let error_rate = one_min.get("error_rate").unwrap().as_f64().unwrap();
-        assert!((0.0..=1.0).contains(&error_rate), "error rate in [0,1]: {error_rate}");
+        let quantile = |q: &str| latency.get(q).unwrap().as_u64().unwrap();
+        assert!(quantile("p99_ns") > 0, "p99 must be nonzero after 60+ queries");
+        assert!(quantile("p50_ns") <= quantile("p90_ns") && quantile("p90_ns") <= quantile("p99_ns"));
         let other_ep = doc.get("endpoints").unwrap().get("other").expect("other endpoint");
         assert!(other_ep.get("errors_total").unwrap().as_u64().unwrap() >= 1, "the 404 counted");
-        let queue_1m = doc.get("queue_wait").unwrap().get("1m").expect("queue_wait window");
+        let queue_wait = doc.get("queue_wait").expect("queue wait since boot");
         assert!(
-            queue_1m.get("count").unwrap().as_u64().unwrap() >= 60,
-            "every popped connection records its queue wait: {body}"
+            queue_wait.get("count").unwrap().as_u64().unwrap() >= 60,
+            "every answered request records its queue wait: {body}"
         );
         let pool = doc.get("pool").unwrap();
         assert!(pool.get("workers").unwrap().as_u64().unwrap() >= 1);
@@ -490,7 +500,7 @@ fn serve_status_logs_and_introspection() {
         assert!(doc.get("process").unwrap().get("rss_bytes").unwrap().as_u64().is_some());
 
         // /metrics: still strictly valid with the labeled request block
-        // and window gauges present; the query row saw our load.
+        // and the latency histograms present; the query row saw our load.
         let (status, body) = http_get(addr, "/metrics");
         assert!(status.contains("200"), "{status}");
         validate_prometheus(&body);
@@ -507,16 +517,15 @@ fn serve_status_logs_and_introspection() {
         )
         .expect("labeled other counter rendered");
         assert!(other_404 >= 1.0, "unknown paths count under other: {other_404}");
-        let p99 = prom_value(
-            &body,
-            "prospector_serve_http_latency_ns_query_window{win=\"1m\",q=\"p99\"}",
-        )
-        .expect("window gauge rendered");
-        assert!(p99 > 0.0, "windowed p99 moved under load");
-        assert!(
-            body.contains("prospector_serve_queue_wait_ns_window{win=\"1m\",q=\"p50\"}"),
-            "queue-wait window gauges rendered"
-        );
+        for (series, least) in [
+            ("prospector_serve_http_latency_ns_query_count", 64.0),
+            ("prospector_serve_queue_wait_ns_count", 64.0),
+            ("prospector_serve_tenant_latency_ns_count{tenant=\"default\"}", 64.0),
+        ] {
+            let count = prom_value(&body, series).unwrap_or_else(|| panic!("{series} rendered"));
+            assert!(count >= least, "{series} saw the load: {count}");
+        }
+        assert!(!body.contains("_window"), "no rolling-window series is left");
 
         // /logs: exactly one strict-JSON record per request; the followed
         // query's record carries its flight-recorder trace_id, which
@@ -653,6 +662,95 @@ fn serve_status_truncation_and_log_tail() {
         assert_eq!(outcome, Ok(()));
         if let Err(panic) = verdict {
             std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// A four-class engine: cheap enough to build one per tenant.
+fn tiny_engine() -> prospector_core::Prospector {
+    let mut loader = jungloid_apidef::ApiLoader::with_prelude();
+    loader
+        .add_source(
+            "io.api",
+            r"
+            package java.io;
+            public class InputStream {}
+            public class Reader {}
+            public class InputStreamReader extends Reader {
+                InputStreamReader(InputStream in);
+            }
+            public class BufferedReader extends Reader {
+                BufferedReader(Reader in);
+            }
+            ",
+        )
+        .expect("stub parses");
+    prospector_core::Prospector::new(loader.finish().expect("api finishes"))
+}
+
+/// Serves `registry` while `body` runs against its address, then shuts
+/// the server down and joins it.
+fn serve(registry: &Registry, body: impl FnOnce(std::net::SocketAddr)) {
+    let server = Server::bind("127.0.0.1:0").expect("bind port 0");
+    let addr = server.local_addr().expect("bound address");
+    let shutdown = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.run(registry, &opts(), &shutdown));
+        // A failed assertion must still flip the shutdown flag, or the
+        // scope would join the serving thread forever.
+        let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(addr)));
+        shutdown.store(true, Ordering::Relaxed);
+        assert_eq!(serving.join().expect("serve thread joins"), Ok(()));
+        if let Err(panic) = verdict {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
+/// Tenants whose names differ only in a `.` or `_` keep their own
+/// latency series: the tenant is a label value, not part of the family
+/// name, so `beta.1` and `beta_1` cannot share one.
+#[test]
+fn tenants_that_mangle_alike_keep_their_own_latency_series() {
+    let registry = Registry::with_default(tiny_engine(), Provenance::built());
+    for name in ["beta.1", "beta_1"] {
+        registry.insert(name, tiny_engine(), Provenance::built()).expect("tenant registers");
+    }
+    serve(&registry, |addr| {
+        for tenant in ["beta.1", "beta_1", "beta_1"] {
+            let path = format!("/query?tenant={tenant}&tin=InputStream&tout=BufferedReader");
+            let (status, body) = http_get(addr, &path);
+            assert!(status.contains("200"), "{tenant}: {status}: {body}");
+        }
+        let (status, body) = http_get(addr, "/metrics");
+        assert!(status.contains("200"), "{status}");
+        validate_prometheus(&body);
+        validate_histogram_buckets(&body);
+        for (tenant, served) in [("default", 0.0), ("beta.1", 1.0), ("beta_1", 2.0)] {
+            let series = format!("prospector_serve_tenant_latency_ns_count{{tenant=\"{tenant}\"}}");
+            assert_eq!(prom_value(&body, &series), Some(served), "{series} in:\n{body}");
+        }
+    });
+}
+
+/// `/status` counts cache entries over every served tenant, as
+/// `/metrics` does: a query to a non-default tenant shows in both.
+#[test]
+fn status_cache_entries_sum_over_every_tenant() {
+    let registry = Registry::with_default(tiny_engine(), Provenance::built());
+    registry.insert("beta", tiny_engine(), Provenance::built()).expect("beta registers");
+    serve(&registry, |addr| {
+        let (status, body) = http_get(addr, "/query?tenant=beta&tin=InputStream&tout=BufferedReader");
+        assert!(status.contains("200"), "{status}: {body}");
+        let (_, body) = http_get(addr, "/status");
+        let doc = Json::parse(&body).expect("status is strict JSON");
+        let (_, metrics) = http_get(addr, "/metrics");
+        for cache in ["result", "dist"] {
+            let entries = doc.get("cache").unwrap().get(cache).unwrap().get("entries").unwrap();
+            let entries = entries.as_u64().unwrap();
+            assert!(entries >= 1, "beta's {cache} cache entry is counted: {body}");
+            let gauge = prom_value(&metrics, &format!("prospector_engine_{cache}_cache_entries"));
+            assert_eq!(gauge, Some(entries as f64), "/status and /metrics agree on {cache} entries");
         }
     });
 }

@@ -11,7 +11,7 @@
 //! labels a row's samples carry. [`Counter`], [`Gauge`] and [`Hist`] rows
 //! have registry cells ([`crate::metrics`]); [`Labeled`] rows' cells live
 //! with their owner (the stage table, the serve layer, the tenant
-//! registry), and [`Window`] rows name rings of [`crate::window`].
+//! registry).
 
 use crate::span::Stage;
 
@@ -24,8 +24,6 @@ pub enum Kind {
     Gauge,
     /// A log2-bucket histogram ([`crate::hist`]).
     Histogram,
-    /// A rolling-window ring: gauges `_window{win,q}`, `_window_rate`, `_window_count`.
-    Window,
 }
 
 impl Kind {
@@ -36,7 +34,6 @@ impl Kind {
             Kind::Counter => "counter",
             Kind::Gauge => "gauge",
             Kind::Histogram => "histogram",
-            Kind::Window => "window",
         }
     }
 }
@@ -252,15 +249,7 @@ catalog! {
         EngineBytes Gauge "engine.bytes{tenant}" "Approximate resident bytes of the tenant's engine.";
         EngineQueries Counter "engine.queries{tenant}" "Queries routed to the tenant.";
         TenantState Gauge "tenant.state{tenant,state}" "Tenant lifecycle state (1 for the current state's series).";
-    }
-
-    /// Rolling-window rings ([`crate::window::WindowRing`]), each owned by
-    /// the code that records into it, which files it into the scrape
-    /// ([`crate::prom::Exposition::window`]).
-    Window {
-        HttpLatency Window "serve.http.latency_ns.<endpoint>" "Handle time per endpoint over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
-        QueueWait Window "serve.queue.wait_ns" "Pickup-to-answer wait over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
-        TenantLatency Window "serve.tenant.latency_ns.<tenant>" "Handle time of the tenant's requests over the rolling 1m and 5m windows: p50/p90/p99 in ns, rate per second, count.";
+        TenantLatencyNs Histogram "serve.tenant.latency_ns{tenant}" "Handle time of one request the tenant served, in nanoseconds.";
     }
 }
 
@@ -278,7 +267,6 @@ mod tests {
         assert!(kinds(Counter::ROWS, &[Kind::Counter]));
         assert!(kinds(Gauge::ROWS, &[Kind::Gauge]));
         assert!(kinds(Hist::ROWS, &[Kind::Histogram]));
-        assert!(kinds(Window::ROWS, &[Kind::Window]));
     }
 
     #[test]
@@ -292,6 +280,8 @@ mod tests {
         assert_eq!(requests.series(None), "serve.http.requests");
         assert_eq!(requests.prom_name(None), "prospector_serve_http_requests_total");
         assert_eq!(Labeled::StageCount.row().prom_name(None), "prospector_stage_count");
+        let tenant = Labeled::TenantLatencyNs.row();
+        assert_eq!(tenant.prom_name(None), "prospector_serve_tenant_latency_ns");
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every bucket.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-    }
 }
 
 impl HistSnapshot {
@@ -105,20 +96,6 @@ impl HistSnapshot {
                 self.sum as f64 / self.count as f64
             }
         }
-    }
-
-    /// Folds another snapshot into this one, bucket by bucket. The
-    /// rolling-window views ([`crate::window`]) are built this way: each
-    /// live slot's delta histogram merges into one aggregate.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (mine, &theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
     }
 
     /// Upper bound of the bucket containing the `q`-quantile (`q` in
@@ -187,41 +164,5 @@ mod tests {
             }
         });
         assert_eq!(h.snapshot().count, 80_000);
-    }
-
-    #[test]
-    fn merge_folds_buckets_count_and_sum() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [0, 1, 100] {
-            a.record(v);
-        }
-        for v in [2, 3, 1000] {
-            b.record(v);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count, 6);
-        assert_eq!(merged.sum, 1106);
-        let reference = Histogram::new();
-        for v in [0, 1, 100, 2, 3, 1000] {
-            reference.record(v);
-        }
-        assert_eq!(merged, reference.snapshot());
-        // Merging into an empty snapshot with shorter buckets resizes.
-        let mut empty = HistSnapshot { buckets: Vec::new(), count: 0, sum: 0 };
-        empty.merge(&merged);
-        assert_eq!(empty, merged);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let h = Histogram::new();
-        h.record(5);
-        h.reset();
-        let s = h.snapshot();
-        assert_eq!(s.count, 0);
-        assert_eq!(s.sum, 0);
-        assert!(s.buckets.iter().all(|&b| b == 0));
     }
 }

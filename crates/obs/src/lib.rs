@@ -12,7 +12,9 @@
 //!   atomic cells per catalog row. Hot loops keep local tallies and flush
 //!   once per call; recording is a single relaxed atomic add.
 //! * [`hist`] — fixed-size log2-bucket histograms (no allocation after
-//!   registration, no locks on the record path).
+//!   registration, no locks on the record path). Every latency the
+//!   server records is one of these, cumulative since boot; a scraper
+//!   takes windows over its `_bucket` series with `rate()`.
 //! * [`span`] — the closed [`Stage`] catalog and its one RAII span. A
 //!   span reads the clock once at each end and feeds the stage table
 //!   and, on a recording query, that query's timeline, each only when
@@ -29,10 +31,6 @@
 //! * [`prom`] — Prometheus text exposition: each family's HELP and TYPE
 //!   lines once, from its catalog row, then its samples (histograms as
 //!   cumulative `_bucket{le=...}` series); backs `serve`'s `/metrics`.
-//! * [`window`] — rolling-window histograms: lock-light rings of
-//!   per-second delta histograms aggregated into 1m/5m views
-//!   (p50/p90/p99 + rate), so the serve layer can answer "what was p99
-//!   in the last minute", not just "since boot".
 //! * [`log`] — the structured access log: one strict-JSON line per
 //!   served request (trace id, endpoint, code, queue wait, handle time)
 //!   to stderr or a file, plus a bounded in-memory tail for `GET /logs`.
@@ -68,9 +66,8 @@ pub mod report;
 pub mod rng;
 pub mod span;
 pub mod trace;
-pub mod window;
 
-pub use catalog::{Counter, Gauge, Hist, Labeled, Window};
+pub use catalog::{Counter, Gauge, Hist, Labeled};
 pub use json::Json;
 pub use metrics::{add, gauge_set, set_enabled, snapshot, Snapshot};
 pub use rng::SmallRng;

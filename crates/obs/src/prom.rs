@@ -12,14 +12,16 @@
 //! bounds are the buckets' inclusive upper limits (`0`, `1`, `3`, `7`,
 //! ... — [`crate::hist::Histogram::bucket_limit`]), always terminated by
 //! `le="+Inf"` equal to `_count`, exactly as the Prometheus histogram
-//! contract requires.
+//! contract requires. A labeled histogram (one per tenant) writes its
+//! labels before `le` and on `_sum` and `_count`. The histograms are
+//! cumulative since boot: latency over a window is the scraper's
+//! `rate()` over the `_bucket` series.
 
 use std::fmt::Write as _;
 
 use crate::catalog::{self, Counter, Gauge, Hist, Kind, Labeled, Row};
 use crate::hist::{HistSnapshot, Histogram};
 use crate::metrics::Snapshot;
-use crate::window::{WindowRing, STANDARD_WINDOWS};
 
 /// Mangles a series name into a Prometheus metric name: `prospector_`
 /// prefix, every non-alphanumeric byte to `_`.
@@ -47,13 +49,18 @@ pub fn escape_label(value: &str) -> String {
     out
 }
 
+/// `k="v",..` with escaped values: the inside of a label set.
+fn label_pairs(labels: &[(&str, &str)]) -> String {
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
+    pairs.join(",")
+}
+
 /// `{k="v",..}` with escaped values; empty for no labels.
 fn label_set(labels: &[(&str, &str)]) -> String {
     if labels.is_empty() {
         return String::new();
     }
-    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label(v))).collect();
-    format!("{{{}}}", pairs.join(","))
+    format!("{{{}}}", label_pairs(labels))
 }
 
 /// One scrape being assembled. Samples are filed under their catalog
@@ -86,11 +93,14 @@ impl Exposition {
         let _ = writeln!(text, "{name}{} {value}", label_set(labels));
     }
 
-    /// Files a histogram of `row`'s series for `label`: its cumulative
-    /// buckets up to the last non-empty one, `+Inf`, `_sum`, `_count`.
-    pub fn histogram(&mut self, row: &Row, label: Option<&str>, h: &HistSnapshot) {
+    /// Files a histogram of `row`'s series for `label`, carrying
+    /// `labels`: its cumulative buckets up to the last non-empty one,
+    /// `+Inf`, `_sum`, `_count`. The labels come before `le`.
+    pub fn histogram(&mut self, row: &Row, label: Option<&str>, labels: &[(&str, &str)], h: &HistSnapshot) {
         let name = row.prom_name(label);
         let text = self.family(&name, "histogram", row.help);
+        let pairs = label_pairs(labels);
+        let sep = if pairs.is_empty() { "" } else { "," };
         let mut cumulative = 0u64;
         let last_nonempty = h.buckets.iter().rposition(|&b| b > 0).unwrap_or(0);
         for (i, &b) in h.buckets.iter().enumerate().take(last_nonempty + 1) {
@@ -100,32 +110,12 @@ impl Exposition {
                 // The overflow bucket is the +Inf line below.
                 break;
             }
-            let _ = writeln!(text, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+            let _ = writeln!(text, "{name}_bucket{{{pairs}{sep}le=\"{le}\"}} {cumulative}");
         }
-        let _ = writeln!(text, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-        let _ = writeln!(text, "{name}_sum {}", h.sum);
-        let _ = writeln!(text, "{name}_count {}", h.count);
-    }
-
-    /// Files `ring`, the ring of `row`'s series for `label`, as gauges
-    /// over each of [`STANDARD_WINDOWS`]: `<name>_window{win,q}`
-    /// quantiles (in the units recorded), `<name>_window_rate{win}`
-    /// (events per second, 0 for an empty window, never NaN) and
-    /// `<name>_window_count{win}`.
-    pub fn window(&mut self, row: &Row, label: Option<&str>, ring: &WindowRing) {
-        let base = format!("{}_window", metric_name(&row.series(label)));
-        for (win, secs) in STANDARD_WINDOWS {
-            let stats = ring.view(secs);
-            let text = self.family(&base, "gauge", row.help);
-            for (q, v) in [("p50", stats.p50), ("p90", stats.p90), ("p99", stats.p99)] {
-                let _ = writeln!(text, "{base}{{win=\"{win}\",q=\"{q}\"}} {v}");
-            }
-            let rate = if stats.rate.is_finite() { stats.rate } else { 0.0 };
-            let text = self.family(&format!("{base}_rate"), "gauge", row.help);
-            let _ = writeln!(text, "{base}_rate{{win=\"{win}\"}} {rate}");
-            let text = self.family(&format!("{base}_count"), "gauge", row.help);
-            let _ = writeln!(text, "{base}_count{{win=\"{win}\"}} {}", stats.count);
-        }
+        let _ = writeln!(text, "{name}_bucket{{{pairs}{sep}le=\"+Inf\"}} {}", h.count);
+        let set = label_set(labels);
+        let _ = writeln!(text, "{name}_sum{set} {}", h.sum);
+        let _ = writeln!(text, "{name}_count{set} {}", h.count);
     }
 
     /// Files every series of a registry snapshot: each counter and gauge
@@ -145,7 +135,7 @@ impl Exposition {
             self.value(Labeled::StageMaxNs.row(), None, &stage, stat.max_ns);
         }
         for ((row, label), h) in catalog::cells(Hist::ROWS).zip(&snap.hists) {
-            self.histogram(row, label, h);
+            self.histogram(row, label, &[], h);
         }
     }
 
@@ -159,7 +149,6 @@ impl Exposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::Window;
     use crate::metrics::{Registry, StageStat};
     use crate::span::Stage;
 
@@ -254,23 +243,25 @@ mod tests {
     }
 
     #[test]
-    fn empty_window_gauges_are_finite_f64() {
+    fn labeled_histograms_write_their_labels_before_le() {
+        let h = Histogram::new();
+        h.record(5);
+        let row = Labeled::TenantLatencyNs.row();
         let mut e = Exposition::default();
-        e.window(Window::HttpLatency.row(), Some("query"), &WindowRing::new());
+        e.histogram(row, None, &[("tenant", "beta.1")], &h.snapshot());
+        e.histogram(row, None, &[("tenant", "beta_1")], &Histogram::new().snapshot());
         let text = e.finish();
-        assert!(
-            text.contains("prospector_serve_http_latency_ns_query_window{win=\"1m\",q=\"p99\"} 0"),
-            "{text}"
-        );
-        assert!(text.contains("_window_rate{win=\"1m\"} 0"), "{text}");
-        assert_eq!(text.matches("# TYPE ").count(), 3, "{text}");
-        assert!(text.contains(&format!("# HELP prospector_serve_http_latency_ns_query_window_count {}", Window::HttpLatency.row().help)));
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let value = line.rsplit(' ').next().unwrap();
-            let parsed: f64 = value.parse().unwrap_or_else(|_| panic!("bad value: {line}"));
-            assert!(parsed.is_finite(), "non-finite window gauge: {line}");
-        }
-        assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
+        assert_eq!(text.matches("# TYPE prospector_serve_tenant_latency_ns histogram").count(), 1, "{text}");
+        assert!(text.contains("prospector_serve_tenant_latency_ns_bucket{tenant=\"beta.1\",le=\"7\"} 1"), "{text}");
+        assert!(text.contains("prospector_serve_tenant_latency_ns_bucket{tenant=\"beta.1\",le=\"+Inf\"} 1"), "{text}");
+        assert!(text.contains("prospector_serve_tenant_latency_ns_sum{tenant=\"beta.1\"} 5"), "{text}");
+        assert!(text.contains("prospector_serve_tenant_latency_ns_count{tenant=\"beta.1\"} 1"), "{text}");
+        assert!(text.contains("prospector_serve_tenant_latency_ns_count{tenant=\"beta_1\"} 0"), "{text}");
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        let mut series: Vec<&str> = samples.iter().map(|l| l.rsplit_once(' ').unwrap().0).collect();
+        series.sort_unstable();
+        series.dedup();
+        assert_eq!(series.len(), samples.len(), "two tenants share a series: {text}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use prospector_core::Prospector;
-use prospector_obs::window::WindowRing;
+use prospector_obs::hist::Histogram;
 use prospector_obs::Counter;
 
 /// The tenant every single-tenant URL and CLI flag routes to when no
@@ -50,8 +50,8 @@ use prospector_obs::Counter;
 pub const DEFAULT_TENANT: &str = "default";
 
 /// Longest accepted tenant name. Names become metric label values and
-/// series names, so they are also restricted to
-/// `[A-Za-z0-9_.-]` (see [`validate_name`]).
+/// URL parameters, so they are also restricted to `[A-Za-z0-9_.-]` (see
+/// [`validate_name`]).
 pub const MAX_NAME_LEN: usize = 64;
 
 /// Where a tenant's engine came from and how it is held in memory.
@@ -89,9 +89,6 @@ pub enum TenantState {
     /// The slot holds the engine the tenant's source most recently
     /// loaded successfully.
     Ready,
-    /// The tenant was removed from routing and is finishing in-flight
-    /// queries; its engine drops when the last reader does.
-    Draining,
     /// The last reload failed; the slot still holds (and serves) the
     /// previous engine. The error names what went wrong.
     Failed {
@@ -107,7 +104,6 @@ impl TenantState {
         match self {
             TenantState::Loading => "loading",
             TenantState::Ready => "ready",
-            TenantState::Draining => "draining",
             TenantState::Failed { .. } => "failed",
         }
     }
@@ -168,9 +164,9 @@ pub struct Tenant {
     queries: AtomicU64,
     /// Failed reload attempts (the old engine kept serving each time).
     reload_failures: AtomicU64,
-    /// Its `serve.tenant.latency_ns.<tenant>` ring: it lives and dies
-    /// with the tenant, so a name registered again starts empty.
-    latency: WindowRing,
+    /// Handle time of the requests it served since it was registered
+    /// (`serve.tenant.latency_ns{tenant}`).
+    latency: Histogram,
 }
 
 impl Tenant {
@@ -181,13 +177,13 @@ impl Tenant {
             reload_gate: Mutex::new(()),
             queries: AtomicU64::new(0),
             reload_failures: AtomicU64::new(0),
-            latency: WindowRing::new(),
+            latency: Histogram::new(),
         }
     }
 
-    /// The tenant's rolling latency window.
+    /// The handle time of the requests this tenant served.
     #[must_use]
-    pub fn latency(&self) -> &WindowRing {
+    pub fn latency(&self) -> &Histogram {
         &self.latency
     }
 
@@ -325,9 +321,6 @@ pub enum RegistryError {
         /// The displayable load error.
         error: String,
     },
-    /// The default tenant cannot be removed — it anchors every
-    /// single-tenant URL.
-    DefaultNotRemovable,
 }
 
 impl std::fmt::Display for RegistryError {
@@ -347,18 +340,15 @@ impl std::fmt::Display for RegistryError {
             RegistryError::LoadFailed { name, error } => {
                 write!(f, "tenant `{name}`: load failed: {error}")
             }
-            RegistryError::DefaultNotRemovable => {
-                write!(f, "the default tenant cannot be removed")
-            }
         }
     }
 }
 
 impl std::error::Error for RegistryError {}
 
-/// Rejects names that would corrupt metric labels, series names,
-/// or URLs: empty, longer than [`MAX_NAME_LEN`], or containing anything
-/// outside `[A-Za-z0-9_.-]`.
+/// Rejects names that would corrupt metric labels or URLs: empty,
+/// longer than [`MAX_NAME_LEN`], or containing anything outside
+/// `[A-Za-z0-9_.-]`.
 ///
 /// # Errors
 ///
@@ -521,36 +511,6 @@ impl Registry {
                 Err(RegistryError::LoadFailed { name: name.to_owned(), error })
             }
         }
-    }
-
-    /// Removes a tenant from routing. The tenant is marked
-    /// [`TenantState::Draining`] and dropped from the map; its engine
-    /// is freed when the last in-flight query (or manifest holder)
-    /// releases its `Arc`.
-    ///
-    /// # Errors
-    ///
-    /// [`RegistryError::UnknownTenant`] or
-    /// [`RegistryError::DefaultNotRemovable`].
-    ///
-    /// # Panics
-    ///
-    /// Panics only if a registry lock is poisoned.
-    pub fn remove(&self, name: &str) -> Result<TenantInfo, RegistryError> {
-        if name == DEFAULT_TENANT {
-            return Err(RegistryError::DefaultNotRemovable);
-        }
-        let tenant = {
-            let mut map = self.tenants.write().expect("tenant map poisoned");
-            map.remove(name).ok_or_else(|| RegistryError::UnknownTenant {
-                name: name.to_owned(),
-            })?
-        };
-        {
-            let mut slot = tenant.slot.write().expect("tenant slot poisoned");
-            slot.state = TenantState::Draining;
-        }
-        Ok(tenant.info())
     }
 
     /// The tenant registered under `name`, if any.
@@ -830,28 +790,6 @@ mod tests {
         assert_eq!(info.state, TenantState::Ready);
         assert_eq!(info.reloads, 1);
         assert!(!Arc::ptr_eq(&old, &tenant.engine()), "the slot swapped");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn remove_drains_and_default_is_protected() {
-        let engine = tiny_engine();
-        let path = save_snapshot(&engine, "prospector_registry_remove.pspk");
-        let registry = Registry::with_default(tiny_engine(), Provenance::built());
-        registry.add_from_path("gone", &path, false).expect("tenant loads");
-        assert_eq!(registry.len(), 2);
-
-        let held = registry.get("gone").expect("registered").engine();
-        let weak = Arc::downgrade(&held);
-        let info = registry.remove("gone").expect("removable");
-        assert_eq!(info.state, TenantState::Draining);
-        assert_eq!(registry.len(), 1);
-        assert!(registry.get("gone").is_none(), "removed from routing");
-        assert!(weak.upgrade().is_some(), "in-flight reader still holds the engine");
-        drop(held);
-        assert!(weak.upgrade().is_none(), "freed once the last reader drops");
-
-        assert_eq!(registry.remove(DEFAULT_TENANT).err(), Some(RegistryError::DefaultNotRemovable));
         let _ = std::fs::remove_file(&path);
     }
 

@@ -58,23 +58,25 @@ mod tests {
     use prospector_core::GraphConfig;
 
     fn tiny_engine() -> (Api, JungloidGraph) {
-        let mut api = ApiLoader::with_prelude().finish().expect("prelude");
-        api.class("java.io", "Reader").expect("declare");
-        api.class("java.io", "InputStream").expect("declare");
-        api.class("java.io", "InputStreamReader")
-            .expect("declare")
-            .extends("Reader")
-            .expect("extends")
-            .ctor(&["InputStream"])
-            .expect("ctor");
-        api.class("java.io", "BufferedReader")
-            .expect("declare")
-            .extends("Reader")
-            .expect("extends")
-            .ctor(&["Reader"])
-            .expect("ctor")
-            .method("readLine", &[], "String")
-            .expect("method");
+        let mut loader = ApiLoader::with_prelude();
+        loader
+            .add_source(
+                "io.api",
+                r"
+                package java.io;
+                public class Reader {}
+                public class InputStream {}
+                public class InputStreamReader extends Reader {
+                    InputStreamReader(InputStream in);
+                }
+                public class BufferedReader extends Reader {
+                    BufferedReader(Reader in);
+                    String readLine();
+                }
+                ",
+            )
+            .expect("stub parses");
+        let api = loader.finish().expect("api finishes");
         let graph = JungloidGraph::from_api(&api, GraphConfig::default());
         (api, graph)
     }
