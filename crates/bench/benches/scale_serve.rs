@@ -11,7 +11,10 @@
 //! 2. **Load** — per connection count, a herd of keep-alive clients
 //!    replays a mixed workload (planted queries, no-path bulk pairs,
 //!    `/healthz`) and the harness reports qps and p50/p99 latency; every
-//!    answer must be a `200`.
+//!    answer must be a `200`. Each herd runs [`ROUNDS`] times, the herds
+//!    taking turns, and a cell reports the median of its rounds with the
+//!    quartiles beside it: one pass of a cell moves by 20–40% between
+//!    runs of one build.
 //!
 //! Besides the human-readable report, the run writes a machine-readable
 //! baseline to `BENCH_scale.json` at the repository root (override the
@@ -35,6 +38,9 @@ use prospector_core::Prospector;
 use prospector_corpora::synth::{grow_synth, PlantedPath, SynthSpec};
 use prospector_obs::Json;
 use prospector_registry::{Provenance, Registry};
+
+/// Load passes per herd and graph size; a cell is their median.
+const ROUNDS: usize = 5;
 
 fn quick_mode() -> bool {
     std::env::var_os("PROSPECTOR_BENCH_QUICK").is_some()
@@ -114,10 +120,17 @@ fn precision_pass(addr: SocketAddr, planted: &[PlantedPath]) -> f64 {
 }
 
 struct LoadCell {
-    conns: usize,
     qps: f64,
     p50_us: f64,
     p99_us: f64,
+}
+
+/// First quartile, median and third quartile of `xs` (nearest rank, so
+/// five rounds give their 2nd, 3rd and 4th values).
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    let at = |k: usize| xs[(xs.len() - 1) * k / 4];
+    [at(1), at(2), at(3)]
 }
 
 /// Replays the mixed workload from `conns` keep-alive clients and
@@ -171,7 +184,32 @@ fn load_pass(
     let per_conn_s = summed_ns as f64 / 1e9 / conns as f64;
     let qps = total as f64 / per_conn_s.max(1e-9);
     let pct = |q: f64| all[((total - 1) as f64 * q) as usize] as f64 / 1_000.0;
-    LoadCell { conns, qps, p50_us: pct(0.50), p99_us: pct(0.99) }
+    LoadCell { qps, p50_us: pct(0.50), p99_us: pct(0.99) }
+}
+
+/// One herd's cell: the median of its rounds, printed with the
+/// quartiles, which the JSON carries beside it.
+fn cell_json(conns: usize, requests_per_conn: usize, rounds: &[LoadCell]) -> Json {
+    let stat = |f: fn(&LoadCell) -> f64| quartiles(rounds.iter().map(f).collect());
+    let [qps, p50, p99] = [stat(|c| c.qps), stat(|c| c.p50_us), stat(|c| c.p99_us)];
+    println!(
+        "  {conns:>3} conns: {:>9.0} qps ({:.0}-{:.0})  p50 {:>6.0}us ({:.0}-{:.0})  \
+         p99 {:>6.0}us ({:.0}-{:.0})",
+        qps[1], qps[0], qps[2], p50[1], p50[0], p50[2], p99[1], p99[0], p99[2]
+    );
+    let spread = |q: [f64; 3]| Json::Arr(vec![Json::Num(q[0]), Json::Num(q[2])]);
+    Json::obj(vec![
+        ("conns", Json::num_u(conns as u64)),
+        ("requests_per_conn", Json::num_u(requests_per_conn as u64)),
+        ("rounds", Json::num_u(rounds.len() as u64)),
+        ("qps", Json::Num(qps[1])),
+        ("p50_us", Json::Num(p50[1])),
+        ("p99_us", Json::Num(p99[1])),
+        (
+            "quartiles",
+            Json::obj(vec![("qps", spread(qps)), ("p50_us", spread(p50)), ("p99_us", spread(p99))]),
+        ),
+    ])
 }
 
 fn main() {
@@ -226,17 +264,12 @@ fn main() {
             let serving = scope.spawn(|| server.run(&registry, &opts, &shutdown));
             let precision = precision_pass(addr, &report.planted);
             println!("  precision@1 on {} planted paths: {precision:.3}", report.planted.len());
-            let loads: Vec<LoadCell> = herds
-                .iter()
-                .map(|&conns| {
-                    let cell = load_pass(addr, &report.planted, types, conns, requests_per_conn);
-                    println!(
-                        "  {conns:>3} conns: {:>9.0} qps  p50 {:>8.0}us  p99 {:>8.0}us",
-                        cell.qps, cell.p50_us, cell.p99_us
-                    );
-                    cell
-                })
-                .collect();
+            let mut loads: Vec<Vec<LoadCell>> = herds.iter().map(|_| Vec::new()).collect();
+            for _ in 0..ROUNDS {
+                for (&conns, rounds) in herds.iter().zip(&mut loads) {
+                    rounds.push(load_pass(addr, &report.planted, types, conns, requests_per_conn));
+                }
+            }
             shutdown.store(true, Ordering::SeqCst);
             serving.join().expect("serve thread").expect("serve loop exits cleanly");
             (precision, loads)
@@ -256,17 +289,10 @@ fn main() {
             (
                 "load",
                 Json::Arr(
-                    loads
+                    herds
                         .iter()
-                        .map(|c| {
-                            Json::obj(vec![
-                                ("conns", Json::num_u(c.conns as u64)),
-                                ("requests_per_conn", Json::num_u(requests_per_conn as u64)),
-                                ("qps", Json::Num(c.qps)),
-                                ("p50_us", Json::Num(c.p50_us)),
-                                ("p99_us", Json::Num(c.p99_us)),
-                            ])
-                        })
+                        .zip(&loads)
+                        .map(|(&conns, rounds)| cell_json(conns, requests_per_conn, rounds))
                         .collect(),
                 ),
             ),

@@ -44,6 +44,7 @@ pub fn encode_quad(elem: ElemJungloid) -> [u32; 4] {
 /// tag, bad input kind, or nonzero bits in an unused field) — the loader
 /// validates every quad once up front so access-path decoding
 /// ([`ElemSeq::get`]) can treat `None` as unreachable.
+#[inline]
 #[must_use]
 pub fn decode_quad(quad: [u32; 4]) -> Option<ElemJungloid> {
     let [tag, a, b, c] = quad;
@@ -75,6 +76,13 @@ pub fn decode_quad(quad: [u32; 4]) -> Option<ElemJungloid> {
     }
 }
 
+/// The CSR step cost of a quad's element: 0 for a widening, 1 for
+/// anything else. It reads only the tag, so it answers for any bits;
+/// for a well-formed quad it is the cost of [`decode_quad`]'s element.
+pub(crate) fn quad_cost(quad: [u32; 4]) -> u8 {
+    u8::from(quad[0] != TAG_WIDEN)
+}
+
 /// The CSR's per-edge jungloid elements: one packed `[tag, a, b, c]`
 /// quad per element, owned when built and borrowed from the snapshot
 /// buffer when loaded. [`ElemSeq::get`] decodes by value (`ElemJungloid`
@@ -84,7 +92,9 @@ pub struct ElemSeq(Slab<[u32; 4]>);
 
 impl ElemSeq {
     /// Wraps quads that are valid: encoded by [`encode_quad`], or checked
-    /// with [`decode_quad`] by the loader.
+    /// with [`decode_quad`] by the loader before anything reads them (the
+    /// loader assembles its CSR while that check runs, and drops the CSR
+    /// if a quad fails).
     #[must_use]
     pub fn packed(quads: Slab<[u32; 4]>) -> ElemSeq {
         ElemSeq(quads)
@@ -158,6 +168,7 @@ mod tests {
         ];
         for e in elems {
             assert_eq!(decode_quad(encode_quad(e)), Some(e));
+            assert_eq!(quad_cost(encode_quad(e)), u8::from(!e.is_widen()));
         }
     }
 

@@ -23,7 +23,7 @@ use jungloid_typesys::{Plain, Slab, TyId};
 use prospector_obs::json::Json;
 use prospector_obs::{Counter, Gauge, Stage};
 
-use crate::elems::{encode_quad, ElemSeq};
+use crate::elems::{encode_quad, quad_cost, ElemSeq};
 
 /// Process-global epoch source. Every graph *state* — a freshly built
 /// graph, a loaded snapshot, or the state after any mutation — gets a
@@ -296,9 +296,9 @@ impl CsrAdjacency {
     ///
     /// The arrays may borrow directly from a snapshot buffer (the
     /// zero-copy load) or be owned, and the same validation runs either
-    /// way. Elementary jungloids are consulted through the [`ElemSeq`]
-    /// accessor, so the quads are decoded once here and then again
-    /// lazily on the hot path.
+    /// way. The quads themselves are not checked here (the loader checks
+    /// each one against the API): a cost is compared with its quad's
+    /// tag, so this check never decodes a quad and runs on any bits.
     ///
     /// # Errors
     ///
@@ -357,8 +357,8 @@ impl CsrAdjacency {
         if let Some(&bad) = fwd_to.iter().chain(rev_from.iter()).find(|&&n| n >= bound) {
             return fail(format!("edge endpoint {bad} out of range ({node_count} nodes)"));
         }
-        for (i, elem) in fwd_elem.iter().enumerate() {
-            if fwd_cost[i] != step_cost(elem) {
+        for (i, &quad) in fwd_elem.quads().iter().enumerate() {
+            if fwd_cost[i] != quad_cost(quad) {
                 return fail(format!("forward edge {i} cost disagrees with its jungloid kind"));
             }
         }

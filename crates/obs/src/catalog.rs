@@ -221,7 +221,7 @@ catalog! {
         RegistryEngineBytes Gauge "registry.engine_bytes" "Approximate resident bytes of every tenant's engine.";
         StoreSaveBytes Gauge "store.save_bytes" "Bytes of the last snapshot written.";
         StoreLoadBytes Gauge "store.load_bytes" "Bytes of the last snapshot loaded.";
-        StoreMapMs Gauge "store.map_ms" "Milliseconds the last load spent validating the snapshot framing.";
+        StoreMapMs Gauge "store.map_ms" "Milliseconds the last load spent on the snapshot's framing and section checksums: the sum of two laps, since the checksums run on a helper thread beside the decode.";
         StoreSectionBytes Gauge "store.section.<section>.bytes" [&["strings", "types", "members", "graph", "csr", "examples", "suffixes"]] "Payload bytes of one section of the last snapshot written or loaded.";
         ServeWorkersBusy Gauge "serve.workers.busy" "Serve threads holding a connection: reading, answering or writing it.";
         ServeConnsActive Gauge "serve.conns.active" "Accepted connections not yet closed, parked or being answered.";

@@ -23,7 +23,9 @@
 //!   its tag and payload; a single flipped bit anywhere surfaces as
 //!   [`StoreError::ChecksumMismatch`] naming the section (a flipped
 //!   byte in alignment padding, which sits outside the CRC, is a
-//!   [`StoreError::Corrupt`] naming the section instead).
+//!   [`StoreError::Corrupt`] naming the section instead). [`load`]
+//!   verifies the checksums on a helper thread while it decodes, and
+//!   reports the error a load that verified them first would.
 //! - **Panic-free loading.** Every count is bounds-proved with checked
 //!   arithmetic before allocation or slicing, and every cross-reference
 //!   (string, type, method, field, node) is validated against the tables

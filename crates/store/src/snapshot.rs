@@ -53,6 +53,23 @@
 //! same arrays a built graph holds, so a warm-started engine is
 //! byte-identical to the one that was saved.
 //!
+//! # Loading on two threads
+//!
+//! A load checks the framing (header, frames, padding) on the calling
+//! thread, then splits: a helper thread verifies every section's CRC in
+//! file order and then the CSR's structure
+//! ([`CsrAdjacency::from_slabs`] over the section's own counts), while
+//! the calling thread decodes the string pool, the type and member
+//! tables and the graph metadata and checks every CSR quad against
+//! them. Neither half needs the other's results until the join, which
+//! reports the first error in the order of a one-thread load — framing,
+//! then checksums in section order, then decoding in section order — so
+//! any bytes give the same outcome as verifying every CRC before
+//! reading a payload. Reading a payload before its CRC is verified is
+//! safe because every decoder is total on arbitrary bytes (the seeded
+//! corruption loops feed them arbitrary bits behind recomputed CRCs),
+//! and what it decoded is dropped when a checksum fails.
+//!
 //! v3 is the only format this build reads or writes. A file with any
 //! other version — the retired v1 and v2 layouts included — is a typed
 //! [`StoreError::UnsupportedVersion`]; there is no migration, because a
@@ -321,7 +338,7 @@ pub fn to_bytes(api: &Api, graph: &JungloidGraph, mined_examples: &[Vec<ElemJung
     out
 }
 
-// --- walking (framing validation) ---------------------------------------
+// --- framing and checksums ----------------------------------------------
 
 fn verify_crc(name: &'static str, tag: u32, payload: &[u8], stored: u32) -> Result<(), StoreError> {
     let mut crc = Crc32::new();
@@ -334,12 +351,24 @@ fn verify_crc(name: &'static str, tag: u32, payload: &[u8], stored: u32) -> Resu
     Ok(())
 }
 
-/// Validates the header and every section frame (tag order, length
-/// bounds, padding, CRC32), returning the manifest. Payload *contents*
-/// are not decoded. The version is checked right after the magic, so a
-/// file of any other version — even one too short for this header — is
+/// Verifies the CRC32 of each framed section, in file order.
+fn verify_crcs(bytes: &[u8], sections: &[SectionInfo]) -> Result<(), StoreError> {
+    for (s, &(tag, _)) in sections.iter().zip(&SECTIONS) {
+        verify_crc(s.name, tag, section_payload(bytes, s), s.crc32)?;
+    }
+    Ok(())
+}
+
+/// Checks the header, then each section frame in file order (tag,
+/// length bounds, padding), and returns the manifest without verifying
+/// any CRC. A bad frame, or bytes after the last one, is reported only
+/// after the CRCs of the sections before it, since a load that checked
+/// each frame and then its CRC would meet those first.
+///
+/// The version is checked right after the magic, so a file of any other
+/// version — even one too short for this header — is
 /// [`StoreError::UnsupportedVersion`].
-fn walk(bytes: &[u8]) -> Result<Manifest, StoreError> {
+fn frame(bytes: &[u8]) -> Result<Manifest, StoreError> {
     if bytes.len() < 8 {
         return Err(StoreError::Truncated { context: "header", offset: bytes.len() });
     }
@@ -367,88 +396,108 @@ fn walk(bytes: &[u8]) -> Result<Manifest, StoreError> {
             detail: format!("reserved header word must be zero, found {reserved:#x}"),
         });
     }
-    let mut infos = Vec::with_capacity(SECTIONS.len());
+    let mut sections = Vec::with_capacity(SECTIONS.len());
     let mut pos = HEADER_BYTES;
-    for &(expected_tag, name) in &SECTIONS {
-        let Some(header) = bytes.get(pos..pos + SECTION_HEADER_BYTES) else {
-            return Err(StoreError::Truncated { context: name, offset: pos });
-        };
-        let tag = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-        let pad = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let stored_crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
-        let reserved = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
-        if tag != expected_tag {
-            return Err(StoreError::Corrupt {
-                section: name,
-                detail: format!("expected section tag {expected_tag}, found {tag}"),
-            });
-        }
-        if reserved != 0 {
-            return Err(StoreError::Corrupt {
-                section: name,
-                detail: format!("reserved frame word must be zero, found {reserved:#x}"),
-            });
-        }
-        let len = usize::try_from(len).map_err(|_| StoreError::Corrupt {
-            section: name,
-            detail: format!("section length {len} exceeds addressable memory"),
-        })?;
-        if pad as usize != pad_for(len) {
-            return Err(StoreError::Corrupt {
-                section: name,
-                detail: format!(
-                    "padding of {pad} bytes disagrees with payload length {len} (expected {})",
-                    pad_for(len)
-                ),
-            });
-        }
-        let start = pos + SECTION_HEADER_BYTES;
-        let Some(payload) = start.checked_add(len).and_then(|end| bytes.get(start..end)) else {
-            return Err(StoreError::Truncated { context: name, offset: bytes.len() - start });
-        };
-        let end = start + len;
-        let Some(padding) = end.checked_add(pad as usize).and_then(|pe| bytes.get(end..pe))
-        else {
-            return Err(StoreError::Truncated { context: name, offset: bytes.len() - end });
-        };
-        if let Some(i) = padding.iter().position(|&b| b != 0) {
-            return Err(StoreError::Corrupt {
-                section: name,
-                detail: format!(
-                    "padding byte {i} is {:#04x}, padding must be zero (and is outside the CRC)",
-                    padding[i]
-                ),
-            });
-        }
-        verify_crc(name, tag, payload, stored_crc)?;
-        infos.push(SectionInfo {
-            name,
-            bytes: payload.len() as u64,
-            crc32: stored_crc,
-            offset: start as u64,
-            pad_bytes: pad,
-        });
-        pos = end + pad as usize;
-    }
-    if pos != bytes.len() {
-        return Err(StoreError::Corrupt {
+    let framed = SECTIONS.iter().try_for_each(|&(expected_tag, name)| {
+        let (info, next) = frame_section(bytes, pos, expected_tag, name)?;
+        sections.push(info);
+        pos = next;
+        Ok(())
+    });
+    let fault = framed.err().or_else(|| {
+        (pos != bytes.len()).then(|| StoreError::Corrupt {
             section: "header",
             detail: format!("{} trailing bytes after the last section", bytes.len() - pos),
+        })
+    });
+    if let Some(fault) = fault {
+        verify_crcs(bytes, &sections)?;
+        return Err(fault);
+    }
+    Ok(Manifest { version, total_bytes: bytes.len() as u64, sections })
+}
+
+/// Checks the frame at `pos` (tag, reserved word, length, padding):
+/// its section's manifest entry, with the stored CRC not yet verified,
+/// and the position of the next frame.
+fn frame_section(
+    bytes: &[u8],
+    pos: usize,
+    expected_tag: u32,
+    name: &'static str,
+) -> Result<(SectionInfo, usize), StoreError> {
+    let Some(header) = bytes.get(pos..pos + SECTION_HEADER_BYTES) else {
+        return Err(StoreError::Truncated { context: name, offset: pos });
+    };
+    let tag = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+    let pad = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let stored_crc = u32::from_le_bytes(header[16..20].try_into().expect("4 bytes"));
+    let reserved = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
+    if tag != expected_tag {
+        return Err(StoreError::Corrupt {
+            section: name,
+            detail: format!("expected section tag {expected_tag}, found {tag}"),
         });
     }
-    Ok(Manifest { version: FORMAT_VERSION, total_bytes: bytes.len() as u64, sections: infos })
+    if reserved != 0 {
+        return Err(StoreError::Corrupt {
+            section: name,
+            detail: format!("reserved frame word must be zero, found {reserved:#x}"),
+        });
+    }
+    let len = usize::try_from(len).map_err(|_| StoreError::Corrupt {
+        section: name,
+        detail: format!("section length {len} exceeds addressable memory"),
+    })?;
+    if pad as usize != pad_for(len) {
+        return Err(StoreError::Corrupt {
+            section: name,
+            detail: format!(
+                "padding of {pad} bytes disagrees with payload length {len} (expected {})",
+                pad_for(len)
+            ),
+        });
+    }
+    let start = pos + SECTION_HEADER_BYTES;
+    if start.checked_add(len).and_then(|end| bytes.get(start..end)).is_none() {
+        return Err(StoreError::Truncated { context: name, offset: bytes.len() - start });
+    }
+    let end = start + len;
+    let Some(padding) = end.checked_add(pad as usize).and_then(|pe| bytes.get(end..pe)) else {
+        return Err(StoreError::Truncated { context: name, offset: bytes.len() - end });
+    };
+    if let Some(i) = padding.iter().position(|&b| b != 0) {
+        return Err(StoreError::Corrupt {
+            section: name,
+            detail: format!(
+                "padding byte {i} is {:#04x}, padding must be zero (and is outside the CRC)",
+                padding[i]
+            ),
+        });
+    }
+    let info = SectionInfo {
+        name,
+        bytes: len as u64,
+        crc32: stored_crc,
+        offset: start as u64,
+        pad_bytes: pad,
+    };
+    Ok((info, end + pad as usize))
 }
 
 /// Validates file structure (magic, version, section frames, padding,
 /// checksums) and returns the per-section breakdown without decoding
-/// payloads.
+/// payloads. Section by section, a frame's faults come before its
+/// checksum, in file order.
 ///
 /// # Errors
 ///
 /// Any framing-level [`StoreError`].
 pub fn manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
-    walk(bytes)
+    let manifest = frame(bytes)?;
+    verify_crcs(bytes, &manifest.sections)?;
+    Ok(manifest)
 }
 
 // --- decoding -----------------------------------------------------------
@@ -620,6 +669,37 @@ fn check_elem(section: &'static str, api: &Api, elem: ElemJungloid) -> Result<()
     Ok(())
 }
 
+/// Checks every CSR quad in one pass: its shape ([`decode_quad`]) and
+/// each reference in range for `api`, the tests [`check_elem`] makes,
+/// with the counts read once. `check_elem` runs only to word the error
+/// for the first quad that fails.
+fn check_quads(api: &Api, quads: &[[u32; 4]]) -> Result<(), StoreError> {
+    let (fields, methods, types) = (api.field_count(), api.method_count(), api.types().len());
+    let in_range = |elem: ElemJungloid| match elem {
+        ElemJungloid::FieldAccess { field } => field.index() < fields,
+        ElemJungloid::Call { method, input } => {
+            method.index() < methods
+                && match input {
+                    Some(InputSlot::Arg(i)) => i < api.method(method).params().len(),
+                    _ => true,
+                }
+        }
+        ElemJungloid::Widen { from, to } | ElemJungloid::Downcast { from, to } => {
+            from.index() < types && to.index() < types
+        }
+    };
+    let Some(i) = quads.iter().position(|&quad| !decode_quad(quad).is_some_and(in_range)) else {
+        return Ok(());
+    };
+    match decode_quad(quads[i]) {
+        Some(elem) => check_elem("csr", api, elem),
+        None => Err(StoreError::Corrupt {
+            section: "csr",
+            detail: format!("edge {i} holds a malformed jungloid quad {:?}", quads[i]),
+        }),
+    }
+}
+
 struct GraphMeta {
     config: GraphConfig,
     mined_base: Vec<TyId>,
@@ -650,37 +730,45 @@ fn decode_graph_meta(payload: &[u8], api: &Api) -> Result<GraphMeta, StoreError>
     Ok(GraphMeta { config, mined_base, edge_count })
 }
 
-/// Decodes the CSR section into slabs borrowed from `buf` — the
-/// zero-copy core of the format. One O(edges) scan validates every
-/// packed quad (shape and reference ranges) before any of them can reach
-/// the query hot path; the structural offset/cost invariants are then
-/// enforced by [`CsrAdjacency::from_slabs`].
-fn decode_csr(
-    buf: &Arc<SnapshotBuf>,
+/// The CSR section's node and edge counts, and where its arrays start
+/// in the buffer.
+struct CsrLayout {
+    nodes: usize,
+    edges: usize,
+    at: usize,
+}
+
+impl CsrLayout {
+    /// Byte offset of the packed quads, after the forward offsets and
+    /// targets.
+    fn quads_at(&self) -> usize {
+        self.at + 4 * (self.nodes + 1) + 4 * self.edges
+    }
+}
+
+/// Lays out the CSR section from its own node and edge counts, checking
+/// that the node count is `expected_nodes` (when given, as the graph
+/// metadata implies) and that the arrays fill the payload exactly.
+fn csr_layout(
+    bytes: &[u8],
     info: &SectionInfo,
-    api: &Api,
-    meta: &GraphMeta,
-) -> Result<CsrAdjacency, StoreError> {
+    expected_nodes: Option<usize>,
+) -> Result<CsrLayout, StoreError> {
     let section = "csr";
-    let fail = |detail: String| Err(StoreError::Corrupt { section, detail });
-    let payload_off = section_start(info);
-    let payload = section_payload(buf.as_slice(), info);
+    let payload = section_payload(bytes, info);
     let payload_len = payload.len();
-    if payload.len() < 16 {
-        return Err(StoreError::Truncated { context: section, offset: payload.len() });
+    if payload_len < 16 {
+        return Err(StoreError::Truncated { context: section, offset: payload_len });
     }
     let node_count = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
     let edge_count = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-    let expected_nodes = api.types().len() + meta.mined_base.len();
-    let n = usize::try_from(node_count)
-        .ok()
-        .filter(|&n| n == expected_nodes)
-        .ok_or_else(|| StoreError::Corrupt {
+    let n = usize::try_from(node_count).unwrap_or(usize::MAX);
+    if let Some(expected) = expected_nodes.filter(|&expected| expected != n) {
+        return Err(StoreError::Corrupt {
             section,
-            detail: format!(
-                "CSR covers {node_count} nodes, graph metadata implies {expected_nodes}"
-            ),
-        })?;
+            detail: format!("CSR covers {node_count} nodes, graph metadata implies {expected}"),
+        });
+    }
     // Total size closes the arithmetic: 16-byte counts, two (n+1)-entry
     // u32 offset arrays, two e-entry u32 endpoint arrays, e packed
     // 16-byte quads, two e-entry u8 cost arrays.
@@ -688,7 +776,7 @@ fn decode_csr(
         .ok()
         .and_then(|e| {
             let arrays = 8usize
-                .checked_mul(n + 1)?
+                .checked_mul(n.checked_add(1)?)?
                 .checked_add(e.checked_mul(4 + 4 + 16 + 1 + 1)?)?
                 .checked_add(16)?;
             (arrays == payload_len).then_some(e)
@@ -699,30 +787,29 @@ fn decode_csr(
                 "edge count {edge_count} disagrees with the section length {payload_len}"
             ),
         })?;
-    let fwd_off_at = payload_off + 16;
-    let fwd_to_at = fwd_off_at + 4 * (n + 1);
-    let quads_at = fwd_to_at + 4 * e;
+    Ok(CsrLayout { nodes: n, edges: e, at: section_start(info) + 16 })
+}
+
+/// The CSR's arrays as slabs borrowed from `buf` — the zero-copy core
+/// of the format — with the structural offset, endpoint and cost
+/// invariants enforced by [`CsrAdjacency::from_slabs`]. The quads are
+/// not checked here: [`check_quads`] does that, and its verdict comes
+/// first.
+fn csr_from_layout(buf: &Arc<SnapshotBuf>, l: &CsrLayout) -> Result<CsrAdjacency, StoreError> {
+    let section = "csr";
+    let (n, e) = (l.nodes, l.edges);
+    let quads_at = l.quads_at();
     let rev_off_at = quads_at + 16 * e;
     let rev_from_at = rev_off_at + 4 * (n + 1);
     let fwd_cost_at = rev_from_at + 4 * e;
-    let rev_cost_at = fwd_cost_at + e;
-
-    let quads: Slab<[u32; 4]> = slab(buf, section, quads_at, e)?;
-    for (i, &quad) in quads.iter().enumerate() {
-        let Some(elem) = decode_quad(quad) else {
-            return fail(format!("edge {i} holds a malformed jungloid quad {quad:?}"));
-        };
-        check_elem(section, api, elem)?;
-    }
-
     CsrAdjacency::from_slabs(
-        slab(buf, section, fwd_off_at, n + 1)?,
-        slab(buf, section, fwd_to_at, e)?,
-        ElemSeq::packed(quads),
+        slab(buf, section, l.at, n + 1)?,
+        slab(buf, section, l.at + 4 * (n + 1), e)?,
+        ElemSeq::packed(slab(buf, section, quads_at, e)?),
         slab(buf, section, fwd_cost_at, e)?,
         slab(buf, section, rev_off_at, n + 1)?,
         slab(buf, section, rev_from_at, e)?,
-        slab(buf, section, rev_cost_at, e)?,
+        slab(buf, section, fwd_cost_at + e, e)?,
     )
     .map_err(|err| StoreError::Corrupt { section, detail: err.detail })
 }
@@ -794,19 +881,30 @@ fn section_payload<'a>(bytes: &'a [u8], info: &SectionInfo) -> &'a [u8] {
 }
 
 /// Wall time of each stage of one snapshot load, in microseconds.
+///
+/// A load runs on two threads. The calling thread's laps (`frame_us`
+/// through `finish_us`) follow one another, and together they are the
+/// load's wall time. The helper's laps (`crc_us`, `csr_us`) run at the
+/// same time as `types_us` through `quads_us`, so the two sets overlap:
+/// their sum is more than the wall time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LoadPhases {
-    /// Opening the file (read or map) and validating its framing:
-    /// header, section frames, padding, CRCs.
-    pub validate_us: u64,
-    /// The string pool and the type table, name index included.
+    /// Caller: opening the file (read or map) and checking the header,
+    /// the section frames and their padding.
+    pub frame_us: u64,
+    /// Caller: the string pool and the type table, name index included.
     pub types_us: u64,
-    /// The member tables and their per-type index.
+    /// Caller: the member tables and their per-type index.
     pub members_us: u64,
-    /// Graph metadata and the CSR arrays with their checks.
-    pub csr_us: u64,
-    /// The example sections and the graph's assembly.
+    /// Caller: the graph metadata and the check of every CSR quad.
+    pub quads_us: u64,
+    /// Caller: waiting for the helper, then the example sections and the
+    /// graph's assembly.
     pub finish_us: u64,
+    /// Helper: every section's CRC32, in file order.
+    pub crc_us: u64,
+    /// Helper: the CSR's structural checks (offsets, endpoints, costs).
+    pub csr_us: u64,
 }
 
 /// Microseconds since `*mark`, restarting the mark.
@@ -816,24 +914,74 @@ fn lap(mark: &mut Instant) -> u64 {
     us
 }
 
-/// Decodes a validated buffer: the string pool, the API tables and the
-/// CSR stay borrowed from `buf`; the example lists are materialized.
-fn decode(
+/// The checksum verdict around the CSR's: the CSR is built only when
+/// every CRC matched.
+type Verified = Result<Result<CsrAdjacency, StoreError>, StoreError>;
+
+/// The helper thread's half of a load: every section's CRC32 in file
+/// order, then the CSR's structure from the section's own counts, with
+/// the microseconds of the two laps.
+fn verify(buf: &Arc<SnapshotBuf>, manifest: &Manifest) -> (Verified, u64, u64) {
+    let mut mark = Instant::now();
+    if let Err(e) = verify_crcs(buf.as_slice(), &manifest.sections) {
+        return (Err(e), lap(&mut mark), 0);
+    }
+    let crc_us = lap(&mut mark);
+    let csr = csr_layout(buf.as_slice(), &manifest.sections[4], None)
+        .and_then(|layout| csr_from_layout(buf, &layout));
+    (Ok(csr), crc_us, lap(&mut mark))
+}
+
+/// The calling thread's half of a load, up to the CSR: the string pool,
+/// the API tables and the graph metadata, then every CSR quad.
+fn decode_api(
     buf: &Arc<SnapshotBuf>,
     manifest: &Manifest,
     phases: &mut LoadPhases,
-) -> Result<Snapshot, StoreError> {
-    let bytes = buf.as_slice();
-    let pay = |i: usize| section_payload(bytes, &manifest.sections[i]);
+    mark: &mut Instant,
+) -> Result<(Api, GraphMeta), StoreError> {
+    let sections = &manifest.sections;
+    let names = decode_strings(buf, &sections[0])?;
+    let types = decode_types(buf, &sections[1], &names)?;
+    phases.types_us = lap(mark);
+    let api = decode_members(buf, &sections[2], types, names)?;
+    phases.members_us = lap(mark);
+    let meta = decode_graph_meta(section_payload(buf.as_slice(), &sections[3]), &api)?;
+    let nodes = api.types().len() + meta.mined_base.len();
+    let layout = csr_layout(buf.as_slice(), &sections[4], Some(nodes))?;
+    check_quads(&api, &slab(buf, "csr", layout.quads_at(), layout.edges)?)?;
+    phases.quads_us = lap(mark);
+    Ok((api, meta))
+}
+
+/// Validates and decodes a snapshot buffer, `opened` marking the start
+/// of the load: the string pool, the API tables and the CSR stay
+/// borrowed from `buf`; the example lists are materialized.
+///
+/// The framing is checked on the calling thread. Then a helper thread
+/// verifies the checksums and the CSR's structure while this one
+/// decodes the API and checks the CSR's quads, and the join reports the
+/// first error in the order of a one-thread load: framing, then
+/// checksums in section order, then decoding in section order. So the
+/// outcome for any bytes is the same as if every CRC had been checked
+/// before any payload was read.
+fn decode(
+    buf: &Arc<SnapshotBuf>,
+    opened: Instant,
+) -> Result<(Snapshot, Manifest, LoadPhases), StoreError> {
+    let manifest = frame(buf.as_slice())?;
+    let mut phases = LoadPhases { frame_us: elapsed_us(opened), ..LoadPhases::default() };
     let mut mark = Instant::now();
-    let names = decode_strings(buf, &manifest.sections[0])?;
-    let types = decode_types(buf, &manifest.sections[1], &names)?;
-    phases.types_us = lap(&mut mark);
-    let api = decode_members(buf, &manifest.sections[2], types, names)?;
-    phases.members_us = lap(&mut mark);
-    let meta = decode_graph_meta(pay(3), &api)?;
-    let csr = decode_csr(buf, &manifest.sections[4], &api, &meta)?;
-    phases.csr_us = lap(&mut mark);
+    let ((verified, crc_us, csr_us), decoded) = std::thread::scope(|scope| {
+        let helper = scope.spawn(|| verify(buf, &manifest));
+        let decoded = decode_api(buf, &manifest, &mut phases, &mut mark);
+        let verified = helper.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (verified, decoded)
+    });
+    (phases.crc_us, phases.csr_us) = (crc_us, csr_us);
+    let csr = verified?;
+    let (api, meta) = decoded?;
+    let csr = csr?;
     if csr.edge_count() as u64 != meta.edge_count {
         return Err(StoreError::Corrupt {
             section: "graph",
@@ -844,12 +992,13 @@ fn decode(
             ),
         });
     }
+    let pay = |i: usize| section_payload(buf.as_slice(), &manifest.sections[i]);
     let mined_examples = decode_examples(pay(5), &api, "examples")?;
     let suffixes = decode_examples(pay(6), &api, "suffixes")?;
     let graph = JungloidGraph::from_snapshot(&api, meta.config, meta.mined_base, suffixes, csr)
         .map_err(|e| StoreError::Corrupt { section: "graph", detail: e.detail })?;
     phases.finish_us = lap(&mut mark);
-    Ok(Snapshot { api, graph, mined_examples })
+    Ok((Snapshot { api, graph, mined_examples }, manifest, phases))
 }
 
 /// Decodes snapshot bytes back into a ready-to-query engine state. The
@@ -864,9 +1013,8 @@ fn decode(
 /// [`StoreError::Truncated`]/[`StoreError::ChecksumMismatch`], structural
 /// impossibilities as [`StoreError::Corrupt`] naming the section.
 pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
-    let m = walk(bytes)?;
-    let buf = Arc::new(SnapshotBuf::from_bytes(bytes));
-    decode(&buf, &m, &mut LoadPhases::default())
+    let opened = Instant::now();
+    decode(&Arc::new(SnapshotBuf::from_bytes(bytes)), opened).map(|(snapshot, ..)| snapshot)
 }
 
 /// Decodes a snapshot straight out of an aligned buffer. The returned
@@ -877,9 +1025,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<Snapshot, StoreError> {
 ///
 /// As [`from_bytes`].
 pub fn from_buf(buf: &Arc<SnapshotBuf>) -> Result<(Snapshot, Manifest), StoreError> {
-    let m = walk(buf.as_slice())?;
-    let snapshot = decode(buf, &m, &mut LoadPhases::default())?;
-    Ok((snapshot, m))
+    decode(buf, Instant::now()).map(|(snapshot, manifest, _)| (snapshot, manifest))
 }
 
 // --- file I/O + observability -------------------------------------------
@@ -915,12 +1061,13 @@ pub fn save_file(
     Ok(manifest)
 }
 
-fn record_load(manifest: &Manifest, bytes: u64, validate_us: u64) {
+fn record_load(manifest: &Manifest, bytes: u64, phases: &LoadPhases) {
     prospector_obs::add(Counter::StoreLoads, 1);
     // The load is validate-then-borrow, so `store.map_ms` records the
-    // validate-only stage — O(sections checksummed), the number the
-    // format exists to shrink.
-    let ms = validate_us / 1000;
+    // validation the format exists to shrink: the framing and the
+    // checksums, O(sections checksummed). They run on different
+    // threads, so this is their sum, not a span of the load.
+    let ms = (phases.frame_us + phases.crc_us) / 1000;
     prospector_obs::gauge_set(Gauge::StoreMapMs, ms);
     prospector_obs::gauge_set(Gauge::StoreLoadBytes, bytes);
     record_sections(manifest);
@@ -951,10 +1098,15 @@ fn elapsed_us(start: Instant) -> u64 {
 /// With `mmap` the file is mapped read-only where the platform allows,
 /// so the kernel pages it in on demand and shares it across processes;
 /// when mapping fails it is read into one owned aligned buffer instead,
-/// and [`Loaded::mapped`] says which happened. Either way the framing —
-/// magic, version, section offsets, padding, CRCs — is validated once
-/// (recorded as `store.map_ms`), and then the string pool, the API
-/// tables and the CSR are borrowed from the buffer, never copied.
+/// and [`Loaded::mapped`] says which happened. Either way the load
+/// validates, then borrows: the framing — magic, version, section
+/// offsets, padding — is checked first, then a helper thread verifies
+/// every section's CRC and the CSR's structure while the calling thread
+/// decodes the API tables and checks the CSR's quads (framing plus
+/// checksums are recorded as `store.map_ms`). The string pool, the API
+/// tables and the CSR are borrowed from the buffer, never copied, and
+/// an error is the one a load that checked every CRC before reading any
+/// payload would report.
 ///
 /// # Errors
 ///
@@ -962,18 +1114,15 @@ fn elapsed_us(start: Instant) -> u64 {
 /// [`StoreError`] otherwise.
 pub fn load(path: &Path, mmap: bool) -> Result<Loaded, StoreError> {
     let _span = prospector_obs::stage(Stage::Store);
-    let start = Instant::now();
+    let opened = Instant::now();
     let read = if mmap {
         SnapshotBuf::map_file(path).map(|(buf, _)| buf)
     } else {
         SnapshotBuf::read_file(path)
     };
-    let buf = read.map_err(|source| StoreError::Io { path: path.to_owned(), source })?;
-    let manifest = walk(buf.as_slice())?;
-    let mut phases = LoadPhases { validate_us: elapsed_us(start), ..LoadPhases::default() };
-    let buf = Arc::new(buf);
-    let snapshot = decode(&buf, &manifest, &mut phases)?;
-    record_load(&manifest, buf.len() as u64, phases.validate_us);
+    let buf = Arc::new(read.map_err(|source| StoreError::Io { path: path.to_owned(), source })?);
+    let (snapshot, manifest, phases) = decode(&buf, opened)?;
+    record_load(&manifest, buf.len() as u64, &phases);
     Ok(Loaded { snapshot, manifest, mapped: buf.is_mapped(), phases })
 }
 

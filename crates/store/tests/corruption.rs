@@ -12,7 +12,10 @@
 //! type, member and pool records behind a recomputed CRC (which only the
 //! decoders' own checks can catch). A seeded loop of random bit flips,
 //! half of them behind a recomputed CRC, runs every loader on the damage
-//! and every engine that loads through a query and an assist.
+//! and every engine that loads through a query and an assist. Files with
+//! two faults pin which error a load reports: the first in the order
+//! framing, checksums, decoding, whichever thread of the load meets its
+//! fault first.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -566,4 +569,111 @@ fn crafted_records_behind_a_valid_crc_are_typed_errors() {
         let at = blob + strings[id(from)].start;
         expect_corrupt(&bytes, ("strings", at, to.as_bytes()), want, because, from);
     }
+}
+
+// --- error precedence -----------------------------------------------------
+
+/// One edit that damages snapshot bytes.
+type Fault<'a> = &'a dyn Fn(&mut Vec<u8>);
+
+/// The file offset of section `s`'s frame.
+fn frame_start(s: &SectionInfo) -> usize {
+    usize::try_from(s.offset).expect("fits") - FRAME_BYTES
+}
+
+/// What `from_bytes` and `load` from a file, owned and mmap, make of
+/// `bytes`: all three must fail alike, to the error's detail.
+fn load_error(bytes: &[u8], case: &str) -> StoreError {
+    let dir = std::env::temp_dir().join(format!("prospector-store-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("two-faults.pspk");
+    std::fs::write(&path, bytes).expect("temp file writes");
+    let mut errors = vec![from_bytes(bytes).err()];
+    errors.extend([false, true].map(|mmap| load(&path, mmap).err()));
+    std::fs::remove_dir_all(&dir).ok();
+    let texts: Vec<String> = errors.iter().map(|e| format!("{e:?}")).collect();
+    assert!(texts.iter().all(|t| *t == texts[0]), "{case}: the loaders disagree: {texts:?}");
+    errors.swap_remove(0).unwrap_or_else(|| panic!("{case}: loaded anyway"))
+}
+
+/// Two faults in one file, each of which alone fails the load: the
+/// error is the one a load reports that checks every frame, then every
+/// section's CRC in file order, then decodes the sections in file
+/// order — not whichever fault some part of the load happens to meet
+/// first.
+#[test]
+fn of_two_faults_the_earlier_in_load_order_is_reported() {
+    let bytes = fixture_bytes();
+    let m = manifest(&bytes).expect("pristine snapshot validates");
+    // A flipped bit in a section's stored CRC: its payload still decodes.
+    let flip = |name: &'static str| {
+        let at = frame_start(section(&m, name)) + 16;
+        move |bytes: &mut Vec<u8>| bytes[at] ^= 0x01
+    };
+    // The CSR's first forward offset set to 1, which only the CSR's
+    // structural check catches.
+    let csr_fault = |bytes: &mut Vec<u8>| {
+        let s = section(&m, "csr");
+        let at = usize::try_from(s.offset).expect("fits") + 16;
+        bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        recompute_crc(bytes, s);
+    };
+    // Type 10's package id set to 1, a package the fixture lacks.
+    let types_fault = |bytes: &mut Vec<u8>| {
+        let s = section(&m, "types");
+        let at = arrays(bytes, s, &[1, 6, 1])[1].0 + 4 * (6 * 10 + 2);
+        bytes[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
+        recompute_crc(bytes, s);
+    };
+    // A nonzero byte in a section's padding.
+    let pad = |s: &SectionInfo| {
+        let at = usize::try_from(s.offset + s.bytes).expect("fits");
+        move |bytes: &mut Vec<u8>| bytes[at] = 0xAB
+    };
+    let with = |faults: &[Fault<'_>]| {
+        let mut mutated = bytes.clone();
+        for fault in faults {
+            fault(&mut mutated);
+        }
+        mutated
+    };
+    let is_checksum = |e: &StoreError, want: &str| {
+        matches!(e, StoreError::ChecksumMismatch { section, .. } if *section == want)
+    };
+    let is_corrupt = |e: &StoreError, want: &str, because: &str| {
+        matches!(e, StoreError::Corrupt { section, detail }
+            if *section == want && detail.contains(because))
+    };
+
+    // Each fault alone is caught where the cases below assume.
+    let e = load_error(&with(&[&csr_fault]), "CSR fault alone");
+    assert!(is_corrupt(&e, "csr", "offsets must start at 0"), "{e:?}");
+    let e = load_error(&with(&[&types_fault]), "types fault alone");
+    assert!(is_corrupt(&e, "types", "package"), "{e:?}");
+    let e = load_error(&with(&[&flip("csr")]), "CRC flip alone");
+    assert!(is_checksum(&e, "csr"), "{e:?}");
+
+    // (a) A checksum mismatch comes before any decode error.
+    let e = load_error(&with(&[&flip("members"), &csr_fault]), "(a)");
+    assert!(is_checksum(&e, "members"), "(a): {e:?}");
+    // (b) ... even in a later section than the decode error.
+    let e = load_error(&with(&[&types_fault, &flip("csr")]), "(b)");
+    assert!(is_checksum(&e, "csr"), "(b): {e:?}");
+    // (c) Decode errors come in section order.
+    let e = load_error(&with(&[&types_fault, &csr_fault]), "(c)");
+    assert!(is_corrupt(&e, "types", "package"), "(c): {e:?}");
+
+    // (d, e) A frame's padding is checked in file order with the CRCs: a
+    // section's faults come before a later section's.
+    let padded = m.sections[1..m.sections.len() - 1]
+        .iter()
+        .find(|s| s.pad_bytes > 0)
+        .expect("a padded section between the first and the last");
+    let (first, last) = (m.sections[0].name, m.sections[m.sections.len() - 1].name);
+    let case = format!("(d) padding in `{}`, CRC flip in `{first}`", padded.name);
+    let e = load_error(&with(&[&pad(padded), &flip(first)]), &case);
+    assert!(is_checksum(&e, first), "{case}: {e:?}");
+    let case = format!("(e) padding in `{}`, CRC flip in `{last}`", padded.name);
+    let e = load_error(&with(&[&pad(padded), &flip(last)]), &case);
+    assert!(is_corrupt(&e, padded.name, "padding"), "{case}: {e:?}");
 }
