@@ -962,61 +962,11 @@ impl Api {
         }
         None
     }
-
-    /// Class-hierarchy-analysis approximation of dynamic dispatch: all
-    /// instance methods named `name`/`arity` declared on `recv_static`, its
-    /// supertypes, or any of its subtypes. Used by the miner's
-    /// "conservative approximation of the call graph based on the type
-    /// hierarchy" (§4.2).
-    #[must_use]
-    pub fn cha_targets(&self, recv_static: TyId, name: &str, arity: usize) -> Vec<MethodId> {
-        let mut out = self.lookup_instance_method(recv_static, name, arity);
-        for sub in self.types.strict_subtypes(recv_static) {
-            for &m in self.methods_of(sub) {
-                let def = self.method(m);
-                if def.needs_receiver() && def.name() == name && def.params().len() == arity && !out.contains(&m)
-                {
-                    out.push(m);
-                }
-            }
-        }
-        out
-    }
-
-    /// Renders a method as `Declaring.name(P1, P2): Ret` for diagnostics.
-    #[must_use]
-    pub fn method_display(&self, id: MethodId) -> String {
-        let def = self.method(id);
-        let params: Vec<String> =
-            def.params().iter().map(|&p| self.types.display_simple(p)).collect();
-        let who = self.types.display_simple(def.declaring());
-        if def.is_constructor() {
-            format!("new {who}({})", params.join(", "))
-        } else if def.is_static() {
-            format!("{who}.{}({}): {}", def.name(), params.join(", "), self.types.display_simple(def.ret()))
-        } else {
-            format!(
-                "{}.{}({}): {}",
-                lowercase_first(&who),
-                def.name(),
-                params.join(", "),
-                self.types.display_simple(def.ret())
-            )
-        }
-    }
 }
 
 impl Default for Api {
     fn default() -> Self {
         Api::new()
-    }
-}
-
-fn lowercase_first(s: &str) -> String {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) => c.to_lowercase().collect::<String>() + chars.as_str(),
-        None => String::new(),
     }
 }
 
@@ -1210,15 +1160,6 @@ mod tests {
         assert!(api.lookup_field(buffered, "none").is_none());
     }
 
-    #[test]
-    fn cha_includes_subtype_overrides() {
-        let (mut api, reader, buffered, string) = tiny_api();
-        api.add_method(inst("read", reader, vec![], string)).unwrap();
-        api.add_method(inst("read", buffered, vec![], string)).unwrap();
-        let targets = api.cha_targets(reader, "read", 0);
-        assert_eq!(targets.len(), 2);
-    }
-
     /// `api`'s members stored and loaded back, after `edit` tampers with
     /// the arrays.
     fn reload(
@@ -1290,38 +1231,5 @@ mod tests {
         // `open` renamed to a second `close`, spelled through another id.
         let dup = reload(&api, |n, a| a.methods[2][NAME] = n.push("close"));
         assert!(matches!(dup, Err(ApiError::DuplicateMember { .. })));
-    }
-
-    #[test]
-    fn method_display_forms() {
-        let (mut api, reader, buffered, string) = tiny_api();
-        let ctor = api
-            .add_method(MethodDef {
-                name: "<init>".into(),
-                declaring: buffered,
-                params: vec![reader],
-                param_names: Vec::new(),
-                ret: buffered,
-                visibility: Visibility::Public,
-                is_static: false,
-                is_constructor: true,
-            })
-            .unwrap();
-        let stat = api
-            .add_method(MethodDef {
-                name: "valueOf".into(),
-                declaring: string,
-                params: vec![buffered],
-                param_names: Vec::new(),
-                ret: string,
-                visibility: Visibility::Public,
-                is_static: true,
-                is_constructor: false,
-            })
-            .unwrap();
-        let m = api.add_method(inst("readLine", buffered, vec![], string)).unwrap();
-        assert_eq!(api.method_display(ctor), "new BufferedReader(Reader)");
-        assert_eq!(api.method_display(stat), "String.valueOf(BufferedReader): String");
-        assert_eq!(api.method_display(m), "bufferedReader.readLine(): String");
     }
 }

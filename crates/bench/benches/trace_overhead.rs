@@ -12,12 +12,13 @@
 //! per-round differences, with their quartiles and range as its spread.
 //!
 //! The `stage_span` case prices the one stage span with metrics on: a
-//! process-level span (the stage table) and a span on a recording query
-//! (also its lap event and `query.stage_ns` histogram). Next to it, the
-//! metric record path: a counter `add`, a `gauge_set` and a histogram
-//! `record` on catalog rows, each timed on one thread and with two
-//! threads recording the same cell at once. The histogram record is the
-//! one every served latency takes (endpoint, queue wait, tenant). The
+//! process-level span (its `stage.latency_ns.<stage>` histogram) and a
+//! span on a recording query (that histogram and the query's lap event).
+//! Next to it, the metric record path: a counter `add`, a `gauge_set`
+//! and a histogram `record` on catalog rows, each timed on one thread
+//! and with two threads recording the same cell at once. The histogram
+//! record is the one every served latency and every stage span takes
+//! (endpoint, queue wait, tenant, stage). The
 //! process-level span and every record must make zero allocations; a
 //! counting global allocator checks each hot loop.
 //!

@@ -77,7 +77,7 @@ mod imp {
     use std::sync::{Arc, Mutex, TryLockError};
     use std::time::{Duration, Instant};
 
-    use prospector_obs::{Counter, Stage};
+    use prospector_obs::Counter;
 
     use crate::http::{Framed, RequestFramer};
     use crate::serve::{answer, frame_error_response, record_request, serialize_response, Ctx};
@@ -532,10 +532,6 @@ mod imp {
                     Framed::Request(request) => {
                         conn.served += 1;
                         let close = request.close || conn.served >= ctx.keepalive_max;
-                        // The stage table's `serve.request` row: every
-                        // answer's handle time, next to the `search`,
-                        // `synth` and `rank` laps it contains.
-                        let _span = prospector_obs::stage(Stage::ServeRequest);
                         (answer(ctx, &request), close)
                     }
                     Framed::Error(error) => {

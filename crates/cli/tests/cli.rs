@@ -25,16 +25,12 @@ fn prospector(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-/// The `count` column of `stage`'s row in a `--metrics` text block, if
-/// the stage ran.
+/// The span count of `stage`'s histogram line in a `--metrics` text
+/// block, if the stage ran.
 fn stage_count(stdout: &str, stage: &str) -> Option<u64> {
-    let table = stdout.split("stages (count / total / mean / max):").nth(1)?;
-    let row = table
-        .lines()
-        .skip(1)
-        .take_while(|line| line.starts_with("  "))
-        .find_map(|line| line.trim_start().strip_prefix(stage)?.strip_prefix(' '))?;
-    Some(row.split_whitespace().next()?.parse().expect("numeric stage count"))
+    let prefix = format!("hist stage.latency_ns.{stage}: n=");
+    let line = stdout.lines().find_map(|line| line.strip_prefix(prefix.as_str()))?;
+    Some(line.split_whitespace().next()?.parse().expect("numeric stage count"))
 }
 
 #[test]
@@ -161,15 +157,17 @@ fn metrics_json_reports_pipeline() {
     let text = std::fs::read_to_string(&path).unwrap();
     let doc = prospector_obs::Json::parse(&text).expect("valid JSON");
 
-    // All six canonical stages are present (zeroed or not), and the ones
+    // Every catalog stage has its histogram (zeroed or not), and the ones
     // a mining query actually exercises carry nonzero wall time.
-    let stages = doc.get("stages").unwrap();
-    for name in prospector_obs::report::PIPELINE_STAGES {
-        let stage = stages.get(name).unwrap_or_else(|| panic!("stage `{name}` missing"));
-        assert!(stage.get("total_ns").unwrap().as_u64().is_some());
+    let hists = doc.get("histograms").unwrap();
+    let stage = |name: &str| {
+        hists.get(&format!("stage.latency_ns.{name}")).unwrap_or_else(|| panic!("stage `{name}` missing"))
+    };
+    for name in prospector_obs::Stage::NAMES {
+        assert!(stage(name).get("count").unwrap().as_u64().is_some());
     }
     for name in ["build", "mine", "generalize", "search"] {
-        let total = stages.get(name).unwrap().get("total_ns").unwrap().as_u64().unwrap();
+        let total = stage(name).get("sum").unwrap().as_u64().unwrap();
         assert!(total > 0, "stage `{name}` should have recorded time");
     }
 
@@ -540,12 +538,14 @@ fn serve_warm_start_records_store_stage_and_no_build_stages() {
     // The acceptance bar for warm starting: the pipeline record shows the
     // snapshot load and *zero* graph-build or mining work at startup.
     let metrics = get("/metrics");
-    assert!(metrics.contains("stage=\"store\""), "store stage missing:\n{metrics}");
-    for cold_stage in ["stage=\"build\"", "stage=\"mine\"", "stage=\"generalize\""] {
-        assert!(
-            !metrics.contains(cold_stage),
-            "warm start must not run {cold_stage}:\n{metrics}"
-        );
+    let spans = |stage: &str| -> u64 {
+        let series = format!("prospector_stage_latency_ns_{stage}_count ");
+        let line = metrics.lines().find_map(|l| l.strip_prefix(series.as_str()));
+        line.unwrap_or_else(|| panic!("no {series}in:\n{metrics}")).parse().expect("numeric count")
+    };
+    assert!(spans("store") >= 1, "store stage missing:\n{metrics}");
+    for cold_stage in ["build", "mine", "generalize"] {
+        assert_eq!(spans(cold_stage), 0, "warm start must not run {cold_stage}:\n{metrics}");
     }
     assert!(metrics.contains("prospector_store_loads_total"), "{metrics}");
 

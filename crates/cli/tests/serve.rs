@@ -236,8 +236,7 @@ fn serve_smoke() {
             "prospector_engine_batch_calls_total",
             "prospector_engine_batch_queries_total",
             "prospector_query_latency_ns_bucket",
-            "prospector_query_stage_ns_search_bucket",
-            "prospector_stage_count",
+            "prospector_stage_latency_ns_search_bucket",
         ] {
             assert!(body.contains(family), "missing family `{family}` in:\n{body}");
         }

@@ -1,11 +1,12 @@
-//! Per-stage time of a served request is read from the exact stage
-//! table, and the flight recorder names every event from the catalog:
-//! `/metrics` carries one `serve.request` span per request, holding the
-//! `search`, `synth` and `rank` laps inside it, `/trace.json` names each
-//! event `query`, `<stage>.total` or a counter's series name, and the
-//! retired `/profile.folded` is a 404 counted under `other`.
+//! Per-stage time of a served request is read from the stage
+//! histograms, and the flight recorder names every event from the
+//! catalog: on `/metrics` the `search`, `synth` and `rank` spans lie
+//! inside the `query` and `assist` endpoints' handle time, each request
+//! once in its endpoint's histogram, `/trace.json` names each event
+//! `query`, `<stage>.total` or a counter's series name, and the retired
+//! `/profile.folded` is a 404 counted under `other`.
 //!
-//! One test in its own binary, because the stage table is
+//! One test in its own binary, because the stage histograms are
 //! process-global. Serving is Linux/x86_64-only, so this test is too.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
@@ -38,12 +39,8 @@ fn prom_value(body: &str, series: &str) -> Option<f64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-fn stage_series(body: &str, family: &str, stage: &str) -> f64 {
-    prom_value(body, &format!("{family}{{stage=\"{stage}\"}}")).unwrap_or(0.0)
-}
-
 #[test]
-fn stage_table_times_requests_and_the_recorder_names_events_from_the_catalog() {
+fn stage_histograms_lie_inside_request_time_and_the_recorder_names_events_from_the_catalog() {
     let engine = build(&BuildOptions::default()).expect("corpus builds").prospector;
     let registry = Registry::with_default(engine, Provenance::built());
     let server = Server::bind("127.0.0.1:0").expect("bind port 0");
@@ -71,32 +68,30 @@ fn stage_table_times_requests_and_the_recorder_names_events_from_the_catalog() {
             let (status, body) = http_get(addr, path);
             assert!(status.contains("200"), "{path}: {status}: {body}");
         }
-        let n = requests.len() as f64;
 
-        // A worker records its request's `serve.request` span just after
-        // writing the response, so the last few may land a moment after
-        // the client reads them: scrape until every one has.
-        let mut metrics = String::new();
-        for _ in 0..200 {
-            let (status, body) = http_get(addr, "/metrics");
-            assert!(status.contains("200"), "{status}");
-            metrics = body;
-            if stage_series(&metrics, "prospector_stage_count", "serve.request") >= n {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+        // A serve thread records a request's handle time before the
+        // answer's first byte leaves, so one scrape sees every request.
+        let (status, metrics) = http_get(addr, "/metrics");
+        assert!(status.contains("200"), "{status}");
+        let series = |name: String| {
+            prom_value(&metrics, &name).unwrap_or_else(|| panic!("no {name} in:\n{metrics}"))
+        };
+        for endpoint in ["query", "assist"] {
+            let sent = requests.iter().filter(|path| path.starts_with(&format!("/{endpoint}?"))).count();
+            let count = series(format!("prospector_serve_http_latency_ns_{endpoint}_count"));
+            assert_eq!(count, sent as f64, "one {endpoint} observation per request");
         }
-        let requests_seen = stage_series(&metrics, "prospector_stage_count", "serve.request");
-        assert!(requests_seen >= n, "one serve.request span per request: {requests_seen} < {n}");
-        // The spans nest: every request's laps lie inside its span.
-        let total = |stage| stage_series(&metrics, "prospector_stage_total_ns", stage);
-        let inner = total("search") + total("synth") + total("rank");
+        // The spans nest: every request's laps lie inside its handle time.
+        let handled: f64 = ["query", "assist"]
+            .map(|endpoint| series(format!("prospector_serve_http_latency_ns_{endpoint}_sum")))
+            .iter()
+            .sum();
+        let inner: f64 = ["search", "synth", "rank"]
+            .map(|stage| series(format!("prospector_stage_latency_ns_{stage}_sum")))
+            .iter()
+            .sum();
         assert!(inner > 0.0, "the pipeline ran under the requests:\n{metrics}");
-        assert!(
-            total("serve.request") >= inner,
-            "serve.request {} < search + synth + rank {inner}",
-            total("serve.request")
-        );
+        assert!(handled >= inner, "query + assist handle time {handled} < search + synth + rank {inner}");
         assert!(!metrics.contains("prospector_profile_"), "no profiler series");
         assert!(!metrics.contains("endpoint=\"profile\""), "no profiler endpoint label");
 

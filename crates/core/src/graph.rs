@@ -244,13 +244,12 @@ impl CsrAdjacency {
         csr
     }
 
-    /// Sets the four `graph.*` shape gauges from this CSR, the graph's
+    /// Sets the three `graph.*` shape gauges from this CSR, the graph's
     /// current one: [`CsrAdjacency::splice`] after every build and
     /// splice, and a snapshot load.
     fn publish(&self) {
         prospector_obs::gauge_set(Gauge::GraphNodes, self.node_count() as u64);
         prospector_obs::gauge_set(Gauge::GraphEdges, self.edge_count() as u64);
-        prospector_obs::gauge_set(Gauge::GraphCsrEdges, self.edge_count() as u64);
         prospector_obs::gauge_set(Gauge::GraphCsrBytes, self.approx_bytes() as u64);
     }
 

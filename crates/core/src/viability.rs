@@ -6,9 +6,9 @@
 //! state and input values) that makes the jungloid return normally."*
 //!
 //! This module implements that existential semantics over a *behavior
-//! model*: a per-method/per-field map from signature to the set of dynamic
-//! types the member can actually produce at run time (what the paper's
-//! mined corpus knows implicitly and signatures don't). Execution
+//! model*: a per-method map from signature to the set of dynamic types the
+//! method can actually produce at run time (what the paper's mined corpus
+//! knows implicitly and signatures don't). Execution
 //! propagates the set of possible dynamic types through the chain; a
 //! downcast filters the set; the jungloid is viable iff some possibility
 //! survives to the end.
@@ -21,20 +21,19 @@
 
 use std::collections::HashMap;
 
-use jungloid_apidef::{Api, ElemJungloid, FieldId, MethodId};
+use jungloid_apidef::{Api, ElemJungloid, MethodId};
 use jungloid_typesys::TyId;
 
 use crate::path::Jungloid;
 
 /// A run-time behavior model: which dynamic types members really produce.
 ///
-/// Members without an entry behave "as declared": they produce exactly
-/// their static return type (sound for classes, optimistic for
-/// interfaces).
+/// Methods without an entry, and every field, behave "as declared":
+/// they produce exactly their static type (sound for classes,
+/// optimistic for interfaces).
 #[derive(Clone, Debug, Default)]
 pub struct Behavior {
     method_dynamics: HashMap<MethodId, Vec<TyId>>,
-    field_dynamics: HashMap<FieldId, Vec<TyId>>,
     always_null: Vec<MethodId>,
 }
 
@@ -48,12 +47,6 @@ impl Behavior {
     /// Declares the set of dynamic types `method` can return.
     pub fn method_returns(&mut self, method: MethodId, dynamics: &[TyId]) -> &mut Self {
         self.method_dynamics.insert(method, dynamics.to_vec());
-        self
-    }
-
-    /// Declares the set of dynamic types `field` can hold.
-    pub fn field_holds(&mut self, field: FieldId, dynamics: &[TyId]) -> &mut Self {
-        self.field_dynamics.insert(field, dynamics.to_vec());
         self
     }
 
@@ -133,10 +126,7 @@ pub fn execute(api: &Api, behavior: &Behavior, jungloid: &Jungloid) -> Outcome {
                 };
             }
             ElemJungloid::FieldAccess { field } => {
-                dynamics = match behavior.field_dynamics.get(&field) {
-                    Some(ds) => ds.clone(),
-                    None => possible_dynamics(api, api.field(field).ty()),
-                };
+                dynamics = possible_dynamics(api, api.field(field).ty());
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property tests over randomly generated APIs: search soundness and
-//! completeness-within-window, ranking monotonicity, mined-path
-//! reachability, and the generalization algorithm against a naive
-//! reference implementation.
+//! completeness-within-window, the enumeration against an exhaustive
+//! reference, ranking monotonicity, mined-path reachability, and the
+//! generalization algorithm against a naive reference implementation.
 //!
 //! APIs and walks are drawn from seeded deterministic generators —
 //! failures reproduce by seed.
@@ -10,7 +10,8 @@ use jungloid_apidef::{Api, ElemJungloid, MethodDef, Visibility};
 use jungloid_typesys::{Prim, TyId, TypeKind};
 use prospector_core::generalize::generalize;
 use prospector_core::{
-    search, DistanceField, GraphConfig, Jungloid, JungloidGraph, Prospector, SearchConfig,
+    search, DistanceField, GraphConfig, Jungloid, JungloidGraph, NodeId, Prospector, SearchConfig,
+    SearchScratch,
 };
 use prospector_obs::SmallRng;
 
@@ -138,6 +139,120 @@ fn enumeration_sound_and_windowed() {
             assert!(!outcome.jungloids.is_empty(), "seed {seed}");
         }
     }
+}
+
+/// Appends to `out` every simple path from `at` (the nodes of
+/// `on_path` already walked) that ends at its first arrival at `target`,
+/// trying `out_edges` in CSR order.
+fn simple_paths(
+    graph: &JungloidGraph,
+    at: NodeId,
+    target: NodeId,
+    on_path: &mut Vec<NodeId>,
+    elems: &mut Vec<ElemJungloid>,
+    out: &mut Vec<Vec<ElemJungloid>>,
+) {
+    for e in graph.out_edges(at) {
+        if on_path.contains(&e.to) {
+            continue;
+        }
+        elems.push(e.elem);
+        if e.to == target {
+            out.push(elems.clone());
+        } else {
+            on_path.push(e.to);
+            simple_paths(graph, e.to, target, on_path, elems, out);
+            on_path.pop();
+        }
+        elems.pop();
+    }
+}
+
+/// The exhaustive answer to `sources` → `tout` and its `m`: every simple
+/// path from each distinct source, in first-occurrence order, with at
+/// least one non-widening step and a cost of at most `m + extra_steps`,
+/// where `m` is the least cost of any path found (0 when a source is
+/// `tout` itself); `None` when no source reaches `tout`.
+fn reference_enumeration(
+    graph: &JungloidGraph,
+    sources: &[TyId],
+    tout: TyId,
+    extra_steps: u32,
+) -> (Vec<Jungloid>, Option<u32>) {
+    let mut distinct: Vec<TyId> = Vec::new();
+    for &s in sources {
+        if !distinct.contains(&s) {
+            distinct.push(s);
+        }
+    }
+    let mut paths = Vec::new();
+    for &source in &distinct {
+        let mut found = Vec::new();
+        let start = NodeId::Ty(source);
+        simple_paths(graph, start, NodeId::Ty(tout), &mut vec![start], &mut Vec::new(), &mut found);
+        paths.extend(found.into_iter().map(|elems| Jungloid { source, elems }));
+    }
+    let cost = |j: &Jungloid| j.elems.iter().filter(|e| !e.is_widen()).count() as u32;
+    let Some(m) = paths.iter().map(cost).chain(distinct.contains(&tout).then_some(0)).min() else {
+        return (Vec::new(), None);
+    };
+    paths.retain(|j| cost(j) >= 1 && cost(j) <= m + extra_steps);
+    (paths, Some(m))
+}
+
+/// Completeness: the enumeration is exactly the exhaustive reference,
+/// set and order, over a complete field for the whole source set, over a
+/// bounded field for the first source, and cut to a prefix by
+/// `max_results`.
+#[test]
+fn enumeration_matches_an_exhaustive_reference() {
+    let config = SearchConfig::default();
+    let (mut cases, mut bounded_cases, mut paths) = (0, 0, 0);
+    for seed in 0..1600u64 {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xc0de);
+        let api = random_api(seed, rng.gen_range(7..=10usize), rng.gen_range(14..=22usize));
+        let graph = JungloidGraph::from_api(&api, GraphConfig::default());
+        let classes = classes_of(&api);
+        let tout = classes[rng.gen_range(0..classes.len())];
+        let mut sources: Vec<TyId> =
+            (0..rng.gen_range(1..=3usize)).map(|_| classes[rng.gen_range(0..classes.len())]).collect();
+        if rng.gen_bool(0.5) {
+            let at = rng.gen_range(0..=sources.len());
+            sources.insert(at, api.types().void());
+        }
+
+        let (expected, m) = reference_enumeration(&graph, &sources, tout, config.extra_steps);
+        let field = DistanceField::towards(&graph, tout);
+        let outcome = search::enumerate(&graph, &sources, tout, &field, &config);
+        assert_eq!(outcome.jungloids, expected, "seed {seed}: complete field");
+        assert_eq!(outcome.shortest, m, "seed {seed}: complete field");
+        assert!(!outcome.truncation.truncated(), "seed {seed}");
+        cases += 1;
+        paths += expected.len();
+
+        for max_results in 1..=3 {
+            let capped = SearchConfig { max_results, ..config };
+            let outcome = search::enumerate(&graph, &sources, tout, &field, &capped);
+            let prefix = &expected[..expected.len().min(max_results)];
+            assert_eq!(outcome.jungloids, prefix, "seed {seed}: max_results {max_results}");
+            assert_eq!(outcome.shortest, m, "seed {seed}: max_results {max_results}");
+            assert_eq!(
+                outcome.truncation.truncated(),
+                expected.len() >= max_results,
+                "seed {seed}: max_results {max_results}"
+            );
+        }
+
+        let first = sources[0];
+        let (expected, m) = reference_enumeration(&graph, &[first], tout, config.extra_steps);
+        let field = DistanceField::bounded(&graph, first, tout, config.extra_steps, &mut SearchScratch::new());
+        let outcome = search::enumerate(&graph, &[first], tout, &field, &config);
+        assert_eq!(outcome.jungloids, expected, "seed {seed}: bounded field");
+        assert_eq!(outcome.shortest, m, "seed {seed}: bounded field");
+        bounded_cases += 1;
+        paths += expected.len();
+    }
+    assert!(paths > 1_000, "{cases} + {bounded_cases} cases produced only {paths} paths");
 }
 
 #[test]

@@ -117,15 +117,6 @@ pub fn eclipse_api() -> Result<Api, BuildError> {
     api_with(false)
 }
 
-/// Like [`eclipse_api`] plus the extended pack (zip/DOM/Swing-tree/JDBC).
-///
-/// # Errors
-///
-/// Fails only if the bundled stubs are malformed.
-pub fn extended_api() -> Result<Api, BuildError> {
-    api_with(true)
-}
-
 fn api_with(extended: bool) -> Result<Api, BuildError> {
     let mut loader = ApiLoader::with_prelude();
     for (file, text) in stubs::ALL_STUBS

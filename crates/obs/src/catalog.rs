@@ -7,11 +7,10 @@
 //! table is this table (`crates/obs/tests/catalog.rs` checks it).
 //!
 //! A `<label>` segment in a name marks a family with one series per
-//! label value (`query.stage_ns.<stage>`), and a `{..}` suffix names the
+//! label value (`stage.latency_ns.<stage>`), and a `{..}` suffix names the
 //! labels a row's samples carry. [`Counter`], [`Gauge`] and [`Hist`] rows
 //! have registry cells ([`crate::metrics`]); [`Labeled`] rows' cells live
-//! with their owner (the stage table, the serve layer, the tenant
-//! registry).
+//! with their owner (the serve layer, the tenant registry).
 
 use crate::span::Stage;
 
@@ -49,8 +48,6 @@ pub struct Row {
     pub help: &'static str,
     /// The values of a family whose cells the registry holds, else empty.
     pub labels: &'static [&'static str],
-    /// The exposition name, when it is not derived from `name`.
-    prom: Option<&'static str>,
 }
 
 impl Row {
@@ -70,13 +67,9 @@ impl Row {
 
     /// The Prometheus family name of one series: `prospector_` plus the
     /// series name with every non-alphanumeric byte as `_`, plus
-    /// `_total` for a counter. (The stage table's `count` and
-    /// `total_ns` rows keep the names they were first exposed under.)
+    /// `_total` for a counter.
     #[must_use]
     pub fn prom_name(&self, label: Option<&str>) -> String {
-        if let Some(prom) = self.prom {
-            return prom.to_owned();
-        }
         let mut out = crate::prom::metric_name(&self.series(label));
         if self.kind == Kind::Counter {
             out.push_str("_total");
@@ -111,7 +104,7 @@ macro_rules! catalog {
     ($(
         $(#[$doc:meta])*
         $Enum:ident {
-            $( $Variant:ident $kind:ident $name:literal $(as $prom:literal)? $([$labels:expr])? $help:literal; )*
+            $( $Variant:ident $kind:ident $name:literal $([$labels:expr])? $help:literal; )*
         }
     )*) => {
         $(
@@ -129,7 +122,6 @@ macro_rules! catalog {
                         kind: Kind::$kind,
                         help: $help,
                         labels: catalog!(@labels $($labels)?),
-                        prom: catalog!(@prom $($prom)?),
                     },
                 )*];
 
@@ -162,8 +154,6 @@ macro_rules! catalog {
     };
     (@labels) => { &[] };
     (@labels $labels:expr) => { $labels };
-    (@prom) => { None };
-    (@prom $prom:literal) => { Some($prom) };
 }
 
 catalog! {
@@ -212,7 +202,6 @@ catalog! {
     Gauge {
         GraphNodes Gauge "graph.nodes" "Jungloid-graph nodes of the current graph.";
         GraphEdges Gauge "graph.edges" "Jungloid-graph edges of the current graph.";
-        GraphCsrEdges Gauge "graph.csr.edges" "Edges in the CSR adjacency of the current graph.";
         GraphCsrBytes Gauge "graph.csr.bytes" "Approximate bytes of the CSR adjacency arrays of the current graph.";
         EngineDistCacheEntries Gauge "engine.dist_cache.entries" "Live distance-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
         EngineResultCacheEntries Gauge "engine.result_cache.entries" "Live result-cache entries, read at report time: summed over every tenant on /metrics, the command's engine under --metrics.";
@@ -233,16 +222,13 @@ catalog! {
     /// Histograms the registry holds: [`crate::metrics::histogram`].
     Hist {
         QueryLatencyNs Histogram "query.latency_ns" "Wall time of one recorded query, in nanoseconds.";
-        QueryStageNs Histogram "query.stage_ns.<stage>" [&Stage::NAMES] "Wall time of one stage of a recorded query, in nanoseconds.";
+        StageLatencyNs Histogram "stage.latency_ns.<stage>" [&Stage::NAMES] "Wall time of one span of the stage, in nanoseconds.";
         ServeQueueWaitNs Histogram "serve.queue.wait_ns" "Time from a serve thread's pickup of the connection to the start of the request's answer (read, framing, earlier pipelined answers), in nanoseconds.";
     }
 
     /// Labeled series whose cells live with their owner, who files them
     /// into the scrape ([`crate::prom::Exposition`]).
     Labeled {
-        StageCount Counter "stage.count{stage}" as "prospector_stage_count" "Completed spans per pipeline stage.";
-        StageTotalNs Counter "stage.total_ns{stage}" as "prospector_stage_total_ns" "Total wall-clock nanoseconds per pipeline stage.";
-        StageMaxNs Gauge "stage.max_ns{stage}" "Longest single span per pipeline stage, in nanoseconds.";
         ServeHttpRequests Counter "serve.http.requests{endpoint,code}" "HTTP requests served, by endpoint and status code.";
         ServeHttpLatencyNs Histogram "serve.http.latency_ns.<endpoint>" "Handle time of one request to the endpoint, in nanoseconds.";
         EngineGraphEpoch Gauge "engine.graph_epoch{tenant}" "Graph epoch of the tenant's installed engine.";
@@ -271,15 +257,14 @@ mod tests {
 
     #[test]
     fn series_fill_placeholders_and_mangle_mechanically() {
-        let stage = Hist::QueryStageNs.row();
-        assert_eq!(stage.series(Some("search")), "query.stage_ns.search");
-        assert_eq!(stage.prom_name(Some("search")), "prospector_query_stage_ns_search");
+        let stage = Hist::StageLatencyNs.row();
+        assert_eq!(stage.series(Some("search")), "stage.latency_ns.search");
+        assert_eq!(stage.prom_name(Some("search")), "prospector_stage_latency_ns_search");
         let reaped = Counter::ServePollerReaped.row();
         assert_eq!(reaped.prom_name(None), "prospector_serve_poller_reaped_total");
         let requests = Labeled::ServeHttpRequests.row();
         assert_eq!(requests.series(None), "serve.http.requests");
         assert_eq!(requests.prom_name(None), "prospector_serve_http_requests_total");
-        assert_eq!(Labeled::StageCount.row().prom_name(None), "prospector_stage_count");
         let tenant = Labeled::TenantLatencyNs.row();
         assert_eq!(tenant.prom_name(None), "prospector_serve_tenant_latency_ns");
     }
@@ -288,7 +273,7 @@ mod tests {
     fn cells_follow_the_rows_before_them() {
         assert_eq!(Counter::CELLS, Counter::ROWS.len());
         assert_eq!(Hist::CELLS, 2 + Stage::NAMES.len());
-        assert_eq!(Hist::QueryStageNs.cell(0), 1);
+        assert_eq!(Hist::StageLatencyNs.cell(0), 1);
         assert_eq!(Hist::ServeQueueWaitNs.cell(0), 1 + Stage::NAMES.len());
         let sections = Gauge::StoreSectionBytes;
         assert_eq!(Gauge::ROWS[sections as usize + 1].name, "serve.workers.busy");
@@ -302,6 +287,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "has no label")]
     fn a_label_past_the_family_panics() {
-        let _ = Hist::QueryStageNs.cell(Stage::NAMES.len());
+        let _ = Hist::StageLatencyNs.cell(Stage::NAMES.len());
     }
 }

@@ -1,9 +1,10 @@
 //! Lock-free log2-bucket histograms.
 //!
 //! A [`Histogram`] is 64 atomic buckets; a recorded value lands in bucket
-//! `⌊log2(v)⌋ + 1` (zero in bucket 0). Recording is one relaxed
-//! fetch-add, so the type is safe to share across mining threads without
-//! coordination. Count and sum are tracked exactly; quantiles are
+//! `⌊log2(v)⌋ + 1` (zero in bucket 0), and the top bucket holds every
+//! value from 2^62 up, so every `u64` has a bucket. Recording is one
+//! relaxed fetch-add, so the type is safe to share across mining threads
+//! without coordination. Count and sum are tracked exactly; quantiles are
 //! bucket-resolution approximations, which is plenty for the latency
 //! distributions of §5.
 
@@ -33,7 +34,8 @@ impl Default for Histogram {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket observation counts (`buckets[i]` holds values in
-    /// `[2^(i-1), 2^i)`; bucket 0 holds zeros).
+    /// `[2^(i-1), 2^i)`; bucket 0 holds zeros, and the last bucket every
+    /// value from 2^62 up).
     pub buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
@@ -51,7 +53,7 @@ impl Histogram {
     /// Index of the bucket a value lands in.
     #[must_use]
     pub fn bucket_of(value: u64) -> usize {
-        (64 - value.leading_zeros()) as usize
+        ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
     }
 
     /// Inclusive upper bound of a bucket (`u64::MAX` for the last).
@@ -59,7 +61,7 @@ impl Histogram {
     pub fn bucket_limit(index: usize) -> u64 {
         if index == 0 {
             0
-        } else if index >= BUCKETS {
+        } else if index >= BUCKETS - 1 {
             u64::MAX
         } else {
             (1u64 << index) - 1
@@ -85,19 +87,6 @@ impl Histogram {
 }
 
 impl HistSnapshot {
-    /// Mean of the observed values (exact).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.sum as f64 / self.count as f64
-            }
-        }
-    }
-
     /// Upper bound of the bucket containing the `q`-quantile (`q` in
     /// `[0, 1]`); 0 when empty.
     #[must_use]
@@ -131,7 +120,11 @@ mod tests {
         assert_eq!(Histogram::bucket_of(4), 3);
         assert_eq!(Histogram::bucket_of(1023), 10);
         assert_eq!(Histogram::bucket_of(1024), 11);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64 - 1 + 1);
+        assert_eq!(Histogram::bucket_of((1 << 62) - 1), 62);
+        assert_eq!(Histogram::bucket_of(1 << 62), 63);
+        assert_eq!(Histogram::bucket_of(u64::MAX), 63);
+        assert_eq!(Histogram::bucket_limit(62), (1 << 62) - 1);
+        assert_eq!(Histogram::bucket_limit(63), u64::MAX);
     }
 
     #[test]
@@ -143,7 +136,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 6);
         assert_eq!(s.sum, 1106);
-        assert!((s.mean() - 1106.0 / 6.0).abs() < 1e-9);
         assert_eq!(s.quantile(0.0), 0);
         // Median lands in the bucket of 2..=3.
         assert_eq!(s.quantile(0.5), 3);

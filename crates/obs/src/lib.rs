@@ -13,12 +13,14 @@
 //!   once per call; recording is a single relaxed atomic add.
 //! * [`hist`] — fixed-size log2-bucket histograms (no allocation after
 //!   registration, no locks on the record path). Every latency the
-//!   server records is one of these, cumulative since boot; a scraper
-//!   takes windows over its `_bucket` series with `rate()`.
+//!   server records and every stage's time is one of these, cumulative
+//!   since boot; a scraper takes windows over its `_bucket` series with
+//!   `rate()`.
 //! * [`span`] — the closed [`Stage`] catalog and its one RAII span. A
-//!   span reads the clock once at each end and feeds the stage table
-//!   and, on a recording query, that query's timeline, each only when
-//!   that sink is on; with both off it reads no clock.
+//!   span reads the clock once at each end when metrics are on or its
+//!   query records, and records the interval in its stage's histogram
+//!   and, on a recording query, as that query's lap; with both off it
+//!   reads no clock.
 //! * [`json`] — a small strict JSON value type, writer, and parser, used
 //!   for the `--metrics-json` report and the `index build --json` dump.
 //! * [`trace`] — the per-query flight recorder: seeded [`trace::TraceId`]
@@ -42,7 +44,7 @@
 //! # Example
 //!
 //! ```
-//! use prospector_obs::{Counter, Stage};
+//! use prospector_obs::{Counter, Hist, Stage};
 //!
 //! prospector_obs::metrics::set_enabled(true);
 //! {
@@ -51,7 +53,7 @@
 //! }
 //! let snap = prospector_obs::metrics::snapshot();
 //! assert_eq!(snap.counter(Counter::SearchDfsExpansions), 42);
-//! assert!(snap.stage("search").is_some());
+//! assert_eq!(snap.histogram(Hist::StageLatencyNs, Stage::Search.index()).count, 1);
 //! ```
 
 #![deny(unsafe_code)]

@@ -1,5 +1,5 @@
-//! The process-global metric registry: counters, gauges, stage timing
-//! aggregates, and histograms, one cell per [`crate::catalog`] row.
+//! The process-global metric registry: counters, gauges and histograms,
+//! one cell per [`crate::catalog`] row.
 //!
 //! Every cell is a fixed array slot of relaxed atomics indexed by its
 //! row, so recording takes no lock, hashes nothing and allocates
@@ -7,44 +7,16 @@
 //! and gauges always record, on the convention that **hot loops keep
 //! local tallies and flush once per call** — e.g. the DFS counts
 //! expansions in a local `u64` and calls [`add`] once per enumeration.
-//! Stage *timing* is gated on the [`enabled`] flag (set by the CLI's
-//! `--metrics` flags) so that an uninstrumented run never calls
-//! `Instant::now`. Stages come from the closed [`Stage`] catalog.
+//! Each [`crate::span::Stage`]'s time is one histogram,
+//! `stage.latency_ns.<stage>`; a span outside a recording query times
+//! only when the [`enabled`] flag is on (set by the CLI's `--metrics`
+//! flags), so an uninstrumented run never calls `Instant::now`.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::catalog::{Counter, Gauge, Hist};
 use crate::hist::{HistSnapshot, Histogram};
-use crate::span::Stage;
-
-/// One stage's accumulated wall-clock time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageStat {
-    /// Completed span count.
-    pub count: u64,
-    /// Total nanoseconds across spans.
-    pub total_ns: u64,
-    /// Longest single span in nanoseconds.
-    pub max_ns: u64,
-}
-
-impl StageStat {
-    /// Mean nanoseconds per span.
-    #[must_use]
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// One stage's aggregates, updated with relaxed atomics.
-#[derive(Debug, Default)]
-struct StageCell {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
 
 /// A registry of the catalog's counters, gauges and histograms. The
 /// pipeline uses the process-global one (via the free functions in this
@@ -54,7 +26,6 @@ pub struct Registry {
     enabled: AtomicBool,
     counters: [AtomicU64; Counter::CELLS],
     gauges: [AtomicU64; Gauge::CELLS],
-    stages: [StageCell; Stage::NAMES.len()],
     hists: [Histogram; Hist::CELLS],
 }
 
@@ -65,8 +36,6 @@ pub struct Snapshot {
     pub counters: Vec<u64>,
     /// Gauge values, by [`Gauge::cell`].
     pub gauges: Vec<u64>,
-    /// Timing aggregates of the stages that ran, by name.
-    pub stages: BTreeMap<String, StageStat>,
     /// Histogram states, by [`Hist::cell`].
     pub hists: Vec<HistSnapshot>,
 }
@@ -90,12 +59,6 @@ impl Snapshot {
     pub fn histogram(&self, hist: Hist, label: usize) -> &HistSnapshot {
         &self.hists[hist.cell(label)]
     }
-
-    /// Timing aggregate of a stage, if any span completed.
-    #[must_use]
-    pub fn stage(&self, name: &str) -> Option<StageStat> {
-        self.stages.get(name).copied()
-    }
 }
 
 impl Default for Registry {
@@ -104,7 +67,6 @@ impl Default for Registry {
             enabled: AtomicBool::new(false),
             counters: [const { AtomicU64::new(0) }; Counter::CELLS],
             gauges: [const { AtomicU64::new(0) }; Gauge::CELLS],
-            stages: std::array::from_fn(|_| StageCell::default()),
             hists: std::array::from_fn(|_| Histogram::new()),
         }
     }
@@ -150,34 +112,13 @@ impl Registry {
         &self.hists[hist.cell(label)]
     }
 
-    /// Folds one completed span into its stage's aggregate.
-    pub(crate) fn record_span(&self, stage: Stage, ns: u64) {
-        let cell = &self.stages[stage.index()];
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.total_ns.fetch_add(ns, Ordering::Relaxed);
-        cell.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
     /// Copies out everything recorded so far.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let load = |cells: &[AtomicU64]| cells.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let mut stages = BTreeMap::new();
-        for (cell, name) in self.stages.iter().zip(Stage::NAMES) {
-            let count = cell.count.load(Ordering::Relaxed);
-            if count > 0 {
-                let stat = StageStat {
-                    count,
-                    total_ns: cell.total_ns.load(Ordering::Relaxed),
-                    max_ns: cell.max_ns.load(Ordering::Relaxed),
-                };
-                stages.insert(name.to_owned(), stat);
-            }
-        }
         Snapshot {
             counters: load(&self.counters),
             gauges: load(&self.gauges),
-            stages,
             hists: self.hists.iter().map(Histogram::snapshot).collect(),
         }
     }
@@ -226,6 +167,7 @@ pub fn snapshot() -> Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::Stage;
 
     #[test]
     fn every_row_exists_at_zero_and_counters_accumulate() {
@@ -259,20 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_aggregates_fold() {
-        let r = Registry::new();
-        r.record_span(Stage::Search, 10);
-        r.record_span(Stage::Search, 30);
-        let snap = r.snapshot();
-        let st = snap.stage("search").unwrap();
-        assert_eq!(st.count, 2);
-        assert_eq!(st.total_ns, 40);
-        assert_eq!(st.max_ns, 30);
-        assert_eq!(st.mean_ns(), 20);
-        assert_eq!(snap.stages.len(), 1, "stages that never ran are not listed");
-    }
-
-    #[test]
     fn concurrent_adds_lose_nothing() {
         let r = Registry::new();
         std::thread::scope(|scope| {
@@ -282,12 +210,12 @@ mod tests {
                     for _ in 0..25_000 {
                         r.add(Counter::RankComparisons, 1);
                     }
-                    r.histogram(Hist::QueryStageNs, Stage::Rank.index()).record(5);
+                    r.histogram(Hist::StageLatencyNs, Stage::Rank.index()).record(5);
                 });
             }
         });
         let s = r.snapshot();
         assert_eq!(s.counter(Counter::RankComparisons), 200_000);
-        assert_eq!(s.histogram(Hist::QueryStageNs, Stage::Rank.index()).count, 8);
+        assert_eq!(s.histogram(Hist::StageLatencyNs, Stage::Rank.index()).count, 8);
     }
 }

@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use crate::catalog::{self, Counter, Gauge, Hist, Kind, Labeled, Row};
+use crate::catalog::{self, Counter, Gauge, Hist, Kind, Row};
 use crate::hist::{HistSnapshot, Histogram};
 use crate::metrics::Snapshot;
 
@@ -118,21 +118,14 @@ impl Exposition {
         let _ = writeln!(text, "{name}_count{set} {}", h.count);
     }
 
-    /// Files every series of a registry snapshot: each counter and gauge
-    /// cell, the stage table of the stages that ran, and each histogram
-    /// cell.
+    /// Files every series of a registry snapshot: each counter, gauge and
+    /// histogram cell.
     pub fn snapshot(&mut self, snap: &Snapshot) {
         for ((row, label), &v) in catalog::cells(Counter::ROWS).zip(&snap.counters) {
             self.value(row, label, &[], v);
         }
         for ((row, label), &v) in catalog::cells(Gauge::ROWS).zip(&snap.gauges) {
             self.value(row, label, &[], v);
-        }
-        for (name, stat) in &snap.stages {
-            let stage = [("stage", name.as_str())];
-            self.value(Labeled::StageCount.row(), None, &stage, stat.count);
-            self.value(Labeled::StageTotalNs.row(), None, &stage, stat.total_ns);
-            self.value(Labeled::StageMaxNs.row(), None, &stage, stat.max_ns);
         }
         for ((row, label), h) in catalog::cells(Hist::ROWS).zip(&snap.hists) {
             self.histogram(row, label, &[], h);
@@ -149,7 +142,8 @@ impl Exposition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{Registry, StageStat};
+    use crate::catalog::Labeled;
+    use crate::metrics::Registry;
     use crate::span::Stage;
 
     fn render(snap: &Snapshot) -> String {
@@ -169,7 +163,7 @@ mod tests {
         let r = Registry::new();
         r.add(Counter::SearchDfsExpansions, 7);
         r.gauge_set(Gauge::GraphNodes, 42);
-        r.record_span(Stage::Search, 1_000);
+        r.histogram(Hist::StageLatencyNs, Stage::Search.index()).record(1_000);
         let text = render(&r.snapshot());
         assert!(text.contains("# HELP prospector_search_dfs_expansions_total DFS node expansions"), "{text}");
         assert!(text.contains("# TYPE prospector_search_dfs_expansions_total counter"));
@@ -178,9 +172,9 @@ mod tests {
         assert!(text.contains("prospector_graph_nodes 42"));
         assert!(text.contains("prospector_engine_batch_errors_total 0"), "untouched rows render at zero");
         assert!(text.contains("prospector_store_section_csr_bytes 0"));
-        assert!(text.contains("# TYPE prospector_stage_count counter"));
-        assert!(text.contains("prospector_stage_count{stage=\"search\"} 1"));
-        assert!(text.contains("prospector_stage_total_ns{stage=\"search\"} 1000"));
+        assert!(text.contains("# TYPE prospector_stage_latency_ns_search histogram"));
+        assert!(text.contains("prospector_stage_latency_ns_search_count 1"));
+        assert!(text.contains("prospector_stage_latency_ns_search_sum 1000"));
         let helps: Vec<&str> = text.lines().filter(|l| l.starts_with("# HELP ")).collect();
         let mut names: Vec<&str> = helps.iter().map(|l| l.split(' ').nth(2).unwrap()).collect();
         names.sort_unstable();
@@ -230,16 +224,37 @@ mod tests {
         }
     }
 
+    /// The top bucket holds every value from 2^62 up, so the largest
+    /// values a saturating clock read yields land in it, under `+Inf`
+    /// alone.
+    #[test]
+    fn values_past_2_pow_63_land_only_under_inf() {
+        let h = Histogram::new();
+        h.record(1 << 63);
+        h.record(u64::MAX);
+        let snap = h.snapshot();
+        assert_eq!(snap.count, 2);
+        assert_eq!(snap.quantile(0.5), u64::MAX);
+        let mut e = Exposition::default();
+        e.histogram(Hist::QueryLatencyNs.row(), None, &[], &snap);
+        let text = e.finish();
+        assert!(text.contains("prospector_query_latency_ns_bucket{le=\"+Inf\"} 2"), "{text}");
+        assert!(text.contains("prospector_query_latency_ns_count 2"), "{text}");
+        let finite: Vec<&str> = text.lines().filter(|l| l.contains("_bucket{le=") && !l.contains("+Inf")).collect();
+        assert_eq!(finite.len(), 63, "every finite bound up to 2^62 - 1: {text}");
+        assert!(finite.iter().all(|l| l.ends_with(" 0")), "{text}");
+    }
+
     #[test]
     fn zero_count_histogram_renders_valid_cumulative_buckets() {
         let text = render(&Registry::new().snapshot());
-        assert!(text.contains("# TYPE prospector_query_stage_ns_store histogram"), "{text}");
+        assert!(text.contains("# TYPE prospector_stage_latency_ns_store histogram"), "{text}");
         // A zero-count histogram still emits a well-formed cumulative
         // series ending with the mandatory +Inf bucket equal to _count.
-        assert!(text.contains("prospector_query_stage_ns_store_bucket{le=\"0\"} 0"), "{text}");
-        assert!(text.contains("prospector_query_stage_ns_store_bucket{le=\"+Inf\"} 0"), "{text}");
-        assert!(text.contains("prospector_query_stage_ns_store_sum 0"), "{text}");
-        assert!(text.contains("prospector_query_stage_ns_store_count 0"), "{text}");
+        assert!(text.contains("prospector_stage_latency_ns_store_bucket{le=\"0\"} 0"), "{text}");
+        assert!(text.contains("prospector_stage_latency_ns_store_bucket{le=\"+Inf\"} 0"), "{text}");
+        assert!(text.contains("prospector_stage_latency_ns_store_sum 0"), "{text}");
+        assert!(text.contains("prospector_stage_latency_ns_store_count 0"), "{text}");
     }
 
     #[test]
@@ -270,18 +285,13 @@ mod tests {
         assert_eq!(escape_label("a\"b"), "a\\\"b");
         assert_eq!(escape_label("a\\b"), "a\\\\b");
         assert_eq!(escape_label("a\nb"), "a\\nb");
-        // A hostile stage name in a snapshot renders with its quote and
-        // newline escaped so the sample stays one well-formed line.
-        let mut snap = Registry::new().snapshot();
-        let stat = StageStat { count: 1, total_ns: 5, max_ns: 5 };
-        snap.stages.insert("evil\"stage\nname".to_owned(), stat);
-        let text = render(&snap);
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("prospector_stage_count"))
-            .expect("stage series rendered");
-        assert!(line.contains("{stage=\"evil\\\"stage\\nname\"}"), "{line}");
-        assert_eq!(line.matches('\n').count(), 0);
+        // A hostile tenant name renders with its quote and newline
+        // escaped so the sample stays one well-formed line.
+        let mut e = Exposition::default();
+        e.value(Labeled::EngineQueries.row(), None, &[("tenant", "evil\"tenant\nname")], 1);
+        let text = e.finish();
+        let samples: Vec<&str> = text.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(samples, ["prospector_engine_queries_total{tenant=\"evil\\\"tenant\\nname\"} 1"], "{text}");
     }
 
     #[test]
@@ -289,7 +299,7 @@ mod tests {
         let r = Registry::new();
         r.add(Counter::MineExamples, 1);
         r.gauge_set(Gauge::GraphEdges, 2);
-        r.record_span(Stage::Store, 3);
+        r.histogram(Hist::StageLatencyNs, Stage::Store.index()).record(3);
         r.histogram(Hist::ServeQueueWaitNs, 0).record(9);
         for line in render(&r.snapshot()).lines() {
             if line.starts_with("# HELP ") || line.starts_with("# TYPE ") {

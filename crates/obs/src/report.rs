@@ -4,36 +4,13 @@
 
 use crate::catalog::{cells, Counter, Gauge, Hist};
 use crate::json::Json;
-use crate::metrics::{Snapshot, StageStat};
-use crate::span::Stage;
+use crate::metrics::Snapshot;
 
-/// The six canonical pipeline stages, in pipeline order. The JSON report
-/// always carries all of them (zeroed when a stage did not run) so
-/// downstream consumers can index unconditionally.
-pub const PIPELINE_STAGES: [&str; 6] = ["build", "mine", "generalize", "search", "rank", "synth"];
-
-/// Converts a snapshot to the `--metrics-json` document: the stages in
-/// catalog order, which lists the pipeline stages first, then every
-/// counter, gauge and histogram of the catalog by series name.
+/// Converts a snapshot to the `--metrics-json` document: every counter,
+/// gauge and histogram of the catalog by series name, recorded or not,
+/// so each stage's `stage.latency_ns.<stage>` entry is always there.
 #[must_use]
 pub fn to_json(snap: &Snapshot) -> Json {
-    let mut stages: Vec<(String, Json)> = Vec::new();
-    for name in Stage::NAMES {
-        let stat = match snap.stage(name) {
-            Some(stat) => stat,
-            None if PIPELINE_STAGES.contains(&name) => StageStat::default(),
-            None => continue,
-        };
-        stages.push((
-            name.to_owned(),
-            Json::obj(vec![
-                ("count", Json::num_u(stat.count)),
-                ("total_ns", Json::num_u(stat.total_ns)),
-                ("mean_ns", Json::num_u(stat.mean_ns())),
-                ("max_ns", Json::num_u(stat.max_ns)),
-            ]),
-        ));
-    }
     let values = |rows, values: &[u64]| {
         Json::Obj(cells(rows).zip(values).map(|((row, label), &v)| (row.series(label), Json::num_u(v))).collect())
     };
@@ -48,7 +25,6 @@ pub fn to_json(snap: &Snapshot) -> Json {
         (row.series(label), Json::obj(stats))
     });
     Json::obj(vec![
-        ("stages", Json::Obj(stages)),
         ("counters", values(Counter::ROWS, &snap.counters)),
         ("gauges", values(Gauge::ROWS, &snap.gauges)),
         ("histograms", Json::Obj(hists.collect())),
@@ -67,28 +43,14 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// Renders a snapshot as an aligned text block: the stages that ran,
-/// then every nonzero counter and gauge and every non-empty histogram.
+/// Renders a snapshot as an aligned text block: every nonzero counter
+/// and gauge, then every non-empty histogram with its times in
+/// nanoseconds written as durations.
 #[must_use]
 pub fn to_text(snap: &Snapshot) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     let _ = writeln!(out, "--- metrics ---");
-    let has_timing = snap.stages.values().any(|s| s.count > 0);
-    if has_timing {
-        let _ = writeln!(out, "stages (count / total / mean / max):");
-        let ran = Stage::NAMES.into_iter().filter_map(|n| Some((n, snap.stage(n)?)));
-        for (name, stat) in ran {
-            let _ = writeln!(
-                out,
-                "  {name:<12} {:>6}  {:>10}  {:>10}  {:>10}",
-                stat.count,
-                fmt_ns(stat.total_ns),
-                fmt_ns(stat.mean_ns()),
-                fmt_ns(stat.max_ns),
-            );
-        }
-    }
     let nonzero = |title: &str, rows, values: &[u64], out: &mut String| {
         let mut lines = cells(rows).zip(values).filter(|(_, &v)| v > 0).peekable();
         if lines.peek().is_some() {
@@ -103,12 +65,12 @@ pub fn to_text(snap: &Snapshot) -> String {
     for ((row, label), h) in cells(Hist::ROWS).zip(&snap.hists).filter(|(_, h)| h.count > 0) {
         let _ = writeln!(
             out,
-            "hist {}: n={} mean={:.1} p50={} p99={}",
+            "hist {}: n={} mean={} p50={} p99={}",
             row.series(label),
             h.count,
-            h.mean(),
-            h.quantile(0.5),
-            h.quantile(0.99)
+            fmt_ns(h.sum / h.count),
+            fmt_ns(h.quantile(0.5)),
+            fmt_ns(h.quantile(0.99))
         );
     }
     out
@@ -118,20 +80,26 @@ pub fn to_text(snap: &Snapshot) -> String {
 mod tests {
     use super::*;
     use crate::metrics::Registry;
+    use crate::span::Stage;
 
     #[test]
-    fn json_report_always_has_all_pipeline_stages() {
+    fn json_report_carries_every_stage_histogram() {
         let r = Registry::new();
-        r.record_span(Stage::Search, 1_000);
+        r.histogram(Hist::StageLatencyNs, Stage::Search.index()).record(1_000);
         r.add(Counter::SearchDfsExpansions, 7);
         r.gauge_set(Gauge::EngineDistCacheEntries, 3);
         let doc = to_json(&r.snapshot());
-        let stages = doc.get("stages").unwrap();
-        for name in PIPELINE_STAGES {
-            let s = stages.get(name).unwrap_or_else(|| panic!("stage {name} missing"));
-            assert!(s.get("total_ns").unwrap().as_u64().is_some());
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["counters", "gauges", "histograms"]);
+        let hists = doc.get("histograms").unwrap();
+        for name in Stage::NAMES {
+            let h = hists.get(&format!("stage.latency_ns.{name}")).unwrap_or_else(|| panic!("stage {name} missing"));
+            assert!(h.get("count").unwrap().as_u64().is_some());
         }
-        assert_eq!(stages.get("search").unwrap().get("total_ns").unwrap().as_u64(), Some(1_000));
+        let search = hists.get("stage.latency_ns.search").unwrap();
+        assert_eq!(search.get("count").unwrap().as_u64(), Some(1));
+        assert_eq!(search.get("sum").unwrap().as_u64(), Some(1_000));
+        assert_eq!(hists.get("stage.latency_ns.rank").unwrap().get("count").unwrap().as_u64(), Some(0));
         assert_eq!(
             doc.get("counters").unwrap().get("search.dfs_expansions").unwrap().as_u64(),
             Some(7)
@@ -140,27 +108,20 @@ mod tests {
         assert_eq!(doc.get("counters").unwrap().get("engine.batch.errors").unwrap().as_u64(), Some(0));
         let sections = doc.get("gauges").unwrap().get("store.section.csr.bytes");
         assert_eq!(sections.unwrap().as_u64(), Some(0));
-        let stage_hist = doc.get("histograms").unwrap().get("query.stage_ns.search").unwrap();
-        assert_eq!(stage_hist.get("count").unwrap().as_u64(), Some(0));
-        assert!(doc.get("windows").is_none());
         // The document is valid JSON text.
         let text = doc.to_text();
         assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
-    fn pipeline_stages_lead_the_catalog() {
-        assert_eq!(Stage::NAMES[..PIPELINE_STAGES.len()], PIPELINE_STAGES);
-    }
-
-    #[test]
-    fn text_report_lists_counters() {
+    fn text_report_lists_counters_and_histograms_as_durations() {
         let r = Registry::new();
         r.add(Counter::MineCastSites, 12);
-        r.record_span(Stage::Mine, 2_500_000);
+        r.histogram(Hist::StageLatencyNs, Stage::Mine.index()).record(2_500_000);
         let text = to_text(&r.snapshot());
         assert!(text.contains("mine.cast_sites"));
         assert!(!text.contains("mine.examples"), "zero rows stay out of the text block");
-        assert!(text.contains("2.50ms"));
+        assert!(text.contains("hist stage.latency_ns.mine: n=1 mean=2.50ms "), "{text}");
+        assert!(!text.contains("stage.latency_ns.build"), "empty histograms stay out: {text}");
     }
 }

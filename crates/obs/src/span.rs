@@ -1,12 +1,13 @@
 //! The stage catalog and its one RAII span.
 //!
 //! A [`Span`] times one interval of a [`Stage`] with one clock read at
-//! each end and, on drop, feeds every sink that was on when it opened:
-//! the stage table ([`crate::metrics`]) when metrics are on, and the
-//! owning query's lap event and `query.stage_ns.<stage>` histogram when
-//! it was opened on a recording query
-//! ([`crate::trace::QuerySpan::stage`]). Spans nest freely, and the
-//! record path takes no lock and allocates nothing.
+//! each end, and reads the clock only when metrics are on or the span
+//! was opened on a recording query ([`crate::trace::QuerySpan::stage`]).
+//! On drop it records the interval in the stage's
+//! `stage.latency_ns.<stage>` histogram, the one store of a stage's
+//! time, and on a recording query it also appends the query's lap
+//! event. Spans nest freely, and the record path takes no lock and
+//! allocates nothing.
 
 use std::time::{Duration, Instant};
 
@@ -34,18 +35,16 @@ pub enum Stage {
     Assist,
     /// A query batch fan-out.
     Batch,
-    /// One served HTTP request.
-    ServeRequest,
     /// A snapshot save or load.
     Store,
 }
 
 impl Stage {
     /// Every stage's name, in discriminant order: the name a stage has in
-    /// the stage table, query timelines and histogram names.
-    pub const NAMES: [&'static str; 10] = [
+    /// query timelines and histogram names.
+    pub const NAMES: [&'static str; 9] = [
         "build", "mine", "generalize", "search", "rank", "synth",
-        "assist", "batch", "serve.request", "store",
+        "assist", "batch", "store",
     ];
 
     /// The stage's name (see [`Stage::NAMES`]).
@@ -55,7 +54,7 @@ impl Stage {
     }
 
     /// The stage's slot in per-stage arrays (and its label value in the
-    /// `query.stage_ns.<stage>` family): its discriminant.
+    /// `stage.latency_ns.<stage>` family): its discriminant.
     #[must_use]
     pub const fn index(self) -> usize {
         self as usize
@@ -80,23 +79,21 @@ pub(crate) struct QuerySink<'q> {
 #[derive(Debug)]
 pub struct Span<'q> {
     stage: Stage,
-    /// The clock read at open; `None` when no timing sink was on.
+    /// The clock read at open; `None` when metrics were off and no
+    /// query records.
     start: Option<Instant>,
-    /// Whether the stage table records this interval.
-    table: bool,
     /// The owning query's timeline, when that query records.
     query: Option<QuerySink<'q>>,
 }
 
 /// Opens a span on `stage`, writing to `query`'s timeline when given.
 pub(crate) fn open(stage: Stage, query: Option<QuerySink<'_>>) -> Span<'_> {
-    let table = metrics::enabled();
-    let start = (table || query.is_some()).then(Instant::now);
-    Span { stage, start, table, query }
+    let start = (metrics::enabled() || query.is_some()).then(Instant::now);
+    Span { stage, start, query }
 }
 
-/// Opens a process-level span for `stage`: it feeds the stage table
-/// only, and belongs to no query timeline.
+/// Opens a process-level span for `stage`: it records the stage's
+/// histogram when metrics are on, and belongs to no query timeline.
 #[must_use]
 pub fn stage(stage: Stage) -> Span<'static> {
     open(stage, None)
@@ -106,9 +103,7 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let ns = nanos(start.elapsed());
-        if self.table {
-            metrics::global().record_span(self.stage, ns);
-        }
+        metrics::histogram(Hist::StageLatencyNs, self.stage.index()).record(ns);
         if let Some(q) = &mut self.query {
             q.events.push(TraceEvent {
                 trace_id: q.trace_id,
@@ -116,7 +111,6 @@ impl Drop for Span<'_> {
                 value: ns,
                 t_ns: nanos(start.duration_since(q.epoch)),
             });
-            metrics::histogram(Hist::QueryStageNs, self.stage.index()).record(ns);
         }
     }
 }
@@ -136,7 +130,6 @@ mod tests {
             (Stage::Synth, "synth"),
             (Stage::Assist, "assist"),
             (Stage::Batch, "batch"),
-            (Stage::ServeRequest, "serve.request"),
             (Stage::Store, "store"),
         ];
         assert_eq!(catalog.len(), Stage::NAMES.len());
@@ -146,32 +139,31 @@ mod tests {
         }
     }
 
-    /// The stage table is process-global and the flag is shared, so the
+    /// The registry is process-global and the flag is shared, so the
     /// disabled and enabled halves run as one body. No other test in this
-    /// crate times `build` or `mine`, so their counts are exact.
+    /// crate times `build` or `mine` in it, so their counts are exact.
     #[test]
     fn spans_record_nested_durations_only_when_enabled() {
-        let count = |stage: Stage| metrics::snapshot().stage(stage.name()).map_or(0, |s| s.count);
+        let hist = |stage: Stage| metrics::snapshot().histogram(Hist::StageLatencyNs, stage.index()).clone();
         metrics::set_enabled(false);
-        let before = count(Stage::Mine);
+        let before = hist(Stage::Mine);
         drop(stage(Stage::Mine));
-        assert_eq!(count(Stage::Mine), before, "a disabled span records nothing");
+        assert_eq!(hist(Stage::Mine), before, "a disabled span records nothing");
 
         metrics::set_enabled(true);
-        let (outer_before, inner_before) = (count(Stage::Build), count(Stage::Mine));
+        let (outer_before, inner_before) = (hist(Stage::Build), hist(Stage::Mine));
         {
             let _outer = stage(Stage::Build);
             let inner = stage(Stage::Mine);
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
             drop(inner);
         }
         metrics::set_enabled(false);
-        let snap = metrics::snapshot();
-        let outer = snap.stage("build").unwrap();
-        let inner = snap.stage("mine").unwrap();
-        assert_eq!(outer.count, outer_before + 1);
-        assert_eq!(inner.count, inner_before + 1);
-        assert!(inner.max_ns >= 2_000_000, "slept 2ms, recorded {}ns", inner.max_ns);
-        assert!(outer.max_ns >= inner.max_ns, "outer contains inner");
+        let (outer, inner) = (hist(Stage::Build), hist(Stage::Mine));
+        assert_eq!(outer.count, outer_before.count + 1);
+        assert_eq!(inner.count, inner_before.count + 1);
+        let inner_ns = inner.sum - inner_before.sum;
+        assert!(inner_ns >= 2_000_000, "slept 2ms, recorded {inner_ns}ns");
+        assert!(outer.sum - outer_before.sum >= inner_ns, "outer contains inner");
     }
 }

@@ -25,7 +25,7 @@
 //!
 //! A timeline holds two kinds of event, each named by the catalog: a
 //! [`Stage`] lap from the one stage span ([`QuerySpan::stage`], see
-//! [`crate::span`]), which also feeds the stage table, and a [`Counter`]
+//! [`crate::span`]), which also lands in its stage's histogram, and a [`Counter`]
 //! count from [`QuerySpan::add`], which also adds to the global counter.
 //! The `query` envelope closes it: its end-to-end latency, which also
 //! lands in the `query.latency_ns` histogram.
@@ -366,9 +366,9 @@ impl QuerySpan<'_> {
         self.started.is_some()
     }
 
-    /// Opens a stage span on this query. Besides the stage table, it
-    /// records the query's lap event and its `query.stage_ns.<stage>`
-    /// histogram when this span records.
+    /// Opens a stage span on this query. When this query records, the
+    /// span times even with metrics off and adds the query's lap event
+    /// beside its `stage.latency_ns.<stage>` observation.
     pub fn stage(&mut self, stage: Stage) -> Span<'_> {
         let sink = self.started.is_some().then_some(QuerySink {
             events: &mut self.events,
@@ -661,7 +661,7 @@ mod tests {
     #[test]
     fn events_are_named_by_the_catalog() {
         let names: Vec<(String, &str)> = [
-            EventKind::Lap(Stage::ServeRequest),
+            EventKind::Lap(Stage::Store),
             EventKind::Count(Counter::EngineDistCacheHits),
             EventKind::Query,
         ]
@@ -669,7 +669,7 @@ mod tests {
         .map(|k| (k.name(), k.label()))
         .collect();
         let expected = [
-            ("serve.request.total", "lap"),
+            ("store.total", "lap"),
             ("engine.dist_cache.hits", "count"),
             ("query", "query"),
         ];
